@@ -280,9 +280,13 @@ let micro_trace_on_bench =
            ignore (Ptaint_cpu.Machine.step m)
          done))
 
-(* block-threaded engine: the same ALU loop driven in bulk — with live
-   taint (full handlers, one dispatch per block) and fully clean (the
-   specialized no-taint handlers) *)
+(* bulk driver from a cold start: the same ALU loop through
+   [Machine.run] on a fresh machine, so each run executes the loop's
+   first [Superblock.threshold - 1] passes on [step_core], translates
+   the block, and spends the rest in its self-chained superblock — with
+   live taint (full variant) and fully clean (clean variant).  The
+   block-dispatch row keeps its historical name: CI requires it and
+   gates micro/log-off-10k against it. *)
 let micro_block_dispatch_bench =
   Test.make ~name:"micro/block-dispatch-10k"
     (Staged.stage (fun () ->
@@ -295,15 +299,21 @@ let micro_clean_fastpath_bench =
          let m = alu_machine ~tainted:false () in
          ignore (Ptaint_cpu.Machine.run m ~fuel:10_000);
          (* a guard, not just a timer: this row exists to measure the
-            specialized no-taint executor, so a fall-back to the
-            masked handlers must fail the bench, not silently time
-            the wrong path *)
-         if m.Ptaint_cpu.Machine.blocks_run = 0
+            superblock tier's clean variant, so a loop left on
+            [step_core] (never promoted, or never chained) or a
+            translated block that took the full variant must fail the
+            bench, not silently time the wrong path.  Every cold
+            block is clean here too, so [clean_blocks = blocks_run]
+            alone would not notice a missing translation. *)
+         if m.Ptaint_cpu.Machine.sb_promoted = 0
+            || m.Ptaint_cpu.Machine.chain_hits = 0
             || m.Ptaint_cpu.Machine.clean_blocks < m.Ptaint_cpu.Machine.blocks_run
          then
            failwith
              (Printf.sprintf
-                "micro/clean-fastpath-10k: clean path not taken (%d/%d blocks clean)"
+                "micro/clean-fastpath-10k: clean path not taken \
+                 (%d promoted, %d chain hits, %d/%d blocks clean)"
+                m.Ptaint_cpu.Machine.sb_promoted m.Ptaint_cpu.Machine.chain_hits
                 m.Ptaint_cpu.Machine.clean_blocks m.Ptaint_cpu.Machine.blocks_run)))
 
 (* superblock tier, steady state: the machines persist across

@@ -109,7 +109,9 @@ let inflight_arg =
 let cache_arg =
   Arg.(value & opt int 64 & info [ "cache" ] ~docv:"N"
          ~doc:"Image cache capacity: assembled programs and boot snapshots kept for \
-               repeat submissions (LRU).")
+               repeat submissions (LRU).  The capacity applies per process: with \
+               $(b,--isolate) every worker keeps its own cache of $(docv) images, \
+               so image memory is bounded by $(b,--workers) x $(docv) images.")
 
 let job_timeout_arg =
   Arg.(value & opt (some float) None & info [ "job-timeout" ] ~docv:"SECONDS"

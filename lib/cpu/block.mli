@@ -1,4 +1,4 @@
-(** Pre-decoded basic blocks for the block-threaded execution engine.
+(** Pre-decoded basic blocks for bulk execution.
 
     The text segment is decoded once per machine into flat handler
     records: one {!opcode} plus up to three pre-extracted integer
@@ -7,14 +7,14 @@
     [stops] table giving every entry index the position of the first
     block terminator (branch / jump / syscall / break) at or after
     it.  {!Machine.run} dispatches once per block instead of once per
-    instruction and advances through the straight-line body without
-    re-resolving the pc.
+    instruction: a cold block runs through its terminator on the
+    per-step semantics, a hot one is translated by {!Superblock}.
 
     The analysis is pure: it never changes execution semantics, it
-    only re-represents {!Ptaint_isa.Insn.t} values in a form the bulk
-    interpreter can walk without re-matching nested constructors.  The
-    original instructions are kept alongside for alert records and
-    diagnostics. *)
+    only re-represents {!Ptaint_isa.Insn.t} values in a form the
+    superblock translator can compile without re-matching nested
+    constructors.  The original instructions are kept alongside for
+    alert records and diagnostics. *)
 
 (** Flat, single-level opcode.  [ADD]/[ADDU] (and [SUB]/[SUBU],
     [ADDI]/[ADDIU]) collapse to one opcode because the simulator
@@ -50,8 +50,8 @@ type t = {
   insns : Ptaint_isa.Insn.t array;  (** originals, for alert records *)
   counts : int array;
       (** Superblock-tier hotness counters, one per entry index.
-          Bumped by the interpreting dispatcher until the entry is
-          promoted to a translated superblock.  Shared (racily, with
+          Bumped by {!Machine.run} at every cold dispatch of the
+          entry until it is promoted to a translated superblock.  Shared (racily, with
           benign lost updates) across every machine and domain
           executing the same decoded program, so counts warm up
           across jobs exactly like the snapshot pages do. *)
@@ -64,7 +64,7 @@ val index_of : base:int -> len:int -> int -> int
     text segment of [len] instructions starting at [base], or [-1]
     when [pc] is below the base, misaligned, or past the end.  This
     is the single bounds-checked pc→index rule shared by
-    {!Machine.fetch}, the per-step engine and the block engine, so
+    {!Machine.fetch}, the per-step engine and the bulk driver, so
     the block cutter can never disagree with the stepper. *)
 
 val is_terminator : Ptaint_isa.Insn.t -> bool

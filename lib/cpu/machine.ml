@@ -415,6 +415,11 @@ let step_core t =
      | Break code -> t.pc <- next; Break_trap code)
   end
 
+(* Up to [k] instructions of the engine [f], stopping at the first
+   non-[Normal] result. *)
+let rec steps f t k =
+  if k <= 0 then Normal else match f t with Normal -> steps f t (k - 1) | r -> r
+
 (* --- observation (only reached when a trace is attached) --- *)
 
 (* Coarse region classification for taint-milestone narratives.  The
@@ -476,33 +481,24 @@ let step_traced t o =
 
 let step t = match t.obs with None -> step_core t | Some o -> step_traced t o
 
-(* --- the block-threaded bulk engine ---
+(* --- bulk execution ---
 
    [run t ~fuel] executes up to [fuel] instructions and returns
    [Normal] exactly when it stopped because the fuel ran out; any
    other result is the event that ended execution, with [pc], [icount]
    and all machine state byte-identical to what [fuel] iterations of
-   [step] would have produced.  One dispatch per basic block: the pc
-   is resolved once at block entry, the policy and guard configuration
-   are hoisted out of the instruction loop entirely (nothing inside a
-   [run] call can change them), and the straight-line body walks the
-   pre-decoded flat opcode/field arrays with a single exception region
-   per segment.
+   [step] would have produced.
 
-   Clean fast path: when the live-taint counters prove the machine
-   clean (no tainted register slot, no tainted memory byte), the block
-   body runs specialized handlers that skip every Prop/Mask
-   computation, detector check, guard walk and taint-plane access.
-   This is exact, not approximate: with zero live taint no instruction
-   can create taint (ALU results of clean inputs are clean, loads read
-   a provably zero taint plane) and no detector can fire (they all
-   require a tainted operand), so the clean handlers are
-   policy-independent.  Taint only enters through the kernel
-   ([Taint_in] delivery on read/recv) or a snapshot restore — both
-   happen between [run] calls, and a syscall always terminates a block
-   — so checking the counters once per block is sound, and
-   clean→tainted→clean transitions (e.g. via compare-untaints) are
-   picked up at the next block boundary. *)
+   One dispatch per basic block, two engines.  A hot entry (its
+   hotness counter crossed {!Superblock.threshold}) runs its
+   translated superblock chain, which carries its own clean/full
+   variant selection.  Every other block — cold code, and a hot block
+   that does not fit the remaining fuel — runs on [step_core], the
+   same per-instruction semantics the reference engine uses, up to
+   and including its terminator.  [blocks_run] and [clean_blocks]
+   count those cold blocks too, the clean test being the live-taint
+   check at block entry (no tainted register slot, no tainted memory
+   byte). *)
 
 let run t ~fuel =
   if fuel <= 0 then Normal
@@ -510,765 +506,28 @@ let run t ~fuel =
     match t.obs with
     | Some _ ->
       (* Per-instruction milestones wanted: drive the traced engine. *)
-      let rec go n =
-        if n <= 0 then Normal
-        else match step t with Normal -> go (n - 1) | r -> r
-      in
-      go fuel
+      steps step t fuel
     | None ->
       let module M = Ptaint_mem.Memory in
       let module TS = Ptaint_mem.Tagged_store in
       let d = decoded t in
       let regs = t.regs and mem = t.mem in
-      (* Memory accesses go straight at the tagged store's inline
-         accessors, with the access stats bumped here — identically to
-         the [Memory] wrappers — and [TS.Unmapped] caught per segment
-         instead of per access. *)
       let tsto = M.tagged mem in
       let st = M.stats mem in
-      let pol = t.policy in
-      let track = pol.track in
-      let cmp = track && pol.compare_untaints in
-      let dd = Policy.detects_data_pointers pol && track in
-      let dd_guard = Policy.detects_data_pointers pol in
-      let dc = Policy.detects_control pol && track in
-      let and_zero = pol.and_zero_untaints in
-      let or_ones = pol.or_ones_untaints in
-      let xor_idiom = pol.xor_idiom_untaints in
-      let guards = t.guard_ranges in
-      let has_guards = guards <> [] in
-      let guarded_ea ea width =
-        List.exists (fun (lo, len) -> ea < lo + len && ea + width > lo) guards
-      in
       let base = d.Block.base and n = d.Block.n in
-      let ops = d.Block.ops and fa = d.Block.fa and fb = d.Block.fb and fc = d.Block.fc in
-      let stops = d.Block.stops and insns = d.Block.insns in
-      (* Straight-line events: the executor parks [!j] on the faulting
-         index and records the event here before breaking out. *)
-      let ev = ref Normal in
-      let stop_alert kind reg reg_value ea i =
-        ev :=
-          Alert
-            { alert_pc = base + (i lsl 2); alert_insn = Array.unsafe_get insns i;
-              kind; reg; reg_value; ea; stage = "EX/MEM" };
-        raise_notrace Exit
-      in
-      let stop_misaligned addr width =
-        ev := Fault (Misaligned { addr; width });
-        raise_notrace Exit
-      in
-      (* Full-taint straight-line executor: [j0, stop) contains no
-         terminators.  Semantics per opcode mirror [step_core]
-         exactly, including evaluation order around compare-untaints
-         and the address-alert / misalign / guard-alert store order. *)
-      let exec_full j0 stop =
-        let j = ref j0 in
-        (try
-           while !j < stop do
-             let i = !j in
-             (match Array.unsafe_get ops i with
-              | Block.Onop -> ()
-              | Block.Oadd ->
-                let a = Regfile.get regs (Array.unsafe_get fb i)
-                and b = Regfile.get regs (Array.unsafe_get fc i) in
-                let m = if track then Prop.default (Tword.mask a) (Tword.mask b) else Mask.none in
-                Regfile.set regs (Array.unsafe_get fa i)
-                  (Tword.make ~v:(Word.add (Tword.value a) (Tword.value b)) ~m)
-              | Block.Osub ->
-                let a = Regfile.get regs (Array.unsafe_get fb i)
-                and b = Regfile.get regs (Array.unsafe_get fc i) in
-                let m = if track then Prop.default (Tword.mask a) (Tword.mask b) else Mask.none in
-                Regfile.set regs (Array.unsafe_get fa i)
-                  (Tword.make ~v:(Word.sub (Tword.value a) (Tword.value b)) ~m)
-              | Block.Oand ->
-                let a = Regfile.get regs (Array.unsafe_get fb i)
-                and b = Regfile.get regs (Array.unsafe_get fc i) in
-                let m =
-                  if not track then Mask.none
-                  else if and_zero then
-                    Prop.and_bytes ~v1:(Tword.value a) ~m1:(Tword.mask a)
-                      ~v2:(Tword.value b) ~m2:(Tword.mask b)
-                  else Prop.default (Tword.mask a) (Tword.mask b)
-                in
-                Regfile.set regs (Array.unsafe_get fa i)
-                  (Tword.make ~v:(Tword.value a land Tword.value b) ~m)
-              | Block.Oor ->
-                let a = Regfile.get regs (Array.unsafe_get fb i)
-                and b = Regfile.get regs (Array.unsafe_get fc i) in
-                let m =
-                  if not track then Mask.none
-                  else if or_ones then
-                    Prop.or_bytes ~v1:(Tword.value a) ~m1:(Tword.mask a)
-                      ~v2:(Tword.value b) ~m2:(Tword.mask b)
-                  else Prop.default (Tword.mask a) (Tword.mask b)
-                in
-                Regfile.set regs (Array.unsafe_get fa i)
-                  (Tword.make ~v:(Tword.value a lor Tword.value b) ~m)
-              | Block.Oxor ->
-                let rs = Array.unsafe_get fb i and rt = Array.unsafe_get fc i in
-                let a = Regfile.get regs rs and b = Regfile.get regs rt in
-                let m =
-                  if not track then Mask.none
-                  else if rs = rt && xor_idiom then Prop.xor_same
-                  else Prop.default (Tword.mask a) (Tword.mask b)
-                in
-                Regfile.set regs (Array.unsafe_get fa i)
-                  (Tword.make ~v:(Tword.value a lxor Tword.value b) ~m)
-              | Block.Onor ->
-                let a = Regfile.get regs (Array.unsafe_get fb i)
-                and b = Regfile.get regs (Array.unsafe_get fc i) in
-                let m = if track then Prop.default (Tword.mask a) (Tword.mask b) else Mask.none in
-                Regfile.set regs (Array.unsafe_get fa i)
-                  (Tword.make ~v:(Word.of_int (lnot (Tword.value a lor Tword.value b))) ~m)
-              | Block.Oslt ->
-                let rs = Array.unsafe_get fb i and rt = Array.unsafe_get fc i in
-                let a = Regfile.get regs rs and b = Regfile.get regs rt in
-                let v = if Word.lt_signed (Tword.value a) (Tword.value b) then 1 else 0 in
-                let m =
-                  if cmp || not track then Mask.none
-                  else Prop.default (Tword.mask a) (Tword.mask b)
-                in
-                if cmp then begin
-                  Regfile.untaint regs rs;
-                  Regfile.untaint regs rt
-                end;
-                Regfile.set regs (Array.unsafe_get fa i) (Tword.make ~v ~m)
-              | Block.Osltu ->
-                let rs = Array.unsafe_get fb i and rt = Array.unsafe_get fc i in
-                let a = Regfile.get regs rs and b = Regfile.get regs rt in
-                let v = if Word.lt_unsigned (Tword.value a) (Tword.value b) then 1 else 0 in
-                let m =
-                  if cmp || not track then Mask.none
-                  else Prop.default (Tword.mask a) (Tword.mask b)
-                in
-                if cmp then begin
-                  Regfile.untaint regs rs;
-                  Regfile.untaint regs rt
-                end;
-                Regfile.set regs (Array.unsafe_get fa i) (Tword.make ~v ~m)
-              | Block.Osllv ->
-                let a = Regfile.get regs (Array.unsafe_get fb i)
-                and b = Regfile.get regs (Array.unsafe_get fc i) in
-                let m =
-                  if track then
-                    Prop.shift Prop.Left ~amount:(Tword.value b) ~amount_mask:(Tword.mask b)
-                      (Tword.mask a)
-                  else Mask.none
-                in
-                Regfile.set regs (Array.unsafe_get fa i)
-                  (Tword.make ~v:(Word.sll (Tword.value a) (Tword.value b land 31)) ~m)
-              | Block.Osrlv ->
-                let a = Regfile.get regs (Array.unsafe_get fb i)
-                and b = Regfile.get regs (Array.unsafe_get fc i) in
-                let m =
-                  if track then
-                    Prop.shift Prop.Right ~amount:(Tword.value b) ~amount_mask:(Tword.mask b)
-                      (Tword.mask a)
-                  else Mask.none
-                in
-                Regfile.set regs (Array.unsafe_get fa i)
-                  (Tword.make ~v:(Word.srl (Tword.value a) (Tword.value b land 31)) ~m)
-              | Block.Osrav ->
-                let a = Regfile.get regs (Array.unsafe_get fb i)
-                and b = Regfile.get regs (Array.unsafe_get fc i) in
-                let m =
-                  if track then
-                    Prop.shift Prop.Right ~amount:(Tword.value b) ~amount_mask:(Tword.mask b)
-                      (Tword.mask a)
-                  else Mask.none
-                in
-                Regfile.set regs (Array.unsafe_get fa i)
-                  (Tword.make ~v:(Word.sra (Tword.value a) (Tword.value b land 31)) ~m)
-              | Block.Oaddi ->
-                let a = Regfile.get regs (Array.unsafe_get fb i) in
-                let m = if track then Tword.mask a else Mask.none in
-                Regfile.set regs (Array.unsafe_get fa i)
-                  (Tword.make ~v:(Word.add (Tword.value a) (Array.unsafe_get fc i)) ~m)
-              | Block.Oandi ->
-                let a = Regfile.get regs (Array.unsafe_get fb i) in
-                let imm = Array.unsafe_get fc i in
-                let m =
-                  if not track then Mask.none
-                  else if and_zero then
-                    Prop.and_bytes ~v1:(Tword.value a) ~m1:(Tword.mask a) ~v2:imm ~m2:Mask.none
-                  else Tword.mask a
-                in
-                Regfile.set regs (Array.unsafe_get fa i)
-                  (Tword.make ~v:(Tword.value a land imm) ~m)
-              | Block.Oori ->
-                let a = Regfile.get regs (Array.unsafe_get fb i) in
-                let m = if track then Tword.mask a else Mask.none in
-                Regfile.set regs (Array.unsafe_get fa i)
-                  (Tword.make ~v:(Tword.value a lor Array.unsafe_get fc i) ~m)
-              | Block.Oxori ->
-                let a = Regfile.get regs (Array.unsafe_get fb i) in
-                let m = if track then Tword.mask a else Mask.none in
-                Regfile.set regs (Array.unsafe_get fa i)
-                  (Tword.make ~v:(Tword.value a lxor Array.unsafe_get fc i) ~m)
-              | Block.Oslti ->
-                let rs = Array.unsafe_get fb i in
-                let a = Regfile.get regs rs in
-                let v =
-                  if Word.lt_signed (Tword.value a) (Array.unsafe_get fc i) then 1 else 0
-                in
-                let m = if cmp || not track then Mask.none else Tword.mask a in
-                if cmp then Regfile.untaint regs rs;
-                Regfile.set regs (Array.unsafe_get fa i) (Tword.make ~v ~m)
-              | Block.Osltiu ->
-                let rs = Array.unsafe_get fb i in
-                let a = Regfile.get regs rs in
-                let v =
-                  if Word.lt_unsigned (Tword.value a) (Array.unsafe_get fc i) then 1 else 0
-                in
-                let m = if cmp || not track then Mask.none else Tword.mask a in
-                if cmp then Regfile.untaint regs rs;
-                Regfile.set regs (Array.unsafe_get fa i) (Tword.make ~v ~m)
-              | Block.Osll ->
-                let a = Regfile.get regs (Array.unsafe_get fb i) in
-                let sh = Array.unsafe_get fc i in
-                let m =
-                  if track then
-                    Prop.shift Prop.Left ~amount:sh ~amount_mask:Mask.none (Tword.mask a)
-                  else Mask.none
-                in
-                Regfile.set regs (Array.unsafe_get fa i)
-                  (Tword.make ~v:(Word.sll (Tword.value a) sh) ~m)
-              | Block.Osrl ->
-                let a = Regfile.get regs (Array.unsafe_get fb i) in
-                let sh = Array.unsafe_get fc i in
-                let m =
-                  if track then
-                    Prop.shift Prop.Right ~amount:sh ~amount_mask:Mask.none (Tword.mask a)
-                  else Mask.none
-                in
-                Regfile.set regs (Array.unsafe_get fa i)
-                  (Tword.make ~v:(Word.srl (Tword.value a) sh) ~m)
-              | Block.Osra ->
-                let a = Regfile.get regs (Array.unsafe_get fb i) in
-                let sh = Array.unsafe_get fc i in
-                let m =
-                  if track then
-                    Prop.shift Prop.Right ~amount:sh ~amount_mask:Mask.none (Tword.mask a)
-                  else Mask.none
-                in
-                Regfile.set regs (Array.unsafe_get fa i)
-                  (Tword.make ~v:(Word.sra (Tword.value a) sh) ~m)
-              | Block.Olui ->
-                Regfile.set regs (Array.unsafe_get fa i)
-                  (Tword.untainted (Array.unsafe_get fc i))
-              | Block.Olw ->
-                let breg = Array.unsafe_get fb i in
-                let a = Regfile.get regs breg in
-                let ea = Word.add (Tword.value a) (Array.unsafe_get fc i) in
-                if dd && Tword.is_tainted a then
-                  stop_alert Load_address breg a (Some ea) i
-                else if ea land 3 <> 0 then stop_misaligned ea 4
-                else begin
-                  let w = TS.load_word_aligned tsto ea in
-                  st.M.loads <- st.M.loads + 1;
-                  if Tword.is_tainted w then st.M.tainted_loads <- st.M.tainted_loads + 1;
-                  let w = if track then w else Tword.untainted (Tword.value w) in
-                  Regfile.set regs (Array.unsafe_get fa i) w
-                end
-              | Block.Olb ->
-                let breg = Array.unsafe_get fb i in
-                let a = Regfile.get regs breg in
-                let ea = Word.add (Tword.value a) (Array.unsafe_get fc i) in
-                if dd && Tword.is_tainted a then
-                  stop_alert Load_address breg a (Some ea) i
-                else begin
-                  let w = TS.load_byte_tw tsto ea in
-                  st.M.loads <- st.M.loads + 1;
-                  if Tword.is_tainted w then st.M.tainted_loads <- st.M.tainted_loads + 1;
-                  let w = Tword.with_value w (Word.sign_extend ~bits:8 (Tword.value w)) in
-                  let w = if track then w else Tword.untainted (Tword.value w) in
-                  Regfile.set regs (Array.unsafe_get fa i) w
-                end
-              | Block.Olbu ->
-                let breg = Array.unsafe_get fb i in
-                let a = Regfile.get regs breg in
-                let ea = Word.add (Tword.value a) (Array.unsafe_get fc i) in
-                if dd && Tword.is_tainted a then
-                  stop_alert Load_address breg a (Some ea) i
-                else begin
-                  let w = TS.load_byte_tw tsto ea in
-                  st.M.loads <- st.M.loads + 1;
-                  if Tword.is_tainted w then st.M.tainted_loads <- st.M.tainted_loads + 1;
-                  let w = if track then w else Tword.untainted (Tword.value w) in
-                  Regfile.set regs (Array.unsafe_get fa i) w
-                end
-              | Block.Olh ->
-                let breg = Array.unsafe_get fb i in
-                let a = Regfile.get regs breg in
-                let ea = Word.add (Tword.value a) (Array.unsafe_get fc i) in
-                if dd && Tword.is_tainted a then
-                  stop_alert Load_address breg a (Some ea) i
-                else if ea land 1 <> 0 then stop_misaligned ea 2
-                else begin
-                  let w = TS.load_half_even tsto ea in
-                  st.M.loads <- st.M.loads + 1;
-                  if Tword.is_tainted w then st.M.tainted_loads <- st.M.tainted_loads + 1;
-                  let w = Tword.with_value w (Word.sign_extend ~bits:16 (Tword.value w)) in
-                  let w = if track then w else Tword.untainted (Tword.value w) in
-                  Regfile.set regs (Array.unsafe_get fa i) w
-                end
-              | Block.Olhu ->
-                let breg = Array.unsafe_get fb i in
-                let a = Regfile.get regs breg in
-                let ea = Word.add (Tword.value a) (Array.unsafe_get fc i) in
-                if dd && Tword.is_tainted a then
-                  stop_alert Load_address breg a (Some ea) i
-                else if ea land 1 <> 0 then stop_misaligned ea 2
-                else begin
-                  let w = TS.load_half_even tsto ea in
-                  st.M.loads <- st.M.loads + 1;
-                  if Tword.is_tainted w then st.M.tainted_loads <- st.M.tainted_loads + 1;
-                  let w = if track then w else Tword.untainted (Tword.value w) in
-                  Regfile.set regs (Array.unsafe_get fa i) w
-                end
-              | Block.Osw ->
-                let breg = Array.unsafe_get fb i in
-                let a = Regfile.get regs breg in
-                let ea = Word.add (Tword.value a) (Array.unsafe_get fc i) in
-                if dd && Tword.is_tainted a then
-                  stop_alert Store_address breg a (Some ea) i
-                else if ea land 3 <> 0 then stop_misaligned ea 4
-                else begin
-                  let rt = Array.unsafe_get fa i in
-                  let data = Regfile.get regs rt in
-                  let data = if track then data else Tword.untainted (Tword.value data) in
-                  if dd_guard && Tword.is_tainted data && has_guards && guarded_ea ea 4 then
-                    stop_alert Guarded_store rt data (Some ea) i
-                  else begin
-                    TS.store_word_aligned tsto ea data;
-                    st.M.stores <- st.M.stores + 1;
-                    if Tword.is_tainted data then
-                      st.M.tainted_stores <- st.M.tainted_stores + 1
-                  end
-                end
-              | Block.Osb ->
-                let breg = Array.unsafe_get fb i in
-                let a = Regfile.get regs breg in
-                let ea = Word.add (Tword.value a) (Array.unsafe_get fc i) in
-                if dd && Tword.is_tainted a then
-                  stop_alert Store_address breg a (Some ea) i
-                else begin
-                  let rt = Array.unsafe_get fa i in
-                  let data = Regfile.get regs rt in
-                  let data = if track then data else Tword.untainted (Tword.value data) in
-                  if dd_guard && Tword.is_tainted data && has_guards && guarded_ea ea 1 then
-                    stop_alert Guarded_store rt data (Some ea) i
-                  else begin
-                    let taint = Mask.byte (Tword.mask data) 0 in
-                    TS.store_byte tsto ea (Tword.value data land 0xff) ~taint;
-                    st.M.stores <- st.M.stores + 1;
-                    if taint then st.M.tainted_stores <- st.M.tainted_stores + 1
-                  end
-                end
-              | Block.Osh ->
-                let breg = Array.unsafe_get fb i in
-                let a = Regfile.get regs breg in
-                let ea = Word.add (Tword.value a) (Array.unsafe_get fc i) in
-                if dd && Tword.is_tainted a then
-                  stop_alert Store_address breg a (Some ea) i
-                else if ea land 1 <> 0 then stop_misaligned ea 2
-                else begin
-                  let rt = Array.unsafe_get fa i in
-                  let data = Regfile.get regs rt in
-                  let data = if track then data else Tword.untainted (Tword.value data) in
-                  if dd_guard && Tword.is_tainted data && has_guards && guarded_ea ea 2 then
-                    stop_alert Guarded_store rt data (Some ea) i
-                  else begin
-                    let m = Tword.mask data in
-                    TS.store_half_even tsto ea (Tword.value data) ~m;
-                    st.M.stores <- st.M.stores + 1;
-                    if Mask.is_tainted m then st.M.tainted_stores <- st.M.tainted_stores + 1
-                  end
-                end
-              | Block.Omult ->
-                let a = Regfile.get regs (Array.unsafe_get fa i)
-                and b = Regfile.get regs (Array.unsafe_get fb i) in
-                let av = Tword.value a and bv = Tword.value b in
-                let m = if track then Prop.default (Tword.mask a) (Tword.mask b) else Mask.none in
-                Regfile.set_hi regs (Tword.make ~v:(Word.mul_hi_signed av bv) ~m);
-                Regfile.set_lo regs (Tword.make ~v:(Word.mul_lo av bv) ~m)
-              | Block.Omultu ->
-                let a = Regfile.get regs (Array.unsafe_get fa i)
-                and b = Regfile.get regs (Array.unsafe_get fb i) in
-                let av = Tword.value a and bv = Tword.value b in
-                let m = if track then Prop.default (Tword.mask a) (Tword.mask b) else Mask.none in
-                Regfile.set_hi regs (Tword.make ~v:(Word.mul_hi_unsigned av bv) ~m);
-                Regfile.set_lo regs (Tword.make ~v:(Word.mul_lo av bv) ~m)
-              | Block.Odiv ->
-                let a = Regfile.get regs (Array.unsafe_get fa i)
-                and b = Regfile.get regs (Array.unsafe_get fb i) in
-                let q, r = Word.div_signed (Tword.value a) (Tword.value b) in
-                let m = if track then Prop.default (Tword.mask a) (Tword.mask b) else Mask.none in
-                Regfile.set_hi regs (Tword.make ~v:r ~m);
-                Regfile.set_lo regs (Tword.make ~v:q ~m)
-              | Block.Odivu ->
-                let a = Regfile.get regs (Array.unsafe_get fa i)
-                and b = Regfile.get regs (Array.unsafe_get fb i) in
-                let q, r = Word.div_unsigned (Tword.value a) (Tword.value b) in
-                let m = if track then Prop.default (Tword.mask a) (Tword.mask b) else Mask.none in
-                Regfile.set_hi regs (Tword.make ~v:r ~m);
-                Regfile.set_lo regs (Tword.make ~v:q ~m)
-              | Block.Omfhi -> Regfile.set regs (Array.unsafe_get fa i) (Regfile.get_hi regs)
-              | Block.Omflo -> Regfile.set regs (Array.unsafe_get fa i) (Regfile.get_lo regs)
-              | Block.Omthi -> Regfile.set_hi regs (Regfile.get regs (Array.unsafe_get fa i))
-              | Block.Omtlo -> Regfile.set_lo regs (Regfile.get regs (Array.unsafe_get fa i))
-              | Block.Obeq | Block.Obne | Block.Oblez | Block.Obgtz | Block.Obltz
-              | Block.Obgez | Block.Oj | Block.Ojal | Block.Ojr | Block.Ojalr
-              | Block.Osyscall | Block.Obreak ->
-                (* terminators never appear inside a straight-line body *)
-                assert false);
-             j := i + 1
-           done
-         with
-         | Exit -> ()
-         | TS.Unmapped addr ->
-           let access =
-             match Array.unsafe_get ops !j with
-             | Block.Osb | Block.Osh | Block.Osw -> M.Store
-             | _ -> M.Load
-           in
-           ev := Fault (Segfault { addr; access }));
-        !j
-      in
-      (* Clean straight-line executor: only sound while both live-taint
-         counters are zero.  Pure value semantics — no Tword packing,
-         no mask algebra, no detector or guard checks, data-plane-only
-         memory traffic.  Misalignment and segfaults still behave
-         exactly like the full engine. *)
-      let exec_clean j0 stop =
-        let j = ref j0 in
-        (try
-           while !j < stop do
-             let i = !j in
-             (match Array.unsafe_get ops i with
-              | Block.Onop -> ()
-              | Block.Oadd ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (Regfile.value regs (Array.unsafe_get fb i)
-                  + Regfile.value regs (Array.unsafe_get fc i))
-              | Block.Osub ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (Regfile.value regs (Array.unsafe_get fb i)
-                  - Regfile.value regs (Array.unsafe_get fc i))
-              | Block.Oand ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (Regfile.value regs (Array.unsafe_get fb i)
-                  land Regfile.value regs (Array.unsafe_get fc i))
-              | Block.Oor ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (Regfile.value regs (Array.unsafe_get fb i)
-                  lor Regfile.value regs (Array.unsafe_get fc i))
-              | Block.Oxor ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (Regfile.value regs (Array.unsafe_get fb i)
-                  lxor Regfile.value regs (Array.unsafe_get fc i))
-              | Block.Onor ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (lnot
-                     (Regfile.value regs (Array.unsafe_get fb i)
-                     lor Regfile.value regs (Array.unsafe_get fc i)))
-              | Block.Oslt ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (if
-                     Word.lt_signed
-                       (Regfile.value regs (Array.unsafe_get fb i))
-                       (Regfile.value regs (Array.unsafe_get fc i))
-                   then 1
-                   else 0)
-              | Block.Osltu ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (if
-                     Word.lt_unsigned
-                       (Regfile.value regs (Array.unsafe_get fb i))
-                       (Regfile.value regs (Array.unsafe_get fc i))
-                   then 1
-                   else 0)
-              | Block.Osllv ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (Word.sll
-                     (Regfile.value regs (Array.unsafe_get fb i))
-                     (Regfile.value regs (Array.unsafe_get fc i)))
-              | Block.Osrlv ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (Word.srl
-                     (Regfile.value regs (Array.unsafe_get fb i))
-                     (Regfile.value regs (Array.unsafe_get fc i)))
-              | Block.Osrav ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (Word.sra
-                     (Regfile.value regs (Array.unsafe_get fb i))
-                     (Regfile.value regs (Array.unsafe_get fc i)))
-              | Block.Oaddi ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (Regfile.value regs (Array.unsafe_get fb i) + Array.unsafe_get fc i)
-              | Block.Oandi ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (Regfile.value regs (Array.unsafe_get fb i) land Array.unsafe_get fc i)
-              | Block.Oori ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (Regfile.value regs (Array.unsafe_get fb i) lor Array.unsafe_get fc i)
-              | Block.Oxori ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (Regfile.value regs (Array.unsafe_get fb i) lxor Array.unsafe_get fc i)
-              | Block.Oslti ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (if
-                     Word.lt_signed
-                       (Regfile.value regs (Array.unsafe_get fb i))
-                       (Array.unsafe_get fc i)
-                   then 1
-                   else 0)
-              | Block.Osltiu ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (if
-                     Word.lt_unsigned
-                       (Regfile.value regs (Array.unsafe_get fb i))
-                       (Array.unsafe_get fc i)
-                   then 1
-                   else 0)
-              | Block.Osll ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (Word.sll (Regfile.value regs (Array.unsafe_get fb i)) (Array.unsafe_get fc i))
-              | Block.Osrl ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (Word.srl (Regfile.value regs (Array.unsafe_get fb i)) (Array.unsafe_get fc i))
-              | Block.Osra ->
-                Regfile.set_value regs (Array.unsafe_get fa i)
-                  (Word.sra (Regfile.value regs (Array.unsafe_get fb i)) (Array.unsafe_get fc i))
-              | Block.Olui ->
-                Regfile.set_value regs (Array.unsafe_get fa i) (Array.unsafe_get fc i)
-              | Block.Olw ->
-                let ea =
-                  Word.add (Regfile.value regs (Array.unsafe_get fb i)) (Array.unsafe_get fc i)
-                in
-                if ea land 3 <> 0 then stop_misaligned ea 4
-                else begin
-                  let v = TS.load_word_clean_aligned tsto ea in
-                  st.M.loads <- st.M.loads + 1;
-                  Regfile.set_value regs (Array.unsafe_get fa i) v
-                end
-              | Block.Olb ->
-                let ea =
-                  Word.add (Regfile.value regs (Array.unsafe_get fb i)) (Array.unsafe_get fc i)
-                in
-                let v = TS.load_byte_clean tsto ea in
-                st.M.loads <- st.M.loads + 1;
-                Regfile.set_value regs (Array.unsafe_get fa i) (Word.sign_extend ~bits:8 v)
-              | Block.Olbu ->
-                let ea =
-                  Word.add (Regfile.value regs (Array.unsafe_get fb i)) (Array.unsafe_get fc i)
-                in
-                let v = TS.load_byte_clean tsto ea in
-                st.M.loads <- st.M.loads + 1;
-                Regfile.set_value regs (Array.unsafe_get fa i) v
-              | Block.Olh ->
-                let ea =
-                  Word.add (Regfile.value regs (Array.unsafe_get fb i)) (Array.unsafe_get fc i)
-                in
-                if ea land 1 <> 0 then stop_misaligned ea 2
-                else begin
-                  let v = TS.load_half_clean_even tsto ea in
-                  st.M.loads <- st.M.loads + 1;
-                  Regfile.set_value regs (Array.unsafe_get fa i) (Word.sign_extend ~bits:16 v)
-                end
-              | Block.Olhu ->
-                let ea =
-                  Word.add (Regfile.value regs (Array.unsafe_get fb i)) (Array.unsafe_get fc i)
-                in
-                if ea land 1 <> 0 then stop_misaligned ea 2
-                else begin
-                  let v = TS.load_half_clean_even tsto ea in
-                  st.M.loads <- st.M.loads + 1;
-                  Regfile.set_value regs (Array.unsafe_get fa i) v
-                end
-              | Block.Osw ->
-                let ea =
-                  Word.add (Regfile.value regs (Array.unsafe_get fb i)) (Array.unsafe_get fc i)
-                in
-                if ea land 3 <> 0 then stop_misaligned ea 4
-                else begin
-                  TS.store_word_clean_aligned tsto ea
-                    (Regfile.value regs (Array.unsafe_get fa i));
-                  st.M.stores <- st.M.stores + 1
-                end
-              | Block.Osb ->
-                let ea =
-                  Word.add (Regfile.value regs (Array.unsafe_get fb i)) (Array.unsafe_get fc i)
-                in
-                TS.store_byte_clean tsto ea (Regfile.value regs (Array.unsafe_get fa i));
-                st.M.stores <- st.M.stores + 1
-              | Block.Osh ->
-                let ea =
-                  Word.add (Regfile.value regs (Array.unsafe_get fb i)) (Array.unsafe_get fc i)
-                in
-                if ea land 1 <> 0 then stop_misaligned ea 2
-                else begin
-                  TS.store_half_clean_even tsto ea
-                    (Regfile.value regs (Array.unsafe_get fa i));
-                  st.M.stores <- st.M.stores + 1
-                end
-              | Block.Omult ->
-                let av = Regfile.value regs (Array.unsafe_get fa i)
-                and bv = Regfile.value regs (Array.unsafe_get fb i) in
-                Regfile.set_hi regs (Tword.untainted (Word.mul_hi_signed av bv));
-                Regfile.set_lo regs (Tword.untainted (Word.mul_lo av bv))
-              | Block.Omultu ->
-                let av = Regfile.value regs (Array.unsafe_get fa i)
-                and bv = Regfile.value regs (Array.unsafe_get fb i) in
-                Regfile.set_hi regs (Tword.untainted (Word.mul_hi_unsigned av bv));
-                Regfile.set_lo regs (Tword.untainted (Word.mul_lo av bv))
-              | Block.Odiv ->
-                let q, r =
-                  Word.div_signed
-                    (Regfile.value regs (Array.unsafe_get fa i))
-                    (Regfile.value regs (Array.unsafe_get fb i))
-                in
-                Regfile.set_hi regs (Tword.untainted r);
-                Regfile.set_lo regs (Tword.untainted q)
-              | Block.Odivu ->
-                let q, r =
-                  Word.div_unsigned
-                    (Regfile.value regs (Array.unsafe_get fa i))
-                    (Regfile.value regs (Array.unsafe_get fb i))
-                in
-                Regfile.set_hi regs (Tword.untainted r);
-                Regfile.set_lo regs (Tword.untainted q)
-              | Block.Omfhi ->
-                Regfile.set_value regs (Array.unsafe_get fa i) (Tword.value (Regfile.get_hi regs))
-              | Block.Omflo ->
-                Regfile.set_value regs (Array.unsafe_get fa i) (Tword.value (Regfile.get_lo regs))
-              | Block.Omthi ->
-                Regfile.set_hi regs
-                  (Tword.untainted (Regfile.value regs (Array.unsafe_get fa i)))
-              | Block.Omtlo ->
-                Regfile.set_lo regs
-                  (Tword.untainted (Regfile.value regs (Array.unsafe_get fa i)))
-              | Block.Obeq | Block.Obne | Block.Oblez | Block.Obgtz | Block.Obltz
-              | Block.Obgez | Block.Oj | Block.Ojal | Block.Ojr | Block.Ojalr
-              | Block.Osyscall | Block.Obreak ->
-                assert false);
-             j := i + 1
-           done
-         with
-         | Exit -> ()
-         | TS.Unmapped addr ->
-           let access =
-             match Array.unsafe_get ops !j with
-             | Block.Osb | Block.Osh | Block.Osw -> M.Store
-             | _ -> M.Load
-           in
-           ev := Fault (Segfault { addr; access }));
-        !j
-      in
-      (* Terminator executor, shared by both modes: compare-untaints of
-         clean registers are no-ops and tainted-target alerts cannot
-         fire without live taint, so one copy serves both.  Alert arms
-         leave the pc parked on the terminator, like [step_core]. *)
-      let exec_term k =
-        let pc = base + (k lsl 2) in
-        let next = pc + 4 in
-        match Array.unsafe_get ops k with
-        | Block.Obeq ->
-          let rs = Array.unsafe_get fa k and rt = Array.unsafe_get fb k in
-          let a = Regfile.value regs rs and b = Regfile.value regs rt in
-          if cmp then begin
-            Regfile.untaint regs rs;
-            Regfile.untaint regs rt
-          end;
-          t.pc <- (if a = b then next + Array.unsafe_get fc k else next);
-          Normal
-        | Block.Obne ->
-          let rs = Array.unsafe_get fa k and rt = Array.unsafe_get fb k in
-          let a = Regfile.value regs rs and b = Regfile.value regs rt in
-          if cmp then begin
-            Regfile.untaint regs rs;
-            Regfile.untaint regs rt
-          end;
-          t.pc <- (if a <> b then next + Array.unsafe_get fc k else next);
-          Normal
-        | Block.Oblez ->
-          let rs = Array.unsafe_get fa k in
-          let a = Word.to_signed (Regfile.value regs rs) in
-          if cmp then Regfile.untaint regs rs;
-          t.pc <- (if a <= 0 then next + Array.unsafe_get fc k else next);
-          Normal
-        | Block.Obgtz ->
-          let rs = Array.unsafe_get fa k in
-          let a = Word.to_signed (Regfile.value regs rs) in
-          if cmp then Regfile.untaint regs rs;
-          t.pc <- (if a > 0 then next + Array.unsafe_get fc k else next);
-          Normal
-        | Block.Obltz ->
-          let rs = Array.unsafe_get fa k in
-          let a = Word.to_signed (Regfile.value regs rs) in
-          if cmp then Regfile.untaint regs rs;
-          t.pc <- (if a < 0 then next + Array.unsafe_get fc k else next);
-          Normal
-        | Block.Obgez ->
-          let rs = Array.unsafe_get fa k in
-          let a = Word.to_signed (Regfile.value regs rs) in
-          if cmp then Regfile.untaint regs rs;
-          t.pc <- (if a >= 0 then next + Array.unsafe_get fc k else next);
-          Normal
-        | Block.Oj ->
-          t.pc <- Array.unsafe_get fa k;
-          Normal
-        | Block.Ojal ->
-          Regfile.set regs Reg.ra (Tword.untainted next);
-          t.pc <- Array.unsafe_get fa k;
-          Normal
-        | Block.Ojr ->
-          let rs = Array.unsafe_get fa k in
-          let a = Regfile.get regs rs in
-          if dc && Tword.is_tainted a then begin
-            t.pc <- pc;
-            Alert
-              { alert_pc = pc; alert_insn = Array.unsafe_get insns k; kind = Jump_target;
-                reg = rs; reg_value = a; ea = None; stage = "ID/EX" }
-          end
-          else begin
-            t.pc <- Tword.value a;
-            Normal
-          end
-        | Block.Ojalr ->
-          let rd = Array.unsafe_get fa k and rs = Array.unsafe_get fb k in
-          let a = Regfile.get regs rs in
-          if dc && Tword.is_tainted a then begin
-            t.pc <- pc;
-            Alert
-              { alert_pc = pc; alert_insn = Array.unsafe_get insns k; kind = Jump_target;
-                reg = rs; reg_value = a; ea = None; stage = "ID/EX" }
-          end
-          else begin
-            Regfile.set regs rd (Tword.untainted next);
-            t.pc <- Tword.value a;
-            Normal
-          end
-        | Block.Osyscall ->
-          t.pc <- next;
-          Syscall
-        | Block.Obreak ->
-          t.pc <- next;
-          Break_trap (Array.unsafe_get fa k)
-        | _ -> assert false
-      in
+      let ops = d.Block.ops and stops = d.Block.stops and insns = d.Block.insns in
       (* Superblock tier: per-entry hotness counters, translated
          chains, and an env the chains communicate exits through. *)
       let module SB = Superblock in
       let tier = tier_for t d in
       let sbs = tier.SB.t_sbs and counts = d.Block.counts in
       let env = sbenv_for t tsto st in
-      env.SB.e_guards <- guards;
-      env.SB.e_has_guards <- has_guards;
+      env.SB.e_guards <- t.guard_ranges;
+      env.SB.e_has_guards <- t.guard_ranges <> [];
       (* Driver: one iteration per basic block (or per superblock
          chain run, when the entry is translated and the whole block
          fits the remaining fuel — the tier refuses partial blocks so
-         fuel slicing stays icount-exact on the interpreter arm). *)
+         fuel slicing stays icount-exact on the [step_core] arm). *)
       let remaining = ref fuel in
       let result = ref Normal in
       let running = ref true in
@@ -1331,7 +590,7 @@ let run t ~fuel =
             (* The block entry flushed its whole-body load/store
                counts up front; a mid-body exit must give back the
                unexecuted suffix, starting at the event instruction
-               itself (the interpreter bumps only after a successful
+               itself ([step_core] bumps only after a successful
                access, so a faulting/alerting access never counts). *)
             if code >= SB.ev_load_alert then begin
               let nl = ref 0 and ns = ref 0 in
@@ -1347,15 +606,15 @@ let run t ~fuel =
               if !ns > 0 then st.M.stores <- st.M.stores - !ns
             end;
             if code = SB.ev_none then begin
-              (* chain miss: continue (and warm the successor) on the
-                 interpreter arm *)
+              (* chain miss: continue at the successor, whose entry
+                 the next dispatch warms (or runs, if translated) *)
               t.chain_misses <- t.chain_misses + 1;
               t.pc <- env.SB.e_next_pc;
               if !remaining <= 0 then running := false
             end
             else if code = SB.ev_fuel then begin
               (* a chained successor no longer fits: park on it and
-                 let the interpreter arm run the partial block *)
+                 let the [step_core] arm run the partial block *)
               t.pc <- env.SB.e_next_pc;
               if !remaining <= 0 then running := false
             end
@@ -1408,46 +667,20 @@ let run t ~fuel =
             end
           end
           else begin
-            (* --- interpreter arm --- *)
+            (* --- cold arm: [step_core] through the block's
+               terminator, or as far as the fuel reaches; falling off
+               the end of the text segment reports Bad_pc like the
+               per-step engine --- *)
             t.blocks_run <- t.blocks_run + 1;
-            let s_lim = Array.unsafe_get stops idx in
-            let budget = !remaining in
-            let stop = if s_lim - idx < budget then s_lim else idx + budget in
-            let clean =
-              Regfile.is_clean regs && Ptaint_mem.Memory.tainted_bytes mem = 0
-            in
-            if clean then t.clean_blocks <- t.clean_blocks + 1;
-            ev := Normal;
-            let j = if clean then exec_clean idx stop else exec_full idx stop in
-            match !ev with
-            | Normal ->
-              if j = s_lim && s_lim < n && budget > s_lim - idx then begin
-                (* straight-line body complete, fuel left: run the
-                   terminator as part of this block *)
-                let r = exec_term s_lim in
-                t.icount <- t.icount + (s_lim - idx) + 1;
-                remaining := budget - (s_lim - idx) - 1;
-                match r with
-                | Normal -> if !remaining <= 0 then running := false
-                | r ->
-                  result := r;
-                  running := false
-              end
-              else begin
-                (* stopped at the fuel cap, or fell off the end of the
-                   text segment (the next iteration reports Bad_pc) *)
-                t.icount <- t.icount + (j - idx);
-                remaining := budget - (j - idx);
-                t.pc <- base + (j lsl 2);
-                if !remaining <= 0 then running := false
-              end
-            | e ->
-              (* the instruction at [j] raised: it still counts, and the
-                 pc parks on it, exactly like the per-step engine *)
-              t.icount <- t.icount + (j - idx) + 1;
-              remaining := budget - (j - idx) - 1;
-              t.pc <- base + (j lsl 2);
-              result := e;
+            if Regfile.is_clean regs && M.tainted_bytes mem = 0 then
+              t.clean_blocks <- t.clean_blocks + 1;
+            let before = t.icount in
+            let r = steps step_core t (min (Array.unsafe_get stops idx - idx + 1) !remaining) in
+            remaining := !remaining - (t.icount - before);
+            match r with
+            | Normal -> if !remaining <= 0 then running := false
+            | r ->
+              result := r;
               running := false
           end
         end

@@ -65,10 +65,11 @@ type t = {
   mutable decoded : Block.t option;
       (** lazily built pre-decode of the text segment, shared by every
           {!run} call on this machine *)
-  mutable blocks_run : int;  (** basic blocks dispatched by {!run} *)
+  mutable blocks_run : int;
+      (** basic blocks dispatched by {!run}, cold or inside a chain *)
   mutable clean_blocks : int;
-      (** blocks {!run} executed on the clean fast path (zero live
-          taint); [blocks_run - clean_blocks] ran the full handlers *)
+      (** of those, the blocks entered with zero live taint — for a
+          translated block, the ones that ran its clean variant *)
   mutable tier : Superblock.tier option;
       (** superblock translation table; seeded from an image's shared
           per-policy tier, or created machine-locally on first use *)
@@ -108,18 +109,19 @@ val reset :
 val step : t -> step
 
 val run : t -> fuel:int -> step
-(** Bulk block-threaded execution: run up to [fuel] instructions and
-    return [Normal] exactly when the fuel ran out, otherwise the event
-    that stopped execution ([Syscall], [Alert], [Fault], [Break_trap])
-    with [pc]/[icount] and all machine state byte-identical to [fuel]
+(** Bulk execution: run up to [fuel] instructions and return [Normal]
+    exactly when the fuel ran out, otherwise the event that stopped
+    execution ([Syscall], [Alert], [Fault], [Break_trap]) with
+    [pc]/[icount] and all machine state byte-identical to [fuel]
     iterations of {!step}.  Dispatches once per basic block over a
-    cached pre-decode of the text segment, hoists the policy and guard
-    configuration out of the instruction loop, and switches to
-    specialized clean handlers (no taint algebra, no detector checks,
-    no taint-plane traffic) whenever the live-taint counters
-    ({!Regfile.tainted_count}, {!Ptaint_mem.Memory.tainted_bytes})
-    prove the machine clean.  With observation attached it simply
-    drives {!step} so traces stay per-instruction. *)
+    cached pre-decode of the text segment: an entry promoted to the
+    {!Superblock} tier runs its translated chain (whose clean variant
+    skips all taint algebra while the live-taint counters
+    {!Regfile.tainted_count} and {!Ptaint_mem.Memory.tainted_bytes}
+    prove the machine clean); any other block, and a hot block longer
+    than the remaining fuel, runs on the per-step semantics.  With
+    observation attached it simply drives {!step} so traces stay
+    per-instruction. *)
 
 (** {1 Observability}
 

@@ -11,9 +11,9 @@ module TS = Ptaint_mem.Tagged_store
      ({!Regfile.is_clean}, {!TS.tainted_bytes}) are zero, that elides
      every mask computation, taint load/store and policy check;
    - a {e full} variant with the policy constants baked into the
-     closures at translate time, replacing the interpreter's
-     per-opcode dispatch and per-operand [Tword] packing with
-     straight-line packed-int arithmetic.
+     closures at translate time: no per-opcode dispatch and no
+     per-operand [Tword] packing, just straight-line packed-int
+     arithmetic.
 
    Superblocks chain: a terminator tail-calls its successor superblock
    through a patchable slot, so straight-line guest code (loops
@@ -27,12 +27,12 @@ module TS = Ptaint_mem.Tagged_store
 
    Fuel is hoisted to one check per superblock: a block whose full
    length does not fit in the remaining fuel refuses to run (event
-   {!ev_fuel}), and the driver falls back to the interpreter for the
-   partial block — [Sim.run_until] and fault-injection slicing land on
-   exact icounts.  Taint-state transitions are handled by re-selecting
-   the variant at every block entry (that per-entry test {e is} the
-   invalidation rule: a chain never commits to a stale variant), with
-   transitions inside a chain counted as deopts. *)
+   {!ev_fuel}), and the driver runs the partial block on
+   [Machine.step_core] — [Sim.run_until] and fault-injection slicing
+   land on exact icounts.  Taint-state transitions are handled by
+   re-selecting the variant at every block entry (that per-entry test
+   {e is} the invalidation rule: a chain never commits to a stale
+   variant), with transitions inside a chain counted as deopts. *)
 
 type env = {
   e_rf : Regfile.t;
@@ -170,9 +170,9 @@ let translate tier idx =
      self-patching miss thunks: the first execution that finds the
      successor translated replaces the slot with the successor's
      entry closure; until then each crossing does one table probe.  A
-     chain miss ([ev_none]) hands the pc back to the driver, whose
-     interpreting arm also bumps the successor's hotness counter — so
-     misses are what eventually extend chains. *)
+     chain miss ([ev_none]) hands the pc back to the driver, whose next
+     dispatch bumps the successor's hotness counter — so misses are
+     what eventually extend chains. *)
   let mk_taken target : code =
     let ti = Block.index_of ~base ~len:n target in
     if ti < 0 then
@@ -245,11 +245,10 @@ let translate tier idx =
   (* --- terminators ---
 
      [clean:true] builds the clean variant's terminator: compare
-     untaints are no-ops there and indirect-jump alerts cannot fire
-     without live taint, exactly as in the interpreter's shared
-     [exec_term].  Alert arms consume the whole block (the entry
-     already flushed the batched stats) and record the
-     terminator-relative index. *)
+     untaints of clean registers are no-ops and indirect-jump alerts
+     cannot fire without live taint, so both are dropped.  Alert arms
+     consume the whole block (the entry already flushed the batched
+     stats) and record the terminator-relative index. *)
   let mk_term ~clean : code =
     match Array.unsafe_get ops term with
     | Block.Obeq | Block.Obne ->
@@ -953,8 +952,9 @@ let translate tier idx =
             env.e_rel <- rel;
             let m = data lsr 32 in
             TS.store_half_even env.e_ts ea (data land m32) ~m;
-            (* parity with the interpreter: the tainted-store counter
-               tests the full 4-byte mask, not the stored pair *)
+            (* parity with [Memory.store_half] under [step_core]: the
+               tainted-store counter tests the full 4-byte mask, not
+               the stored pair *)
             if m <> 0 then
               env.e_st.M.tainted_stores <- env.e_st.M.tainted_stores + 1;
             nx env

@@ -19,8 +19,9 @@
     straight-line guest code and loops never return to the
     dispatcher.  Fuel is hoisted to a single whole-block check at
     entry; a block that does not fit the remaining fuel exits with
-    {!ev_fuel} and the driver interprets the partial block, keeping
-    [Sim.run_until] / fault-injection slicing icount-exact.
+    {!ev_fuel} and the driver runs the partial block one instruction
+    at a time on the reference semantics, keeping [Sim.run_until] /
+    fault-injection slicing icount-exact.
 
     Every call in a chain is an OCaml tail call, so the stack stays
     flat: an event site writes its description into the {!env} fields
@@ -94,7 +95,7 @@ type tier = {
 
 (** {1 Exit event codes} *)
 
-val ev_none : int      (** chain miss: continue (interpret) at [e_next_pc] *)
+val ev_none : int      (** chain miss: the driver dispatches [e_next_pc] *)
 val ev_fuel : int      (** block longer than remaining fuel; pc at [e_next_pc] *)
 val ev_syscall : int   (** terminator trap; [e_next_pc] past the terminator *)
 val ev_break : int     (** like syscall; [e_a] = break code *)

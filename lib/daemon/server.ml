@@ -280,7 +280,7 @@ let create (cfg : config) =
        { (Supervisor.default_config ~emit) with
          Supervisor.workers = (match cfg.workers with Some n -> max 1 n | None -> 2);
          job_timeout = cfg.job_timeout;
-         cache_capacity = max 1 (cfg.cache_capacity / 4);
+         cache_capacity = cfg.cache_capacity;
          log = cfg.log;
          metrics = Some metrics;
          close_in_child }

@@ -44,7 +44,10 @@ type config = {
   domains : int option;  (** worker domains; default {!Ptaint_pool.Pool.recommended_domains} *)
   max_queue : int;  (** server-wide bound on jobs admitted and unfinished *)
   max_inflight : int;  (** per-connection admission quota *)
-  cache_capacity : int;  (** image cache entries *)
+  cache_capacity : int;
+      (** image cache entries, per process: the in-process backend
+          shares one cache, each isolated worker keeps its own, so
+          image memory under isolation is bounded by workers x this *)
   job_timeout : float option;
       (** default per-job watchdog (seconds); a job's own timeout wins *)
   banner : string;  (** echoed in [Hello_ok] *)

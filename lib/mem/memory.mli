@@ -141,10 +141,11 @@ type stats = {
 val stats : t -> stats
 
 val tagged : t -> Tagged_store.t
-(** The backing tagged page store.  The block-threaded interpreter
-    drives the store's inline fast-path accessors directly — catching
-    {!Tagged_store.Unmapped} itself and bumping {!stats} in its
-    execution loop — instead of paying a call plus an exception
-    handler per access through this module's wrappers.  Any such
-    caller must keep the {!stats} accounting identical to the
-    wrappers' ({!load_word} etc.). *)
+(** The backing tagged page store.  The superblock tier's translated
+    code drives the store's inline fast-path accessors directly —
+    catching {!Tagged_store.Unmapped} itself and bumping {!stats}
+    itself — instead of paying a call plus an exception handler per
+    access through this module's wrappers.  Any such caller must keep
+    the {!stats} accounting identical to the wrappers' ({!load_word}
+    etc.).  Reading through the store directly also leaves {!stats}
+    untouched, which is how tests compare memory contents. *)

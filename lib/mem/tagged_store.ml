@@ -70,7 +70,8 @@ let map_page t idx =
 
 let is_mapped t idx = Hashtbl.mem t.pages idx
 
-let mapped_pages t = Hashtbl.length t.pages
+let mapped_pages t =
+  List.sort compare (Hashtbl.fold (fun idx _ acc -> idx :: acc) t.pages [])
 
 let[@inline] tainted_bytes t = t.tainted
 
@@ -135,10 +136,11 @@ let[@inline] store_byte t addr v ~taint =
 
 (* --- CPU fast-path accessors ---
 
-   The interpreter checks alignment before every word/half access, so
-   these skip the alignment branch and the byte-walk fallback; they
-   are forced inline into the execution loop (which also catches
-   {!Unmapped} itself rather than paying a per-access handler). *)
+   The translated closures check alignment before every word/half
+   access, so these skip the alignment branch and the byte-walk
+   fallback; they are forced inline into the closures (whose driver
+   also catches {!Unmapped} itself rather than paying a per-access
+   handler). *)
 
 let[@inline] load_word_aligned t addr =
   Tword.of_bits

@@ -31,7 +31,8 @@ val map_page : t -> int -> bool
 val is_mapped : t -> int -> bool
 (** By page index. *)
 
-val mapped_pages : t -> int
+val mapped_pages : t -> int list
+(** Indices of every mapped page, ascending. *)
 
 val tainted_bytes : t -> int
 (** Exact number of live tainted bytes across all pages, maintained
@@ -52,14 +53,13 @@ val store_half : t -> int -> int -> m:Ptaint_taint.Mask.t -> unit
 
 (** {1 CPU fast-path access}
 
-    Inline variants for the interpreter's execution loop, which
-    checks alignment {e before} the access and handles {!Unmapped}
-    itself: the word pair requires a 4-aligned address, the half pair
-    an even one (neither can then cross a page).  [load_byte_tw] and
-    [load_half_even] return the data packed as a {!Ptaint_taint.Tword}
-    so nothing on the path allocates. *)
+    Inline variants for the superblock tier's translated closures,
+    which check alignment {e before} the access and handle
+    {!Unmapped} themselves: the word accessors require a 4-aligned
+    address, the half pair an even one (neither can then cross a
+    page).  [load_byte_tw] and [load_half_even] return the data packed
+    as a {!Ptaint_taint.Tword} so nothing on the path allocates. *)
 
-val load_word_aligned : t -> int -> Ptaint_taint.Tword.t
 val store_word_aligned : t -> int -> Ptaint_taint.Tword.t -> unit
 
 val load_word_elt : t -> int -> int

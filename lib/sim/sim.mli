@@ -143,7 +143,7 @@ val session_step : session -> progress
 
 val finish : session -> result
 (** Run the session to completion and collect the result.  Routes
-    through the block-threaded bulk engine ({!Ptaint_cpu.Machine.run})
+    through the bulk engine ({!Ptaint_cpu.Machine.run})
     when no pipeline timing model, no [on_step] hook and no obs trace
     is attached — the [run_many]/campaign/benchmark path — and falls
     back to the per-instruction engine otherwise.  Results are

@@ -1,22 +1,23 @@
-(* Differential testing of the block-threaded bulk engine.
+(* Differential testing of the bulk engine.
 
-   [Sim.finish] routes untraced sessions through [Machine.run] — the
-   pre-decoded basic-block interpreter with its clean-taint fast path
-   — while [Sim.finish_per_step] drives the same session strictly one
-   [Machine.step] at a time.  The two engines must be observationally
-   identical: same outcome, same instruction count, same register
-   file (values *and* taint), same memory taint, same access
-   statistics.  This suite checks that on random compiled programs,
-   on every attack scenario in the catalogue under every coverage
-   policy, and on a handwritten guest that crosses
-   clean -> tainted -> clean so both sides of the fast-path switch
-   execute. *)
+   [Sim.finish] routes untraced sessions through [Machine.run] — hot
+   blocks as translated superblock chains, cold and partial blocks on
+   [step_core] — while [Sim.finish_per_step] drives the same session
+   strictly one [Machine.step] at a time.  The two engines must be
+   observationally identical: same outcome, same instruction count,
+   same register file (values *and* taint), same memory (both planes
+   of every mapped page), same access statistics.  This suite checks
+   that on random compiled programs, on every attack scenario in the
+   catalogue under every coverage policy (cold, and again on a warm
+   shared tier), and on handwritten guests that cross
+   clean -> tainted -> clean so both superblock variants execute. *)
 
 open Ptaint_taint
 module Sim = Ptaint_sim.Sim
 module Machine = Ptaint_cpu.Machine
 module Regfile = Ptaint_cpu.Regfile
 module Memory = Ptaint_mem.Memory
+module TS = Ptaint_mem.Tagged_store
 module Scenario = Ptaint_attacks.Scenario
 module Catalog = Ptaint_attacks.Catalog
 
@@ -26,6 +27,26 @@ let outcome_str o = Format.asprintf "%a" Sim.pp_outcome o
 
 let reg_bits m =
   List.init Regfile.slots (fun i -> Tword.to_bits (Regfile.slot m.Machine.regs i))
+
+(* Both memory planes, byte for byte: every mapped page's words read
+   as packed Twords (value bits plus one taint bit per byte) straight
+   from the tagged store, so the comparison leaves the access stats it
+   is about to compare untouched. *)
+let check_memory ctx mb mr =
+  let tb = Memory.tagged mb and tr = Memory.tagged mr in
+  let pages = TS.mapped_pages tb in
+  if pages <> TS.mapped_pages tr then Alcotest.failf "%s: mapped pages differ" ctx;
+  let page = Ptaint_mem.Layout.page_bytes in
+  List.iter
+    (fun p ->
+      for w = 0 to (page / 4) - 1 do
+        let addr = (p * page) + (4 * w) in
+        let a = TS.load_word tb addr and b = TS.load_word tr addr in
+        if Tword.to_bits a <> Tword.to_bits b then
+          Alcotest.failf "%s: memory word 0x%08x differs — bulk %a, per-step %a" ctx addr
+            Tword.pp a Tword.pp b
+      done)
+    pages
 
 let check_agree ctx (bulk : Sim.result) (ref_ : Sim.result) =
   let chk name pp a b =
@@ -53,6 +74,7 @@ let check_agree ctx (bulk : Sim.result) (ref_ : Sim.result) =
     (Regfile.tainted_count mb.Machine.regs) (Regfile.tainted_count mr.Machine.regs);
   chk "tainted bytes" si
     (Memory.tainted_bytes mb.Machine.mem) (Memory.tainted_bytes mr.Machine.mem);
+  check_memory ctx mb.Machine.mem mr.Machine.mem;
   let sb = Memory.stats mb.Machine.mem and sr = Memory.stats mr.Machine.mem in
   chk "loads" si sb.Memory.loads sr.Memory.loads;
   chk "stores" si sb.Memory.stores sr.Memory.stores;
@@ -170,13 +192,47 @@ let test_catalog_differential () =
         s.cases)
     Catalog.all
 
+(* --- the attack catalogue again, on a warm shared tier --------------- *)
+
+(* A cold [Sim.boot] sends every block entered fewer than
+   [Superblock.threshold] times through [step_core] on both sides —
+   most alert and fault sites included.  Here each case first runs
+   [threshold] times through one prepared image, which leaves every
+   block a run dispatches promoted in the image's shared tier; one
+   more run is then diffed against the per-step engine, and must have
+   been carried by the compiled chains with nothing left to promote. *)
+let test_catalog_warm_tier () =
+  List.iter
+    (fun (s : Scenario.t) ->
+      let program = s.build () in
+      List.iter
+        (fun (c : Scenario.case) ->
+          let tpl = Sim.prepare ~config:(c.config program) program in
+          List.iter
+            (fun (pname, policy) ->
+              let config = { (c.config program) with Sim.policy; obs = false } in
+              let ctx = Printf.sprintf "%s/%s/%s warm" s.name c.Scenario.case_name pname in
+              for _ = 1 to Ptaint_cpu.Superblock.threshold do
+                ignore (Sim.run_template ~config tpl)
+              done;
+              let warm = Sim.finish (Sim.boot_template ~config tpl) in
+              check_agree ctx warm (Sim.finish_per_step (Sim.boot_template ~config tpl));
+              let m = warm.machine in
+              if m.Machine.sb_promoted <> 0 || m.Machine.chain_hits = 0 then
+                Alcotest.failf "%s: the tier did not carry the run (%d promoted, %d chain hits)"
+                  ctx m.Machine.sb_promoted m.Machine.chain_hits)
+            Scenario.coverage_policies)
+        s.cases)
+    Catalog.all
+
 (* --- clean -> tainted -> clean -------------------------------------- *)
 
 (* Starts with zero live taint (only stdin is a source, argv is not),
    spins a while on the clean fast path, reads four tainted bytes,
-   works on them with the full handlers, then scrubs both the buffer
-   and the registers and spins again — so one run exercises the clean
-   path, the taint path, and both switch directions. *)
+   spins on them with live taint, then scrubs both the buffer and the
+   registers and spins again — so one run exercises the clean
+   variant, the full variant, and both switch directions.  All three
+   spins are hot enough to be translated. *)
 let clean_taint_clean_asm =
   {|
         .text
@@ -189,7 +245,10 @@ warm:   addiu $t1, $t1, -1      # clean spin: no taint anywhere yet
         li $a2, 4
         syscall
         lw $t0, 0($a1)
-        addu $t2, $t0, $t0      # propagate taint through the ALU
+        li $t1, 200
+hot:    addu $t2, $t2, $t0      # tainted spin: taint through the ALU
+        addiu $t1, $t1, -1
+        bne $t1, $zero, hot
         sw $t2, 4($a1)
         sw $zero, 0($a1)        # scrub memory taint...
         sw $zero, 4($a1)
@@ -219,9 +278,15 @@ let test_clean_taint_clean () =
   (match bulk.outcome with
    | Sim.Exited 0 -> ()
    | o -> Alcotest.failf "outcome: %a" Sim.pp_outcome o);
-  Alcotest.(check bool) "some blocks ran clean" true (m.Machine.clean_blocks > 0);
-  Alcotest.(check bool) "some blocks ran the full handlers" true
-    (m.Machine.blocks_run > m.Machine.clean_blocks);
+  (* Each spin runs at most [threshold - 1] passes on [step_core]
+     before its translation takes over, and the straight-line code is
+     a handful of blocks, so 4 x [threshold] blocks on either side of
+     the live-taint test can only come from the translated variants. *)
+  let floor = 4 * Ptaint_cpu.Superblock.threshold in
+  Alcotest.(check int) "all three spins translated" 3 m.Machine.sb_promoted;
+  Alcotest.(check bool) "the clean variant ran" true (m.Machine.clean_blocks > floor);
+  Alcotest.(check bool) "the full variant ran" true
+    (m.Machine.blocks_run - m.Machine.clean_blocks > floor);
   Alcotest.(check int) "memory scrubbed" 0 (Memory.tainted_bytes m.Machine.mem);
   Alcotest.(check int) "registers scrubbed" 0 (Regfile.tainted_count m.Machine.regs)
 
@@ -263,7 +328,7 @@ let test_superblock_chains () =
   Alcotest.(check bool) "chains linked up" true (m.Machine.chain_hits > 1000)
 
 (* Taint flips inside a chain: each loop iteration reads four tainted
-   bytes (full handlers), scrubs every trace of them, then spins a
+   bytes (full variant), scrubs every trace of them, then spins a
    clean inner loop — so once the loop is promoted, a single chain run
    crosses from the full variant into the clean variant, which is
    exactly the per-entry re-selection (deopt) path. *)
@@ -277,7 +342,7 @@ loop:   li $v0, 2               # sys_read: 4 tainted bytes -> buf
         li $a2, 4
         syscall
         lw $t0, 0($a1)
-        addu $t2, $t0, $t0      # propagate under the full handlers
+        addu $t2, $t0, $t0      # propagate with live taint
         sw $zero, 0($a1)        # scrub the memory taint...
         li $t0, 0               # ...and both registers
         li $t2, 0
@@ -315,7 +380,7 @@ let test_taint_flip_mid_chain () =
   Alcotest.(check bool) "variant flips were observed mid-chain" true
     (m.Machine.sb_deopts > 0);
   Alcotest.(check bool) "some blocks ran clean" true (m.Machine.clean_blocks > 0);
-  Alcotest.(check bool) "some blocks ran the full handlers" true
+  Alcotest.(check bool) "some blocks ran with live taint" true
     (m.Machine.blocks_run > m.Machine.clean_blocks);
   Alcotest.(check int) "memory scrubbed" 0 (Memory.tainted_bytes m.Machine.mem);
   Alcotest.(check int) "registers scrubbed" 0 (Regfile.tainted_count m.Machine.regs)
@@ -345,6 +410,7 @@ let () =
     [ ( "differential",
         [ QCheck_alcotest.to_alcotest prop_random_programs;
           Alcotest.test_case "attack catalogue, both engines" `Quick test_catalog_differential;
+          Alcotest.test_case "attack catalogue, warm tier" `Quick test_catalog_warm_tier;
           Alcotest.test_case "clean -> tainted -> clean" `Quick test_clean_taint_clean;
           Alcotest.test_case "superblock chains, both engines" `Quick test_superblock_chains;
           Alcotest.test_case "taint flip mid-chain" `Quick test_taint_flip_mid_chain;

@@ -289,9 +289,36 @@ let test_sigstop_idle_heartbeat () =
        | _ -> Alcotest.fail "jobs failed after idle-worker restart");
       Client.close c)
 
+(* Each isolated worker gets the whole [--cache] capacity (64 by
+   default), not a share of it: 20 distinct programs fit, so a second
+   pass of the same programs through a single worker boots every job
+   from that worker's cache. *)
+let test_isolated_cache_capacity () =
+  with_isolated_daemon ~workers:1 (fun path _pids ->
+      let c = Client.connect ~client:"cache" path in
+      let specs =
+        List.init 20 (fun i ->
+            Proto.job_spec ~tag:(Printf.sprintf "prog-%d" i)
+              (Proto.Wire_asm
+                 (Printf.sprintf ".text\nmain: li $v0, 1\n li $a0, %d\n syscall\n" i)))
+      in
+      ignore (Client.run_batch c specs);
+      List.iteri
+        (fun i o ->
+          match o with
+          | Client.Done (Proto.Finished f) ->
+            Alcotest.(check bool) (Printf.sprintf "prog-%d second pass hits the cache" i)
+              true f.cache_hit
+          | _ -> Alcotest.failf "prog-%d: second pass did not finish" i)
+        (Client.run_batch c specs);
+      Client.close c)
+
 let () =
   Alcotest.run "supervisor"
     [ ( "chaos",
         [ Alcotest.test_case "SIGKILL mid-campaign" `Quick test_sigkill_mid_campaign;
           Alcotest.test_case "SIGSTOP mid-campaign" `Quick test_sigstop_mid_campaign;
-          Alcotest.test_case "SIGSTOP idle worker" `Quick test_sigstop_idle_heartbeat ] ) ]
+          Alcotest.test_case "SIGSTOP idle worker" `Quick test_sigstop_idle_heartbeat ] );
+      ( "cache",
+        [ Alcotest.test_case "full capacity per isolated worker" `Quick
+            test_isolated_cache_capacity ] ) ]
