@@ -198,6 +198,18 @@ let measure_ips () =
          | o ->
            Format.eprintf "ips/%s: unexpected outcome %a@."
              w.Ptaint_workloads.Workload.name Ptaint_sim.Sim.pp_outcome o);
+        (* a guard, not just a timer: these guests keep tainted input
+           in memory all run, and most of their blocks must still run
+           the clean variant (measured: gzip 0.62, bzip2 0.94).  The
+           synthetic clean-fastpath loop has no memory taint, so only
+           this row notices a tier that stops running real guests
+           clean. *)
+        let m = r.Ptaint_sim.Sim.machine in
+        if m.Ptaint_cpu.Machine.clean_blocks < m.Ptaint_cpu.Machine.blocks_run / 2 then
+          failwith
+            (Printf.sprintf "ips/%s: clean variant not carrying the run (%d/%d blocks clean)"
+               (String.lowercase_ascii w.Ptaint_workloads.Workload.name)
+               m.Ptaint_cpu.Machine.clean_blocks m.Ptaint_cpu.Machine.blocks_run);
         float_of_int r.Ptaint_sim.Sim.instructions /. dt
       in
       ignore (run ());

@@ -111,7 +111,8 @@ let cache_arg =
          ~doc:"Image cache capacity: assembled programs and boot snapshots kept for \
                repeat submissions (LRU).  The capacity applies per process: with \
                $(b,--isolate) every worker keeps its own cache of $(docv) images, \
-               so image memory is bounded by $(b,--workers) x $(docv) images.")
+               so image memory is bounded by $(b,--workers) x $(docv) images, and \
+               only the hit and miss counts are reported for those caches.")
 
 let job_timeout_arg =
   Arg.(value & opt (some float) None & info [ "job-timeout" ] ~docv:"SECONDS"

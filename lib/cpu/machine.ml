@@ -496,9 +496,10 @@ let step t = match t.obs with None -> step_core t | Some o -> step_traced t o
    that does not fit the remaining fuel — runs on [step_core], the
    same per-instruction semantics the reference engine uses, up to
    and including its terminator.  [blocks_run] and [clean_blocks]
-   count those cold blocks too, the clean test being the live-taint
-   check at block entry (no tainted register slot, no tainted memory
-   byte). *)
+   count those cold blocks too; a cold block counts as clean when no
+   register slot holds taint at its entry (the translated arm's
+   variant guard) nor at its exit, the cold counterpart of a clean
+   variant that ran to the end without a deopt. *)
 
 let run t ~fuel =
   if fuel <= 0 then Normal
@@ -672,10 +673,11 @@ let run t ~fuel =
                the end of the text segment reports Bad_pc like the
                per-step engine --- *)
             t.blocks_run <- t.blocks_run + 1;
-            if Regfile.is_clean regs && M.tainted_bytes mem = 0 then
-              t.clean_blocks <- t.clean_blocks + 1;
+            let entered_clean = Regfile.is_clean regs in
             let before = t.icount in
             let r = steps step_core t (min (Array.unsafe_get stops idx - idx + 1) !remaining) in
+            if entered_clean && Regfile.is_clean regs then
+              t.clean_blocks <- t.clean_blocks + 1;
             remaining := !remaining - (t.icount - before);
             match r with
             | Normal -> if !remaining <= 0 then running := false

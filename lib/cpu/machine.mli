@@ -68,8 +68,10 @@ type t = {
   mutable blocks_run : int;
       (** basic blocks dispatched by {!run}, cold or inside a chain *)
   mutable clean_blocks : int;
-      (** of those, the blocks entered with zero live taint — for a
-          translated block, the ones that ran its clean variant *)
+      (** of those, the blocks that ran clean: a translated block that
+          ran its clean variant to the end without loading taint into a
+          register, or a cold block with no tainted register at its
+          entry or its exit *)
   mutable tier : Superblock.tier option;
       (** superblock translation table; seeded from an image's shared
           per-policy tier, or created machine-locally on first use *)
@@ -83,7 +85,8 @@ type t = {
       (** chain exits to an untranslated successor *)
   mutable sb_deopts : int;
       (** clean/full variant switches observed inside chain runs — the
-          taint-transition deoptimizations *)
+          taint-transition deoptimizations, including a clean block
+          that finished on the full variant after loading taint *)
 }
 
 val create :
@@ -116,10 +119,11 @@ val run : t -> fuel:int -> step
     iterations of {!step}.  Dispatches once per basic block over a
     cached pre-decode of the text segment: an entry promoted to the
     {!Superblock} tier runs its translated chain (whose clean variant
-    skips all taint algebra while the live-taint counters
-    {!Regfile.tainted_count} and {!Ptaint_mem.Memory.tainted_bytes}
-    prove the machine clean); any other block, and a hot block longer
-    than the remaining fuel, runs on the per-step semantics.  With
+    skips all taint algebra while {!Regfile.is_clean} holds, checking
+    only the tag bits of what it loads, and switches to the full
+    variant mid-block when a load brings taint into a register); any
+    other block, and a hot block longer than the remaining fuel, runs
+    on the per-step semantics.  With
     observation attached it simply drives {!step} so traces stay
     per-instruction. *)
 

@@ -7,9 +7,11 @@ module TS = Ptaint_mem.Tagged_store
    promotion time, from the pre-decoded {!Block.t} flat arrays — into
    one OCaml closure chain per block, with two specialized variants:
 
-   - a {e clean} variant, sound only while both live-taint counters
-     ({!Regfile.is_clean}, {!TS.tainted_bytes}) are zero, that elides
-     every mask computation, taint load/store and policy check;
+   - a {e clean} variant, sound while no register holds taint
+     ({!Regfile.is_clean}), that elides every mask computation and
+     policy check; its loads test the tag bits of the element they
+     read and, when a load brings taint into a register, finish the
+     block on the full variant;
    - a {e full} variant with the policy constants baked into the
      closures at translate time: no per-opcode dispatch and no
      per-operand [Tword] packing, just straight-line packed-int
@@ -32,7 +34,8 @@ module TS = Ptaint_mem.Tagged_store
    land on exact icounts.  Taint-state transitions are handled by
    re-selecting the variant at every block entry (that per-entry test
    {e is} the invalidation rule: a chain never commits to a stale
-   variant), with transitions inside a chain counted as deopts. *)
+   variant), with transitions inside a chain counted as deopts — a
+   clean load of tainted data switching mid-block included. *)
 
 type env = {
   e_rf : Regfile.t;
@@ -1009,16 +1012,40 @@ let translate tier idx =
     | Block.Osyscall | Block.Obreak ->
       assert false
   in
+  (* A clean-variant load that read a tainted element [w] (already
+     extended to the packed register image).  Under a tracking policy
+     the taint reaches register [rd], so the block finishes on the full
+     variant's continuation [fx]: one deopt, and the block no longer
+     counts as run clean.  Otherwise the value lands masked and the
+     clean chain goes on. *)
+  let clean_tainted_load env rd w (nx : code) (fx : code) =
+    env.e_st.M.tainted_loads <- env.e_st.M.tainted_loads + 1;
+    if track && rd <> 0 then begin
+      Array.unsafe_set env.e_regs rd w;
+      Regfile.mark env.e_rf rd ~m:(w lsr 32);
+      env.e_cleans <- env.e_cleans - 1;
+      env.e_deopts <- env.e_deopts + 1;
+      env.e_mode <- 1;
+      fx env
+    end
+    else begin
+      if rd <> 0 then Array.unsafe_set env.e_regs rd (w land m32);
+      nx env
+    end
+  in
   (* --- clean-variant straight-line instructions ---
 
-     Pure value semantics on the raw slot array: while both live-taint
-     counters are zero, no instruction can create taint and no
-     detector can fire, so there is no mask algebra, no bitmap
-     maintenance (every write keeps the invariant [tmap = 0]), no
-     guard walk, and the data plane is accessed through the [*_clean]
-     accessors.  Misalignment and unmapped faults behave exactly like
-     the full variant. *)
-  let mk_clean i (nx : code) : code =
+     Pure value semantics on the raw slot array.  While no register
+     holds taint, no address, jump target or stored datum can be
+     tainted, so no detector can fire and no ALU instruction can
+     create taint: there is no mask algebra, no bitmap maintenance
+     (every write keeps the invariant [tmap = 0]) and no guard walk.
+     Memory may still hold taint, so loads test the tag bits of the
+     element they read; [clean_tainted_load] handles the rare tainted
+     one.  [fx] is the full variant's continuation after instruction
+     [i].  Misalignment and unmapped faults behave exactly like the
+     full variant. *)
+  let mk_clean i (nx : code) (fx : code) : code =
     let rel = i - idx in
     let f1 = Array.unsafe_get fa i
     and f2 = Array.unsafe_get fb i
@@ -1178,32 +1205,22 @@ let translate tier idx =
         end
         else begin
           env.e_rel <- rel;
-          let v = TS.load_word_clean_aligned env.e_ts ea in
-          if f1 <> 0 then Array.unsafe_set regs f1 v;
-          nx env
+          let w = TS.load_word_elt env.e_ts ea in
+          if w land tag_bits <> 0 then clean_tainted_load env f1 w nx fx
+          else begin
+            if f1 <> 0 then Array.unsafe_set regs f1 w;
+            nx env
+          end
         end
-    | Block.Olb ->
+    | (Block.Olb | Block.Olbu | Block.Olh | Block.Olhu) as op ->
+      (* the narrower loads share one shape, like the full variant's *)
+      let half = match op with Block.Olh | Block.Olhu -> true | _ -> false in
+      let vmask = if half then 0xffff else 0xff in
+      let sbits = match op with Block.Olb -> 8 | Block.Olh -> 16 | _ -> 0 in
       fun env ->
         let regs = env.e_regs in
         let ea = (Array.unsafe_get regs f2 + f3) land m32 in
-        env.e_rel <- rel;
-        let v = TS.load_byte_clean env.e_ts ea in
-        if f1 <> 0 then Array.unsafe_set regs f1 (Word.sign_extend ~bits:8 v);
-        nx env
-    | Block.Olbu ->
-      fun env ->
-        let regs = env.e_regs in
-        let ea = (Array.unsafe_get regs f2 + f3) land m32 in
-        env.e_rel <- rel;
-        let v = TS.load_byte_clean env.e_ts ea in
-        if f1 <> 0 then Array.unsafe_set regs f1 v;
-        nx env
-    | Block.Olh | Block.Olhu ->
-      let sign = Array.unsafe_get ops i = Block.Olh in
-      fun env ->
-        let regs = env.e_regs in
-        let ea = (Array.unsafe_get regs f2 + f3) land m32 in
-        if ea land 1 <> 0 then begin
+        if half && ea land 1 <> 0 then begin
           env.e_ev <- ev_misalign;
           env.e_rel <- rel;
           env.e_a <- ea;
@@ -1211,11 +1228,22 @@ let translate tier idx =
         end
         else begin
           env.e_rel <- rel;
-          let v = TS.load_half_clean_even env.e_ts ea in
-          if f1 <> 0 then
-            Array.unsafe_set regs f1 (if sign then Word.sign_extend ~bits:16 v else v);
-          nx env
+          let el =
+            if half then Tword.to_bits (TS.load_half_even env.e_ts ea)
+            else Tword.to_bits (TS.load_byte_tw env.e_ts ea)
+          in
+          let w =
+            if sbits = 0 then el
+            else ((el lsr 32) lsl 32) lor Word.sign_extend ~bits:sbits (el land vmask)
+          in
+          if el land tag_bits <> 0 then clean_tainted_load env f1 w nx fx
+          else begin
+            if f1 <> 0 then Array.unsafe_set regs f1 w;
+            nx env
+          end
         end
+    (* Clean stores write untainted data, which also clears the tag
+       bits of whatever (possibly tainted) bytes they overwrite. *)
     | Block.Osw ->
       fun env ->
         let regs = env.e_regs in
@@ -1228,7 +1256,7 @@ let translate tier idx =
         end
         else begin
           env.e_rel <- rel;
-          TS.store_word_clean_aligned env.e_ts ea (Array.unsafe_get regs f1);
+          TS.store_word_aligned env.e_ts ea (Tword.of_bits (Array.unsafe_get regs f1));
           nx env
         end
     | Block.Osb ->
@@ -1236,7 +1264,7 @@ let translate tier idx =
         let regs = env.e_regs in
         let ea = (Array.unsafe_get regs f2 + f3) land m32 in
         env.e_rel <- rel;
-        TS.store_byte_clean env.e_ts ea (Array.unsafe_get regs f1);
+        TS.store_byte env.e_ts ea (Array.unsafe_get regs f1 land 0xff) ~taint:false;
         nx env
     | Block.Osh ->
       fun env ->
@@ -1250,7 +1278,7 @@ let translate tier idx =
         end
         else begin
           env.e_rel <- rel;
-          TS.store_half_clean_even env.e_ts ea (Array.unsafe_get regs f1);
+          TS.store_half_even env.e_ts ea (Array.unsafe_get regs f1) ~m:0;
           nx env
         end
     | Block.Omult | Block.Omultu | Block.Odiv | Block.Odivu ->
@@ -1294,8 +1322,8 @@ let translate tier idx =
   let fullc = ref (mk_term ~clean:false) in
   let cleanc = ref (mk_term ~clean:true) in
   for i = term - 1 downto idx do
-    fullc := mk_full i !fullc;
-    cleanc := mk_clean i !cleanc
+    cleanc := mk_clean i !cleanc !fullc;
+    fullc := mk_full i !fullc
   done;
   let full_code = !fullc and clean_code = !cleanc in
   (* Entry point: one fuel test for the whole superblock, one variant
@@ -1316,7 +1344,7 @@ let translate tier idx =
       env.e_blocks <- env.e_blocks + 1;
       if nl > 0 then env.e_st.M.loads <- env.e_st.M.loads + nl;
       if ns > 0 then env.e_st.M.stores <- env.e_st.M.stores + ns;
-      if Regfile.is_clean env.e_rf && TS.tainted_bytes env.e_ts = 0 then begin
+      if Regfile.is_clean env.e_rf then begin
         env.e_cleans <- env.e_cleans + 1;
         if env.e_mode = 1 then env.e_deopts <- env.e_deopts + 1;
         env.e_mode <- 0;

@@ -5,11 +5,14 @@
     promotion time from the pre-decoded opcode/field arrays, with two
     specialized variants selected at every block entry:
 
-    - the {e clean} variant assumes both live-taint counters
-      ({!Regfile.is_clean} and {!Ptaint_mem.Tagged_store.tainted_bytes})
-      are zero and elides all mask computation, taint loads/stores and
+    - the {e clean} variant runs while no register holds taint
+      ({!Regfile.is_clean}) and elides all mask computation and
       policy checks — registers are read and written as raw 32-bit
-      values and memory through the [*_clean] accessors;
+      values.  Memory may hold taint: loads test the tag bits of the
+      element they read, and a tainted load under a tracking policy
+      marks its register and finishes the block on the full variant
+      (one deopt; the block no longer counts as clean).  Stores write
+      untainted data, clearing the tag bits they overwrite;
     - the {e full} variant has the policy constants baked into the
       closures (no handler-table dispatch, no [Tword] boxing), with a
       clean-operand fast path on the hot ALU opcodes.
@@ -49,7 +52,7 @@ type env = {
   mutable e_next_pc : int;   (** continuation pc for [ev_none] / fuel / traps *)
   mutable e_cur : int;       (** entry index of the block being run *)
   mutable e_blocks : int;    (** blocks entered during this chain run *)
-  mutable e_cleans : int;    (** of which took the clean variant *)
+  mutable e_cleans : int;    (** of which ran the clean variant to the end *)
   mutable e_deopts : int;    (** variant switches inside this chain run *)
   mutable e_mode : int;      (** last variant: -1 unknown, 0 clean, 1 full *)
 }

@@ -36,8 +36,6 @@ type t = {
   table : (string, slot) Hashtbl.t;
   capacity : int;
   mutable clock : int;  (* bumps on every hit or insert *)
-  mutable hits : int;
-  mutable misses : int;
   mutable evictions : int;
 }
 
@@ -47,8 +45,6 @@ let create ?(capacity = 64) () =
     table = Hashtbl.create (2 * capacity);
     capacity;
     clock = 0;
-    hits = 0;
-    misses = 0;
     evictions = 0 }
 
 let locked t f =
@@ -63,12 +59,9 @@ let find t key =
   locked t (fun () ->
       match Hashtbl.find_opt t.table key with
       | Some s ->
-        t.hits <- t.hits + 1;
         s.last_use <- tick t;
         Some s.e
-      | None ->
-        t.misses <- t.misses + 1;
-        None)
+      | None -> None)
 
 let evict_lru t =
   let victim =
@@ -116,8 +109,6 @@ let length t = locked t (fun () -> Hashtbl.length t.table)
 
 let counters t =
   locked t (fun () ->
-      [ ("daemon/cache-hit", t.hits);
-        ("daemon/cache-miss", t.misses);
-        ("daemon/cache-evictions", t.evictions);
+      [ ("daemon/cache-evictions", t.evictions);
         ("daemon/cache-entries", Hashtbl.length t.table);
         ("daemon/cache-capacity", t.capacity) ])

@@ -34,5 +34,6 @@ val obtain : t -> Ptaint_campaign.Job.t -> entry * bool
 val length : t -> int
 
 val counters : t -> (string * int) list
-(** [daemon/cache-hit], [daemon/cache-miss], [daemon/cache-evictions],
-    [daemon/cache-entries], [daemon/cache-capacity]. *)
+(** [daemon/cache-evictions], [daemon/cache-entries],
+    [daemon/cache-capacity].  Hits and misses are the caller's to
+    count, from {!obtain}'s flag. *)

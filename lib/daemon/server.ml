@@ -98,8 +98,8 @@ type completion = {
    over [t], so the field is filled right after the record exists and
    never observed empty outside [create]. *)
 type backend =
-  | In_process of Ptaint_pool.Pool.service
-  | Isolated of Supervisor.t
+  | In_process of Ptaint_pool.Pool.service * Cache.t
+  | Isolated of Supervisor.t  (* each worker keeps its own cache *)
 
 (* Idempotency: a key the server has seen maps to the live admission
    (so a resubmit attaches instead of re-running) or to the original
@@ -114,7 +114,8 @@ type t = {
   wake_rd : Unix.file_descr;
   wake_wr : Unix.file_descr;
   mutable backend : backend option;
-  cache : Cache.t;
+  mutable cache_hits : int;  (* tallied from terminal events *)
+  mutable cache_misses : int;
   conns : (int, conn) Hashtbl.t;
   mutable next_cid : int;
   mutable next_job : int;
@@ -149,7 +150,7 @@ let backend_exn t =
 
 let worker_count t =
   match backend_exn t with
-  | In_process pool -> Ptaint_pool.Pool.service_size pool
+  | In_process (pool, _) -> Ptaint_pool.Pool.service_size pool
   | Isolated sup -> Supervisor.size sup
 
 let log_src = "ptaintd"
@@ -231,7 +232,8 @@ let create (cfg : config) =
       wake_rd;
       wake_wr;
       backend = None;
-      cache = Cache.create ~capacity:cfg.cache_capacity ();
+      cache_hits = 0;
+      cache_misses = 0;
       conns = Hashtbl.create 16;
       next_cid = 1;
       next_job = 1;
@@ -288,7 +290,11 @@ let create (cfg : config) =
      t.backend <- Some (Isolated (Supervisor.create sup_cfg))
    end
    else
-     t.backend <- Some (In_process (Ptaint_pool.Pool.service ?domains:cfg.domains ())));
+     t.backend <-
+       Some
+         (In_process
+            ( Ptaint_pool.Pool.service ?domains:cfg.domains (),
+              Cache.create ~capacity:cfg.cache_capacity () )));
   t
 
 (* Runs on a worker domain (in-process backend only; the isolated
@@ -296,7 +302,7 @@ let create (cfg : config) =
    path pushes exactly one terminal completion — that invariant is
    what lets the loop's drain logic count jobs instead of trusting
    connections. *)
-let run_job_task t ~cid ~id (spec : Job.t) () =
+let run_job_task t cache ~cid ~id (spec : Job.t) () =
   let t0 = Unix.gettimeofday () in
   push_completion t
     { c_cid = cid; c_resp = Proto.Job_event (Proto.Started { id });
@@ -308,7 +314,7 @@ let run_job_task t ~cid ~id (spec : Job.t) () =
          cache consult itself is guarded; on a toolchain error we fall
          through to a bare run whose rebuild fails identically and is
          classified ([Loader_error]) by the campaign machinery. *)
-      match Cache.obtain t.cache spec with
+      match Cache.obtain cache spec with
       | entry, hit -> `Cached (entry, hit)
       | exception _ -> `Build_failed
     with
@@ -356,8 +362,19 @@ let reject t conn ~tag reason =
     [ Log.int "cid" conn.cid; Log.str "tag" tag; Log.str "reason" reason ];
   send conn (Proto.Rejected { tag; reason })
 
+(* Image-cache counters.  Hits and misses are tallied from the
+   terminal events, the same way for both backends.  The table's own
+   size, evictions and capacity are reported only in-process: isolated
+   workers keep their caches to themselves. *)
+let cache_counters t =
+  ("daemon/cache-hit", t.cache_hits)
+  :: ("daemon/cache-miss", t.cache_misses)
+  :: (match backend_exn t with
+      | In_process (_, cache) -> Cache.counters cache
+      | Isolated _ -> [])
+
 let daemon_counters t =
-  Cache.counters t.cache
+  cache_counters t
   @ [ ("daemon/jobs-submitted", t.jobs_submitted);
       ("daemon/jobs-completed", t.jobs_completed);
       ("daemon/jobs-rejected", t.jobs_rejected);
@@ -390,7 +407,7 @@ let scrape t =
       | "daemon/cache-entries" -> g "ptaintd_cache_entries" (float_of_int v)
       | "daemon/cache-capacity" -> g "ptaintd_cache_capacity" (float_of_int v)
       | _ -> ())
-    (Cache.counters t.cache);
+    (cache_counters t);
   Metrics.prometheus t.metrics
 
 (* Deadline-aware admission: estimate this job's completion time from
@@ -441,8 +458,8 @@ let admit t conn (spec : Proto.job_spec) ~tag (job : Job.t) =
      :: trace_fields job.Job.trace);
   send conn (Proto.Accepted { id; tag });
   match backend_exn t with
-  | In_process pool ->
-    Ptaint_pool.Pool.post pool (run_job_task t ~cid:conn.cid ~id job)
+  | In_process (pool, cache) ->
+    Ptaint_pool.Pool.post pool (run_job_task t cache ~cid:conn.cid ~id job)
   | Isolated sup ->
     Supervisor.submit sup ~id ~cid:conn.cid
       ~label:(Campaign.label_of_policy job.Job.config.Ptaint_sim.Sim.policy)
@@ -626,6 +643,8 @@ let account_finished t ji =
           (Metrics.counter t.metrics ~labels:[ ("event", event) ]
              "ptaintd_superblock_events_total"))
     ji.ji_superblock;
+  if ji.ji_cache_hit then t.cache_hits <- t.cache_hits + 1
+  else t.cache_misses <- t.cache_misses + 1;
   mobserve t "ptaintd_job_duration_us" ((ji.ji_t1 -. ji.ji_t0) *. 1e6);
   linfo t "job finished"
     (Log.int "id" ji.ji_id :: Log.str "tag" ji.ji_tag
@@ -840,7 +859,7 @@ let serve t =
   Hashtbl.iter (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) t.conns;
   Hashtbl.reset t.conns;
   (match backend_exn t with
-   | In_process pool -> Ptaint_pool.Pool.stop pool
+   | In_process (pool, _) -> Ptaint_pool.Pool.stop pool
    | Isolated sup -> Supervisor.stop sup);
   (match t.metrics_fd with
    | Some fd ->

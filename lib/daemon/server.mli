@@ -47,7 +47,9 @@ type config = {
   cache_capacity : int;
       (** image cache entries, per process: the in-process backend
           shares one cache, each isolated worker keeps its own, so
-          image memory under isolation is bounded by workers x this *)
+          image memory under isolation is bounded by workers x this.
+          Only the in-process cache reports its entries, evictions and
+          capacity; hits and misses are counted for both backends *)
   job_timeout : float option;
       (** default per-job watchdog (seconds); a job's own timeout wins *)
   banner : string;  (** echoed in [Hello_ok] *)
@@ -96,7 +98,10 @@ val shutdown : t -> unit
 val stats : t -> (string * int) list
 (** The daemon counter snapshot served to [Stats] requests (cache
     hits/misses, jobs submitted/completed/rejected/in flight, client
-    counts).  Loop-owned state: call from the serving domain only —
+    counts).  Cache hits and misses are counted per finished job from
+    its terminal event's cache flag, on either backend; under
+    [isolate] a job whose worker failed it carries no flag and counts
+    as a miss.  Loop-owned state: call from the serving domain only —
     other processes should ask over the socket. *)
 
 val prometheus : t -> string

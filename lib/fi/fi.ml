@@ -48,8 +48,8 @@ let target_name = function
 let pp_injection ppf i =
   Format.fprintf ppf "%s@@%d into %s" (model_name i.fault) i.at (target_name i.fault)
 
-(* Mutate the machine through the counter-exact injection entry
-   points.  [false] means the fault landed in unmapped memory (the
+(* Mutate the machine through the injection entry points (the
+   register file's keep its live taint bitmap exact).  [false] means the fault landed in unmapped memory (the
    flip hit nothing) — reported, never raised, so one wild address in
    a random plan does not kill the trial. *)
 let apply (m : Machine.t) fault =

@@ -52,8 +52,9 @@ type report = { result : Ptaint_sim.Sim.result; applied : applied list }
     alert point. *)
 
 val debug_checks : bool ref
-(** When set, {!apply} audits {!Ptaint_mem.Memory.check_invariants}
-    after every injection — on in the fi tests, off in campaigns. *)
+(** When set, {!apply} runs {!Ptaint_mem.Memory.check_invariants} (the
+    tagged store's page-lookup cache audit) after every injection — on
+    in the fi tests, off in campaigns. *)
 
 val model_name : fault -> string
 (** Stable model slug: ["data-flip"], ["reg-flip"], ["taint-loss"],

@@ -117,47 +117,7 @@ let load_half_t t addr =
     Tword.make ~v ~m
   | exception Tagged_store.Unmapped a -> fault a Load
 
-(* Clean-plane variants: data plane only, valid while [tainted_bytes]
-   is 0.  They keep the same logical access counts as the full
-   accessors so diagnostics cannot tell which engine ran. *)
-
 let tainted_bytes t = Tagged_store.tainted_bytes t.store
-
-let load_byte_clean t addr =
-  let addr = addr land mask32 in
-  match Tagged_store.load_byte_clean t.store addr with
-  | b -> t.st.loads <- t.st.loads + 1; b
-  | exception Tagged_store.Unmapped a -> fault a Load
-
-let load_half_clean t addr =
-  let addr = addr land mask32 in
-  match Tagged_store.load_half_clean t.store addr with
-  | v -> t.st.loads <- t.st.loads + 1; v
-  | exception Tagged_store.Unmapped a -> fault a Load
-
-let load_word_clean t addr =
-  let addr = addr land mask32 in
-  match Tagged_store.load_word_clean t.store addr with
-  | v -> t.st.loads <- t.st.loads + 1; v
-  | exception Tagged_store.Unmapped a -> fault a Load
-
-let store_byte_clean t addr v =
-  let addr = addr land mask32 in
-  match Tagged_store.store_byte_clean t.store addr v with
-  | () -> t.st.stores <- t.st.stores + 1
-  | exception Tagged_store.Unmapped a -> fault a Store
-
-let store_half_clean t addr v =
-  let addr = addr land mask32 in
-  match Tagged_store.store_half_clean t.store addr v with
-  | () -> t.st.stores <- t.st.stores + 1
-  | exception Tagged_store.Unmapped a -> fault a Store
-
-let store_word_clean t addr v =
-  let addr = addr land mask32 in
-  match Tagged_store.store_word_clean t.store addr v with
-  | () -> t.st.stores <- t.st.stores + 1
-  | exception Tagged_store.Unmapped a -> fault a Store
 
 let write_string t addr s ~taint =
   String.iteri (fun i c -> store_byte t (addr + i) (Char.code c) ~taint) s

@@ -44,23 +44,10 @@ val load_byte_t : t -> int -> Ptaint_taint.Tword.t
 val load_half_t : t -> int -> Ptaint_taint.Tword.t
 (** [load_half] packed into an immediate word. *)
 
-(** {1 Clean-plane access}
-
-    Data-plane-only variants for the CPU's clean fast path, sound only
-    while {!tainted_bytes} is [0].  Fault like the full accessors and
-    count identically in {!stats} (but can never bump the tainted
-    counters — there is no taint to move). *)
-
 val tainted_bytes : t -> int
-(** Exact number of live tainted memory bytes; [0] proves the whole
-    taint plane is clean.  O(1) — maintained incrementally. *)
-
-val load_byte_clean : t -> int -> int
-val load_half_clean : t -> int -> int
-val load_word_clean : t -> int -> int
-val store_byte_clean : t -> int -> int -> unit
-val store_half_clean : t -> int -> int -> unit
-val store_word_clean : t -> int -> int -> unit
+(** Number of tainted memory bytes, recounted from the taint plane of
+    every mapped page: O(mapped bytes).  For tests and reports; no
+    execution path reads it. *)
 
 (** {1 Bulk access (host/OS side)} *)
 
@@ -92,21 +79,20 @@ val taint_summary : t -> int -> int -> bool
     accesses, so they never touch {!stats}. *)
 
 val check_invariants : t -> unit
-(** Audit the backing store: taint-plane recount vs the live counter,
-    page-cache coherence.  Raises [Failure] on drift. *)
+(** Audit the backing store's page-lookup cache against its page
+    table.  Raises [Failure] on drift. *)
 
 val inject_flip_data : t -> int -> bit:int -> unit
-(** Flip one bit of the data byte at the address; taint plane and
-    live counter untouched. *)
+(** Flip one bit of the data byte at the address; taint plane
+    untouched. *)
 
 val inject_set_taint_range : t -> int -> int -> tainted:bool -> unit
 (** Force the taint bit of every byte in [[addr, addr+len)] —
     [tainted:false] is the taint-loss fault, [tainted:true] spurious
-    taint.  Data bytes untouched, live counter kept exact. *)
+    taint.  Data bytes untouched. *)
 
 val inject_wipe_taint : t -> unit
-(** Clear every taint bit (total taint loss); live counter kept
-    exact (zero). *)
+(** Clear every taint bit (total taint loss). *)
 
 (** {1 Copy-on-write snapshots}
 

@@ -4,20 +4,13 @@ open Ptaint_taint
    element per aligned guest word, holding exactly the packed
    {!Tword} bits: value byte [k] in bits [8k, 8k+8), taint bit for
    byte [k] at bit [32 + k].  An aligned word load is therefore a
-   single array read ([Tword.of_bits]), an aligned word store a read
-   (for the live-taint counter delta) plus a write — the dominant
-   cost of the interpreter's memory path. *)
+   single array read ([Tword.of_bits]), an aligned word store a
+   single write. *)
 type plane = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type page = { mutable plane : plane; mutable shared : bool }
 
-(* [tainted] is the exact number of live tainted bytes across every
-   mapped page, maintained incrementally by each taint-plane writer.
-   The CPU's clean fast path keys off [tainted = 0]: in that state
-   every element's taint nibble is provably zero, so loads and stores
-   may skip the taint algebra entirely (see the [*_clean] accessors).
-
-   [cache_idx]/[cache_page] form a direct-mapped page-lookup cache in
+(* [cache_idx]/[cache_page] form a direct-mapped page-lookup cache in
    front of the hashtable: pages are never unmapped, so a cached
    (index, page-record) pair can never go stale — COW clones mutate
    the page record in place.  This takes the generic hash + bucket
@@ -25,12 +18,11 @@ type page = { mutable plane : plane; mutable shared : bool }
    memory-access path. *)
 type t = {
   pages : (int, page) Hashtbl.t;
-  mutable tainted : int;
   cache_idx : int array;
   cache_page : page array;
 }
 
-type snapshot = { snap_pages : (int * plane) array; snap_tainted : int }
+type snapshot = (int * plane) array
 
 exception Unmapped of int
 
@@ -57,7 +49,6 @@ let dummy_page =
 
 let create () =
   { pages = Hashtbl.create 256;
-    tainted = 0;
     cache_idx = Array.make cache_slots (-1);
     cache_page = Array.make cache_slots dummy_page }
 
@@ -73,7 +64,18 @@ let is_mapped t idx = Hashtbl.mem t.pages idx
 let mapped_pages t =
   List.sort compare (Hashtbl.fold (fun idx _ acc -> idx :: acc) t.pages [])
 
-let[@inline] tainted_bytes t = t.tainted
+(* Recounted on demand: O(mapped bytes).  No execution path reads
+   it; tests and reports do. *)
+let tainted_bytes t =
+  Hashtbl.fold
+    (fun _ p acc ->
+      let pl = p.plane in
+      let n = ref acc in
+      for wi = 0 to page_words - 1 do
+        n := !n + Array.unsafe_get pop4 (Bigarray.Array1.unsafe_get pl wi lsr 32)
+      done;
+      !n)
+    t.pages 0
 
 let page_miss t addr idx slot =
   match Hashtbl.find_opt t.pages idx with
@@ -128,11 +130,8 @@ let[@inline] store_byte t addr v ~taint =
   let vshift = k lsl 3 in
   let tb = 1 lsl (32 + k) in
   let cleared = elt land lnot ((0xff lsl vshift) lor tb) in
-  let nt = if taint then 1 else 0 in
-  let ot = if elt land tb <> 0 then 1 else 0 in
-  if nt <> ot then t.tainted <- t.tainted + nt - ot;
   Bigarray.Array1.unsafe_set pl wi
-    (cleared lor ((v land 0xff) lsl vshift) lor (nt lsl (32 + k)))
+    (cleared lor ((v land 0xff) lsl vshift) lor (if taint then tb else 0))
 
 (* --- CPU fast-path accessors ---
 
@@ -147,14 +146,8 @@ let[@inline] load_word_aligned t addr =
     (Bigarray.Array1.unsafe_get (read_plane t addr) ((addr land page_mask) lsr 2))
 
 let[@inline] store_word_aligned t addr w =
-  let pl = write_plane t addr in
-  let wi = (addr land page_mask) lsr 2 in
-  let bits = Tword.to_bits w in
-  let old = Bigarray.Array1.unsafe_get pl wi in
-  if old lsr 32 <> bits lsr 32 then
-    t.tainted <-
-      t.tainted + Array.unsafe_get pop4 (bits lsr 32) - Array.unsafe_get pop4 (old lsr 32);
-  Bigarray.Array1.unsafe_set pl wi bits
+  Bigarray.Array1.unsafe_set (write_plane t addr) ((addr land page_mask) lsr 2)
+    (Tword.to_bits w)
 
 let[@inline] load_word_elt t addr =
   Bigarray.Array1.unsafe_get (read_plane t addr) ((addr land page_mask) lsr 2)
@@ -181,9 +174,6 @@ let[@inline] store_half_even t addr v ~m =
   let vshift = k lsl 3 in
   let m = m land 3 in
   let cleared = elt land lnot ((0xffff lsl vshift) lor (3 lsl (32 + k))) in
-  let old = (elt lsr (32 + k)) land 3 in
-  if m <> old then
-    t.tainted <- t.tainted + Array.unsafe_get pop4 m - Array.unsafe_get pop4 old;
   Bigarray.Array1.unsafe_set pl wi
     (cleared lor ((v land 0xffff) lsl vshift) lor (m lsl (32 + k)))
 
@@ -232,78 +222,6 @@ let store_half t addr v ~m =
     store_byte t (addr + 1) ((v lsr 8) land 0xff) ~taint:(m land 2 <> 0)
   end
 
-(* --- clean-plane accessors (the CPU's clean fast path) ---
-
-   Valid only while [tainted = 0]: every element's taint nibble is
-   zero, so an aligned word element *is* its value, loads skip the
-   mask extraction and stores write the bare value (leaving the
-   nibble zero).  The misalignment check upstream guarantees the CPU
-   never crosses a page with these, but the byte-walk fallback keeps
-   them total anyway. *)
-
-let[@inline] load_byte_clean t addr =
-  let elt =
-    Bigarray.Array1.unsafe_get (read_plane t addr) ((addr land page_mask) lsr 2)
-  in
-  (elt lsr ((addr land 3) lsl 3)) land 0xff
-
-let[@inline] store_byte_clean t addr v =
-  let pl = write_plane t addr in
-  let wi = (addr land page_mask) lsr 2 in
-  let vshift = (addr land 3) lsl 3 in
-  let elt = Bigarray.Array1.unsafe_get pl wi in
-  Bigarray.Array1.unsafe_set pl wi
-    ((elt land lnot (0xff lsl vshift)) lor ((v land 0xff) lsl vshift))
-
-let[@inline] load_word_clean_aligned t addr =
-  Bigarray.Array1.unsafe_get (read_plane t addr) ((addr land page_mask) lsr 2)
-
-let[@inline] store_word_clean_aligned t addr v =
-  Bigarray.Array1.unsafe_set (write_plane t addr) ((addr land page_mask) lsr 2)
-    (v land 0xFFFFFFFF)
-
-let[@inline] load_half_clean_even t addr =
-  let elt =
-    Bigarray.Array1.unsafe_get (read_plane t addr) ((addr land page_mask) lsr 2)
-  in
-  (elt lsr ((addr land 3) lsl 3)) land 0xffff
-
-let[@inline] store_half_clean_even t addr v =
-  let pl = write_plane t addr in
-  let wi = (addr land page_mask) lsr 2 in
-  let vshift = (addr land 3) lsl 3 in
-  let elt = Bigarray.Array1.unsafe_get pl wi in
-  Bigarray.Array1.unsafe_set pl wi
-    ((elt land lnot (0xffff lsl vshift)) lor ((v land 0xffff) lsl vshift))
-
-let load_word_clean t addr =
-  if addr land 3 = 0 then load_word_clean_aligned t addr
-  else begin
-    let v = ref 0 in
-    for i = 3 downto 0 do
-      v := (!v lsl 8) lor load_byte_clean t (addr + i)
-    done;
-    !v
-  end
-
-let store_word_clean t addr v =
-  if addr land 3 = 0 then store_word_clean_aligned t addr v
-  else
-    for i = 0 to 3 do
-      store_byte_clean t (addr + i) ((v lsr (8 * i)) land 0xff)
-    done
-
-let load_half_clean t addr =
-  if addr land 1 = 0 then load_half_clean_even t addr
-  else load_byte_clean t addr lor (load_byte_clean t (addr + 1) lsl 8)
-
-let store_half_clean t addr v =
-  if addr land 1 = 0 then store_half_clean_even t addr v
-  else begin
-    store_byte_clean t addr (v land 0xff);
-    store_byte_clean t (addr + 1) ((v lsr 8) land 0xff)
-  end
-
 (* --- ranges (word-at-a-time over the taint nibbles; the byte path
    handles unaligned edges and page boundaries) --- *)
 
@@ -312,11 +230,7 @@ let set_taint_bit t addr fill =
   let wi = (addr land page_mask) lsr 2 in
   let elt = Bigarray.Array1.unsafe_get pl wi in
   let tb = 1 lsl (32 + (addr land 3)) in
-  let ot = if elt land tb <> 0 then 1 else 0 in
-  if ot <> fill then begin
-    t.tainted <- t.tainted + fill - ot;
-    Bigarray.Array1.unsafe_set pl wi (elt lxor tb)
-  end
+  Bigarray.Array1.unsafe_set pl wi (if fill = 1 then elt lor tb else elt land lnot tb)
 
 let fill_taint t addr len fill =
   let nib = fill * 0xf in
@@ -330,7 +244,6 @@ let fill_taint t addr len fill =
       let w0 = off lsr 2 in
       for wi = w0 to w0 + words - 1 do
         let elt = Bigarray.Array1.unsafe_get pl wi in
-        t.tainted <- t.tainted + (fill lsl 2) - Array.unsafe_get pop4 (elt lsr 32);
         Bigarray.Array1.unsafe_set pl wi ((elt land 0xFFFFFFFF) lor (nib lsl 32))
       done;
       a := addr + (words lsl 2);
@@ -397,28 +310,14 @@ let taint_summary t addr len =
 (* --- fault injection and invariant audit ---
 
    The injection entry points are the only sanctioned way to corrupt a
-   store from outside the CPU: they mutate either the data plane alone
-   (leaving taint untouched) or go through the same counter-updating
-   paths as ordinary stores, so [tainted] stays exact.  Exactness is
-   not cosmetic — the CPU's clean fast path keys off [tainted = 0] and
-   silently mis-executes if the counter drifts from the plane. *)
+   store from outside the CPU: each mutates one plane in place,
+   cloning a COW-shared page first like every other writer.  The
+   audit checks the page-lookup cache, the one piece of derived state
+   the store keeps. *)
 
 let debug_asserts = ref false
 
 let check_invariants t =
-  let recount = ref 0 in
-  Hashtbl.iter
-    (fun _ p ->
-      let pl = p.plane in
-      for wi = 0 to page_words - 1 do
-        recount := !recount + Array.unsafe_get pop4 (Bigarray.Array1.unsafe_get pl wi lsr 32)
-      done)
-    t.pages;
-  if !recount <> t.tainted then
-    failwith
-      (Printf.sprintf
-         "Tagged_store.check_invariants: live counter says %d tainted bytes, taint plane holds %d"
-         t.tainted !recount);
   for slot = 0 to cache_slots - 1 do
     let idx = t.cache_idx.(slot) in
     if idx >= 0 then
@@ -443,20 +342,7 @@ let inject_flip_data t addr ~bit =
   if !debug_asserts then check_invariants t
 
 let inject_set_taint_range t addr len ~tainted =
-  for a = addr to addr + len - 1 do
-    let pl = write_plane t a in
-    let wi = (a land page_mask) lsr 2 in
-    let tb = 1 lsl (32 + (a land 3)) in
-    let elt = Bigarray.Array1.unsafe_get pl wi in
-    if tainted && elt land tb = 0 then begin
-      Bigarray.Array1.unsafe_set pl wi (elt lor tb);
-      t.tainted <- t.tainted + 1
-    end
-    else if (not tainted) && elt land tb <> 0 then begin
-      Bigarray.Array1.unsafe_set pl wi (elt land lnot tb);
-      t.tainted <- t.tainted - 1
-    end
-  done;
+  fill_taint t addr len (if tainted then 1 else 0);
   if !debug_asserts then check_invariants t
 
 let inject_wipe_taint t =
@@ -478,7 +364,6 @@ let inject_wipe_taint t =
         done
       end)
     t.pages;
-  t.tainted <- 0;
   if !debug_asserts then check_invariants t
 
 (* --- snapshots ---
@@ -488,27 +373,19 @@ let inject_wipe_taint t =
    the snapshot's planes, again shared.  Because every writer clones a
    shared plane first, snapshot planes are immutable after creation —
    which also makes a snapshot safe to restore concurrently from
-   multiple domains (each restored store clones privately on write).
-   The live-taint count travels with the snapshot so a restored store
-   starts with the exact counter its pages imply. *)
+   multiple domains (each restored store clones privately on write). *)
 
 let snapshot t =
-  let snap_pages =
-    Hashtbl.fold
-      (fun idx p acc ->
-        p.shared <- true;
-        (idx, p.plane) :: acc)
-      t.pages []
-    |> Array.of_list
-  in
-  { snap_pages; snap_tainted = t.tainted }
+  Hashtbl.fold
+    (fun idx p acc ->
+      p.shared <- true;
+      (idx, p.plane) :: acc)
+    t.pages []
+  |> Array.of_list
 
 let restore snap =
   let t = create () in
-  Array.iter
-    (fun (idx, plane) -> Hashtbl.replace t.pages idx { plane; shared = true })
-    snap.snap_pages;
-  t.tainted <- snap.snap_tainted;
+  Array.iter (fun (idx, plane) -> Hashtbl.replace t.pages idx { plane; shared = true }) snap;
   t
 
 (* In-place [restore] for arena recycling: re-point the existing page
@@ -519,9 +396,9 @@ let restore snap =
    steady state (same or similar footprint) this allocates only the
    page records of genuinely new pages. *)
 let reset_from_snapshot t snap =
-  let n = Array.length snap.snap_pages in
+  let n = Array.length snap in
   for i = 0 to n - 1 do
-    let idx, plane = Array.unsafe_get snap.snap_pages i in
+    let idx, plane = Array.unsafe_get snap i in
     match Hashtbl.find_opt t.pages idx with
     | Some p ->
       p.plane <- plane;
@@ -529,12 +406,11 @@ let reset_from_snapshot t snap =
     | None -> Hashtbl.replace t.pages idx { plane; shared = true }
   done;
   if Hashtbl.length t.pages <> n then begin
-    let in_snap idx = Array.exists (fun (j, _) -> j = idx) snap.snap_pages in
+    let in_snap idx = Array.exists (fun (j, _) -> j = idx) snap in
     let extras =
       Hashtbl.fold (fun idx _ acc -> if in_snap idx then acc else idx :: acc) t.pages []
     in
     List.iter (Hashtbl.remove t.pages) extras
   end;
   Array.fill t.cache_idx 0 cache_slots (-1);
-  Array.fill t.cache_page 0 cache_slots dummy_page;
-  t.tainted <- snap.snap_tainted
+  Array.fill t.cache_page 0 cache_slots dummy_page

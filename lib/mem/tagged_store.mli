@@ -35,10 +35,9 @@ val mapped_pages : t -> int list
 (** Indices of every mapped page, ascending. *)
 
 val tainted_bytes : t -> int
-(** Exact number of live tainted bytes across all pages, maintained
-    incrementally by every taint-plane writer (stores, range fills,
-    snapshot restore).  [0] proves the entire taint plane is zero —
-    the precondition of the [*_clean] accessors. *)
+(** Number of tainted bytes across all mapped pages, recounted from
+    the taint plane on every call: O(mapped bytes).  For tests and
+    reports; no execution path reads it. *)
 
 (** {1 Access}  [load_word]/[store_word] and the half-word pair take
     any alignment; accesses crossing into an unmapped page raise
@@ -71,24 +70,6 @@ val load_word_elt : t -> int -> int
 val load_byte_tw : t -> int -> Ptaint_taint.Tword.t
 val load_half_even : t -> int -> Ptaint_taint.Tword.t
 val store_half_even : t -> int -> int -> m:Ptaint_taint.Mask.t -> unit
-val load_word_clean_aligned : t -> int -> int
-val store_word_clean_aligned : t -> int -> int -> unit
-val load_half_clean_even : t -> int -> int
-val store_half_clean_even : t -> int -> int -> unit
-
-(** {1 Clean-plane access}
-
-    Data-plane-only variants for the CPU's clean fast path.  Sound
-    only while {!tainted_bytes} is [0]: loads skip assembling a mask
-    that would be zero anyway, stores skip clearing tags that are
-    already clear.  Same faulting behaviour as the full accessors. *)
-
-val load_byte_clean : t -> int -> int
-val store_byte_clean : t -> int -> int -> unit
-val load_word_clean : t -> int -> int
-val store_word_clean : t -> int -> int -> unit
-val load_half_clean : t -> int -> int
-val store_half_clean : t -> int -> int -> unit
 
 (** {1 Taint plane ranges} *)
 
@@ -108,16 +89,13 @@ val taint_summary : t -> int -> int -> bool
 
     Entry points for the fault-injection engine.  They are the only
     sanctioned way to corrupt a store from outside the CPU: each one
-    either touches the data plane alone or maintains the live
-    tainted-byte counter exactly, so the clean fast path's
-    [tainted_bytes = 0] test stays sound after any injection. *)
+    touches exactly one plane, in place, and clones a COW-shared page
+    before writing it like any other writer. *)
 
 val check_invariants : t -> unit
-(** Recount the taint plane and verify it matches {!tainted_bytes},
-    and verify every populated page-cache slot aliases the live page
+(** Verify every populated page-cache slot aliases the live page
     record for its index.  Raises [Failure] with a description on the
-    first violation.  O(mapped bytes) — a debug audit, not a fast
-    path. *)
+    first violation.  A debug audit, not a fast path. *)
 
 val debug_asserts : bool ref
 (** When set, every injection entry point runs {!check_invariants}
@@ -125,19 +103,18 @@ val debug_asserts : bool ref
 
 val inject_flip_data : t -> int -> bit:int -> unit
 (** Flip bit [bit land 7] of the data byte at the given address; the
-    taint plane (and thus the live counter) is untouched.  Raises
-    {!Unmapped} like the accessors. *)
+    taint plane is untouched.  Raises {!Unmapped} like the
+    accessors. *)
 
 val inject_set_taint_range : t -> int -> int -> tainted:bool -> unit
 (** [inject_set_taint_range t addr len ~tainted] forces the taint bit
-    of every byte in [[addr, addr+len)] — data bytes untouched, live
-    counter adjusted per byte actually changed.  [tainted:false] is
-    the taint-loss fault, [tainted:true] spurious taint.  Raises
-    {!Unmapped} like the accessors. *)
+    of every byte in [[addr, addr+len)], data bytes untouched.
+    [tainted:false] is the taint-loss fault, [tainted:true] spurious
+    taint.  Raises {!Unmapped} like the accessors. *)
 
 val inject_wipe_taint : t -> unit
-(** Clear every taint bit in the store and zero the live counter — the
-    "total taint loss" fault.  COW-shared pages are cloned before
+(** Clear every taint bit in the store — the "total taint loss"
+    fault.  COW-shared pages are cloned before
     writing, so snapshots are unaffected. *)
 
 (** {1 Copy-on-write snapshots} *)

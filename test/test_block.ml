@@ -290,6 +290,113 @@ let test_clean_taint_clean () =
   Alcotest.(check int) "memory scrubbed" 0 (Memory.tainted_bytes m.Machine.mem);
   Alcotest.(check int) "registers scrubbed" 0 (Regfile.tainted_count m.Machine.regs)
 
+(* --- clean variant over tainted memory -------------------------------- *)
+
+(* The clean variant is keyed on register taint alone, so it must run
+   correctly while memory holds taint.  The guest's first act reads 16
+   tainted stdin bytes into [keep], which nothing overwrites: every
+   block after that syscall runs with live memory taint.  Each outer
+   pass re-taints [victim] and overwrites most of it with [sw]/[sh]/[sb]
+   from clean registers, spins a hot inner loop of clean word, half
+   and byte loads and stores, then loads tainted elements of [keep]
+   partway through a block and as the first load of two more blocks
+   (word, half, byte), scrubbing the registers after each. *)
+let clean_over_tainted_asm =
+  {|
+        .text
+main:   li $v0, 2               # sys_read: tainted bytes that stay put
+        li $a0, 0
+        la $a1, keep
+        li $a2, 16
+        syscall
+        li $t9, 40
+outer:  li $v0, 2               # re-taint the victim bytes
+        li $a0, 0
+        la $a1, victim
+        li $a2, 8
+        syscall
+        la $s0, victim          # clean stores over tainted bytes
+        li $t0, 0x1234
+        sw $t0, 0($s0)
+        sh $t0, 4($s0)
+        sb $t0, 6($s0)          # victim[7] keeps its taint
+        la $s1, data
+        li $t1, 30
+inner:  lw $t2, 0($s1)          # clean loads: word, halves, bytes
+        lh $t3, 4($s1)
+        lhu $t4, 6($s1)
+        lb $t5, 8($s1)
+        lbu $t6, 9($s1)
+        addu $t7, $t2, $t3
+        addu $t7, $t7, $t4
+        addu $t7, $t7, $t5
+        addu $t7, $t7, $t6
+        sw $t7, 12($s1)         # clean stores over clean bytes
+        sh $t7, 16($s1)
+        sb $t7, 18($s1)
+        addiu $t1, $t1, -1
+        bne $t1, $zero, inner
+        la $s2, keep
+        addiu $t8, $t8, 1
+        lw $t2, 0($s2)          # tainted word partway through a block
+        addu $t3, $t2, $t8      # the rest of the block runs full
+        li $t2, 0
+        li $t3, 0
+        j half
+half:   lh $t4, 6($s2)          # tainted half
+        li $t4, 0
+        j byte
+byte:   lbu $t5, 9($s2)         # tainted byte
+        li $t5, 0
+        addiu $t9, $t9, -1
+        bgtz $t9, outer
+        li $v0, 1
+        li $a0, 0
+        syscall
+        .data
+data:   .word 0x80018002, 0x8003fffe, 0x000081ff, 0, 0
+keep:   .space 16
+victim: .space 8
+|}
+
+let test_clean_over_tainted_memory () =
+  let program =
+    match Ptaint_asm.Assembler.assemble clean_over_tainted_asm with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "assembly failed: %a" Ptaint_asm.Assembler.pp_error e
+  in
+  let floor = 4 * Ptaint_cpu.Superblock.threshold in
+  List.iter
+    (fun label ->
+      let config =
+        Sim.Config.(
+          default
+          |> with_policy_label label
+          |> with_sources { Ptaint_os.Sources.none with stdin = true }
+          |> with_stdin (String.init (16 + (40 * 8)) (fun i -> Char.chr (65 + (i mod 26)))))
+      in
+      let ctx = "clean-over-tainted/" ^ label in
+      let bulk = differential ctx config program in
+      let m = bulk.machine in
+      (match bulk.outcome with
+       | Sim.Exited 0 -> ()
+       | o -> Alcotest.failf "%s: outcome %a" ctx Sim.pp_outcome o);
+      let chk name b = Alcotest.(check bool) (ctx ^ ": " ^ name) true b in
+      chk "memory taint stays live" (Memory.tainted_bytes m.Machine.mem > 0);
+      (* only the two blocks before the first read precede the live
+         memory taint, so this many clean blocks ran with it *)
+      chk "the clean variant ran over tainted memory" (m.Machine.clean_blocks > floor);
+      if label = "baseline" then
+        (* no tracking: tainted loads land masked on the clean chain *)
+        Alcotest.(check int) (ctx ^ ": every block ran clean") m.Machine.blocks_run
+          m.Machine.clean_blocks
+      else begin
+        chk "tainted loads deoptimized" (m.Machine.sb_deopts > 0);
+        chk "some blocks did not run entirely clean"
+          (m.Machine.blocks_run > m.Machine.clean_blocks)
+      end)
+    [ "full"; "control-only"; "none"; "baseline" ]
+
 (* --- superblock chains ---------------------------------------------- *)
 
 (* A nested direct-branch loop: the inner body self-chains through its
@@ -412,6 +519,8 @@ let () =
           Alcotest.test_case "attack catalogue, both engines" `Quick test_catalog_differential;
           Alcotest.test_case "attack catalogue, warm tier" `Quick test_catalog_warm_tier;
           Alcotest.test_case "clean -> tainted -> clean" `Quick test_clean_taint_clean;
+          Alcotest.test_case "clean variant over tainted memory" `Quick
+            test_clean_over_tainted_memory;
           Alcotest.test_case "superblock chains, both engines" `Quick test_superblock_chains;
           Alcotest.test_case "taint flip mid-chain" `Quick test_taint_flip_mid_chain;
           Alcotest.test_case "run_many matches per-step" `Quick test_run_many_differential ] ) ]

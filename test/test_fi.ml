@@ -31,7 +31,7 @@ let fingerprint (r : Sim.result) =
     (Format.asprintf "%a" Sim.pp_outcome r.Sim.outcome)
     (String.escaped r.Sim.stdout) r.Sim.instructions r.Sim.syscalls r.Sim.final_uid
 
-(* --- every fault model lands and keeps the live counters exact --- *)
+(* --- every fault model lands and keeps the stores coherent --- *)
 
 let test_apply_models () =
   let program = exp1.Scenario.build () in
@@ -50,14 +50,14 @@ let test_apply_models () =
   check_ok "data flip" (Fi.Flip_data { addr = dbase; bit = 3 });
   check_ok "reg flip" (Fi.Flip_reg { slot = 8; bit = 7 });
   check_ok "spurious taint" (Fi.Spurious_taint { addr = dbase; len = 64 });
-  Alcotest.(check bool) "spurious taint raised the live counter" true
+  Alcotest.(check bool) "spurious taint raised the tainted-byte count" true
     (Memory.tainted_bytes mem >= 64);
   check_ok "taint loss" (Fi.Taint_loss { addr = dbase; len = 64 });
   check_ok "reg spurious taint" (Fi.Reg_spurious_taint { slot = 29 });
   check_ok "reg taint loss" (Fi.Reg_taint_loss { slot = 29 });
   check_ok "stuck clean" (Fi.Stuck_clean { addr = dbase; len = 64 });
   check_ok "taint wipe" Fi.Taint_wipe;
-  Alcotest.(check int) "taint wipe zeroes the live counter" 0 (Memory.tainted_bytes mem);
+  Alcotest.(check int) "taint wipe leaves no tainted byte" 0 (Memory.tainted_bytes mem);
   (* a fault aimed at unmapped memory is reported, never raised *)
   Alcotest.(check bool) "unmapped injection misses" false
     (Fi.apply m (Fi.Flip_data { addr = 0x00000004; bit = 0 }))

@@ -283,23 +283,23 @@ let test_injection_invariants () =
   Memory.taint_range m (base + 64) 32;
   Memory.check_invariants m;
   let before = Memory.tainted_bytes m in
-  (* a data flip never moves the taint plane or the live counter *)
+  (* a data flip never moves the taint plane *)
   Memory.inject_flip_data m base ~bit:5;
   Memory.check_invariants m;
-  Alcotest.(check int) "flip leaves taint counter" before (Memory.tainted_bytes m);
+  Alcotest.(check int) "flip leaves the tainted-byte count" before (Memory.tainted_bytes m);
   Alcotest.(check int) "flip flipped the byte" (0xEF lxor 0x20)
     (fst (Memory.load_byte m base));
-  (* range injections adjust the counter exactly, idempotently *)
+  (* range injections set each byte's bit, idempotently *)
   Memory.inject_set_taint_range m (base + 64) 64 ~tainted:true;
   Memory.check_invariants m;
   Alcotest.(check int) "range taint counted once" (before + 32) (Memory.tainted_bytes m);
   Memory.inject_set_taint_range m (base + 64) 64 ~tainted:false;
   Memory.check_invariants m;
   Alcotest.(check int) "range untainted" (before - 32) (Memory.tainted_bytes m);
-  (* total wipe zeroes the counter whatever was tainted *)
+  (* total wipe clears whatever was tainted *)
   Memory.inject_wipe_taint m;
   Memory.check_invariants m;
-  Alcotest.(check int) "wipe zeroes the counter" 0 (Memory.tainted_bytes m);
+  Alcotest.(check int) "wipe leaves no tainted byte" 0 (Memory.tainted_bytes m);
   Alcotest.(check int) "wipe leaves the data plane" (0xEF lxor 0x20)
     (fst (Memory.load_byte m base));
   (* injections into unmapped space fault like guest accesses *)

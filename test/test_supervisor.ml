@@ -292,7 +292,8 @@ let test_sigstop_idle_heartbeat () =
 (* Each isolated worker gets the whole [--cache] capacity (64 by
    default), not a share of it: 20 distinct programs fit, so a second
    pass of the same programs through a single worker boots every job
-   from that worker's cache. *)
+   from that worker's cache, and the daemon's [Stats] report 20 hits
+   and 20 misses. *)
 let test_isolated_cache_capacity () =
   with_isolated_daemon ~workers:1 (fun path _pids ->
       let c = Client.connect ~client:"cache" path in
@@ -311,6 +312,11 @@ let test_isolated_cache_capacity () =
               true f.cache_hit
           | _ -> Alcotest.failf "prog-%d: second pass did not finish" i)
         (Client.run_batch c specs);
+      let stats = Client.stats c in
+      Alcotest.(check (option int)) "Stats cache hits" (Some 20)
+        (List.assoc_opt "daemon/cache-hit" stats);
+      Alcotest.(check (option int)) "Stats cache misses" (Some 20)
+        (List.assoc_opt "daemon/cache-miss" stats);
       Client.close c)
 
 let () =
