@@ -340,9 +340,10 @@ val run_stream :
     {!load_tally}, and a sequence beginning at job [start].
 
     Workers share built programs and boot images through an internal
-    content-hash cache and boot via the domain arena, so steady-state
-    jobs allocate almost nothing.  [job_timeout]/[retries]/[backoff]
-    behave as in {!run}. *)
+    content-hash cache and boot via the domain arena, which rewinds
+    only the guest pages the previous job wrote or mapped when the
+    image repeats.  [job_timeout]/[retries]/[backoff] behave as in
+    {!run}. *)
 
 val job_counters : job_result -> (string * int) list
 (** The deterministic counter deltas this job contributes to its

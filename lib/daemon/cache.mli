@@ -6,9 +6,11 @@
     argv/env/taint sources, exactly the inputs that shape the boot
     image) and stores the assembled program together with its
     {!Ptaint_sim.Sim.template}: pre-decoded block tables plus the
-    copy-on-write boot snapshot.  A hit boots in O(snapshot restore)
-    under the new job's policy/stdin/fuel; a miss builds outside the
-    lock so distinct programs compile in parallel.  LRU-evicted at
+    copy-on-write boot snapshot.  A hit skips the build, and every
+    job boots its entry through the worker's arena
+    ({!Ptaint_sim.Sim.run_template_arena}) under its own
+    policy/stdin/fuel; a miss builds outside the lock so distinct
+    programs compile in parallel.  LRU-evicted at
     [capacity] entries; the victim (program and boot template both)
     is dropped in the same critical section that publishes the
     incoming entry, so at most [capacity] templates are ever

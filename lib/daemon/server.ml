@@ -301,7 +301,9 @@ let create (cfg : config) =
    backend's equivalent lives in {!Worker} + {!Supervisor}).  Every
    path pushes exactly one terminal completion — that invariant is
    what lets the loop's drain logic count jobs instead of trusting
-   connections. *)
+   connections.  The job boots through the domain's arena, so its
+   result is reduced to the wire event and the superblock counters
+   here, before this domain runs its next job. *)
 let run_job_task t cache ~cid ~id (spec : Job.t) () =
   let t0 = Unix.gettimeofday () in
   push_completion t
@@ -320,7 +322,7 @@ let run_job_task t cache ~cid ~id (spec : Job.t) () =
     with
     | `Cached (entry, hit) ->
       let run_sim ~deadline config _program =
-        Ptaint_sim.Sim.run_template ?deadline ~config entry.Cache.template
+        Ptaint_sim.Sim.run_template_arena ?deadline ~config entry.Cache.template
       in
       (Campaign.run_job ?job_timeout:t.cfg.job_timeout ~run_sim
          ~program:entry.Cache.program spec, hit)

@@ -124,7 +124,9 @@ let write_all fd s =
   go 0
 
 (* Run one spec with the full containment machinery; mirrors the
-   in-process backend so the two paths produce identical events. *)
+   in-process backend so the two paths produce identical events.  The
+   job boots through the process's arena and its result is reduced to
+   the event before the next job boots. *)
 let run_spec ~cache ~job_timeout spec =
   match Proto.job_of_spec spec with
   | Error m ->
@@ -145,7 +147,7 @@ let run_spec ~cache ~job_timeout spec =
       with
       | `Cached (entry, hit) ->
         let run_sim ~deadline config _program =
-          Ptaint_sim.Sim.run_template ?deadline ~config entry.Cache.template
+          Ptaint_sim.Sim.run_template_arena ?deadline ~config entry.Cache.template
         in
         (Campaign.run_job ?job_timeout ~run_sim ~program:entry.Cache.program job, hit)
       | `Build_failed -> (Campaign.run_job ?job_timeout job, false)

@@ -46,7 +46,8 @@ val load_half_t : t -> int -> Ptaint_taint.Tword.t
 
 val tainted_bytes : t -> int
 (** Number of tainted memory bytes, recounted from the taint plane of
-    every mapped page: O(mapped bytes).  For tests and reports; no
+    every written page: O(written pages), since mapped pages never
+    written still share the zero plane.  For tests and reports; no
     execution path reads it. *)
 
 (** {1 Bulk access (host/OS side)} *)
@@ -79,8 +80,8 @@ val taint_summary : t -> int -> int -> bool
     accesses, so they never touch {!stats}. *)
 
 val check_invariants : t -> unit
-(** Audit the backing store's page-lookup cache against its page
-    table.  Raises [Failure] on drift. *)
+(** Audit the backing store's derived state
+    ({!Tagged_store.check_invariants}).  Raises [Failure] on drift. *)
 
 val inject_flip_data : t -> int -> bit:int -> unit
 (** Flip one bit of the data byte at the address; taint plane
@@ -106,13 +107,23 @@ val inject_wipe_taint : t -> unit
 type snapshot
 
 val snapshot : t -> snapshot
+(** Freeze [t]; the snapshot also becomes [t]'s base for
+    {!reset_from_snapshot}. *)
+
 val restore : snapshot -> t
+(** An independent memory with the snapshot's contents.  Builds only
+    the page table, so a restored memory's first
+    {!reset_from_snapshot} rebuilds it. *)
 
 val reset_from_snapshot : t -> snapshot -> unit
 (** In-place {!restore} for arena recycling: rewind [t] (both planes
     and {!stats}) to the snapshot without building a fresh memory.
     Observationally equivalent to [restore snap]; the snapshot may
-    come from a different image than the one [t] last ran. *)
+    come from a different image than the one [t] last ran.  Rewinding
+    to the snapshot [t] last ran from costs O(pages written or mapped
+    since); to another snapshot with the same page set, one pass over
+    its pages; otherwise a linear rebuild
+    ({!Tagged_store.reset_from_snapshot}). *)
 
 (** {1 Statistics} *)
 

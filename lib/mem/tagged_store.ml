@@ -8,21 +8,35 @@ open Ptaint_taint
    single write. *)
 type plane = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type page = { mutable plane : plane; mutable shared : bool }
+(* [slot] is the page's position in the store's base snapshot (its
+   record sits at [aligned.(slot)]), or -1 for a page mapped since. *)
+type page = { mutable plane : plane; mutable shared : bool; mutable slot : int }
+
+(* A snapshot is the frozen page set as two parallel arrays: page
+   indices in ascending order and the planes they held. *)
+type snapshot = { s_idx : int array; s_planes : plane array }
 
 (* [cache_idx]/[cache_page] form a direct-mapped page-lookup cache in
-   front of the hashtable: pages are never unmapped, so a cached
-   (index, page-record) pair can never go stale — COW clones mutate
-   the page record in place.  This takes the generic hash + bucket
-   walk + option allocation of [Hashtbl.find_opt] off the guest
-   memory-access path. *)
+   front of the hashtable: COW clones mutate the page record in place,
+   and the only operation that unmaps pages ([reset_from_snapshot])
+   flushes the cache, so a cached (index, page-record) pair never goes
+   stale.  This takes the generic hash + bucket walk + option
+   allocation of [Hashtbl.find_opt] off the guest memory-access path.
+
+   The other four fields make an arena reset cost O(pages the last job
+   touched): [base] is the snapshot the store was last taken as or
+   reset to ([None] after a fresh {!restore}), [aligned] holds the page
+   records for [base]'s indices in the same order, [dirty] the records
+   cloned since then and [grown] the indices mapped since then. *)
 type t = {
   pages : (int, page) Hashtbl.t;
   cache_idx : int array;
   cache_page : page array;
+  mutable base : snapshot option;
+  mutable aligned : page array;
+  mutable dirty : page list;
+  mutable grown : int list;
 }
-
-type snapshot = (int * plane) array
 
 exception Unmapped of int
 
@@ -35,8 +49,14 @@ let () = assert (page_bytes = 1 lsl 12)
    word element. *)
 let pop4 = [| 0; 1; 1; 2; 1; 2; 2; 3; 1; 2; 2; 3; 2; 3; 3; 4 |]
 
-let alloc_plane () =
-  let p = Bigarray.Array1.create Bigarray.int Bigarray.c_layout page_words in
+let new_plane () = Bigarray.Array1.create Bigarray.int Bigarray.c_layout page_words
+
+(* The one all-zero plane every newly mapped page starts on, shared
+   (never written: the first write clones it like a snapshot plane),
+   so mapping a page allocates no page data.  Process-wide and
+   immutable, hence safe to share across domains. *)
+let zero_plane =
+  let p = new_plane () in
   Bigarray.Array1.fill p 0;
   p
 
@@ -45,17 +65,22 @@ let cache_slots = 64
 (* Placeholder page record filling the cache's page slots while their
    index slot still holds the -1 sentinel; never dereferenced. *)
 let dummy_page =
-  { plane = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0; shared = true }
+  { plane = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0; shared = true; slot = -1 }
 
 let create () =
   { pages = Hashtbl.create 256;
     cache_idx = Array.make cache_slots (-1);
-    cache_page = Array.make cache_slots dummy_page }
+    cache_page = Array.make cache_slots dummy_page;
+    base = None;
+    aligned = [||];
+    dirty = [];
+    grown = [] }
 
 let map_page t idx =
   if Hashtbl.mem t.pages idx then false
   else begin
-    Hashtbl.replace t.pages idx { plane = alloc_plane (); shared = false };
+    Hashtbl.replace t.pages idx { plane = zero_plane; shared = true; slot = -1 };
+    t.grown <- idx :: t.grown;
     true
   end
 
@@ -64,17 +89,21 @@ let is_mapped t idx = Hashtbl.mem t.pages idx
 let mapped_pages t =
   List.sort compare (Hashtbl.fold (fun idx _ acc -> idx :: acc) t.pages [])
 
-(* Recounted on demand: O(mapped bytes).  No execution path reads
-   it; tests and reports do. *)
+(* Recounted on demand: O(written pages), since a page still on the
+   zero plane holds no taint.  No execution path reads it; tests and
+   reports do. *)
 let tainted_bytes t =
   Hashtbl.fold
     (fun _ p acc ->
       let pl = p.plane in
-      let n = ref acc in
-      for wi = 0 to page_words - 1 do
-        n := !n + Array.unsafe_get pop4 (Bigarray.Array1.unsafe_get pl wi lsr 32)
-      done;
-      !n)
+      if pl == zero_plane then acc
+      else begin
+        let n = ref acc in
+        for wi = 0 to page_words - 1 do
+          n := !n + Array.unsafe_get pop4 (Bigarray.Array1.unsafe_get pl wi lsr 32)
+        done;
+        !n
+      end)
     t.pages 0
 
 let page_miss t addr idx slot =
@@ -93,19 +122,23 @@ let[@inline] page_for t addr =
   if Array.unsafe_get t.cache_idx slot = idx then Array.unsafe_get t.cache_page slot
   else page_miss t addr idx slot
 
-let clone_page p =
-  let fresh = alloc_plane () in
+(* Out of line: the record goes on the dirty list before its plane
+   changes, so a reset never misses a page whatever happens here. *)
+let[@inline never] clone_page t p =
+  t.dirty <- p :: t.dirty;
+  let fresh = new_plane () in
   Bigarray.Array1.blit p.plane fresh;
   p.plane <- fresh;
   p.shared <- false
 
-(* Reads never copy; the first write to a page shared with a snapshot
-   clones its plane so snapshot holders keep the original bytes. *)
+(* Reads never copy; the first write to a shared page (a snapshot's
+   or the zero plane) clones its plane so other holders keep the
+   original bytes. *)
 let[@inline] read_plane t addr = (page_for t addr).plane
 
 let[@inline] write_plane t addr =
   let p = page_for t addr in
-  if p.shared then clone_page p;
+  if p.shared then clone_page t p;
   p.plane
 
 (* NB: [Bigarray.Array1.unsafe_get]/[unsafe_set] must be fully
@@ -312,26 +345,47 @@ let taint_summary t addr len =
    The injection entry points are the only sanctioned way to corrupt a
    store from outside the CPU: each mutates one plane in place,
    cloning a COW-shared page first like every other writer.  The
-   audit checks the page-lookup cache, the one piece of derived state
-   the store keeps. *)
+   audit checks the store's derived state: the page-lookup cache, the
+   dirty list, the records aligned with the base snapshot, and the
+   zero plane every fresh page shares. *)
 
 let debug_asserts = ref false
 
 let check_invariants t =
+  let fail fmt = Printf.ksprintf (fun m -> failwith ("Tagged_store.check_invariants: " ^ m)) fmt in
   for slot = 0 to cache_slots - 1 do
     let idx = t.cache_idx.(slot) in
     if idx >= 0 then
       match Hashtbl.find_opt t.pages idx with
       | Some p when p == t.cache_page.(slot) -> ()
-      | Some _ ->
-        failwith
-          (Printf.sprintf
-             "Tagged_store.check_invariants: cache slot %d holds a stale record for page %d"
-             slot idx)
-      | None ->
-        failwith
-          (Printf.sprintf "Tagged_store.check_invariants: cache slot %d caches unmapped page %d"
-             slot idx)
+      | Some _ -> fail "cache slot %d holds a stale record for page %d" slot idx
+      | None -> fail "cache slot %d caches unmapped page %d" slot idx
+  done;
+  Hashtbl.iter
+    (fun idx p ->
+      if (not p.shared) && not (List.memq p t.dirty) then
+        fail "private page %d is missing from the dirty list" idx)
+    t.pages;
+  (match t.base with
+   | None -> ()
+   | Some b ->
+     let n = Array.length b.s_idx in
+     if Array.length t.aligned <> n then
+       fail "%d aligned records for a %d-page base" (Array.length t.aligned) n;
+     for i = 0 to n - 1 do
+       let idx = b.s_idx.(i) and p = t.aligned.(i) in
+       (match Hashtbl.find_opt t.pages idx with
+        | Some q when q == p -> ()
+        | _ -> fail "aligned record %d is not the table's record for page %d" i idx);
+       if p.slot <> i then fail "page %d records slot %d, aligned at %d" idx p.slot i;
+       if p.shared && p.plane != b.s_planes.(i) then
+         fail "shared page %d does not alias its base plane" idx
+     done;
+     if Hashtbl.length t.pages <> n + List.length t.grown then
+       fail "%d pages mapped, base %d + grown %d" (Hashtbl.length t.pages) n
+         (List.length t.grown));
+  for wi = 0 to page_words - 1 do
+    if Bigarray.Array1.unsafe_get zero_plane wi <> 0 then fail "zero plane written at word %d" wi
   done
 
 let inject_flip_data t addr ~bit =
@@ -349,14 +403,16 @@ let inject_wipe_taint t =
   Hashtbl.iter
     (fun _ p ->
       (* probe before cloning: a page with a clean taint plane needs no
-         write, so a COW-shared clean page is left shared *)
+         write, so a COW-shared clean page is left shared; a page still
+         on the zero plane needs no probe *)
       let dirty = ref false in
       let pl = p.plane in
-      for wi = 0 to page_words - 1 do
-        if Bigarray.Array1.unsafe_get pl wi lsr 32 <> 0 then dirty := true
-      done;
+      if pl != zero_plane then
+        for wi = 0 to page_words - 1 do
+          if Bigarray.Array1.unsafe_get pl wi lsr 32 <> 0 then dirty := true
+        done;
       if !dirty then begin
-        if p.shared then clone_page p;
+        if p.shared then clone_page t p;
         let pl = p.plane in
         for wi = 0 to page_words - 1 do
           let elt = Bigarray.Array1.unsafe_get pl wi in
@@ -375,42 +431,106 @@ let inject_wipe_taint t =
    which also makes a snapshot safe to restore concurrently from
    multiple domains (each restored store clones privately on write). *)
 
-let snapshot t =
-  Hashtbl.fold
-    (fun idx p acc ->
-      p.shared <- true;
-      (idx, p.plane) :: acc)
-    t.pages []
-  |> Array.of_list
+(* Make [snap] the store's base, [aligned] its records, and start a
+   clean dirty/grown epoch. *)
+let set_base t snap aligned =
+  t.base <- Some snap;
+  t.aligned <- aligned;
+  t.dirty <- [];
+  t.grown <- []
 
+let snapshot t =
+  let s_idx = Array.make (Hashtbl.length t.pages) 0 in
+  ignore (Hashtbl.fold (fun idx _ i -> s_idx.(i) <- idx; i + 1) t.pages 0);
+  Array.sort Int.compare s_idx;
+  let aligned = Array.map (Hashtbl.find t.pages) s_idx in
+  let s_planes =
+    Array.mapi
+      (fun i p ->
+        p.shared <- true;
+        p.slot <- i;
+        p.plane)
+      aligned
+  in
+  let snap = { s_idx; s_planes } in
+  set_base t snap aligned;
+  snap
+
+(* Only the hash table: a fresh store gets no aligned array (a
+   page-set-sized array would be a major-heap allocation per boot), so
+   its first [reset_from_snapshot] takes the rebuild path. *)
 let restore snap =
   let t = create () in
-  Array.iter (fun (idx, plane) -> Hashtbl.replace t.pages idx { plane; shared = true }) snap;
+  Array.iteri
+    (fun i idx ->
+      Hashtbl.replace t.pages idx { plane = snap.s_planes.(i); shared = true; slot = i })
+    snap.s_idx;
   t
 
-(* In-place [restore] for arena recycling: re-point the existing page
-   records at the snapshot's planes (shared again, so the next write
-   re-clones), drop pages the previous run mapped beyond the snapshot
-   (guest sbrk), and invalidate the lookup cache — both index slots
-   and page slots, so no stale record pins a retired plane.  In the
-   steady state (same or similar footprint) this allocates only the
-   page records of genuinely new pages. *)
+let same_indices (a : int array) (b : int array) =
+  a == b
+  || Array.length a = Array.length b
+     &&
+     let rec go i = i < 0 || (Array.unsafe_get a i = Array.unsafe_get b i && go (i - 1)) in
+     go (Array.length a - 1)
+
+(* In-place [restore] for arena recycling, in three paths by what the
+   store last held:
+   - [snap] is the base: re-point the pages cloned since at their base
+     planes and drop the pages mapped since — O(pages touched);
+   - [snap] has the base's page indices (another image of the same
+     shape): re-point every aligned record in one pass, no hashing;
+   - otherwise rebuild: reuse or create a record per snapshot page and
+     drop every other page, in linear passes.
+   Every path leaves each surviving record shared on the snapshot's
+   plane, so the next write clones as usual, and flushes the lookup
+   cache — both index and page slots, so no stale record pins a retired
+   plane. *)
 let reset_from_snapshot t snap =
-  let n = Array.length snap in
-  for i = 0 to n - 1 do
-    let idx, plane = Array.unsafe_get snap i in
-    match Hashtbl.find_opt t.pages idx with
-    | Some p ->
-      p.plane <- plane;
-      p.shared <- true
-    | None -> Hashtbl.replace t.pages idx { plane; shared = true }
-  done;
-  if Hashtbl.length t.pages <> n then begin
-    let in_snap idx = Array.exists (fun (j, _) -> j = idx) snap in
-    let extras =
-      Hashtbl.fold (fun idx _ acc -> if in_snap idx then acc else idx :: acc) t.pages []
-    in
-    List.iter (Hashtbl.remove t.pages) extras
-  end;
+  (match t.base with
+   | Some b when b == snap || same_indices b.s_idx snap.s_idx ->
+     let planes = snap.s_planes in
+     if b == snap then
+       List.iter
+         (fun p ->
+           if p.slot >= 0 then begin
+             p.plane <- Array.unsafe_get planes p.slot;
+             p.shared <- true
+           end)
+         t.dirty
+     else
+       (* images of one shape share most planes (every unwritten stack
+          page is the zero plane), and skipping those stores skips
+          their write barrier *)
+       for i = 0 to Array.length planes - 1 do
+         let p = Array.unsafe_get t.aligned i and plane = Array.unsafe_get planes i in
+         if p.plane != plane then p.plane <- plane;
+         p.shared <- true
+       done;
+     List.iter (Hashtbl.remove t.pages) t.grown;
+     set_base t snap t.aligned
+   | _ ->
+     let n = Array.length snap.s_idx in
+     Hashtbl.iter (fun _ p -> p.slot <- -1) t.pages;
+     let aligned = Array.make n dummy_page in
+     for i = 0 to n - 1 do
+       let idx = snap.s_idx.(i) and plane = snap.s_planes.(i) in
+       let p =
+         match Hashtbl.find_opt t.pages idx with
+         | Some p ->
+           p.plane <- plane;
+           p.shared <- true;
+           p.slot <- i;
+           p
+         | None ->
+           let p = { plane; shared = true; slot = i } in
+           Hashtbl.replace t.pages idx p;
+           p
+       in
+       aligned.(i) <- p
+     done;
+     if Hashtbl.length t.pages <> n then
+       Hashtbl.filter_map_inplace (fun _ p -> if p.slot < 0 then None else Some p) t.pages;
+     set_base t snap aligned);
   Array.fill t.cache_idx 0 cache_slots (-1);
   Array.fill t.cache_page 0 cache_slots dummy_page

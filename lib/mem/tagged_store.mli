@@ -15,8 +15,9 @@
     Pages support copy-on-write sharing: {!snapshot} freezes the
     current contents, {!restore} builds a new store aliasing the
     snapshot's pages, and the first write to a shared page clones it.
-    Snapshot planes are never written after creation, so one snapshot
-    may be restored concurrently from many domains. *)
+    Every newly mapped page shares one process-wide all-zero plane the
+    same way.  Snapshot planes and the zero plane are never written,
+    so one snapshot may be restored concurrently from many domains. *)
 
 type t
 
@@ -26,7 +27,9 @@ val create : unit -> t
 
 val map_page : t -> int -> bool
 (** [map_page t idx] maps page [idx] (zero-filled, untainted);
-    returns [true] iff the page was not already mapped. *)
+    returns [true] iff the page was not already mapped.  The page
+    shares the process-wide zero plane, so mapping allocates no page
+    data; its first write clones the plane like any shared page. *)
 
 val is_mapped : t -> int -> bool
 (** By page index. *)
@@ -36,8 +39,9 @@ val mapped_pages : t -> int list
 
 val tainted_bytes : t -> int
 (** Number of tainted bytes across all mapped pages, recounted from
-    the taint plane on every call: O(mapped bytes).  For tests and
-    reports; no execution path reads it. *)
+    the taint plane on every call.  Pages still on the zero plane are
+    skipped, so the cost is O(written pages).  For tests and reports;
+    no execution path reads it. *)
 
 (** {1 Access}  [load_word]/[store_word] and the half-word pair take
     any alignment; accesses crossing into an unmapped page raise
@@ -93,9 +97,14 @@ val taint_summary : t -> int -> int -> bool
     before writing it like any other writer. *)
 
 val check_invariants : t -> unit
-(** Verify every populated page-cache slot aliases the live page
-    record for its index.  Raises [Failure] with a description on the
-    first violation.  A debug audit, not a fast path. *)
+(** Audit the store's derived state: every populated page-cache slot
+    aliases the live page record for its index; every private
+    (cloned) page record is on the dirty list; the records aligned
+    with the base snapshot are the table's records for its indices,
+    and those still shared alias its planes; the mapped pages are
+    exactly the base's plus those mapped since; and the zero plane is
+    still all zero.  Raises [Failure] with a description on the first
+    violation.  A debug audit, not a fast path. *)
 
 val debug_asserts : bool ref
 (** When set, every injection entry point runs {!check_invariants}
@@ -114,20 +123,25 @@ val inject_set_taint_range : t -> int -> int -> tainted:bool -> unit
 
 val inject_wipe_taint : t -> unit
 (** Clear every taint bit in the store — the "total taint loss"
-    fault.  COW-shared pages are cloned before
-    writing, so snapshots are unaffected. *)
+    fault.  COW-shared pages are cloned before writing, so snapshots
+    are unaffected; pages still on the zero plane are skipped. *)
 
 (** {1 Copy-on-write snapshots} *)
 
 type snapshot
 
 val snapshot : t -> snapshot
-(** Freeze the current contents.  O(pages), copies no page data; the
-    live store keeps working and clones pages as it writes them. *)
+(** Freeze the current contents: the mapped page indices in ascending
+    order and, in a parallel array, the planes they hold.  O(pages),
+    copies no page data; the live store keeps working and clones
+    pages as it writes them.  The snapshot becomes the store's base
+    for {!reset_from_snapshot}. *)
 
 val restore : snapshot -> t
 (** A fresh store with the snapshot's contents, sharing pages
-    copy-on-write.  Safe to call concurrently from multiple domains. *)
+    copy-on-write.  Safe to call concurrently from multiple domains.
+    It builds only the page table, so the store's first
+    {!reset_from_snapshot} takes the rebuild path. *)
 
 val reset_from_snapshot : t -> snapshot -> unit
 (** In-place {!restore} for arena recycling: rewind [t] to the
@@ -136,4 +150,12 @@ val reset_from_snapshot : t -> snapshot -> unit
     surviving records alias the snapshot's planes shared, so the next
     write clones as usual.  Observationally equivalent to replacing
     [t] with [restore snap]; the snapshot may belong to a different
-    store/image than the one [t] last ran. *)
+    store/image than the one [t] last ran.  The cost depends on what
+    [t] last held:
+    - [snap] itself (the store's base): O(pages written or mapped
+      since) — the written pages go back to their base planes and the
+      mapped ones are dropped;
+    - another snapshot with the same page indices: one pass over the
+      pages, no hashing;
+    - anything else (including a store fresh from {!restore}): a
+      linear rebuild of the page table. *)

@@ -270,9 +270,13 @@ val boot_template_arena : ?config:config -> template -> session
     {!boot_template}, with a strictly weaker lifetime: the session
     (and any {!result} collected from it) aliases the arena and is
     valid only until the next arena boot on the same domain — extract
-    what you need before booting again.  Configs using the timing
-    model, [on_step] or [obs] fall back to a fresh boot (their
-    sessions are meant to be kept). *)
+    what you need before booting again.  The memory rewind costs
+    O(pages the previous job wrote or mapped) when the image repeats,
+    one pass over the pages when the previous image had the same page
+    set, and a linear rebuild otherwise (and after the domain's first,
+    fresh, boot).  Configs using the timing model, [on_step] or [obs]
+    fall back to a fresh boot (their sessions are meant to be
+    kept). *)
 
 val run_template_arena :
   ?deadline:float -> ?slice:int -> ?config:config -> template -> result

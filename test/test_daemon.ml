@@ -301,14 +301,14 @@ let spin_spec ~timeout =
   Proto.job_spec ~tag:"spin" ~timeout ~max_instructions:max_int
     (Proto.Wire_asm spin_asm)
 
-let with_server ?(max_queue = 64) ?(max_inflight = 8) f =
+let with_server ?(domains = 2) ?(max_queue = 64) ?(max_inflight = 8) f =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "ptaintd-test-%d.sock" (Unix.getpid ()))
   in
   let cfg =
     { (Server.default_config ~socket_path:path) with
-      Server.domains = Some 2; max_queue; max_inflight }
+      Server.domains = Some domains; max_queue; max_inflight }
   in
   let server = Server.create cfg in
   let d = Domain.spawn (fun () -> Server.serve server) in
@@ -742,6 +742,14 @@ let test_graceful_drain () =
       Alcotest.(check int) "every admitted job drained" (List.length accepted) !finished;
       Client.close c)
 
+(* --- arena boots -------------------------------------------------- *)
+
+(* Daemon workers boot every job through their arena; see
+   {!Arena_jobs} for the claim and the reference runs. *)
+let test_arena_differential () =
+  with_server ~domains:1 ~max_inflight:64 (fun path _server ->
+      Arena_jobs.check (Arena_jobs.submit path))
+
 let () =
   Alcotest.run "daemon"
     [ ( "codec",
@@ -772,7 +780,8 @@ let () =
           Alcotest.test_case "trace round-trip" `Quick test_loopback_trace_roundtrip;
           Alcotest.test_case "stats-full scrape" `Quick test_loopback_stats_full;
           Alcotest.test_case "two clients" `Quick test_loopback_two_clients;
-          Alcotest.test_case "admission quota" `Quick test_admission_quota ] );
+          Alcotest.test_case "admission quota" `Quick test_admission_quota;
+          Alcotest.test_case "arena boots match local runs" `Quick test_arena_differential ] );
       ( "robustness",
         [ Alcotest.test_case "idempotent resubmit after drop" `Quick
             test_idempotent_resubmit_after_drop;

@@ -308,6 +308,148 @@ let test_injection_invariants () =
    | exception Memory.Fault _ -> ());
   Tagged_store.debug_asserts := false
 
+(* --- arena reset differential ---
+
+   [reset_from_snapshot] keeps a dirty list and the records aligned
+   with the store's base snapshot so that it can undo only what the
+   last run touched.  Whatever path it takes, the result must equal a
+   fresh [restore] of the target: every byte and taint bit, the mapped
+   page set, the stats, and faults on the pages it dropped.  Targets A
+   and B share a page set (A -> B takes the aligned path), C has a
+   different one (the rebuild path), and consecutive resets to the
+   same target take the dirty-page path. *)
+
+let page = Layout.page_bytes
+let stack_lo = 0x7ff00000
+let grow_lo = 0x30000000
+
+let pages_of m = Tagged_store.mapped_pages (Memory.tagged m)
+
+(* Every mapped byte as (page list, data bytes, taint bits), read
+   through the store so the stats stay untouched. *)
+let dump m =
+  let st = Memory.tagged m in
+  let pages = pages_of m in
+  let data = Buffer.create 4096 and taint = Buffer.create 4096 in
+  List.iter
+    (fun idx ->
+      for a = idx * page to ((idx + 1) * page) - 1 do
+        let v, t = Tagged_store.load_byte st a in
+        Buffer.add_char data (Char.chr v);
+        Buffer.add_char taint (if t then '1' else '0')
+      done)
+    pages;
+  (pages, Buffer.contents data, Buffer.contents taint)
+
+let stats_tuple m =
+  let s = Memory.stats m in
+  (s.Memory.loads, s.Memory.stores, s.Memory.tainted_loads, s.Memory.tainted_stores,
+   s.Memory.mapped_bytes)
+
+(* One random mutation somewhere in the mapped pages: a word, half or
+   byte store of any alignment, a taint fill, or an injected fault.
+   Accesses that run off the mapped pages fault, which is fine: the
+   reset must undo a partial write too. *)
+let mutate rng m =
+  let pages = Array.of_list (pages_of m) in
+  let addr = (pages.(Random.State.int rng (Array.length pages)) * page) + Random.State.int rng page in
+  let v = Random.State.bits rng land 0xFFFFFFFF in
+  try
+    match Random.State.int rng 9 with
+    | 0 | 1 -> Memory.store_word m addr (Tword.make ~v ~m:(Random.State.int rng 16))
+    | 2 -> Memory.store_half m addr (v land 0xffff) ~m:(Random.State.int rng 4)
+    | 3 -> Memory.store_byte m addr (v land 0xff) ~taint:(Random.State.bool rng)
+    | 4 -> Memory.taint_range m addr (Random.State.int rng 64)
+    | 5 -> Memory.untaint_range m addr (Random.State.int rng 64)
+    | 6 -> Memory.inject_flip_data m addr ~bit:(Random.State.int rng 8)
+    | 7 -> Memory.inject_set_taint_range m addr (Random.State.int rng 32) ~tainted:true
+    | _ -> ignore (Memory.load_word m addr)
+  with Memory.Fault _ -> ()
+
+(* A snapshot target: pages [data_pages] at [base], [stack_pages] at
+   [stack_lo], [extra] more elsewhere, with random contents in some of
+   them (the rest stay on the zero plane). *)
+let make_target rng ~data_pages ~stack_pages ~extra =
+  let m = Memory.create () in
+  Memory.map_range m ~lo:base ~bytes:(data_pages * page);
+  Memory.map_range m ~lo:stack_lo ~bytes:(stack_pages * page);
+  List.iter (fun lo -> Memory.map_range m ~lo ~bytes:page) extra;
+  for _ = 1 to 200 do
+    mutate rng m
+  done;
+  let snap = Memory.snapshot m in
+  (m, snap, dump (Memory.restore snap))
+
+let check_same what expected actual =
+  let pe, de, te = expected and pa, da, ta = actual in
+  Alcotest.(check (list int)) (what ^ ": mapped pages") pe pa;
+  if de <> da then Alcotest.failf "%s: data planes differ" what;
+  if te <> ta then Alcotest.failf "%s: taint planes differ" what
+
+let test_arena_reset_differential () =
+  Tagged_store.debug_asserts := true;
+  Fun.protect ~finally:(fun () -> Tagged_store.debug_asserts := false) @@ fun () ->
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let ma, sa, da = make_target rng ~data_pages:6 ~stack_pages:4 ~extra:[] in
+      let _, sb, db = make_target rng ~data_pages:6 ~stack_pages:4 ~extra:[] in
+      let _, sc, dc =
+        make_target rng ~data_pages:3 ~stack_pages:2 ~extra:[ 0x20000000; 0x20004000 ]
+      in
+      Alcotest.(check (list int)) "A and B share a page set" (pages_of (Memory.restore sa))
+        (pages_of (Memory.restore sb));
+      let targets = [| ("A", sa, da); ("B", sb, db); ("C", sc, dc) |] in
+      (* the snapshot's origin keeps running too; its writes must not
+         reach the snapshot *)
+      for _ = 1 to 50 do
+        mutate rng ma
+      done;
+      let arena = Memory.restore sa in
+      (* A A B B A C C A B C ... then random: every path, from every
+         kind of predecessor *)
+      let script = [ 0; 0; 1; 1; 0; 2; 2; 0; 1; 2; 1; 0 ] in
+      let script = script @ List.init 36 (fun _ -> Random.State.int rng 3) in
+      List.iteri
+        (fun step k ->
+          let name, snap, _ = targets.(k) in
+          let ctx = Printf.sprintf "seed %d step %d -> %s" seed step name in
+          for _ = 1 to Random.State.int rng 40 do
+            mutate rng arena
+          done;
+          if Random.State.int rng 4 = 0 then Memory.inject_wipe_taint arena;
+          (* grow past the snapshot, as a guest sbrk does, and write there *)
+          if Random.State.bool rng then begin
+            let lo = grow_lo + (Random.State.int rng 8 * page) in
+            Memory.map_range arena ~lo ~bytes:(page * (1 + Random.State.int rng 2));
+            Memory.store_word arena lo (Tword.make ~v:0xA5A5A5A5 ~m:0b1111)
+          end;
+          Memory.check_invariants arena;
+          let before = pages_of arena in
+          Memory.reset_from_snapshot arena snap;
+          Memory.check_invariants arena;
+          let fresh = Memory.restore snap in
+          Alcotest.(check (list int)) (ctx ^ ": mapped_pages") (pages_of fresh) (pages_of arena);
+          Alcotest.(check bool) (ctx ^ ": stats") true (stats_tuple fresh = stats_tuple arena);
+          check_same ctx (dump fresh) (dump arena);
+          Alcotest.(check int) (ctx ^ ": tainted bytes") (Memory.tainted_bytes fresh)
+            (Memory.tainted_bytes arena);
+          List.iter
+            (fun idx ->
+              if not (List.mem idx (pages_of fresh)) then
+                match Memory.load_byte arena (idx * page) with
+                | _ -> Alcotest.failf "%s: dropped page %#x still mapped" ctx idx
+                | exception Memory.Fault { addr; _ } ->
+                  Alcotest.(check int) (ctx ^ ": fault address") (idx * page) addr)
+            before;
+          Array.iter
+            (fun (name, snap, copy) ->
+              check_same (Printf.sprintf "%s: snapshot %s unchanged" ctx name) copy
+                (dump (Memory.restore snap)))
+            targets)
+        script)
+    [ 1; 2; 3 ]
+
 let () =
   Alcotest.run "mem"
     [ ( "memory",
@@ -323,7 +465,8 @@ let () =
           Alcotest.test_case "tainted_in_range faults on unmapped" `Quick
             test_tainted_in_range_unmapped;
           Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
-          Alcotest.test_case "injection invariants" `Quick test_injection_invariants ] );
+          Alcotest.test_case "injection invariants" `Quick test_injection_invariants;
+          Alcotest.test_case "arena reset differential" `Quick test_arena_reset_differential ] );
       ( "cache",
         [ Alcotest.test_case "hit/miss" `Quick test_cache_basics;
           Alcotest.test_case "taint summary" `Quick test_cache_taint_summary;

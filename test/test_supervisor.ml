@@ -13,9 +13,10 @@
    run in any process that has ever created a second domain — which
    an in-process Alcotest harness inevitably has.  Driving the
    subprocess also exercises exactly what operators deploy.  For the
-   same reason the test process itself never spawns a domain: the
-   chaos signal is fired from [run_batch]'s [on_event] hook on the
-   main thread.
+   same reason the chaos tests never spawn a domain in the test
+   process: the chaos signal is fired from [run_batch]'s [on_event]
+   hook on the main thread.  Only the last test does, for its local
+   reference run, after its daemon has answered.
 
    The campaign shape is chosen so chaos strikes something: the first
    [workers] specs are spinners that pin every worker busy for 0.6 s
@@ -319,6 +320,14 @@ let test_isolated_cache_capacity () =
         (List.assoc_opt "daemon/cache-miss" stats);
       Client.close c)
 
+(* A single isolated worker process boots every job through its
+   arena, whatever image the previous job ran: its events must match
+   local runs of the same jobs ({!Arena_jobs}).  Runs last: the local
+   [run_stream] reference spawns a domain in this process. *)
+let test_isolated_arena_differential () =
+  let events = with_isolated_daemon ~workers:1 (fun path _pids -> Arena_jobs.submit path) in
+  Arena_jobs.check events
+
 let () =
   Alcotest.run "supervisor"
     [ ( "chaos",
@@ -327,4 +336,7 @@ let () =
           Alcotest.test_case "SIGSTOP idle worker" `Quick test_sigstop_idle_heartbeat ] );
       ( "cache",
         [ Alcotest.test_case "full capacity per isolated worker" `Quick
-            test_isolated_cache_capacity ] ) ]
+            test_isolated_cache_capacity ] );
+      ( "arena",
+        [ Alcotest.test_case "arena boots match local runs" `Quick
+            test_isolated_arena_differential ] ) ]
