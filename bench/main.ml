@@ -476,13 +476,81 @@ let micro_metrics_scrape_bench =
   Test.make ~name:"micro/metrics-scrape"
     (Staged.stage (fun () -> ignore (Ptaint_obs.Metrics.prometheus m)))
 
+(* ptaintd framing: 10k [Finished] frames, the daemon's per-job
+   terminal event, read through one frame reader from a memory-backed
+   stream that hands out one frame's worth of bytes per read, as a
+   socket does to a client waiting on each event — the client side of
+   every job, without the socket.  A guard, not just a timer:
+   a frame read may put on the major heap no more than the decoded
+   value itself occupies (nothing, for a value this small).  A reader
+   that allocated its receive buffer per read, as each endpoint once
+   did (64 KiB, 8,192 words), fails the bench. *)
+let micro_frame_read_bench =
+  let frames = 10_000 in
+  let frame =
+    Ptaint_daemon.Proto.encode_response
+      (Ptaint_daemon.Proto.Job_event
+         (Ptaint_daemon.Proto.Finished
+            { id = 4242; tag = "gen-7/prog-3/job-118"; outcome = "exited with status 0";
+              exit_code = 0; instructions = 1_234; syscalls = 9;
+              policy_label = "pointer taintedness"; cache_hit = true;
+              counters =
+                [ ("jobs", 1); ("instructions", 1_234); ("syscalls", 9);
+                  ("tainted loads", 3); ("tainted stores", 2) ];
+              stdout = "ok\n"; trace = Some (0x1234_5678_9abc, 118) }))
+  in
+  let stream = String.concat "" (List.init frames (fun _ -> frame)) in
+  let chunk = String.length frame in
+  let value_words =
+    match Ptaint_daemon.Proto.decode_response frame with
+    | Ok (Some (v, _)) -> Obj.reachable_words (Obj.repr v)
+    | _ -> failwith "micro/frame-read-10k: fixture does not decode"
+  in
+  let reader = Ptaint_daemon.Proto.response_reader () in
+  Test.make ~name:"micro/frame-read-10k"
+    (Staged.stage (fun () ->
+         let pos = ref 0 in
+         let read buf off len =
+           let n = min (min len chunk) (String.length stream - !pos) in
+           Bytes.blit_string stream !pos buf off n;
+           pos := !pos + n;
+           n
+         in
+         let before = Gc.quick_stat () in
+         for _ = 1 to frames do
+           let rec one () =
+             match Ptaint_daemon.Proto.next reader with
+             | Ok (Some _) -> ()
+             | Ok None ->
+               if Ptaint_daemon.Proto.fill reader read = 0 then
+                 failwith "micro/frame-read-10k: stream ended early";
+               one ()
+             | Error e ->
+               failwith ("micro/frame-read-10k: " ^ Ptaint_daemon.Proto.error_message e)
+           in
+           one ()
+         done;
+         let after = Gc.quick_stat () in
+         (* direct major allocation: everything the major heap gained
+            that the minor collector did not promote *)
+         let direct =
+           after.Gc.major_words -. before.Gc.major_words
+           -. (after.Gc.promoted_words -. before.Gc.promoted_words)
+         in
+         if direct > float_of_int (frames * value_words) then
+           failwith
+             (Printf.sprintf
+                "micro/frame-read-10k: %.0f major-heap words per frame read \
+                 (decoded value: %d words)"
+                (direct /. float_of_int frames) value_words)))
+
 let micro_benches =
   [ micro_mem_bench; micro_regfile_bench; micro_snapshot_bench; micro_trace_off_bench;
     micro_trace_on_bench; micro_block_dispatch_bench; micro_clean_fastpath_bench;
     micro_superblock_dispatch_bench; micro_chain_hit_bench;
     micro_sliced_run_bench; micro_arena_reuse_bench; micro_template_boot_bench;
     micro_fresh_boot_bench;
-    micro_log_off_bench; micro_metrics_scrape_bench ]
+    micro_log_off_bench; micro_metrics_scrape_bench; micro_frame_read_bench ]
 
 (* --- driver ----------------------------------------------------------------- *)
 

@@ -28,7 +28,8 @@ let eof_message = "server closed the connection"
 
 type t = {
   mutable fd : Unix.file_descr;
-  inbuf : Buffer.t;
+  mutable inbox : Proto.response Proto.reader;
+  mutable out : Proto.outbox;
   events : Proto.event Queue.t;
   mutable server_banner : string;
   path : string;
@@ -40,37 +41,18 @@ type t = {
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Protocol_error m)) fmt
 
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | w -> go (off + w)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
+let send t req =
+  Proto.add_request t.out req;
+  Proto.flush_all t.out (Proto.write_fd t.fd)
 
-let send t req = write_all t.fd (Proto.encode_request req)
-
-let read_frame t =
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    match Proto.decode_response (Buffer.contents t.inbuf) with
-    | Error e -> fail "bad frame from server: %s" (Proto.error_message e)
-    | Ok (Some (resp, consumed)) ->
-      let rest = Buffer.contents t.inbuf in
-      Buffer.clear t.inbuf;
-      Buffer.add_substring t.inbuf rest consumed (String.length rest - consumed);
-      resp
-    | Ok None -> (
-      match Unix.read t.fd chunk 0 (Bytes.length chunk) with
-      | 0 -> raise (Protocol_error eof_message)
-      | n ->
-        Buffer.add_subbytes t.inbuf chunk 0 n;
-        go ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
-  in
-  go ()
+let rec read_frame t =
+  match Proto.next t.inbox with
+  | Error e -> fail "bad frame from server: %s" (Proto.error_message e)
+  | Ok (Some resp) -> resp
+  | Ok None ->
+    if Proto.fill t.inbox (Proto.read_fd t.fd) = 0 then
+      raise (Protocol_error eof_message);
+    read_frame t
 
 (* Read until a non-event frame arrives, stashing events on the way.
    [Error_frame] is terminal by protocol contract. *)
@@ -104,7 +86,6 @@ let dial path =
   fd
 
 let handshake t =
-  Buffer.clear t.inbuf;
   send t (Proto.Hello { client = t.client_name });
   match read_reply t with
   | Proto.Hello_ok { server_version; banner } ->
@@ -113,12 +94,16 @@ let handshake t =
     t.server_banner <- banner
   | _ -> fail "expected Hello_ok"
 
-(* Drop the dead fd and dial + handshake again.  Stashed events
-   survive — they were delivered before the connection died and the
-   caller has not consumed them yet. *)
+(* Drop the dead fd and dial + handshake again, on fresh streams: a
+   half-read reply or half-written request of the dead connection must
+   not leak into the new one.  Stashed events survive — they were
+   delivered before the connection died and the caller has not
+   consumed them yet. *)
 let reconnect t =
   (try Unix.close t.fd with Unix.Unix_error _ -> ());
   t.fd <- dial t.path;
+  t.inbox <- Proto.response_reader ();
+  t.out <- Proto.outbox ();
   handshake t
 
 let connect ?(client = "ptaint") ?(retries = 0) ?(backoff = 0.05) path =
@@ -136,7 +121,8 @@ let connect ?(client = "ptaint") ?(retries = 0) ?(backoff = 0.05) path =
   in
   let fd = dial_retry 0 in
   let t =
-    { fd; inbuf = Buffer.create 256; events = Queue.create ();
+    { fd; inbox = Proto.response_reader (); out = Proto.outbox ();
+      events = Queue.create ();
       server_banner = ""; path; client_name = client; retries; backoff; rng }
   in
   handshake t;

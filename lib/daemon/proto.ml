@@ -1,9 +1,11 @@
 (* ptaintd wire protocol: length-prefixed, versioned, typed frames.
 
-   The codec is pure — encode produces a complete frame string, decode
-   consumes a prefix of a byte buffer — so it can be unit-tested
-   exhaustively without a socket and reused verbatim by the server's
-   event loop and the blocking client.  Framing is deliberately dumb:
+   The codec does no I/O — encode appends whole frames to an outbox,
+   decode consumes a frame from the front of a byte buffer, and the
+   frame streams below take their read and write functions from the
+   caller — so it can be unit-tested exhaustively without a socket and
+   is the one framing path of the client, the server's event loop, the
+   supervisor and its workers.  Framing is deliberately dumb:
 
      offset 0   'P'                 magic
      offset 1   'D'
@@ -134,23 +136,62 @@ type response =
   | Pong of string
   | Error_frame of string
 
+(* --- outboxes ----------------------------------------------------------
+
+   Every encoder writes straight into an outbox: a growable byte
+   buffer whose bytes [o_off, o_len) are encoded but not yet written
+   out.  A frame's header is reserved first and its length patched in
+   once the payload is down, so a frame costs no intermediate payload
+   string and no copy into a separate frame buffer.  The unwritten
+   tail slides to the front only when the free space behind it is too
+   short, and the buffer grows only when sliding is not enough. *)
+
+type outbox = { mutable ob : Bytes.t; mutable o_off : int; mutable o_len : int }
+
+let outbox_init = 4096
+
+let make_outbox cap = { ob = Bytes.create cap; o_off = 0; o_len = 0 }
+let outbox () = make_outbox outbox_init
+let pending o = o.o_len - o.o_off
+
+let reserve o n =
+  if o.o_len + n > Bytes.length o.ob then begin
+    let live = o.o_len - o.o_off in
+    if live + n <= Bytes.length o.ob then Bytes.blit o.ob o.o_off o.ob 0 live
+    else begin
+      let grown = Bytes.create (max (live + n) (2 * Bytes.length o.ob)) in
+      Bytes.blit o.ob o.o_off grown 0 live;
+      o.ob <- grown
+    end;
+    o.o_off <- 0;
+    o.o_len <- live
+  end
+
 (* --- primitive writers ---------------------------------------------- *)
 
-let w_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+let w_u8 o v =
+  reserve o 1;
+  Bytes.unsafe_set o.ob o.o_len (Char.unsafe_chr (v land 0xff));
+  o.o_len <- o.o_len + 1
 
-let w_u32 b v =
-  w_u8 b (v lsr 24); w_u8 b (v lsr 16); w_u8 b (v lsr 8); w_u8 b v
+let w_u32 o v =
+  reserve o 4;
+  Bytes.set_int32_be o.ob o.o_len (Int32.of_int v);
+  o.o_len <- o.o_len + 4
 
-let w_i64 b v =
-  for i = 7 downto 0 do
-    w_u8 b (Int64.to_int (Int64.shift_right_logical (Int64.of_int v) (8 * i)))
-  done
+let w_i64 o v =
+  reserve o 8;
+  Bytes.set_int64_be o.ob o.o_len (Int64.of_int v);
+  o.o_len <- o.o_len + 8
 
 let w_bool b v = w_u8 b (if v then 1 else 0)
 
-let w_string b s =
-  w_u32 b (String.length s);
-  Buffer.add_string b s
+let w_string o s =
+  let n = String.length s in
+  w_u32 o n;
+  reserve o n;
+  Bytes.blit_string s 0 o.ob o.o_len n;
+  o.o_len <- o.o_len + n
 
 let w_list b f xs =
   let n = List.length xs in
@@ -333,17 +374,28 @@ let ev_failed = 3
 
 (* --- frame assembly -------------------------------------------------- *)
 
-let frame tag payload =
-  let n = String.length payload in
-  if n > max_payload then invalid_arg "Proto: payload exceeds max_payload";
-  let b = Buffer.create (header_bytes + n) in
-  Buffer.add_char b 'P';
-  Buffer.add_char b 'D';
-  w_u8 b version;
-  w_u8 b tag;
-  w_u32 b n;
-  Buffer.add_string b payload;
-  Buffer.contents b
+(* Append one whole frame: the header with a placeholder length, the
+   payload [write] encodes in place, then the real length.  The header
+   is found again by its distance from [o_off], which sliding and
+   growing both preserve.  A payload that fails to encode (a list too
+   long for its u16 count, a payload over [max_payload]) is cut off
+   again, so the outbox only ever holds whole frames. *)
+let add_frame o tag write =
+  let rel = o.o_len - o.o_off in
+  w_u8 o (Char.code 'P');
+  w_u8 o (Char.code 'D');
+  w_u8 o version;
+  w_u8 o tag;
+  w_u32 o 0;
+  let cut () = o.o_len <- o.o_off + rel in
+  (match write o with () -> () | exception e -> cut (); raise e);
+  let h = o.o_off + rel in
+  let n = o.o_len - h - header_bytes in
+  if n > max_payload then begin
+    cut ();
+    invalid_arg "Proto: payload exceeds max_payload"
+  end;
+  Bytes.set_int32_be o.ob (h + 4) (Int32.of_int n)
 
 let w_job_spec b s =
   (match s.spec_payload with
@@ -385,15 +437,13 @@ let r_job_spec c =
     spec_stdin; spec_sessions; spec_max_instructions; spec_injections;
     spec_timeout; spec_trace; spec_idem; spec_deadline }
 
-let encode_request req =
-  let b = Buffer.create 64 in
-  match req with
-  | Hello { client } -> w_string b client; frame tag_hello (Buffer.contents b)
-  | Submit spec -> w_job_spec b spec; frame tag_submit (Buffer.contents b)
-  | Stats -> frame tag_stats ""
-  | Stats_full -> frame tag_stats_full ""
-  | Ping payload -> w_string b payload; frame tag_ping (Buffer.contents b)
-  | Quit -> frame tag_quit ""
+let add_request o = function
+  | Hello { client } -> add_frame o tag_hello (fun o -> w_string o client)
+  | Submit spec -> add_frame o tag_submit (fun o -> w_job_spec o spec)
+  | Stats -> add_frame o tag_stats ignore
+  | Stats_full -> add_frame o tag_stats_full ignore
+  | Ping payload -> add_frame o tag_ping (fun o -> w_string o payload)
+  | Quit -> add_frame o tag_quit ignore
 
 let w_event b = function
   | Started { id } -> w_u8 b ev_started; w_i64 b id
@@ -448,57 +498,59 @@ let r_event c =
     Job_failed { id; tag; kind; message; policy_label; counters; trace }
   | t -> raise (Garbled (Printf.sprintf "unknown event tag %d" t))
 
-let encode_response resp =
-  let b = Buffer.create 64 in
-  match resp with
+let add_response o = function
   | Hello_ok { server_version; banner } ->
-    w_i64 b server_version; w_string b banner;
-    frame tag_hello_ok (Buffer.contents b)
-  | Accepted { id; tag } ->
-    w_i64 b id; w_string b tag;
-    frame tag_accepted (Buffer.contents b)
+    add_frame o tag_hello_ok (fun o -> w_i64 o server_version; w_string o banner)
+  | Accepted { id; tag } -> add_frame o tag_accepted (fun o -> w_i64 o id; w_string o tag)
   | Rejected { tag; reason } ->
-    w_string b tag; w_string b reason;
-    frame tag_rejected (Buffer.contents b)
-  | Job_event e -> w_event b e; frame tag_job_event (Buffer.contents b)
-  | Stats_ok counters ->
-    w_list b w_counter counters;
-    frame tag_stats_ok (Buffer.contents b)
-  | Stats_full_ok text ->
-    w_string b text;
-    frame tag_stats_full_ok (Buffer.contents b)
-  | Pong payload -> w_string b payload; frame tag_pong (Buffer.contents b)
-  | Error_frame msg -> w_string b msg; frame tag_error (Buffer.contents b)
+    add_frame o tag_rejected (fun o -> w_string o tag; w_string o reason)
+  | Job_event e -> add_frame o tag_job_event (fun o -> w_event o e)
+  | Stats_ok counters -> add_frame o tag_stats_ok (fun o -> w_list o w_counter counters)
+  | Stats_full_ok text -> add_frame o tag_stats_full_ok (fun o -> w_string o text)
+  | Pong payload -> add_frame o tag_pong (fun o -> w_string o payload)
+  | Error_frame msg -> add_frame o tag_error (fun o -> w_string o msg)
+
+(* The one-shot string form, for tests and tools: the same encoder
+   into a private outbox. *)
+let encoded add v =
+  let o = make_outbox 256 in
+  add o v;
+  Bytes.sub_string o.ob o.o_off (pending o)
+
+let encode_request req = encoded add_request req
+let encode_response resp = encoded add_response resp
 
 (* --- frame disassembly ----------------------------------------------- *)
 
-(* [Ok None]: the buffer holds only a prefix of a frame — read more.
-   [Ok (Some (tag, payload, consumed))]: one whole frame.  [Error _]:
-   the stream is unsalvageable (framing is length-prefixed, so after
-   any header-level error resynchronisation is impossible). *)
-let split_frame ?(max_payload = max_payload) buf =
-  let len = String.length buf in
+(* The header of the frame starting at [off], with [len] bytes
+   buffered from there.  [Ok None]: the header is not all in yet.
+   [Ok (Some (tag, n))]: a valid header announcing an [n]-byte
+   payload.  [Error _]: the stream is unsalvageable (framing is
+   length-prefixed, so after any header-level error resynchronisation
+   is impossible) — and an oversized announcement is caught here, from
+   the 8 header bytes alone, before any of its payload is buffered.
+   The tag is checked only once the whole frame is in. *)
+let frame_header buf off len =
   if len = 0 then Ok None
-  else if buf.[0] <> 'P' then Error Bad_magic
-  else if len >= 2 && buf.[1] <> 'D' then Error Bad_magic
+  else if buf.[off] <> 'P' then Error Bad_magic
+  else if len >= 2 && buf.[off + 1] <> 'D' then Error Bad_magic
   else if len < header_bytes then Ok None
   else
-    let ver = Char.code buf.[2] in
+    let ver = Char.code buf.[off + 2] in
     if ver < min_version || ver > version then Error (Bad_version ver)
     else
-      let tag = Char.code buf.[3] in
       let n =
-        (Char.code buf.[4] lsl 24) lor (Char.code buf.[5] lsl 16)
-        lor (Char.code buf.[6] lsl 8) lor Char.code buf.[7]
+        (Char.code buf.[off + 4] lsl 24) lor (Char.code buf.[off + 5] lsl 16)
+        lor (Char.code buf.[off + 6] lsl 8) lor Char.code buf.[off + 7]
       in
       if n > max_payload then Error (Oversized n)
-      else if len < header_bytes + n then Ok None
-      else Ok (Some (tag, String.sub buf header_bytes n, header_bytes + n))
+      else Ok (Some (Char.code buf.[off + 3], n))
 
-(* Parse a payload with [f], insisting every byte is consumed: a frame
-   with trailing garbage is a framing bug or an attack, not a value. *)
-let parse_payload f payload =
-  let c = { buf = payload; pos = 0; stop = String.length payload } in
+(* Parse the payload in [buf.[pos, stop)] with [f], insisting every
+   byte is consumed: a frame with trailing garbage is a framing bug or
+   an attack, not a value. *)
+let parse_payload f buf pos stop =
+  let c = { buf; pos; stop } in
   match f c with
   | v ->
     if c.pos <> c.stop then
@@ -506,59 +558,172 @@ let parse_payload f payload =
     else Ok v
   | exception Garbled m -> Error (Malformed m)
 
-let request_of_frame (tag, payload) =
-  if tag = tag_hello then
-    parse_payload (fun c -> Hello { client = r_string c "client name" }) payload
-  else if tag = tag_submit then
-    parse_payload (fun c -> Submit (r_job_spec c)) payload
-  else if tag = tag_stats then parse_payload (fun _ -> Stats) payload
-  else if tag = tag_stats_full then parse_payload (fun _ -> Stats_full) payload
-  else if tag = tag_ping then
-    parse_payload (fun c -> Ping (r_string c "ping payload")) payload
-  else if tag = tag_quit then parse_payload (fun _ -> Quit) payload
+let request_of_frame tag buf pos stop =
+  let parse f = parse_payload f buf pos stop in
+  if tag = tag_hello then parse (fun c -> Hello { client = r_string c "client name" })
+  else if tag = tag_submit then parse (fun c -> Submit (r_job_spec c))
+  else if tag = tag_stats then parse (fun _ -> Stats)
+  else if tag = tag_stats_full then parse (fun _ -> Stats_full)
+  else if tag = tag_ping then parse (fun c -> Ping (r_string c "ping payload"))
+  else if tag = tag_quit then parse (fun _ -> Quit)
   else Error (Bad_tag tag)
 
-let response_of_frame (tag, payload) =
+let response_of_frame tag buf pos stop =
+  let parse f = parse_payload f buf pos stop in
   if tag = tag_hello_ok then
-    parse_payload
-      (fun c ->
+    parse (fun c ->
         let server_version = r_i64 c "server version" in
         Hello_ok { server_version; banner = r_string c "banner" })
-      payload
   else if tag = tag_accepted then
-    parse_payload
-      (fun c ->
+    parse (fun c ->
         let id = r_i64 c "job id" in
         Accepted { id; tag = r_string c "job tag" })
-      payload
   else if tag = tag_rejected then
-    parse_payload
-      (fun c ->
+    parse (fun c ->
         let tag = r_string c "job tag" in
         Rejected { tag; reason = r_string c "reason" })
-      payload
-  else if tag = tag_job_event then parse_payload (fun c -> Job_event (r_event c)) payload
-  else if tag = tag_stats_ok then
-    parse_payload (fun c -> Stats_ok (r_list c r_counter "stats")) payload
+  else if tag = tag_job_event then parse (fun c -> Job_event (r_event c))
+  else if tag = tag_stats_ok then parse (fun c -> Stats_ok (r_list c r_counter "stats"))
   else if tag = tag_stats_full_ok then
-    parse_payload (fun c -> Stats_full_ok (r_string c "stats text")) payload
-  else if tag = tag_pong then
-    parse_payload (fun c -> Pong (r_string c "pong payload")) payload
-  else if tag = tag_error then
-    parse_payload (fun c -> Error_frame (r_string c "error message")) payload
+    parse (fun c -> Stats_full_ok (r_string c "stats text"))
+  else if tag = tag_pong then parse (fun c -> Pong (r_string c "pong payload"))
+  else if tag = tag_error then parse (fun c -> Error_frame (r_string c "error message"))
   else Error (Bad_tag tag)
 
-let decode_with of_frame buf =
-  match split_frame buf with
+(* Decode the frame at [off] in place; [Ok (Some (v, consumed))] once
+   the whole frame is buffered. *)
+let decode_at of_frame buf off len =
+  match frame_header buf off len with
   | Error e -> Error e
   | Ok None -> Ok None
-  | Ok (Some (tag, payload, consumed)) -> (
-    match of_frame (tag, payload) with
-    | Error e -> Error e
-    | Ok v -> Ok (Some (v, consumed)))
+  | Ok (Some (tag, n)) ->
+    if len < header_bytes + n then Ok None
+    else
+      let pos = off + header_bytes in
+      match of_frame tag buf pos (pos + n) with
+      | Error e -> Error e
+      | Ok v -> Ok (Some (v, header_bytes + n))
 
-let decode_request buf = decode_with request_of_frame buf
-let decode_response buf = decode_with response_of_frame buf
+let decode_request buf = decode_at request_of_frame buf 0 (String.length buf)
+let decode_response buf = decode_at response_of_frame buf 0 (String.length buf)
+
+(* --- frame streams ---------------------------------------------------
+
+   Every endpoint reads through a reader: one reusable byte buffer with
+   a read cursor.  [rb.[r_off, r_len)] holds bytes read but not yet
+   decoded.  A whole frame is decoded where it lies (the payload
+   readers copy out only the strings of the value), and the cursor
+   jumps past it; when it catches up with the fill mark both go back
+   to 0, so a peer whose frames arrive whole never causes a copy.
+
+   [fill] makes room before each read.  Room means space for the rest
+   of the pending frame: its whole size once a valid header is in,
+   otherwise the header.  A frame larger than the buffer grows it (at
+   least doubling); once the buffered bytes fit [reader_init] again a
+   grown buffer shrinks back, so a burst of big frames does not pin
+   memory.  Otherwise the partial frame slides to the front only when
+   the tail cannot take the rest of it.  A bad pending header stops
+   the reading there, so an oversized announcement never sizes the
+   buffer, and the first error sticks: framing cannot resynchronise. *)
+
+type 'a reader = {
+  mutable rb : Bytes.t;
+  mutable r_off : int;
+  mutable r_len : int;
+  mutable r_err : error option;
+  of_frame : int -> string -> int -> int -> ('a, error) result;
+}
+
+let reader_init = 16384
+
+let reader of_frame =
+  { rb = Bytes.create reader_init; r_off = 0; r_len = 0; r_err = None; of_frame }
+
+let request_reader () = reader request_of_frame
+let response_reader () = reader response_of_frame
+let buffered r = r.r_len - r.r_off
+let capacity r = Bytes.length r.rb
+
+(* The decoders read [rb] through a string view.  Sound because the
+   view never outlives the call that takes it, and nothing writes
+   [rb] while a decoder runs; every string a decoder returns is a
+   fresh copy. *)
+let view r = Bytes.unsafe_to_string r.rb
+
+let next r =
+  match r.r_err with
+  | Some e -> Error e
+  | None -> (
+    match decode_at r.of_frame (view r) r.r_off (buffered r) with
+    | Ok None -> Ok None
+    | Ok (Some (v, consumed)) ->
+      r.r_off <- r.r_off + consumed;
+      if r.r_off = r.r_len then begin
+        r.r_off <- 0;
+        r.r_len <- 0
+      end;
+      Ok (Some v)
+    | Error e ->
+      r.r_err <- Some e;
+      Error e)
+
+let make_room r ~avail ~want =
+  let size = Bytes.length r.rb in
+  let move_to fresh =
+    Bytes.blit r.rb r.r_off fresh 0 avail;
+    r.rb <- fresh;
+    r.r_off <- 0;
+    r.r_len <- avail
+  in
+  if want > size then move_to (Bytes.create (max want (2 * size)))
+  else if size > reader_init && want <= reader_init then move_to (Bytes.create reader_init)
+  else if r.r_len + (want - avail) > size then move_to r.rb
+
+let fill r read =
+  let avail = buffered r in
+  match r.r_err with
+  | Some _ -> 0
+  | None -> (
+    match frame_header (view r) r.r_off avail with
+    | Error e ->
+      r.r_err <- Some e;
+      0
+    | header ->
+      let need =
+        match header with Ok (Some (_, n)) -> header_bytes + n | _ -> header_bytes
+      in
+      make_room r ~avail ~want:(avail + max 1 (need - avail));
+      let n = read r.rb r.r_len (Bytes.length r.rb - r.r_len) in
+      r.r_len <- r.r_len + n;
+      n)
+
+(* Outbox write-out: straight from the outbox bytes, no copy.  An
+   emptied outbox rewinds to 0, and one a burst grew past
+   [outbox_shrink] is swapped for a fresh small one. *)
+let outbox_shrink = 1 lsl 16
+
+let flush o write =
+  let n = if pending o > 0 then write o.ob o.o_off (pending o) else 0 in
+  o.o_off <- o.o_off + n;
+  if o.o_off = o.o_len then begin
+    o.o_off <- 0;
+    o.o_len <- 0;
+    if Bytes.length o.ob > outbox_shrink then o.ob <- Bytes.create outbox_init
+  end;
+  n
+
+let flush_all o write =
+  while pending o > 0 do
+    ignore (flush o write)
+  done
+
+let rec read_fd fd b off len =
+  try Unix.read fd b off len
+  with Unix.Unix_error (Unix.EINTR, _, _) -> read_fd fd b off len
+
+let rec write_fd fd b off len =
+  try Unix.write fd b off len
+  with Unix.Unix_error (Unix.EINTR, _, _) -> write_fd fd b off len
 
 (* --- job spec <-> unified Job.t -------------------------------------- *)
 

@@ -1,4 +1,5 @@
-(** ptaintd wire protocol — pure codec for the detection service.
+(** ptaintd wire protocol — the codec and the one framing path of the
+    detection service.
 
     Frames are length-prefixed and versioned:
 
@@ -11,12 +12,11 @@
     v}
 
     All integers are big-endian; strings are u32-length-prefixed;
-    lists are u16-count-prefixed.  The codec never touches a socket:
-    {!encode_request}/{!encode_response} produce complete frame
-    strings, {!decode_request}/{!decode_response} consume a prefix of
-    an accumulation buffer — [Ok None] means "incomplete, read more",
-    and every corruption maps to a typed {!error} (no exceptions
-    escape).  After any error the stream is unsalvageable by design:
+    lists are u16-count-prefixed.  The codec itself does no I/O: the
+    encoders write whole frames into an {!outbox}, the decoders read
+    one frame from the front of a byte string or a {!reader}'s buffer
+    — [Ok None] means "incomplete, read more" — and every corruption
+    maps to a typed {!error} (no exceptions escape).  After any error the stream is unsalvageable by design:
     framing is length-prefixed, so the only safe response is an
     {!Error_frame} and a close.
 
@@ -41,7 +41,7 @@
 val version : int
 
 val min_version : int
-(** Oldest frame version {!split_frame} still accepts (1). *)
+(** Oldest frame version the decoders still accept (1). *)
 val header_bytes : int
 
 val max_payload : int
@@ -177,6 +177,8 @@ type response =
 
 val encode_request : request -> string
 val encode_response : response -> string
+(** One whole frame as a string — the {!add_request}/{!add_response}
+    encoder run into a private outbox. *)
 
 val decode_request : string -> ((request * int) option, error) result
 (** Decode one frame from the front of [buf].  [Ok None]: incomplete.
@@ -184,7 +186,68 @@ val decode_request : string -> ((request * int) option, error) result
 
 val decode_response : string -> ((response * int) option, error) result
 
-val split_frame :
-  ?max_payload:int -> string -> ((int * string * int) option, error) result
-(** Lower-level framing: [(tag, payload, consumed)] without payload
-    parsing — exposed for tests and forward-compatible readers. *)
+(** {1 Frame streams}
+
+    The one framing path every endpoint uses: the client, the server's
+    connections, the supervisor's worker pipes and the worker itself.
+    I/O goes through caller-supplied functions with the shape of
+    [Unix.read]/[Unix.write] ([buf off len], returning a byte count),
+    so a stream runs over any descriptor, blocking or not, or over
+    memory in tests.  Neither side allocates a buffer per read or per
+    write once its buffer has reached the size of the frames in
+    flight. *)
+
+type 'a reader
+(** A reusable receive buffer with a read cursor, decoding each whole
+    frame in place. *)
+
+val request_reader : unit -> request reader
+val response_reader : unit -> response reader
+
+val fill : 'a reader -> (Bytes.t -> int -> int -> int) -> int
+(** [fill r read] makes room for the pending frame, then calls [read]
+    once on the buffer's free tail and returns its count — [0] is end
+    of stream.  Room is the rest of the pending frame once its header
+    is in, else the header.  A grown buffer shrinks back to its
+    initial size once the bytes it holds fit again.  Exceptions from
+    [read] propagate, the reader unchanged.  A reader in error, or
+    whose pending header is bad (an oversized announcement included),
+    reads nothing and returns [0]: the buffer is never sized by a
+    header it rejects, and {!next} reports the error. *)
+
+val next : 'a reader -> ('a option, error) result
+(** Decode the next whole buffered frame, exactly as
+    {!decode_request}/{!decode_response} would: [Ok None] means
+    {!fill} first.  The first error is sticky. *)
+
+val buffered : 'a reader -> int
+(** Bytes read but not yet decoded. *)
+
+val capacity : 'a reader -> int
+(** Current buffer size in bytes. *)
+
+type outbox
+(** Encoded frames waiting to be written out. *)
+
+val outbox : unit -> outbox
+val add_request : outbox -> request -> unit
+val add_response : outbox -> response -> unit
+(** Encode one frame straight into the outbox.  Raises
+    [Invalid_argument] — leaving the outbox as it was — for a payload
+    over {!max_payload} or a list over 65535 entries. *)
+
+val pending : outbox -> int
+(** Bytes encoded but not yet written. *)
+
+val flush : outbox -> (Bytes.t -> int -> int -> int) -> int
+(** Call the write function once on the pending bytes (when there are
+    any) and return how many it took.  Exceptions propagate, the
+    outbox unchanged. *)
+
+val flush_all : outbox -> (Bytes.t -> int -> int -> int) -> unit
+(** {!flush} until nothing is pending — for blocking descriptors. *)
+
+val read_fd : Unix.file_descr -> Bytes.t -> int -> int -> int
+val write_fd : Unix.file_descr -> Bytes.t -> int -> int -> int
+(** [Unix.read]/[Unix.write] retried on [EINTR]: the blocking
+    endpoints' read and write functions. *)

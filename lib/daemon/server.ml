@@ -59,9 +59,8 @@ let default_config ~socket_path =
 type conn = {
   fd : Unix.file_descr;
   cid : int;
-  inbuf : Buffer.t;
-  outq : Buffer.t;
-  mutable out_off : int;  (* bytes of [outq] already written *)
+  inbox : Proto.request Proto.reader;
+  out : Proto.outbox;
   mutable inflight : int;
   mutable close_after_flush : bool;
       (* Quit, or a protocol error: flush the outbox, then hang up *)
@@ -117,6 +116,7 @@ type t = {
   mutable cache_hits : int;  (* tallied from terminal events *)
   mutable cache_misses : int;
   conns : (int, conn) Hashtbl.t;
+  by_fd : (Unix.file_descr, conn) Hashtbl.t;  (* the same conns, by fd *)
   mutable next_cid : int;
   mutable next_job : int;
   mutable admitted : int;  (* queued + running, server-wide *)
@@ -129,7 +129,7 @@ type t = {
   mutable jobs_completed : int;
   mutable protocol_errors : int;
   mutable clients_total : int;
-  scratch : Bytes.t;  (* loop-owned read buffer *)
+  wake_buf : Bytes.t;  (* loop-owned sink for self-pipe bytes *)
   metrics : Metrics.t;  (* loop-owned; workers never touch it *)
   metrics_fd : Unix.file_descr option;
   mutable spans : job_info list;  (* newest first, for the drain-time trace *)
@@ -155,6 +155,11 @@ let worker_count t =
 
 let log_src = "ptaintd"
 
+(* These take ready-built fields, so they serve the per-connection and
+   rare paths.  The per-job lines in [admit] and [account_finished]
+   match on the log themselves and build their fields only when the
+   line will be written: a daemon without a log pays one match per
+   job. *)
 let linfo t msg fields =
   match t.cfg.log with Some l -> Log.info l ~src:log_src msg fields | None -> ()
 
@@ -184,9 +189,12 @@ let bind_unix_listener path ~backlog =
   Unix.listen fd backlog;
   fd
 
+(* Only ever read by [Unix.write], so one byte serves every domain. *)
+let wake_byte = Bytes.make 1 '!'
+
 let wake t =
   (* best effort: a full pipe already guarantees a wakeup *)
-  try ignore (Unix.write t.wake_wr (Bytes.make 1 '!') 0 1) with Unix.Unix_error _ -> ()
+  try ignore (Unix.write t.wake_wr wake_byte 0 1) with Unix.Unix_error _ -> ()
 
 let shutdown t =
   Atomic.set t.stopping true;
@@ -235,6 +243,7 @@ let create (cfg : config) =
       cache_hits = 0;
       cache_misses = 0;
       conns = Hashtbl.create 16;
+      by_fd = Hashtbl.create 16;
       next_cid = 1;
       next_job = 1;
       admitted = 0;
@@ -246,7 +255,7 @@ let create (cfg : config) =
       jobs_completed = 0;
       protocol_errors = 0;
       clients_total = 0;
-      scratch = Bytes.create 65536;
+      wake_buf = Bytes.create 256;
       metrics;
       metrics_fd;
       spans = [];
@@ -350,10 +359,11 @@ let run_job_task t cache ~cid ~id (spec : Job.t) () =
 
 (* --- event loop (connection side) ------------------------------------ *)
 
-let send conn resp = Buffer.add_string conn.outq (Proto.encode_response resp)
+let send conn resp = Proto.add_response conn.out resp
 
 let disconnect t conn =
   Hashtbl.remove t.conns conn.cid;
+  Hashtbl.remove t.by_fd conn.fd;
   (try Unix.close conn.fd with Unix.Unix_error _ -> ());
   ldebug t "client disconnected" [ Log.int "cid" conn.cid ]
 
@@ -455,9 +465,12 @@ let admit t conn (spec : Proto.job_spec) ~tag (job : Job.t) =
      Hashtbl.replace t.idem key (Idem_pending { id; cid = conn.cid });
      Hashtbl.replace t.idem_of_job id key
    | None -> ());
-  ldebug t "job admitted"
-    (Log.int "cid" conn.cid :: Log.int "id" id :: Log.str "tag" tag
-     :: trace_fields job.Job.trace);
+  (match t.cfg.log with
+   | Some l when Log.enabled l ~src:log_src Log.Debug ->
+     Log.debug l ~src:log_src "job admitted"
+       (Log.int "cid" conn.cid :: Log.int "id" id :: Log.str "tag" tag
+        :: trace_fields job.Job.trace)
+   | _ -> ());
   send conn (Proto.Accepted { id; tag });
   match backend_exn t with
   | In_process (pool, cache) ->
@@ -535,19 +548,13 @@ let protocol_failure t conn err =
   conn.broken <- true;
   conn.close_after_flush <- true
 
-(* Parse as many whole frames as the buffer holds.  The buffer is
-   rebuilt rather than shifted; frames are small relative to the 16 MiB
-   cap, so the copy is noise. *)
-let drain_inbuf t conn =
+(* Handle every whole frame the connection has buffered. *)
+let drain_inbox t conn =
   let rec go () =
-    if conn.broken then ()
-    else
-      let buf = Buffer.contents conn.inbuf in
-      match Proto.decode_request buf with
+    if not conn.broken then
+      match Proto.next conn.inbox with
       | Ok None -> ()
-      | Ok (Some (req, consumed)) ->
-        Buffer.clear conn.inbuf;
-        Buffer.add_substring conn.inbuf buf consumed (String.length buf - consumed);
+      | Ok (Some req) ->
         handle_request t conn req;
         go ()
       | Error err -> protocol_failure t conn err
@@ -555,32 +562,21 @@ let drain_inbuf t conn =
   go ()
 
 let handle_readable t conn =
-  match Unix.read conn.fd t.scratch 0 (Bytes.length t.scratch) with
+  match Proto.fill conn.inbox (Unix.read conn.fd) with
   | 0 -> disconnect t conn  (* EOF; any jobs in flight finish into the void *)
   | n ->
     Metrics.inc ~by:n (Metrics.counter t.metrics "ptaintd_bytes_read_total");
-    Buffer.add_subbytes conn.inbuf t.scratch 0 n;
-    drain_inbuf t conn
+    drain_inbox t conn
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> disconnect t conn
 
 let handle_writable t conn =
-  let pending = Buffer.length conn.outq - conn.out_off in
-  if pending > 0 then begin
-    let chunk = Buffer.to_bytes conn.outq in
-    match Unix.write conn.fd chunk conn.out_off pending with
-    | n ->
-      Metrics.inc ~by:n (Metrics.counter t.metrics "ptaintd_bytes_written_total");
-      conn.out_off <- conn.out_off + n;
-      if conn.out_off = Buffer.length conn.outq then begin
-        Buffer.clear conn.outq;
-        conn.out_off <- 0
-      end
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-    | exception Unix.Unix_error _ -> disconnect t conn
-  end;
-  if Hashtbl.mem t.conns conn.cid && conn.close_after_flush
-     && Buffer.length conn.outq - conn.out_off = 0
+  (match Proto.flush conn.out (Unix.write conn.fd) with
+   | 0 -> ()
+   | n -> Metrics.inc ~by:n (Metrics.counter t.metrics "ptaintd_bytes_written_total")
+   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+   | exception Unix.Unix_error _ -> disconnect t conn);
+  if Hashtbl.mem t.conns conn.cid && conn.close_after_flush && Proto.pending conn.out = 0
   then disconnect t conn
 
 let accept_new t =
@@ -591,9 +587,12 @@ let accept_new t =
       let cid = t.next_cid in
       t.next_cid <- t.next_cid + 1;
       t.clients_total <- t.clients_total + 1;
-      Hashtbl.replace t.conns cid
-        { fd; cid; inbuf = Buffer.create 256; outq = Buffer.create 256;
-          out_off = 0; inflight = 0; close_after_flush = false; broken = false };
+      let conn =
+        { fd; cid; inbox = Proto.request_reader (); out = Proto.outbox ();
+          inflight = 0; close_after_flush = false; broken = false }
+      in
+      Hashtbl.replace t.conns cid conn;
+      Hashtbl.replace t.by_fd fd conn;
       mcount t "ptaintd_clients_total";
       linfo t "client connected" [ Log.int "cid" cid ];
       go ()
@@ -648,11 +647,14 @@ let account_finished t ji =
   if ji.ji_cache_hit then t.cache_hits <- t.cache_hits + 1
   else t.cache_misses <- t.cache_misses + 1;
   mobserve t "ptaintd_job_duration_us" ((ji.ji_t1 -. ji.ji_t0) *. 1e6);
-  linfo t "job finished"
-    (Log.int "id" ji.ji_id :: Log.str "tag" ji.ji_tag
-     :: Log.str "outcome" ji.ji_outcome :: Log.bool "cache_hit" ji.ji_cache_hit
-     :: Log.float "ms" ((ji.ji_t1 -. ji.ji_t0) *. 1e3)
-     :: trace_fields ji.ji_trace);
+  (match t.cfg.log with
+   | Some l when Log.enabled l ~src:log_src Log.Info ->
+     Log.info l ~src:log_src "job finished"
+       (Log.int "id" ji.ji_id :: Log.str "tag" ji.ji_tag
+        :: Log.str "outcome" ji.ji_outcome :: Log.bool "cache_hit" ji.ji_cache_hit
+        :: Log.float "ms" ((ji.ji_t1 -. ji.ji_t0) *. 1e3)
+        :: trace_fields ji.ji_trace)
+   | _ -> ());
   if t.cfg.trace_path <> None then begin
     if t.spans_count < max_spans then begin
       t.spans <- ji :: t.spans;
@@ -724,9 +726,9 @@ let drain_completions t =
     batch
 
 let drain_wakeups t =
-  let b = Bytes.create 256 in
+  let b = t.wake_buf in
   let rec go () =
-    match Unix.read t.wake_rd b 0 256 with
+    match Unix.read t.wake_rd b 0 (Bytes.length b) with
     | n when n > 0 -> go ()
     | _ -> ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
@@ -740,12 +742,10 @@ let drained t =
   t.admitted = 0 && Mutex.protect t.cq_mu (fun () -> Queue.is_empty t.cq)
 
 let final_flush conn =
-  let pending () = Buffer.length conn.outq - conn.out_off in
-  let chunk = Buffer.to_bytes conn.outq in
   let rec go budget =
-    if budget > 0 && pending () > 0 then
-      match Unix.write conn.fd chunk conn.out_off (pending ()) with
-      | n -> conn.out_off <- conn.out_off + n; go (budget - 1)
+    if budget > 0 && Proto.pending conn.out > 0 then
+      match Proto.flush conn.out (Unix.write conn.fd) with
+      | _ -> go (budget - 1)
       | exception Unix.Unix_error _ -> ()
   in
   go 64
@@ -790,20 +790,19 @@ let serve t =
     end;
     if Atomic.get t.stopping && drained t then finished := true
     else begin
-      let sup_fds =
-        match backend_exn t with Isolated sup -> Supervisor.fds sup | In_process _ -> []
-      in
       let reads =
         t.wake_rd
         :: (if !listening then [ t.listen_fd ] else [])
         @ (match t.metrics_fd with Some fd when !listening -> [ fd ] | _ -> [])
-        @ sup_fds
+        @ (match backend_exn t with
+           | Isolated sup -> Supervisor.fds sup
+           | In_process _ -> [])
         @ Hashtbl.fold (fun _ c acc -> if c.broken then acc else c.fd :: acc) t.conns []
       in
       let writes =
         Hashtbl.fold
           (fun _ c acc ->
-            if Buffer.length c.outq - c.out_off > 0 || c.close_after_flush then c.fd :: acc
+            if Proto.pending c.out > 0 || c.close_after_flush then c.fd :: acc
             else acc)
           t.conns []
       in
@@ -818,10 +817,7 @@ let serve t =
       if List.mem t.wake_rd readable then drain_wakeups t;
       (match backend_exn t with
        | Isolated sup ->
-         List.iter
-           (fun fd ->
-             if Supervisor.owns sup fd then Supervisor.handle_readable sup fd)
-           readable;
+         List.iter (Supervisor.handle_readable sup) readable;
          Supervisor.tick sup ~now:work_t0
        | In_process _ -> ());
       drain_completions t;
@@ -829,27 +825,17 @@ let serve t =
       (match t.metrics_fd with
        | Some fd when !listening && List.mem fd readable -> serve_metrics_scrapes t fd
        | _ -> ());
-      let conn_of fd =
-        Hashtbl.fold (fun _ c acc -> if c.fd = fd then Some c else acc) t.conns None
-      in
-      List.iter
-        (fun fd ->
-          if fd <> t.wake_rd && (not !listening || fd <> t.listen_fd)
-             && not (List.mem fd sup_fds)
-          then
-            match conn_of fd with
-            | Some c -> handle_readable t c
-            | None -> ())
-        readable;
-      List.iter
-        (fun fd -> match conn_of fd with Some c -> handle_writable t c | None -> ())
-        writable;
+      (* Client fds are exactly the keys of [by_fd]: the self-pipe,
+         the listeners and the worker pipes never are. *)
+      let on_conn f fd = match Hashtbl.find_opt t.by_fd fd with Some c -> f t c | None -> () in
+      List.iter (on_conn handle_readable) readable;
+      List.iter (on_conn handle_writable) writable;
       (* close_after_flush conns whose outbox emptied without a write
          event this round (e.g. Quit on an already-flushed conn) *)
       let flushed =
         Hashtbl.fold
           (fun _ c acc ->
-            if c.close_after_flush && Buffer.length c.outq - c.out_off = 0 then c :: acc
+            if c.close_after_flush && Proto.pending c.out = 0 then c :: acc
             else acc)
           t.conns []
       in

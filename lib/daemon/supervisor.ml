@@ -50,7 +50,8 @@ type worker = {
   mutable w_pid : int;
   mutable w_down : Unix.file_descr;  (* supervisor writes requests *)
   mutable w_up : Unix.file_descr;  (* supervisor reads responses *)
-  w_buf : Buffer.t;
+  mutable w_inbox : Proto.response Proto.reader;
+  mutable w_out : Proto.outbox;  (* requests down; fresh per process *)
   mutable w_busy : dispatch option;
   mutable w_last_beat : float;
   mutable w_alive : bool;
@@ -117,15 +118,10 @@ let mcount t ?labels name =
   | Some m -> Metrics.inc (Metrics.counter m ?labels name)
   | None -> ()
 
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | w -> go (off + w)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
+(* Blocking: the whole frame goes down the pipe before this returns. *)
+let send w req =
+  Proto.add_request w.w_out req;
+  Proto.flush_all w.w_out (Proto.write_fd w.w_down)
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -166,7 +162,8 @@ let spawn t w =
     w.w_pid <- pid;
     w.w_down <- down_wr;
     w.w_up <- up_rd;
-    Buffer.clear w.w_buf;
+    w.w_inbox <- Proto.response_reader ();
+    w.w_out <- Proto.outbox ();
     w.w_busy <- None;
     w.w_alive <- true;
     w.w_last_beat <- Unix.gettimeofday ();
@@ -176,7 +173,8 @@ let create (cfg : config) =
   let workers =
     Array.init (max 1 cfg.workers) (fun i ->
         { w_index = i; w_pid = -1; w_down = Unix.stdin; w_up = Unix.stdin;
-          w_buf = Buffer.create 4096; w_busy = None; w_last_beat = 0.;
+          w_inbox = Proto.response_reader (); w_out = Proto.outbox ();
+          w_busy = None; w_last_beat = 0.;
           w_alive = false; w_restarts = 0; w_respawn_at = 0. })
   in
   let seed =
@@ -199,8 +197,6 @@ let fds t =
   Array.to_list t.workers
   |> List.filter_map (fun w -> if w.w_alive then Some w.w_up else None)
 
-let owns t fd = Array.exists (fun w -> w.w_alive && w.w_up = fd) t.workers
-
 let in_flight t =
   Queue.length t.pending
   + Array.fold_left
@@ -216,7 +212,7 @@ let dispatch t w d =
   d.d_started <- Unix.gettimeofday ();
   d.d_expired <- false;
   w.w_busy <- Some d;
-  match write_all w.w_down (Proto.encode_request (Proto.Submit d.d_spec)) with
+  match send w (Proto.Submit d.d_spec) with
   | () -> ()
   | exception Unix.Unix_error _ ->
     (* the worker died between our last read and this write; the
@@ -383,26 +379,23 @@ let handle_event t w resp =
   | _ -> ()
 
 let handle_readable t fd =
-  match
-    Array.to_list t.workers
-    |> List.find_opt (fun w -> w.w_alive && w.w_up = fd)
-  with
+  let rec find i =
+    if i = Array.length t.workers then None
+    else
+      let w = t.workers.(i) in
+      if w.w_alive && w.w_up = fd then Some w else find (i + 1)
+  in
+  match find 0 with
   | None -> ()
   | Some w -> (
-    let chunk = Bytes.create 65536 in
-    match Unix.read w.w_up chunk 0 (Bytes.length chunk) with
+    match Proto.fill w.w_inbox (Unix.read w.w_up) with
     | 0 -> worker_died t w ~reason:"crash"
-    | n ->
-      Buffer.add_subbytes w.w_buf chunk 0 n;
+    | _ ->
       let rec drain () =
         if w.w_alive then
-          match Proto.decode_response (Buffer.contents w.w_buf) with
+          match Proto.next w.w_inbox with
           | Ok None -> ()
-          | Ok (Some (resp, consumed)) ->
-            let rest = Buffer.contents w.w_buf in
-            Buffer.clear w.w_buf;
-            Buffer.add_substring w.w_buf rest consumed
-              (String.length rest - consumed);
+          | Ok (Some resp) ->
             handle_event t w resp;
             drain ()
           | Error _ -> worker_died t w ~reason:"crash"
@@ -441,7 +434,7 @@ let stop t =
   Array.iter
     (fun w ->
       if w.w_alive then begin
-        (try write_all w.w_down (Proto.encode_request Proto.Quit)
+        (try send w Proto.Quit
          with Unix.Unix_error _ -> ());
         let deadline = Unix.gettimeofday () +. 2.0 in
         let rec wait () =

@@ -84,11 +84,10 @@ val submit :
 val fds : t -> Unix.file_descr list
 (** Live workers' up-pipe fds for the server's [select] read set. *)
 
-val owns : t -> Unix.file_descr -> bool
-
 val handle_readable : t -> Unix.file_descr -> unit
 (** Drain one readable worker pipe: forward events (ids rewritten),
-    update heartbeats, detect EOF/garble deaths. *)
+    update heartbeats, detect EOF/garble deaths.  Any other fd is
+    ignored, so the server may hand it every readable fd. *)
 
 val tick : t -> now:float -> unit
 (** Periodic maintenance: blow deadlines, flag heartbeat misses,

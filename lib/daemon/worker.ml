@@ -113,16 +113,6 @@ type config = {
 let default_config =
   { cache_capacity = 16; job_timeout = None; beat_interval = 0.25 }
 
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | w -> go (off + w)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
-
 (* Run one spec with the full containment machinery; mirrors the
    in-process backend so the two paths produce identical events.  The
    job boots through the process's arena and its result is reduced to
@@ -157,30 +147,25 @@ let run_spec ~cache ~job_timeout spec =
 let main ~config ~rd ~wr =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let cache = Cache.create ~capacity:config.cache_capacity () in
-  let inbuf = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
-  let send resp = write_all wr (Proto.encode_response resp) in
+  let inbox = Proto.request_reader () in
+  let out = Proto.outbox () in
+  let send resp =
+    Proto.add_response out resp;
+    Proto.flush_all out (Proto.write_fd wr)
+  in
   send (Proto.Hello_ok { server_version = Proto.version; banner = "ptaintd-worker" });
   let rec next_request () =
-    match Proto.decode_request (Buffer.contents inbuf) with
-    | Ok (Some (req, consumed)) ->
-      let rest = Buffer.contents inbuf in
-      Buffer.clear inbuf;
-      Buffer.add_substring inbuf rest consumed (String.length rest - consumed);
-      Some req
+    match Proto.next inbox with
+    | Ok (Some req) -> Some req
     | Error _ -> None  (* garbled pipe: die; the supervisor respawns *)
     | Ok None -> (
       match Unix.select [ rd ] [] [] config.beat_interval with
       | [], _, _ ->
         send (Proto.Pong "hb");
         next_request ()
-      | _ -> (
-        match Unix.read rd chunk 0 (Bytes.length chunk) with
-        | 0 -> None  (* supervisor gone *)
-        | n ->
-          Buffer.add_subbytes inbuf chunk 0 n;
-          next_request ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> next_request ())
+      | _ ->
+        if Proto.fill inbox (Proto.read_fd rd) = 0 then None  (* supervisor gone *)
+        else next_request ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> next_request ())
   in
   let rec loop () =

@@ -23,11 +23,18 @@ type snapshot = { s_idx : int array; s_planes : plane array }
    stale.  This takes the generic hash + bucket walk + option
    allocation of [Hashtbl.find_opt] off the guest memory-access path.
 
-   The other four fields make an arena reset cost O(pages the last job
+   The next four fields make an arena reset cost O(pages the last job
    touched): [base] is the snapshot the store was last taken as or
    reset to ([None] after a fresh {!restore}), [aligned] holds the page
    records for [base]'s indices in the same order, [dirty] the records
-   cloned since then and [grown] the indices mapped since then. *)
+   cloned since then and [grown] the indices mapped since then.
+
+   [spare] holds up to [max_spares] planes a reset took back from
+   cloned pages ([nspare] of them), for the next clones to reuse
+   instead of allocating: a recycled arena then runs its jobs without
+   creating page data.  Only a cloned page's private plane ever enters
+   it — never a snapshot's plane or the zero plane, which others still
+   read. *)
 type t = {
   pages : (int, page) Hashtbl.t;
   cache_idx : int array;
@@ -36,6 +43,8 @@ type t = {
   mutable aligned : page array;
   mutable dirty : page list;
   mutable grown : int list;
+  mutable spare : plane list;
+  mutable nspare : int;
 }
 
 exception Unmapped of int
@@ -61,6 +70,7 @@ let zero_plane =
   p
 
 let cache_slots = 64
+let max_spares = 64
 
 (* Placeholder page record filling the cache's page slots while their
    index slot still holds the -1 sentinel; never dereferenced. *)
@@ -74,7 +84,9 @@ let create () =
     base = None;
     aligned = [||];
     dirty = [];
-    grown = [] }
+    grown = [];
+    spare = [];
+    nspare = 0 }
 
 let map_page t idx =
   if Hashtbl.mem t.pages idx then false
@@ -126,7 +138,14 @@ let[@inline] page_for t addr =
    changes, so a reset never misses a page whatever happens here. *)
 let[@inline never] clone_page t p =
   t.dirty <- p :: t.dirty;
-  let fresh = new_plane () in
+  let fresh =
+    match t.spare with
+    | pl :: rest ->
+      t.spare <- rest;
+      t.nspare <- t.nspare - 1;
+      pl
+    | [] -> new_plane ()
+  in
   Bigarray.Array1.blit p.plane fresh;
   p.plane <- fresh;
   p.shared <- false
@@ -346,8 +365,8 @@ let taint_summary t addr len =
    store from outside the CPU: each mutates one plane in place,
    cloning a COW-shared page first like every other writer.  The
    audit checks the store's derived state: the page-lookup cache, the
-   dirty list, the records aligned with the base snapshot, and the
-   zero plane every fresh page shares. *)
+   dirty list, the records aligned with the base snapshot, the spare
+   planes, and the zero plane every fresh page shares. *)
 
 let debug_asserts = ref false
 
@@ -384,6 +403,23 @@ let check_invariants t =
      if Hashtbl.length t.pages <> n + List.length t.grown then
        fail "%d pages mapped, base %d + grown %d" (Hashtbl.length t.pages) n
          (List.length t.grown));
+  if t.nspare <> List.length t.spare || t.nspare > max_spares then
+    fail "%d spare planes counted as %d (bound %d)" (List.length t.spare) t.nspare max_spares;
+  let rec audit_spares i = function
+    | [] -> ()
+    | sp :: rest ->
+      if sp == zero_plane then fail "spare plane %d is the zero plane" i;
+      if List.memq sp rest then fail "spare plane %d is on the list twice" i;
+      Hashtbl.iter
+        (fun idx p -> if p.plane == sp then fail "spare plane %d backs page %d" i idx)
+        t.pages;
+      (match t.base with
+       | Some b when Array.exists (fun pl -> pl == sp) b.s_planes ->
+         fail "spare plane %d belongs to the base snapshot" i
+       | _ -> ());
+      audit_spares (i + 1) rest
+  in
+  audit_spares 0 t.spare;
   for wi = 0 to page_words - 1 do
     if Bigarray.Array1.unsafe_get zero_plane wi <> 0 then fail "zero plane written at word %d" wi
   done
@@ -487,6 +523,15 @@ let same_indices (a : int array) (b : int array) =
    cache — both index and page slots, so no stale record pins a retired
    plane. *)
 let reset_from_snapshot t snap =
+  (* every cloned page is on [dirty], and its plane is its own: take
+     those planes back before the records are re-pointed or dropped *)
+  List.iter
+    (fun p ->
+      if (not p.shared) && t.nspare < max_spares then begin
+        t.spare <- p.plane :: t.spare;
+        t.nspare <- t.nspare + 1
+      end)
+    t.dirty;
   (match t.base with
    | Some b when b == snap || same_indices b.s_idx snap.s_idx ->
      let planes = snap.s_planes in

@@ -102,8 +102,9 @@ val check_invariants : t -> unit
     (cloned) page record is on the dirty list; the records aligned
     with the base snapshot are the table's records for its indices,
     and those still shared alias its planes; the mapped pages are
-    exactly the base's plus those mapped since; and the zero plane is
-    still all zero.  Raises [Failure] with a description on the first
+    exactly the base's plus those mapped since; no spare plane kept
+    for reuse backs a page, belongs to the base snapshot or is the
+    zero plane; and the zero plane is still all zero.  Raises [Failure] with a description on the first
     violation.  A debug audit, not a fast path. *)
 
 val debug_asserts : bool ref
@@ -158,4 +159,8 @@ val reset_from_snapshot : t -> snapshot -> unit
     - another snapshot with the same page indices: one pass over the
       pages, no hashing;
     - anything else (including a store fresh from {!restore}): a
-      linear rebuild of the page table. *)
+      linear rebuild of the page table.
+
+    In every case the private planes of the pages written since are
+    kept, up to a small bound per store, and later copy-on-write
+    clones reuse them instead of allocating. *)

@@ -256,6 +256,210 @@ let test_v3_trailer_sizes () =
   let dead = enc (Proto.job_spec ~tag:"t" ~deadline:1.0 (Proto.Wire_asm "")) in
   Alcotest.(check int) "deadline-only trailer" (bare + 1 + 1 + 9) dead
 
+(* --- frame streams ------------------------------------------------------ *)
+
+(* A memory-backed byte source with the [Unix.read] shape: each call
+   hands out at most [chunk ()] of the remaining bytes, [0] at the
+   end. *)
+let source s ~chunk =
+  let pos = ref 0 in
+  let read buf off len =
+    let n = min len (min (chunk ()) (String.length s - !pos)) in
+    Bytes.blit_string s !pos buf off n;
+    pos := !pos + n;
+    n
+  in
+  (read, pos)
+
+(* Pump a reader dry: every frame it yields, then the error or EOF. *)
+let drain_reader r read =
+  let rec go acc =
+    match Proto.next r with
+    | Ok (Some v) -> go (v :: acc)
+    | Error e -> (List.rev acc, Some e)
+    | Ok None -> if Proto.fill r read = 0 then (List.rev acc, None) else go acc
+  in
+  go []
+
+(* What [decode_*] makes of one whole frame string. *)
+let whole decode frame =
+  match decode frame with
+  | Ok (Some (v, n)) when n = String.length frame -> v
+  | _ -> Alcotest.fail "fixture does not decode whole"
+
+(* Big enough to outgrow the reader's initial buffer. *)
+let big_response = Proto.Stats_full_ok (String.init 200_000 (fun i -> Char.chr (i land 0xff)))
+
+let split_regimes rng =
+  [ ("1-byte dribble", fun () -> 1);
+    ("small chunks", fun () -> 1 + Random.State.int rng 16);
+    ("socket-sized chunks", fun () -> 1 + Random.State.int rng 4096);
+    ("everything at once", fun () -> max_int) ]
+
+let check_stream name ~encode ~decode ~reader fixtures =
+  let rng = Random.State.make [| 17 |] in
+  let frames = List.map encode fixtures in
+  let expected = List.map (whole decode) frames in
+  (* every fixture three times, shuffled, so each frame meets every
+     kind of neighbour and split point *)
+  let order =
+    List.concat [ expected; expected; expected ]
+    |> List.combine (List.concat [ frames; frames; frames ])
+    |> List.map (fun fv -> (Random.State.bits rng, fv))
+    |> List.sort compare |> List.map snd
+  in
+  let stream = String.concat "" (List.map fst order) in
+  List.iter
+    (fun (regime, chunk) ->
+      let r = reader () in
+      let read, _ = source stream ~chunk in
+      let got, err = drain_reader r read in
+      let ctx = Printf.sprintf "%s, %s" name regime in
+      (match err with
+       | None -> ()
+       | Some e -> Alcotest.failf "%s: %s" ctx (Proto.error_message e));
+      Alcotest.(check int) (ctx ^ ": frame count") (List.length order) (List.length got);
+      Alcotest.(check bool) (ctx ^ ": values as decode_* gives them") true
+        (got = List.map snd order);
+      Alcotest.(check int) (ctx ^ ": nothing left over") 0 (Proto.buffered r))
+    (split_regimes rng)
+
+let test_stream_requests () =
+  check_stream "requests" ~encode:Proto.encode_request ~decode:Proto.decode_request
+    ~reader:Proto.request_reader (List.map snd requests)
+
+let test_stream_responses () =
+  check_stream "responses" ~encode:Proto.encode_response ~decode:Proto.decode_response
+    ~reader:Proto.response_reader
+    (big_response :: List.map snd responses)
+
+(* The outbox writes exactly the bytes [encode_*] renders, frame after
+   frame, whatever the write function takes per call. *)
+let test_outbox_bytes () =
+  let o = Proto.outbox () in
+  List.iter (fun (_, resp) -> Proto.add_response o resp) responses;
+  Proto.add_response o big_response;
+  let expected =
+    String.concat ""
+      (List.map (fun (_, resp) -> Proto.encode_response resp) responses
+       @ [ Proto.encode_response big_response ])
+  in
+  let out = Buffer.create 1024 in
+  let rng = Random.State.make [| 5 |] in
+  Proto.flush_all o (fun b off len ->
+      let n = min len (1 + Random.State.int rng 5000) in
+      Buffer.add_subbytes out b off n;
+      n);
+  Alcotest.(check int) "drained" 0 (Proto.pending o);
+  Alcotest.(check bool) "same bytes as encode_response" true (Buffer.contents out = expected);
+  (* a frame that cannot be encoded leaves no partial frame behind *)
+  Proto.add_request o Proto.Quit;
+  let before = Proto.pending o in
+  (match Proto.add_response o (Proto.Stats_ok (List.init 70_000 (fun i -> ("k", i)))) with
+   | () -> Alcotest.fail "a 70000-entry list must not encode"
+   | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "failed frame cut off" before (Proto.pending o)
+
+let oversized_header =
+  let b = Bytes.of_string (Proto.encode_request (Proto.Ping "x")) in
+  Bytes.set b 4 '\x04';
+  Bytes.set b 5 '\x00';
+  Bytes.set b 6 '\x00';
+  Bytes.set b 7 '\x00';
+  Bytes.sub_string b 0 Proto.header_bytes
+
+let test_stream_oversized () =
+  let r = Proto.request_reader () in
+  let initial = Proto.capacity r in
+  (* the header, then what would be its payload *)
+  let read, pos = source (oversized_header ^ String.make 100_000 'A') ~chunk:(fun () -> 8) in
+  Alcotest.(check int) "header read" 8 (Proto.fill r read);
+  (match Proto.next r with
+   | Error (Proto.Oversized n) -> Alcotest.(check int) "announced" (64 * 1024 * 1024) n
+   | _ -> Alcotest.fail "expected Oversized from the header alone");
+  Alcotest.(check int) "later fills read nothing" 0 (Proto.fill r read);
+  Alcotest.(check int) "no payload byte taken from the stream" 8 !pos;
+  Alcotest.(check int) "only the header buffered" 8 (Proto.buffered r);
+  Alcotest.(check int) "buffer never grew" initial (Proto.capacity r);
+  (* a caller that reads again before decoding: the announced size
+     must not size the buffer either *)
+  let r = Proto.request_reader () in
+  let read, _ = source (oversized_header ^ String.make 100_000 'A') ~chunk:(fun () -> 4096) in
+  for _ = 1 to 8 do
+    ignore (Proto.fill r read)
+  done;
+  Alcotest.(check int) "no growth for an oversized header" initial (Proto.capacity r);
+  match Proto.next r with
+  | Error (Proto.Oversized _) -> ()
+  | _ -> Alcotest.fail "expected Oversized"
+
+let test_stream_compaction () =
+  let r = Proto.response_reader () in
+  let initial = Proto.capacity r in
+  let small = Proto.encode_response (Proto.Pong "ok") in
+  (* a burst of small frames fills and empties the buffer many times
+     over without growing it *)
+  let burst = String.concat "" (List.init 5_000 (fun _ -> small)) in
+  let read, _ = source burst ~chunk:(fun () -> max_int) in
+  let got, err = drain_reader r read in
+  Alcotest.(check bool) "burst decoded" true (err = None && List.length got = 5_000);
+  Alcotest.(check int) "small frames never grow the buffer" initial (Proto.capacity r);
+  (* a frame bigger than the buffer grows it; once it is consumed and
+     a small frame follows, the buffer is back to its initial size *)
+  let read, _ =
+    source (Proto.encode_response big_response ^ small ^ small) ~chunk:(fun () -> 3000)
+  in
+  (match Proto.next r with
+   | Ok None -> ()
+   | _ -> Alcotest.fail "empty reader yielded a frame");
+  let rec until_frame () =
+    match Proto.next r with
+    | Ok (Some v) -> v
+    | Ok None -> if Proto.fill r read = 0 then Alcotest.fail "EOF" else until_frame ()
+    | Error e -> Alcotest.fail (Proto.error_message e)
+  in
+  Alcotest.(check bool) "big frame intact" true (until_frame () = big_response);
+  Alcotest.(check bool) "grew for the big frame" true (Proto.capacity r > initial);
+  Alcotest.(check bool) "next small frame" true (until_frame () = Proto.Pong "ok");
+  Alcotest.(check int) "back to the initial size" initial (Proto.capacity r);
+  Alcotest.(check bool) "last small frame" true (until_frame () = Proto.Pong "ok")
+
+(* Framing cannot resynchronise: the first error is the reader's answer
+   from then on, whatever valid frames follow it — and it is the error
+   [decode_request] gives on the same bytes. *)
+let test_stream_error_sticks () =
+  let quit = Proto.encode_request Proto.Quit in
+  let bad_tag =
+    let f = Bytes.of_string quit in
+    Bytes.set f 3 '\x7f';
+    Bytes.to_string f
+  in
+  List.iter
+    (fun (name, hostile) ->
+      let expected =
+        match Proto.decode_request hostile with
+        | Error e -> e
+        | Ok _ -> Alcotest.failf "%s: decode_request accepted it" name
+      in
+      let r = Proto.request_reader () in
+      let read, _ = source (quit ^ hostile ^ quit ^ quit) ~chunk:(fun () -> 5) in
+      let got, err = drain_reader r read in
+      Alcotest.(check bool) (name ^ ": frame before the error decoded") true
+        (got = [ Proto.Quit ]);
+      Alcotest.(check bool) (name ^ ": same error as decode_request") true
+        (err = Some expected);
+      for _ = 1 to 3 do
+        Alcotest.(check bool) (name ^ ": error sticks") true (Proto.next r = Error expected);
+        Alcotest.(check int) (name ^ ": no more reads") 0 (Proto.fill r read)
+      done)
+    [ ("garbage", "GET / HTTP/1.0\r\n\r\n");
+      ("bad tag", bad_tag);
+      ("oversized", oversized_header);
+      ( "future version",
+        let f = Bytes.of_string quit in
+        Bytes.set f 2 '\x04';
+        Bytes.to_string f ) ]
+
 (* --- job spec <-> Job.t ---------------------------------------------- *)
 
 let test_job_of_spec () =
@@ -770,6 +974,13 @@ let () =
           Alcotest.test_case "future version rejected" `Quick test_future_version_rejected;
           Alcotest.test_case "idem/deadline round-trip" `Quick test_idem_deadline_roundtrip;
           Alcotest.test_case "v3 trailer sizes" `Quick test_v3_trailer_sizes ] );
+      ( "stream",
+        [ Alcotest.test_case "requests in random splits" `Quick test_stream_requests;
+          Alcotest.test_case "responses in random splits" `Quick test_stream_responses;
+          Alcotest.test_case "outbox bytes" `Quick test_outbox_bytes;
+          Alcotest.test_case "oversized header" `Quick test_stream_oversized;
+          Alcotest.test_case "compaction after a burst" `Quick test_stream_compaction;
+          Alcotest.test_case "errors stick" `Quick test_stream_error_sticks ] );
       ( "job-spec",
         [ Alcotest.test_case "spec to Job.t" `Quick test_job_of_spec;
           Alcotest.test_case "trace round-trip" `Quick test_job_trace_roundtrip;
