@@ -17,7 +17,11 @@ let ips_only = Array.exists (( = ) "--ips-only") Sys.argv
 
 let run_program ?(policy = Ptaint_cpu.Policy.default) ?(stdin = "") ?(sessions = [])
     ?(argv = [ "bench" ]) ?(fs_init = []) ?(timing = false) program =
-  let config = Ptaint_sim.Sim.config ~policy ~stdin ~sessions ~argv ~fs_init ~timing () in
+  let config =
+    Ptaint_sim.Sim.Config.(
+      default |> with_policy policy |> with_stdin stdin |> with_sessions sessions
+      |> with_argv argv |> with_fs_init fs_init |> with_timing timing)
+  in
   Ptaint_sim.Sim.run ~config program
 
 let compiled source = Ptaint_runtime.Runtime.compile source
@@ -158,17 +162,18 @@ let campaign_benches =
         let config = Ptaint_attacks.Scenario.attack_config s program in
         List.map
           (fun (pname, policy) ->
-            Ptaint_campaign.Campaign.job
-              ~name:(domains_label ^ "/" ^ s.Ptaint_attacks.Scenario.name ^ "/" ^ pname)
-              ~config:{ config with Ptaint_sim.Sim.policy } program)
+            Ptaint_campaign.Job.make
+              ~tag:(domains_label ^ "/" ^ s.Ptaint_attacks.Scenario.name ^ "/" ^ pname)
+              ~config:{ config with Ptaint_sim.Sim.policy }
+              (Ptaint_campaign.Job.Image program))
           Ptaint_attacks.Scenario.coverage_policies)
       [ Ptaint_attacks.Catalog.exp1_stack_smash; Ptaint_attacks.Catalog.exp2_heap;
         Ptaint_attacks.Catalog.exp3_format ]
   in
   [ Test.make ~name:"campaign/synthetic-matrix-j1"
-      (Staged.stage (fun () -> ignore (Ptaint_campaign.Campaign.run ~domains:1 (jobs "j1"))));
+      (Staged.stage (fun () -> ignore (Ptaint_campaign.Campaign.run_jobs ~domains:1 (jobs "j1"))));
     Test.make ~name:"campaign/synthetic-matrix-jN"
-      (Staged.stage (fun () -> ignore (Ptaint_campaign.Campaign.run (jobs "jN")))) ]
+      (Staged.stage (fun () -> ignore (Ptaint_campaign.Campaign.run_jobs (jobs "jN")))) ]
 
 (* --- whole-simulator throughput: guest instructions per second -------------- *)
 
@@ -497,7 +502,7 @@ let micro_frame_read_bench =
               counters =
                 [ ("jobs", 1); ("instructions", 1_234); ("syscalls", 9);
                   ("tainted loads", 3); ("tainted stores", 2) ];
-              stdout = "ok\n"; trace = Some (0x1234_5678_9abc, 118) }))
+              stdout = "ok\n"; trace = Some (0x1234_5678_9abc, 118); alert_pc = None }))
   in
   let stream = String.concat "" (List.init frames (fun _ -> frame)) in
   let chunk = String.length frame in

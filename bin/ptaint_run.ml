@@ -17,6 +17,7 @@ module Gen = Ptaint_gen.Gen
 module Fi = Ptaint_fi.Fi
 module Proto = Ptaint_daemon.Proto
 module Client = Ptaint_daemon.Client
+module Worker = Ptaint_daemon.Worker
 module Log = Ptaint_obs.Log
 
 let read_file path =
@@ -59,12 +60,6 @@ let load_program path =
     else Ptaint_runtime.Runtime.compile source
   with Ptaint_cc.Cc.Error { line; message; phase } ->
     raise (Guest_error (Printf.sprintf "%s:%d: %s error: %s" path line phase message))
-
-let exit_code_of (r : Ptaint_sim.Sim.result) =
-  match r.Ptaint_sim.Sim.outcome with
-  | Ptaint_sim.Sim.Exited c -> c
-  | Ptaint_sim.Sim.Alert _ -> 3
-  | _ -> 4
 
 let write_chrome ch file =
   Ptaint_obs.Chrome.write_file ch file;
@@ -148,7 +143,7 @@ let run_one path config disasm trace_file metrics plan job_timeout =
      Ptaint_obs.Chrome.add_events ch (Ptaint_sim.Sim.events r);
      write_chrome ch file
    | None -> ());
-  exit_code_of r
+  Ptaint_sim.Sim.exit_code r.Ptaint_sim.Sim.outcome
 
 (* Client-seeded correlation id: one 63-bit trace id per invocation,
    one span id per submitted job.  Wall-clock xor pid seeding is fine
@@ -176,11 +171,6 @@ type watch = {
   mutable w_last : float;
 }
 
-let watch_create ?(prior_us = 0) ~total () =
-  { w_total = total; w_done = 0; w_alerts = 0; w_failed = 0;
-    w_prior = float_of_int prior_us /. 1e6;
-    w_t0 = Unix.gettimeofday (); w_last = 0. }
-
 let fmt_duration s =
   if s >= 3600. then Printf.sprintf "%dh%02dm" (int_of_float s / 3600) (int_of_float s mod 3600 / 60)
   else if s >= 60. then Printf.sprintf "%dm%02ds" (int_of_float s / 60) (int_of_float s mod 60)
@@ -202,258 +192,173 @@ let watch_paint ?(force = false) w =
       w.w_done w.w_total rate w.w_alerts w.w_failed (fmt_duration elapsed) eta
   end
 
-let watch_close w =
-  watch_paint ~force:true w;
-  prerr_newline ()
+(* --- batch campaigns: one driver ---------------------------------------
 
-(* A file path becomes the symbolic payload of a unified Job.t: the
-   campaign engine (or the daemon) owns the build, so a malformed
-   source is a classified per-job failure, never a CLI crash. *)
+   Every batch mode is a source of Job.t values run by an executor.
+   The source is the PROGRAM paths or a seeded generative campaign;
+   the executor is the local engine or a ptaintd instance.  Both
+   executors hand back one job summary per job, folded into the tally,
+   in submission order; everything around them — per-job lines, the
+   JSONL sink, checkpoints, --metrics, --watch, --log and --trace — is
+   written once, here. *)
+
 let payload_of path =
   let source = read_file path in
   if Filename.check_suffix path ".s" then Job.Asm_source source else Job.C_source source
 
-let job_of path config timeout =
-  Job.make ~tag:path
-    ~config:{ config with Ptaint_sim.Sim.argv = [ Filename.basename path ] }
-    ?timeout (payload_of path)
+type source =
+  | Programs of { paths : string array; payloads : Job.payload array;
+                  config : Ptaint_sim.Sim.config; trace_id : int }
+  | Generated of Gen.spec
 
-(* Batch mode: each program becomes one campaign job on the domain
-   pool; one summary line per program, in command-line order. *)
-let run_batch paths config domains trace_file metrics timings job_timeout log =
-  let jobs = List.map (fun path -> job_of path config None) paths in
-  let trace = Option.map (fun _ -> Ptaint_obs.Trace.create ()) trace_file in
-  let results, stats = Campaign.run_jobs ?domains ?trace ?log ?job_timeout jobs in
-  let code =
-    List.fold_left
-      (fun acc (jr : Campaign.job_result) ->
-        match jr.Campaign.status with
-        | Campaign.Finished r ->
-          Format.printf "%-32s %a (%d instructions, %d syscalls)@." jr.Campaign.name
-            Ptaint_sim.Sim.pp_outcome r.Ptaint_sim.Sim.outcome
-            r.Ptaint_sim.Sim.instructions r.Ptaint_sim.Sim.syscalls;
-          max acc (exit_code_of r)
-        | Campaign.Failed f ->
-          Format.printf "%-32s job failed (%s): %s@." jr.Campaign.name
-            (Campaign.kind_name f.Campaign.kind) f.Campaign.exn;
-          max acc 4)
-      0 results
+let source_total = function
+  | Programs p -> Array.length p.paths
+  | Generated g -> Gen.jobs_of g
+
+(* The one job builder.  A file becomes the symbolic payload of a
+   Job.t: the engine (or the daemon) owns the build, so a malformed
+   source is a classified per-job failure, never a CLI crash. *)
+let source_job source ~job_timeout i =
+  let job =
+    match source with
+    | Programs p ->
+      let path = p.paths.(i) in
+      let argv = Filename.basename path :: p.config.Ptaint_sim.Sim.argv in
+      Job.make ~tag:path ~config:{ p.config with Ptaint_sim.Sim.argv }
+        ~trace:(p.trace_id, i + 1) p.payloads.(i)
+    | Generated g -> Gen.job g i
   in
-  if metrics then print_string (Campaign.metrics_table ~timings stats);
-  (match (trace_file, trace) with
-   | Some file, Some tr ->
-     let ch = Ptaint_obs.Chrome.create () in
-     Ptaint_obs.Chrome.add_events ch (Ptaint_obs.Trace.events tr);
-     write_chrome ch file
-   | _ -> ());
-  code
+  match job_timeout with Some t -> Job.with_timeout t job | None -> job
 
-(* Reduce a daemon outcome to the same compact summary the local
-   streaming path produces.  The daemon streams no alert pc, so site
-   coverage is a local-mode refinement; counters — the byte-parity
-   contract with batch mode — carry over exactly. *)
-let summary_of_outcome i tag (o : Client.outcome) =
-  let short outcome =
-    if String.length outcome >= 14 && String.sub outcome 0 14 = "SECURITY ALERT" then "alert"
-    else if String.length outcome >= 6 && String.sub outcome 0 6 = "exited" then "exited"
-    else if String.length outcome >= 5 && String.sub outcome 0 5 = "fault" then "fault"
-    else if String.length outcome >= 10 && String.sub outcome 0 10 = "break trap" then "trap"
-    else "out-of-fuel"
+(* An executor runs the jobs from [start] on, folds each summary into
+   [tally] and passes it on with the guest's stdout (when it has it),
+   in submission order. *)
+type executor =
+  start:int -> tally:Campaign.tally -> Job.t Seq.t ->
+  (Campaign.job_summary -> string -> unit) -> unit
+
+let local_executor domains : executor =
+ fun ~start ~tally jobs on_record ->
+  ignore
+    (Campaign.run_stream ?domains ~start ~tally ~on_result:(fun s -> on_record s "") jobs)
+
+(* The canonical policy label travels on the wire; the daemon derives
+   the same report label from it as the local engine does. *)
+let wire_spec ~campaign i (j : Job.t) =
+  let policy =
+    List.find_map
+      (fun (l, p) -> if p = j.Job.config.Ptaint_sim.Sim.policy then Some l else None)
+      Ptaint_sim.Sim.policy_labels
+  in
+  match Proto.spec_of_job ?policy j with
+  | Error e -> invalid_arg e
+  | Ok spec ->
+    (* Campaign id + index is a natural idempotency key: a resubmit
+       after a dropped connection attaches to the original admission
+       instead of running (and counting) the job twice. *)
+    { spec with Proto.spec_idem = Option.map (fun id -> Printf.sprintf "%s#%d" id i) campaign }
+
+(* Reduce a daemon outcome to the summary the local engine produces;
+   [times] holds the Started..terminal wall clock per job id. *)
+let summary_of_outcome times i (spec : Proto.job_spec) (o : Client.outcome) =
+  let timing id =
+    let now = Unix.gettimeofday () in
+    let started, finished = Option.value ~default:(now, now) (Hashtbl.find_opt times id) in
+    { Campaign.started; finished; domain = 0 }
+  in
+  let base =
+    { Campaign.s_index = i; s_name = spec.Proto.spec_tag; s_label = "unlabelled";
+      s_outcome = "rejected"; s_counters = [ ("jobs", 1); ("rejected", 1) ];
+      s_failed = true; s_violation = false; s_detected = false; s_alert_pc = None;
+      s_instructions = 0; s_syscalls = 0; s_attempts = 1; s_trace = None;
+      s_detail = Campaign.Text ""; s_exit_code = 2; s_timing = timing (-1) }
   in
   match o with
-  | Client.Done (Proto.Finished f) ->
-    { Campaign.s_index = i;
-      s_name = f.tag;
-      s_label = f.policy_label;
-      s_outcome = short f.outcome;
-      s_counters = f.counters;
-      s_failed = false;
-      s_violation = false;
-      s_detected = short f.outcome = "alert";
-      s_alert_pc = None;
-      s_instructions = f.instructions;
-      s_syscalls = f.syscalls;
-      s_attempts = 1;
-      s_trace = f.trace }
+  | Client.Done (Proto.Finished f as ev) ->
+    ( { base with
+        s_name = f.tag; s_label = f.policy_label; s_outcome = Worker.outcome_of_event ev;
+        s_counters = f.counters; s_failed = false; s_detected = f.alert_pc <> None;
+        s_alert_pc = f.alert_pc; s_instructions = f.instructions; s_syscalls = f.syscalls;
+        s_trace = f.trace; s_detail = Campaign.Text f.outcome; s_exit_code = f.exit_code;
+        s_timing = timing f.id },
+      f.stdout )
   | Client.Done (Proto.Job_failed f) ->
-    { Campaign.s_index = i;
-      s_name = f.tag;
-      s_label = f.policy_label;
-      s_outcome = f.kind;
-      s_counters = f.counters;
-      s_failed = true;
-      s_violation = false;
-      s_detected = false;
-      s_alert_pc = None;
-      s_instructions = 0;
-      s_syscalls = 0;
-      s_attempts = 1;
-      s_trace = f.trace }
-  | Client.Done (Proto.Started _) | Client.Refused _ ->
-    { Campaign.s_index = i;
-      s_name = tag;
-      s_label = "unlabelled";
-      s_outcome = "rejected";
-      s_counters = [ ("jobs", 1); ("rejected", 1) ];
-      s_failed = true;
-      s_violation = false;
-      s_detected = false;
-      s_alert_pc = None;
-      s_instructions = 0;
-      s_syscalls = 0;
-      s_attempts = 1;
-      s_trace = None }
+    ( { base with
+        s_name = f.tag; s_label = f.policy_label; s_outcome = f.kind; s_counters = f.counters;
+        s_trace = f.trace; s_detail = Campaign.Text f.message; s_exit_code = 4;
+        s_timing = timing f.id },
+      "" )
+  | Client.Done (Proto.Started _) -> (base, "")
+  | Client.Refused reason -> ({ base with s_detail = Campaign.Text reason }, "")
 
-(* --connect mode: the same jobs go to a ptaintd instance instead of
-   an in-process pool.  Output parity with run_batch is deliberate:
-   per-job lines are printed in submission order from the streamed
-   terminal events, and --metrics rebuilds the per-policy registries
-   by merging each job's streamed counter deltas — byte-identical to
-   the batch runner's counters-only table. *)
-let run_connect sock paths policy_name stdin_data sessions args metrics job_timeout
-    trace_file results_path log watch =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let trace_id = fresh_trace_id () in
-  let spec_of i path =
-    let payload =
-      let source = read_file path in
-      if Filename.check_suffix path ".s" then Proto.Wire_asm source else Proto.Wire_c source
-    in
-    Proto.job_spec ~tag:path ~policy:policy_name
-      ~argv:(Filename.basename path :: args)
-      ~stdin:stdin_data
-      ~sessions:(List.map (fun s -> [ s ]) sessions)
-      ?timeout:job_timeout
-      ~trace:(trace_id, i + 1) payload
-  in
-  let specs = List.mapi spec_of paths in
-  (match log with
-   | Some l ->
-     Log.info l ~src:"ptaint-run" "batch submitted"
-       [ Log.str "socket" sock; Log.int "jobs" (List.length specs);
-         Log.str "trace" (Log.hex_id trace_id) ]
-   | None -> ());
-  let c = Client.connect ~client:"ptaint-run" sock in
-  (* Client-side spans for the cross-process timeline: Started..terminal
-     wall time per job id, pid 1 (the daemon writes pid 2), absolute
-     epoch-microsecond timestamps so the two traces merge unaligned. *)
-  let started : (int, float) Hashtbl.t = Hashtbl.create 16 in
-  let spans = ref [] in
-  let w = if watch then Some (watch_create ~total:(List.length specs) ()) else None in
-  let observe ev =
+(* The daemon executor: windows of jobs through one connection.
+   Admission bounces (per-client quota, server-wide queue) are
+   backpressure, not job outcomes: resubmit until the daemon accepts.
+   "Draining" and malformed specs are terminal. *)
+let remote_executor ~campaign sock : executor =
+ fun ~start ~tally jobs on_record ->
+  let c = Client.connect ~client:"ptaint-run" ~retries:5 sock in
+  let times = Hashtbl.create 64 in
+  let on_event ev =
     let now = Unix.gettimeofday () in
-    (match ev with
-     | Proto.Started { id } -> Hashtbl.replace started id now
-     | Proto.Finished { id; tag; outcome; trace; _ } ->
-       let t0 = Option.value ~default:now (Hashtbl.find_opt started id) in
-       spans := (tag, "finished:" ^ outcome, trace, t0, now) :: !spans;
-       (match log with
-        | Some l ->
-          Log.info l ~src:"ptaint-run" "job finished"
-            (Log.str "tag" tag :: Log.str "outcome" outcome
-             :: Log.float "ms" ((now -. t0) *. 1e3) :: trace_log_fields trace)
-        | None -> ());
-       (match w with
-        | Some w ->
-          w.w_done <- w.w_done + 1;
-          if String.length outcome >= 14 && String.sub outcome 0 14 = "SECURITY ALERT" then
-            w.w_alerts <- w.w_alerts + 1;
-          watch_paint w
-        | None -> ())
-     | Proto.Job_failed { id; tag; kind; message; trace; _ } ->
-       let t0 = Option.value ~default:now (Hashtbl.find_opt started id) in
-       spans := (tag, "failed:" ^ kind, trace, t0, now) :: !spans;
-       (match log with
-        | Some l ->
-          Log.warn l ~src:"ptaint-run" "job failed"
-            (Log.str "tag" tag :: Log.str "kind" kind :: Log.str "message" message
-             :: trace_log_fields trace)
-        | None -> ());
-       (match w with
-        | Some w ->
-          w.w_done <- w.w_done + 1;
-          w.w_failed <- w.w_failed + 1;
-          watch_paint w
-        | None -> ()))
+    match ev with
+    | Proto.Started { id } -> Hashtbl.replace times id (now, now)
+    | Proto.Finished { id; _ } | Proto.Job_failed { id; _ } ->
+      let started = match Hashtbl.find_opt times id with Some (t, _) -> t | None -> now in
+      Hashtbl.replace times id (started, now)
   in
-  let outcomes = Client.run_batch ~on_event:observe c specs in
-  Client.close c;
-  (match w with Some w -> watch_close w | None -> ());
-  (match trace_file with
-   | Some file ->
-     let ch = Ptaint_obs.Chrome.create () in
-     List.iter
-       (fun (tag, outcome, trace, t0, t1) ->
-         let targs =
-           ("outcome", outcome)
-           :: (match trace with
-               | None -> []
-               | Some (tid, span) ->
-                 [ ("trace", Log.hex_id tid); ("span", string_of_int span) ])
-         in
-         Ptaint_obs.Chrome.complete ch ~name:tag ~cat:"client" ~pid:1 ~tid:0
-           ~ts_us:(t0 *. 1e6) ~dur_us:((t1 -. t0) *. 1e6) ~args:targs ())
-       (List.rev !spans);
-     write_chrome ch file
-   | None -> ());
-  (match results_path with
-   | Some rp ->
-     let oc = open_out_bin rp in
-     List.iteri
-       (fun i (path, o) ->
-         output_string oc (Campaign.jsonl_of_summary (summary_of_outcome i path o));
-         output_char oc '\n')
-       (List.combine paths outcomes);
-     close_out oc
-   | None -> ());
-  let module M = Ptaint_obs.Metrics in
-  let regs = ref [] in
-  let registry label =
-    match List.assoc_opt label !regs with
-    | Some m -> m
-    | None ->
-      let m = M.create () in
-      regs := !regs @ [ (label, m) ];
-      m
+  let transient reason =
+    let has needle =
+      let n = String.length needle and l = String.length reason in
+      let rec go i = i + n <= l && (String.sub reason i n = needle || go (i + 1)) in
+      go 0
+    in
+    has "quota exceeded" || has "queue full"
   in
-  let merge label counters =
-    let m = registry label in
-    List.iter (fun (name, by) -> M.inc ~by (M.counter m name)) counters
+  let run_window specs =
+    let outcomes = Array.of_list (Client.run_batch ~on_event c (Array.to_list specs)) in
+    let rec settle () =
+      let pending = ref [] in
+      Array.iteri
+        (fun k o ->
+          match o with
+          | Client.Refused reason when transient reason -> pending := k :: !pending
+          | _ -> ())
+        outcomes;
+      match List.rev !pending with
+      | [] -> ()
+      | ks ->
+        (* if nothing was accepted this pass, the queue is full of
+           other clients' work — back off before resubmitting *)
+        if List.length ks = Array.length specs then Unix.sleepf 0.05;
+        let again = Client.run_batch ~on_event c (List.map (fun k -> specs.(k)) ks) in
+        List.iter2 (fun k o -> outcomes.(k) <- o) ks again;
+        settle ()
+    in
+    settle ();
+    outcomes
   in
-  let code =
-    List.fold_left2
-      (fun acc path outcome ->
-        match outcome with
-        | Client.Done (Proto.Finished f) ->
-          if List.length paths = 1 then print_string f.stdout;
-          Format.printf "%-32s %s (%d instructions, %d syscalls)@." path f.outcome
-            f.instructions f.syscalls;
-          merge f.policy_label f.counters;
-          max acc f.exit_code
-        | Client.Done (Proto.Job_failed f) ->
-          Format.printf "%-32s job failed (%s): %s@." path f.kind f.message;
-          merge f.policy_label f.counters;
-          max acc 4
-        | Client.Done (Proto.Started _) -> acc
-        | Client.Refused reason ->
-          Format.printf "%-32s rejected: %s@." path reason;
-          max acc 2)
-      0 paths outcomes
+  let rec take n acc jobs =
+    if n = 0 then (List.rev acc, jobs)
+    else match jobs () with
+      | Seq.Nil -> (List.rev acc, jobs)
+      | Seq.Cons (j, rest) -> take (n - 1) (j :: acc) rest
   in
-  if metrics then print_string (Campaign.metrics_table_of !regs);
-  code
-
-let print_daemon_stats sock metrics =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let c = Client.connect ~client:"ptaint-run" sock in
-  let counters = Client.stats c in
-  let full = if metrics then Some (Client.stats_full c) else None in
-  Client.close c;
-  print_string (Ptaint_report.Report.counters counters);
-  (match full with Some text -> print_string text | None -> ());
-  0
-
-(* --- generative campaigns: --generate N [--checkpoint M] ------------- *)
+  let rec loop i jobs =
+    match take 64 [] jobs with
+    | [], _ -> ()
+    | window, rest ->
+      let specs = Array.of_list (List.mapi (fun k j -> wire_spec ~campaign (i + k) j) window) in
+      Array.iteri
+        (fun k o ->
+          let s, stdout = summary_of_outcome times (i + k) specs.(k) o in
+          Campaign.tally_add tally s;
+          on_record s stdout)
+        (run_window specs);
+      Hashtbl.reset times;
+      loop (i + Array.length specs) rest
+  in
+  Fun.protect ~finally:(fun () -> Client.close c) (fun () -> loop start jobs)
 
 (* Load the manifest (if any) and reconcile the JSONL sink with its
    cursor.  A fresh start clears a stale sink so line counts always
@@ -489,279 +394,176 @@ let checkpoint_resume ~campaign_id ~total checkpoint results_path =
      | None -> ());
     Ok (0, Campaign.tally (), 0)
 
-let print_gen_summary ~metrics ~total ~cursor ~wall tally =
-  let stats = Campaign.tally_stats ~wall_seconds:wall tally in
-  Format.printf "generative campaign: %d/%d jobs, %d distinct detection sites@." cursor
-    total
-    (List.length (Campaign.tally_sites tally));
-  Format.printf "%a@." Campaign.pp_stats stats;
-  if metrics then print_string (Campaign.metrics_table stats)
+let detail_text (s : Campaign.job_summary) =
+  match s.Campaign.s_detail with
+  | Campaign.Outcome o -> Format.asprintf "%a" Ptaint_sim.Sim.pp_outcome o
+  | Campaign.Text t -> t
 
-(* Local streaming path: jobs pulled lazily from the generator, run on
-   the arena-recycling pool, folded into the incremental tally;
-   memory stays O(window) at any job count. *)
-let run_generate_local spec domains metrics checkpoint every results_path job_timeout
-    log watch =
-  let total = Gen.jobs_of spec in
-  let campaign_id = Gen.id spec in
-  match checkpoint_resume ~campaign_id ~total checkpoint results_path with
-  | Error e ->
-    prerr_endline e;
-    2
-  | Ok (start, tally, prior_us) ->
-    if start > 0 then Printf.eprintf "resuming at job %d/%d\n%!" start total;
-    if start >= total then begin
-      (* completed campaign: the manifest holds every counter, so the
-         final report reprints without re-running anything *)
-      print_gen_summary ~metrics ~total ~cursor:start ~wall:0. tally;
-      0
-    end
-    else begin
-      let sink =
-        Option.map
-          (fun rp -> open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 rp)
-          results_path
-      in
-      let t0 = Unix.gettimeofday () in
-      let elapsed_now () =
-        prior_us + int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)
-      in
-      let w =
-        if watch then Some (watch_create ~prior_us ~total ()) else None
-      in
-      let last_ckpt = ref start in
-      let save_ckpt cursor tally =
-        match checkpoint with
-        | None -> ()
-        | Some path ->
-          (* the sink must be on disk before the manifest points past
-             its lines — resume truncates any overshoot *)
-          (match sink with Some oc -> flush oc | None -> ());
-          (* a failed checkpoint costs freshness, not the campaign:
-             the previous manifest is still valid, so warn and keep
-             running without advancing the checkpoint cursor *)
-          match
-            Checkpoint.save ~path
-              { Checkpoint.id = campaign_id; total; cursor;
-                elapsed_us = elapsed_now ();
-                dump = Campaign.dump_tally tally }
-          with
-          | () ->
-            last_ckpt := cursor;
-            (match log with
-             | Some l ->
-               Log.info l ~src:"campaign" "checkpoint written"
-                 [ Log.str "path" path; Log.int "cursor" cursor;
-                   Log.int "elapsed_us" (elapsed_now ()) ]
-             | None -> ())
-          | exception Checkpoint.Checkpoint_write_error { path; reason } ->
-            Printf.eprintf "warning: checkpoint %s not written: %s\n%!" path reason;
-            (match log with
-             | Some l ->
-               Log.warn l ~src:"campaign" "checkpoint write failed"
-                 [ Log.str "path" path; Log.str "reason" reason;
-                   Log.int "cursor" cursor ]
-             | None -> ())
-      in
-      let tally, cursor =
-        Campaign.run_stream ?domains ?log ?job_timeout ~start ~tally
-          ?on_result:
-            (Option.map
-               (fun oc (s : Campaign.job_summary) ->
-                 output_string oc (Campaign.jsonl_of_summary s);
-                 output_char oc '\n')
-               sink)
-          ~on_progress:(fun ~cursor t ->
-            (match w with
-             | Some w when Unix.gettimeofday () -. w.w_last >= 0.5 ->
-               w.w_done <- cursor;
-               let stats = Campaign.tally_stats t in
-               w.w_failed <- stats.Campaign.failed;
-               w.w_alerts <-
-                 List.fold_left (fun acc (_, n) -> acc + n) 0
-                   stats.Campaign.detections;
-               watch_paint w
-             | _ -> ());
-            if cursor - !last_ckpt >= every then save_ckpt cursor t)
-          (Gen.jobs_from spec start)
-      in
-      let wall = Unix.gettimeofday () -. t0 in
-      save_ckpt cursor tally;
-      (match w with
-       | Some w ->
-         w.w_done <- cursor;
-         let stats = Campaign.tally_stats tally in
-         w.w_failed <- stats.Campaign.failed;
-         w.w_alerts <-
-           List.fold_left (fun acc (_, n) -> acc + n) 0 stats.Campaign.detections;
-         watch_close w
-       | None -> ());
-      (match sink with Some oc -> close_out oc | None -> ());
-      print_gen_summary ~metrics ~total ~cursor ~wall tally;
-      if cursor = total then 0 else 4
-    end
+let job_line (s : Campaign.job_summary) =
+  if s.Campaign.s_outcome = "rejected" then
+    Printf.sprintf "%-32s rejected: %s" s.Campaign.s_name (detail_text s)
+  else if s.Campaign.s_failed then
+    Printf.sprintf "%-32s job failed (%s): %s" s.Campaign.s_name s.Campaign.s_outcome
+      (detail_text s)
+  else
+    Printf.sprintf "%-32s %s (%d instructions, %d syscalls)" s.Campaign.s_name
+      (detail_text s) s.Campaign.s_instructions s.Campaign.s_syscalls
 
-let wire_spec_of gspec i =
-  let j = Gen.job gspec i in
-  let cfg = j.Job.config in
-  let payload =
-    match j.Job.payload with
-    | Job.C_source s -> Proto.Wire_c s
-    | Job.Asm_source s -> Proto.Wire_asm s
-    | Job.Image _ -> invalid_arg "generated jobs are always symbolic"
+let run_batch source (execute : executor) ~job_timeout ~metrics ~timings ~checkpoint ~every
+    ~results_path ~log ~watch ~trace_file =
+  let total = source_total source in
+  (* only a generated campaign has an identity to resume by *)
+  let campaign_id, checkpoint =
+    match source with
+    | Generated g -> (Gen.id g, checkpoint)
+    | Programs _ -> ("", None)
   in
-  (* Campaign id + index is a natural idempotency key: a resubmit
-     after a dropped connection attaches to the original admission
-     instead of running (and counting) the job twice. *)
-  Proto.job_spec ~tag:j.Job.tag
-    ~policy:(Gen.policy_label gspec i)
-    ~argv:cfg.Ptaint_sim.Sim.argv ~env:cfg.Ptaint_sim.Sim.env
-    ~stdin:cfg.Ptaint_sim.Sim.stdin ?timeout:j.Job.timeout
-    ~idem:(Printf.sprintf "%s#%d" (Gen.id gspec) i)
-    payload
-
-(* Daemon path: the generated stream goes to ptaintd in windows, with
-   the same client-side manifest as the local path — kill this client
-   at any point and rerunning the command resumes from the last
-   window boundary; the daemon's image cache plays the role of the
-   local template cache. *)
-let run_generate_connect sock spec metrics checkpoint every results_path job_timeout
-    log watch =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let total = Gen.jobs_of spec in
-  let campaign_id = Gen.id spec in
   match checkpoint_resume ~campaign_id ~total checkpoint results_path with
   | Error e ->
     prerr_endline e;
     2
   | Ok (start, tally, prior_us) ->
     if start > 0 then Printf.eprintf "resuming at job %d/%d\n%!" start total;
-    if start >= total then begin
-      print_gen_summary ~metrics ~total ~cursor:start ~wall:0. tally;
-      0
-    end
-    else begin
-      let sink =
-        Option.map
-          (fun rp -> open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 rp)
-          results_path
-      in
-      let c = Client.connect ~client:"ptaint-run" ~retries:5 sock in
-      let window = 64 in
-      (* Admission bounces (per-client quota, server-wide queue) are
-         backpressure, not job outcomes: resubmit until the daemon
-         accepts.  "Draining" and malformed specs are terminal. *)
-      let transient reason =
-        let has needle =
-          let n = String.length needle and l = String.length reason in
-          let rec go i = i + n <= l && (String.sub reason i n = needle || go (i + 1)) in
-          go 0
-        in
-        has "quota exceeded" || has "queue full"
-      in
-      let run_window specs =
-        let specs = Array.of_list specs in
-        let outcomes = Array.of_list (Client.run_batch c (Array.to_list specs)) in
-        let rec settle () =
-          let pending = ref [] in
-          Array.iteri
-            (fun k o ->
-              match o with
-              | Client.Refused reason when transient reason -> pending := k :: !pending
-              | _ -> ())
-            outcomes;
-          match List.rev !pending with
-          | [] -> ()
-          | ks ->
-            (* if nothing was accepted this pass, the queue is full of
-               other clients' work — back off before resubmitting *)
-            if List.length ks = Array.length specs then Unix.sleepf 0.05;
-            let again = Client.run_batch c (List.map (fun k -> specs.(k)) ks) in
-            List.iter2 (fun k o -> outcomes.(k) <- o) ks again;
-            settle ()
-        in
-        settle ();
-        Array.to_list outcomes
-      in
-      let cursor = ref start in
-      let last_ckpt = ref start in
-      let t0 = Unix.gettimeofday () in
-      let elapsed_now () =
-        prior_us + int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)
-      in
-      let w = if watch then Some (watch_create ~prior_us ~total ()) else None in
-      let save_ckpt () =
-        match checkpoint with
-        | None -> ()
-        | Some path ->
-          (match sink with Some oc -> flush oc | None -> ());
-          match
-            Checkpoint.save ~path
-              { Checkpoint.id = campaign_id; total; cursor = !cursor;
-                elapsed_us = elapsed_now ();
-                dump = Campaign.dump_tally tally }
-          with
-          | () ->
-            last_ckpt := !cursor;
-            (match log with
-             | Some l ->
-               Log.info l ~src:"campaign" "checkpoint written"
-                 [ Log.str "path" path; Log.int "cursor" !cursor;
-                   Log.int "elapsed_us" (elapsed_now ()) ]
-             | None -> ())
-          | exception Checkpoint.Checkpoint_write_error { path; reason } ->
-            Printf.eprintf "warning: checkpoint %s not written: %s\n%!" path reason;
-            (match log with
-             | Some l ->
-               Log.warn l ~src:"campaign" "checkpoint write failed"
-                 [ Log.str "path" path; Log.str "reason" reason;
-                   Log.int "cursor" !cursor ]
-             | None -> ())
-      in
-      while !cursor < total do
-        let n = min window (total - !cursor) in
-        let specs = List.init n (fun k -> wire_spec_of spec (!cursor + k)) in
-        let outcomes = run_window specs in
-        List.iteri
-          (fun k o ->
-            let i = !cursor + k in
-            let s = summary_of_outcome i (List.nth specs k).Proto.spec_tag o in
-            Campaign.tally_add tally s;
-            (match log with
-             | Some l when s.Campaign.s_failed ->
-               Log.warn l ~src:"campaign" "job failed"
-                 (Log.int "index" s.Campaign.s_index
-                  :: Log.str "tag" s.Campaign.s_name
-                  :: Log.str "kind" s.Campaign.s_outcome
-                  :: trace_log_fields s.Campaign.s_trace)
-             | _ -> ());
-            (match w with
-             | Some w ->
-               if s.Campaign.s_failed then w.w_failed <- w.w_failed + 1;
-               if s.Campaign.s_detected then w.w_alerts <- w.w_alerts + 1
-             | None -> ());
-            match sink with
-            | Some oc ->
-              output_string oc (Campaign.jsonl_of_summary s);
-              output_char oc '\n'
-            | None -> ())
-          outcomes;
-        cursor := !cursor + n;
-        (match w with
-         | Some w ->
-           w.w_done <- !cursor;
-           watch_paint w
-         | None -> ());
-        if !cursor - !last_ckpt >= every || !cursor = total then save_ckpt ()
-      done;
-      Client.close c;
-      (match w with Some w -> watch_close w | None -> ());
-      (match sink with Some oc -> close_out oc | None -> ());
-      print_gen_summary ~metrics ~total ~cursor:!cursor
-        ~wall:(Unix.gettimeofday () -. t0)
-        tally;
-      0
-    end
+    (match (log, source) with
+     | Some l, Programs p ->
+       Log.info l ~src:"ptaint-run" "batch submitted"
+         [ Log.int "jobs" total; Log.str "trace" (Log.hex_id p.trace_id) ]
+     | Some l, Generated _ ->
+       Log.info l ~src:"ptaint-run" "batch submitted"
+         [ Log.int "jobs" total; Log.str "campaign" campaign_id; Log.int "start" start ]
+     | None, _ -> ());
+    let sink =
+      Option.map
+        (fun rp -> open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 rp)
+        results_path
+    in
+    let t0 = Unix.gettimeofday () in
+    let elapsed_now () = prior_us + int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
+    let w =
+      if watch then begin
+        (* counts are absolute: a resumed campaign starts from its manifest *)
+        let prior = Campaign.tally_stats tally in
+        Some
+          { w_total = total; w_done = start;
+            w_alerts = List.fold_left (fun n (_, d) -> n + d) 0 prior.Campaign.detections;
+            w_failed = prior.Campaign.failed; w_prior = float_of_int prior_us /. 1e6;
+            w_t0 = t0; w_last = 0. }
+      end
+      else None
+    in
+    let chrome = Option.map (fun _ -> Ptaint_obs.Chrome.create ()) trace_file in
+    let cursor = ref start and last_ckpt = ref start and code = ref 0 in
+    let save_ckpt () =
+      match checkpoint with
+      | None -> ()
+      | Some path -> (
+        (* the sink must be on disk before the manifest points past
+           its lines — resume truncates any overshoot *)
+        (match sink with Some oc -> flush oc | None -> ());
+        (* a failed checkpoint costs freshness, not the campaign: the
+           previous manifest is still valid, so warn and keep running
+           without advancing the checkpoint cursor *)
+        match
+          Checkpoint.save ~path
+            { Checkpoint.id = campaign_id; total; cursor = !cursor;
+              elapsed_us = elapsed_now (); dump = Campaign.dump_tally tally }
+        with
+        | () ->
+          last_ckpt := !cursor;
+          Option.iter
+            (fun l ->
+              Log.info l ~src:"campaign" "checkpoint written"
+                [ Log.str "path" path; Log.int "cursor" !cursor;
+                  Log.int "elapsed_us" (elapsed_now ()) ])
+            log
+        | exception Checkpoint.Checkpoint_write_error { path; reason } ->
+          Printf.eprintf "warning: checkpoint %s not written: %s\n%!" path reason;
+          Option.iter
+            (fun l ->
+              Log.warn l ~src:"campaign" "checkpoint write failed"
+                [ Log.str "path" path; Log.str "reason" reason; Log.int "cursor" !cursor ])
+            log)
+    in
+    let on_record (s : Campaign.job_summary) stdout =
+      (match source with
+       | Programs _ ->
+         if total = 1 then print_string stdout;
+         print_endline (job_line s)
+       | Generated _ -> ());
+      code := max !code s.Campaign.s_exit_code;
+      Option.iter
+        (fun oc ->
+          output_string oc (Campaign.jsonl_of_summary s);
+          output_char oc '\n')
+        sink;
+      let ms = (s.Campaign.s_timing.finished -. s.Campaign.s_timing.started) *. 1e3 in
+      Option.iter
+        (fun l ->
+          let fields =
+            [ Log.int "index" s.Campaign.s_index; Log.str "tag" s.Campaign.s_name;
+              Log.str "policy" s.Campaign.s_label; Log.str "outcome" s.Campaign.s_outcome;
+              Log.float "ms" ms ]
+            @ trace_log_fields s.Campaign.s_trace
+          in
+          if s.Campaign.s_failed then
+            Log.warn l ~src:"campaign" "job failed"
+              (fields @ [ Log.int "attempts" s.Campaign.s_attempts;
+                          Log.str "message" (detail_text s) ])
+          else Log.debug l ~src:"campaign" "job finished" fields)
+        log;
+      Option.iter
+        (fun w ->
+          w.w_done <- w.w_done + 1;
+          if s.Campaign.s_failed then w.w_failed <- w.w_failed + 1;
+          if s.Campaign.s_detected then w.w_alerts <- w.w_alerts + 1;
+          watch_paint w)
+        w;
+      Option.iter
+        (fun ch ->
+          Ptaint_obs.Chrome.complete ch ~name:s.Campaign.s_name ~cat:"client" ~pid:1
+            ~tid:s.Campaign.s_timing.domain ~ts_us:(s.Campaign.s_timing.started *. 1e6)
+            ~dur_us:(ms *. 1e3)
+            ~args:
+              (("outcome", s.Campaign.s_outcome)
+               :: (match s.Campaign.s_trace with
+                   | None -> []
+                   | Some (tid, span) -> [ ("trace", Log.hex_id tid); ("span", string_of_int span) ]))
+            ())
+        chrome;
+      incr cursor;
+      if !cursor - !last_ckpt >= every then save_ckpt ()
+    in
+    execute ~start ~tally
+      (Seq.init (total - start) (fun k -> source_job source ~job_timeout (start + k)))
+      on_record;
+    if !cursor > !last_ckpt then save_ckpt ();
+    Option.iter (fun w -> watch_paint ~force:true w; prerr_newline ()) w;
+    Option.iter close_out sink;
+    (match (trace_file, chrome) with
+     | Some file, Some ch -> write_chrome ch file
+     | _ -> ());
+    let stats = Campaign.tally_stats ~wall_seconds:(Unix.gettimeofday () -. t0) tally in
+    match source with
+    | Programs _ ->
+      if metrics then print_string (Campaign.metrics_table ~timings stats);
+      !code
+    | Generated _ ->
+      Format.printf "generative campaign: %d/%d jobs, %d distinct detection sites@." !cursor
+        total
+        (List.length (Campaign.tally_sites tally));
+      Format.printf "%a@." Campaign.pp_stats stats;
+      if metrics then print_string (Campaign.metrics_table ~timings stats);
+      if !cursor = total then 0 else 4
+
+let print_daemon_stats sock metrics =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let c = Client.connect ~client:"ptaint-run" sock in
+  let counters = Client.stats c in
+  let full = if metrics then Some (Client.stats_full c) else None in
+  Client.close c;
+  print_string (Ptaint_report.Report.counters counters);
+  (match full with Some text -> print_string text | None -> ());
+  0
 
 let parse_injections specs =
   List.fold_left
@@ -771,6 +573,25 @@ let parse_injections specs =
       | Ok l, Ok i -> Ok (l @ [ i ])
       | Ok _, Error e -> Error e)
     (Ok []) specs
+
+(* Which run modes honour each option (the README carries the same
+   table): an option given where it does nothing is answered with a
+   note instead of being dropped silently. *)
+type mode = Single | Batch | Connect | Generate | Generate_connect
+
+let mode_name = function
+  | Single -> "single-program"
+  | Batch -> "batch (-j)"
+  | Connect -> "--connect"
+  | Generate -> "--generate"
+  | Generate_connect -> "--generate --connect"
+
+let note_ignored mode options =
+  List.iter
+    (fun (option, given, honoured_in) ->
+      if given && not (List.mem mode honoured_in) then
+        Printf.eprintf "note: %s is ignored in %s mode\n%!" option (mode_name mode))
+    options
 
 let run paths policy_name stdin_data sessions args disasm timing trace_file trace_insns
     trace_limit metrics timings domains inject_specs job_timeout connect daemon_stats
@@ -800,61 +621,78 @@ let run paths policy_name stdin_data sessions args disasm timing trace_file trac
     Fun.protect
       ~finally:(fun () -> match logger with Some l -> Log.close l | None -> ())
     @@ fun () ->
+    let notes mode =
+      let batch = [ Batch; Connect; Generate; Generate_connect ]
+      and programs = [ Single; Batch; Connect ] in
+      note_ignored mode
+        [ ("--policy", policy_name <> "full", programs);
+          ("--stdin-data", stdin_data <> "", programs);
+          ("--session", sessions <> [], programs);
+          ("--arg", args <> [], programs);
+          ("--disasm", disasm, [ Single ]);
+          ("--timing", timing, [ Single; Batch ]);
+          ("--trace-insns", trace_insns, [ Single ]);
+          ("--inject", plan <> [], [ Single ]);
+          ("--timings", timings, batch);
+          ("-j", domains <> None, [ Batch; Generate ]);
+          ("--checkpoint", checkpoint <> None, [ Generate; Generate_connect ]);
+          ("--results", results_path <> None, batch);
+          ("--log", log_file <> None, batch);
+          ("--watch", watch, batch) ]
+    in
+    let config =
+      Ptaint_sim.Sim.Config.(
+        default |> with_policy policy |> with_stdin stdin_data
+        |> with_sessions (List.map (fun s -> [ s ]) sessions)
+        |> with_argv args |> with_timing timing)
+    in
+    let batch source =
+      let mode, execute =
+        match (source, connect) with
+        | Programs _, None -> (Batch, local_executor domains)
+        | Generated _, None -> (Generate, local_executor domains)
+        | Programs _, Some sock -> (Connect, remote_executor ~campaign:None sock)
+        | Generated g, Some sock -> (Generate_connect, remote_executor ~campaign:(Some (Gen.id g)) sock)
+      in
+      notes mode;
+      if connect <> None then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+      run_batch source execute ~job_timeout ~metrics ~timings ~checkpoint
+        ~every:checkpoint_every ~results_path ~log:logger ~watch ~trace_file
+    in
     try
       match (daemon_stats, connect, paths) with
       | _ when generate <> None && paths <> [] ->
         prerr_endline "--generate replaces PROGRAM arguments; give one or the other";
         2
       | _ when generate <> None -> (
-        let jobs = Option.get generate in
-        match Gen.spec ~variants ~seed ~jobs () with
+        match Gen.spec ~variants ~seed ~jobs:(Option.get generate) () with
         | exception Invalid_argument e ->
           prerr_endline e;
           2
-        | spec -> (
-          match connect with
-          | Some sock ->
-            run_generate_connect sock spec metrics checkpoint checkpoint_every
-              results_path job_timeout logger watch
-          | None ->
-            run_generate_local spec domains metrics checkpoint checkpoint_every
-              results_path job_timeout logger watch))
+        | spec -> batch (Generated spec))
       | true, None, _ ->
         prerr_endline "--daemon-stats needs --connect SOCKET";
         2
       | true, Some sock, _ -> print_daemon_stats sock metrics
-      | false, Some _, [] ->
-        prerr_endline "no guest program given";
-        2
-      | false, Some sock, paths ->
-        if trace_insns then prerr_endline "note: --trace-insns is ignored in --connect mode";
-        if plan <> [] then prerr_endline "note: --inject is ignored in --connect mode";
-        if timing then prerr_endline "note: --timing is ignored in --connect mode";
-        run_connect sock paths policy_name stdin_data sessions args metrics job_timeout
-          trace_file results_path logger watch
-      | false, None, [] ->
+      | false, _, [] ->
         prerr_endline "no guest program given";
         2
       | false, None, [ path ] ->
+        notes Single;
         let config =
           Ptaint_sim.Sim.Config.(
-            default |> with_policy policy |> with_stdin stdin_data
-            |> with_sessions (List.map (fun s -> [ s ]) sessions)
+            config
             |> with_argv (Filename.basename path :: args)
-            |> with_timing timing |> with_obs true
+            |> with_obs true
             |> if trace_insns then with_on_step (tracer trace_limit) else Fun.id)
         in
         run_one path config disasm trace_file metrics plan job_timeout
-      | false, None, paths ->
-        if trace_insns then prerr_endline "note: --trace-insns is ignored in batch (-j) mode";
-        if plan <> [] then prerr_endline "note: --inject is ignored in batch (-j) mode";
-        let config =
-          Ptaint_sim.Sim.Config.(
-            default |> with_policy policy |> with_stdin stdin_data
-            |> with_sessions (List.map (fun s -> [ s ]) sessions)
-            |> with_timing timing)
-        in
-        run_batch paths config domains trace_file metrics timings job_timeout logger
+      | false, _, paths ->
+        let paths = Array.of_list paths in
+        batch
+          (Programs
+             { paths; payloads = Array.map payload_of paths; config;
+               trace_id = fresh_trace_id () })
     with
     | Guest_error e ->
       prerr_endline e;
@@ -923,9 +761,9 @@ let metrics_arg =
 
 let timings_arg =
   Arg.(value & flag & info [ "timings" ]
-         ~doc:"With --metrics in batch mode: add the wall-clock, pool-concurrency and \
-               superblock-tier histogram rows (non-deterministic; the default table is \
-               counters-only so runs can be diffed).")
+         ~doc:"With --metrics in batch mode: add the per-job wall-clock histogram rows \
+               (non-deterministic; the default table is counters-only so runs can be \
+               diffed).")
 
 let domains_arg =
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N"
@@ -949,9 +787,10 @@ let job_timeout_arg =
 
 let connect_arg =
   Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"SOCKET"
-         ~doc:"Submit the PROGRAMs to a running ptaintd instance on the Unix-domain \
-               $(docv) instead of simulating in-process.  Jobs stream back as events; \
-               output and --metrics tables match local batch mode byte-for-byte.")
+         ~doc:"Submit the PROGRAMs (or the --generate campaign) to a running ptaintd \
+               instance on the Unix-domain $(docv) instead of simulating in-process.  \
+               Jobs stream back as events; output, --metrics tables and --results lines \
+               match local batch mode byte-for-byte.")
 
 let daemon_stats_arg =
   Arg.(value & flag & info [ "daemon-stats" ]
@@ -986,9 +825,9 @@ let checkpoint_every_arg =
 
 let results_arg =
   Arg.(value & opt (some string) None & info [ "results" ] ~docv:"FILE"
-         ~doc:"Append one JSON line per completed job to $(docv) (streaming sink; kept \
-               consistent with --checkpoint across kill-and-resume; also available in \
-               --connect mode, where each line carries the job's trace id).")
+         ~doc:"Append one JSON line per completed job to $(docv), in every batch mode \
+               (streaming sink; kept consistent with --checkpoint across kill-and-resume; \
+               lines of PROGRAM batches carry the invocation's trace id).")
 
 let log_arg =
   Arg.(value & opt (some string) None & info [ "log" ] ~docv:"FILE"

@@ -1,62 +1,15 @@
 module Pool = Ptaint_pool.Pool
 
-(* A job built from a (config, program) pair keeps both visible so
-   the campaign can share one loaded image (a Sim snapshot template)
-   across every job running that image; opaque thunks always run
-   as-is.  [Spec] is the unified {!Job.t} path every front end (CLI,
-   batch runner, experiments, ptaintd) funnels through — it may carry
-   a program pre-built by the submitting domain so the template
-   sharing still applies. *)
-type work =
-  | Sim_run of Ptaint_sim.Sim.config * Ptaint_asm.Program.t
-  | Spec of Job.t * Ptaint_asm.Program.t option
-  | Thunk of (unit -> Ptaint_sim.Sim.result)
-
-type job = {
-  j_name : string;
-  j_policy_label : string;
-  j_expect : (Ptaint_sim.Sim.result -> string option) option;
-  j_work : work;
-  j_trace : (int * int) option;
-}
-
 let label_of_policy (p : Ptaint_cpu.Policy.t) =
   match p.Ptaint_cpu.Policy.mode with
   | Ptaint_cpu.Policy.No_protection -> "no protection"
   | Ptaint_cpu.Policy.Control_data_only -> "control-data only"
   | Ptaint_cpu.Policy.Pointer_taintedness -> "pointer taintedness"
 
-let job ~name ?policy_label ?expect ~config program =
-  { j_name = name;
-    j_policy_label =
-      (match policy_label with
-       | Some l -> l
-       | None -> label_of_policy config.Ptaint_sim.Sim.policy);
-    j_expect = expect;
-    j_work = Sim_run (config, program);
-    j_trace = None }
-
-let job_thunk ~name ?(policy_label = "unlabelled") ?expect thunk =
-  { j_name = name; j_policy_label = policy_label; j_expect = expect; j_work = Thunk thunk;
-    j_trace = None }
-
 let job_label (spec : Job.t) =
   match spec.Job.policy_label with
   | Some l -> l
   | None -> label_of_policy spec.Job.config.Ptaint_sim.Sim.policy
-
-(* [program] pre-builds on the submitting domain when available so
-   identical images share one snapshot template; [None] defers the
-   (re)build to the worker, where a toolchain failure is contained
-   and classified. *)
-let of_job ?program (spec : Job.t) =
-  { j_name = spec.Job.tag;
-    j_policy_label = job_label spec;
-    j_expect = spec.Job.expect;
-    j_work = Spec (spec, program);
-    j_trace = spec.Job.trace }
-
-let job_name j = j.j_name
 
 (* --- typed failure taxonomy ---
 
@@ -128,20 +81,20 @@ type stats = {
   metrics : (string * Ptaint_obs.Metrics.t) list;
 }
 
-(* run_sim is the template-sharing closure [run] builds; [deadline]
-   arms the cooperative watchdog inside the fuel-sliced engine.  A
-   {!Job.t}'s own [timeout] overrides the campaign-wide default, for
-   both the deadline and the reported [Timeout { seconds }]. *)
-let exec ~job_timeout ~retries ~backoff run_sim j =
-  let job_timeout =
-    match j.j_work with
-    | Spec ({ Job.timeout = Some t; _ }, _) -> Some t
-    | _ -> job_timeout
-  in
+(* Run one job with the full containment machinery.  [runner spec]
+   builds (or fetches) the job's program and returns it with the
+   injection-free runner for it; it runs inside the attempt, so a
+   toolchain or loader failure is classified like any other.  The
+   deadline is derived after the build, so compiling never eats the
+   guest's budget.  A job's own [timeout] overrides the campaign-wide
+   default, for both the deadline and the reported
+   [Timeout { seconds }]. *)
+let exec ~job_timeout ~retries ~backoff ~runner (spec : Job.t) =
+  let job_timeout = match spec.Job.timeout with Some t -> Some t | None -> job_timeout in
   let started = Unix.gettimeofday () in
   let close ~attempts status violation =
-    { name = j.j_name;
-      policy_label = j.j_policy_label;
+    { name = spec.Job.tag;
+      policy_label = job_label spec;
       status;
       violation;
       attempts;
@@ -149,22 +102,18 @@ let exec ~job_timeout ~retries ~backoff run_sim j =
         { started;
           finished = Unix.gettimeofday ();
           domain = (Domain.self () :> int) };
-      trace = j.j_trace }
+      trace = spec.Job.trace }
   in
   let attempt () =
+    let program, run_sim = runner spec in
     (* The deadline is absolute wall-clock, re-derived per attempt so a
        retried job gets its full budget back. *)
     let deadline = Option.map (fun t -> Unix.gettimeofday () +. t) job_timeout in
-    match j.j_work with
-    | Sim_run (config, program) -> run_sim ~deadline config program
-    | Spec (spec, pre) -> (
-      let program = match pre with Some p -> p | None -> Job.program spec in
-      match spec.Job.injections with
-      | [] -> run_sim ~deadline spec.Job.config program
-      | plan ->
-        (Ptaint_fi.Fi.run_plan ~config:spec.Job.config ?deadline ~plan program)
-          .Ptaint_fi.Fi.result)
-    | Thunk f -> f ()
+    match spec.Job.injections with
+    | [] -> run_sim ~deadline spec.Job.config
+    | plan ->
+      (Ptaint_fi.Fi.run_plan ~config:spec.Job.config ?deadline ~plan program)
+        .Ptaint_fi.Fi.result
   in
   let rec go attempts =
     match attempt () with
@@ -172,7 +121,7 @@ let exec ~job_timeout ~retries ~backoff run_sim j =
       (* A broken expectation function must not bring the job (let
          alone the pool) down: its exception is the violation. *)
       let violation =
-        match j.j_expect with
+        match spec.Job.expect with
         | None -> None
         | Some f -> (
           try f result with e -> Some ("expect raised: " ^ Printexc.to_string e))
@@ -322,124 +271,18 @@ let outcome_name r =
     | Ptaint_sim.Sim.Trap _ -> "trap"
     | Ptaint_sim.Sim.Out_of_fuel -> "out-of-fuel")
 
-(* Structured-log adoption: job failures carry the typed taxonomy as
-   fields, so a log pipeline can aggregate by kind without parsing
-   prose.  Logging happens on the submitting domain only. *)
-let log_failure log r =
-  match r.status with
-  | Finished _ -> ()
-  | Failed f ->
-    let module L = Ptaint_obs.Log in
-    let kind_fields =
-      match f.kind with
-      | Timeout { seconds } -> [ L.float "seconds" seconds ]
-      | Guest_fault { sysnum; pc; _ } -> [ L.int "sysnum" sysnum; L.int "pc" pc ]
-      | Loader_error { where; message } -> [ L.str "where" where; L.str "message" message ]
-      | Crashed -> [ L.str "error" f.exn ]
-    in
-    let trace_fields =
-      match r.trace with
-      | Some (tid, span) -> [ L.str "trace" (L.hex_id tid); L.int "span" span ]
-      | None -> []
-    in
-    L.warn log ~src:"campaign" "job failed"
-      ([ L.str "tag" r.name; L.str "policy" r.policy_label;
-         L.str "kind" (kind_name f.kind); L.int "attempts" r.attempts ]
-       @ kind_fields @ trace_fields)
-
-let run ?domains ?trace ?log ?job_timeout ?(retries = 0) ?(backoff = 0.05) jobs =
-  let t0 = Unix.gettimeofday () in
-  (* Load each distinct image once up front; workers restore the
-     copy-on-write snapshot per run.  Template building never brings a
-     job down: a program the loader rejects simply has no template and
-     fails on its own worker, where [exec] contains it.  Spec jobs
-     whose program was pre-built on the submitting domain (and that
-     run injection-free — the fault injector boots its own session)
-     share templates the same way. *)
-  let templates =
-    Ptaint_sim.Sim.templates_of
-      (List.filter_map
-         (fun j ->
-           match j.j_work with
-           | Sim_run (c, p) -> Some (c, p)
-           | Spec ({ Job.injections = []; config; _ }, Some p) -> Some (config, p)
-           | Spec _ | Thunk _ -> None)
-         jobs)
-  in
-  let run_sim ~deadline config program =
-    Ptaint_sim.Sim.run_with ?deadline templates config program
-  in
-  let results = Pool.map ?domains (exec ~job_timeout ~retries ~backoff run_sim) jobs in
-  let wall_seconds = Unix.gettimeofday () -. t0 in
-  (* Job spans are emitted from the submitting domain only, after the
-     pool has drained — the trace is single-domain mutable state. *)
-  (match trace with
-   | Some tr ->
-     List.iter
-       (fun r ->
-         Ptaint_obs.Trace.emit tr
-           (Ptaint_obs.Event.Job
-              { name = r.name;
-                label = r.policy_label;
-                t0_us = (r.timing.started -. t0) *. 1e6;
-                dur_us = (r.timing.finished -. r.timing.started) *. 1e6;
-                domain = r.timing.domain;
-                outcome = outcome_name r;
-                trace = r.trace }))
-       results
-   | None -> ());
-  (match log with
-   | Some l -> List.iter (log_failure l) results
-   | None -> ());
-  (results, stats_of ~wall_seconds results)
-
-(* The unified {!Job.t} entry point: pre-build every payload once on
-   the submitting domain (deduplicated by content hash, so a batch
-   that submits the same source many times compiles it once), then
-   run through the same pool/exec/templates machinery as [run]. *)
-let run_jobs ?domains ?trace ?log ?job_timeout ?retries ?backoff specs =
-  let built : (string, Ptaint_asm.Program.t) Hashtbl.t = Hashtbl.create 16 in
-  let prebuild spec =
-    let key = Job.image_key spec in
-    match Hashtbl.find_opt built key with
-    | Some p -> Some p
-    | None -> (
-      match Job.program spec with
-      | p ->
-        Hashtbl.add built key p;
-        Some p
-      | exception _ ->
-        (* Malformed source: no pre-built program, the worker rebuilds
-           and [exec] classifies the toolchain failure. *)
-        None)
-  in
-  run ?domains ?trace ?log ?job_timeout ?retries ?backoff
-    (List.map (fun spec -> of_job ?program:(prebuild spec) spec) specs)
-
-(* One job, no pool — the daemon's per-worker entry point.  [run_sim]
-   lets the caller route execution through its own template cache;
-   [program] skips the payload build when the caller already holds the
-   compiled image. *)
-let run_job ?job_timeout ?(retries = 0) ?(backoff = 0.05) ?run_sim ?program spec =
-  let run_sim =
-    match run_sim with
-    | Some f -> f
-    | None -> fun ~deadline config p -> Ptaint_sim.Sim.run ?deadline ~config p
-  in
-  exec ~job_timeout ~retries ~backoff run_sim (of_job ?program spec)
-
 (* --- streaming campaigns ---
 
-   [run]/[run_jobs] accumulate one [job_result] per job — the right
-   shape for a few hundred jobs, the wrong one for a generative
-   campaign, where at 10^6 jobs the result list (and the machines and
-   kernels it pins) dwarfs the working set.  The streaming engine
-   keeps O(window) state instead: jobs are pulled lazily from a
-   sequence, executed on a persistent worker pool through the arena
-   boot path, reduced on the worker to a compact {!job_summary}, and
-   folded — in submission order, whatever the scheduling — into an
-   incremental {!tally} whose counters are byte-identical to the
-   batch path's {!stats}. *)
+   A collected batch keeps one [job_result] per job — the right shape
+   for a few hundred jobs, the wrong one for a generative campaign,
+   where at 10^6 jobs the result list (and the machines and kernels it
+   pins) dwarfs the working set.  A stream keeps O(window) state
+   instead: each job is reduced on its worker to a compact
+   {!job_summary} and folded — in submission order, whatever the
+   scheduling — into an incremental {!tally} whose counters are
+   byte-identical to a collected batch's {!stats}. *)
+
+type detail = Outcome of Ptaint_sim.Sim.outcome | Text of string
 
 type job_summary = {
   s_index : int;
@@ -455,6 +298,9 @@ type job_summary = {
   s_syscalls : int;
   s_attempts : int;
   s_trace : (int * int) option;
+  s_detail : detail;
+  s_exit_code : int;
+  s_timing : timing;
 }
 
 (* Runs on the worker, before its arena is rebooted: everything the
@@ -462,17 +308,18 @@ type job_summary = {
    [job_result] (whose machine may alias the domain arena) is never
    retained past the job that produced it. *)
 let summarize idx (r : job_result) =
-  let failed, detected, alert_pc, instructions, syscalls =
+  let failed, detail, exit_code, instructions, syscalls =
     match r.status with
-    | Failed _ -> (true, false, None, 0, 0)
-    | Finished res -> (
-      match res.Ptaint_sim.Sim.outcome with
-      | Ptaint_sim.Sim.Alert a ->
-        ( false, true,
-          Some a.Ptaint_cpu.Machine.alert_pc,
-          res.Ptaint_sim.Sim.instructions, res.Ptaint_sim.Sim.syscalls )
-      | _ ->
-        (false, false, None, res.Ptaint_sim.Sim.instructions, res.Ptaint_sim.Sim.syscalls))
+    | Failed f -> (true, Text f.exn, 4, 0, 0)
+    | Finished res ->
+      let outcome = res.Ptaint_sim.Sim.outcome in
+      ( false, Outcome outcome, Ptaint_sim.Sim.exit_code outcome,
+        res.Ptaint_sim.Sim.instructions, res.Ptaint_sim.Sim.syscalls )
+  in
+  let alert_pc =
+    match detail with
+    | Outcome (Ptaint_sim.Sim.Alert a) -> Some a.Ptaint_cpu.Machine.alert_pc
+    | _ -> None
   in
   { s_index = idx;
     s_name = r.name;
@@ -481,12 +328,15 @@ let summarize idx (r : job_result) =
     s_counters = job_counters r;
     s_failed = failed;
     s_violation = r.violation <> None;
-    s_detected = detected;
+    s_detected = alert_pc <> None;
     s_alert_pc = alert_pc;
     s_instructions = instructions;
     s_syscalls = syscalls;
     s_attempts = r.attempts;
-    s_trace = r.trace }
+    s_trace = r.trace;
+    s_detail = detail;
+    s_exit_code = exit_code;
+    s_timing = r.timing }
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -575,6 +425,10 @@ let tally_add t (s : job_summary) =
       m
   in
   List.iter (fun (name, by) -> M.inc ~by (M.counter m name)) s.s_counters;
+  (* wall clock is not a counter: it renders only under [~timings] and
+     never enters a checkpoint dump *)
+  M.observe (M.histogram m "job wall ms")
+    ((s.s_timing.finished -. s.s_timing.started) *. 1000.);
   if s.s_detected then
     Hashtbl.replace t.t_detections s.s_label
       (1 + Option.value ~default:0 (Hashtbl.find_opt t.t_detections s.s_label));
@@ -653,7 +507,7 @@ let load_tally d =
   t.t_sites <- d.d_sites;
   t
 
-(* Shared image cache for streaming workers.  Distinct programs in a
+(* Shared image cache for the engine's workers.  Distinct programs in a
    generative stream recur constantly (the variant pool is bounded),
    so the first worker to see a payload builds program + boot image
    and every later job reuses both by reference.  Builds run outside
@@ -661,107 +515,84 @@ let load_tally d =
    generational flush (exceeding [capacity] clears the table), which
    is free in the steady state where the variant pool fits. *)
 module Images = struct
-  type entry = { e_program : Ptaint_asm.Program.t; e_template : Ptaint_sim.Sim.template }
+  type t = { mu : Mutex.t; tbl : (string, Ptaint_sim.Sim.template) Hashtbl.t }
 
-  type t = {
-    mu : Mutex.t;
-    tbl : (string, entry) Hashtbl.t;
-    capacity : int;
-  }
-
-  let create ?(capacity = 128) () =
-    { mu = Mutex.create (); tbl = Hashtbl.create 64; capacity }
+  let capacity = 128
+  let create () = { mu = Mutex.create (); tbl = Hashtbl.create 64 }
 
   let obtain t spec =
     let key = Job.image_key spec in
     Mutex.lock t.mu;
     match Hashtbl.find_opt t.tbl key with
-    | Some e ->
+    | Some image ->
       Mutex.unlock t.mu;
-      e
+      image
     | None -> (
       Mutex.unlock t.mu;
-      let program = Job.program spec in
-      let template = Ptaint_sim.Sim.prepare ~config:spec.Job.config program in
+      let image = Ptaint_sim.Sim.prepare ~config:spec.Job.config (Job.program spec) in
       Mutex.lock t.mu;
       match Hashtbl.find_opt t.tbl key with
-      | Some e ->
+      | Some image ->
         (* racing build: first insert wins so every job shares it *)
         Mutex.unlock t.mu;
-        e
+        image
       | None ->
-        if Hashtbl.length t.tbl >= t.capacity then Hashtbl.reset t.tbl;
-        let e = { e_program = program; e_template = template } in
-        Hashtbl.replace t.tbl key e;
+        if Hashtbl.length t.tbl >= capacity then Hashtbl.reset t.tbl;
+        Hashtbl.replace t.tbl key image;
         Mutex.unlock t.mu;
-        e)
+        image)
 end
 
-(* Streamed failures log from the summary (the full failure record
-   never crosses the worker boundary): kind is the outcome name. *)
-let log_failed_summary log (s : job_summary) =
-  if s.s_failed then begin
-    let module L = Ptaint_obs.Log in
-    L.warn log ~src:"campaign" "job failed"
-      ([ L.int "index" s.s_index; L.str "tag" s.s_name; L.str "policy" s.s_label;
-         L.str "kind" s.s_outcome; L.int "attempts" s.s_attempts ]
-       @
-       match s.s_trace with
-       | Some (tid, span) -> [ L.str "trace" (L.hex_id tid); L.int "span" span ]
-       | None -> [])
-  end
+(* --- the engine ---
 
-let run_stream ?domains ?log ?job_timeout ?(retries = 0) ?(backoff = 0.05) ?window ?(start = 0)
-    ?(tally = tally ()) ?on_result ?on_progress jobs =
+   Every batch runs here.  Jobs are pulled lazily from a sequence and
+   posted to a persistent worker pool; at most [window] (4x the worker
+   count) are admitted beyond the flush cursor, which bounds both the
+   queue and the reorder buffer.  Each worker fetches the job's program
+   and boot image from the shared cache, runs it through [exec], and
+   reduces the result with [reduce] before it touches its next job;
+   [emit] then sees every reduced value on the calling domain, in
+   submission order.
+
+   [keep] picks the boot: a collected result outlives the next job on
+   its domain, so it must come from a fresh machine
+   ({!Ptaint_sim.Sim.run_template}); a reduced-and-dropped one may
+   alias the domain's recycled arena
+   ({!Ptaint_sim.Sim.run_template_arena}). *)
+let engine ?domains ~job_timeout ~retries ~backoff ~start ~keep ~reduce ~emit jobs =
   let svc = Pool.service ?domains () in
-  let window =
-    match window with Some w -> max 1 w | None -> 4 * Pool.service_size svc
-  in
+  let window = 4 * Pool.service_size svc in
   let images = Images.create () in
+  let boot = if keep then Ptaint_sim.Sim.run_template else Ptaint_sim.Sim.run_template_arena in
+  let runner spec =
+    let image = Images.obtain images spec in
+    (Ptaint_sim.Sim.Image.program image, fun ~deadline config -> boot ?deadline ~config image)
+  in
   let mu = Mutex.create () in
   let cv = Condition.create () in
-  let completions : job_summary Queue.t = Queue.create () in
-  (* out-of-order completions parked until the cursor reaches them;
-     bounded by [window] *)
-  let pending : (int, job_summary) Hashtbl.t = Hashtbl.create (2 * window) in
+  let completions = Queue.create () in
+  (* out-of-order completions parked until the cursor reaches them *)
+  let pending = Hashtbl.create (2 * window) in
   let run_one idx (spec : Job.t) () =
-    let summary =
-      match
-        let entry =
-          (* injection plans boot their own session inside the fault
-             injector; building a template for them would be wasted *)
-          if spec.Job.injections <> [] then None
-          else try Some (Images.obtain images spec) with _ -> None
-        in
-        let program = Option.map (fun e -> e.Images.e_program) entry in
-        let run_sim ~deadline config p =
-          match entry with
-          | Some e -> Ptaint_sim.Sim.run_template_arena ?deadline ~config e.Images.e_template
-          | None -> Ptaint_sim.Sim.run ?deadline ~config p
-        in
-        summarize idx (exec ~job_timeout ~retries ~backoff run_sim (of_job ?program spec))
-      with
-      | s -> s
-      | exception _ ->
+    let v =
+      match reduce idx (exec ~job_timeout ~retries ~backoff ~runner spec) with
+      | v -> v
+      | exception e ->
         (* [exec] contains everything, so this is belt and braces: the
            pump must never lose a completion, or the reorder flush
            stalls forever at this index. *)
-        { s_index = idx;
-          s_name = spec.Job.tag;
-          s_label = job_label spec;
-          s_outcome = "crashed";
-          s_counters = [ ("jobs", 1); ("crashed", 1) ];
-          s_failed = true;
-          s_violation = false;
-          s_detected = false;
-          s_alert_pc = None;
-          s_instructions = 0;
-          s_syscalls = 0;
-          s_attempts = 1;
-          s_trace = spec.Job.trace }
+        let now = Unix.gettimeofday () in
+        reduce idx
+          { name = spec.Job.tag;
+            policy_label = job_label spec;
+            status = Failed { kind = Crashed; exn = Printexc.to_string e; backtrace = "" };
+            violation = None;
+            attempts = 1;
+            timing = { started = now; finished = now; domain = (Domain.self () :> int) };
+            trace = spec.Job.trace }
     in
     Mutex.lock mu;
-    Queue.push summary completions;
+    Queue.push (idx, v) completions;
     Condition.signal cv;
     Mutex.unlock mu
   in
@@ -783,25 +614,73 @@ let run_stream ?domains ?log ?job_timeout ?(retries = 0) ?(backoff = 0.05) ?wind
     while Queue.is_empty completions do
       Condition.wait cv mu
     done;
-    let batch = Queue.fold (fun acc c -> c :: acc) [] completions in
+    Queue.iter (fun (i, v) -> Hashtbl.replace pending i v) completions;
     Queue.clear completions;
     Mutex.unlock mu;
-    List.iter (fun s -> Hashtbl.replace pending s.s_index s) batch;
-    let progressed = ref false in
     while Hashtbl.mem pending !cursor do
-      let s = Hashtbl.find pending !cursor in
+      emit (Hashtbl.find pending !cursor);
       Hashtbl.remove pending !cursor;
-      tally_add tally s;
-      (match log with Some l -> log_failed_summary l s | None -> ());
-      (match on_result with Some f -> f s | None -> ());
-      incr cursor;
-      progressed := true
+      incr cursor
     done;
-    if !progressed then (match on_progress with Some f -> f ~cursor:!cursor tally | None -> ());
     pump_submit ()
   done;
   Pool.stop svc;
-  (tally, !cursor)
+  !cursor
+
+let run_stream ?domains ?(start = 0) ?(tally = tally ()) ?(on_result = ignore) jobs =
+  let cursor =
+    engine ?domains ~job_timeout:None ~retries:0 ~backoff:0. ~start ~keep:false
+      ~reduce:summarize
+      ~emit:(fun s ->
+        tally_add tally s;
+        on_result s)
+      jobs
+  in
+  (tally, cursor)
+
+(* A collect over the engine: fresh boots, every result kept, then the
+   job spans emitted from the calling domain — the trace is
+   single-domain mutable state. *)
+let run_jobs ?domains ?trace ?job_timeout ?(retries = 0) ?(backoff = 0.05) specs =
+  let t0 = Unix.gettimeofday () in
+  let results = ref [] in
+  ignore
+    (engine ?domains ~job_timeout ~retries ~backoff ~start:0 ~keep:true
+       ~reduce:(fun _ r -> r)
+       ~emit:(fun r -> results := r :: !results)
+       (List.to_seq specs));
+  let results = List.rev !results in
+  let wall_seconds = Unix.gettimeofday () -. t0 in
+  (match trace with
+   | Some tr ->
+     List.iter
+       (fun r ->
+         Ptaint_obs.Trace.emit tr
+           (Ptaint_obs.Event.Job
+              { name = r.name;
+                label = r.policy_label;
+                t0_us = (r.timing.started -. t0) *. 1e6;
+                dur_us = (r.timing.finished -. r.timing.started) *. 1e6;
+                domain = r.timing.domain;
+                outcome = outcome_name r;
+                trace = r.trace }))
+       results
+   | None -> ());
+  (results, stats_of ~wall_seconds results)
+
+(* One job, no pool — the daemon's per-worker entry point.  [run_sim]
+   lets the caller route execution through its own image cache;
+   [program] skips the payload build when the caller already holds the
+   compiled image. *)
+let run_job ?job_timeout ?(retries = 0) ?(backoff = 0.05) ?run_sim ?program spec =
+  let runner spec =
+    let p = match program with Some p -> p | None -> Job.program spec in
+    ( p,
+      match run_sim with
+      | Some f -> fun ~deadline config -> f ~deadline config p
+      | None -> fun ~deadline config -> Ptaint_sim.Sim.run ?deadline ~config p )
+  in
+  exec ~job_timeout ~retries ~backoff ~runner spec
 
 let metrics_table_of ?(timings = false) metrics =
   let module M = Ptaint_obs.Metrics in

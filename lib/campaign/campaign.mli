@@ -4,23 +4,26 @@
     attacks × policies × (attack, benign) plus the SPEC-like
     false-positive workloads — and every future scaling direction
     (larger corpora, fuzzing campaigns, fault-injection sweeps) has
-    the same shape.  A {!job} names one simulation: a pre-built guest
-    program, the {!Ptaint_sim.Sim.config} to run it under, and an
-    optional expectation on the result.  {!run} executes a batch on a
-    fixed-size domain pool ({!Pool}) and returns one {!job_result} per
-    job, in submission order regardless of scheduling, together with
-    aggregate {!stats}.
+    the same shape.  Every batch is a sequence of {!Job.t}s run by one
+    engine: a persistent domain pool ({!Pool}), one content-hash
+    image cache, and one containment wrapper per job.  The engine
+    comes in two shapes over the same machinery: {!run_stream} folds
+    each job into an incremental {!tally} and keeps nothing, and
+    {!run_jobs} collects one {!job_result} per job, in submission
+    order, together with aggregate {!stats}.
 
     Isolation guarantees:
     - {b fuel}: each job's instruction budget is its config's
       [max_instructions]; a guest that spins exhausts only its own
       fuel, never the campaign's.
-    - {b wall clock}: with [~job_timeout], each job additionally gets
-      a wall-clock budget enforced cooperatively at fuel-slice
-      boundaries; a job that overruns is reported as a {!Timeout}
-      failure and its worker moves on.
-    - {b exceptions}: a job whose execution raises is classified into
-      the {!failure_kind} taxonomy and reported as {!Failed}; the
+    - {b wall clock}: with [~job_timeout] (or the job's own
+      [Job.timeout]), each job additionally gets a wall-clock budget
+      enforced cooperatively at fuel-slice boundaries; a job that
+      overruns is reported as a {!Timeout} failure and its worker
+      moves on.
+    - {b exceptions}: a job whose execution raises — including a
+      payload that fails to assemble, compile or load — is classified
+      into the {!failure_kind} taxonomy and reported as {!Failed}; the
       remaining jobs run to completion.  One poisoned job can never
       bring down a worker domain or the pool.
     - {b retries}: failures classified as plain {!Crashed} (the only
@@ -29,66 +32,21 @@
       guest faults, loader errors) are never retried.
 
     Determinism: simulations share no mutable state — every job boots
-    a fresh machine, memory image and kernel — so results are
-    byte-identical whatever [~domains] is.  Build programs {e before}
-    submission (jobs carry a built [Program.t], not a builder) so
-    compilation caches and lazies are only touched from the
-    submitting domain.
+    its own machine state, memory image and kernel — so results are
+    byte-identical whatever [~domains] is.
 
-    Image sharing: {!run} loads each distinct image (same program,
-    argv, env, taint sources) once via {!Ptaint_sim.Sim.prepare} and
-    every job running it restores the copy-on-write memory snapshot
-    instead of re-assembling and re-loading.  Snapshot pages are
-    immutable, so concurrent restores from many domains are safe, and
-    a restored boot is observationally identical to a fresh load —
-    the sharing never changes results. *)
-
-type job
+    Image sharing: the first worker to meet a payload builds its
+    program and loads it once via {!Ptaint_sim.Sim.prepare}, keyed by
+    {!Job.image_key}; every job with the same image restores the
+    copy-on-write memory snapshot instead of re-building and
+    re-loading.  Snapshot pages are immutable, so concurrent restores
+    from many domains are safe, and a restored boot is
+    observationally identical to a fresh load — the sharing never
+    changes results. *)
 
 val label_of_policy : Ptaint_cpu.Policy.t -> string
 (** Canonical report label for a policy's mode: ["no protection"],
     ["control-data only"], ["pointer taintedness"]. *)
-
-val of_job : ?program:Ptaint_asm.Program.t -> Job.t -> job
-(** Lift a unified {!Job.t} into a campaign job.  [program] supplies a
-    pre-built guest image (enabling snapshot-template sharing in
-    {!run}); without it the worker builds the payload itself, and a
-    toolchain failure is contained and classified as a loader error. *)
-
-val job :
-  name:string ->
-  ?policy_label:string ->
-  ?expect:(Ptaint_sim.Sim.result -> string option) ->
-  config:Ptaint_sim.Sim.config ->
-  Ptaint_asm.Program.t ->
-  job
-(** One simulation of [program] under [config].  [policy_label]
-    (default: derived from [config.policy]) buckets the job in
-    {!stats} detection counts.  [expect] inspects the result and
-    returns a violation message when the job did not do what the
-    campaign expected — violations are counted but do not fail the
-    job, and an [expect] function that itself raises is reported as a
-    violation, never as a job failure.
-
-    Deprecated as a front-end entry point: build a {!Job.t} and submit
-    it through {!run_jobs} so the CLI, the batch runner and the daemon
-    all speak the same value; [job] remains for in-process callers
-    that already hold a built program and a config. *)
-
-val job_thunk :
-  name:string ->
-  ?policy_label:string ->
-  ?expect:(Ptaint_sim.Sim.result -> string option) ->
-  (unit -> Ptaint_sim.Sim.result) ->
-  job
-(** Escape hatch for work that is not a plain [Sim.run] (custom
-    drivers, steppable sessions, fault-injected runs).  The thunk runs
-    on a worker domain: it must not touch shared mutable state.  The
-    campaign watchdog cannot arm a deadline inside an opaque thunk —
-    pass [Sim.finish_sliced ~deadline] yourself if the thunk's guest
-    can spin. *)
-
-val job_name : job -> string
 
 (** {1 Failure taxonomy}
 
@@ -168,56 +126,41 @@ type stats = {
           histograms *)
 }
 
-val run :
+val run_jobs :
   ?domains:int ->
   ?trace:Ptaint_obs.Trace.t ->
-  ?log:Ptaint_obs.Log.t ->
   ?job_timeout:float ->
   ?retries:int ->
   ?backoff:float ->
-  job list ->
+  Job.t list ->
   job_result list * stats
-(** Execute the batch on [domains] workers (default
-    {!Pool.recommended_domains}).  Results are in submission order.
+(** Run the batch on [domains] workers (default
+    {!Pool.recommended_domains}) and collect every result, in
+    submission order — the engine of {!run_stream}, with one
+    difference: every job boots a fresh machine from the shared image
+    ({!Ptaint_sim.Sim.run_template}), never the domain arena, because
+    the caller keeps each [result.machine] after the worker has moved
+    on.
 
     [job_timeout] arms a per-job wall-clock watchdog (seconds): each
-    [Sim_run] job runs fuel-sliced with an absolute deadline checked
-    at every slice boundary, and an overrun is reported as a
-    {!Timeout} failure.  The check is cooperative, so granularity is
-    one {!Ptaint_sim.Sim.default_slice} worth of guest execution
-    (well under a millisecond).
+    job runs fuel-sliced with an absolute deadline checked at every
+    slice boundary, and an overrun is reported as a {!Timeout}
+    failure.  The check is cooperative, so granularity is one
+    {!Ptaint_sim.Sim.default_slice} worth of guest execution (well
+    under a millisecond).  A job's own [Job.timeout] overrides it.
 
     [retries] (default 0) re-runs a job whose failure classified as
     {!Crashed}, up to that many extra attempts, sleeping
     [backoff * 2^(attempt-1)] seconds (default backoff 0.05) between
     attempts.  The deadline is re-derived per attempt.
 
+    A job's [Job.injections] run through {!Ptaint_fi.Fi.run_plan}; its
+    [Job.expect] judges the result.
+
     With [trace], one {!Ptaint_obs.Event.Job} span per job (start
     offset, duration, worker domain, outcome) is emitted — from the
-    submitting domain, after the pool drains — ready for the Chrome
-    trace exporter.
-
-    With [log], each failed job is logged at [Warn] with its typed
-    taxonomy (kind, attempts, per-kind details) and trace id as
-    structured fields — also from the submitting domain only. *)
-
-val run_jobs :
-  ?domains:int ->
-  ?trace:Ptaint_obs.Trace.t ->
-  ?log:Ptaint_obs.Log.t ->
-  ?job_timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  Job.t list ->
-  job_result list * stats
-(** {!run} over unified {!Job.t} values — the batch entry point the
-    CLIs, the experiment matrices and the daemon all share.  Payloads
-    are built once on the submitting domain (deduplicated by
-    {!Job.image_key}, so a batch submitting the same source many
-    times compiles it once) and injection-free jobs with a shared
-    image boot from one snapshot template.  A job's own
-    [Job.timeout] overrides [job_timeout]; its [Job.injections] run
-    through {!Ptaint_fi.Fi.run_plan}. *)
+    calling domain, after the pool drains — ready for the Chrome trace
+    exporter. *)
 
 val run_job :
   ?job_timeout:float ->
@@ -239,17 +182,24 @@ val run_job :
 
 (** {1 Streaming campaigns}
 
-    {!run}/{!run_jobs} accumulate one {!job_result} per job; at
+    {!run_jobs} accumulates one {!job_result} per job; at
     generative-campaign scale (10⁵–10⁶ jobs) that list — and the
     machines and kernels it pins — dwarfs the working set.
     {!run_stream} bounds memory at any job count: jobs are pulled
-    lazily from a sequence, executed on a persistent worker pool
-    through the per-domain arena boot path
-    ({!Ptaint_sim.Sim.run_template_arena}), reduced on the worker to a
-    compact {!job_summary}, and folded {e in submission order},
-    whatever the scheduling, into an incremental {!tally}.  A streamed
-    campaign's counters-only [metrics_table] is byte-identical to the
-    batch path's at any [-j]. *)
+    lazily from a sequence, executed through the per-domain arena
+    boot path ({!Ptaint_sim.Sim.run_template_arena}), reduced on the
+    worker to a compact {!job_summary}, and folded {e in submission
+    order}, whatever the scheduling, into an incremental {!tally}.  A
+    streamed campaign's counters-only [metrics_table] is
+    byte-identical to the collected batch's at any [-j]. *)
+
+type detail =
+  | Outcome of Ptaint_sim.Sim.outcome
+      (** a finished job's outcome — immutable, safe to keep after the
+          arena is rebooted; render with {!Ptaint_sim.Sim.pp_outcome} *)
+  | Text of string
+      (** a failed job's exception text, or an outcome already
+          rendered elsewhere (the daemon's event) *)
 
 type job_summary = {
   s_index : int;  (** submission index within the stream *)
@@ -265,8 +215,14 @@ type job_summary = {
   s_syscalls : int;
   s_attempts : int;
   s_trace : (int * int) option;  (** the submitted job's correlation id *)
+  s_detail : detail;  (** what the job's report line says *)
+  s_exit_code : int;
+      (** {!Ptaint_sim.Sim.exit_code} of a finished job, 4 for a failed
+          one *)
+  s_timing : timing;  (** wall clock on the worker; never in the JSONL *)
 }
-(** Everything aggregation and the JSONL sink need from one job,
+(** Everything aggregation, the JSONL sink and a per-job report line
+    need from one job,
     extracted on the worker before its arena is rebooted — the full
     result is never retained. *)
 
@@ -278,8 +234,9 @@ val jsonl_of_summary : job_summary -> string
 
 type tally
 (** Incremental campaign aggregate: the deterministic counter half of
-    {!stats} plus the distinct-detection-site set.  Mutable;
-    single-owner (the {!run_stream} pump). *)
+    {!stats}, the distinct-detection-site set, and a per-label
+    ["job wall ms"] histogram (shown only by [metrics_table
+    ~timings:true], never dumped).  Mutable; single-owner. *)
 
 val tally : unit -> tally
 val tally_add : tally -> job_summary -> unit
@@ -292,8 +249,9 @@ val tally_sites : tally -> int list
 val tally_stats : ?wall_seconds:float -> tally -> stats
 (** The accumulated aggregate as a {!stats}.  Counters, detections and
     label order are byte-identical to what {!run} would have computed
-    over the same jobs; the wall/concurrency histograms are absent
-    (they cannot survive a checkpoint round-trip). *)
+    over the same jobs.  Of the timing histograms only the
+    ["job wall ms"] rows of this run are present (they do not survive
+    a checkpoint round-trip). *)
 
 type tally_dump = {
   d_jobs : int;
@@ -313,37 +271,28 @@ val load_tally : tally_dump -> tally
 
 val run_stream :
   ?domains:int ->
-  ?log:Ptaint_obs.Log.t ->
-  ?job_timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  ?window:int ->
   ?start:int ->
   ?tally:tally ->
   ?on_result:(job_summary -> unit) ->
-  ?on_progress:(cursor:int -> tally -> unit) ->
   Job.t Seq.t ->
   tally * int
 (** Stream the sequence through a persistent pool of [domains]
     workers and fold each completion into the tally; returns the
     tally and the final cursor (index one past the last job folded).
 
-    At most [window] jobs (default 4× the worker count) are admitted
-    beyond the flush cursor, which bounds both queue depth and the
-    reorder buffer.  [on_result] is called once per job, in
-    submission order — the JSONL sink hook.  [on_progress] is called
-    with the new contiguous cursor after every flush — the checkpoint
-    hook: every job with index < cursor is folded into the tally, no
-    job ≥ cursor is.
+    At most 4× the worker count jobs are admitted beyond the flush
+    cursor, which bounds both queue depth and the reorder buffer.
+    [on_result] is called once per job, in submission order, after
+    the job is folded — the hook for a JSONL sink and for checkpoints:
+    when it sees job [i], every job up to [i] is in the tally and no
+    later one is.  A job's own [Job.timeout] arms its watchdog; a
+    stream never retries.
 
     Resume: pass [start] (the manifest cursor), a [tally] rebuilt via
     {!load_tally}, and a sequence beginning at job [start].
 
-    Workers share built programs and boot images through an internal
-    content-hash cache and boot via the domain arena, which rewinds
-    only the guest pages the previous job wrote or mapped when the
-    image repeats.  [job_timeout]/[retries]/[backoff] behave as in
-    {!run}. *)
+    Workers boot via the domain arena, which rewinds only the guest
+    pages the previous job wrote or mapped when the image repeats. *)
 
 val job_counters : job_result -> (string * int) list
 (** The deterministic counter deltas this job contributes to its

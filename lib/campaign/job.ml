@@ -21,21 +21,12 @@ type t = {
   trace : (int * int) option;
 }
 
-let make ~tag ?(config = Ptaint_sim.Sim.default_config) ?policy_label
+let make ~tag ?(config = Ptaint_sim.Sim.Config.default) ?policy_label
     ?(injections = []) ?timeout ?expect ?trace payload =
   { tag; payload; config; policy_label; injections; timeout; expect; trace }
 
-let with_config config t = { t with config }
-let with_policy_label label t = { t with policy_label = Some label }
 let with_injections injections t = { t with injections }
 let with_timeout seconds t = { t with timeout = Some seconds }
-let with_expect expect t = { t with expect = Some expect }
-let with_trace trace t = { t with trace = Some trace }
-
-let payload_kind = function
-  | Asm_source _ -> "asm"
-  | C_source _ -> "c"
-  | Image _ -> "image"
 
 let program t =
   match t.payload with
@@ -47,10 +38,10 @@ let program t =
    image: the program bytes plus the loader inputs (argv/env/sources
    decide the initial stack and its taint).  Two jobs with equal keys
    can boot from one snapshot template; policy, stdin, sessions, fuel
-   and timing may all differ.  [Image] payloads fall back to physical
-   identity (no stable content serialization for built programs), so
-   their keys are only equal within one process — exactly the
-   template-sharing case. *)
+   and timing may all differ.  [Image] payloads hash a digest of the
+   whole marshalled program (instructions, data, symbols, line table):
+   [Hashtbl.hash] would stop after a few values and give programs that
+   differ only in their instructions one key. *)
 let image_key t =
   let c = t.config in
   let b = Buffer.create 256 in
@@ -59,7 +50,7 @@ let image_key t =
    | C_source s -> Buffer.add_string b "c\x00"; Buffer.add_string b s
    | Image p ->
      Buffer.add_string b "image\x00";
-     Buffer.add_string b (string_of_int (Hashtbl.hash (Obj.repr p))));
+     Buffer.add_string b (Digest.string (Marshal.to_string p [ Marshal.No_sharing ])));
   Buffer.add_char b '\x00';
   List.iter (fun a -> Buffer.add_string b a; Buffer.add_char b '\x00') c.Ptaint_sim.Sim.argv;
   Buffer.add_char b '\x00';

@@ -3,14 +3,14 @@
     Every front end — the one-shot CLI, the batch runner, the
     experiment matrices and the ptaintd daemon protocol — builds this
     same record and submits it to the campaign engine
-    ({!Campaign.run_jobs}, {!Campaign.run_job}), so a job means the
-    same thing whether it arrives on a command line, in a batch, or
-    over a socket.
+    ({!Campaign.run_stream}, {!Campaign.run_jobs}, {!Campaign.run_job}),
+    so a job means the same thing whether it arrives on a command
+    line, in a batch, or over a socket.
 
     The payload stays symbolic (source text, or a pre-assembled
     program for in-process callers): that is what lets the daemon key
-    its content-hash cache on the program bytes and lets the batch
-    runner share one boot-snapshot template across identical images. *)
+    its content-hash cache on the program bytes and lets the campaign
+    engine share one boot image across identical programs. *)
 
 type payload =
   | Asm_source of string  (** SIMIPS assembly, assembled on demand *)
@@ -48,15 +48,8 @@ val make :
   payload ->
   t
 
-val with_config : Ptaint_sim.Sim.config -> t -> t
-val with_policy_label : string -> t -> t
 val with_injections : Ptaint_fi.Fi.injection list -> t -> t
 val with_timeout : float -> t -> t
-val with_expect : (Ptaint_sim.Sim.result -> string option) -> t -> t
-val with_trace : int * int -> t -> t
-
-val payload_kind : payload -> string
-(** ["asm"], ["c"], ["image"]. *)
 
 val program : t -> Ptaint_asm.Program.t
 (** Build the guest program: assemble, compile, or return the image.
@@ -68,6 +61,6 @@ val program : t -> Ptaint_asm.Program.t
 val image_key : t -> string
 (** Content hash (hex) of everything that shapes the loaded memory
     image: program bytes plus argv/env/sources.  Jobs with equal keys
-    can boot from one snapshot template.  [Image] payloads hash by
-    physical identity, so their keys are only stable within one
-    process. *)
+    can boot from one snapshot template.  [Image] payloads are keyed
+    by a digest of the whole program, so two images with equal
+    content share a key and two that differ anywhere do not. *)

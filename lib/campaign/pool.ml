@@ -1,62 +1,16 @@
 let recommended_domains () = max 1 (Domain.recommended_domain_count ())
 
-type 'b slot = Value of 'b | Raised of exn * Printexc.raw_backtrace
-
-let mapi ?(domains = recommended_domains ()) f xs =
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  if n = 0 then []
-  else begin
-    let out = Array.make n None in
-    let next = Atomic.make 0 in
-    let worker () =
-      (* Domains inherit the backtrace-recording flag only at spawn on
-         some runtimes; force it so a [Raised] slot always carries the
-         worker-side frames for [raise_with_backtrace]. *)
-      Printexc.record_backtrace true;
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          let slot =
-            match f i arr.(i) with
-            | v -> Value v
-            | exception e -> Raised (e, Printexc.get_raw_backtrace ())
-          in
-          out.(i) <- Some slot;
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let helpers = min (max 0 (domains - 1)) (n - 1) in
-    let spawned = List.init helpers (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join spawned;
-    Array.to_list out
-    |> List.map (function
-         | Some (Value v) -> v
-         | Some (Raised (e, bt)) -> Printexc.raise_with_backtrace e bt
-         | None -> assert false (* every index < n is claimed exactly once *))
-  end
-
-let map ?domains f xs = mapi ?domains (fun _ x -> f x) xs
-
-(* --- persistent service pool ---
-
-   [map] spins domains up and down per batch, which is the right shape
-   for a one-shot campaign and the wrong one for a long-lived daemon
-   taking jobs from many clients.  A [service] keeps a fixed set of
-   worker domains alive behind a mutex/condition task queue: [post]
-   enqueues a closure, an idle worker picks it up, and [stop] lets the
-   queue drain before joining every worker.  Tasks run with exceptions
-   contained (a poisoned task can never kill a worker domain); callers
-   that care about a task's outcome communicate through the closure. *)
+(* A [service] keeps a fixed set of worker domains alive behind a
+   mutex/condition task queue: [post] enqueues a closure, an idle
+   worker picks it up, and [stop] lets the queue drain before joining
+   every worker.  Tasks run with exceptions contained (a poisoned task
+   can never kill a worker domain); callers that care about a task's
+   outcome communicate through the closure. *)
 
 type service = {
   mu : Mutex.t;
   cv : Condition.t;  (* signalled on enqueue and on stop *)
   tasks : (unit -> unit) Queue.t;
-  mutable active : int;  (* tasks currently executing *)
   mutable stopping : bool;  (* no new posts; workers exit once drained *)
   mutable workers : unit Domain.t list;
   size : int;
@@ -66,26 +20,16 @@ let service_worker s () =
   Printexc.record_backtrace true;
   let rec loop () =
     Mutex.lock s.mu;
-    let rec next () =
-      if not (Queue.is_empty s.tasks) then begin
-        let t = Queue.pop s.tasks in
-        s.active <- s.active + 1;
-        Mutex.unlock s.mu;
-        (try t () with _ -> ());
-        Mutex.lock s.mu;
-        s.active <- s.active - 1;
-        (* wake [stop]/[quiesce] waiters watching for the drain *)
-        Condition.broadcast s.cv;
-        Mutex.unlock s.mu;
-        loop ()
-      end
-      else if s.stopping then Mutex.unlock s.mu
-      else begin
-        Condition.wait s.cv s.mu;
-        next ()
-      end
-    in
-    next ()
+    while Queue.is_empty s.tasks && not s.stopping do
+      Condition.wait s.cv s.mu
+    done;
+    if Queue.is_empty s.tasks then Mutex.unlock s.mu (* stopping, drained *)
+    else begin
+      let t = Queue.pop s.tasks in
+      Mutex.unlock s.mu;
+      (try t () with _ -> ());
+      loop ()
+    end
   in
   loop ()
 
@@ -94,7 +38,6 @@ let service ?(domains = recommended_domains ()) () =
     { mu = Mutex.create ();
       cv = Condition.create ();
       tasks = Queue.create ();
-      active = 0;
       stopping = false;
       workers = [];
       size = max 1 domains }
@@ -112,19 +55,6 @@ let post s task =
   end;
   Queue.push task s.tasks;
   Condition.signal s.cv;
-  Mutex.unlock s.mu
-
-let in_flight s =
-  Mutex.lock s.mu;
-  let n = Queue.length s.tasks + s.active in
-  Mutex.unlock s.mu;
-  n
-
-let quiesce s =
-  Mutex.lock s.mu;
-  while not (Queue.is_empty s.tasks && s.active = 0) do
-    Condition.wait s.cv s.mu
-  done;
   Mutex.unlock s.mu
 
 let stop s =

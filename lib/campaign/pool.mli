@@ -1,37 +1,14 @@
-(** Fixed-size domain pool for order-preserving parallel maps.
+(** Persistent domain pool: a fixed set of worker domains behind a
+    task queue.
 
-    The pool underpins every batch runner in the tree
-    ({!Ptaint_sim.Sim.run_many}, [Campaign.run]): workers are OCaml 5
-    domains pulling indices from a shared atomic cursor, so work is
-    balanced dynamically while results land in an array slot per input
-    — output order always matches input order, whatever the
-    scheduling.
-
-    [?domains] counts the calling domain: [~domains:1] runs entirely
-    inline (no domain is spawned), [~domains:n] spawns at most [n - 1]
-    helpers and has the caller work alongside them.  The pool never
-    spawns more helpers than there are items. *)
+    The pool underpins the campaign engine ([Campaign.run_stream] and
+    [Campaign.run_jobs]) and the ptaintd scheduler, which both post
+    one closure per admitted job.  [?domains] counts {e worker}
+    domains: the caller (the campaign pump, the daemon's event loop)
+    never executes tasks itself. *)
 
 val recommended_domains : unit -> int
 (** [Domain.recommended_domain_count], floored at 1. *)
-
-val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~domains f xs] is [List.map f xs] computed on the pool.  If
-    any application raises, the pool still drains, then the exception
-    of the smallest-index failing item is re-raised (with its
-    backtrace) on the calling domain. *)
-
-val mapi : ?domains:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
-(** [map] with the item's submission index. *)
-
-(** {1 Persistent service pool}
-
-    [map] spins domains up and down per batch — right for a one-shot
-    campaign, wrong for a long-lived daemon.  A {!service} keeps a
-    fixed set of worker domains alive behind a task queue; the
-    ptaintd scheduler posts one closure per admitted job.  Unlike
-    {!map}, [?domains] here counts {e worker} domains: the caller
-    (the daemon's event loop) never executes tasks itself. *)
 
 type service
 
@@ -47,12 +24,6 @@ val post : service -> (unit -> unit) -> unit
     the task are swallowed — a poisoned task never kills a worker
     domain; report outcomes through the closure.  Raises
     [Invalid_argument] after {!stop}. *)
-
-val in_flight : service -> int
-(** Queued plus currently-executing tasks. *)
-
-val quiesce : service -> unit
-(** Block until the queue is empty and every worker is idle. *)
 
 val stop : service -> unit
 (** Let the queue drain, then join every worker.  The service cannot

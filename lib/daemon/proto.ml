@@ -9,7 +9,7 @@
 
      offset 0   'P'                 magic
      offset 1   'D'
-     offset 2   version (= 3; v1/v2 frames still decode)
+     offset 2   version (= 4; v1-v3 frames still decode)
      offset 3   frame tag
      offset 4   payload length, u32 big-endian
      offset 8   payload bytes
@@ -35,9 +35,14 @@
    bytes unless a later field is present, in which case it is written
    as an explicit presence-0 byte — a keyless, deadline-less v3 spec
    therefore stays byte-identical to its v2 rendering, and a
-   traceless one to its v1 rendering. *)
+   traceless one to its v1 rendering.
 
-let version = 3
+   Version 4 continues the cascade on Finished events with the alert
+   pc of a detected attack, so a client can count distinct detection
+   sites without the worker-side result.  A run that raised no alert
+   encodes exactly as its v3 self. *)
+
+let version = 4
 let min_version = 1
 let header_bytes = 8
 let max_payload = 16 * 1024 * 1024
@@ -115,6 +120,7 @@ type event =
       counters : (string * int) list;  (** {!Ptaint_campaign.Campaign.job_counters} *)
       stdout : string;
       trace : (int * int) option;
+      alert_pc : int option;  (** v4 trailing field *)
     }
   | Job_failed of {
       id : int;
@@ -459,7 +465,10 @@ let w_event b = function
     w_bool b f.cache_hit;
     w_list b w_counter f.counters;
     w_string b f.stdout;
-    w_trace b f.trace
+    (match f.trace with
+     | None when f.alert_pc <> None -> w_u8 b 0
+     | trace -> w_trace b trace);
+    (match f.alert_pc with Some pc -> w_u8 b 1; w_i64 b pc | None -> ())
   | Job_failed f ->
     w_u8 b ev_failed;
     w_i64 b f.id;
@@ -485,8 +494,9 @@ let r_event c =
     let counters = r_list c r_counter "counters" in
     let stdout = r_string c "stdout" in
     let trace = r_trace c in
+    let alert_pc = r_trailing c r_i64 "alert pc" in
     Finished { id; tag; outcome; exit_code; instructions; syscalls;
-               policy_label; cache_hit; counters; stdout; trace }
+               policy_label; cache_hit; counters; stdout; trace; alert_pc }
   | 3 ->
     let id = r_i64 c "job id" in
     let tag = r_string c "job tag" in

@@ -5,7 +5,7 @@
 
     {v
     offset 0  'P' 'D'      magic
-    offset 2  version      (= 3; v1/v2 frames still decode)
+    offset 2  version      (= 4; v1-v3 frames still decode)
     offset 3  frame tag
     offset 4  u32 BE       payload length
     offset 8  payload
@@ -36,7 +36,12 @@
     zero bytes; an absent field before a present one costs one
     explicit presence-0 byte — so specs using no v3 feature stay
     byte-identical to their v2 rendering and v1/v2 frames decode with
-    [spec_idem = None], [spec_deadline = None]. *)
+    [spec_idem = None], [spec_deadline = None].
+
+    Version 4 appends the detection site ([alert_pc]) to Finished
+    events, after the trace id, in the same cascade: an alert-free
+    event encodes exactly as in v3, and v1–v3 events decode with
+    [alert_pc = None]. *)
 
 val version : int
 
@@ -151,6 +156,8 @@ type event =
               registries byte-for-byte *)
       stdout : string;
       trace : (int * int) option;
+      alert_pc : int option;
+          (** pc of the detected attack's alert; trailing v4 field *)
     }
   | Job_failed of {
       id : int;

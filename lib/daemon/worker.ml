@@ -39,12 +39,6 @@ let outcome_class (o : Ptaint_sim.Sim.outcome) =
   | Ptaint_sim.Sim.Trap _ -> "trap"
   | Ptaint_sim.Sim.Out_of_fuel -> "out-of-fuel"
 
-let exit_code_of (o : Ptaint_sim.Sim.outcome) =
-  match o with
-  | Ptaint_sim.Sim.Exited c -> c land 0xff
-  | Ptaint_sim.Sim.Alert _ -> 3
-  | Ptaint_sim.Sim.Fault _ | Ptaint_sim.Sim.Trap _ | Ptaint_sim.Sim.Out_of_fuel -> 4
-
 let event_of_result ~id ~tag ~cache_hit (r : Campaign.job_result) =
   let counters = Campaign.job_counters r in
   match r.Campaign.status with
@@ -52,14 +46,18 @@ let event_of_result ~id ~tag ~cache_hit (r : Campaign.job_result) =
     Proto.Finished
       { id; tag;
         outcome = Format.asprintf "%a" Ptaint_sim.Sim.pp_outcome res.Ptaint_sim.Sim.outcome;
-        exit_code = exit_code_of res.Ptaint_sim.Sim.outcome;
+        exit_code = Ptaint_sim.Sim.exit_code res.Ptaint_sim.Sim.outcome;
         instructions = res.Ptaint_sim.Sim.instructions;
         syscalls = res.Ptaint_sim.Sim.syscalls;
         policy_label = r.Campaign.policy_label;
         cache_hit;
         counters;
         stdout = truncate_stdout res.Ptaint_sim.Sim.stdout;
-        trace = r.Campaign.trace }
+        trace = r.Campaign.trace;
+        alert_pc =
+          (match res.Ptaint_sim.Sim.outcome with
+           | Ptaint_sim.Sim.Alert a -> Some a.Ptaint_cpu.Machine.alert_pc
+           | _ -> None) }
   | Campaign.Failed f ->
     Proto.Job_failed
       { id; tag;

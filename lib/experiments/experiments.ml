@@ -121,7 +121,8 @@ let fig3 () =
   let w = Ptaint_workloads.Workload.gzip in
   let p = Ptaint_workloads.Workload.program w in
   let config =
-    Ptaint_sim.Sim.config ~stdin:(w.Ptaint_workloads.Workload.input ()) ~timing:true ()
+    Ptaint_sim.Sim.Config.(
+      default |> with_stdin (w.Ptaint_workloads.Workload.input ()) |> with_timing true)
   in
   let r = Ptaint_sim.Sim.run ~config p in
   (match r.Ptaint_sim.Sim.pipeline with
@@ -486,7 +487,10 @@ let overhead () =
         let p = Ptaint_workloads.Workload.program w in
         let run policy =
           let config =
-            Ptaint_sim.Sim.config ~policy ~stdin:(w.Ptaint_workloads.Workload.input ()) ~timing:true ()
+            Ptaint_sim.Sim.Config.(
+              default |> with_policy policy
+              |> with_stdin (w.Ptaint_workloads.Workload.input ())
+              |> with_timing true)
           in
           Ptaint_sim.Sim.run ~config p
         in
@@ -551,7 +555,7 @@ let ablation () =
   (* flip side: Table 4(A) becomes detected *)
   let a_input = Payload.le_word (Ptaint_isa.Word.of_signed (-1)) in
   let r = run_fn ~policy:no_compare Ptaint_apps.Synthetic.fn_integer_overflow
-      (Ptaint_sim.Sim.config ~stdin:a_input ()) in
+      Ptaint_sim.Sim.Config.(default |> with_stdin a_input) in
   buf_add buf
     (Printf.sprintf "   Table 4(A) integer-overflow attack without rule 4: %s\n\n"
        (Format.asprintf "%a" Ptaint_sim.Sim.pp_outcome r.Ptaint_sim.Sim.outcome));
@@ -595,19 +599,23 @@ let extension () =
      structure becomes tainted.  Implemented here as guard()/unguard() syscalls\n\
      backed by a Guarded_store detector.\n\n";
   let payload = Payload.fill 16 ^ "\x01" ^ "\n" in
-  let r = run_fn Ptaint_apps.Synthetic.fn_auth_flag (Ptaint_sim.Sim.config ~stdin:payload ()) in
+  let r =
+    run_fn Ptaint_apps.Synthetic.fn_auth_flag Ptaint_sim.Sim.Config.(default |> with_stdin payload)
+  in
   buf_add buf
     (Printf.sprintf "Table 4(B) victim, unannotated:  %s (output: %s)\n"
        (Format.asprintf "%a" Ptaint_sim.Sim.pp_outcome r.Ptaint_sim.Sim.outcome)
        (String.escaped (String.trim r.Ptaint_sim.Sim.stdout)));
   let r =
-    run_fn Ptaint_apps.Synthetic.fn_auth_flag_guarded (Ptaint_sim.Sim.config ~stdin:payload ())
+    run_fn Ptaint_apps.Synthetic.fn_auth_flag_guarded
+      Ptaint_sim.Sim.Config.(default |> with_stdin payload)
   in
   buf_add buf
     (Printf.sprintf "Same victim with guard(&auth,4): %s\n"
        (Format.asprintf "%a" Ptaint_sim.Sim.pp_outcome r.Ptaint_sim.Sim.outcome));
   let r =
-    run_fn Ptaint_apps.Synthetic.fn_auth_flag_guarded (Ptaint_sim.Sim.config ~stdin:"secret\n" ())
+    run_fn Ptaint_apps.Synthetic.fn_auth_flag_guarded
+      Ptaint_sim.Sim.Config.(default |> with_stdin "secret\n")
   in
   buf_add buf
     (Printf.sprintf "Annotated victim, honest login:  %s (output: %s)\n"
@@ -852,25 +860,31 @@ let resilience ?domains ?trace ?(seed = 42) () =
   let bad_syscall =
     Ptaint_asm.Assembler.assemble_exn ".text\nmain: li $v0, 999\n      syscall\n"
   in
-  let crash_count = Atomic.make 0 in
+  (* every hostile row is an ordinary Job.t: the crash is an [on_step]
+     hook that raises, the malformed program a source that fails to
+     assemble on the worker *)
+  let job ?(config = Ptaint_sim.Sim.Config.default) tag program =
+    Job.make ~tag ~config (Job.Image program)
+  in
   let hostile_jobs =
-    [ Campaign.job ~name:"well-behaved" ~config:(benign_cfg exp1) exp1;
-      Campaign.job ~name:"spinning guest (watchdog)"
-        ~config:(Ptaint_sim.Sim.config ~max_instructions:1_000_000_000 ()) spin;
-      Campaign.job_thunk ~name:"crashing harness thunk (retried)" (fun () ->
-          ignore (Atomic.fetch_and_add crash_count 1);
-          failwith "synthetic harness crash");
-      Campaign.job ~name:"oversized argv (loader)"
-        ~config:(Ptaint_sim.Sim.config ~argv:[ "prog"; String.make 2_000_000 'A' ] ())
+    [ job "well-behaved" ~config:(benign_cfg exp1) exp1;
+      job "spinning guest (watchdog)"
+        ~config:Ptaint_sim.Sim.Config.(default |> with_max_instructions 1_000_000_000)
+        spin;
+      job "crashing harness thunk (retried)"
+        ~config:
+          Ptaint_sim.Sim.Config.(
+            default |> with_on_step (fun _ _ -> failwith "synthetic harness crash"))
         exp1;
-      Campaign.job_thunk ~name:"malformed assembly (loader)" (fun () ->
-          Ptaint_sim.Sim.run_asm ".data\nx: .space -4\n");
-      Campaign.job ~name:"unknown syscall (guest fault)"
-        ~config:(Ptaint_sim.Sim.config ()) bad_syscall;
-      Campaign.job ~name:"well-behaved neighbour" ~config:(benign_cfg exp1) exp1 ]
+      job "oversized argv (loader)"
+        ~config:Ptaint_sim.Sim.Config.(default |> with_argv [ "prog"; String.make 2_000_000 'A' ])
+        exp1;
+      Job.make ~tag:"malformed assembly (loader)" (Job.Asm_source ".data\nx: .space -4\n");
+      job "unknown syscall (guest fault)" bad_syscall;
+      job "well-behaved neighbour" ~config:(benign_cfg exp1) exp1 ]
   in
   let hresults, hstats =
-    Campaign.run ?domains ?trace ~job_timeout:0.5 ~retries:1 ~backoff:0.01 hostile_jobs
+    Campaign.run_jobs ?domains ?trace ~job_timeout:0.5 ~retries:1 ~backoff:0.01 hostile_jobs
   in
   buf_add buf
     (Ptaint_report.Report.table ~headers:[ "job"; "outcome"; "attempts" ]

@@ -166,7 +166,7 @@ let job t i =
   let r = Rng.create (mix t.seed salt_payload case) in
   let attack, stdin = payload_for r v in
   let config =
-    { Ptaint_sim.Sim.default_config with Ptaint_sim.Sim.policy; stdin }
+    { Ptaint_sim.Sim.Config.default with Ptaint_sim.Sim.policy; stdin }
   in
   let tag =
     Printf.sprintf "gen/c%05d/v%02d/%s/%s" case v.v_index (attack_name attack) label

@@ -28,7 +28,7 @@ val report : Sim.result -> string
 (** A human-readable incident report for an [Alert]/[Fault] outcome:
     the alert line, symbolized PC, guest backtrace, and the tainted
     registers at the time of detection.  When the run was observed
-    ([Sim.config ~obs:true]) the report also includes the last-N
+    ([Sim.Config.with_obs true]) the report also includes the last-N
     instruction window leading up to detection and a taint-provenance
     narrative: which syscall introduced the tainted bytes (and at what
     input offset), which registers and regions they reached, and the

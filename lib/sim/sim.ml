@@ -30,14 +30,6 @@ let default_config =
     obs = false;
     on_step = None }
 
-let config ?(policy = default_config.policy) ?(sources = default_config.sources)
-    ?(argv = default_config.argv) ?(env = default_config.env) ?(stdin = default_config.stdin)
-    ?(sessions = default_config.sessions) ?(fs_init = default_config.fs_init)
-    ?(uid = default_config.uid) ?(max_instructions = default_config.max_instructions)
-    ?(timing = default_config.timing) ?(obs = default_config.obs) ?on_step () =
-  { policy; sources; argv; env; stdin; sessions; fs_init; uid; max_instructions; timing;
-    obs; on_step }
-
 let policy_labels =
   [ ("full", Policy.default);
     ("control-only", Policy.control_only);
@@ -54,17 +46,8 @@ let policy_of_label = function
       (Printf.sprintf "unknown policy %S (%s)" s
          (String.concat " | " (List.map fst policy_labels)))
 
-let config_of ~label ?sources ?argv ?env ?stdin ?sessions ?fs_init ?uid
-    ?max_instructions ?timing ?obs ?on_step () =
-  match policy_of_label label with
-  | Error e -> invalid_arg ("Sim.config_of: " ^ e)
-  | Ok policy ->
-    config ~policy ?sources ?argv ?env ?stdin ?sessions ?fs_init ?uid
-      ?max_instructions ?timing ?obs ?on_step ()
-
-(* The builder supersedes the ever-growing optional-argument
-   constructors above: each setter is value-first so configs read as
-   pipelines ([default |> with_policy p |> with_stdin s]). *)
+(* The one way to build a config: each setter is value-first so
+   configs read as pipelines ([default |> with_policy p |> with_stdin s]). *)
 module Config = struct
   type t = config
 
@@ -87,7 +70,6 @@ module Config = struct
   let with_timing timing c = { c with timing }
   let with_obs obs c = { c with obs }
   let with_on_step on_step c = { c with on_step = Some on_step }
-  let without_on_step c = { c with on_step = None }
 end
 
 type outcome =
@@ -121,6 +103,11 @@ let pp_outcome ppf = function
   | Out_of_fuel -> Format.pp_print_string ppf "instruction budget exhausted"
 
 let detected r = match r.outcome with Alert _ -> true | _ -> false
+
+let exit_code = function
+  | Exited c -> c land 0xff
+  | Alert _ -> 3
+  | Fault _ | Trap _ | Out_of_fuel -> 4
 
 type session = {
   s_machine : Machine.t;
@@ -222,11 +209,6 @@ let prepare ?(config = default_config) program =
     i_env = config.env;
     i_sources = config.sources;
     i_tiers = Atomic.make [] }
-
-let template_matches (config : config) program (tpl : template) =
-  tpl.Image.i_image.Ptaint_asm.Loader.program == program
-  && tpl.Image.i_argv = config.argv && tpl.Image.i_env = config.env
-  && tpl.Image.i_sources = config.sources
 
 let check_template_config who (config : config) (tpl : template) =
   if not
@@ -505,24 +487,6 @@ let run_template_arena ?deadline ?slice ?config tpl =
   | None, None -> finish s
   | _ -> finish_sliced ?deadline ?slice s
 
-let templates_of batch =
-  List.fold_left
-    (fun acc (config, program) ->
-      if List.exists (template_matches config program) acc then acc
-      else
-        match prepare ~config program with
-        | tpl -> tpl :: acc
-        | exception _ ->
-          (* A program the loader rejects gets no template; running it
-             directly reproduces the same failure on the worker. *)
-          acc)
-    [] batch
-
-let run_with ?deadline ?slice templates config program =
-  match List.find_opt (template_matches config program) templates with
-  | Some tpl -> run_template ?deadline ?slice ~config tpl
-  | None -> run ?deadline ?slice ~config program
-
 (* --- observation accessors --- *)
 
 let trace s = Machine.trace s.s_machine
@@ -533,11 +497,3 @@ let events r =
   | None -> []
 
 let insn_window r = Machine.ring_window r.machine
-
-let run_many ?domains batch =
-  (* Build one template per distinct image in the parent, then let the
-     workers restore the snapshot instead of re-loading. *)
-  let templates = templates_of batch in
-  Ptaint_pool.Pool.map ?domains
-    (fun (config, program) -> run_with templates config program)
-    batch

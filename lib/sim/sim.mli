@@ -28,9 +28,7 @@ type config = {
       (** called before each instruction executes — tracing hook *)
 }
 
-val default_config : config
-
-(** Pipeline-style configuration builder — the preferred way to make a
+(** Pipeline-style configuration builder — the one way to make a
     {!config}:
 
     {[ Sim.Config.(default |> with_policy_label "full" |> with_stdin data) ]}
@@ -43,7 +41,9 @@ module Config : sig
   type t = config
 
   val default : t
-  (** Same value as {!default_config}. *)
+  (** Policy {!Ptaint_cpu.Policy.default}, every taint source on,
+      argv [["prog"]], uid 1000, a 200M-instruction budget, no timing
+      model, no observation. *)
 
   val with_policy : Ptaint_cpu.Policy.t -> t -> t
 
@@ -62,24 +62,13 @@ module Config : sig
   val with_timing : bool -> t -> t
   val with_obs : bool -> t -> t
   val with_on_step : (Ptaint_cpu.Machine.t -> Ptaint_isa.Insn.t -> unit) -> t -> t
-  val without_on_step : t -> t
 end
-
-(** Deprecated constructor — prefer {!Config}.  Kept as a thin wrapper
-    so existing call sites and the library's own internals keep
-    compiling; new code should write
-    [Config.(default |> with_policy p |> …)]. *)
-val config : ?policy:Ptaint_cpu.Policy.t -> ?sources:Ptaint_os.Sources.t ->
-  ?argv:string list -> ?env:(string * string) list -> ?stdin:string ->
-  ?sessions:string list list -> ?fs_init:(string * string) list -> ?uid:int ->
-  ?max_instructions:int -> ?timing:bool -> ?obs:bool ->
-  ?on_step:(Ptaint_cpu.Machine.t -> Ptaint_isa.Insn.t -> unit) -> unit -> config
 
 (** {1 Named configurations}
 
     Protection policies have stable textual names so drivers,
     campaign job generators and command lines stop hand-rolling their
-    own policy plumbing against the 11-field {!config} record. *)
+    own policy plumbing against the 12-field {!config} record. *)
 
 val policy_labels : (string * Ptaint_cpu.Policy.t) list
 (** Canonical label for each policy: ["full"], ["control-only"],
@@ -89,14 +78,6 @@ val policy_of_label : string -> (Ptaint_cpu.Policy.t, string) Stdlib.result
 (** Accepts the canonical labels plus their aliases
     (["pointer-taintedness"], ["minos"], ["unprotected"]); [Error]
     carries a human-readable message listing the known labels. *)
-
-val config_of : label:string -> ?sources:Ptaint_os.Sources.t ->
-  ?argv:string list -> ?env:(string * string) list -> ?stdin:string ->
-  ?sessions:string list list -> ?fs_init:(string * string) list -> ?uid:int ->
-  ?max_instructions:int -> ?timing:bool -> ?obs:bool ->
-  ?on_step:(Ptaint_cpu.Machine.t -> Ptaint_isa.Insn.t -> unit) -> unit -> config
-(** {!config} with the policy chosen by name.  Raises
-    [Invalid_argument] on an unknown label. *)
 
 type outcome =
   | Exited of int
@@ -145,7 +126,7 @@ val finish : session -> result
 (** Run the session to completion and collect the result.  Routes
     through the bulk engine ({!Ptaint_cpu.Machine.run})
     when no pipeline timing model, no [on_step] hook and no obs trace
-    is attached — the [run_many]/campaign/benchmark path — and falls
+    is attached — the campaign/benchmark path — and falls
     back to the per-instruction engine otherwise.  Results are
     bit-identical either way. *)
 
@@ -246,10 +227,6 @@ val prepare : ?config:config -> Ptaint_asm.Program.t -> template
 (** Load [program] once, snapshot its initial memory and pre-decode
     its text.  Only [config.argv]/[env]/[sources] matter here. *)
 
-val template_matches : config -> Ptaint_asm.Program.t -> template -> bool
-(** [true] when the template was prepared from this program (physical
-    equality) under the same argv/env/sources. *)
-
 val boot_template : ?config:config -> template -> session
 (** Boot from the snapshot instead of re-loading.  Raises
     [Invalid_argument] if [config] disagrees with the template on
@@ -284,39 +261,17 @@ val run_template_arena :
     campaign's per-job fast path.  The result aliases the domain
     arena; read it before the next arena boot on this domain. *)
 
-val templates_of :
-  (config * Ptaint_asm.Program.t) list -> template list
-(** One template per distinct image in the batch (grouping by program
-    physical equality + argv/env/sources).  Programs the loader
-    rejects are skipped — running them reproduces the failure. *)
-
-val run_with :
-  ?deadline:float -> ?slice:int ->
-  template list -> config -> Ptaint_asm.Program.t -> result
-(** Run via the matching template when there is one, falling back to
-    a plain {!run}.  [deadline] arms the cooperative watchdog. *)
-
-val run_many :
-  ?domains:int -> (config * Ptaint_asm.Program.t) list -> result list
-(** Run a batch of simulations on a fixed-size domain pool, one
-    worker per domain (default [Pool.recommended_domains ()]), and
-    return the results in submission order.  Jobs that share an image
-    (same program, argv, env, sources) are loaded once via
-    {!templates_of} and each run restores the snapshot.  Each
-    simulation still gets a fresh machine/kernel/memory, so results
-    are identical to a sequential
-    [List.map (fun (c, p) -> run ~config:c p)] whatever [~domains]
-    is.  This is the same engine behind [Campaign.run] — use the
-    campaign API when you need per-job crash isolation, expectations
-    or aggregate statistics. *)
-
 val detected : result -> bool
+
+val exit_code : outcome -> int
+(** Process-style exit status: the guest's own status (mod 256) for a
+    clean exit, 3 for a security alert, 4 for anything else. *)
 val pp_outcome : Format.formatter -> outcome -> unit
 
 (** {1 Observation}
 
     Only meaningful when the session was booted with
-    [config ~obs:true]; all three return empty/[None] otherwise. *)
+    [Config.with_obs true]; all three return empty/[None] otherwise. *)
 
 val trace : session -> Ptaint_obs.Trace.t option
 (** The session's event bus — subscribe sinks before running. *)

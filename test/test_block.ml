@@ -20,6 +20,8 @@ module Memory = Ptaint_mem.Memory
 module TS = Ptaint_mem.Tagged_store
 module Scenario = Ptaint_attacks.Scenario
 module Catalog = Ptaint_attacks.Catalog
+module Campaign = Ptaint_campaign.Campaign
+module Job = Ptaint_campaign.Job
 
 (* --- result comparison ---------------------------------------------- *)
 
@@ -172,7 +174,7 @@ let prop_random_programs =
           va vb (render e)
       in
       let program = Ptaint_runtime.Runtime.compile source in
-      ignore (differential (render e) Sim.default_config program);
+      ignore (differential (render e) Sim.Config.default program);
       true)
 
 (* --- the attack catalogue, every scenario x case x policy ------------ *)
@@ -426,7 +428,7 @@ let test_superblock_chains () =
     | Ok p -> p
     | Error e -> Alcotest.failf "assembly failed: %a" Ptaint_asm.Assembler.pp_error e
   in
-  let bulk = differential "superblock-chains" Sim.default_config program in
+  let bulk = differential "superblock-chains" Sim.Config.default program in
   let m = bulk.machine in
   (match bulk.outcome with
    | Sim.Exited 0 -> ()
@@ -494,9 +496,10 @@ let test_taint_flip_mid_chain () =
 
 (* --- batch runner --------------------------------------------------- *)
 
-(* [run_many] feeds every job through [finish]; a two-domain batch
-   must therefore match a sequential per-step run job for job. *)
-let test_run_many_differential () =
+(* The campaign engine feeds every job through [finish]; a two-domain
+   collected batch must therefore match a sequential per-step run job
+   for job. *)
+let test_run_jobs_differential () =
   let stack = Catalog.exp1_stack_smash in
   let format = Catalog.exp3_format in
   let jobs =
@@ -506,10 +509,16 @@ let test_run_many_differential () =
         List.map (fun (c : Scenario.case) -> (c.Scenario.config p, p)) s.cases)
       [ stack; format ]
   in
-  let batch = Sim.run_many ~domains:2 jobs in
+  let batch, _ =
+    Campaign.run_jobs ~domains:2
+      (List.mapi
+         (fun i (config, p) -> Job.make ~tag:(string_of_int i) ~config (Job.Image p))
+         jobs)
+  in
+  let batch = List.map Campaign.result_exn batch in
   let seq = List.map (fun (c, p) -> Sim.finish_per_step (Sim.boot ~config:c p)) jobs in
   List.iteri
-    (fun i (b, r) -> check_agree (Printf.sprintf "run_many job %d" i) b r)
+    (fun i (b, r) -> check_agree (Printf.sprintf "run_jobs job %d" i) b r)
     (List.combine batch seq)
 
 let () =
@@ -523,4 +532,4 @@ let () =
             test_clean_over_tainted_memory;
           Alcotest.test_case "superblock chains, both engines" `Quick test_superblock_chains;
           Alcotest.test_case "taint flip mid-chain" `Quick test_taint_flip_mid_chain;
-          Alcotest.test_case "run_many matches per-step" `Quick test_run_many_differential ] ) ]
+          Alcotest.test_case "run_jobs matches per-step" `Quick test_run_jobs_differential ] ) ]

@@ -6,30 +6,22 @@
 
 open Ptaint_attacks
 module Campaign = Ptaint_campaign.Campaign
-module Pool = Ptaint_pool.Pool
+module Job = Ptaint_campaign.Job
+module Checkpoint = Ptaint_campaign.Checkpoint
 
 let contains hay needle =
   let n = String.length needle in
   let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
-(* --- the generic pool --- *)
+(* Every job here is a {!Job.t}; [image] wraps a built program.  A
+   harness crash is an [on_step] hook that raises — it runs on the
+   worker, inside the containment net, like any other failure. *)
+let image ?(config = Ptaint_sim.Sim.Config.default) ?policy_label name program =
+  Job.make ~tag:name ~config ?policy_label (Job.Image program)
 
-let test_pool_map () =
-  let xs = List.init 100 (fun i -> i) in
-  Alcotest.(check (list int))
-    "parallel map = sequential map"
-    (List.map (fun x -> (x * x) + 1) xs)
-    (Pool.map ~domains:4 (fun x -> (x * x) + 1) xs);
-  Alcotest.(check (list int)) "empty input" [] (Pool.map ~domains:4 (fun x -> x) []);
-  Alcotest.(check (list int))
-    "more domains than items" [ 10 ]
-    (Pool.map ~domains:8 (fun x -> 10 * x) [ 1 ])
-
-let test_pool_raise () =
-  match Pool.map ~domains:3 (fun x -> if x = 2 then failwith "pool boom" else x) [ 1; 2; 3 ] with
-  | _ -> Alcotest.fail "expected the worker exception to propagate"
-  | exception Failure m -> Alcotest.(check string) "first failing item's exception" "pool boom" m
+let raising ?(config = Ptaint_sim.Sim.Config.default) f =
+  Ptaint_sim.Sim.Config.with_on_step (fun _ _ -> f ()) config
 
 (* --- determinism: the full coverage matrix, 1 domain vs many --- *)
 
@@ -41,8 +33,8 @@ let coverage_jobs () =
         (fun (c : Scenario.case) ->
           List.map
             (fun (pname, policy) ->
-              Campaign.job
-                ~name:(Printf.sprintf "%s/%s/%s" s.Scenario.name c.Scenario.case_name pname)
+              image
+                (Printf.sprintf "%s/%s/%s" s.Scenario.name c.Scenario.case_name pname)
                 ~policy_label:pname
                 ~config:{ (c.Scenario.config program) with Ptaint_sim.Sim.policy }
                 program)
@@ -66,8 +58,8 @@ let fingerprint (r : Campaign.job_result) =
 
 let test_determinism () =
   let jobs = coverage_jobs () in
-  let sequential, seq_stats = Campaign.run ~domains:1 jobs in
-  let parallel, par_stats = Campaign.run ~domains:4 jobs in
+  let sequential, seq_stats = Campaign.run_jobs ~domains:1 jobs in
+  let parallel, par_stats = Campaign.run_jobs ~domains:4 jobs in
   Alcotest.(check (list string))
     "parallel results identical to the sequential reference"
     (List.map fingerprint sequential)
@@ -92,13 +84,11 @@ let test_fault_isolation () =
     | Some c -> c
     | None -> Alcotest.fail "exp1 should have a benign case"
   in
-  let ok name =
-    Campaign.job ~name ~config:(benign.Scenario.config program) program
-  in
+  let ok name = image name ~config:(benign.Scenario.config program) program in
   let boom =
-    Campaign.job_thunk ~name:"boom" (fun () -> raise (Failure "guest exploded"))
+    image "boom" ~config:(raising (fun () -> raise (Failure "guest exploded"))) program
   in
-  let results, stats = Campaign.run ~domains:3 [ ok "before"; boom; ok "after" ] in
+  let results, stats = Campaign.run_jobs ~domains:3 [ ok "before"; boom; ok "after" ] in
   (match results with
    | [ before; crashed; after ] ->
      (match before.Campaign.status, after.Campaign.status with
@@ -131,11 +121,12 @@ let test_retry_transient () =
   let config = benign.Scenario.config program in
   let tries = Atomic.make 0 in
   let flaky =
-    Campaign.job_thunk ~name:"flaky" (fun () ->
-        if Atomic.fetch_and_add tries 1 = 0 then failwith "transient glitch"
-        else Ptaint_sim.Sim.run ~config program)
+    image "flaky" program
+      ~config:
+        (raising ~config (fun () ->
+             if Atomic.fetch_and_add tries 1 = 0 then failwith "transient glitch"))
   in
-  let results, stats = Campaign.run ~domains:2 ~retries:2 ~backoff:0.001 [ flaky ] in
+  let results, stats = Campaign.run_jobs ~domains:2 ~retries:2 ~backoff:0.001 [ flaky ] in
   (match results with
    | [ r ] ->
      (match r.Campaign.status with
@@ -149,8 +140,8 @@ let test_retry_transient () =
   let spin = Ptaint_asm.Assembler.assemble_exn ".text\nmain: j main\n" in
   let cfg = Ptaint_sim.Sim.Config.(default |> with_max_instructions 1_000_000_000) in
   let results, _ =
-    Campaign.run ~domains:1 ~job_timeout:0.2 ~retries:3 ~backoff:0.001
-      [ Campaign.job ~name:"spin" ~config:cfg spin ]
+    Campaign.run_jobs ~domains:1 ~job_timeout:0.2 ~retries:3 ~backoff:0.001
+      [ image "spin" ~config:cfg spin ]
   in
   match results with
   | [ r ] -> (
@@ -163,8 +154,11 @@ let test_retry_transient () =
   | _ -> Alcotest.fail "expected one result"
 
 let test_worker_backtrace () =
-  let boom = Campaign.job_thunk ~name:"boom" (fun () -> failwith "kaboom") in
-  let results, _ = Campaign.run ~domains:2 ~retries:1 ~backoff:0.001 [ boom ] in
+  let program =
+    Ptaint_asm.Assembler.assemble_exn ".text\nmain: li $v0, 1\n li $a0, 0\n syscall\n"
+  in
+  let boom = image "boom" ~config:(raising (fun () -> failwith "kaboom")) program in
+  let results, _ = Campaign.run_jobs ~domains:2 ~retries:1 ~backoff:0.001 [ boom ] in
   match results with
   | [ r ] -> (
     (match r.Campaign.status with
@@ -191,11 +185,11 @@ let test_guest_fault_classified () =
   in
   let bad = Ptaint_asm.Assembler.assemble_exn ".text\nmain: li $v0, 999\n      syscall\n" in
   let jobs =
-    [ Campaign.job ~name:"healthy" ~config:(benign.Scenario.config program) program;
-      Campaign.job ~name:"bad-syscall" ~config:(Ptaint_sim.Sim.Config.default) bad;
-      Campaign.job ~name:"healthy-2" ~config:(benign.Scenario.config program) program ]
+    [ image "healthy" ~config:(benign.Scenario.config program) program;
+      image "bad-syscall" bad;
+      image "healthy-2" ~config:(benign.Scenario.config program) program ]
   in
-  let results, stats = Campaign.run ~domains:3 jobs in
+  let results, stats = Campaign.run_jobs ~domains:3 jobs in
   (match results with
    | [ h1; badr; h2 ] ->
      (match (h1.Campaign.status, h2.Campaign.status) with
@@ -212,11 +206,10 @@ let test_loader_error_classified () =
   let program = Catalog.exp1_stack_smash.Scenario.build () in
   let huge_argv = Ptaint_sim.Sim.Config.(default |> with_argv [ "prog"; String.make 2_000_000 'A' ]) in
   let jobs =
-    [ Campaign.job ~name:"oversized-argv" ~config:huge_argv program;
-      Campaign.job_thunk ~name:"bad-asm" (fun () ->
-          Ptaint_sim.Sim.run_asm ".data\nx: .space -4\n") ]
+    [ image "oversized-argv" ~config:huge_argv program;
+      Job.make ~tag:"bad-asm" (Job.Asm_source ".data\nx: .space -4\n") ]
   in
-  let results, _ = Campaign.run ~domains:2 jobs in
+  let results, _ = Campaign.run_jobs ~domains:2 jobs in
   match results with
   | [ argv_r; asm_r ] ->
     (match argv_r.Campaign.status with
@@ -240,11 +233,11 @@ let test_watchdog_in_batch () =
   let spin = Ptaint_asm.Assembler.assemble_exn ".text\nmain: j main\n" in
   let spin_cfg = Ptaint_sim.Sim.Config.(default |> with_max_instructions 1_000_000_000) in
   let jobs =
-    [ Campaign.job ~name:"healthy" ~config:(benign.Scenario.config program) program;
-      Campaign.job ~name:"spin" ~config:spin_cfg spin;
-      Campaign.job ~name:"healthy-2" ~config:(benign.Scenario.config program) program ]
+    [ image "healthy" ~config:(benign.Scenario.config program) program;
+      image "spin" ~config:spin_cfg spin;
+      image "healthy-2" ~config:(benign.Scenario.config program) program ]
   in
-  let results, stats = Campaign.run ~domains:2 ~job_timeout:0.3 jobs in
+  let results, stats = Campaign.run_jobs ~domains:2 ~job_timeout:0.3 jobs in
   (match results with
    | [ h1; spun; h2 ] ->
      (match (h1.Campaign.status, h2.Campaign.status) with
@@ -266,10 +259,9 @@ let test_order () =
   let atk = Scenario.attack Catalog.exp1_stack_smash in
   let jobs =
     List.init 16 (fun i ->
-        Campaign.job ~name:(Printf.sprintf "job-%02d" i)
-          ~config:(atk.Scenario.config program) program)
+        image (Printf.sprintf "job-%02d" i) ~config:(atk.Scenario.config program) program)
   in
-  let results, _ = Campaign.run ~domains:8 jobs in
+  let results, _ = Campaign.run_jobs ~domains:8 jobs in
   Alcotest.(check (list string))
     "results in submission order"
     (List.init 16 (Printf.sprintf "job-%02d"))
@@ -314,16 +306,13 @@ let test_template_restore_determinism () =
 
 let test_campaign_rerun_identical () =
   let jobs = coverage_jobs () in
-  let first, _ = Campaign.run ~domains:4 jobs in
-  let second, _ = Campaign.run ~domains:4 jobs in
+  let first, _ = Campaign.run_jobs ~domains:4 jobs in
+  let second, _ = Campaign.run_jobs ~domains:4 jobs in
   Alcotest.(check (list string))
     "re-running the campaign (fresh snapshots) is bit-identical"
     (List.map fingerprint first) (List.map fingerprint second)
 
 (* --- streaming aggregation: run_stream vs the batch path --- *)
-
-module Job = Ptaint_campaign.Job
-module Checkpoint = Ptaint_campaign.Checkpoint
 
 let stream_jobs () =
   let program = Catalog.exp1_stack_smash.Scenario.build () in
@@ -472,9 +461,42 @@ let test_truncate_jsonl () =
    | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "lines=0 removes the sink" false (Sys.file_exists path)
 
+(* --- image keys: Image payloads are keyed by content --- *)
+
+(* Two programs that differ only in one immediate, deep in the
+   instruction array: a key that stopped hashing early would give them
+   one boot image, and job "b" would run program "a". *)
+let test_image_key_by_content () =
+  let exit_with n =
+    Ptaint_asm.Assembler.assemble_exn
+      (Printf.sprintf ".text\nmain: li $v0, 1\n li $a0, %d\n syscall\n" n)
+  in
+  let a = image "a" (exit_with 0) and b = image "b" (exit_with 7) in
+  Alcotest.(check bool) "different programs, different keys" false
+    (Job.image_key a = Job.image_key b);
+  Alcotest.(check string) "equal content, equal key" (Job.image_key a)
+    (Job.image_key (image "a'" (exit_with 0)));
+  let status (r : Campaign.job_result) =
+    Format.asprintf "%a" Ptaint_sim.Sim.pp_outcome (Campaign.result_exn r).Ptaint_sim.Sim.outcome
+  in
+  let collected, _ = Campaign.run_jobs ~domains:1 [ a; b ] in
+  Alcotest.(check (list string)) "run_jobs runs each job's own program"
+    [ "exited with status 0"; "exited with status 7" ] (List.map status collected);
+  let streamed = ref [] in
+  ignore
+    (Campaign.run_stream ~domains:1
+       ~on_result:(fun s -> streamed := s.Campaign.s_exit_code :: !streamed)
+       (List.to_seq [ a; b ]));
+  Alcotest.(check (list int)) "run_stream runs each job's own program" [ 0; 7 ]
+    (List.rev !streamed)
+
 (* --- Sim conveniences --- *)
 
-let test_run_many () =
+(* Collected results keep their machines: two jobs run back to back on
+   one domain must both still describe their own run afterwards — an
+   arena boot would have rewound the first job's machine into the
+   second's. *)
+let test_run_jobs_results_intact () =
   let program = Catalog.exp1_stack_smash.Scenario.build () in
   let atk = Scenario.attack Catalog.exp1_stack_smash in
   let benign =
@@ -483,28 +505,33 @@ let test_run_many () =
     | None -> Alcotest.fail "exp1 should have a benign case"
   in
   let configs = [ atk.Scenario.config program; benign.Scenario.config program ] in
-  let batch = List.map (fun c -> (c, program)) configs in
-  let parallel = Ptaint_sim.Sim.run_many ~domains:2 batch in
-  let sequential = List.map (fun c -> Ptaint_sim.Sim.run ~config:c program) configs in
-  List.iter2
-    (fun (a : Ptaint_sim.Sim.result) (b : Ptaint_sim.Sim.result) ->
-      Alcotest.(check string) "same outcome"
-        (Format.asprintf "%a" Ptaint_sim.Sim.pp_outcome a.Ptaint_sim.Sim.outcome)
-        (Format.asprintf "%a" Ptaint_sim.Sim.pp_outcome b.Ptaint_sim.Sim.outcome);
-      Alcotest.(check int) "same instructions" a.Ptaint_sim.Sim.instructions
-        b.Ptaint_sim.Sim.instructions)
-    sequential parallel
+  let machine_print (r : Ptaint_sim.Sim.result) =
+    let m = r.Ptaint_sim.Sim.machine in
+    let ms = Ptaint_mem.Memory.stats m.Ptaint_cpu.Machine.mem in
+    Printf.sprintf "%s | icount %d | pc %08x | %d loads | %d stores | %d tainted loads"
+      (result_fingerprint r) m.Ptaint_cpu.Machine.icount m.Ptaint_cpu.Machine.pc
+      ms.Ptaint_mem.Memory.loads ms.Ptaint_mem.Memory.stores
+      ms.Ptaint_mem.Memory.tainted_loads
+  in
+  let collected, _ =
+    Campaign.run_jobs ~domains:1 (List.mapi (fun i config -> image (string_of_int i) ~config program) configs)
+  in
+  let fresh = List.map (fun config -> Ptaint_sim.Sim.run ~config program) configs in
+  Alcotest.(check (list string)) "collected results = fresh runs, machines included"
+    (List.map machine_print fresh)
+    (List.map (fun r -> machine_print (Campaign.result_exn r)) collected)
 
-let test_config_of () =
+let test_config_policy_labels () =
   let mode label =
-    (Ptaint_sim.Sim.config_of ~label ()).Ptaint_sim.Sim.policy.Ptaint_cpu.Policy.mode
+    Ptaint_sim.Sim.Config.(default |> with_policy_label label).Ptaint_sim.Sim.policy
+      .Ptaint_cpu.Policy.mode
   in
   Alcotest.(check bool) "full = pointer taintedness" true
     (mode "full" = Ptaint_cpu.Policy.Pointer_taintedness);
   Alcotest.(check bool) "minos alias" true
     (mode "minos" = Ptaint_cpu.Policy.Control_data_only);
   Alcotest.(check bool) "none" true (mode "none" = Ptaint_cpu.Policy.No_protection);
-  (match Ptaint_sim.Sim.config_of ~label:"bogus" () with
+  (match mode "bogus" with
    | _ -> Alcotest.fail "unknown label must be rejected"
    | exception Invalid_argument _ -> ());
   match Ptaint_sim.Sim.policy_of_label "bogus" with
@@ -513,10 +540,7 @@ let test_config_of () =
 
 let () =
   Alcotest.run "campaign"
-    [ ( "pool",
-        [ Alcotest.test_case "order-preserving map" `Quick test_pool_map;
-          Alcotest.test_case "exception propagation" `Quick test_pool_raise ] );
-      ( "engine",
+    [ ( "engine",
         [ Alcotest.test_case "determinism: full coverage matrix" `Slow test_determinism;
           Alcotest.test_case "fault isolation" `Quick test_fault_isolation;
           Alcotest.test_case "submission order" `Quick test_order ] );
@@ -535,12 +559,15 @@ let () =
             test_stream_sink_accounts_for_failures;
           Alcotest.test_case "checkpoint manifest round-trip" `Quick
             test_checkpoint_roundtrip;
-          Alcotest.test_case "sink truncation on resume" `Quick test_truncate_jsonl ] );
+          Alcotest.test_case "sink truncation on resume" `Quick test_truncate_jsonl;
+          Alcotest.test_case "Image payloads keyed by content" `Quick
+            test_image_key_by_content ] );
       ( "snapshots",
         [ Alcotest.test_case "template restore = reload" `Quick
             test_template_restore_determinism;
           Alcotest.test_case "campaign rerun bit-identical" `Slow
             test_campaign_rerun_identical ] );
       ( "sim API",
-        [ Alcotest.test_case "run_many" `Quick test_run_many;
-          Alcotest.test_case "config_of labels" `Quick test_config_of ] ) ]
+        [ Alcotest.test_case "run_jobs results stay intact" `Quick
+            test_run_jobs_results_intact;
+          Alcotest.test_case "Config policy labels" `Quick test_config_policy_labels ] ) ]

@@ -1,7 +1,7 @@
 (* Mini-C compiler end-to-end tests: compile, run on the simulated
    machine, check behaviour. *)
 
-let run ?(config = Ptaint_sim.Sim.default_config) src =
+let run ?(config = Ptaint_sim.Sim.Config.default) src =
   Ptaint_sim.Sim.run (Ptaint_runtime.Runtime.compile src)
   |> fun r ->
   ignore config;

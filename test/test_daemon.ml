@@ -58,14 +58,14 @@ let responses =
              instructions = 1_000_000_007; syscalls = 42;
              policy_label = "pointer taintedness"; cache_hit = true;
              counters = [ ("jobs", 1); ("instructions", 1_000_000_007) ];
-             stdout = "hello\nworld\n"; trace = None }) );
+             stdout = "hello\nworld\n"; trace = None; alert_pc = None }) );
     ( "finished-traced",
       Proto.Job_event
         (Proto.Finished
            { id = 9; tag = "t"; outcome = "exited with status 0"; exit_code = 0;
              instructions = 3; syscalls = 1; policy_label = "pointer taintedness";
              cache_hit = false; counters = [ ("jobs", 1) ]; stdout = "";
-             trace = Some (max_int, max_int) }) );
+             trace = Some (max_int, max_int); alert_pc = None }) );
     ( "failed",
       Proto.Job_event
         (Proto.Job_failed
@@ -195,7 +195,7 @@ let test_unknown_fault_tag () =
    optional trailing field [None]. *)
 let as_v1 frame =
   let b = Bytes.of_string frame in
-  Alcotest.(check char) "encoder stamps v3" '\x03' (Bytes.get b 2);
+  Alcotest.(check char) "encoder stamps v4" '\x04' (Bytes.get b 2);
   Bytes.set b 2 '\x01';
   Bytes.to_string b
 
@@ -227,10 +227,10 @@ let test_traceless_spec_has_no_trailer () =
 
 let test_future_version_rejected () =
   let f = Bytes.of_string (Proto.encode_request Proto.Quit) in
-  Bytes.set f 2 '\x04';
+  Bytes.set f 2 '\x05';
   match Proto.decode_request (Bytes.to_string f) with
-  | Error (Proto.Bad_version 4) -> ()
-  | _ -> Alcotest.fail "version 4 must be rejected"
+  | Error (Proto.Bad_version 5) -> ()
+  | _ -> Alcotest.fail "version 5 must be rejected"
 
 (* v3 trailing-optional cascade: idem and deadline round-trip, and a
    deadline without an idem key pays the one explicit presence-0 byte
@@ -255,6 +255,36 @@ let test_v3_trailer_sizes () =
   (* deadline only: presence-0 for trace and idem, then Some + i64 *)
   let dead = enc (Proto.job_spec ~tag:"t" ~deadline:1.0 (Proto.Wire_asm "")) in
   Alcotest.(check int) "deadline-only trailer" (bare + 1 + 1 + 9) dead
+
+(* v4: the alert pc trails the trace id on Finished events.  An
+   alert-free event is byte-identical to its v3 rendering (and so
+   decodes when replayed as v3); a pc without a trace pays one
+   presence-0 byte for the absent trace. *)
+let test_v4_alert_pc () =
+  let finished ?trace ?alert_pc () =
+    Proto.Job_event
+      (Proto.Finished
+         { id = 3; tag = "a"; outcome = "SECURITY ALERT"; exit_code = 3;
+           instructions = 10; syscalls = 1; policy_label = "pointer taintedness";
+           cache_hit = false; counters = [ ("jobs", 1) ]; stdout = ""; trace; alert_pc })
+  in
+  let enc r = Proto.encode_response r in
+  let bare = String.length (enc (finished ())) in
+  Alcotest.(check int) "pc-only trailer" (bare + 1 + 1 + 8)
+    (String.length (enc (finished ~alert_pc:0x400020 ())));
+  Alcotest.(check int) "trace + pc trailer" (bare + 17 + 9)
+    (String.length (enc (finished ~trace:(5, 6) ~alert_pc:0x400020 ())));
+  List.iter
+    (fun r ->
+      match Proto.decode_response (enc r) with
+      | Ok (Some (d, _)) -> Alcotest.(check bool) "v4 round-trip" true (d = r)
+      | _ -> Alcotest.fail "v4 Finished did not round-trip")
+    [ finished ~alert_pc:0x400020 (); finished ~trace:(5, 6) ~alert_pc:0x400020 () ];
+  let v3 = Bytes.of_string (enc (finished ~trace:(5, 6) ())) in
+  Bytes.set v3 2 '\x03';
+  match Proto.decode_response (Bytes.to_string v3) with
+  | Ok (Some (d, _)) -> Alcotest.(check bool) "v3 frame: alert_pc = None" true (d = finished ~trace:(5, 6) ())
+  | _ -> Alcotest.fail "v3 Finished must still decode"
 
 (* --- frame streams ------------------------------------------------------ *)
 
@@ -457,7 +487,7 @@ let test_stream_error_sticks () =
       ("oversized", oversized_header);
       ( "future version",
         let f = Bytes.of_string quit in
-        Bytes.set f 2 '\x04';
+        Bytes.set f 2 '\x05';
         Bytes.to_string f ) ]
 
 (* --- job spec <-> Job.t ---------------------------------------------- *)
@@ -611,7 +641,9 @@ let test_loopback_trace_roundtrip () =
                s_counters = f.counters; s_failed = false; s_violation = false;
                s_detected = false; s_alert_pc = None;
                s_instructions = f.instructions; s_syscalls = f.syscalls;
-               s_attempts = 1; s_trace = f.trace }
+               s_attempts = 1; s_trace = f.trace; s_detail = Ptaint_campaign.Campaign.Text f.outcome;
+               s_exit_code = f.exit_code;
+               s_timing = { started = 0.; finished = 0.; domain = 0 } }
            in
            let line = Ptaint_campaign.Campaign.jsonl_of_summary s in
            Alcotest.(check bool) "jsonl carries the trace" true
@@ -973,7 +1005,8 @@ let () =
           Alcotest.test_case "traceless has no trailer" `Quick test_traceless_spec_has_no_trailer;
           Alcotest.test_case "future version rejected" `Quick test_future_version_rejected;
           Alcotest.test_case "idem/deadline round-trip" `Quick test_idem_deadline_roundtrip;
-          Alcotest.test_case "v3 trailer sizes" `Quick test_v3_trailer_sizes ] );
+          Alcotest.test_case "v3 trailer sizes" `Quick test_v3_trailer_sizes;
+          Alcotest.test_case "v4 alert pc" `Quick test_v4_alert_pc ] );
       ( "stream",
         [ Alcotest.test_case "requests in random splits" `Quick test_stream_requests;
           Alcotest.test_case "responses in random splits" `Quick test_stream_responses;

@@ -9,6 +9,7 @@ open Ptaint_attacks
 module Sim = Ptaint_sim.Sim
 module Fi = Ptaint_fi.Fi
 module Campaign = Ptaint_campaign.Campaign
+module Job = Ptaint_campaign.Job
 module Memory = Ptaint_mem.Memory
 module Machine = Ptaint_cpu.Machine
 
@@ -85,16 +86,20 @@ let test_slice_parity () =
         { (attack_config program) with Sim.on_step = Some (fun _ _ -> ()) } );
       ( "per-step engine, benign",
         { (benign_config program) with Sim.on_step = Some (fun _ _ -> ()) } ) ];
-  (* and the parallel batch API agrees with the sliced singles *)
+  (* and the parallel campaign engine agrees with the sliced singles *)
   let configs = [ attack_config program; benign_config program ] in
-  let batch = Sim.run_many ~domains:2 (List.map (fun c -> (c, program)) configs) in
+  let batch, _ =
+    Campaign.run_jobs ~domains:2
+      (List.map (fun config -> Job.make ~tag:"slice" ~config (Job.Image program)) configs)
+  in
+  let batch = List.map Campaign.result_exn batch in
   List.iter2
     (fun config (many : Sim.result) ->
       let sliced =
         Sim.finish_sliced ~deadline:(Unix.gettimeofday () +. 3600.) ~slice:257
           (Sim.boot ~config program)
       in
-      Alcotest.(check string) "run_many = sliced single" (fingerprint many)
+      Alcotest.(check string) "run_jobs = sliced single" (fingerprint many)
         (fingerprint sliced))
     configs batch
 
@@ -159,9 +164,9 @@ let test_superblock_slice_exact () =
     in
     (at, fingerprint r, regs, m)
   in
-  let at_b, fp_b, regs_b, mb = drive Sim.default_config in
+  let at_b, fp_b, regs_b, mb = drive Sim.Config.default in
   let at_s, fp_s, regs_s, _ =
-    drive { Sim.default_config with Sim.on_step = Some (fun _ _ -> ()) }
+    drive { Sim.Config.default with Sim.on_step = Some (fun _ _ -> ()) }
   in
   List.iteri
     (fun i ((pc_b, ic_b), (pc_s, ic_s)) ->
@@ -261,8 +266,7 @@ let trial_jobs () =
           [ { Fi.at; fault = Fi.Flip_data { addr = dbase + Fi.Rng.int g 64; bit = Fi.Rng.int g 8 } } ]
         else [ { Fi.at; fault = Fi.Reg_taint_loss { slot = 1 + Fi.Rng.int g 31 } } ]
       in
-      Campaign.job_thunk ~name:(Printf.sprintf "trial-%d" i) (fun () ->
-          (Fi.run_plan ~config ~plan program).Fi.result))
+      Job.make ~tag:(Printf.sprintf "trial-%d" i) ~config ~injections:plan (Job.Image program))
 
 let test_campaign_determinism () =
   let jprint (r : Campaign.job_result) =
@@ -270,8 +274,8 @@ let test_campaign_determinism () =
     | Campaign.Finished res -> r.Campaign.name ^ " " ^ fingerprint res
     | Campaign.Failed f -> r.Campaign.name ^ " FAILED " ^ Campaign.kind_name f.Campaign.kind
   in
-  let one, _ = Campaign.run ~domains:1 (trial_jobs ()) in
-  let two, _ = Campaign.run ~domains:2 (trial_jobs ()) in
+  let one, _ = Campaign.run_jobs ~domains:1 (trial_jobs ()) in
+  let two, _ = Campaign.run_jobs ~domains:2 (trial_jobs ()) in
   Alcotest.(check (list string)) "-j 1 = -j 2"
     (List.map jprint one) (List.map jprint two);
   Alcotest.(check bool) "no harness failures" true

@@ -345,12 +345,13 @@ let test_campaign_jobs_and_metrics () =
   let benign = Ptaint_asm.Assembler.assemble_exn ".text\nmain: li $v0, 0\n  li $a0, 0\n  li $v0, 1\n  syscall\n" in
   let tr = Trace.create () in
   let jobs =
-    [ Ptaint_campaign.Campaign.job ~name:"atk" ~policy_label:"full"
-        ~config:(Ptaint_sim.Sim.Config.(default |> with_stdin "\x44\x33\x22\x11xyzw")) program;
-      Ptaint_campaign.Campaign.job ~name:"ok" ~policy_label:"full"
-        ~config:(Ptaint_sim.Sim.Config.default) benign ]
+    let module Job = Ptaint_campaign.Job in
+    [ Job.make ~tag:"atk" ~policy_label:"full"
+        ~config:Ptaint_sim.Sim.Config.(default |> with_stdin "\x44\x33\x22\x11xyzw")
+        (Job.Image program);
+      Job.make ~tag:"ok" ~policy_label:"full" (Job.Image benign) ]
   in
-  let results, stats = Ptaint_campaign.Campaign.run ~domains:2 ~trace:tr jobs in
+  let results, stats = Ptaint_campaign.Campaign.run_jobs ~domains:2 ~trace:tr jobs in
   Alcotest.(check int) "both ran" 2 (List.length results);
   List.iter
     (fun (r : Ptaint_campaign.Campaign.job_result) ->

@@ -1,7 +1,7 @@
 (* OS layer: filesystem, scripted sockets, and kernel syscalls driven
    through real guest programs. *)
 
-let run ?(config = Ptaint_sim.Sim.default_config) src =
+let run ?(config = Ptaint_sim.Sim.Config.default) src =
   Ptaint_sim.Sim.run ~config (Ptaint_runtime.Runtime.compile src)
 
 (* --- Fs --- *)
