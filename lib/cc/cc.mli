@@ -2,11 +2,6 @@
 
 exception Error of { line : int; message : string; phase : string }
 
-val compile_to_asm : ?untaint_writeback:bool -> string -> string
-(** Compile one translation unit (multiple source strings may simply
-    be concatenated by the caller) to SIMIPS assembly text.  See
-    {!Cgen.generate} for [untaint_writeback]. *)
-
 val compile :
   ?untaint_writeback:bool -> ?extra_asm:string list -> string -> Ptaint_asm.Program.t
 (** Compile and assemble.  [extra_asm] fragments (e.g. a runtime's

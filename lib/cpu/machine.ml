@@ -193,18 +193,15 @@ let rop_mask (pol : Policy.t) op ~rs ~rt ~(a : Tword.t) ~(b : Tword.t) =
   if not pol.track then Mask.none
   else
     match (op : Insn.rop) with
-    | AND when pol.and_zero_untaints ->
+    | AND ->
       Prop.and_bytes ~v1:(Tword.value a) ~m1:(Tword.mask a) ~v2:(Tword.value b)
         ~m2:(Tword.mask b)
-    | OR when pol.or_ones_untaints ->
-      Prop.or_bytes ~v1:(Tword.value a) ~m1:(Tword.mask a) ~v2:(Tword.value b)
-        ~m2:(Tword.mask b)
-    | XOR when rs = rt && pol.xor_idiom_untaints -> Prop.xor_same
+    | XOR when rs = rt -> Prop.xor_same
     | SLT | SLTU -> if pol.compare_untaints then Mask.none else Prop.default (Tword.mask a) (Tword.mask b)
     | SLLV -> Prop.shift Prop.Left ~amount:(Tword.value b) ~amount_mask:(Tword.mask b) (Tword.mask a)
     | SRLV | SRAV ->
       Prop.shift Prop.Right ~amount:(Tword.value b) ~amount_mask:(Tword.mask b) (Tword.mask a)
-    | ADD | ADDU | SUB | SUBU | AND | OR | XOR | NOR ->
+    | ADD | ADDU | SUB | SUBU | OR | XOR | NOR ->
       Prop.default (Tword.mask a) (Tword.mask b)
 
 let width_of_load : Insn.load_op -> int = function LB | LBU -> 1 | LH | LHU -> 2 | LW -> 4
@@ -257,10 +254,7 @@ let step_core t =
          else
            match op with
            | ADDI | ADDIU | ORI | XORI -> Tword.mask a
-           | ANDI ->
-             if pol.and_zero_untaints then
-               Prop.and_bytes ~v1:av ~m1:(Tword.mask a) ~v2:(imm land 0xffff) ~m2:Mask.none
-             else Tword.mask a
+           | ANDI -> Prop.and_bytes ~v1:av ~m1:(Tword.mask a) ~v2:(imm land 0xffff) ~m2:Mask.none
            | SLTI | SLTIU -> if pol.compare_untaints then Mask.none else Tword.mask a
        in
        if Insn.uses_compare insn && pol.track && pol.compare_untaints then
@@ -492,8 +486,9 @@ let step t = match t.obs with None -> step_core t | Some o -> step_traced t o
    One dispatch per basic block, two engines.  A hot entry (its
    hotness counter crossed {!Superblock.threshold}) runs its
    translated superblock chain, which carries its own clean/full
-   variant selection.  Every other block — cold code, and a hot block
-   that does not fit the remaining fuel — runs on [step_core], the
+   variant selection.  Every other block — cold code, a hot block
+   that does not fit the remaining fuel, and under a non-tracking
+   policy a block entered with register taint — runs on [step_core], the
    same per-instruction semantics the reference engine uses, up to
    and including its terminator.  [blocks_run] and [clean_blocks]
    count those cold blocks too; a cold block counts as clean when no
@@ -525,6 +520,9 @@ let run t ~fuel =
       let env = sbenv_for t tsto st in
       env.SB.e_guards <- t.guard_ranges;
       env.SB.e_has_guards <- t.guard_ranges <> [];
+      (* a non-tracking tier has no full variant: a dirty register
+         file (fault injection) runs on [step_core] *)
+      let tracks = t.policy.Policy.track in
       (* Driver: one iteration per basic block (or per superblock
          chain run, when the entry is translated and the whole block
          fits the remaining fuel — the tier refuses partial blocks so
@@ -556,7 +554,9 @@ let run t ~fuel =
             end
             else SB.dummy
           in
-          if sb0 != SB.dummy && !remaining >= sb0.SB.sb_len then begin
+          if sb0 != SB.dummy && !remaining >= sb0.SB.sb_len
+             && (tracks || Regfile.is_clean regs)
+          then begin
             (* --- translated arm: run the chain until it exits --- *)
             env.SB.e_fuel <- !remaining;
             env.SB.e_blocks <- 0;

@@ -102,6 +102,3 @@ let step t =
   result
 
 let stats t = t.st
-let cpi t = if t.st.instructions = 0 then 0. else float_of_int t.st.cycles /. float_of_int t.st.instructions
-let icache t = Ptaint_mem.Cache.Hierarchy.l1 t.ihier
-let dcache t = Ptaint_mem.Cache.Hierarchy.l1 t.dhier

@@ -29,6 +29,3 @@ val step : t -> Machine.step
     exception is raised at retirement). *)
 
 val stats : t -> stats
-val cpi : t -> float
-val icache : t -> Ptaint_mem.Cache.t
-val dcache : t -> Ptaint_mem.Cache.t

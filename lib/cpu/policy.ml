@@ -4,18 +4,12 @@ type t = {
   mode : mode;
   track : bool;
   compare_untaints : bool;
-  xor_idiom_untaints : bool;
-  and_zero_untaints : bool;
-  or_ones_untaints : bool;
 }
 
 let default =
   { mode = Pointer_taintedness;
     track = true;
-    compare_untaints = true;
-    xor_idiom_untaints = true;
-    and_zero_untaints = true;
-    or_ones_untaints = false }
+    compare_untaints = true }
 
 let control_only = { default with mode = Control_data_only }
 let unprotected = { default with mode = No_protection }

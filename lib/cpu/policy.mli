@@ -5,9 +5,9 @@
     [Control_data_only] models control-flow-integrity schemes such as
     Minos / Secure Program Execution, which check only control
     transfers; [No_protection] runs the program unchecked (attacks
-    succeed or crash).  The rule switches correspond to the Table 1
-    special cases and exist so the ablation experiments can measure
-    what each rule buys. *)
+    succeed or crash).  The Table 1 XOR-idiom and AND-with-zero rules
+    always apply; only the compare rule has a switch, which the
+    ablation experiments turn off to measure what it buys. *)
 
 type mode = No_protection | Control_data_only | Pointer_taintedness
 
@@ -15,13 +15,10 @@ type t = {
   mode : mode;
   track : bool;            (** propagate taint at all (off = overhead baseline) *)
   compare_untaints : bool; (** Table 1: compares untaint their operands *)
-  xor_idiom_untaints : bool; (** Table 1: [XOR R1,R2,R2] yields untainted 0 *)
-  and_zero_untaints : bool;  (** Table 1: AND with untainted zero byte *)
-  or_ones_untaints : bool;   (** extension (OR with untainted 0xff); off by default *)
 }
 
 val default : t
-(** Full pointer-taintedness detection, all Table 1 rules on. *)
+(** Full pointer-taintedness detection, the compare rule on. *)
 
 val control_only : t
 val unprotected : t

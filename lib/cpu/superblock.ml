@@ -5,7 +5,7 @@ module TS = Ptaint_mem.Tagged_store
 
 (* Superblock translation tier: hot basic blocks are compiled — at
    promotion time, from the pre-decoded {!Block.t} flat arrays — into
-   one OCaml closure chain per block, with two specialized variants:
+   one OCaml closure chain per block, in two specialized variants:
 
    - a {e clean} variant, sound while no register holds taint
      ({!Regfile.is_clean}), that elides every mask computation and
@@ -13,9 +13,20 @@ module TS = Ptaint_mem.Tagged_store
      read and, when a load brings taint into a register, finish the
      block on the full variant;
    - a {e full} variant with the policy constants baked into the
-     closures at translate time: no per-opcode dispatch and no
+     closures at translate time: no handler-table dispatch and no
      per-operand [Tword] packing, just straight-line packed-int
-     arithmetic.
+     arithmetic with a clean-operand fast path.
+
+   Each opcode family has one builder, which returns both closures for
+   its instruction.  What an opcode computes is defined once, in a
+   top-level [@inline] helper both closures call directly; the clean
+   closure is the full closure's clean-operand fast path without the
+   tag test and without the register-bitmap write.  The variant is
+   chosen by building its closure at translate time, never by a branch
+   inside one.  Only tracking policies run the full variant: without
+   tracking the register file stays clean unless fault injection
+   dirties it, and a block entered with a dirty register file under a
+   non-tracking policy runs on [Machine.step_core] instead.
 
    Superblocks chain: a terminator tail-calls its successor superblock
    through a patchable slot, so straight-line guest code (loops
@@ -133,6 +144,461 @@ let tag_bits = 0xF lsl 32
 
 type code = env -> unit
 
+(* --- exits, register writebacks, block entry --- *)
+
+(* Every mid-body event (alerts, misalignment) and the indirect-jump
+   alert.  The site returns right after: the flat stack takes control
+   back to the driver. *)
+let[@inline] event env ev rel a b =
+  env.e_ev <- ev;
+  env.e_rel <- rel;
+  env.e_a <- a;
+  env.e_b <- b
+
+(* Chain misses, fuel refusals and traps: execution goes on at [pc]. *)
+let[@inline] leave env ev pc =
+  env.e_ev <- ev;
+  env.e_next_pc <- pc
+
+(* Full-variant writebacks of packed bits [w] and of a known-untainted
+   value.  The clean variant writes the slot alone. *)
+let[@inline] put env rd w =
+  Array.unsafe_set env.e_regs rd w;
+  Regfile.mark env.e_rf rd ~m:(w lsr 32)
+
+let[@inline] put_clean env rd v =
+  Array.unsafe_set env.e_regs rd v;
+  Regfile.mark_clean env.e_rf rd
+
+(* The compare-untaints rule on operand slots, given their masked
+   values.  Branchless: slot 0 rewrites as 0 and its bitmap bit stays
+   clear. *)
+let[@inline] untaint env rs av =
+  Array.unsafe_set env.e_regs rs av;
+  Regfile.mark_clean env.e_rf rs
+
+let[@inline] untaint2 env rs av rt bv =
+  Array.unsafe_set env.e_regs rs av;
+  Array.unsafe_set env.e_regs rt bv;
+  Regfile.mark_clean2 env.e_rf rs rt
+
+(* Charge a block entry: fuel, the current block, and the body's
+   load/store counts.  Those are block constants, flushed up front; on
+   the rare mid-block exit the driver subtracts the unexecuted
+   suffix. *)
+let[@inline] enter env idx len nl ns =
+  env.e_fuel <- env.e_fuel - len;
+  env.e_cur <- idx;
+  env.e_blocks <- env.e_blocks + 1;
+  if nl > 0 then env.e_st.M.loads <- env.e_st.M.loads + nl;
+  if ns > 0 then env.e_st.M.stores <- env.e_st.M.stores + ns
+
+(* --- SIMIPS value semantics, one definition per opcode ---
+
+   Operands are raw 32-bit values.  Every builder below calls these
+   with the opcode as a literal wherever the instruction is hot, so the
+   match folds away at compile time; a closure shared by a few rare
+   opcodes (the shifts, the narrow loads, mult/div) keeps a runtime
+   match on its captured opcode. *)
+
+let[@inline] shift_value (op : Block.opcode) a n =
+  match op with
+  | Osll | Osllv -> Word.sll a n
+  | Osrl | Osrlv -> Word.srl a n
+  | _ -> Word.sra a n
+
+let[@inline] rr_value (op : Block.opcode) a b =
+  match op with
+  | Oadd -> (a + b) land m32
+  | Osub -> (a - b) land m32
+  | Oand -> a land b
+  | Oor -> a lor b
+  | Oxor -> a lxor b
+  | Onor -> lnot (a lor b) land m32
+  | Oslt -> if Word.lt_signed a b then 1 else 0
+  | Osltu -> if a < b then 1 else 0
+  | _ -> shift_value op a b
+
+let[@inline] ri_value (op : Block.opcode) a imm =
+  match op with
+  | Oaddi -> (a + imm) land m32
+  | Oandi -> a land imm
+  | Oori -> a lor imm
+  | Oxori -> a lxor imm
+  | Oslti -> if Word.lt_signed a imm then 1 else 0
+  | _ -> if a < imm then 1 else 0
+
+(* HI/LO of a multiply or divide, written with taint mask [m]. *)
+let[@inline] hi_lo env (op : Block.opcode) a b m =
+  let hi, lo =
+    match op with
+    | Omult -> (Word.mul_hi_signed a b, Word.mul_lo a b)
+    | Omultu -> (Word.mul_hi_unsigned a b, Word.mul_lo a b)
+    | Odiv ->
+      let q, r = Word.div_signed a b in
+      (r, q)
+    | _ ->
+      let q, r = Word.div_unsigned a b in
+      (r, q)
+  in
+  Array.unsafe_set env.e_regs 32 (hi lor (m lsl 32));
+  Array.unsafe_set env.e_regs 33 (lo lor (m lsl 32))
+
+(* The effective address of a load or store: base plus offset, the
+   base's tag bits dropped. *)
+let[@inline] ea_of base off = (base + off) land m32
+
+(* The packed register image a load brings in: the element read,
+   sign- or zero-extended, with its tag bits. *)
+let[@inline] load_elt (op : Block.opcode) ts ea =
+  match op with
+  | Olw -> TS.load_word_elt ts ea
+  | Olbu -> Tword.to_bits (TS.load_byte_tw ts ea)
+  | Olhu -> Tword.to_bits (TS.load_half_even ts ea)
+  | Olb ->
+    let el = Tword.to_bits (TS.load_byte_tw ts ea) in
+    ((el lsr 32) lsl 32) lor Word.sign_extend ~bits:8 (el land 0xff)
+  | _ ->
+    let el = Tword.to_bits (TS.load_half_even ts ea) in
+    ((el lsr 32) lsl 32) lor Word.sign_extend ~bits:16 (el land 0xffff)
+
+(* A store of packed register bits; clean bits clear the tag bits they
+   overwrite. *)
+let[@inline] store_elt (op : Block.opcode) ts ea data =
+  match op with
+  | Osw -> TS.store_word_aligned ts ea (Tword.of_bits data)
+  | Osh -> TS.store_half_even ts ea (data land m32) ~m:(data lsr 32)
+  | _ -> TS.store_byte ts ea (data land 0xff) ~taint:(data land (1 lsl 32) <> 0)
+
+let[@inline] branch_cond (op : Block.opcode) a b =
+  match op with
+  | Obeq -> a = b
+  | Obne -> a <> b
+  | Oblez -> Word.to_signed a <= 0
+  | Obgtz -> Word.to_signed a > 0
+  | Obltz -> Word.to_signed a < 0
+  | _ -> Word.to_signed a >= 0
+
+(* --- Table 1 taint rules, over packed operands at least one of which
+   is tainted (the builders apply the compare rule) --- *)
+
+let[@inline] rr_mask (op : Block.opcode) a b =
+  match op with
+  | Oand -> Prop.and_bytes ~v1:(a land m32) ~m1:(a lsr 32) ~v2:(b land m32) ~m2:(b lsr 32)
+  | Osllv -> Prop.shift Prop.Left ~amount:(b land m32) ~amount_mask:(b lsr 32) (a lsr 32)
+  | Osrlv | Osrav ->
+    Prop.shift Prop.Right ~amount:(b land m32) ~amount_mask:(b lsr 32) (a lsr 32)
+  | _ -> (a lsr 32) lor (b lsr 32)
+
+let[@inline] ri_mask (op : Block.opcode) a imm =
+  match op with
+  | Oandi -> Prop.and_bytes ~v1:(a land m32) ~m1:(a lsr 32) ~v2:imm ~m2:0
+  | _ -> a lsr 32
+
+(* --- the two variants of each family, as closure bodies ---
+
+   [f_clean] is [f_full]'s clean-operand path without the tag test and
+   without the bitmap write.  Event sites return without calling a
+   continuation. *)
+
+let[@inline] rr_clean op env rd rs rt =
+  let regs = env.e_regs in
+  Array.unsafe_set regs rd (rr_value op (Array.unsafe_get regs rs) (Array.unsafe_get regs rt))
+
+let[@inline] rr_full op env rd rs rt =
+  let regs = env.e_regs in
+  let a = Array.unsafe_get regs rs and b = Array.unsafe_get regs rt in
+  if (a lor b) land tag_bits = 0 then put_clean env rd (rr_value op a b)
+  else put env rd (rr_value op (a land m32) (b land m32) lor (rr_mask op a b lsl 32))
+
+let[@inline] ri_clean op env rd rs imm =
+  let regs = env.e_regs in
+  Array.unsafe_set regs rd (ri_value op (Array.unsafe_get regs rs) imm)
+
+let[@inline] ri_full op env rd rs imm =
+  let a = Array.unsafe_get env.e_regs rs in
+  if a land tag_bits = 0 then put_clean env rd (ri_value op a imm)
+  else put env rd (ri_value op (a land m32) imm lor (ri_mask op a imm lsl 32))
+
+(* A clean-variant load that read a tainted element [w].  Under a
+   tracking policy the taint reaches register [rd], so the block
+   finishes on the full variant's continuation [fx]: one deopt, and
+   the block no longer counts as run clean.  Otherwise the value lands
+   masked and the clean chain goes on. *)
+let clean_tainted_load ~track env rd w (nx : code) (fx : code) =
+  env.e_st.M.tainted_loads <- env.e_st.M.tainted_loads + 1;
+  if track && rd <> 0 then begin
+    put env rd w;
+    env.e_cleans <- env.e_cleans - 1;
+    env.e_deopts <- env.e_deopts + 1;
+    env.e_mode <- 1;
+    fx env
+  end
+  else begin
+    if rd <> 0 then Array.unsafe_set env.e_regs rd (w land m32);
+    nx env
+  end
+
+(* Loads and stores fault on [ea land align <> 0] with width
+   [align + 1]; [dd] is the policy's data-pointer detector. *)
+let[@inline] load_clean op ~track env ~align rel rd breg off (nx : code) (fx : code) =
+  let ea = ea_of (Array.unsafe_get env.e_regs breg) off in
+  if ea land align <> 0 then event env ev_misalign rel ea (align + 1)
+  else begin
+    env.e_rel <- rel;
+    let w = load_elt op env.e_ts ea in
+    if w land tag_bits <> 0 then clean_tainted_load ~track env rd w nx fx
+    else begin
+      if rd <> 0 then Array.unsafe_set env.e_regs rd w;
+      nx env
+    end
+  end
+
+let[@inline] load_full op ~dd env ~align rel rd breg off (nf : code) =
+  let a = Array.unsafe_get env.e_regs breg in
+  let ea = ea_of a off in
+  if dd && a land tag_bits <> 0 then event env ev_load_alert rel breg ea
+  else if ea land align <> 0 then event env ev_misalign rel ea (align + 1)
+  else begin
+    env.e_rel <- rel;
+    let w = load_elt op env.e_ts ea in
+    if w land tag_bits <> 0 then begin
+      env.e_st.M.tainted_loads <- env.e_st.M.tainted_loads + 1;
+      if rd <> 0 then put env rd w
+    end
+    else if rd <> 0 then put_clean env rd w;
+    nf env
+  end
+
+let[@inline] store_clean op env ~align rel rt breg off (nx : code) =
+  let regs = env.e_regs in
+  let ea = ea_of (Array.unsafe_get regs breg) off in
+  if ea land align <> 0 then event env ev_misalign rel ea (align + 1)
+  else begin
+    env.e_rel <- rel;
+    store_elt op env.e_ts ea (Array.unsafe_get regs rt);
+    nx env
+  end
+
+(* [dd] also arms the guarded-data check on tainted data.  The
+   tainted-store counter tests the whole mask for [sw]/[sh] (parity
+   with [Memory.store_half] under [step_core]) and the stored byte's
+   bit for [sb]. *)
+let[@inline] store_full op ~dd env ~align rel rt breg off (nf : code) =
+  let regs = env.e_regs in
+  let a = Array.unsafe_get regs breg in
+  let ea = ea_of a off in
+  if dd && a land tag_bits <> 0 then event env ev_store_alert rel breg ea
+  else if ea land align <> 0 then event env ev_misalign rel ea (align + 1)
+  else begin
+    let data = Array.unsafe_get regs rt in
+    if dd && data land tag_bits <> 0 && env.e_has_guards && guarded env.e_guards ea (align + 1)
+    then event env ev_guard_alert rel rt ea
+    else begin
+      env.e_rel <- rel;
+      store_elt op env.e_ts ea data;
+      if data land (if op = Block.Osb then 1 lsl 32 else tag_bits) <> 0 then
+        env.e_st.M.tainted_stores <- env.e_st.M.tainted_stores + 1;
+      nf env
+    end
+  end
+
+let[@inline] branch_clean op env slots rs rt =
+  let regs = env.e_regs in
+  if branch_cond op (Array.unsafe_get regs rs) (Array.unsafe_get regs rt)
+  then slots.s_taken env
+  else slots.s_fall env
+
+let[@inline] branch_full op ~cmp env slots rs rt =
+  let regs = env.e_regs in
+  let a = Array.unsafe_get regs rs and b = Array.unsafe_get regs rt in
+  if (a lor b) land tag_bits = 0 then
+    if branch_cond op a b then slots.s_taken env else slots.s_fall env
+  else begin
+    let av = a land m32 and bv = b land m32 in
+    if cmp then untaint2 env rs av rt bv;
+    if branch_cond op av bv then slots.s_taken env else slots.s_fall env
+  end
+
+(* --- one builder per opcode family ---
+
+   Each returns [(clean, full)] for one instruction, given the clean
+   and full continuations [nx] and [nf] after it. *)
+
+(* [lui], and [xor r,r,r] (Table 1: constant untainted zero). *)
+let const rd v (nx : code) (nf : code) =
+  if rd = 0 then (nx, nf)
+  else
+    ( (fun env ->
+        Array.unsafe_set env.e_regs rd v;
+        nx env),
+      fun env ->
+        put_clean env rd v;
+        nf env )
+
+(* [cmp]: under the compare-untaints rule the full [slt]/[sltu] also
+   untaint both operands and write an untainted result — operands
+   included when the result goes to $zero. *)
+let alu_rr ~cmp op rd rs rt (nx : code) (nf : code) =
+  let compare = cmp && (op = Block.Oslt || op = Block.Osltu) in
+  ( (if rd = 0 then nx
+     else
+       match op with
+       | Block.Oadd -> fun env -> rr_clean Block.Oadd env rd rs rt; nx env
+       | Block.Osub -> fun env -> rr_clean Block.Osub env rd rs rt; nx env
+       | Block.Oand -> fun env -> rr_clean Block.Oand env rd rs rt; nx env
+       | Block.Oor -> fun env -> rr_clean Block.Oor env rd rs rt; nx env
+       | Block.Oxor -> fun env -> rr_clean Block.Oxor env rd rs rt; nx env
+       | Block.Onor -> fun env -> rr_clean Block.Onor env rd rs rt; nx env
+       | Block.Oslt -> fun env -> rr_clean Block.Oslt env rd rs rt; nx env
+       | Block.Osltu -> fun env -> rr_clean Block.Osltu env rd rs rt; nx env
+       | _ -> fun env -> rr_clean op env rd rs rt; nx env),
+    if compare then fun env ->
+      let regs = env.e_regs in
+      let av = Array.unsafe_get regs rs land m32 and bv = Array.unsafe_get regs rt land m32 in
+      let v = if op = Block.Oslt then rr_value Block.Oslt av bv else rr_value Block.Osltu av bv in
+      untaint2 env rs av rt bv;
+      if rd <> 0 then put_clean env rd v;
+      nf env
+    else if rd = 0 then nf
+    else
+      match op with
+      | Block.Oadd -> fun env -> rr_full Block.Oadd env rd rs rt; nf env
+      | Block.Osub -> fun env -> rr_full Block.Osub env rd rs rt; nf env
+      | Block.Oand -> fun env -> rr_full Block.Oand env rd rs rt; nf env
+      | Block.Oor -> fun env -> rr_full Block.Oor env rd rs rt; nf env
+      | Block.Oxor -> fun env -> rr_full Block.Oxor env rd rs rt; nf env
+      | Block.Onor -> fun env -> rr_full Block.Onor env rd rs rt; nf env
+      | Block.Oslt -> fun env -> rr_full Block.Oslt env rd rs rt; nf env
+      | Block.Osltu -> fun env -> rr_full Block.Osltu env rd rs rt; nf env
+      | _ -> fun env -> rr_full op env rd rs rt; nf env )
+
+let alu_ri ~cmp op rd rs imm (nx : code) (nf : code) =
+  let compare = cmp && (op = Block.Oslti || op = Block.Osltiu) in
+  ( (if rd = 0 then nx
+     else
+       match op with
+       | Block.Oaddi -> fun env -> ri_clean Block.Oaddi env rd rs imm; nx env
+       | Block.Oandi -> fun env -> ri_clean Block.Oandi env rd rs imm; nx env
+       | Block.Oori -> fun env -> ri_clean Block.Oori env rd rs imm; nx env
+       | Block.Oxori -> fun env -> ri_clean Block.Oxori env rd rs imm; nx env
+       | Block.Oslti -> fun env -> ri_clean Block.Oslti env rd rs imm; nx env
+       | _ -> fun env -> ri_clean Block.Osltiu env rd rs imm; nx env),
+    if compare then fun env ->
+      let av = Array.unsafe_get env.e_regs rs land m32 in
+      let v = if op = Block.Oslti then ri_value Block.Oslti av imm else ri_value Block.Osltiu av imm in
+      untaint env rs av;
+      if rd <> 0 then put_clean env rd v;
+      nf env
+    else if rd = 0 then nf
+    else
+      match op with
+      | Block.Oaddi -> fun env -> ri_full Block.Oaddi env rd rs imm; nf env
+      | Block.Oandi -> fun env -> ri_full Block.Oandi env rd rs imm; nf env
+      | Block.Oori -> fun env -> ri_full Block.Oori env rd rs imm; nf env
+      | Block.Oxori -> fun env -> ri_full Block.Oxori env rd rs imm; nf env
+      | Block.Oslti -> fun env -> ri_full Block.Oslti env rd rs imm; nf env
+      | _ -> fun env -> ri_full Block.Osltiu env rd rs imm; nf env )
+
+(* Constant-amount shifts: the whole-byte move and the fractional-byte
+   smear of [Prop.shift] collapse to two baked shift counts ([fbit] is
+   0 when the amount is a whole number of bytes, making the smear a
+   no-op lor). *)
+let shift op rd rs sh (nx : code) (nf : code) =
+  if rd = 0 then (nx, nf)
+  else begin
+    let left = op = Block.Osll in
+    let whole = (sh land 31) / 8 and fbit = if (sh land 31) mod 8 = 0 then 0 else 1 in
+    ( (fun env ->
+        let regs = env.e_regs in
+        Array.unsafe_set regs rd (shift_value op (Array.unsafe_get regs rs) sh);
+        nx env),
+      fun env ->
+        let a = Array.unsafe_get env.e_regs rs in
+        if a land tag_bits = 0 then put_clean env rd (shift_value op a sh)
+        else begin
+          let ma = a lsr 32 in
+          let mm = if left then ma lsl whole else ma lsr whole in
+          let m = (mm lor (if left then mm lsl fbit else mm lsr fbit)) land 0xF in
+          put env rd (shift_value op (a land m32) sh lor (m lsl 32))
+        end;
+        nf env )
+  end
+
+(* The full continuation [nf] is also the clean closure's deopt
+   target. *)
+let load ~track ~dd op rel rd breg off (nx : code) (nf : code) =
+  match op with
+  | Block.Olw ->
+    ( (fun env -> load_clean Block.Olw ~track env ~align:3 rel rd breg off nx nf),
+      fun env -> load_full Block.Olw ~dd env ~align:3 rel rd breg off nf )
+  | _ ->
+    let align = if op = Block.Olh || op = Block.Olhu then 1 else 0 in
+    ( (fun env -> load_clean op ~track env ~align rel rd breg off nx nf),
+      fun env -> load_full op ~dd env ~align rel rd breg off nf )
+
+let store ~dd op rel rt breg off (nx : code) (nf : code) =
+  match op with
+  | Block.Osw ->
+    ( (fun env -> store_clean Block.Osw env ~align:3 rel rt breg off nx),
+      fun env -> store_full Block.Osw ~dd env ~align:3 rel rt breg off nf )
+  | Block.Osh ->
+    ( (fun env -> store_clean Block.Osh env ~align:1 rel rt breg off nx),
+      fun env -> store_full Block.Osh ~dd env ~align:1 rel rt breg off nf )
+  | _ ->
+    ( (fun env -> store_clean Block.Osb env ~align:0 rel rt breg off nx),
+      fun env -> store_full Block.Osb ~dd env ~align:0 rel rt breg off nf )
+
+let muldiv op rs rt (nx : code) (nf : code) =
+  ( (fun env ->
+      let regs = env.e_regs in
+      hi_lo env op (Array.unsafe_get regs rs) (Array.unsafe_get regs rt) 0;
+      nx env),
+    fun env ->
+      let regs = env.e_regs in
+      let a = Array.unsafe_get regs rs and b = Array.unsafe_get regs rt in
+      let m = (a lsr 32) lor (b lsr 32) in
+      hi_lo env op (a land m32) (b land m32) m;
+      Regfile.mark env.e_rf 32 ~m;
+      Regfile.mark env.e_rf 33 ~m;
+      nf env )
+
+(* [mfhi]/[mflo]/[mthi]/[mtlo]: a slot-to-slot copy, taint included. *)
+let move ~dst ~src (nx : code) (nf : code) =
+  if dst = 0 then (nx, nf)
+  else
+    ( (fun env ->
+        let regs = env.e_regs in
+        Array.unsafe_set regs dst (Array.unsafe_get regs src);
+        nx env),
+      fun env ->
+        put env dst (Array.unsafe_get env.e_regs src);
+        nf env )
+
+(* Conditional branches, through the terminator's successor [slots].
+   The one-register forms pass slot 0 as [rt]: it reads 0, and
+   untainting it is a no-op. *)
+let branch ~cmp op rs rt slots : code * code =
+  match op with
+  | Block.Obeq ->
+    ( (fun env -> branch_clean Block.Obeq env slots rs rt),
+      fun env -> branch_full Block.Obeq ~cmp env slots rs rt )
+  | Block.Obne ->
+    ( (fun env -> branch_clean Block.Obne env slots rs rt),
+      fun env -> branch_full Block.Obne ~cmp env slots rs rt )
+  | Block.Oblez ->
+    ( (fun env -> branch_clean Block.Oblez env slots rs 0),
+      fun env -> branch_full Block.Oblez ~cmp env slots rs 0 )
+  | Block.Obgtz ->
+    ( (fun env -> branch_clean Block.Obgtz env slots rs 0),
+      fun env -> branch_full Block.Obgtz ~cmp env slots rs 0 )
+  | Block.Obltz ->
+    ( (fun env -> branch_clean Block.Obltz env slots rs 0),
+      fun env -> branch_full Block.Obltz ~cmp env slots rs 0 )
+  | _ ->
+    ( (fun env -> branch_clean Block.Obgez env slots rs 0),
+      fun env -> branch_full Block.Obgez ~cmp env slots rs 0 )
+
 (* Translate the block entered at [idx] (which must have a terminator:
    [stops.(idx) < n]) and publish it in the tier table.  Publication
    is a plain pointer store: every [sb] field except the successor
@@ -145,22 +611,15 @@ let translate tier idx =
   let ops = d.Block.ops and fa = d.Block.fa and fb = d.Block.fb and fc = d.Block.fc in
   let sbs = tier.t_sbs in
   let track = pol.Policy.track in
-  let cmp = track && pol.Policy.compare_untaints in
-  let dd = Policy.detects_data_pointers pol && track in
-  let dd_guard = Policy.detects_data_pointers pol in
-  let dc = Policy.detects_control pol && track in
-  let and_zero = pol.Policy.and_zero_untaints in
-  let or_ones = pol.Policy.or_ones_untaints in
-  let xor_idiom = pol.Policy.xor_idiom_untaints in
+  (* the full variant's policy constants (it only runs when tracking) *)
+  let cmp = pol.Policy.compare_untaints in
+  let dd = Policy.detects_data_pointers pol in
+  let dc = Policy.detects_control pol in
   let term = Array.unsafe_get d.Block.stops idx in
   let len = term - idx + 1 in
   let spc = base + (idx lsl 2) in
   let next = base + (term lsl 2) + 4 in
   let slots = { s_taken = (fun _ -> ()); s_fall = (fun _ -> ()); s_jr = dummy } in
-  (* Batched access stats: the body's load/store counts are block
-     constants, flushed once when the terminator is reached.  On a
-     mid-body event the driver reconstructs the executed prefix from
-     the opcode array instead. *)
   let nl = ref 0 and ns = ref 0 in
   for q = idx to term - 1 do
     match Array.unsafe_get ops q with
@@ -171,46 +630,22 @@ let translate tier idx =
   let nl = !nl and ns = !ns in
   (* Successor arms.  The taken/fallthrough slots are lazily
      self-patching miss thunks: the first execution that finds the
-     successor translated replaces the slot with the successor's
+     successor translated [patch]es the slot with the successor's
      entry closure; until then each crossing does one table probe.  A
      chain miss ([ev_none]) hands the pc back to the driver, whose next
      dispatch bumps the successor's hotness counter — so misses are
      what eventually extend chains. *)
-  let mk_taken target : code =
+  let edge target patch : code =
     let ti = Block.index_of ~base ~len:n target in
-    if ti < 0 then
-      fun env ->
-        env.e_ev <- ev_none;
-        env.e_next_pc <- target
+    if ti < 0 then fun env -> leave env ev_none target
     else
       fun env ->
         let s = Array.unsafe_get sbs ti in
         if s != dummy then begin
-          slots.s_taken <- s.sb_go;
+          patch s.sb_go;
           s.sb_go env
         end
-        else begin
-          env.e_ev <- ev_none;
-          env.e_next_pc <- target
-        end
-  in
-  let mk_fall () : code =
-    let ti = Block.index_of ~base ~len:n next in
-    if ti < 0 then
-      fun env ->
-        env.e_ev <- ev_none;
-        env.e_next_pc <- next
-    else
-      fun env ->
-        let s = Array.unsafe_get sbs ti in
-        if s != dummy then begin
-          slots.s_fall <- s.sb_go;
-          s.sb_go env
-        end
-        else begin
-          env.e_ev <- ev_none;
-          env.e_next_pc <- next
-        end
+        else leave env ev_none target
   in
   (* Register-indirect jumps get a monomorphic inline cache validated
      by target pc; on miss, one pc→index lookup plus a table probe. *)
@@ -219,1143 +654,134 @@ let translate tier idx =
     if s.sb_pc = target then s.sb_go env
     else begin
       let ti = Block.index_of ~base ~len:n target in
-      if ti >= 0 then begin
-        let s = Array.unsafe_get sbs ti in
-        if s != dummy then begin
-          slots.s_jr <- s;
-          s.sb_go env
-        end
-        else begin
-          env.e_ev <- ev_none;
-          env.e_next_pc <- target
-        end
+      let s = if ti >= 0 then Array.unsafe_get sbs ti else dummy in
+      if s != dummy then begin
+        slots.s_jr <- s;
+        s.sb_go env
       end
-      else begin
-        env.e_ev <- ev_none;
-        env.e_next_pc <- target
-      end
+      else leave env ev_none target
     end
   in
-  (* Seed the direct-threaded slots for the edges this terminator
-     has.  Both variants share them: the slot holds the successor's
-     [sb_go], which re-selects its own variant at entry. *)
-  (match Array.unsafe_get ops term with
-   | Block.Obeq | Block.Obne | Block.Oblez | Block.Obgtz | Block.Obltz | Block.Obgez ->
-     slots.s_taken <- mk_taken (next + Array.unsafe_get fc term);
-     slots.s_fall <- mk_fall ()
-   | Block.Oj | Block.Ojal -> slots.s_taken <- mk_taken (Array.unsafe_get fa term)
-   | _ -> ());
-  (* --- terminators ---
-
-     [clean:true] builds the clean variant's terminator: compare
-     untaints of clean registers are no-ops and indirect-jump alerts
-     cannot fire without live taint, so both are dropped.  Alert arms
-     consume the whole block (the entry already flushed the batched
-     stats) and record the terminator-relative index. *)
-  let mk_term ~clean : code =
-    match Array.unsafe_get ops term with
-    | Block.Obeq | Block.Obne ->
-      let rs = Array.unsafe_get fa term and rt = Array.unsafe_get fb term in
-      let eq = Array.unsafe_get ops term = Block.Obeq in
-      if clean then
-        fun env ->
-          let regs = env.e_regs in
-          if (Array.unsafe_get regs rs = Array.unsafe_get regs rt) = eq
-          then slots.s_taken env
-          else slots.s_fall env
-      else if cmp then
-        fun env ->
-          let regs = env.e_regs in
-          let a = Array.unsafe_get regs rs and b = Array.unsafe_get regs rt in
-          if (a lor b) land tag_bits = 0 then
-            (* both operands already clean: the untaints are identity *)
-            if (a = b) = eq then slots.s_taken env else slots.s_fall env
-          else begin
-            let av = a land m32 and bv = b land m32 in
-            Array.unsafe_set regs rs av;
-            Array.unsafe_set regs rt bv;
-            Regfile.mark_clean2 env.e_rf rs rt;
-            if (av = bv) = eq then slots.s_taken env else slots.s_fall env
-          end
-      else
-        fun env ->
-          let regs = env.e_regs in
-          if (Array.unsafe_get regs rs land m32 = Array.unsafe_get regs rt land m32) = eq
-          then slots.s_taken env
-          else slots.s_fall env
-    | Block.Oblez | Block.Obgtz | Block.Obltz | Block.Obgez ->
-      let rs = Array.unsafe_get fa term in
-      let op = Array.unsafe_get ops term in
-      let cond a =
-        match op with
-        | Block.Oblez -> a <= 0
-        | Block.Obgtz -> a > 0
-        | Block.Obltz -> a < 0
-        | _ -> a >= 0
-      in
-      if clean then
-        fun env ->
-          if cond (Word.to_signed (Array.unsafe_get env.e_regs rs))
-          then slots.s_taken env
-          else slots.s_fall env
-      else if cmp then
-        fun env ->
-          let regs = env.e_regs in
-          let a = Array.unsafe_get regs rs in
-          if a land tag_bits = 0 then
-            if cond (Word.to_signed a) then slots.s_taken env else slots.s_fall env
-          else begin
-            let av = a land m32 in
-            Array.unsafe_set regs rs av;
-            Regfile.mark_clean env.e_rf rs;
-            if cond (Word.to_signed av) then slots.s_taken env else slots.s_fall env
-          end
-      else
-        fun env ->
-          if cond (Word.to_signed (Array.unsafe_get env.e_regs rs land m32))
-          then slots.s_taken env
-          else slots.s_fall env
+  (* Terminators.  Both variants share the successor slots: a slot
+     holds the successor's [sb_go], which re-selects its own variant
+     at entry.  The clean variant drops the compare untaints (no-ops on
+     clean registers) and the indirect-jump alert (it cannot fire
+     without live taint).  The alert consumes the whole block (the
+     entry already flushed the batched stats) and records the
+     terminator-relative index. *)
+  let terminator : code * code =
+    let op = Array.unsafe_get ops term in
+    let f1 = Array.unsafe_get fa term and f2 = Array.unsafe_get fb term in
+    match op with
+    | Block.Obeq | Block.Obne | Block.Oblez | Block.Obgtz | Block.Obltz | Block.Obgez ->
+      slots.s_taken <- edge (next + Array.unsafe_get fc term) (fun go -> slots.s_taken <- go);
+      slots.s_fall <- edge next (fun go -> slots.s_fall <- go);
+      branch ~cmp op f1 f2 slots
     | Block.Oj ->
-      fun env -> slots.s_taken env
+      slots.s_taken <- edge f1 (fun go -> slots.s_taken <- go);
+      let go env = slots.s_taken env in
+      (go, go)
     | Block.Ojal ->
-      if clean then
-        fun env ->
+      slots.s_taken <- edge f1 (fun go -> slots.s_taken <- go);
+      ( (fun env ->
           Array.unsafe_set env.e_regs 31 next;
-          slots.s_taken env
-      else
+          slots.s_taken env),
         fun env ->
-          Array.unsafe_set env.e_regs 31 next;
-          Regfile.mark_clean env.e_rf 31;
-          slots.s_taken env
-    | Block.Ojr ->
-      let rs = Array.unsafe_get fa term in
-      if clean then
-        fun env -> jr_go env (Array.unsafe_get env.e_regs rs)
-      else if dc then
+          put_clean env 31 next;
+          slots.s_taken env )
+    | Block.Ojr | Block.Ojalr ->
+      (* [jr rs] links nowhere, like [jalr $zero, rs]; the target is
+         read before the link write, since rd may equal rs *)
+      let rd, rs = if op = Block.Ojr then (0, f1) else (f1, f2) in
+      ( (fun env ->
+          let target = Array.unsafe_get env.e_regs rs in
+          if rd <> 0 then Array.unsafe_set env.e_regs rd next;
+          jr_go env target),
         fun env ->
           let a = Array.unsafe_get env.e_regs rs in
-          if a land tag_bits <> 0 then begin
-            env.e_ev <- ev_jump_alert;
-            env.e_a <- rs;
-            env.e_rel <- len - 1
-          end
-          else jr_go env (a land m32)
-      else
-        fun env -> jr_go env (Array.unsafe_get env.e_regs rs land m32)
-    | Block.Ojalr ->
-      let rd = Array.unsafe_get fa term and rs = Array.unsafe_get fb term in
-      let rd_nz = rd <> 0 in
-      if clean then
-        fun env ->
-          let regs = env.e_regs in
-          (* read the target before the link write: rd may equal rs *)
-          let target = Array.unsafe_get regs rs in
-          if rd_nz then Array.unsafe_set regs rd next;
-          jr_go env target
-      else
-        fun env ->
-          let regs = env.e_regs in
-          let a = Array.unsafe_get regs rs in
-          if dc && a land tag_bits <> 0 then begin
-            (* no link-register write on an alert, like [step_core] *)
-            env.e_ev <- ev_jump_alert;
-            env.e_a <- rs;
-            env.e_rel <- len - 1
-          end
+          (* no link-register write on an alert, like [step_core] *)
+          if dc && a land tag_bits <> 0 then event env ev_jump_alert (len - 1) rs 0
           else begin
-            if rd_nz then begin
-              Array.unsafe_set regs rd next;
-              Regfile.mark_clean env.e_rf rd
-            end;
+            if rd <> 0 then put_clean env rd next;
             jr_go env (a land m32)
-          end
+          end )
     | Block.Osyscall ->
-      fun env ->
-        env.e_ev <- ev_syscall;
-        env.e_next_pc <- next
+      let go env = leave env ev_syscall next in
+      (go, go)
     | Block.Obreak ->
-      let code = Array.unsafe_get fa term in
-      fun env ->
-        env.e_ev <- ev_break;
-        env.e_a <- code;
-        env.e_next_pc <- next
+      let go env =
+        env.e_a <- f1;
+        leave env ev_break next
+      in
+      (go, go)
     | _ -> assert false
   in
-  (* --- full-variant straight-line instructions ---
-
-     Policy constants are baked at translate time; the common
-     clean-operand case of the hot ALU opcodes takes a branch that
-     skips the mask algebra entirely.  Event sites write the env
-     fields and return without calling [nx] — the flat (all-tail-call)
-     stack takes control straight back to the driver. *)
-  let mk_full i (nx : code) : code =
+  (* The straight-line instruction [i], given the continuations after
+     it. *)
+  let insn i nx nf =
     let rel = i - idx in
     let f1 = Array.unsafe_get fa i
     and f2 = Array.unsafe_get fb i
     and f3 = Array.unsafe_get fc i in
     match Array.unsafe_get ops i with
-    | Block.Onop -> nx
-    | Block.Oadd | Block.Osub ->
-      let rd = f1 and rs = f2 and rt = f3 in
-      let add = Array.unsafe_get ops i = Block.Oadd in
-      if rd = 0 then nx
-      else if not track then
-        fun env ->
-          let regs = env.e_regs in
-          let av = Array.unsafe_get regs rs land m32
-          and bv = Array.unsafe_get regs rt land m32 in
-          Array.unsafe_set regs rd ((if add then av + bv else av - bv) land m32);
-          Regfile.mark_clean env.e_rf rd;
-          nx env
-      else
-        fun env ->
-          let regs = env.e_regs in
-          let a = Array.unsafe_get regs rs and b = Array.unsafe_get regs rt in
-          if (a lor b) land tag_bits = 0 then begin
-            Array.unsafe_set regs rd ((if add then a + b else a - b) land m32);
-            Regfile.mark_clean env.e_rf rd
-          end
-          else begin
-            let m = (a lsr 32) lor (b lsr 32) in
-            let v = (if add then (a land m32) + (b land m32) else (a land m32) - (b land m32)) land m32 in
-            Array.unsafe_set regs rd (v lor (m lsl 32));
-            Regfile.mark env.e_rf rd ~m
-          end;
-          nx env
-    | Block.Oand | Block.Oor ->
-      let rd = f1 and rs = f2 and rt = f3 in
-      let is_and = Array.unsafe_get ops i = Block.Oand in
-      if rd = 0 then nx
-      else if not track then
-        fun env ->
-          let regs = env.e_regs in
-          let av = Array.unsafe_get regs rs land m32
-          and bv = Array.unsafe_get regs rt land m32 in
-          Array.unsafe_set regs rd (if is_and then av land bv else av lor bv);
-          Regfile.mark_clean env.e_rf rd;
-          nx env
-      else
-        fun env ->
-          let regs = env.e_regs in
-          let a = Array.unsafe_get regs rs and b = Array.unsafe_get regs rt in
-          if (a lor b) land tag_bits = 0 then begin
-            Array.unsafe_set regs rd (if is_and then a land b else a lor b);
-            Regfile.mark_clean env.e_rf rd
-          end
-          else begin
-            let av = a land m32 and bv = b land m32 in
-            let ma = a lsr 32 and mb = b lsr 32 in
-            let m =
-              if is_and then
-                if and_zero then Prop.and_bytes ~v1:av ~m1:ma ~v2:bv ~m2:mb
-                else ma lor mb
-              else if or_ones then Prop.or_bytes ~v1:av ~m1:ma ~v2:bv ~m2:mb
-              else ma lor mb
-            in
-            Array.unsafe_set regs rd
-              ((if is_and then av land bv else av lor bv) lor (m lsl 32));
-            Regfile.mark env.e_rf rd ~m
-          end;
-          nx env
-    | Block.Oxor ->
-      let rd = f1 and rs = f2 and rt = f3 in
-      if rd = 0 then nx
-      else if track && rs = rt && xor_idiom then
-        fun env ->
-          (* xor r,r: constant untainted zero under the idiom rule *)
-          Array.unsafe_set env.e_regs rd 0;
-          Regfile.mark_clean env.e_rf rd;
-          nx env
-      else if not track then
-        fun env ->
-          let regs = env.e_regs in
-          let v =
-            (Array.unsafe_get regs rs lxor Array.unsafe_get regs rt) land m32
-          in
-          Array.unsafe_set regs rd v;
-          Regfile.mark_clean env.e_rf rd;
-          nx env
-      else
-        fun env ->
-          let regs = env.e_regs in
-          let a = Array.unsafe_get regs rs and b = Array.unsafe_get regs rt in
-          if (a lor b) land tag_bits = 0 then begin
-            Array.unsafe_set regs rd (a lxor b);
-            Regfile.mark_clean env.e_rf rd
-          end
-          else begin
-            let m = (a lsr 32) lor (b lsr 32) in
-            Array.unsafe_set regs rd (((a lxor b) land m32) lor (m lsl 32));
-            Regfile.mark env.e_rf rd ~m
-          end;
-          nx env
-    | Block.Onor ->
-      let rd = f1 and rs = f2 and rt = f3 in
-      if rd = 0 then nx
-      else if not track then
-        fun env ->
-          let regs = env.e_regs in
-          let v =
-            lnot (Array.unsafe_get regs rs lor Array.unsafe_get regs rt) land m32
-          in
-          Array.unsafe_set regs rd v;
-          Regfile.mark_clean env.e_rf rd;
-          nx env
-      else
-        fun env ->
-          let regs = env.e_regs in
-          let a = Array.unsafe_get regs rs and b = Array.unsafe_get regs rt in
-          let v = lnot (a lor b) land m32 in
-          if (a lor b) land tag_bits = 0 then begin
-            Array.unsafe_set regs rd v;
-            Regfile.mark_clean env.e_rf rd
-          end
-          else begin
-            let m = (a lsr 32) lor (b lsr 32) in
-            Array.unsafe_set regs rd (v lor (m lsl 32));
-            Regfile.mark env.e_rf rd ~m
-          end;
-          nx env
-    | Block.Oslt | Block.Osltu ->
-      let rd = f1 and rs = f2 and rt = f3 in
-      let signed = Array.unsafe_get ops i = Block.Oslt in
-      if cmp then
-        fun env ->
-          let regs = env.e_regs in
-          let av = Array.unsafe_get regs rs land m32
-          and bv = Array.unsafe_get regs rt land m32 in
-          let v =
-            if (if signed then Word.lt_signed av bv else av < bv) then 1 else 0
-          in
-          (* compare-untaints rule: both operands lose their taint,
-             branchlessly (slot 0 rewrites as 0, bit 0 stays clear) *)
-          Array.unsafe_set regs rs av;
-          Array.unsafe_set regs rt bv;
-          Regfile.mark_clean2 env.e_rf rs rt;
-          if rd <> 0 then begin
-            Array.unsafe_set regs rd v;
-            Regfile.mark_clean env.e_rf rd
-          end;
-          nx env
-      else if rd = 0 then nx
-      else if not track then
-        fun env ->
-          let regs = env.e_regs in
-          let av = Array.unsafe_get regs rs land m32
-          and bv = Array.unsafe_get regs rt land m32 in
-          Array.unsafe_set regs rd
-            (if (if signed then Word.lt_signed av bv else av < bv) then 1 else 0);
-          Regfile.mark_clean env.e_rf rd;
-          nx env
-      else
-        fun env ->
-          let regs = env.e_regs in
-          let a = Array.unsafe_get regs rs and b = Array.unsafe_get regs rt in
-          let av = a land m32 and bv = b land m32 in
-          let v =
-            if (if signed then Word.lt_signed av bv else av < bv) then 1 else 0
-          in
-          let m = (a lsr 32) lor (b lsr 32) in
-          Array.unsafe_set regs rd (v lor (m lsl 32));
-          Regfile.mark env.e_rf rd ~m;
-          nx env
-    | Block.Osllv | Block.Osrlv | Block.Osrav ->
-      let rd = f1 and rs = f2 and rt = f3 in
-      let op = Array.unsafe_get ops i in
-      let shv av n =
-        match op with
-        | Block.Osllv -> Word.sll av n
-        | Block.Osrlv -> Word.srl av n
-        | _ -> Word.sra av n
-      in
-      let dir = if op = Block.Osllv then Prop.Left else Prop.Right in
-      if rd = 0 then nx
-      else if not track then
-        fun env ->
-          let regs = env.e_regs in
-          let av = Array.unsafe_get regs rs land m32
-          and bv = Array.unsafe_get regs rt land m32 in
-          Array.unsafe_set regs rd (shv av (bv land 31));
-          Regfile.mark_clean env.e_rf rd;
-          nx env
-      else
-        fun env ->
-          let regs = env.e_regs in
-          let a = Array.unsafe_get regs rs and b = Array.unsafe_get regs rt in
-          let av = a land m32 and bv = b land m32 in
-          let v = shv av (bv land 31) in
-          if (a lor b) land tag_bits = 0 then begin
-            Array.unsafe_set regs rd v;
-            Regfile.mark_clean env.e_rf rd
-          end
-          else begin
-            let m = Prop.shift dir ~amount:bv ~amount_mask:(b lsr 32) (a lsr 32) in
-            Array.unsafe_set regs rd (v lor (m lsl 32));
-            Regfile.mark env.e_rf rd ~m
-          end;
-          nx env
-    | Block.Oaddi ->
-      let rd = f1 and rs = f2 and imm = f3 in
-      if rd = 0 then nx
-      else if not track then
-        fun env ->
-          let regs = env.e_regs in
-          Array.unsafe_set regs rd ((Array.unsafe_get regs rs land m32) + imm land m32);
-          Regfile.mark_clean env.e_rf rd;
-          nx env
-      else
-        fun env ->
-          let regs = env.e_regs in
-          let a = Array.unsafe_get regs rs in
-          if a land tag_bits = 0 then begin
-            Array.unsafe_set regs rd ((a + imm) land m32);
-            Regfile.mark_clean env.e_rf rd
-          end
-          else begin
-            let m = a lsr 32 in
-            Array.unsafe_set regs rd ((((a land m32) + imm) land m32) lor (m lsl 32));
-            Regfile.mark env.e_rf rd ~m
-          end;
-          nx env
-    | Block.Oandi ->
-      let rd = f1 and rs = f2 and imm = f3 in
-      if rd = 0 then nx
-      else if not track then
-        fun env ->
-          let regs = env.e_regs in
-          Array.unsafe_set regs rd (Array.unsafe_get regs rs land imm);
-          Regfile.mark_clean env.e_rf rd;
-          nx env
-      else
-        fun env ->
-          let regs = env.e_regs in
-          let a = Array.unsafe_get regs rs in
-          if a land tag_bits = 0 then begin
-            Array.unsafe_set regs rd (a land imm);
-            Regfile.mark_clean env.e_rf rd
-          end
-          else begin
-            let m =
-              if and_zero then
-                Prop.and_bytes ~v1:(a land m32) ~m1:(a lsr 32) ~v2:imm ~m2:0
-              else a lsr 32
-            in
-            Array.unsafe_set regs rd ((a land imm land m32) lor (m lsl 32));
-            Regfile.mark env.e_rf rd ~m
-          end;
-          nx env
-    | Block.Oori | Block.Oxori ->
-      let rd = f1 and rs = f2 and imm = f3 in
-      let is_or = Array.unsafe_get ops i = Block.Oori in
-      if rd = 0 then nx
-      else if not track then
-        fun env ->
-          let regs = env.e_regs in
-          let av = Array.unsafe_get regs rs land m32 in
-          Array.unsafe_set regs rd (if is_or then av lor imm else av lxor imm);
-          Regfile.mark_clean env.e_rf rd;
-          nx env
-      else
-        (* imm < 2^16, so or/xor touch neither the tag nibble nor the
-           upper value bytes: the packed result is one ALU op and the
-           destination inherits the source's taint bit verbatim. *)
-        fun env ->
-          let regs = env.e_regs in
-          let a = Array.unsafe_get regs rs in
-          Array.unsafe_set regs rd (if is_or then a lor imm else a lxor imm);
-          Regfile.mark env.e_rf rd ~m:(a lsr 32);
-          nx env
-    | Block.Oslti | Block.Osltiu ->
-      let rd = f1 and rs = f2 and imm = f3 in
-      let signed = Array.unsafe_get ops i = Block.Oslti in
-      if cmp then
-        fun env ->
-          let regs = env.e_regs in
-          let av = Array.unsafe_get regs rs land m32 in
-          let v =
-            if (if signed then Word.lt_signed av imm else av < imm) then 1 else 0
-          in
-          Array.unsafe_set regs rs av;
-          Regfile.mark_clean env.e_rf rs;
-          if rd <> 0 then begin
-            Array.unsafe_set regs rd v;
-            Regfile.mark_clean env.e_rf rd
-          end;
-          nx env
-      else if rd = 0 then nx
-      else if not track then
-        fun env ->
-          let regs = env.e_regs in
-          let av = Array.unsafe_get regs rs land m32 in
-          Array.unsafe_set regs rd
-            (if (if signed then Word.lt_signed av imm else av < imm) then 1 else 0);
-          Regfile.mark_clean env.e_rf rd;
-          nx env
-      else
-        fun env ->
-          let regs = env.e_regs in
-          let a = Array.unsafe_get regs rs in
-          let av = a land m32 in
-          let v =
-            if (if signed then Word.lt_signed av imm else av < imm) then 1 else 0
-          in
-          let m = a lsr 32 in
-          Array.unsafe_set regs rd (v lor (m lsl 32));
-          Regfile.mark env.e_rf rd ~m;
-          nx env
-    | Block.Osll | Block.Osrl | Block.Osra ->
-      let rd = f1 and rs = f2 and sh = f3 in
-      let op = Array.unsafe_get ops i in
-      if rd = 0 then nx
-      else begin
-        let left = op = Block.Osll in
-        (* constant-amount shift: the whole-byte move and the
-           fractional-byte smear of [Prop.shift] collapse to two baked
-           shift counts ([fbit] is 0 when the amount is a whole number
-           of bytes, making the smear a no-op lor) *)
-        let whole = (sh land 31) / 8 and fbit = if (sh land 31) mod 8 = 0 then 0 else 1 in
-        let shv av =
-          match op with
-          | Block.Osll -> Word.sll av sh
-          | Block.Osrl -> Word.srl av sh
-          | _ -> Word.sra av sh
-        in
-        if not track then
-          fun env ->
-            let regs = env.e_regs in
-            Array.unsafe_set regs rd (shv (Array.unsafe_get regs rs land m32));
-            Regfile.mark_clean env.e_rf rd;
-            nx env
-        else
-          fun env ->
-            let regs = env.e_regs in
-            let a = Array.unsafe_get regs rs in
-            let v = shv (a land m32) in
-            if a land tag_bits = 0 then begin
-              Array.unsafe_set regs rd v;
-              Regfile.mark_clean env.e_rf rd
-            end
-            else begin
-              let ma = a lsr 32 in
-              let mm = if left then ma lsl whole else ma lsr whole in
-              let m = (mm lor (if left then mm lsl fbit else mm lsr fbit)) land 0xF in
-              Array.unsafe_set regs rd (v lor (m lsl 32));
-              Regfile.mark env.e_rf rd ~m
-            end;
-            nx env
-      end
-    | Block.Olui ->
-      let rd = f1 and imm = f3 in
-      if rd = 0 then nx
-      else
-        fun env ->
-          Array.unsafe_set env.e_regs rd imm;
-          Regfile.mark_clean env.e_rf rd;
-          nx env
-    | Block.Olw | Block.Olb | Block.Olbu | Block.Olh | Block.Olhu ->
-      let rd = f1 and breg = f2 and off = f3 in
-      (* [lw] gets its own closure (it is the hot one and its loaded
-         element is already the packed register image); the narrower
-         loads share a shape with the extraction baked in per opcode.
-         The address-detector check is baked in ([dd] requires
-         tracking); the tag test on the loaded element stays inline. *)
-      (match Array.unsafe_get ops i with
-       | Block.Olw ->
-         fun env ->
-           let regs = env.e_regs in
-           let a = Array.unsafe_get regs breg in
-           let ea = (a + off) land m32 in
-           if dd && a land tag_bits <> 0 then begin
-             env.e_ev <- ev_load_alert;
-             env.e_rel <- rel;
-             env.e_a <- breg;
-             env.e_b <- ea
-           end
-           else if ea land 3 <> 0 then begin
-             env.e_ev <- ev_misalign;
-             env.e_rel <- rel;
-             env.e_a <- ea;
-             env.e_b <- 4
-           end
-           else begin
-             env.e_rel <- rel;
-             let w = TS.load_word_elt env.e_ts ea in
-             if w land tag_bits <> 0 then begin
-               env.e_st.M.tainted_loads <- env.e_st.M.tainted_loads + 1;
-               if rd <> 0 then
-                 if track then begin
-                   Array.unsafe_set regs rd w;
-                   Regfile.mark env.e_rf rd ~m:(w lsr 32)
-                 end
-                 else begin
-                   Array.unsafe_set regs rd (w land m32);
-                   Regfile.mark_clean env.e_rf rd
-                 end;
-               nx env
-             end
-             else begin
-               if rd <> 0 then begin
-                 Array.unsafe_set regs rd w;
-                 Regfile.mark_clean env.e_rf rd
-               end;
-               nx env
-             end
-           end
-       | op ->
-         let align = match op with Block.Olh | Block.Olhu -> 1 | _ -> 0 in
-         let vmask = if align = 1 then 0xffff else 0xff in
-         let sbits = match op with Block.Olb -> 8 | Block.Olh -> 16 | _ -> 0 in
-         fun env ->
-           let regs = env.e_regs in
-           let a = Array.unsafe_get regs breg in
-           let ea = (a + off) land m32 in
-           if dd && a land tag_bits <> 0 then begin
-             env.e_ev <- ev_load_alert;
-             env.e_rel <- rel;
-             env.e_a <- breg;
-             env.e_b <- ea
-           end
-           else if ea land align <> 0 then begin
-             env.e_ev <- ev_misalign;
-             env.e_rel <- rel;
-             env.e_a <- ea;
-             env.e_b <- 2
-           end
-           else begin
-             env.e_rel <- rel;
-             let el =
-               if align = 1 then Tword.to_bits (TS.load_half_even env.e_ts ea)
-               else Tword.to_bits (TS.load_byte_tw env.e_ts ea)
-             in
-             let w =
-               if sbits = 0 then el
-               else ((el lsr 32) lsl 32) lor Word.sign_extend ~bits:sbits (el land vmask)
-             in
-             if w land tag_bits <> 0 then
-               env.e_st.M.tainted_loads <- env.e_st.M.tainted_loads + 1;
-             if rd <> 0 then
-               if track then begin
-                 Array.unsafe_set regs rd w;
-                 Regfile.mark env.e_rf rd ~m:(w lsr 32)
-               end
-               else begin
-                 Array.unsafe_set regs rd (w land m32);
-                 Regfile.mark_clean env.e_rf rd
-               end;
-             nx env
-           end)
-    | Block.Osw ->
-      let rt = f1 and breg = f2 and off = f3 in
-      fun env ->
-        let regs = env.e_regs in
-        let a = Array.unsafe_get regs breg in
-        let ea = (a + off) land m32 in
-        if dd && a land tag_bits <> 0 then begin
-          env.e_ev <- ev_store_alert;
-          env.e_rel <- rel;
-          env.e_a <- breg;
-          env.e_b <- ea
-        end
-        else if ea land 3 <> 0 then begin
-          env.e_ev <- ev_misalign;
-          env.e_rel <- rel;
-          env.e_a <- ea;
-          env.e_b <- 4
-        end
-        else begin
-          let data =
-            if track then Array.unsafe_get regs rt
-            else Array.unsafe_get regs rt land m32
-          in
-          if
-            dd_guard && data land tag_bits <> 0 && env.e_has_guards
-            && guarded env.e_guards ea 4
-          then begin
-            env.e_ev <- ev_guard_alert;
-            env.e_rel <- rel;
-            env.e_a <- rt;
-            env.e_b <- ea
-          end
-          else begin
-            env.e_rel <- rel;
-            TS.store_word_aligned env.e_ts ea (Tword.of_bits data);
-            if data land tag_bits <> 0 then
-              env.e_st.M.tainted_stores <- env.e_st.M.tainted_stores + 1;
-            nx env
-          end
-        end
-    | Block.Osb ->
-      let rt = f1 and breg = f2 and off = f3 in
-      fun env ->
-        let regs = env.e_regs in
-        let a = Array.unsafe_get regs breg in
-        let ea = (a + off) land m32 in
-        if dd && a land tag_bits <> 0 then begin
-          env.e_ev <- ev_store_alert;
-          env.e_rel <- rel;
-          env.e_a <- breg;
-          env.e_b <- ea
-        end
-        else begin
-          let data =
-            if track then Array.unsafe_get regs rt
-            else Array.unsafe_get regs rt land m32
-          in
-          if
-            dd_guard && data land tag_bits <> 0 && env.e_has_guards
-            && guarded env.e_guards ea 1
-          then begin
-            env.e_ev <- ev_guard_alert;
-            env.e_rel <- rel;
-            env.e_a <- rt;
-            env.e_b <- ea
-          end
-          else begin
-            env.e_rel <- rel;
-            let taint = data land (1 lsl 32) <> 0 in
-            TS.store_byte env.e_ts ea (data land 0xff) ~taint;
-            if taint then
-              env.e_st.M.tainted_stores <- env.e_st.M.tainted_stores + 1;
-            nx env
-          end
-        end
-    | Block.Osh ->
-      let rt = f1 and breg = f2 and off = f3 in
-      fun env ->
-        let regs = env.e_regs in
-        let a = Array.unsafe_get regs breg in
-        let ea = (a + off) land m32 in
-        if dd && a land tag_bits <> 0 then begin
-          env.e_ev <- ev_store_alert;
-          env.e_rel <- rel;
-          env.e_a <- breg;
-          env.e_b <- ea
-        end
-        else if ea land 1 <> 0 then begin
-          env.e_ev <- ev_misalign;
-          env.e_rel <- rel;
-          env.e_a <- ea;
-          env.e_b <- 2
-        end
-        else begin
-          let data =
-            if track then Array.unsafe_get regs rt
-            else Array.unsafe_get regs rt land m32
-          in
-          if
-            dd_guard && data land tag_bits <> 0 && env.e_has_guards
-            && guarded env.e_guards ea 2
-          then begin
-            env.e_ev <- ev_guard_alert;
-            env.e_rel <- rel;
-            env.e_a <- rt;
-            env.e_b <- ea
-          end
-          else begin
-            env.e_rel <- rel;
-            let m = data lsr 32 in
-            TS.store_half_even env.e_ts ea (data land m32) ~m;
-            (* parity with [Memory.store_half] under [step_core]: the
-               tainted-store counter tests the full 4-byte mask, not
-               the stored pair *)
-            if m <> 0 then
-              env.e_st.M.tainted_stores <- env.e_st.M.tainted_stores + 1;
-            nx env
-          end
-        end
-    | Block.Omult | Block.Omultu | Block.Odiv | Block.Odivu ->
-      let rs = f1 and rt = f2 in
-      let op = Array.unsafe_get ops i in
-      let hi_lo av bv =
-        match op with
-        | Block.Omult -> (Word.mul_hi_signed av bv, Word.mul_lo av bv)
-        | Block.Omultu -> (Word.mul_hi_unsigned av bv, Word.mul_lo av bv)
-        | Block.Odiv ->
-          let q, r = Word.div_signed av bv in
-          (r, q)
-        | _ ->
-          let q, r = Word.div_unsigned av bv in
-          (r, q)
-      in
-      fun env ->
-        let regs = env.e_regs in
-        let a = Array.unsafe_get regs rs and b = Array.unsafe_get regs rt in
-        let hi, lo = hi_lo (a land m32) (b land m32) in
-        let m = if track then (a lsr 32) lor (b lsr 32) else 0 in
-        Array.unsafe_set regs 32 (hi lor (m lsl 32));
-        Array.unsafe_set regs 33 (lo lor (m lsl 32));
-        Regfile.mark env.e_rf 32 ~m;
-        Regfile.mark env.e_rf 33 ~m;
-        nx env
-    | Block.Omfhi | Block.Omflo ->
-      let rd = f1 in
-      let src = if Array.unsafe_get ops i = Block.Omfhi then 32 else 33 in
-      if rd = 0 then nx
-      else
-        fun env ->
-          let regs = env.e_regs in
-          let w = Array.unsafe_get regs src in
-          Array.unsafe_set regs rd w;
-          Regfile.mark env.e_rf rd ~m:(w lsr 32);
-          nx env
-    | Block.Omthi | Block.Omtlo ->
-      let rs = f1 in
-      let dst = if Array.unsafe_get ops i = Block.Omthi then 32 else 33 in
-      fun env ->
-        let regs = env.e_regs in
-        let w = Array.unsafe_get regs rs in
-        Array.unsafe_set regs dst w;
-        Regfile.mark env.e_rf dst ~m:(w lsr 32);
-        nx env
+    | Block.Onop -> (nx, nf)
+    | Block.Oxor when f2 = f3 -> const f1 0 nx nf
+    | ( Block.Oadd | Block.Osub | Block.Oand | Block.Oor | Block.Oxor | Block.Onor
+      | Block.Oslt | Block.Osltu | Block.Osllv | Block.Osrlv | Block.Osrav ) as op ->
+      alu_rr ~cmp op f1 f2 f3 nx nf
+    | (Block.Oaddi | Block.Oandi | Block.Oori | Block.Oxori | Block.Oslti | Block.Osltiu) as op
+      ->
+      alu_ri ~cmp op f1 f2 f3 nx nf
+    | (Block.Osll | Block.Osrl | Block.Osra) as op -> shift op f1 f2 f3 nx nf
+    | Block.Olui -> const f1 f3 nx nf
+    | (Block.Olw | Block.Olb | Block.Olbu | Block.Olh | Block.Olhu) as op ->
+      load ~track ~dd op rel f1 f2 f3 nx nf
+    | (Block.Osw | Block.Osb | Block.Osh) as op -> store ~dd op rel f1 f2 f3 nx nf
+    | (Block.Omult | Block.Omultu | Block.Odiv | Block.Odivu) as op -> muldiv op f1 f2 nx nf
+    | Block.Omfhi -> move ~dst:f1 ~src:32 nx nf
+    | Block.Omflo -> move ~dst:f1 ~src:33 nx nf
+    | Block.Omthi -> move ~dst:32 ~src:f1 nx nf
+    | Block.Omtlo -> move ~dst:33 ~src:f1 nx nf
     | Block.Obeq | Block.Obne | Block.Oblez | Block.Obgtz | Block.Obltz
     | Block.Obgez | Block.Oj | Block.Ojal | Block.Ojr | Block.Ojalr
     | Block.Osyscall | Block.Obreak ->
       assert false
   in
-  (* A clean-variant load that read a tainted element [w] (already
-     extended to the packed register image).  Under a tracking policy
-     the taint reaches register [rd], so the block finishes on the full
-     variant's continuation [fx]: one deopt, and the block no longer
-     counts as run clean.  Otherwise the value lands masked and the
-     clean chain goes on. *)
-  let clean_tainted_load env rd w (nx : code) (fx : code) =
-    env.e_st.M.tainted_loads <- env.e_st.M.tainted_loads + 1;
-    if track && rd <> 0 then begin
-      Array.unsafe_set env.e_regs rd w;
-      Regfile.mark env.e_rf rd ~m:(w lsr 32);
-      env.e_cleans <- env.e_cleans - 1;
-      env.e_deopts <- env.e_deopts + 1;
-      env.e_mode <- 1;
-      fx env
-    end
-    else begin
-      if rd <> 0 then Array.unsafe_set env.e_regs rd (w land m32);
-      nx env
-    end
+  let clean_code, full_code =
+    let rec build i ((nx, nf) as k) = if i < idx then k else build (i - 1) (insn i nx nf) in
+    build (term - 1) terminator
   in
-  (* --- clean-variant straight-line instructions ---
-
-     Pure value semantics on the raw slot array.  While no register
-     holds taint, no address, jump target or stored datum can be
-     tainted, so no detector can fire and no ALU instruction can
-     create taint: there is no mask algebra, no bitmap maintenance
-     (every write keeps the invariant [tmap = 0]) and no guard walk.
-     Memory may still hold taint, so loads test the tag bits of the
-     element they read; [clean_tainted_load] handles the rare tainted
-     one.  [fx] is the full variant's continuation after instruction
-     [i].  Misalignment and unmapped faults behave exactly like the
-     full variant. *)
-  let mk_clean i (nx : code) (fx : code) : code =
-    let rel = i - idx in
-    let f1 = Array.unsafe_get fa i
-    and f2 = Array.unsafe_get fb i
-    and f3 = Array.unsafe_get fc i in
-    match Array.unsafe_get ops i with
-    | Block.Onop -> nx
-    | Block.Oadd ->
-      if f1 = 0 then nx
-      else
-        fun env ->
-          let regs = env.e_regs in
-          Array.unsafe_set regs f1
-            ((Array.unsafe_get regs f2 + Array.unsafe_get regs f3) land m32);
-          nx env
-    | Block.Osub ->
-      if f1 = 0 then nx
-      else
-        fun env ->
-          let regs = env.e_regs in
-          Array.unsafe_set regs f1
-            ((Array.unsafe_get regs f2 - Array.unsafe_get regs f3) land m32);
-          nx env
-    | Block.Oand ->
-      if f1 = 0 then nx
-      else
-        fun env ->
-          let regs = env.e_regs in
-          Array.unsafe_set regs f1
-            (Array.unsafe_get regs f2 land Array.unsafe_get regs f3);
-          nx env
-    | Block.Oor ->
-      if f1 = 0 then nx
-      else
-        fun env ->
-          let regs = env.e_regs in
-          Array.unsafe_set regs f1
-            (Array.unsafe_get regs f2 lor Array.unsafe_get regs f3);
-          nx env
-    | Block.Oxor ->
-      if f1 = 0 then nx
-      else
-        fun env ->
-          let regs = env.e_regs in
-          Array.unsafe_set regs f1
-            (Array.unsafe_get regs f2 lxor Array.unsafe_get regs f3);
-          nx env
-    | Block.Onor ->
-      if f1 = 0 then nx
-      else
-        fun env ->
-          let regs = env.e_regs in
-          Array.unsafe_set regs f1
-            (lnot (Array.unsafe_get regs f2 lor Array.unsafe_get regs f3) land m32);
-          nx env
-    | Block.Oslt ->
-      if f1 = 0 then nx
-      else
-        fun env ->
-          let regs = env.e_regs in
-          Array.unsafe_set regs f1
-            (if Word.lt_signed (Array.unsafe_get regs f2) (Array.unsafe_get regs f3)
-             then 1
-             else 0);
-          nx env
-    | Block.Osltu ->
-      if f1 = 0 then nx
-      else
-        fun env ->
-          let regs = env.e_regs in
-          Array.unsafe_set regs f1
-            (if Array.unsafe_get regs f2 < Array.unsafe_get regs f3 then 1 else 0);
-          nx env
-    | Block.Osllv | Block.Osrlv | Block.Osrav ->
-      let op = Array.unsafe_get ops i in
-      if f1 = 0 then nx
-      else
-        fun env ->
-          let regs = env.e_regs in
-          let av = Array.unsafe_get regs f2 and n = Array.unsafe_get regs f3 in
-          Array.unsafe_set regs f1
-            (match op with
-             | Block.Osllv -> Word.sll av n
-             | Block.Osrlv -> Word.srl av n
-             | _ -> Word.sra av n);
-          nx env
-    | Block.Oaddi ->
-      if f1 = 0 then nx
-      else
-        fun env ->
-          let regs = env.e_regs in
-          Array.unsafe_set regs f1 ((Array.unsafe_get regs f2 + f3) land m32);
-          nx env
-    | Block.Oandi ->
-      if f1 = 0 then nx
-      else
-        fun env ->
-          let regs = env.e_regs in
-          Array.unsafe_set regs f1 (Array.unsafe_get regs f2 land f3);
-          nx env
-    | Block.Oori ->
-      if f1 = 0 then nx
-      else
-        fun env ->
-          let regs = env.e_regs in
-          Array.unsafe_set regs f1 (Array.unsafe_get regs f2 lor f3);
-          nx env
-    | Block.Oxori ->
-      if f1 = 0 then nx
-      else
-        fun env ->
-          let regs = env.e_regs in
-          Array.unsafe_set regs f1 (Array.unsafe_get regs f2 lxor f3);
-          nx env
-    | Block.Oslti ->
-      if f1 = 0 then nx
-      else
-        fun env ->
-          let regs = env.e_regs in
-          Array.unsafe_set regs f1
-            (if Word.lt_signed (Array.unsafe_get regs f2) f3 then 1 else 0);
-          nx env
-    | Block.Osltiu ->
-      if f1 = 0 then nx
-      else
-        fun env ->
-          let regs = env.e_regs in
-          Array.unsafe_set regs f1 (if Array.unsafe_get regs f2 < f3 then 1 else 0);
-          nx env
-    | Block.Osll | Block.Osrl | Block.Osra ->
-      let op = Array.unsafe_get ops i in
-      if f1 = 0 then nx
-      else
-        fun env ->
-          let regs = env.e_regs in
-          let av = Array.unsafe_get regs f2 in
-          Array.unsafe_set regs f1
-            (match op with
-             | Block.Osll -> Word.sll av f3
-             | Block.Osrl -> Word.srl av f3
-             | _ -> Word.sra av f3);
-          nx env
-    | Block.Olui ->
-      if f1 = 0 then nx
-      else
-        fun env ->
-          Array.unsafe_set env.e_regs f1 f3;
-          nx env
-    | Block.Olw ->
-      fun env ->
-        let regs = env.e_regs in
-        let ea = (Array.unsafe_get regs f2 + f3) land m32 in
-        if ea land 3 <> 0 then begin
-          env.e_ev <- ev_misalign;
-          env.e_rel <- rel;
-          env.e_a <- ea;
-          env.e_b <- 4
-        end
-        else begin
-          env.e_rel <- rel;
-          let w = TS.load_word_elt env.e_ts ea in
-          if w land tag_bits <> 0 then clean_tainted_load env f1 w nx fx
-          else begin
-            if f1 <> 0 then Array.unsafe_set regs f1 w;
-            nx env
-          end
-        end
-    | (Block.Olb | Block.Olbu | Block.Olh | Block.Olhu) as op ->
-      (* the narrower loads share one shape, like the full variant's *)
-      let half = match op with Block.Olh | Block.Olhu -> true | _ -> false in
-      let vmask = if half then 0xffff else 0xff in
-      let sbits = match op with Block.Olb -> 8 | Block.Olh -> 16 | _ -> 0 in
-      fun env ->
-        let regs = env.e_regs in
-        let ea = (Array.unsafe_get regs f2 + f3) land m32 in
-        if half && ea land 1 <> 0 then begin
-          env.e_ev <- ev_misalign;
-          env.e_rel <- rel;
-          env.e_a <- ea;
-          env.e_b <- 2
-        end
-        else begin
-          env.e_rel <- rel;
-          let el =
-            if half then Tword.to_bits (TS.load_half_even env.e_ts ea)
-            else Tword.to_bits (TS.load_byte_tw env.e_ts ea)
-          in
-          let w =
-            if sbits = 0 then el
-            else ((el lsr 32) lsl 32) lor Word.sign_extend ~bits:sbits (el land vmask)
-          in
-          if el land tag_bits <> 0 then clean_tainted_load env f1 w nx fx
-          else begin
-            if f1 <> 0 then Array.unsafe_set regs f1 w;
-            nx env
-          end
-        end
-    (* Clean stores write untainted data, which also clears the tag
-       bits of whatever (possibly tainted) bytes they overwrite. *)
-    | Block.Osw ->
-      fun env ->
-        let regs = env.e_regs in
-        let ea = (Array.unsafe_get regs f2 + f3) land m32 in
-        if ea land 3 <> 0 then begin
-          env.e_ev <- ev_misalign;
-          env.e_rel <- rel;
-          env.e_a <- ea;
-          env.e_b <- 4
-        end
-        else begin
-          env.e_rel <- rel;
-          TS.store_word_aligned env.e_ts ea (Tword.of_bits (Array.unsafe_get regs f1));
-          nx env
-        end
-    | Block.Osb ->
-      fun env ->
-        let regs = env.e_regs in
-        let ea = (Array.unsafe_get regs f2 + f3) land m32 in
-        env.e_rel <- rel;
-        TS.store_byte env.e_ts ea (Array.unsafe_get regs f1 land 0xff) ~taint:false;
-        nx env
-    | Block.Osh ->
-      fun env ->
-        let regs = env.e_regs in
-        let ea = (Array.unsafe_get regs f2 + f3) land m32 in
-        if ea land 1 <> 0 then begin
-          env.e_ev <- ev_misalign;
-          env.e_rel <- rel;
-          env.e_a <- ea;
-          env.e_b <- 2
-        end
-        else begin
-          env.e_rel <- rel;
-          TS.store_half_even env.e_ts ea (Array.unsafe_get regs f1) ~m:0;
-          nx env
-        end
-    | Block.Omult | Block.Omultu | Block.Odiv | Block.Odivu ->
-      let op = Array.unsafe_get ops i in
-      fun env ->
-        let regs = env.e_regs in
-        let av = Array.unsafe_get regs f1 and bv = Array.unsafe_get regs f2 in
-        let hi, lo =
-          match op with
-          | Block.Omult -> (Word.mul_hi_signed av bv, Word.mul_lo av bv)
-          | Block.Omultu -> (Word.mul_hi_unsigned av bv, Word.mul_lo av bv)
-          | Block.Odiv ->
-            let q, r = Word.div_signed av bv in
-            (r, q)
-          | _ ->
-            let q, r = Word.div_unsigned av bv in
-            (r, q)
-        in
-        Array.unsafe_set regs 32 hi;
-        Array.unsafe_set regs 33 lo;
-        nx env
-    | Block.Omfhi | Block.Omflo ->
-      let src = if Array.unsafe_get ops i = Block.Omfhi then 32 else 33 in
-      if f1 = 0 then nx
-      else
-        fun env ->
-          let regs = env.e_regs in
-          Array.unsafe_set regs f1 (Array.unsafe_get regs src);
-          nx env
-    | Block.Omthi | Block.Omtlo ->
-      let dst = if Array.unsafe_get ops i = Block.Omthi then 32 else 33 in
-      fun env ->
-        let regs = env.e_regs in
-        Array.unsafe_set regs dst (Array.unsafe_get regs f1);
-        nx env
-    | Block.Obeq | Block.Obne | Block.Oblez | Block.Obgtz | Block.Obltz
-    | Block.Obgez | Block.Oj | Block.Ojal | Block.Ojr | Block.Ojalr
-    | Block.Osyscall | Block.Obreak ->
-      assert false
-  in
-  let fullc = ref (mk_term ~clean:false) in
-  let cleanc = ref (mk_term ~clean:true) in
-  for i = term - 1 downto idx do
-    cleanc := mk_clean i !cleanc !fullc;
-    fullc := mk_full i !fullc
-  done;
-  let full_code = !fullc and clean_code = !cleanc in
   (* Entry point: one fuel test for the whole superblock, one variant
      selection per entry (which doubles as the taint-transition
-     invalidation rule), counters for the driver to flush.  The
-     block-constant load/store stats are flushed here, up front — on
-     the rare mid-block exit the driver subtracts the unexecuted
-     suffix, so the common case pays no per-access counting and no
-     separate flush closure. *)
-  let go env =
-    if env.e_fuel < len then begin
-      env.e_ev <- ev_fuel;
-      env.e_next_pc <- spc
-    end
-    else begin
-      env.e_fuel <- env.e_fuel - len;
-      env.e_cur <- idx;
-      env.e_blocks <- env.e_blocks + 1;
-      if nl > 0 then env.e_st.M.loads <- env.e_st.M.loads + nl;
-      if ns > 0 then env.e_st.M.stores <- env.e_st.M.stores + ns;
-      if Regfile.is_clean env.e_rf then begin
+     invalidation rule), counters for the driver to flush.  Without
+     tracking only the clean variant runs: a dirty register file (from
+     fault injection) hands the block back to the driver, which runs it
+     on [step_core]. *)
+  let go =
+    if track then fun env ->
+      if env.e_fuel < len then leave env ev_fuel spc
+      else begin
+        enter env idx len nl ns;
+        if Regfile.is_clean env.e_rf then begin
+          env.e_cleans <- env.e_cleans + 1;
+          if env.e_mode = 1 then env.e_deopts <- env.e_deopts + 1;
+          env.e_mode <- 0;
+          clean_code env
+        end
+        else begin
+          if env.e_mode = 0 then env.e_deopts <- env.e_deopts + 1;
+          env.e_mode <- 1;
+          full_code env
+        end
+      end
+    else fun env ->
+      if env.e_fuel < len then leave env ev_fuel spc
+      else if not (Regfile.is_clean env.e_rf) then leave env ev_none spc
+      else begin
+        enter env idx len nl ns;
         env.e_cleans <- env.e_cleans + 1;
-        if env.e_mode = 1 then env.e_deopts <- env.e_deopts + 1;
-        env.e_mode <- 0;
         clean_code env
       end
-      else begin
-        if env.e_mode = 0 then env.e_deopts <- env.e_deopts + 1;
-        env.e_mode <- 1;
-        full_code env
-      end
-    end
   in
   let sb = { sb_pc = spc; sb_idx = idx; sb_len = len; sb_go = go; sb_slots = slots } in
   Array.unsafe_set sbs idx sb;

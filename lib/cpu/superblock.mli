@@ -15,7 +15,15 @@
       untainted data, clearing the tag bits they overwrite;
     - the {e full} variant has the policy constants baked into the
       closures (no handler-table dispatch, no [Tword] boxing), with a
-      clean-operand fast path on the hot ALU opcodes.
+      clean-operand fast path.
+
+    Each opcode is defined once: one builder per opcode family returns
+    both closures for its instruction, and the clean closure is the
+    full one's clean-operand path without the tag test and the
+    register-bitmap write.  Only tracking policies run the full
+    variant; under a non-tracking policy a block entered with register
+    taint (which only fault injection can create) exits to the driver,
+    which runs it on [Machine.step_core].
 
     Superblocks chain across direct branches, fallthroughs and
     register-indirect jumps through patchable successor slots, so

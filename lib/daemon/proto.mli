@@ -45,13 +45,7 @@
 
 val version : int
 
-val min_version : int
-(** Oldest frame version the decoders still accept (1). *)
 val header_bytes : int
-
-val max_payload : int
-(** 16 MiB — frames announcing more are rejected from the 8-byte
-    header alone, before any payload buffering. *)
 
 type error =
   | Bad_magic
@@ -241,7 +235,7 @@ val add_request : outbox -> request -> unit
 val add_response : outbox -> response -> unit
 (** Encode one frame straight into the outbox.  Raises
     [Invalid_argument] — leaving the outbox as it was — for a payload
-    over {!max_payload} or a list over 65535 entries. *)
+    over the 16 MiB payload limit or a list over 65535 entries. *)
 
 val pending : outbox -> int
 (** Bytes encoded but not yet written. *)

@@ -11,7 +11,7 @@
     stuck-at-clean regions (a persistently broken taint-RAM range).
 
     Injections are scheduled at guest {e instruction counts} and
-    applied by fuel-slicing: {!finish_plan} drives the simulation to
+    applied by fuel-slicing: {!run_plan} drives the simulation to
     each scheduled icount with {!Ptaint_sim.Sim.run_until}, mutates
     the paused machine through the counter-exact injection entry
     points ({!Ptaint_cpu.Regfile}, {!Ptaint_mem.Memory}), and
@@ -66,27 +66,24 @@ val pp_injection : Format.formatter -> injection -> unit
 
 val apply : Ptaint_cpu.Machine.t -> fault -> bool
 (** Mutate the (paused) machine; returns whether the fault landed.
-    Emits a [Fault_injected] obs event when it did.  Live taint
-    counters stay exact, so the clean-taint fast path remains sound
-    after any injection. *)
+    Emits a [Fault_injected] obs event when it did.  Register faults
+    go through {!Ptaint_cpu.Regfile}'s injection entry points, which
+    keep its taint bitmap exact; the superblock tier selects its clean
+    variant from that bitmap, so the selection stays sound after any
+    injection. *)
 
 val default_slice : int
 (** 4096 — finer than {!Ptaint_sim.Sim.default_slice} so
     [Stuck_clean] re-clears with useful granularity. *)
 
-val finish_plan :
-  ?deadline:float -> ?slice:int -> plan:injection list ->
-  Ptaint_sim.Sim.session -> report
-(** Run the session to completion, applying [plan] (sorted by [at])
-    on the way.  [deadline] arms the cooperative watchdog
-    ({!Ptaint_sim.Sim.Timeout}).  A zero-injection plan with no
-    deadline degenerates to exactly one {!Ptaint_sim.Sim.finish}
-    call. *)
-
 val run_plan :
   ?config:Ptaint_sim.Sim.config -> ?deadline:float -> ?slice:int ->
   plan:injection list -> Ptaint_asm.Program.t -> report
-(** [finish_plan] over a fresh boot of [program]. *)
+(** Boot [program] and run it to completion, applying [plan] (sorted
+    by [at]) on the way.  [deadline] arms the cooperative watchdog
+    ({!Ptaint_sim.Sim.Timeout}).  A zero-injection plan with no
+    deadline degenerates to exactly one {!Ptaint_sim.Sim.finish}
+    call. *)
 
 val parse : string -> (injection, string) result
 (** Parse a command-line injection spec, [MODEL@ICOUNT[:TARGET]]:

@@ -37,16 +37,6 @@ let and_bytes ~v1 ~m1 ~v2 ~m2 =
   done;
   !result
 
-let or_bytes ~v1 ~m1 ~v2 ~m2 =
-  let result = ref Mask.none in
-  for i = 0 to 3 do
-    let ones1 = byte_of v1 i = 0xff && not (Mask.byte m1 i) in
-    let ones2 = byte_of v2 i = 0xff && not (Mask.byte m2 i) in
-    if (not ones1) && not ones2 && (Mask.byte m1 i || Mask.byte m2 i) then
-      result := Mask.set_byte !result i
-  done;
-  !result
-
 let xor_same = Mask.none
 let compare_untaint = Mask.none
 

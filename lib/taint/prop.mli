@@ -24,11 +24,6 @@ val and_bytes : v1:int -> m1:Mask.t -> v2:int -> m2:Mask.t -> Mask.t
     untainted zero byte is untainted (the result is the constant 0
     regardless of user input). *)
 
-val or_bytes : v1:int -> m1:Mask.t -> v2:int -> m2:Mask.t -> Mask.t
-(** Dual of {!and_bytes} for OR: a byte OR-ed with an untainted 0xff
-    byte is the constant 0xff, hence untainted.  Not in Table 1; kept
-    behind {!Policy} in the CPU and off by default. *)
-
 val xor_same : Mask.t
 (** [XOR R1,R2,R2] zeroing idiom: the result is the constant 0, so
     its taintedness is 0000. *)

@@ -9,8 +9,9 @@
    of every mapped page), same access statistics.  This suite checks
    that on random compiled programs, on every attack scenario in the
    catalogue under every coverage policy (cold, and again on a warm
-   shared tier), and on handwritten guests that cross
-   clean -> tainted -> clean so both superblock variants execute. *)
+   shared tier), on handwritten guests that cross
+   clean -> tainted -> clean so both superblock variants execute, and
+   on random raw loop bodies over every opcode under every policy. *)
 
 open Ptaint_taint
 module Sim = Ptaint_sim.Sim
@@ -494,6 +495,198 @@ let test_taint_flip_mid_chain () =
   Alcotest.(check int) "memory scrubbed" 0 (Memory.tainted_bytes m.Machine.mem);
   Alcotest.(check int) "registers scrubbed" 0 (Regfile.tainted_count m.Machine.regs)
 
+(* --- every opcode x both variants x every policy ------------------- *)
+
+(* Raw SIMIPS loop bodies over every non-terminator opcode, run hot
+   enough that the loop block is translated and chained.  Registers
+   t0..t3 start tainted from stdin (all four bytes, the low two, or
+   the high two), t4..t7 start from constants with zero bytes (so
+   [and] and [andi] meet the Table 1 zero rule); the body reads and
+   writes them freely, loads and stores through the reserved base $s7
+   into a 64-byte buffer whose first 16 bytes are tainted, and halfway
+   through the loop every pool register and HI/LO is scrubbed back to
+   a constant — so the translated block runs on the full variant
+   before the scrub and on the clean variant after it, deoptimizing
+   whenever a load brings memory taint back.
+   A late-address gadget computes $s3 = $s7 + (($s6 == K) & pool) each
+   pass: at iteration K only, the body's $s3 access may go misaligned
+   or, under the tracking policies, carry a tainted base — a fault or
+   alert raised from compiled code.  Each pass also stores the base
+   register itself, so taint injected into it shows in memory. *)
+
+let pool = [| "$t0"; "$t1"; "$t2"; "$t3"; "$t4"; "$t5"; "$t6"; "$t7" |]
+let base_slot = 23 (* $s7 *)
+let pool_consts = [| 0x00ff00ff; 0xff00; 0x7fff0000; 0 |]
+let matrix_passes = 4 * Ptaint_cpu.Superblock.threshold
+
+let matrix_insn_gen =
+  let open QCheck2.Gen in
+  let reg = oneofl (Array.to_list pool) in
+  let dst = frequency [ (9, reg); (1, return "$zero") ] in
+  let src = frequency [ (9, reg); (1, return "$zero") ] in
+  let mem ~width ~base =
+    let* w = int_range 0 ((64 / width) - 1) in
+    let* skew = frequency [ (29, return 0); (1, int_range 1 (max 1 (width - 1))) ] in
+    return (Printf.sprintf "%d(%s)" ((w * width) + if width = 1 then 0 else skew) base)
+  in
+  let base = frequency [ (4, return "$s7"); (1, return "$s3") ] in
+  frequency
+    [ ( 6,
+        let* op =
+          oneofl
+            [ "addu"; "add"; "subu"; "sub"; "and"; "or"; "xor"; "nor"; "slt"; "sltu";
+              "sllv"; "srlv"; "srav" ]
+        in
+        let* d = dst and* a = src and* b = src in
+        return (Printf.sprintf "%s %s, %s, %s" op d a b) );
+      (1, let* r = reg in return (Printf.sprintf "xor %s, %s, %s" r r r));
+      ( 4,
+        let* op = oneofl [ "addiu"; "addi"; "slti"; "sltiu" ] in
+        let* d = dst and* a = src and* imm = int_range (-300) 300 in
+        return (Printf.sprintf "%s %s, %s, %d" op d a imm) );
+      ( 3,
+        let* op = oneofl [ "andi"; "ori"; "xori" ] in
+        let* d = dst and* a = src
+        and* imm = oneofl [ 0; 0xff; 0xff00; 0xffff; 0x1234; 0x80 ] in
+        return (Printf.sprintf "%s %s, %s, %d" op d a imm) );
+      ( 2,
+        let* op = oneofl [ "sll"; "srl"; "sra" ] in
+        let* d = dst and* a = src and* sh = int_range 0 31 in
+        return (Printf.sprintf "%s %s, %s, %d" op d a sh) );
+      ( 1,
+        let* d = dst and* imm = int_range 0 0xffff in
+        return (Printf.sprintf "lui %s, %d" d imm) );
+      ( 4,
+        let* op, width = oneofl [ ("lw", 4); ("lh", 2); ("lhu", 2); ("lb", 1); ("lbu", 1) ] in
+        let* d = dst and* base = base in
+        let* m = mem ~width ~base in
+        return (Printf.sprintf "%s %s, %s" op d m) );
+      ( 3,
+        let* op, width = oneofl [ ("sw", 4); ("sh", 2); ("sb", 1) ] in
+        let* s = src and* base = base in
+        let* m = mem ~width ~base in
+        return (Printf.sprintf "%s %s, %s" op s m) );
+      ( 2,
+        let* op = oneofl [ "mult"; "multu"; "div"; "divu" ] in
+        let* a = src and* b = src in
+        return (Printf.sprintf "%s %s, %s" op a b) );
+      ( 2,
+        let* op = oneofl [ "mfhi"; "mflo" ] in
+        let* d = dst in
+        return (Printf.sprintf "%s %s" op d) );
+      ( 1,
+        let* op = oneofl [ "mthi"; "mtlo" ] in
+        let* a = src in
+        return (Printf.sprintf "%s %s" op a) );
+      (1, return "nop") ]
+
+let matrix_case_gen =
+  let open QCheck2.Gen in
+  let* body = list_size (int_range 3 12) matrix_insn_gen in
+  let* late = int_range 1 (Ptaint_cpu.Superblock.threshold - 1) in
+  let* late_src = oneofl (Array.to_list pool) in
+  let* input = string_size ~gen:printable (return 16) in
+  return (body, late, late_src, input)
+
+let matrix_asm (body, late, late_src, _) =
+  let li r v = Printf.sprintf "        li %s, %d" r v in
+  let scrub =
+    List.init 8 (fun i -> li pool.(i) (if i < 4 then i + 1 else pool_consts.(i - 4)))
+    @ [ "        mthi $zero"; "        mtlo $zero" ]
+  in
+  String.concat "\n"
+    ([ "        .text";
+       "main:   li $v0, 2";
+       "        li $a0, 0";
+       "        la $a1, buf";
+       "        li $a2, 16";
+       "        syscall";
+       "        la $s7, buf";
+       "        lw $t0, 0($s7)";
+       "        lw $t1, 4($s7)";
+       "        lhu $t2, 8($s7)";
+       "        lw $t3, 12($s7)";
+       "        sll $t3, $t3, 16" ]
+     @ List.init 4 (fun i -> li pool.(4 + i) pool_consts.(i))
+     @ [ li "$s6" matrix_passes; li "$s5" (matrix_passes / 2);
+         "loop:   xori $s1, $s6, " ^ string_of_int late;
+         "        sltiu $s1, $s1, 1";
+         Printf.sprintf "        and $s1, $s1, %s" late_src;
+         "        addu $s3, $s7, $s1" ]
+     @ List.map (fun l -> "        " ^ l) body
+     @ [ "        sw $s7, 60($s7)";
+         "        addiu $s6, $s6, -1";
+         "        bne $s6, $s5, next" ]
+     @ scrub
+     @ [ "next:   bgtz $s6, loop";
+         "        li $v0, 1";
+         "        li $a0, 0";
+         "        syscall";
+         "        .data";
+         "buf:    .space 64" ])
+
+let matrix_policies =
+  [ ("full", Ptaint_cpu.Policy.default);
+    ("control-only", Ptaint_cpu.Policy.control_only);
+    ("none", Ptaint_cpu.Policy.unprotected);
+    ("baseline", Ptaint_cpu.Policy.baseline_no_tracking);
+    ("no-compare-untaint", { Ptaint_cpu.Policy.default with compare_untaints = false }) ]
+
+(* [switches] totals the variant switches inside compiled chains. *)
+let matrix_case switches ((_, _, _, input) as case) =
+  let source = matrix_asm case in
+  let program =
+    match Ptaint_asm.Assembler.assemble source with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "assembly failed: %a\n%s" Ptaint_asm.Assembler.pp_error e source
+  in
+  let config policy =
+    Sim.Config.(
+      default |> with_policy policy
+      |> with_sources { Ptaint_os.Sources.none with stdin = true }
+      |> with_stdin input)
+  in
+  List.iter
+    (fun (label, policy) ->
+      let bulk = differential label (config policy) program in
+      let m = bulk.machine in
+      (match bulk.outcome with
+       | Sim.Exited _ when m.Machine.sb_promoted = 0 ->
+         Alcotest.failf "%s: the loop ran every pass but was never promoted" label
+       | _ -> ());
+      switches := !switches + m.Machine.sb_deopts;
+      if label = "baseline" then begin
+        if m.Machine.blocks_run <> m.Machine.clean_blocks then
+          Alcotest.failf "baseline: %d of %d blocks ran with register taint"
+            (m.Machine.blocks_run - m.Machine.clean_blocks) m.Machine.blocks_run;
+        (* spurious register taint on the loop's base register, which
+           nothing writes: without tracking nothing propagates or
+           clears it, so the rest of the run has a dirty register file *)
+        let at = bulk.instructions / 2 in
+        let config = config policy in
+        let fault = Ptaint_fi.Fi.Reg_spurious_taint { slot = base_slot } in
+        let injected = (Ptaint_fi.Fi.run_plan ~config ~plan:[ { at; fault } ] program).result in
+        (* the reference side reaches [at] one step at a time *)
+        let s = Sim.boot ~config program in
+        let rec to_at () =
+          if s.Sim.s_machine.Machine.icount < at then
+            match Sim.session_step s with Sim.Running -> to_at () | Sim.Finished _ -> ()
+        in
+        to_at ();
+        ignore (Ptaint_fi.Fi.apply s.Sim.s_machine fault);
+        check_agree "baseline + reg-spurious-taint" injected (Sim.finish_per_step s)
+      end)
+    matrix_policies;
+  true
+
+let test_opcode_matrix () =
+  let switches = ref 0 in
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 17 |])
+    (QCheck2.Test.make ~count:120 ~name:"opcode x variant x policy" ~print:matrix_asm
+       matrix_case_gen (matrix_case switches));
+  (* a switch inside a compiled chain means both variants ran there *)
+  Alcotest.(check bool) "both variants ran in compiled chains" true (!switches > 0)
+
 (* --- batch runner --------------------------------------------------- *)
 
 (* The campaign engine feeds every job through [finish]; a two-domain
@@ -532,4 +725,5 @@ let () =
             test_clean_over_tainted_memory;
           Alcotest.test_case "superblock chains, both engines" `Quick test_superblock_chains;
           Alcotest.test_case "taint flip mid-chain" `Quick test_taint_flip_mid_chain;
+          Alcotest.test_case "opcode x variant x policy" `Quick test_opcode_matrix;
           Alcotest.test_case "run_jobs matches per-step" `Quick test_run_jobs_differential ] ) ]
