@@ -549,13 +549,55 @@ let micro_frame_read_bench =
                  (decoded value: %d words)"
                 (direct /. float_of_int frames) value_words)))
 
+(* allocation per generated job: the streaming campaign's per-job host
+   path — image-cache lookup by [Job.image_key], arena boot, run — over
+   a fixed [Gen] pool, after a warm-up round has compiled the images
+   and translated their tiers.  A generated job reads its input with
+   one [read] syscall per byte, so any per-syscall allocation is paid
+   dozens of times per job, and every OCaml 5 minor collection stops
+   all domains.  Fails above [gen_job_words_ceiling] minor words per
+   job: about twice the 377 measured with the allocation-free kernel
+   (arena boot ~200, image key ~70, result ~100), and far below the
+   ~2,400 of a kernel that allocates on every syscall. *)
+let gen_job_words_ceiling = 750.
+
+let micro_gen_job_words_bench =
+  let spec = Ptaint_gen.Gen.spec ~seed:7 ~variants:12 ~jobs:300 () in
+  let jobs = Array.init (Ptaint_gen.Gen.jobs_of spec) (Ptaint_gen.Gen.job spec) in
+  let images = Hashtbl.create 16 in
+  Array.iter
+    (fun (j : Ptaint_campaign.Job.t) ->
+      let key = Ptaint_campaign.Job.image_key j in
+      if not (Hashtbl.mem images key) then
+        Hashtbl.replace images key
+          (Ptaint_sim.Sim.prepare ~config:j.config (Ptaint_campaign.Job.program j)))
+    jobs;
+  let round () =
+    Array.iter
+      (fun (j : Ptaint_campaign.Job.t) ->
+        let image = Hashtbl.find images (Ptaint_campaign.Job.image_key j) in
+        ignore (Ptaint_sim.Sim.run_template_arena ~config:j.config image))
+      jobs
+  in
+  round ();
+  Test.make ~name:"micro/gen-job-words"
+    (Staged.stage (fun () ->
+         let before = Gc.minor_words () in
+         round ();
+         let per_job = (Gc.minor_words () -. before) /. float_of_int (Array.length jobs) in
+         if per_job > gen_job_words_ceiling then
+           failwith
+             (Printf.sprintf "micro/gen-job-words: %.0f minor words per job (ceiling %.0f)"
+                per_job gen_job_words_ceiling)))
+
 let micro_benches =
   [ micro_mem_bench; micro_regfile_bench; micro_snapshot_bench; micro_trace_off_bench;
     micro_trace_on_bench; micro_block_dispatch_bench; micro_clean_fastpath_bench;
     micro_superblock_dispatch_bench; micro_chain_hit_bench;
     micro_sliced_run_bench; micro_arena_reuse_bench; micro_template_boot_bench;
     micro_fresh_boot_bench;
-    micro_log_off_bench; micro_metrics_scrape_bench; micro_frame_read_bench ]
+    micro_log_off_bench; micro_metrics_scrape_bench; micro_frame_read_bench;
+    micro_gen_job_words_bench ]
 
 (* --- driver ----------------------------------------------------------------- *)
 

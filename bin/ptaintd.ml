@@ -7,7 +7,7 @@
 
    The daemon accepts detection jobs from many concurrent clients
    over a Unix-domain socket, runs them on a persistent pool of
-   worker domains, serves repeat submissions from a content-hash
+   worker domains, serves repeat submissions from a content-keyed
    snapshot cache, and streams results back as typed events.
    SIGTERM/SIGINT drain gracefully: in-flight jobs finish, results
    flush, then the process exits 0.

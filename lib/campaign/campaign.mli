@@ -5,7 +5,7 @@
     false-positive workloads — and every future scaling direction
     (larger corpora, fuzzing campaigns, fault-injection sweeps) has
     the same shape.  Every batch is a sequence of {!Job.t}s run by one
-    engine: a persistent domain pool ({!Pool}), one content-hash
+    engine: a persistent domain pool ({!Pool}), one content-keyed
     image cache, and one containment wrapper per job.  The engine
     comes in two shapes over the same machinery: {!run_stream} folds
     each job into an incremental {!tally} and keeps nothing, and

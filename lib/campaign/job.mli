@@ -9,7 +9,7 @@
 
     The payload stays symbolic (source text, or a pre-assembled
     program for in-process callers): that is what lets the daemon key
-    its content-hash cache on the program bytes and lets the campaign
+    its content-keyed cache on the program bytes and lets the campaign
     engine share one boot image across identical programs. *)
 
 type payload =
@@ -59,8 +59,12 @@ val program : t -> Ptaint_asm.Program.t
     failures. *)
 
 val image_key : t -> string
-(** Content hash (hex) of everything that shapes the loaded memory
-    image: program bytes plus argv/env/sources.  Jobs with equal keys
-    can boot from one snapshot template.  [Image] payloads are keyed
-    by a digest of the whole program, so two images with equal
-    content share a key and two that differ anywhere do not. *)
+(** Exact content key of everything that shapes the loaded memory
+    image: program text plus argv/env/sources, encoded with a length
+    before every string and a count before every list, so two jobs get
+    equal keys exactly when those fields are equal.  Jobs with equal
+    keys can boot from one snapshot template.  [Image] payloads are
+    keyed by a digest of the whole marshalled program, so two images
+    with equal content share a key and two that differ anywhere do
+    not.  The key is binary and about as long as the source; it is for
+    lookups, not for printing. *)

@@ -93,10 +93,15 @@ let decoded t =
 
 (* The superblock tier must agree with the decode it indexes and the
    policy its closures baked in; a mismatched cache (machine re-aimed
-   without a fresh tier) is replaced by a machine-local one. *)
+   without a fresh tier) is replaced by a machine-local one.  This
+   runs on every [run] entry, where the policy is almost always the
+   very record the tier was built from, so the physical test spares
+   the structural compare's C call. *)
 let tier_for t d =
   match t.tier with
-  | Some tr when tr.Superblock.t_blocks == d && tr.Superblock.t_policy = t.policy -> tr
+  | Some tr
+    when tr.Superblock.t_blocks == d
+         && (tr.Superblock.t_policy == t.policy || tr.Superblock.t_policy = t.policy) -> tr
   | _ ->
     let tr = Superblock.create_tier d t.policy in
     t.tier <- Some tr;

@@ -36,7 +36,15 @@ val create :
 
 val handle : t -> Ptaint_cpu.Machine.t -> [ `Continue | `Exit of int ]
 (** Service the syscall currently requested by the machine (number in
-    [$v0]); writes the result to [$v0]. *)
+    [$v0]); writes the result to [$v0].  Transfers stream byte by byte
+    between guest memory and the host side, so servicing a call
+    allocates nothing per call and never in proportion to the length
+    the guest asks for.  A buffer that is unmapped part-way makes the
+    call return -1: a [read]/[recv] keeps the bytes stored before the
+    fault and still consumes the whole transfer from its source, a
+    [write]/[send] leaves stdout, the file and the socket unchanged;
+    either way the accesses made before the fault count in
+    {!Ptaint_mem.Memory.stats}. *)
 
 (** {1 Observation points for experiments} *)
 

@@ -23,6 +23,7 @@ module Scenario = Ptaint_attacks.Scenario
 module Catalog = Ptaint_attacks.Catalog
 module Campaign = Ptaint_campaign.Campaign
 module Job = Ptaint_campaign.Job
+module Gen = Ptaint_gen.Gen
 
 (* --- result comparison ---------------------------------------------- *)
 
@@ -714,6 +715,56 @@ let test_run_jobs_differential () =
     (fun i (b, r) -> check_agree (Printf.sprintf "run_jobs job %d" i) b r)
     (List.combine batch seq)
 
+(* --- a generated pool, hot, through the arena ------------------------ *)
+
+(* The campaign's own unit of work: [Gen] jobs read their input with
+   [gets], one [read] syscall per byte, so each job crosses the kernel
+   dozens of times between short compiled stretches.  Every job of a
+   fixed-seed pool (every default policy, benign and attacking
+   payloads) first warms its image's shared tier, then runs once more
+   through the domain arena, the streaming engine's path, and is
+   diffed against a per-step run of a fresh boot of the same image.
+   The arena result is checked before the next arena boot rewinds
+   it. *)
+let test_generated_pool () =
+  let spec = Gen.spec ~seed:11 ~variants:4 ~jobs:180 () in
+  let images = Hashtbl.create 8 in
+  let image (j : Job.t) =
+    let key = Job.image_key j in
+    match Hashtbl.find_opt images key with
+    | Some tpl -> tpl
+    | None ->
+      let tpl = Sim.prepare ~config:j.Job.config (Job.program j) in
+      Hashtbl.replace images key tpl;
+      tpl
+  in
+  let outcomes = Hashtbl.create 4 and syscalls = ref 0 in
+  for i = 0 to Gen.jobs_of spec - 1 do
+    let j = Gen.job spec i in
+    let config = j.Job.config and tpl = image j in
+    let ctx = Printf.sprintf "%s (%s)" j.Job.tag (Gen.policy_label spec i) in
+    for _ = 1 to Ptaint_cpu.Superblock.threshold do
+      ignore (Sim.run_template_arena ~config tpl)
+    done;
+    let hot = Sim.run_template_arena ~config tpl in
+    let m = hot.machine in
+    if m.Machine.sb_promoted <> 0 || m.Machine.chain_hits = 0 then
+      Alcotest.failf "%s: the tier did not carry the run (%d promoted, %d chain hits)" ctx
+        m.Machine.sb_promoted m.Machine.chain_hits;
+    syscalls := !syscalls + hot.syscalls;
+    let kind =
+      match hot.outcome with Sim.Exited _ -> "exit" | Sim.Alert _ -> "alert" | _ -> "other"
+    in
+    Hashtbl.replace outcomes kind ();
+    check_agree ctx hot (Sim.finish_per_step (Sim.boot_template ~config tpl))
+  done;
+  List.iter
+    (fun kind ->
+      if not (Hashtbl.mem outcomes kind) then Alcotest.failf "the pool has no %s outcome" kind)
+    [ "exit"; "alert" ];
+  if !syscalls < 10 * Gen.jobs_of spec then
+    Alcotest.failf "the pool made only %d syscalls in %d jobs" !syscalls (Gen.jobs_of spec)
+
 let () =
   Alcotest.run "block engine"
     [ ( "differential",
@@ -726,4 +777,6 @@ let () =
           Alcotest.test_case "superblock chains, both engines" `Quick test_superblock_chains;
           Alcotest.test_case "taint flip mid-chain" `Quick test_taint_flip_mid_chain;
           Alcotest.test_case "opcode x variant x policy" `Quick test_opcode_matrix;
-          Alcotest.test_case "run_jobs matches per-step" `Quick test_run_jobs_differential ] ) ]
+          Alcotest.test_case "run_jobs matches per-step" `Quick test_run_jobs_differential;
+          Alcotest.test_case "generated pool, hot through the arena" `Quick
+            test_generated_pool ] ) ]

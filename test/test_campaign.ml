@@ -476,6 +476,47 @@ let test_image_key_by_content () =
     (Job.image_key a = Job.image_key b);
   Alcotest.(check string) "equal content, equal key" (Job.image_key a)
     (Job.image_key (image "a'" (exit_with 0)));
+  (* The key is an exact encoding, not a digest: inputs that a
+     separator-joined or digest key could conflate must differ. *)
+  let src text = Job.make ~tag:"src" (Job.C_source text) in
+  let with_config f text =
+    Job.make ~tag:"cfg" ~config:(f Ptaint_sim.Sim.Config.default) (Job.C_source text)
+  in
+  let differ what x y =
+    Alcotest.(check bool) (what ^ ": different keys") false (Job.image_key x = Job.image_key y)
+  in
+  let argv v = with_config (Ptaint_sim.Sim.Config.with_argv v) "int main(void) { return 0; }" in
+  differ "argv [\"a b\"] vs [\"a\"; \"b\"]" (argv [ "a b" ]) (argv [ "a"; "b" ]);
+  differ "argv [\"a\\000b\"] vs [\"a\"; \"b\"]" (argv [ "a\000b" ]) (argv [ "a"; "b" ]);
+  let env e = with_config (Ptaint_sim.Sim.Config.with_env e) "int main(void) { return 0; }" in
+  differ "env (a, b=c) vs (a=b, c)" (env [ ("a", "b=c") ]) (env [ ("a=b", "c") ]);
+  let sources s =
+    with_config (Ptaint_sim.Sim.Config.with_sources s) "int main(void) { return 0; }"
+  in
+  let none = Ptaint_os.Sources.none in
+  let alone =
+    [ ("network", { none with Ptaint_os.Sources.network = true });
+      ("file", { none with Ptaint_os.Sources.file = true });
+      ("stdin", { none with Ptaint_os.Sources.stdin = true });
+      ("args", { none with Ptaint_os.Sources.args = true });
+      ("env", { none with Ptaint_os.Sources.env = true }) ]
+  in
+  List.iter
+    (fun (name, flags) ->
+      differ (name ^ " alone vs none") (sources flags) (sources none);
+      List.iter
+        (fun (other, flags') ->
+          if other <> name then
+            differ (name ^ " alone vs " ^ other ^ " alone") (sources flags) (sources flags'))
+        alone)
+    alone;
+  let text = ".text\nmain: li $v0, 1\n syscall\n" in
+  differ "asm vs C payload" (Job.make ~tag:"asm" (Job.Asm_source text)) (src text);
+  differ "NUL bytes in the source" (src "int x;\000int y;") (src "int x;\000int z;");
+  differ "argv [\"\\000\"] vs [\"\"]" (argv [ "\000" ]) (argv [ "" ]);
+  Alcotest.(check string) "equal source and config, equal key"
+    (Job.image_key (env [ ("k", "v") ]))
+    (Job.image_key (env [ ("k", "v") ]));
   let status (r : Campaign.job_result) =
     Format.asprintf "%a" Ptaint_sim.Sim.pp_outcome (Campaign.result_exn r).Ptaint_sim.Sim.outcome
   in
