@@ -81,38 +81,145 @@ type stats = {
   metrics : (string * Ptaint_obs.Metrics.t) list;
 }
 
-(* Run one job with the full containment machinery.  [runner spec]
-   builds (or fetches) the job's program and returns it with the
-   injection-free runner for it; it runs inside the attempt, so a
-   toolchain or loader failure is classified like any other.  The
-   deadline is derived after the build, so compiling never eats the
-   guest's budget.  A job's own [timeout] overrides the campaign-wide
-   default, for both the deadline and the reported
-   [Timeout { seconds }]. *)
-let exec ~job_timeout ~retries ~backoff ~runner (spec : Job.t) =
+(* --- the image cache ---
+
+   Repeat programs are the common case everywhere jobs run: a
+   generative stream draws from a bounded variant pool, and ptaintd
+   sees the same attack program swept over policies, payloads and
+   fault plans.  The first job to need an image builds the program
+   and its boot image ({!Ptaint_sim.Sim.prepare}: pre-decoded blocks
+   plus the copy-on-write snapshot); every later job with the same
+   {!Job.image_key} reuses both by reference, under its own policy,
+   stdin and fuel.
+
+   One cache is shared by all of a process's worker domains.  Builds
+   run outside the lock, so distinct programs compile in parallel; two
+   builds racing on one key both finish, and the first to publish
+   survives — the loser's job runs the survivor's image, so every job
+   of that key shares one set of superblock tiers.  Eviction is LRU by
+   a monotonic use clock (a hit is O(1), no recency list) and happens
+   in the critical section that publishes the incoming entry, before
+   the insert: at most [capacity] images are ever reachable.  The
+   lock is taken bare, not through [Fun.protect]: nothing under it
+   can raise, and a lookup then allocates no closure. *)
+module Images = struct
+  type slot = { image : Ptaint_sim.Sim.template; mutable last_use : int }
+
+  type t = {
+    mu : Mutex.t;
+    table : (string, slot) Hashtbl.t;
+    capacity : int;
+    mutable clock : int;  (* bumps on every hit or insert *)
+    mutable evictions : int;
+  }
+
+  let create ~capacity =
+    if capacity < 1 then invalid_arg "Campaign.Images.create: capacity must be >= 1";
+    { mu = Mutex.create ();
+      table = Hashtbl.create (2 * capacity);
+      capacity;
+      clock = 0;
+      evictions = 0 }
+
+  (* The helpers below run with [t.mu] held. *)
+  let tick t =
+    t.clock <- t.clock + 1;
+    t.clock
+
+  let evict_lru t =
+    let victim =
+      Hashtbl.fold
+        (fun key s acc ->
+          match acc with
+          | Some (_, best) when best <= s.last_use -> acc
+          | _ -> Some (key, s.last_use))
+        t.table None
+    in
+    match victim with
+    | None -> ()
+    | Some (key, _) ->
+      Hashtbl.remove t.table key;
+      t.evictions <- t.evictions + 1
+
+  let add t key image =
+    Mutex.lock t.mu;
+    let survivor =
+      match Hashtbl.find t.table key with
+      | s ->
+        s.last_use <- tick t;
+        s.image
+      | exception Not_found ->
+        if Hashtbl.length t.table >= t.capacity then evict_lru t;
+        Hashtbl.replace t.table key { image; last_use = tick t };
+        image
+    in
+    Mutex.unlock t.mu;
+    survivor
+
+  let obtain t (spec : Job.t) =
+    let key = Job.image_key spec in
+    Mutex.lock t.mu;
+    match Hashtbl.find t.table key with
+    | s ->
+      s.last_use <- tick t;
+      Mutex.unlock t.mu;
+      (s.image, true)
+    | exception Not_found ->
+      Mutex.unlock t.mu;
+      (add t key (Ptaint_sim.Sim.prepare ~config:spec.Job.config (Job.program spec)), false)
+
+  let counters t =
+    Mutex.lock t.mu;
+    let c =
+      [ ("daemon/cache-evictions", t.evictions);
+        ("daemon/cache-entries", Hashtbl.length t.table);
+        ("daemon/cache-capacity", t.capacity) ]
+    in
+    Mutex.unlock t.mu;
+    c
+end
+
+(* Run one job with the full containment machinery and report
+   whether its image came from the cache.  The image lookup runs
+   inside the attempt, so a toolchain or loader failure is classified
+   like any other.  The deadline is derived after the lookup, so
+   compiling never eats the guest's budget.  A job's own [timeout]
+   overrides the campaign-wide default, for both the deadline and the
+   reported [Timeout { seconds }].  [keep] picks the boot: a kept
+   result outlives the next job on its domain, so it needs a fresh
+   machine ({!Ptaint_sim.Sim.run_template}); otherwise the job boots
+   the domain's recycled arena ({!Ptaint_sim.Sim.run_template_arena}).
+   Injection plans always boot fresh through {!Ptaint_fi.Fi.run_plan}. *)
+let run_job ?job_timeout ?(retries = 0) ?(backoff = 0.05) ~keep images (spec : Job.t) =
   let job_timeout = match spec.Job.timeout with Some t -> Some t | None -> job_timeout in
   let started = Unix.gettimeofday () in
+  let hit = ref false in
   let close ~attempts status violation =
-    { name = spec.Job.tag;
-      policy_label = job_label spec;
-      status;
-      violation;
-      attempts;
-      timing =
-        { started;
-          finished = Unix.gettimeofday ();
-          domain = (Domain.self () :> int) };
-      trace = spec.Job.trace }
+    ( { name = spec.Job.tag;
+        policy_label = job_label spec;
+        status;
+        violation;
+        attempts;
+        timing =
+          { started;
+            finished = Unix.gettimeofday ();
+            domain = (Domain.self () :> int) };
+        trace = spec.Job.trace },
+      !hit )
   in
   let attempt () =
-    let program, run_sim = runner spec in
+    let image, cached = Images.obtain images spec in
+    hit := cached;
     (* The deadline is absolute wall-clock, re-derived per attempt so a
        retried job gets its full budget back. *)
     let deadline = Option.map (fun t -> Unix.gettimeofday () +. t) job_timeout in
+    let config = spec.Job.config in
     match spec.Job.injections with
-    | [] -> run_sim ~deadline spec.Job.config
+    | [] ->
+      if keep then Ptaint_sim.Sim.run_template ?deadline ~config image
+      else Ptaint_sim.Sim.run_template_arena ?deadline ~config image
     | plan ->
-      (Ptaint_fi.Fi.run_plan ~config:spec.Job.config ?deadline ~plan program)
+      (Ptaint_fi.Fi.run_plan ~config ?deadline ~plan (Ptaint_sim.Sim.Image.program image))
         .Ptaint_fi.Fi.result
   in
   let rec go attempts =
@@ -507,67 +614,23 @@ let load_tally d =
   t.t_sites <- d.d_sites;
   t
 
-(* Shared image cache for the engine's workers.  Distinct programs in a
-   generative stream recur constantly (the variant pool is bounded),
-   so the first worker to see a payload builds program + boot image
-   and every later job reuses both by reference.  Builds run outside
-   the lock so distinct programs compile in parallel; the bound is a
-   generational flush (exceeding [capacity] clears the table), which
-   is free in the steady state where the variant pool fits. *)
-module Images = struct
-  type t = { mu : Mutex.t; tbl : (string, Ptaint_sim.Sim.template) Hashtbl.t }
-
-  let capacity = 128
-  let create () = { mu = Mutex.create (); tbl = Hashtbl.create 64 }
-
-  let obtain t spec =
-    let key = Job.image_key spec in
-    Mutex.lock t.mu;
-    match Hashtbl.find_opt t.tbl key with
-    | Some image ->
-      Mutex.unlock t.mu;
-      image
-    | None -> (
-      Mutex.unlock t.mu;
-      let image = Ptaint_sim.Sim.prepare ~config:spec.Job.config (Job.program spec) in
-      Mutex.lock t.mu;
-      match Hashtbl.find_opt t.tbl key with
-      | Some image ->
-        (* racing build: first insert wins so every job shares it *)
-        Mutex.unlock t.mu;
-        image
-      | None ->
-        if Hashtbl.length t.tbl >= capacity then Hashtbl.reset t.tbl;
-        Hashtbl.replace t.tbl key image;
-        Mutex.unlock t.mu;
-        image)
-end
-
 (* --- the engine ---
 
    Every batch runs here.  Jobs are pulled lazily from a sequence and
    posted to a persistent worker pool; at most [window] (4x the worker
    count) are admitted beyond the flush cursor, which bounds both the
-   queue and the reorder buffer.  Each worker fetches the job's program
-   and boot image from the shared cache, runs it through [exec], and
-   reduces the result with [reduce] before it touches its next job;
-   [emit] then sees every reduced value on the calling domain, in
-   submission order.
+   queue and the reorder buffer.  Each worker runs its job through
+   [run_job] against the engine's image cache and reduces the result
+   with [reduce] before it touches its next job; [emit] then sees
+   every reduced value on the calling domain, in submission order.
+   [keep] is [run_job]'s: collected results boot fresh, reduced-and-
+   dropped ones boot the arena. *)
+let engine_cache_capacity = 128
 
-   [keep] picks the boot: a collected result outlives the next job on
-   its domain, so it must come from a fresh machine
-   ({!Ptaint_sim.Sim.run_template}); a reduced-and-dropped one may
-   alias the domain's recycled arena
-   ({!Ptaint_sim.Sim.run_template_arena}). *)
 let engine ?domains ~job_timeout ~retries ~backoff ~start ~keep ~reduce ~emit jobs =
   let svc = Pool.service ?domains () in
   let window = 4 * Pool.service_size svc in
-  let images = Images.create () in
-  let boot = if keep then Ptaint_sim.Sim.run_template else Ptaint_sim.Sim.run_template_arena in
-  let runner spec =
-    let image = Images.obtain images spec in
-    (Ptaint_sim.Sim.Image.program image, fun ~deadline config -> boot ?deadline ~config image)
-  in
+  let images = Images.create ~capacity:engine_cache_capacity in
   let mu = Mutex.create () in
   let cv = Condition.create () in
   let completions = Queue.create () in
@@ -575,10 +638,10 @@ let engine ?domains ~job_timeout ~retries ~backoff ~start ~keep ~reduce ~emit jo
   let pending = Hashtbl.create (2 * window) in
   let run_one idx (spec : Job.t) () =
     let v =
-      match reduce idx (exec ~job_timeout ~retries ~backoff ~runner spec) with
+      match reduce idx (fst (run_job ?job_timeout ~retries ~backoff ~keep images spec)) with
       | v -> v
       | exception e ->
-        (* [exec] contains everything, so this is belt and braces: the
+        (* [run_job] contains everything, so this is belt and braces: the
            pump must never lose a completion, or the reorder flush
            stalls forever at this index. *)
         let now = Unix.gettimeofday () in
@@ -667,20 +730,6 @@ let run_jobs ?domains ?trace ?job_timeout ?(retries = 0) ?(backoff = 0.05) specs
        results
    | None -> ());
   (results, stats_of ~wall_seconds results)
-
-(* One job, no pool — the daemon's per-worker entry point.  [run_sim]
-   lets the caller route execution through its own image cache;
-   [program] skips the payload build when the caller already holds the
-   compiled image. *)
-let run_job ?job_timeout ?(retries = 0) ?(backoff = 0.05) ?run_sim ?program spec =
-  let runner spec =
-    let p = match program with Some p -> p | None -> Job.program spec in
-    ( p,
-      match run_sim with
-      | Some f -> fun ~deadline config -> f ~deadline config p
-      | None -> fun ~deadline config -> Ptaint_sim.Sim.run ?deadline ~config p )
-  in
-  exec ~job_timeout ~retries ~backoff ~runner spec
 
 let metrics_table_of ?(timings = false) metrics =
   let module M = Ptaint_obs.Metrics in

@@ -6,7 +6,7 @@
     (larger corpora, fuzzing campaigns, fault-injection sweeps) has
     the same shape.  Every batch is a sequence of {!Job.t}s run by one
     engine: a persistent domain pool ({!Pool}), one content-keyed
-    image cache, and one containment wrapper per job.  The engine
+    image cache ({!Images}), and one containment wrapper per job.  The engine
     comes in two shapes over the same machinery: {!run_stream} folds
     each job into an incremental {!tally} and keeps nothing, and
     {!run_jobs} collects one {!job_result} per job, in submission
@@ -162,23 +162,66 @@ val run_jobs :
     calling domain, after the pool drains — ready for the Chrome trace
     exporter. *)
 
+(** {1 Image cache}
+
+    The content-keyed cache every executor runs its jobs through: the
+    engine behind {!run_jobs}/{!run_stream} (128 images) and both of
+    ptaintd's backends (its [--cache] capacity).  It keys on
+    {!Job.image_key} — the program plus exactly the config fields
+    that shape the boot image — and holds each image's
+    {!Ptaint_sim.Sim.template}: pre-decoded block tables plus the
+    copy-on-write boot snapshot, with the program behind
+    {!Ptaint_sim.Sim.Image.program}.  A hit skips the build, and every
+    job boots under its own policy/stdin/fuel. *)
+
+module Images : sig
+  type t
+  (** Thread-safe: one cache is shared by all of a process's worker
+      domains. *)
+
+  val create : capacity:int -> t
+  (** An empty cache holding at most [capacity] images (≥ 1, else
+      [Invalid_argument]), evicting the least recently used. *)
+
+  val obtain : t -> Job.t -> Ptaint_sim.Sim.template * bool
+  (** The job's image, building and publishing it on a miss; the flag
+      is [true] on a hit.  Builds run outside the lock, so distinct
+      programs compile in parallel; when two builds of one key race,
+      both callers get the image published first.  Raises the
+      toolchain's typed errors on a malformed payload — call inside
+      the failure-classification net, as {!run_job} does. *)
+
+  val add : t -> string -> Ptaint_sim.Sim.template -> Ptaint_sim.Sim.template
+  (** [add t key image] publishes [image] under [key] and returns the
+      survivor: [image] itself, or the image already held for [key]
+      (a racing build got there first), which then counts as used.
+      Inserting into a full cache first evicts the least recently
+      used image. *)
+
+  val counters : t -> (string * int) list
+  (** [daemon/cache-evictions], [daemon/cache-entries],
+      [daemon/cache-capacity].  Hits and misses are the caller's to
+      count, from {!obtain}'s flag. *)
+end
+
 val run_job :
   ?job_timeout:float ->
   ?retries:int ->
   ?backoff:float ->
-  ?run_sim:
-    (deadline:float option -> Ptaint_sim.Sim.config -> Ptaint_asm.Program.t ->
-     Ptaint_sim.Sim.result) ->
-  ?program:Ptaint_asm.Program.t ->
+  keep:bool ->
+  Images.t ->
   Job.t ->
-  job_result
+  job_result * bool
 (** Execute one {!Job.t} on the calling domain with the full
-    containment machinery (watchdog deadline, typed failure
-    classification, retry-with-backoff for {!Crashed}) but no pool —
-    the daemon's per-worker entry point.  [run_sim] (default
-    {!Ptaint_sim.Sim.run}) lets the caller route execution through
-    its own snapshot-template cache; [program] skips the payload
-    build when the compiled image is already at hand. *)
+    containment machinery of {!run_jobs} (watchdog deadline, typed
+    failure classification, retry-with-backoff for {!Crashed}) but no
+    pool — the daemon's per-job entry point.  The image lookup runs
+    inside the attempt, so a payload that fails to build is a
+    classified {!Failed} job; the flag says whether the image came
+    from the cache.  With [keep] the job boots a fresh machine and the
+    result may be kept; without it the job boots the calling domain's
+    arena ({!Ptaint_sim.Sim.run_template_arena}) and the result is
+    valid only until the next arena boot on this domain. *)
 
 (** {1 Streaming campaigns}
 

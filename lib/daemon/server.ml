@@ -97,7 +97,7 @@ type completion = {
    over [t], so the field is filled right after the record exists and
    never observed empty outside [create]. *)
 type backend =
-  | In_process of Ptaint_pool.Pool.service * Cache.t
+  | In_process of Ptaint_pool.Pool.service * Campaign.Images.t
   | Isolated of Supervisor.t  (* each worker keeps its own cache *)
 
 (* Idempotency: a key the server has seen maps to the live admission
@@ -288,10 +288,9 @@ let create (cfg : config) =
        @ Hashtbl.fold (fun _ c acc -> c.fd :: acc) t.conns []
      in
      let sup_cfg =
-       { (Supervisor.default_config ~emit) with
+       { (Supervisor.default_config ~emit ~cache_capacity:cfg.cache_capacity) with
          Supervisor.workers = (match cfg.workers with Some n -> max 1 n | None -> 2);
          job_timeout = cfg.job_timeout;
-         cache_capacity = cfg.cache_capacity;
          log = cfg.log;
          metrics = Some metrics;
          close_in_child }
@@ -303,43 +302,22 @@ let create (cfg : config) =
        Some
          (In_process
             ( Ptaint_pool.Pool.service ?domains:cfg.domains (),
-              Cache.create ~capacity:cfg.cache_capacity () )));
+              Campaign.Images.create ~capacity:cfg.cache_capacity )));
   t
 
 (* Runs on a worker domain (in-process backend only; the isolated
-   backend's equivalent lives in {!Worker} + {!Supervisor}).  Every
+   backend's worker processes run the same {!Worker.run_job}).  Every
    path pushes exactly one terminal completion — that invariant is
    what lets the loop's drain logic count jobs instead of trusting
    connections.  The job boots through the domain's arena, so its
-   result is reduced to the wire event and the superblock counters
-   here, before this domain runs its next job. *)
-let run_job_task t cache ~cid ~id (spec : Job.t) () =
+   superblock counters are read here, before this domain runs its
+   next job. *)
+let run_job_task t images ~cid ~id (spec : Job.t) () =
   let t0 = Unix.gettimeofday () in
   push_completion t
     { c_cid = cid; c_resp = Proto.Job_event (Proto.Started { id });
       c_terminal = false; c_info = None };
-  let result =
-    match
-      (* Build-or-hit outside the classification net is wrong: a
-         malformed source must fail the job, not the worker.  So the
-         cache consult itself is guarded; on a toolchain error we fall
-         through to a bare run whose rebuild fails identically and is
-         classified ([Loader_error]) by the campaign machinery. *)
-      match Cache.obtain cache spec with
-      | entry, hit -> `Cached (entry, hit)
-      | exception _ -> `Build_failed
-    with
-    | `Cached (entry, hit) ->
-      let run_sim ~deadline config _program =
-        Ptaint_sim.Sim.run_template_arena ?deadline ~config entry.Cache.template
-      in
-      (Campaign.run_job ?job_timeout:t.cfg.job_timeout ~run_sim
-         ~program:entry.Cache.program spec, hit)
-    | `Build_failed ->
-      (Campaign.run_job ?job_timeout:t.cfg.job_timeout spec, false)
-  in
-  let r, cache_hit = result in
-  let ev = Worker.event_of_job_result ~id ~job:spec ~cache_hit r in
+  let ev, r, cache_hit = Worker.run_job ~images ~job_timeout:t.cfg.job_timeout ~id spec in
   let resp = Proto.Job_event ev in
   let outcome = Worker.outcome_of_event ev in
   let superblock =
@@ -382,7 +360,7 @@ let cache_counters t =
   ("daemon/cache-hit", t.cache_hits)
   :: ("daemon/cache-miss", t.cache_misses)
   :: (match backend_exn t with
-      | In_process (_, cache) -> Cache.counters cache
+      | In_process (_, images) -> Campaign.Images.counters images
       | Isolated _ -> [])
 
 let daemon_counters t =
@@ -473,8 +451,8 @@ let admit t conn (spec : Proto.job_spec) ~tag (job : Job.t) =
    | _ -> ());
   send conn (Proto.Accepted { id; tag });
   match backend_exn t with
-  | In_process (pool, cache) ->
-    Ptaint_pool.Pool.post pool (run_job_task t cache ~cid:conn.cid ~id job)
+  | In_process (pool, images) ->
+    Ptaint_pool.Pool.post pool (run_job_task t images ~cid:conn.cid ~id job)
   | Isolated sup ->
     Supervisor.submit sup ~id ~cid:conn.cid
       ~label:(Campaign.label_of_policy job.Job.config.Ptaint_sim.Sim.policy)

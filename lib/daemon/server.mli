@@ -5,8 +5,8 @@
     through per-client and server-wide bounds, scheduled onto a
     persistent {!Ptaint_pool.Pool.service} of worker domains, run
     through the campaign engine's containment machinery
-    ({!Ptaint_campaign.Campaign.run_job}) with boots served from the
-    shared image {!Cache}, and streamed back as
+    ({!Worker.run_job}) with boots served from the shared
+    {!Ptaint_campaign.Campaign.Images} cache, and streamed back as
     {!Proto.response} frames ([Accepted], [Started],
     [Finished]/[Job_failed] with {!Ptaint_campaign.Campaign.job_counters}
     deltas).

@@ -92,8 +92,8 @@ type config = {
     cid:int -> Proto.response -> terminal:bool -> info:done_info option -> unit;
 }
 
-let default_config ~emit =
-  { workers = 2; job_timeout = None; cache_capacity = 16;
+let default_config ~emit ~cache_capacity =
+  { workers = 2; job_timeout = None; cache_capacity;
     beat_interval = 0.25; beat_tolerance = 2.0; hang_timeout = 60.0;
     grace = 2.0; max_deliveries = 2; backoff_base = 0.05; backoff_cap = 2.0;
     log = None; metrics = None; close_in_child = (fun () -> []); emit }

@@ -63,8 +63,9 @@ type config = {
 val default_config :
   emit:
     (cid:int -> Proto.response -> terminal:bool -> info:done_info option -> unit) ->
+  cache_capacity:int ->
   config
-(** 2 workers, 16-entry caches, 0.25 s heartbeat / 2 s tolerance,
+(** 2 workers, [cache_capacity]-entry caches, 0.25 s heartbeat / 2 s tolerance,
     60 s hang timeout, 2 s grace, 2 deliveries, 50 ms–2 s backoff. *)
 
 type t

@@ -14,9 +14,10 @@
    supervisor always knows which job a worker's events belong to and
    rewrites the id on the way through.  Events here carry id 0.
 
-   This module also owns the result→event serialization shared with
-   the in-process backend ({!event_of_job_result}), so both execution
-   paths emit byte-identical frames for identical results. *)
+   This module also owns the job runner and the result→event
+   serialization shared with the in-process backend ({!run_job}), so
+   both execution paths emit byte-identical frames for identical
+   jobs. *)
 
 module Campaign = Ptaint_campaign.Campaign
 module Job = Ptaint_campaign.Job
@@ -100,6 +101,15 @@ let outcome_of_event = function
     else if has_prefix "instruction budget" then "out-of-fuel"
     else "unknown"
 
+(* One job, booted through the calling domain's arena: the wire
+   event, the result it was reduced from and the cache flag.  Both
+   backends run every job here, so they emit identical events; the
+   result aliases the arena and must be read before the next job
+   boots. *)
+let run_job ~images ~job_timeout ~id (job : Job.t) =
+  let r, cache_hit = Campaign.run_job ?job_timeout ~keep:false images job in
+  (event_of_job_result ~id ~job ~cache_hit r, r, cache_hit)
+
 (* --- the worker process loop ------------------------------------------ *)
 
 type config = {
@@ -108,43 +118,9 @@ type config = {
   beat_interval : float;  (** idle heartbeat period, seconds *)
 }
 
-let default_config =
-  { cache_capacity = 16; job_timeout = None; beat_interval = 0.25 }
-
-(* Run one spec with the full containment machinery; mirrors the
-   in-process backend so the two paths produce identical events.  The
-   job boots through the process's arena and its result is reduced to
-   the event before the next job boots. *)
-let run_spec ~cache ~job_timeout spec =
-  match Proto.job_of_spec spec with
-  | Error m ->
-    Proto.Job_failed
-      { id = 0; tag = spec.Proto.spec_tag; kind = "loader error"; message = m;
-        policy_label =
-          Campaign.label_of_policy Ptaint_sim.Sim.Config.default.Ptaint_sim.Sim.policy;
-        counters = [ ("jobs", 1); ("loader errors", 1) ];
-        trace = spec.Proto.spec_trace }
-  | Ok job ->
-    let r, cache_hit =
-      match
-        (* the cache consult is inside the classification net: a
-           malformed source fails the job, never the worker *)
-        match Cache.obtain cache job with
-        | entry, hit -> `Cached (entry, hit)
-        | exception _ -> `Build_failed
-      with
-      | `Cached (entry, hit) ->
-        let run_sim ~deadline config _program =
-          Ptaint_sim.Sim.run_template_arena ?deadline ~config entry.Cache.template
-        in
-        (Campaign.run_job ?job_timeout ~run_sim ~program:entry.Cache.program job, hit)
-      | `Build_failed -> (Campaign.run_job ?job_timeout job, false)
-    in
-    event_of_job_result ~id:0 ~job ~cache_hit r
-
 let main ~config ~rd ~wr =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let cache = Cache.create ~capacity:config.cache_capacity () in
+  let images = Campaign.Images.create ~capacity:config.cache_capacity in
   let inbox = Proto.request_reader () in
   let out = Proto.outbox () in
   let send resp =
@@ -174,7 +150,19 @@ let main ~config ~rd ~wr =
       loop ()
     | Some (Proto.Submit spec) ->
       send (Proto.Job_event (Proto.Started { id = 0 }));
-      let ev = run_spec ~cache ~job_timeout:config.job_timeout spec in
+      let ev =
+        match Proto.job_of_spec spec with
+        | Ok job ->
+          let ev, _, _ = run_job ~images ~job_timeout:config.job_timeout ~id:0 job in
+          ev
+        | Error m ->
+          Proto.Job_failed
+            { id = 0; tag = spec.Proto.spec_tag; kind = "loader error"; message = m;
+              policy_label =
+                Campaign.label_of_policy Ptaint_sim.Sim.Config.default.Ptaint_sim.Sim.policy;
+              counters = [ ("jobs", 1); ("loader errors", 1) ];
+              trace = spec.Proto.spec_trace }
+      in
       send (Proto.Job_event ev);
       loop ()
     | Some (Proto.Hello _ | Proto.Stats | Proto.Stats_full) -> loop ()

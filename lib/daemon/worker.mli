@@ -5,10 +5,9 @@
     supervisor pipe and answering with {!Proto.response} frames — a
     [Started]/terminal [Job_event] pair per [Submit], a [Pong]
     heartbeat every [beat_interval] while idle.  Jobs run through the
-    same containment machinery as the in-process backend
-    ({!Ptaint_campaign.Campaign.run_job} behind a per-worker image
-    {!Cache}), so the two backends emit byte-identical events for
-    identical jobs.
+    same runner as the in-process backend ({!run_job}, over a
+    per-worker {!Ptaint_campaign.Campaign.Images} cache), so the two
+    backends emit byte-identical events for identical jobs.
 
     The worker is deliberately single-threaded: while a job runs it
     cannot heartbeat, and the supervisor covers that window with the
@@ -21,9 +20,6 @@ type config = {
   beat_interval : float;  (** idle heartbeat period, seconds *)
 }
 
-val default_config : config
-(** 16 cache entries, no default timeout, 0.25 s heartbeat. *)
-
 val main : config:config -> rd:Unix.file_descr -> wr:Unix.file_descr -> unit
 (** Run the worker loop over the supervisor pipe pair until the pipe
     reaches EOF, a [Quit] frame arrives, or the stream garbles.
@@ -31,10 +27,22 @@ val main : config:config -> rd:Unix.file_descr -> wr:Unix.file_descr -> unit
     it.  Events carry job id 0 — the supervisor rewrites ids, since
     at dispatch depth one it always knows which job a worker runs. *)
 
-(** {1 Shared result serialization}
+(** {1 Shared job runner}
 
     Used by both backends so events are identical whichever executed
     the job. *)
+
+val run_job :
+  images:Ptaint_campaign.Campaign.Images.t ->
+  job_timeout:float option ->
+  id:int ->
+  Ptaint_campaign.Job.t ->
+  Proto.event * Ptaint_campaign.Campaign.job_result * bool
+(** Run one job through {!Ptaint_campaign.Campaign.run_job}, booted
+    through the calling domain's arena, and reduce it to its terminal
+    wire event ({!event_of_job_result}).  Also returns the result the
+    event came from, valid only until the next arena boot on this
+    domain, and whether the image came from [images]. *)
 
 val event_of_job_result :
   id:int ->

@@ -106,12 +106,10 @@ let finish_plan ?deadline ?(slice = default_slice) ~plan s =
   let rec go remaining =
     match remaining with
     | [] ->
-      (* Tail of the run: plain [finish] when nothing needs slice
-         boundaries any more — the zero-injection plan then costs
-         exactly one [finish] call. *)
-      (match (deadline, !stuck) with
-       | None, [] -> Sim.finish s
-       | _ -> Sim.finish_sliced ?deadline ~slice ~on_slice s)
+      (* Tail of the run: slice boundaries only while a stuck region
+         needs re-clearing, so the zero-injection plan without a
+         deadline costs exactly one unsliced [finish]. *)
+      Sim.finish ?deadline ~slice ?on_slice:(if !stuck = [] then None else Some on_slice) s
     | inj :: rest -> (
       match Sim.run_until ?deadline ~slice ~on_slice s ~icount:inj.at with
       | Sim.Running ->

@@ -119,6 +119,15 @@ type session = {
 
 type progress = Running | Finished of outcome
 
+(* The guest's OS side of a boot: a fresh file system seeded from
+   [fs_init] and a kernel over the image's memory and heap bounds. *)
+let boot_kernel ?trace config (image : Ptaint_asm.Loader.image) =
+  let fs = Fs.create () in
+  List.iter (fun (path, contents) -> Fs.add fs ~path contents) config.fs_init;
+  Kernel.create ~sources:config.sources ~fs ~stdin:config.stdin ~sessions:config.sessions
+    ~uid:config.uid ?trace ~heap_base:image.Ptaint_asm.Loader.heap_base
+    ~heap_limit:image.Ptaint_asm.Loader.heap_limit ~mem:image.Ptaint_asm.Loader.mem ()
+
 let boot_image ?decoded ?tier config (image : Ptaint_asm.Loader.image) =
   let machine =
     Machine.create ~policy:config.policy ?decoded ?tier ~code:image.Ptaint_asm.Loader.code
@@ -137,16 +146,9 @@ let boot_image ?decoded ?tier config (image : Ptaint_asm.Loader.image) =
     end
     else None
   in
-  let fs = Fs.create () in
-  List.iter (fun (path, contents) -> Fs.add fs ~path contents) config.fs_init;
-  let kernel =
-    Kernel.create ~sources:config.sources ~fs ~stdin:config.stdin ~sessions:config.sessions
-      ~uid:config.uid ?trace ~heap_base:image.Ptaint_asm.Loader.heap_base
-      ~heap_limit:image.Ptaint_asm.Loader.heap_limit ~mem:image.Ptaint_asm.Loader.mem ()
-  in
   let pipe = if config.timing then Some (Pipeline.create machine) else None in
-  { s_machine = machine; s_kernel = kernel; s_image = image; s_config = config;
-    s_pipeline = pipe }
+  { s_machine = machine; s_kernel = boot_kernel ?trace config image; s_image = image;
+    s_config = config; s_pipeline = pipe }
 
 let boot ?(config = default_config) program =
   boot_image config
@@ -270,17 +272,10 @@ let boot_template_arena ?(config = default_config) tpl =
         ~code:image.Ptaint_asm.Loader.code ~entry:image.Ptaint_asm.Loader.entry;
       Regfile.set machine.Machine.regs Ptaint_isa.Reg.sp
         (Ptaint_taint.Tword.untainted image.Ptaint_asm.Loader.initial_sp);
-      let fs = Fs.create () in
-      List.iter (fun (path, contents) -> Fs.add fs ~path contents) config.fs_init;
-      let kernel =
-        Kernel.create ~sources:config.sources ~fs ~stdin:config.stdin
-          ~sessions:config.sessions ~uid:config.uid
-          ~heap_base:image.Ptaint_asm.Loader.heap_base
-          ~heap_limit:image.Ptaint_asm.Loader.heap_limit ~mem:machine.Machine.mem ()
-      in
+      let image = { image with Ptaint_asm.Loader.mem = machine.Machine.mem } in
       { s_machine = machine;
-        s_kernel = kernel;
-        s_image = { image with Ptaint_asm.Loader.mem = machine.Machine.mem };
+        s_kernel = boot_kernel config image;
+        s_image = image;
         s_config = config;
         s_pipeline = None }
   end
@@ -329,163 +324,99 @@ let finish_per_step s =
   in
   result_of s (loop ())
 
-(* Bulk driver: whole blocks per dispatch via [Machine.run], fuel
-   re-derived from [icount] around each syscall so [Out_of_fuel] lands
-   on exactly the same instruction as the per-step loop. *)
-let finish_bulk s =
-  let machine = s.s_machine in
-  let rec loop () =
-    let fuel = s.s_config.max_instructions - machine.Machine.icount in
-    if fuel <= 0 then Out_of_fuel
-    else
-      match Machine.run machine ~fuel with
-      | Machine.Normal -> Out_of_fuel
-      | Machine.Syscall -> (
-        match Kernel.handle s.s_kernel machine with
-        | `Continue -> loop ()
-        | `Exit code -> Exited code)
-      | Machine.Alert a -> Alert a
-      | Machine.Fault f -> Fault f
-      | Machine.Break_trap c -> Trap c
-  in
-  result_of s (loop ())
+(* --- the driver ---
 
-(* The block engine is used exactly when nothing needs to observe
-   individual instructions: no pipeline timing model, no on_step hook,
-   no obs trace.  Those configs (and the debugger, which single-steps
-   via [session_step]) keep the per-step engine and its byte-identical
-   semantics. *)
-let finish s =
-  match (s.s_pipeline, s.s_config.on_step, s.s_machine.Machine.obs) with
-  | None, None, None -> finish_bulk s
-  | _ -> finish_per_step s
+   One driver runs every session to completion or to an icount target.
+   Sessions with a pipeline timing model or an [on_step] hook take
+   [session_step]; everything else takes [Machine.run], which dispatches
+   whole blocks and drives the traced per-instruction engine itself
+   when an obs trace is attached.  Fuel is re-derived from [icount]
+   around each syscall, so [Out_of_fuel] lands on exactly the same
+   instruction as the per-step loop.
 
-(* --- fuel-sliced execution ---
-
-   Slicing caps each [Machine.run] dispatch at [slice] instructions
-   and runs [boundary] between slices (and around every syscall).
-   Because [Machine.run] returns [Normal] exactly when its fuel ran
-   out and fuel is re-derived from [icount], slice boundaries are
-   observationally invisible: a sliced run is byte-identical to an
-   unsliced one.  The boundary is where the cooperative watchdog
-   checks its wall-clock deadline and where the fault injector
-   re-asserts stuck-at-clean regions. *)
+   Slicing caps each dispatch at [slice] instructions and runs
+   [boundary] between slices (and around every syscall).  Because
+   [Machine.run] returns [Normal] exactly when its fuel ran out,
+   slice boundaries are observationally invisible: a sliced run is
+   byte-identical to an unsliced one.  The boundary is where the
+   cooperative watchdog checks its wall-clock deadline and where the
+   fault injector re-asserts stuck-at-clean regions; with neither a
+   deadline nor an [on_slice] hook nothing is sliced and each dispatch
+   gets all the remaining fuel. *)
 
 exception Timeout of { instructions : int }
 
 let default_slice = 65536
 
-let finish_sliced ?deadline ?(slice = default_slice) ?on_slice s =
-  let machine = s.s_machine in
-  let slice = max 1 slice in
-  let boundary () =
-    (match deadline with
-     | Some d when Unix.gettimeofday () > d ->
-       raise (Timeout { instructions = machine.Machine.icount })
-     | _ -> ());
-    match on_slice with Some f -> f s | None -> ()
-  in
-  match (s.s_pipeline, s.s_config.on_step) with
-  | None, None ->
-    (* Bulk engine ([Machine.run] drives per-step itself when an obs
-       trace is attached, so obs sessions take this arm too). *)
-    let rec loop first =
-      let fuel = s.s_config.max_instructions - machine.Machine.icount in
-      if fuel <= 0 then Out_of_fuel
-      else begin
-        if not first then boundary ();
-        match Machine.run machine ~fuel:(min fuel slice) with
-        | Machine.Normal -> loop false
-        | Machine.Syscall -> (
-          match Kernel.handle s.s_kernel machine with
-          | `Continue -> loop false
-          | `Exit code -> Exited code)
-        | Machine.Alert a -> Alert a
-        | Machine.Fault f -> Fault f
-        | Machine.Break_trap c -> Trap c
-      end
-    in
-    result_of s (loop true)
-  | _ ->
-    (* Reference engine, with the boundary run every [slice] steps. *)
-    let next = ref (machine.Machine.icount + slice) in
-    let rec loop () =
-      if machine.Machine.icount >= !next then begin
-        boundary ();
-        next := machine.Machine.icount + slice
-      end;
-      match session_step s with Running -> loop () | Finished outcome -> outcome
-    in
-    result_of s (loop ())
+let boundary ?deadline ?on_slice s =
+  (match deadline with
+   | Some d when Unix.gettimeofday () > d ->
+     raise (Timeout { instructions = s.s_machine.Machine.icount })
+   | _ -> ());
+  match on_slice with Some f -> f s | None -> ()
 
-(* Drive the session until the guest has executed [icount]
-   instructions in total, pausing there ([Running]) so the caller can
-   mutate machine state; [Finished] means the guest stopped first. *)
-let run_until ?deadline ?(slice = default_slice) ?on_slice s ~icount:target =
+(* The two arms of the driver, top-level so a run allocates no
+   closure; [slice = max_int] means unsliced. *)
+let rec drive_bulk s ~deadline ~on_slice ~slice ~target first =
   let machine = s.s_machine in
-  let slice = max 1 slice in
-  let boundary () =
-    (match deadline with
-     | Some d when Unix.gettimeofday () > d ->
-       raise (Timeout { instructions = machine.Machine.icount })
-     | _ -> ());
-    match on_slice with Some f -> f s | None -> ()
-  in
-  match (s.s_pipeline, s.s_config.on_step) with
-  | None, None ->
-    let rec loop first =
-      if machine.Machine.icount >= target then Running
-      else
-        let fuel = s.s_config.max_instructions - machine.Machine.icount in
-        if fuel <= 0 then Finished Out_of_fuel
-        else begin
-          if not first then boundary ();
-          let fuel = min (min fuel slice) (target - machine.Machine.icount) in
-          match Machine.run machine ~fuel with
-          | Machine.Normal -> loop false
-          | Machine.Syscall -> (
-            match Kernel.handle s.s_kernel machine with
-            | `Continue -> loop false
-            | `Exit code -> Finished (Exited code))
-          | Machine.Alert a -> Finished (Alert a)
-          | Machine.Fault f -> Finished (Fault f)
-          | Machine.Break_trap c -> Finished (Trap c)
-        end
-    in
-    loop true
-  | _ ->
-    let next = ref (machine.Machine.icount + slice) in
-    let rec loop () =
-      if machine.Machine.icount >= target then Running
-      else begin
-        if machine.Machine.icount >= !next then begin
-          boundary ();
-          next := machine.Machine.icount + slice
-        end;
-        match session_step s with Running -> loop () | Finished outcome -> Finished outcome
-      end
-    in
-    loop ()
+  if machine.Machine.icount >= target then Running
+  else
+    let fuel = s.s_config.max_instructions - machine.Machine.icount in
+    if fuel <= 0 then Finished Out_of_fuel
+    else begin
+      if slice < max_int && not first then boundary ?deadline ?on_slice s;
+      match Machine.run machine ~fuel:(min (min fuel slice) (target - machine.Machine.icount)) with
+      | Machine.Normal -> drive_bulk s ~deadline ~on_slice ~slice ~target false
+      | Machine.Syscall -> (
+        match Kernel.handle s.s_kernel machine with
+        | `Continue -> drive_bulk s ~deadline ~on_slice ~slice ~target false
+        | `Exit code -> Finished (Exited code))
+      | Machine.Alert a -> Finished (Alert a)
+      | Machine.Fault f -> Finished (Fault f)
+      | Machine.Break_trap c -> Finished (Trap c)
+    end
 
-let run ?deadline ?slice ?config program =
-  let s = boot ?config program in
-  match (deadline, slice) with
-  | None, None -> finish s
-  | _ -> finish_sliced ?deadline ?slice s
+let rec drive_stepped s ~deadline ~on_slice ~slice ~target next =
+  let icount = s.s_machine.Machine.icount in
+  if icount >= target then Running
+  else begin
+    let next =
+      if icount >= next then begin
+        boundary ?deadline ?on_slice s;
+        icount + slice
+      end
+      else next
+    in
+    match session_step s with
+    | Running -> drive_stepped s ~deadline ~on_slice ~slice ~target next
+    | Finished _ as f -> f
+  end
+
+let drive ?deadline ?(slice = default_slice) ?on_slice s ~target =
+  let slice = if Option.is_none deadline && Option.is_none on_slice then max_int else max 1 slice in
+  match (s.s_pipeline, s.s_config.on_step) with
+  | None, None -> drive_bulk s ~deadline ~on_slice ~slice ~target true
+  | _ ->
+    let next = if slice = max_int then max_int else s.s_machine.Machine.icount + slice in
+    drive_stepped s ~deadline ~on_slice ~slice ~target next
+
+let finish ?deadline ?slice ?on_slice s =
+  match drive ?deadline ?slice ?on_slice s ~target:max_int with
+  | Finished outcome -> result_of s outcome
+  | Running -> assert false (* no session reaches [max_int] instructions *)
+
+let run_until ?deadline ?slice ?on_slice s ~icount =
+  drive ?deadline ?slice ?on_slice s ~target:icount
+
+let run ?deadline ?slice ?config program = finish ?deadline ?slice (boot ?config program)
 
 let run_asm ?config source = run ?config (Ptaint_asm.Assembler.assemble_exn source)
 
 let run_template ?deadline ?slice ?config tpl =
-  let s = boot_template ?config tpl in
-  match (deadline, slice) with
-  | None, None -> finish s
-  | _ -> finish_sliced ?deadline ?slice s
+  finish ?deadline ?slice (boot_template ?config tpl)
 
 let run_template_arena ?deadline ?slice ?config tpl =
-  let s = boot_template_arena ?config tpl in
-  match (deadline, slice) with
-  | None, None -> finish s
-  | _ -> finish_sliced ?deadline ?slice s
+  finish ?deadline ?slice (boot_template_arena ?config tpl)
 
 (* --- observation accessors --- *)
 

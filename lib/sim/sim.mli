@@ -122,13 +122,16 @@ val boot : ?config:config -> Ptaint_asm.Program.t -> session
 val session_step : session -> progress
 (** Execute one instruction (servicing syscalls transparently). *)
 
-val finish : session -> result
+val finish :
+  ?deadline:float -> ?slice:int -> ?on_slice:(session -> unit) -> session -> result
 (** Run the session to completion and collect the result.  Routes
-    through the bulk engine ({!Ptaint_cpu.Machine.run})
-    when no pipeline timing model, no [on_step] hook and no obs trace
-    is attached — the campaign/benchmark path — and falls
-    back to the per-instruction engine otherwise.  Results are
-    bit-identical either way. *)
+    through the bulk engine ({!Ptaint_cpu.Machine.run}, which drives
+    its traced per-instruction engine itself when an obs trace is
+    attached) unless a pipeline timing model or an [on_step] hook
+    needs {!session_step}.  A [deadline] or an [on_slice] hook makes
+    the run fuel-sliced (see below); with neither, each dispatch gets
+    all the remaining fuel and [slice] is ignored.  Results are
+    bit-identical whatever the routing and slicing. *)
 
 val finish_per_step : session -> result
 (** Run to completion strictly one instruction at a time — the
@@ -142,8 +145,10 @@ val result_of : session -> outcome -> result
 
 (** {1 Fuel-sliced execution}
 
-    Slicing caps each engine dispatch at [slice] instructions and runs
-    a boundary check between slices.  Slice boundaries are
+    {!finish} and {!run_until} share one driver.  Given a [deadline]
+    or an [on_slice] hook it caps each engine dispatch at [slice]
+    instructions (default {!default_slice}) and runs a boundary check
+    between slices and around every syscall.  Slice boundaries are
     observationally invisible — a sliced run is byte-identical to an
     unsliced one — so they are where cooperative machinery lives: the
     wall-clock watchdog (raising {!Timeout} past [deadline]) and the
@@ -159,12 +164,6 @@ exception Timeout of { instructions : int }
 val default_slice : int
 (** 65536 instructions — coarse enough to cost nothing (<1% of bulk
     throughput), fine enough for sub-millisecond watchdog latency. *)
-
-val finish_sliced :
-  ?deadline:float -> ?slice:int -> ?on_slice:(session -> unit) -> session -> result
-(** Run to completion in fuel slices.  With no [deadline] and no
-    [on_slice] this is semantically {!finish} (same engine routing,
-    same results), just dispatched [slice] instructions at a time. *)
 
 val run_until :
   ?deadline:float -> ?slice:int -> ?on_slice:(session -> unit) ->
@@ -233,9 +232,9 @@ val boot_template : ?config:config -> template -> session
     argv/env/sources. *)
 
 val run_template : ?deadline:float -> ?slice:int -> ?config:config -> template -> result
-(** [finish (boot_template ?config tpl)] — bit-identical to
-    [run ?config program] on the template's program.  [deadline] and
-    [slice] route through {!finish_sliced}. *)
+(** [finish ?deadline ?slice (boot_template ?config tpl)] —
+    bit-identical to [run ?config program] on the template's
+    program. *)
 
 val boot_template_arena : ?config:config -> template -> session
 (** {!boot_template} through this domain's recycled arena: the
@@ -257,7 +256,7 @@ val boot_template_arena : ?config:config -> template -> session
 
 val run_template_arena :
   ?deadline:float -> ?slice:int -> ?config:config -> template -> result
-(** [finish (boot_template_arena ?config tpl)] — the streaming
+(** [finish ?deadline ?slice (boot_template_arena ?config tpl)] — the streaming
     campaign's per-job fast path.  The result aliases the domain
     arena; read it before the next arena boot on this domain. *)
 

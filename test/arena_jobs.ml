@@ -100,7 +100,7 @@ let check events =
         Alcotest.(check int) (ctx "syscalls") s.s_syscalls f.syscalls;
         let fresh =
           Ptaint_daemon.Worker.event_of_job_result ~id:f.id ~job ~cache_hit:f.cache_hit
-            (Campaign.run_job job)
+            (fst (Campaign.run_job ~keep:true (Campaign.Images.create ~capacity:1) job))
         in
         if fresh <> ev then Alcotest.fail (ctx "event differs from a fresh-boot run")
       | _ -> Alcotest.(check bool) (ctx "failed") true s.s_failed)

@@ -579,6 +579,107 @@ let test_config_policy_labels () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "policy_of_label must reject unknown labels"
 
+(* --- the image cache --- *)
+
+(* A three-instruction guest exiting with status [i]: one distinct
+   image per [i]. *)
+let exit_job i =
+  Job.make ~tag:(Printf.sprintf "exit-%d" i)
+    (Job.Asm_source (Printf.sprintf ".text\nmain: li $v0, 1\n li $a0, %d\n syscall\n" i))
+
+let cache_counter images name =
+  match List.assoc_opt ("daemon/cache-" ^ name) (Campaign.Images.counters images) with
+  | Some v -> v
+  | None -> Alcotest.failf "no daemon/cache-%s counter" name
+
+(* LRU at capacity 3: a hit refreshes its entry, an insert into a full
+   cache evicts the least recently used entry first, and the table
+   never holds more than [capacity] images. *)
+let test_images_lru () =
+  let images = Campaign.Images.create ~capacity:3 in
+  let obtain i ~hit =
+    let image, was_hit = Campaign.Images.obtain images (exit_job i) in
+    Alcotest.(check bool) (Printf.sprintf "exit-%d hit flag" i) hit was_hit;
+    Alcotest.(check bool) "within capacity" true (cache_counter images "entries" <= 3);
+    image
+  in
+  let first0 = obtain 0 ~hit:false in
+  ignore (obtain 1 ~hit:false);
+  ignore (obtain 2 ~hit:false);
+  Alcotest.(check int) "full" 3 (cache_counter images "entries");
+  Alcotest.(check int) "nothing evicted yet" 0 (cache_counter images "evictions");
+  Alcotest.(check bool) "a hit returns the cached image" true (obtain 0 ~hit:true == first0);
+  (* 1 is now the least recently used: inserting 3 evicts it *)
+  ignore (obtain 3 ~hit:false);
+  Alcotest.(check int) "one eviction" 1 (cache_counter images "evictions");
+  Alcotest.(check bool) "the recently used image survived" true (obtain 0 ~hit:true == first0);
+  ignore (obtain 3 ~hit:true);
+  ignore (obtain 2 ~hit:true);
+  (* 1 was the victim; bringing it back evicts 0, now the oldest use *)
+  ignore (obtain 1 ~hit:false);
+  Alcotest.(check int) "two evictions" 2 (cache_counter images "evictions");
+  ignore (obtain 0 ~hit:false);
+  Alcotest.(check int) "three evictions" 3 (cache_counter images "evictions");
+  Alcotest.(check int) "entries" 3 (cache_counter images "entries");
+  Alcotest.(check int) "capacity" 3 (cache_counter images "capacity");
+  match Campaign.Images.create ~capacity:0 with
+  | _ -> Alcotest.fail "capacity 0 must be rejected"
+  | exception Invalid_argument _ -> ()
+
+(* Two builds of one key: the first published image survives, and the
+   loser gets the survivor back — deterministically through [add], and
+   through [obtain] from two domains racing on fresh keys. *)
+let test_images_race () =
+  let job = exit_job 7 in
+  let program = Job.program job in
+  let images = Campaign.Images.create ~capacity:2 in
+  let key = Job.image_key job in
+  let a = Ptaint_sim.Sim.prepare ~config:job.Job.config program in
+  let b = Ptaint_sim.Sim.prepare ~config:job.Job.config program in
+  Alcotest.(check bool) "the first build is published" true (Campaign.Images.add images key a == a);
+  Alcotest.(check bool) "the racing build gets the survivor" true
+    (Campaign.Images.add images key b == a);
+  Alcotest.(check int) "one entry" 1 (cache_counter images "entries");
+  (match Campaign.Images.obtain images job with
+   | image, true -> Alcotest.(check bool) "later jobs get the survivor" true (image == a)
+   | _, false -> Alcotest.fail "the published image must hit");
+  let images = Campaign.Images.create ~capacity:64 in
+  for i = 0 to 19 do
+    let job = exit_job (100 + i) in
+    let go = Atomic.make false in
+    let racer = Domain.spawn (fun () ->
+        while not (Atomic.get go) do Domain.cpu_relax () done;
+        fst (Campaign.Images.obtain images job))
+    in
+    Atomic.set go true;
+    let mine = fst (Campaign.Images.obtain images job) in
+    Alcotest.(check bool) (Printf.sprintf "exit-%d: both racers share one image" (100 + i))
+      true (Domain.join racer == mine)
+  done
+
+(* More distinct programs than the engine's 128-image cache, twice
+   over: every image is evicted before its second use and rebuilt, and
+   every summary is still the job's own. *)
+let test_stream_past_capacity () =
+  let n = 150 in
+  let jobs = List.init (2 * n) (fun k -> exit_job (k mod n)) in
+  let summaries = ref [] in
+  let _, cursor =
+    Campaign.run_stream ~domains:1
+      ~on_result:(fun s -> summaries := s :: !summaries)
+      (List.to_seq jobs)
+  in
+  Alcotest.(check int) "every job folded" (2 * n) cursor;
+  List.iteri
+    (fun k (s : Campaign.job_summary) ->
+      let ctx = Printf.sprintf "job %d (%s)" k s.Campaign.s_name in
+      Alcotest.(check string) (ctx ^ ": tag") (Printf.sprintf "exit-%d" (k mod n)) s.s_name;
+      Alcotest.(check string) (ctx ^ ": outcome") "exited" s.s_outcome;
+      Alcotest.(check int) (ctx ^ ": exit code") (k mod n) s.s_exit_code;
+      Alcotest.(check int) (ctx ^ ": instructions") 3 s.s_instructions;
+      Alcotest.(check int) (ctx ^ ": syscalls") 1 s.s_syscalls)
+    (List.rev !summaries)
+
 let () =
   Alcotest.run "campaign"
     [ ( "engine",
@@ -608,6 +709,11 @@ let () =
             test_template_restore_determinism;
           Alcotest.test_case "campaign rerun bit-identical" `Slow
             test_campaign_rerun_identical ] );
+      ( "image cache",
+        [ Alcotest.test_case "LRU eviction and counters" `Quick test_images_lru;
+          Alcotest.test_case "racing builds share the survivor" `Quick test_images_race;
+          Alcotest.test_case "stream past the engine's capacity" `Quick
+            test_stream_past_capacity ] );
       ( "sim API",
         [ Alcotest.test_case "run_jobs results stay intact" `Quick
             test_run_jobs_results_intact;

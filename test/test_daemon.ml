@@ -535,14 +535,14 @@ let spin_spec ~timeout =
   Proto.job_spec ~tag:"spin" ~timeout ~max_instructions:max_int
     (Proto.Wire_asm spin_asm)
 
-let with_server ?(domains = 2) ?(max_queue = 64) ?(max_inflight = 8) f =
+let with_server ?(domains = 2) ?(max_queue = 64) ?(max_inflight = 8) ?(cache_capacity = 64) f =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "ptaintd-test-%d.sock" (Unix.getpid ()))
   in
   let cfg =
     { (Server.default_config ~socket_path:path) with
-      Server.domains = Some domains; max_queue; max_inflight }
+      Server.domains = Some domains; max_queue; max_inflight; cache_capacity }
   in
   let server = Server.create cfg in
   let d = Domain.spawn (fun () -> Server.serve server) in
@@ -664,6 +664,46 @@ let test_loopback_trace_roundtrip () =
                       in
                       scan 0))
          | _ -> Alcotest.fail "expected Finished"));
+      Client.close c)
+
+(* The in-process cache at [--cache 2]: three distinct programs and
+   the first again, one at a time, evict the least recently used image
+   twice; Stats and the Prometheus scrape report the same counts. *)
+let test_loopback_cache_eviction () =
+  with_server ~cache_capacity:2 (fun path _server ->
+      let c = Client.connect ~client:"test" path in
+      let spec i =
+        Proto.job_spec ~tag:(Printf.sprintf "prog-%d" i)
+          (Proto.Wire_asm (Printf.sprintf ".text\nmain: li $v0, 1\n li $a0, %d\n syscall\n" i))
+      in
+      List.iter
+        (fun i ->
+          match Client.submit c (spec i) with
+          | Error m -> Alcotest.fail ("rejected: " ^ m)
+          | Ok _ -> (
+            match wait_terminal c with
+            | Proto.Finished f ->
+              Alcotest.(check bool) (f.tag ^ " misses the cache") false f.cache_hit;
+              Alcotest.(check int) (f.tag ^ " exit code") i f.exit_code
+            | _ -> Alcotest.fail "expected Finished"))
+        [ 0; 1; 2; 0 ];
+      let stats = Client.stats c in
+      let get k = match List.assoc_opt k stats with Some v -> v | None -> -1 in
+      Alcotest.(check int) "hits" 0 (get "daemon/cache-hit");
+      Alcotest.(check int) "misses" 4 (get "daemon/cache-miss");
+      Alcotest.(check int) "evictions" 2 (get "daemon/cache-evictions");
+      Alcotest.(check int) "entries" 2 (get "daemon/cache-entries");
+      Alcotest.(check int) "capacity" 2 (get "daemon/cache-capacity");
+      let text = Client.stats_full c in
+      let has needle =
+        let n = String.length needle and l = String.length text in
+        let rec scan i = i + n <= l && (String.sub text i n = needle || scan (i + 1)) in
+        scan 0
+      in
+      List.iter
+        (fun line -> Alcotest.(check bool) line true (has line))
+        [ "ptaintd_cache_evictions 2"; "ptaintd_cache_entries 2";
+          "ptaintd_cache_capacity 2"; "ptaintd_cache_misses 4" ];
       Client.close c)
 
 let test_loopback_stats_full () =
@@ -1023,6 +1063,7 @@ let () =
           Alcotest.test_case "batch with failures" `Quick test_loopback_batch_and_failures;
           Alcotest.test_case "trace round-trip" `Quick test_loopback_trace_roundtrip;
           Alcotest.test_case "stats-full scrape" `Quick test_loopback_stats_full;
+          Alcotest.test_case "cache eviction counters" `Quick test_loopback_cache_eviction;
           Alcotest.test_case "two clients" `Quick test_loopback_two_clients;
           Alcotest.test_case "admission quota" `Quick test_admission_quota;
           Alcotest.test_case "arena boots match local runs" `Quick test_arena_differential ] );

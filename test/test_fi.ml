@@ -71,7 +71,7 @@ let test_slice_parity () =
     (fun (name, config) ->
       let plain = Sim.run ~config program in
       let sliced =
-        Sim.finish_sliced ~deadline:(Unix.gettimeofday () +. 3600.) ~slice:257
+        Sim.finish ~deadline:(Unix.gettimeofday () +. 3600.) ~slice:257
           (Sim.boot ~config program)
       in
       Alcotest.(check string) (name ^ ": sliced = plain") (fingerprint plain)
@@ -86,6 +86,28 @@ let test_slice_parity () =
         { (attack_config program) with Sim.on_step = Some (fun _ _ -> ()) } );
       ( "per-step engine, benign",
         { (benign_config program) with Sim.on_step = Some (fun _ _ -> ()) } ) ];
+  (* an obs session takes Machine.run's traced engine, sliced or not:
+     its events and instruction window are the per-step reference's *)
+  List.iter
+    (fun (name, config) ->
+      let config = { config with Sim.obs = true } in
+      let reference = Sim.finish_per_step (Sim.boot ~config program) in
+      Alcotest.(check bool) (name ^ ": the reference records events") true
+        (Sim.events reference <> []);
+      let check how (r : Sim.result) =
+        let ctx what = Printf.sprintf "%s, %s: %s" name how what in
+        Alcotest.(check string) (ctx "fingerprint") (fingerprint reference) (fingerprint r);
+        let events r = List.map Ptaint_obs.Event.to_string (Sim.events r) in
+        Alcotest.(check (list string)) (ctx "events") (events reference) (events r);
+        Alcotest.(check bool) (ctx "instruction window") true
+          (Sim.insn_window reference = Sim.insn_window r)
+      in
+      check "unsliced" (Sim.finish (Sim.boot ~config program));
+      check "sliced"
+        (Sim.finish ~deadline:(Unix.gettimeofday () +. 3600.) ~slice:257
+           (Sim.boot ~config program)))
+    [ ("obs session, attack", attack_config program);
+      ("obs session, benign", benign_config program) ];
   (* and the parallel campaign engine agrees with the sliced singles *)
   let configs = [ attack_config program; benign_config program ] in
   let batch, _ =
@@ -96,7 +118,7 @@ let test_slice_parity () =
   List.iter2
     (fun config (many : Sim.result) ->
       let sliced =
-        Sim.finish_sliced ~deadline:(Unix.gettimeofday () +. 3600.) ~slice:257
+        Sim.finish ~deadline:(Unix.gettimeofday () +. 3600.) ~slice:257
           (Sim.boot ~config program)
       in
       Alcotest.(check string) "run_jobs = sliced single" (fingerprint many)
@@ -107,7 +129,7 @@ let test_watchdog_fires () =
   let spin = Ptaint_asm.Assembler.assemble_exn ".text\nmain: j main\n" in
   let config = Sim.Config.(default |> with_max_instructions 1_000_000_000) in
   match
-    Sim.finish_sliced ~deadline:(Unix.gettimeofday () +. 0.2) (Sim.boot ~config spin)
+    Sim.finish ~deadline:(Unix.gettimeofday () +. 0.2) (Sim.boot ~config spin)
   with
   | _ -> Alcotest.fail "spinning guest must hit the watchdog"
   | exception Sim.Timeout { instructions } ->

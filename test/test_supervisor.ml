@@ -187,7 +187,7 @@ let local_table specs =
       match Proto.job_of_spec spec with
       | Error m -> Alcotest.fail ("local job_of_spec: " ^ m)
       | Ok job ->
-        let r = Campaign.run_job job in
+        let r, _ = Campaign.run_job ~keep:true (Campaign.Images.create ~capacity:1) job in
         merge r.Campaign.policy_label (Campaign.job_counters r))
     specs;
   render ()
