@@ -649,22 +649,11 @@ let () =
      across PRs: bechamel rows are ns-per-run, ips/* rows are guest
      instructions per wall second. *)
   let json_rows = bechamel_rows @ ips_rows in
-  let json_escape s =
-    String.concat ""
-      (List.map
-         (fun c ->
-           match c with
-           | '"' -> "\\\""
-           | '\\' -> "\\\\"
-           | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
-           | c -> String.make 1 c)
-         (List.init (String.length s) (String.get s)))
-  in
   let oc = open_out "BENCH_results.json" in
   output_string oc "{\n";
   List.iteri
     (fun i (name, ns) ->
-      Printf.fprintf oc "  \"%s\": %.3f%s\n" (json_escape name) ns
+      Printf.fprintf oc "  \"%s\": %.3f%s\n" (Ptaint_obs.Json.escape name) ns
         (if i = List.length json_rows - 1 then "" else ","))
     json_rows;
   output_string oc "}\n";

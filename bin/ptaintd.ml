@@ -72,18 +72,6 @@ let serve socket domains max_queue max_inflight cache job_timeout quiet
     let stop _ = Server.shutdown t in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-    (match log with
-     | Some l ->
-       Log.info l ~src:"ptaintd" "listening"
-         [ Log.str "socket" socket;
-           Log.str "backend" (if isolate then "isolated" else "in-process");
-           Log.int "workers"
-             (if isolate then (match workers with Some n -> max 1 n | None -> 2)
-              else
-                match domains with
-                | Some d -> d
-                | None -> Ptaint_pool.Pool.recommended_domains ()) ]
-     | None -> ());
     Server.serve t;
     close_log ();
     0

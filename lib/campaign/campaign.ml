@@ -258,7 +258,7 @@ let run_job ?job_timeout ?(retries = 0) ?(backoff = 0.05) ~keep images (spec : J
    label's registry, in registration order.  This is the unit the
    daemon streams per finished job: a client merging these deltas in
    submission order rebuilds byte-identical per-label registries,
-   because {!metrics_of} below is defined as exactly that merge. *)
+   because a {!tally} is defined as exactly that merge. *)
 let kind_counter = function
   | Timeout _ -> "timeouts"
   | Guest_fault _ -> "guest faults"
@@ -286,86 +286,6 @@ let job_counters r =
     @ (match res.Ptaint_sim.Sim.outcome with
        | Ptaint_sim.Sim.Alert _ -> [ ("alerts", 1) ]
        | _ -> [])
-
-(* Per-label registry: deterministic counters from the simulation
-   results plus wall-clock and concurrency histograms from the job
-   timings (the non-deterministic rows are kept apart so batch outputs
-   can still be diffed "modulo timings"). *)
-let metrics_of results =
-  let module M = Ptaint_obs.Metrics in
-  let regs = ref [] (* label -> registry, reverse first-seen order *) in
-  let registry label =
-    match List.assoc_opt label !regs with
-    | Some m -> m
-    | None ->
-      let m = M.create () in
-      regs := (label, m) :: !regs;
-      m
-  in
-  let concurrency_at t =
-    List.fold_left
-      (fun n r -> if r.timing.started <= t && t < r.timing.finished then n + 1 else n)
-      0 results
-  in
-  List.iter
-    (fun r ->
-      let m = registry r.policy_label in
-      List.iter (fun (name, by) -> M.inc ~by (M.counter m name)) (job_counters r);
-      (* Superblock-tier telemetry rides as per-job distributions, not
-         counters: the numbers depend on how warm the (shared) tier
-         was when each job started, so they live with the other
-         non-deterministic rows that only render under [~timings]. *)
-      (match r.status with
-       | Finished res ->
-         List.iter
-           (fun (event, n) ->
-             M.observe
-               (M.histogram m ("superblock " ^ event))
-               (float_of_int n))
-           (Ptaint_cpu.Machine.superblock_counters
-              res.Ptaint_sim.Sim.machine)
-       | Failed _ -> ());
-      M.observe (M.histogram m "job wall ms")
-        ((r.timing.finished -. r.timing.started) *. 1000.);
-      (* Queue depth, post-hoc: how many jobs were in flight when this
-         one started — the pool's effective concurrency. *)
-      M.observe (M.histogram m "concurrent jobs")
-        (float_of_int (concurrency_at r.timing.started)))
-    results;
-  List.rev !regs
-
-let stats_of ~wall_seconds results =
-  let detections = ref [] (* label -> count, reverse first-seen order *) in
-  let bump label by =
-    match List.assoc_opt label !detections with
-    | Some n -> detections := (label, n + by) :: List.remove_assoc label !detections
-    | None -> detections := (label, by) :: !detections
-  in
-  let failed = ref 0 and violations = ref 0 and insns = ref 0 and sys = ref 0 in
-  let seen_order = ref [] in
-  List.iter
-    (fun r ->
-      if not (List.mem r.policy_label !seen_order) then
-        seen_order := r.policy_label :: !seen_order;
-      if r.violation <> None then incr violations;
-      match r.status with
-      | Failed _ -> incr failed
-      | Finished res ->
-        insns := !insns + res.Ptaint_sim.Sim.instructions;
-        sys := !sys + res.Ptaint_sim.Sim.syscalls;
-        bump r.policy_label
-          (match res.Ptaint_sim.Sim.outcome with Ptaint_sim.Sim.Alert _ -> 1 | _ -> 0))
-    results;
-  { jobs = List.length results;
-    failed = !failed;
-    violations = !violations;
-    wall_seconds;
-    instructions = !insns;
-    syscalls = !sys;
-    detections =
-      List.rev_map (fun l -> (l, Option.value ~default:0 (List.assoc_opt l !detections)))
-        !seen_order;
-    metrics = metrics_of results }
 
 let outcome_name r =
   match r.status with
@@ -445,25 +365,11 @@ let summarize idx (r : job_result) =
     s_exit_code = exit_code;
     s_timing = r.timing }
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let jsonl_of_summary s =
   Printf.sprintf
     "{\"i\":%d,\"tag\":\"%s\",\"policy\":\"%s\",\"outcome\":\"%s\",\"attempts\":%d,\"instructions\":%d,\"syscalls\":%d%s}"
-    s.s_index (json_escape s.s_name) (json_escape s.s_label) (json_escape s.s_outcome)
+    s.s_index (Ptaint_obs.Json.escape s.s_name) (Ptaint_obs.Json.escape s.s_label)
+    (Ptaint_obs.Json.escape s.s_outcome)
     s.s_attempts s.s_instructions s.s_syscalls
     ((match s.s_alert_pc with
       | Some pc -> Printf.sprintf ",\"alert_pc\":%d" pc
@@ -476,15 +382,14 @@ let jsonl_of_summary s =
      | Some (tid, span) -> Printf.sprintf ",\"trace\":\"%016x\",\"span\":%d" tid span
      | None -> "")
 
-(* The incremental aggregate: the counter half of {!stats}, plus the
-   coverage-style fitness inputs (distinct detection sites).  Folding
-   summaries in submission order reproduces {!metrics_of}'s per-label
-   counter registries exactly — same labels, same first-seen order,
-   same registration order within each registry — so a streamed
-   campaign's counters-only [metrics_table] is byte-identical to the
-   list-accumulating path's.  (The wall-clock/concurrency histograms
-   are a property of one uninterrupted in-memory run; a tally, which
-   must survive checkpoint round-trips, deliberately carries none.) *)
+(* The incremental aggregate behind every {!stats}, plus the
+   coverage-style fitness inputs (distinct detection sites).  Summaries
+   fold in submission order, so the per-label registries keep one
+   label order and one registration order within each registry
+   whichever path built them: a streamed campaign's counters-only
+   [metrics_table] is byte-identical to a collected one's.  The only
+   non-counter row is the per-job wall clock, which renders only under
+   [~timings] and never enters a checkpoint dump. *)
 type tally = {
   mutable t_jobs : int;
   mutable t_failed : int;
@@ -703,7 +608,10 @@ let run_stream ?domains ?(start = 0) ?(tally = tally ()) ?(on_result = ignore) j
 
 (* A collect over the engine: fresh boots, every result kept, then the
    job spans emitted from the calling domain — the trace is
-   single-domain mutable state. *)
+   single-domain mutable state.  The stats fold the results through a
+   {!tally}, like a stream's, plus one row only a collect can have: how
+   many jobs were in flight when each one started, the pool's
+   effective concurrency. *)
 let run_jobs ?domains ?trace ?job_timeout ?(retries = 0) ?(backoff = 0.05) specs =
   let t0 = Unix.gettimeofday () in
   let results = ref [] in
@@ -729,7 +637,21 @@ let run_jobs ?domains ?trace ?job_timeout ?(retries = 0) ?(backoff = 0.05) specs
                 trace = r.trace }))
        results
    | None -> ());
-  (results, stats_of ~wall_seconds results)
+  let concurrency_at t =
+    List.fold_left
+      (fun n r -> if r.timing.started <= t && t < r.timing.finished then n + 1 else n)
+      0 results
+  in
+  let tally = tally () in
+  List.iteri
+    (fun i r ->
+      tally_add tally (summarize i r);
+      Ptaint_obs.Metrics.observe
+        (Ptaint_obs.Metrics.histogram (List.assoc r.policy_label tally.t_metrics)
+           "concurrent jobs")
+        (float_of_int (concurrency_at r.timing.started)))
+    results;
+  (results, tally_stats ~wall_seconds tally)
 
 let metrics_table_of ?(timings = false) metrics =
   let module M = Ptaint_obs.Metrics in

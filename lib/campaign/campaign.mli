@@ -122,8 +122,8 @@ type stats = {
           counters ([jobs], [alerts], [instructions], [syscalls],
           [tainted loads], [tainted stores], plus per-failure-kind
           counters [timeouts]/[guest faults]/[loader errors]/[crashed]
-          and [retries] when non-zero) and wall-clock/pool-concurrency
-          histograms *)
+          and [retries] when non-zero), a ["job wall ms"] histogram
+          and, for {!run_jobs} only, a ["concurrent jobs"] histogram *)
 }
 
 val run_jobs :
@@ -291,10 +291,10 @@ val tally_sites : tally -> int list
 
 val tally_stats : ?wall_seconds:float -> tally -> stats
 (** The accumulated aggregate as a {!stats}.  Counters, detections and
-    label order are byte-identical to what {!run} would have computed
-    over the same jobs.  Of the timing histograms only the
-    ["job wall ms"] rows of this run are present (they do not survive
-    a checkpoint round-trip). *)
+    label order are byte-identical to what {!run_jobs} computes over
+    the same jobs (it folds them through a tally too).  Of the timing
+    histograms only the ["job wall ms"] rows of this run are present
+    (they do not survive a checkpoint round-trip). *)
 
 type tally_dump = {
   d_jobs : int;
@@ -342,7 +342,7 @@ val job_counters : job_result -> (string * int) list
     policy label's metrics registry, in registration order — the unit
     the daemon streams per finished job.  Merging every job's deltas
     into per-label registries in submission order rebuilds
-    {!stats.metrics}'s counters exactly; {!metrics_of} is defined as
+    {!stats.metrics}'s counters exactly; a {!tally} is defined as
     that merge. *)
 
 val failure_counters : failure_kind -> (string * int) list

@@ -39,7 +39,6 @@ type config = {
   max_inflight : int;  (** per-connection admission quota *)
   cache_capacity : int;
   job_timeout : float option;  (** default watchdog; a job's own wins *)
-  banner : string;
   log : Ptaint_obs.Log.t option;  (** structured lifecycle log *)
   metrics_sock : string option;
       (** scrape endpoint: connect, read Prometheus text, EOF *)
@@ -53,7 +52,7 @@ type config = {
 
 let default_config ~socket_path =
   { socket_path; domains = None; max_queue = 256; max_inflight = 32;
-    cache_capacity = 64; job_timeout = None; banner = "ptaintd"; log = None;
+    cache_capacity = 64; job_timeout = None; log = None;
     metrics_sock = None; trace_path = None; isolate = false; workers = None }
 
 type conn = {
@@ -67,27 +66,31 @@ type conn = {
   mutable broken : bool;  (* stop parsing input; stream unsalvageable *)
 }
 
-(* What the loop needs to account for a finished job — metrics,
-   structured log line, Chrome span — without re-parsing the response
-   frame it is about to forward. *)
-type job_info = {
-  ji_id : int;
-  ji_tag : string;
-  ji_outcome : string;  (* outcome class or failure kind; metric label *)
-  ji_cache_hit : bool;
-  ji_trace : (int * int) option;
-  ji_t0 : float;
-  ji_t1 : float;
-  ji_domain : int;  (* worker domain id; Chrome track *)
-  ji_superblock : (string * int) list;
-      (* translation-tier event counts (promoted / chain_hit / ...) *)
-}
-
+(* One job event on its way to a connection.  A terminal event carries
+   the job's record — what the loop accounts (metrics, log line, Chrome
+   span) without re-parsing the frame it forwards. *)
 type completion = {
   c_cid : int;
-  c_resp : Proto.response;
-  c_terminal : bool;  (* finishes one admitted job *)
-  c_info : job_info option;  (* terminal completions only *)
+  c_event : Proto.event;
+  c_done : Worker.done_job option;  (* [Some] exactly when terminal *)
+}
+
+(* The registry is the daemon's only store of counts.  The unlabelled
+   series are looked up once, here; [Stats] reads them back under
+   their daemon/* keys. *)
+type counters = {
+  submitted : Metrics.counter;  (* ptaintd_jobs_submitted_total *)
+  rejected : Metrics.counter;  (* ptaintd_jobs_rejected_total *)
+  protocol_errors : Metrics.counter;  (* ptaintd_protocol_errors_total *)
+  clients : Metrics.counter;  (* ptaintd_clients_total *)
+  cache_hits : Metrics.counter;  (* ptaintd_cache_hits *)
+  cache_misses : Metrics.counter;  (* ptaintd_cache_misses *)
+  bytes_read : Metrics.counter;
+  bytes_written : Metrics.counter;
+  idem_replays : Metrics.counter;
+  shed : Metrics.counter;  (* ptaintd_jobs_shed_total{reason="deadline"} *)
+  job_duration : Metrics.histogram;  (* ptaintd_job_duration_us *)
+  loop_lag : Metrics.histogram;  (* ptaintd_loop_lag_us *)
 }
 
 (* Execution backend: in-process worker domains behind a Pool.service
@@ -113,8 +116,6 @@ type t = {
   wake_rd : Unix.file_descr;
   wake_wr : Unix.file_descr;
   mutable backend : backend option;
-  mutable cache_hits : int;  (* tallied from terminal events *)
-  mutable cache_misses : int;
   conns : (int, conn) Hashtbl.t;
   by_fd : (Unix.file_descr, conn) Hashtbl.t;  (* the same conns, by fd *)
   mutable next_cid : int;
@@ -123,16 +124,11 @@ type t = {
   stopping : bool Atomic.t;
   cq_mu : Mutex.t;
   cq : completion Queue.t;
-  (* daemon-level counters, loop-owned *)
-  mutable jobs_submitted : int;
-  mutable jobs_rejected : int;
-  mutable jobs_completed : int;
-  mutable protocol_errors : int;
-  mutable clients_total : int;
   wake_buf : Bytes.t;  (* loop-owned sink for self-pipe bytes *)
   metrics : Metrics.t;  (* loop-owned; workers never touch it *)
+  ctr : counters;
   metrics_fd : Unix.file_descr option;
-  mutable spans : job_info list;  (* newest first, for the drain-time trace *)
+  mutable spans : Worker.done_job list;  (* newest first, for the drain-time trace *)
   mutable spans_count : int;
   mutable spans_dropped : int;
   idem : (string, idem_state) Hashtbl.t;
@@ -173,11 +169,6 @@ let trace_fields = function
   | None -> []
   | Some (tid, span) -> [ Log.str "trace" (Log.hex_id tid); Log.int "span" span ]
 
-(* Metric helpers — get-or-create is a hash lookup, cheap enough to
-   do at the call site and keeps hot counters next to their events. *)
-let mcount t ?labels name = Metrics.inc (Metrics.counter t.metrics ?labels name)
-let mobserve t name v = Metrics.observe (Metrics.histogram t.metrics name) v
-
 let bind_unix_listener path ~backlog =
   (match Unix.lstat path with
    | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path
@@ -208,10 +199,10 @@ let push_completion t c =
   Mutex.unlock t.cq_mu;
   wake t
 
-(* Robustness families must render in every scrape, including a
-   freshly started daemon's — chaos harnesses assert on them at zero.
-   The registry only renders created metrics, so create them now. *)
-let preregister_metrics m =
+(* Every series renders in every scrape, including a freshly started
+   daemon's — chaos harnesses assert on the robustness families at
+   zero, and the registry renders only created metrics. *)
+let register_counters m =
   List.iter
     (fun reason ->
       ignore
@@ -220,10 +211,19 @@ let preregister_metrics m =
     [ "crash"; "heartbeat"; "deadline" ];
   ignore (Metrics.counter m "ptaintd_redeliveries_total");
   ignore (Metrics.counter m "ptaintd_heartbeat_misses_total");
-  ignore
-    (Metrics.counter m ~labels:[ ("reason", "deadline") ]
-       "ptaintd_jobs_shed_total");
-  ignore (Metrics.counter m "ptaintd_idem_replays_total")
+  let c = Metrics.counter m in
+  { submitted = c "ptaintd_jobs_submitted_total";
+    rejected = c "ptaintd_jobs_rejected_total";
+    protocol_errors = c "ptaintd_protocol_errors_total";
+    clients = c "ptaintd_clients_total";
+    cache_hits = c "ptaintd_cache_hits";
+    cache_misses = c "ptaintd_cache_misses";
+    bytes_read = c "ptaintd_bytes_read_total";
+    bytes_written = c "ptaintd_bytes_written_total";
+    idem_replays = c "ptaintd_idem_replays_total";
+    shed = Metrics.counter m ~labels:[ ("reason", "deadline") ] "ptaintd_jobs_shed_total";
+    job_duration = Metrics.histogram m "ptaintd_job_duration_us";
+    loop_lag = Metrics.histogram m "ptaintd_loop_lag_us" }
 
 let create (cfg : config) =
   let listen_fd = bind_unix_listener cfg.socket_path ~backlog:64 in
@@ -233,15 +233,13 @@ let create (cfg : config) =
   let wake_rd, wake_wr = Unix.pipe () in
   Unix.set_nonblock wake_rd;
   let metrics = Metrics.create () in
-  preregister_metrics metrics;
+  let ctr = register_counters metrics in
   let t =
     { cfg;
       listen_fd;
       wake_rd;
       wake_wr;
       backend = None;
-      cache_hits = 0;
-      cache_misses = 0;
       conns = Hashtbl.create 16;
       by_fd = Hashtbl.create 16;
       next_cid = 1;
@@ -250,13 +248,9 @@ let create (cfg : config) =
       stopping = Atomic.make false;
       cq_mu = Mutex.create ();
       cq = Queue.create ();
-      jobs_submitted = 0;
-      jobs_rejected = 0;
-      jobs_completed = 0;
-      protocol_errors = 0;
-      clients_total = 0;
       wake_buf = Bytes.create 256;
       metrics;
+      ctr;
       metrics_fd;
       spans = [];
       spans_count = 0;
@@ -270,30 +264,20 @@ let create (cfg : config) =
      (* Fork the worker fleet before any domain exists in this
         process — fork and the multicore runtime do not mix, which is
         also why the isolated backend never creates a Pool.service. *)
-     let emit ~cid resp ~terminal ~info =
-       let c_info =
-         Option.map
-           (fun (i : Supervisor.done_info) ->
-             { ji_id = i.Supervisor.i_id; ji_tag = i.i_tag;
-               ji_outcome = i.i_outcome; ji_cache_hit = i.i_cache_hit;
-               ji_trace = i.i_trace; ji_t0 = i.i_t0; ji_t1 = i.i_t1;
-               ji_domain = i.i_worker; ji_superblock = [] })
-           info
-       in
-       push_completion t { c_cid = cid; c_resp = resp; c_terminal = terminal; c_info }
-     in
+     let emit ~cid ev d = push_completion t { c_cid = cid; c_event = ev; c_done = d } in
      let close_in_child () =
        t.listen_fd :: t.wake_rd :: t.wake_wr
        :: (match t.metrics_fd with Some fd -> [ fd ] | None -> [])
        @ Hashtbl.fold (fun _ c acc -> c.fd :: acc) t.conns []
      in
      let sup_cfg =
-       { (Supervisor.default_config ~emit ~cache_capacity:cfg.cache_capacity) with
-         Supervisor.workers = (match cfg.workers with Some n -> max 1 n | None -> 2);
+       { Supervisor.workers = (match cfg.workers with Some n -> max 1 n | None -> 2);
          job_timeout = cfg.job_timeout;
+         cache_capacity = cfg.cache_capacity;
          log = cfg.log;
-         metrics = Some metrics;
-         close_in_child }
+         metrics;
+         close_in_child;
+         emit }
      in
      t.backend <- Some (Isolated (Supervisor.create sup_cfg))
    end
@@ -314,26 +298,17 @@ let create (cfg : config) =
    next job. *)
 let run_job_task t images ~cid ~id (spec : Job.t) () =
   let t0 = Unix.gettimeofday () in
-  push_completion t
-    { c_cid = cid; c_resp = Proto.Job_event (Proto.Started { id });
-      c_terminal = false; c_info = None };
-  let ev, r, cache_hit = Worker.run_job ~images ~job_timeout:t.cfg.job_timeout ~id spec in
-  let resp = Proto.Job_event ev in
-  let outcome = Worker.outcome_of_event ev in
+  push_completion t { c_cid = cid; c_event = Proto.Started { id }; c_done = None };
+  let ev, r = Worker.run_job ~images ~job_timeout:t.cfg.job_timeout ~id spec in
   let superblock =
     match r.Campaign.status with
     | Campaign.Finished res ->
       Ptaint_cpu.Machine.superblock_counters res.Ptaint_sim.Sim.machine
     | Campaign.Failed _ -> []
   in
-  let info =
-    { ji_id = id; ji_tag = spec.Job.tag; ji_outcome = outcome;
-      ji_cache_hit = cache_hit; ji_trace = spec.Job.trace;
-      ji_t0 = t0; ji_t1 = Unix.gettimeofday ();
-      ji_domain = (Domain.self () :> int);
-      ji_superblock = superblock }
-  in
-  push_completion t { c_cid = cid; c_resp = resp; c_terminal = true; c_info = Some info }
+  push_completion t
+    { c_cid = cid; c_event = ev;
+      c_done = Some (Worker.done_job ~t0 ~worker:(Domain.self () :> int) ~superblock ev) }
 
 (* --- event loop (connection side) ------------------------------------ *)
 
@@ -346,58 +321,59 @@ let disconnect t conn =
   ldebug t "client disconnected" [ Log.int "cid" conn.cid ]
 
 let reject t conn ~tag reason =
-  t.jobs_rejected <- t.jobs_rejected + 1;
-  mcount t "ptaintd_jobs_rejected_total";
+  Metrics.inc t.ctr.rejected;
   lwarn t "job rejected"
     [ Log.int "cid" conn.cid; Log.str "tag" tag; Log.str "reason" reason ];
   send conn (Proto.Rejected { tag; reason })
 
-(* Image-cache counters.  Hits and misses are tallied from the
-   terminal events, the same way for both backends.  The table's own
-   size, evictions and capacity are reported only in-process: isolated
-   workers keep their caches to themselves. *)
-let cache_counters t =
-  ("daemon/cache-hit", t.cache_hits)
-  :: ("daemon/cache-miss", t.cache_misses)
+(* Completed jobs: the ptaintd_jobs_total family summed over its
+   outcome children. *)
+let jobs_completed t =
+  List.fold_left
+    (fun n (r : Metrics.row) ->
+      if r.Metrics.name = "ptaintd_jobs_total" then n + r.Metrics.count else n)
+    0 (Metrics.rows t.metrics)
+
+(* The [Stats] frame.  Counts come from the registry; jobs in flight,
+   clients connected and workers are live values, as are the image
+   cache's own size, evictions and capacity, which only the in-process
+   backend reports (isolated workers keep their caches to
+   themselves). *)
+let daemon_counters t =
+  let v = Metrics.value in
+  ("daemon/cache-hit", v t.ctr.cache_hits)
+  :: ("daemon/cache-miss", v t.ctr.cache_misses)
   :: (match backend_exn t with
       | In_process (_, images) -> Campaign.Images.counters images
       | Isolated _ -> [])
-
-let daemon_counters t =
-  cache_counters t
-  @ [ ("daemon/jobs-submitted", t.jobs_submitted);
-      ("daemon/jobs-completed", t.jobs_completed);
-      ("daemon/jobs-rejected", t.jobs_rejected);
+  @ [ ("daemon/jobs-submitted", v t.ctr.submitted);
+      ("daemon/jobs-completed", jobs_completed t);
+      ("daemon/jobs-rejected", v t.ctr.rejected);
       ("daemon/jobs-inflight", t.admitted);
-      ("daemon/protocol-errors", t.protocol_errors);
+      ("daemon/protocol-errors", v t.ctr.protocol_errors);
       ("daemon/clients-now", Hashtbl.length t.conns);
-      ("daemon/clients-total", t.clients_total);
+      ("daemon/clients-total", v t.ctr.clients);
       ("daemon/workers", worker_count t) ]
 
-(* One telemetry snapshot: refresh every level-triggered gauge from
-   loop state, then render the whole registry.  Event-driven counters
-   and histograms (jobs, bytes, latency, lag) are maintained where the
-   events happen and need no refresh here. *)
+(* One telemetry snapshot: refresh the gauges from the live values,
+   then render the whole registry. *)
 let scrape t =
-  let g ?labels name v = Metrics.set (Metrics.gauge t.metrics ?labels name) v in
-  g "ptaintd_queue_depth" (float_of_int t.admitted);
-  g "ptaintd_clients_connected" (float_of_int (Hashtbl.length t.conns));
-  g "ptaintd_workers" (float_of_int (worker_count t));
+  let g ?labels name v = Metrics.set (Metrics.gauge t.metrics ?labels name) (float_of_int v) in
+  g "ptaintd_queue_depth" t.admitted;
+  g "ptaintd_clients_connected" (Hashtbl.length t.conns);
+  g "ptaintd_workers" (worker_count t);
   Hashtbl.iter
     (fun cid conn ->
-      g ~labels:[ ("cid", string_of_int cid) ] "ptaintd_client_inflight"
-        (float_of_int conn.inflight))
+      g ~labels:[ ("cid", string_of_int cid) ] "ptaintd_client_inflight" conn.inflight)
     t.conns;
-  List.iter
-    (fun (k, v) ->
-      match k with
-      | "daemon/cache-hit" -> g "ptaintd_cache_hits" (float_of_int v)
-      | "daemon/cache-miss" -> g "ptaintd_cache_misses" (float_of_int v)
-      | "daemon/cache-evictions" -> g "ptaintd_cache_evictions" (float_of_int v)
-      | "daemon/cache-entries" -> g "ptaintd_cache_entries" (float_of_int v)
-      | "daemon/cache-capacity" -> g "ptaintd_cache_capacity" (float_of_int v)
-      | _ -> ())
-    (cache_counters t);
+  (match backend_exn t with
+   | In_process (_, images) ->
+     (* in {!Campaign.Images.counters} order *)
+     List.iter2
+       (fun name (_, v) -> g name v)
+       [ "ptaintd_cache_evictions"; "ptaintd_cache_entries"; "ptaintd_cache_capacity" ]
+       (Campaign.Images.counters images)
+   | Isolated _ -> ());
   Metrics.prometheus t.metrics
 
 (* Deadline-aware admission: estimate this job's completion time from
@@ -434,10 +410,9 @@ let deadline_shed t (spec : Proto.job_spec) =
 let admit t conn (spec : Proto.job_spec) ~tag (job : Job.t) =
   let id = t.next_job in
   t.next_job <- t.next_job + 1;
-  t.jobs_submitted <- t.jobs_submitted + 1;
   t.admitted <- t.admitted + 1;
   conn.inflight <- conn.inflight + 1;
-  mcount t "ptaintd_jobs_submitted_total";
+  Metrics.inc t.ctr.submitted;
   (match spec.Proto.spec_idem with
    | Some key ->
      Hashtbl.replace t.idem key (Idem_pending { id; cid = conn.cid });
@@ -461,7 +436,7 @@ let admit t conn (spec : Proto.job_spec) ~tag (job : Job.t) =
 let handle_request t conn = function
   | Proto.Hello _ ->
     send conn
-      (Proto.Hello_ok { server_version = Proto.version; banner = t.cfg.banner })
+      (Proto.Hello_ok { server_version = Proto.version; banner = "ptaintd" })
   | Proto.Ping payload -> send conn (Proto.Pong payload)
   | Proto.Stats -> send conn (Proto.Stats_ok (daemon_counters t))
   | Proto.Stats_full -> send conn (Proto.Stats_full_ok (scrape t))
@@ -478,13 +453,13 @@ let handle_request t conn = function
     in
     (match idem_hit with
      | Some (Idem_done { id; event }) ->
-       mcount t "ptaintd_idem_replays_total";
+       Metrics.inc t.ctr.idem_replays;
        ldebug t "idempotent replay"
          [ Log.int "cid" conn.cid; Log.int "id" id; Log.str "tag" tag ];
        send conn (Proto.Accepted { id; tag });
        send conn (Proto.Job_event event)
      | Some (Idem_pending p) ->
-       mcount t "ptaintd_idem_replays_total";
+       Metrics.inc t.ctr.idem_replays;
        if p.cid <> conn.cid then begin
          (* reroute the eventual result to the newest submitter; the
             admission quota moves with it *)
@@ -510,7 +485,7 @@ let handle_request t conn = function
        else
          match deadline_shed t spec with
          | Some reason ->
-           mcount t ~labels:[ ("reason", "deadline") ] "ptaintd_jobs_shed_total";
+           Metrics.inc t.ctr.shed;
            reject t conn ~tag reason
          | None ->
            (match Proto.job_of_spec spec with
@@ -518,8 +493,7 @@ let handle_request t conn = function
             | Ok job -> admit t conn spec ~tag job))
 
 let protocol_failure t conn err =
-  t.protocol_errors <- t.protocol_errors + 1;
-  mcount t "ptaintd_protocol_errors_total";
+  Metrics.inc t.ctr.protocol_errors;
   lwarn t "protocol error"
     [ Log.int "cid" conn.cid; Log.str "error" (Proto.error_message err) ];
   send conn (Proto.Error_frame (Proto.error_message err));
@@ -543,7 +517,7 @@ let handle_readable t conn =
   match Proto.fill conn.inbox (Unix.read conn.fd) with
   | 0 -> disconnect t conn  (* EOF; any jobs in flight finish into the void *)
   | n ->
-    Metrics.inc ~by:n (Metrics.counter t.metrics "ptaintd_bytes_read_total");
+    Metrics.inc ~by:n t.ctr.bytes_read;
     drain_inbox t conn
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> disconnect t conn
@@ -551,7 +525,7 @@ let handle_readable t conn =
 let handle_writable t conn =
   (match Proto.flush conn.out (Unix.write conn.fd) with
    | 0 -> ()
-   | n -> Metrics.inc ~by:n (Metrics.counter t.metrics "ptaintd_bytes_written_total")
+   | n -> Metrics.inc ~by:n t.ctr.bytes_written
    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
    | exception Unix.Unix_error _ -> disconnect t conn);
   if Hashtbl.mem t.conns conn.cid && conn.close_after_flush && Proto.pending conn.out = 0
@@ -564,14 +538,13 @@ let accept_new t =
       Unix.set_nonblock fd;
       let cid = t.next_cid in
       t.next_cid <- t.next_cid + 1;
-      t.clients_total <- t.clients_total + 1;
       let conn =
         { fd; cid; inbox = Proto.request_reader (); out = Proto.outbox ();
           inflight = 0; close_after_flush = false; broken = false }
       in
       Hashtbl.replace t.conns cid conn;
       Hashtbl.replace t.by_fd fd conn;
-      mcount t "ptaintd_clients_total";
+      Metrics.inc t.ctr.clients;
       linfo t "client connected" [ Log.int "cid" cid ];
       go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
@@ -606,12 +579,11 @@ let serve_metrics_scrapes t listen_fd =
 
 let max_spans = 65536
 
-(* Loop-side bookkeeping for one finished job: outcome counter,
-   latency histogram, log line, Chrome span. *)
-let account_finished t ji =
+(* Loop-side bookkeeping for one finished job: outcome and cache
+   counters, latency histogram, log line, Chrome span. *)
+let account_finished t (j : Worker.done_job) =
   Metrics.inc
-    (Metrics.counter t.metrics ~labels:[ ("outcome", ji.ji_outcome) ]
-       "ptaintd_jobs_total");
+    (Metrics.counter t.metrics ~labels:[ ("outcome", j.j_outcome) ] "ptaintd_jobs_total");
   (* Translation-tier telemetry, aggregated across jobs: how many
      blocks the fleet promoted, how often chains stayed linked, and
      how often taint transitions forced a variant deopt. *)
@@ -621,21 +593,20 @@ let account_finished t ji =
         Metrics.inc ~by:n
           (Metrics.counter t.metrics ~labels:[ ("event", event) ]
              "ptaintd_superblock_events_total"))
-    ji.ji_superblock;
-  if ji.ji_cache_hit then t.cache_hits <- t.cache_hits + 1
-  else t.cache_misses <- t.cache_misses + 1;
-  mobserve t "ptaintd_job_duration_us" ((ji.ji_t1 -. ji.ji_t0) *. 1e6);
+    j.j_superblock;
+  Metrics.inc (if j.j_cache_hit then t.ctr.cache_hits else t.ctr.cache_misses);
+  Metrics.observe t.ctr.job_duration ((j.j_t1 -. j.j_t0) *. 1e6);
   (match t.cfg.log with
    | Some l when Log.enabled l ~src:log_src Log.Info ->
      Log.info l ~src:log_src "job finished"
-       (Log.int "id" ji.ji_id :: Log.str "tag" ji.ji_tag
-        :: Log.str "outcome" ji.ji_outcome :: Log.bool "cache_hit" ji.ji_cache_hit
-        :: Log.float "ms" ((ji.ji_t1 -. ji.ji_t0) *. 1e3)
-        :: trace_fields ji.ji_trace)
+       (Log.int "id" j.j_id :: Log.str "tag" j.j_tag
+        :: Log.str "outcome" j.j_outcome :: Log.bool "cache_hit" j.j_cache_hit
+        :: Log.float "ms" ((j.j_t1 -. j.j_t0) *. 1e3)
+        :: trace_fields j.j_trace)
    | _ -> ());
   if t.cfg.trace_path <> None then begin
     if t.spans_count < max_spans then begin
-      t.spans <- ji :: t.spans;
+      t.spans <- j :: t.spans;
       t.spans_count <- t.spans_count + 1
     end
     else t.spans_dropped <- t.spans_dropped + 1
@@ -676,31 +647,20 @@ let drain_completions t =
     (fun c ->
       (* An idempotent resubmit may have rerouted this job to a newer
          connection after dispatch; the override table wins. *)
-      let cid, id =
-        match c.c_resp with
-        | Proto.Job_event ev ->
-          let id = event_id ev in
-          ((match Hashtbl.find_opt t.routes id with
-            | Some cid -> cid
-            | None -> c.c_cid),
-           Some id)
-        | _ -> (c.c_cid, None)
-      in
-      if c.c_terminal then begin
-        t.admitted <- t.admitted - 1;
-        t.jobs_completed <- t.jobs_completed + 1;
-        (match c.c_info with Some ji -> account_finished t ji | None -> ());
-        match (id, c.c_resp) with
-        | Some id, Proto.Job_event ev ->
-          record_idem_done t ~id ev;
-          Hashtbl.remove t.routes id
-        | _ -> ()
-      end;
+      let id = event_id c.c_event in
+      let cid = match Hashtbl.find_opt t.routes id with Some cid -> cid | None -> c.c_cid in
+      (match c.c_done with
+       | Some j ->
+         t.admitted <- t.admitted - 1;
+         account_finished t j;
+         record_idem_done t ~id c.c_event;
+         Hashtbl.remove t.routes id
+       | None -> ());
       match Hashtbl.find_opt t.conns cid with
       | None -> ()  (* client gone mid-job: result dropped, accounting kept *)
       | Some conn ->
-        if c.c_terminal then conn.inflight <- conn.inflight - 1;
-        send conn c.c_resp)
+        if Option.is_some c.c_done then conn.inflight <- conn.inflight - 1;
+        send conn (Proto.Job_event c.c_event))
     batch
 
 let drain_wakeups t =
@@ -738,18 +698,18 @@ let write_trace t =
   | Some path ->
     let tr = Ptaint_obs.Chrome.create () in
     List.iter
-      (fun ji ->
+      (fun (j : Worker.done_job) ->
         let args =
-          [ ("outcome", ji.ji_outcome);
-            ("cache_hit", if ji.ji_cache_hit then "true" else "false") ]
-          @ (match ji.ji_trace with
+          [ ("outcome", j.j_outcome);
+            ("cache_hit", if j.j_cache_hit then "true" else "false") ]
+          @ (match j.j_trace with
              | None -> []
              | Some (tid, span) ->
                [ ("trace", Log.hex_id tid); ("span", string_of_int span) ])
         in
-        Ptaint_obs.Chrome.complete tr ~name:ji.ji_tag ~cat:"daemon" ~pid:2
-          ~tid:ji.ji_domain ~ts_us:(ji.ji_t0 *. 1e6)
-          ~dur_us:((ji.ji_t1 -. ji.ji_t0) *. 1e6) ~args ())
+        Ptaint_obs.Chrome.complete tr ~name:j.j_tag ~cat:"daemon" ~pid:2
+          ~tid:j.j_worker ~ts_us:(j.j_t0 *. 1e6)
+          ~dur_us:((j.j_t1 -. j.j_t0) *. 1e6) ~args ())
       (List.rev t.spans);
     if t.spans_dropped > 0 then
       lwarn t "trace spans dropped"
@@ -757,6 +717,11 @@ let write_trace t =
     Ptaint_obs.Chrome.write_file tr path
 
 let serve t =
+  linfo t "listening"
+    [ Log.str "socket" t.cfg.socket_path;
+      Log.str "backend"
+        (match backend_exn t with In_process _ -> "in-process" | Isolated _ -> "isolated");
+      Log.int "workers" (worker_count t) ];
   let listening = ref true in
   let finished = ref false in
   while not !finished do
@@ -818,7 +783,7 @@ let serve t =
           t.conns []
       in
       List.iter (fun c -> disconnect t c) flushed;
-      mobserve t "ptaintd_loop_lag_us" ((Unix.gettimeofday () -. work_t0) *. 1e6)
+      Metrics.observe t.ctr.loop_lag ((Unix.gettimeofday () -. work_t0) *. 1e6)
     end
   done;
   Hashtbl.iter (fun _ c -> final_flush c) t.conns;
@@ -837,13 +802,5 @@ let serve t =
   write_trace t;
   (try Unix.close t.wake_rd with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_wr with Unix.Unix_error _ -> ());
-  linfo t "drained, goodbye" [ Log.int "jobs" t.jobs_completed ];
+  linfo t "drained, goodbye" [ Log.int "jobs" (jobs_completed t) ];
   (match t.cfg.log with Some l -> Log.flush l | None -> ())
-
-let stats t = daemon_counters t
-let prometheus t = scrape t
-
-let worker_pids t =
-  match backend_exn t with
-  | In_process _ -> []
-  | Isolated sup -> Supervisor.pids sup

@@ -37,7 +37,19 @@
       runs at most once — the retry attaches to the live admission or
       replays the recorded terminal event;
     - a [spec_deadline] the queue cannot meet (duration histogram ×
-      queue depth) is shed at admission with a typed [Rejected]. *)
+      queue depth) is shed at admission with a typed [Rejected].
+
+    Every count lives once, in the daemon's metrics registry.  A
+    [Stats] request reads it under the [daemon/*] keys (cache hits
+    and misses, jobs submitted/completed/rejected, protocol errors,
+    clients ever connected) next to the live values (jobs in flight,
+    clients connected, workers, and in-process the image cache's
+    entries, evictions and capacity); [Stats_full] and the metrics
+    socket render the same registry as Prometheus text, each
+    [daemon/*] value under its [ptaintd_*] series.  Both backends
+    account a finished job through one record ({!Worker.done_job}):
+    it is a cache hit only if it finished from a cached image, so
+    hits plus misses equal completed jobs. *)
 
 type config = {
   socket_path : string;
@@ -52,7 +64,6 @@ type config = {
           capacity; hits and misses are counted for both backends *)
   job_timeout : float option;
       (** default per-job watchdog (seconds); a job's own timeout wins *)
-  banner : string;  (** echoed in [Hello_ok] *)
   log : Ptaint_obs.Log.t option;
       (** structured lifecycle log: connections, admissions,
           rejections, protocol errors, job completions (with trace
@@ -94,23 +105,3 @@ val serve : t -> unit
 val shutdown : t -> unit
 (** Request a graceful drain.  Safe from signal handlers and other
     domains; idempotent. *)
-
-val stats : t -> (string * int) list
-(** The daemon counter snapshot served to [Stats] requests (cache
-    hits/misses, jobs submitted/completed/rejected/in flight, client
-    counts).  Cache hits and misses are counted per finished job from
-    its terminal event's cache flag, on either backend; under
-    [isolate] a job whose worker failed it carries no flag and counts
-    as a miss.  Loop-owned state: call from the serving domain only —
-    other processes should ask over the socket. *)
-
-val prometheus : t -> string
-(** The full telemetry snapshot served to [Stats_full] requests and
-    the metrics socket: jobs by outcome, queue depth, per-client
-    inflight, cache traffic, byte counters, event-loop lag and job
-    latency histograms, in Prometheus text exposition format 0.0.4.
-    Loop-owned state, same caveat as {!stats}. *)
-
-val worker_pids : t -> int list
-(** Live worker process pids under [isolate] (what a chaos harness
-    SIGKILLs); [[]] for the in-process backend. *)

@@ -9,7 +9,7 @@
    - EOF (or garbage) on the worker's up pipe: the worker crashed or
      was SIGKILLed.  Immediate.
    - missed heartbeats while idle: an idle worker Pongs every
-     [beat_interval]; silence past [beat_tolerance] means it is
+     0.25 s; silence past [beat_tolerance] means it is
      stopped or wedged (SIGSTOP, runaway GC) even though the pipe is
      open.
    - a blown dispatch deadline while busy: the in-worker cooperative
@@ -59,44 +59,35 @@ type worker = {
   mutable w_respawn_at : float;
 }
 
-(* What the server needs to account a terminal event without the
-   worker-side result: mirrors its loop-side job bookkeeping. *)
-type done_info = {
-  i_id : int;
-  i_tag : string;
-  i_outcome : string;
-  i_cache_hit : bool;
-  i_trace : (int * int) option;
-  i_t0 : float;
-  i_t1 : float;
-  i_worker : int;
-}
-
 type config = {
   workers : int;
   job_timeout : float option;
   cache_capacity : int;
-  beat_interval : float;
-  beat_tolerance : float;
-  hang_timeout : float;  (* deadline for jobs that carry no timeout *)
-  grace : float;  (* slack past the cooperative watchdog *)
-  max_deliveries : int;
-  backoff_base : float;
-  backoff_cap : float;
   log : Log.t option;
-  metrics : Metrics.t option;
+  metrics : Metrics.t;
   close_in_child : unit -> Unix.file_descr list;
       (* parent-side fds a freshly forked worker must not inherit;
          evaluated at each fork, since connections come and go *)
-  emit :
-    cid:int -> Proto.response -> terminal:bool -> info:done_info option -> unit;
+  emit : cid:int -> Proto.event -> Worker.done_job option -> unit;
 }
 
-let default_config ~emit ~cache_capacity =
-  { workers = 2; job_timeout = None; cache_capacity;
-    beat_interval = 0.25; beat_tolerance = 2.0; hang_timeout = 60.0;
-    grace = 2.0; max_deliveries = 2; backoff_base = 0.05; backoff_cap = 2.0;
-    log = None; metrics = None; close_in_child = (fun () -> []); emit }
+(* Idle silence past this many seconds is a heartbeat miss: eight
+   missed beats. *)
+let beat_tolerance = 2.0
+
+(* Dispatch deadline for a job that carries no timeout. *)
+let hang_timeout = 60.0
+
+(* Slack past the cooperative watchdog before the supervisor steps in. *)
+let grace = 2.0
+
+(* Total dispatch attempts per job. *)
+let max_deliveries = 2
+
+(* Respawn backoff: doubles per consecutive death from [backoff_base]
+   up to [backoff_cap] seconds, then jittered. *)
+let backoff_base = 0.05
+let backoff_cap = 2.0
 
 type t = {
   cfg : config;
@@ -113,10 +104,7 @@ let lwarn t msg fields =
 let linfo t msg fields =
   match t.cfg.log with Some l -> Log.info l ~src:log_src msg fields | None -> ()
 
-let mcount t ?labels name =
-  match t.cfg.metrics with
-  | Some m -> Metrics.inc (Metrics.counter m ?labels name)
-  | None -> ()
+let mcount t ?labels name = Metrics.inc (Metrics.counter t.cfg.metrics ?labels name)
 
 (* Blocking: the whole frame goes down the pipe before this returns. *)
 let send w req =
@@ -148,9 +136,7 @@ let spawn t w =
         end)
       t.workers;
     let config =
-      { Worker.cache_capacity = t.cfg.cache_capacity;
-        job_timeout = t.cfg.job_timeout;
-        beat_interval = t.cfg.beat_interval }
+      { Worker.cache_capacity = t.cfg.cache_capacity; job_timeout = t.cfg.job_timeout }
     in
     (match Worker.main ~config ~rd:down_rd ~wr:up_wr with
      | () -> Unix._exit 0
@@ -189,19 +175,10 @@ let create (cfg : config) =
   t
 
 let size t = Array.length t.workers
-let pids t =
-  Array.to_list t.workers
-  |> List.filter_map (fun w -> if w.w_alive then Some w.w_pid else None)
 
 let fds t =
   Array.to_list t.workers
   |> List.filter_map (fun w -> if w.w_alive then Some w.w_up else None)
-
-let in_flight t =
-  Queue.length t.pending
-  + Array.fold_left
-      (fun acc w -> if w.w_busy <> None then acc + 1 else acc)
-      0 t.workers
 
 (* --- dispatch --------------------------------------------------------- *)
 
@@ -232,7 +209,7 @@ let synthesize t d =
   let kind, message =
     if d.d_expired then
       let seconds =
-        match d.d_timeout with Some s -> s | None -> t.cfg.hang_timeout
+        match d.d_timeout with Some s -> s | None -> hang_timeout
       in
       ( Campaign.Timeout { seconds },
         Printf.sprintf
@@ -256,13 +233,7 @@ let synthesize t d =
     [ Log.int "id" d.d_id; Log.str "tag" d.d_tag;
       Log.str "kind" (Campaign.kind_name kind);
       Log.int "deliveries" d.d_deliveries ];
-  t.cfg.emit ~cid:d.d_cid (Proto.Job_event ev) ~terminal:true
-    ~info:
-      (Some
-         { i_id = d.d_id; i_tag = d.d_tag;
-           i_outcome = Campaign.kind_name kind; i_cache_hit = false;
-           i_trace = d.d_trace; i_t0 = d.d_started;
-           i_t1 = Unix.gettimeofday (); i_worker = (-1) })
+  t.cfg.emit ~cid:d.d_cid ev (Some (Worker.done_job ~t0:d.d_started ~worker:(-1) ev))
 
 (* Feed idle workers from the pending queue.  A worker dying at
    dispatch time requeues the job and loops, so one bad write cannot
@@ -298,9 +269,9 @@ and worker_died t w ~reason =
     w.w_restarts <- w.w_restarts + 1;
     let backoff =
       let exp =
-        t.cfg.backoff_base *. (2. ** float_of_int (min 10 (w.w_restarts - 1)))
+        backoff_base *. (2. ** float_of_int (min 10 (w.w_restarts - 1)))
       in
-      let capped = Float.min exp t.cfg.backoff_cap in
+      let capped = Float.min exp backoff_cap in
       (* full jitter: uniform in [capped/2, capped], so a fleet of
          dying workers never respawns in lockstep *)
       let u =
@@ -318,7 +289,7 @@ and worker_died t w ~reason =
      | None -> ()
      | Some d ->
        w.w_busy <- None;
-       if d.d_deliveries >= t.cfg.max_deliveries then synthesize t d
+       if d.d_deliveries >= max_deliveries then synthesize t d
        else begin
          mcount t "ptaintd_redeliveries_total";
          lwarn t "job redelivered"
@@ -358,23 +329,13 @@ let handle_event t w resp =
     | None -> ()  (* stale event from a redelivered job: drop *)
     | Some d -> (
       match ev with
-      | Proto.Started _ ->
-        t.cfg.emit ~cid:d.d_cid (Proto.Job_event (rewrite_id d ev))
-          ~terminal:false ~info:None
+      | Proto.Started _ -> t.cfg.emit ~cid:d.d_cid (rewrite_id d ev) None
       | Proto.Finished _ | Proto.Job_failed _ ->
         w.w_busy <- None;
         w.w_restarts <- 0;  (* a completed job proves the worker healthy *)
         let ev = rewrite_id d ev in
-        let cache_hit =
-          match ev with Proto.Finished f -> f.cache_hit | _ -> false
-        in
-        t.cfg.emit ~cid:d.d_cid (Proto.Job_event ev) ~terminal:true
-          ~info:
-            (Some
-               { i_id = d.d_id; i_tag = d.d_tag;
-                 i_outcome = Worker.outcome_of_event ev; i_cache_hit = cache_hit;
-                 i_trace = d.d_trace; i_t0 = d.d_started;
-                 i_t1 = Unix.gettimeofday (); i_worker = w.w_index });
+        t.cfg.emit ~cid:d.d_cid ev
+          (Some (Worker.done_job ~t0:d.d_started ~worker:w.w_index ev));
         pump t))
   | _ -> ()
 
@@ -407,10 +368,8 @@ let handle_readable t fd =
 
 (* --- periodic maintenance -------------------------------------------- *)
 
-let deadline_of t d =
-  d.d_started
-  +. (match d.d_timeout with Some s -> s | None -> t.cfg.hang_timeout)
-  +. t.cfg.grace
+let deadline_of d =
+  d.d_started +. (match d.d_timeout with Some s -> s | None -> hang_timeout) +. grace
 
 let tick t ~now =
   Array.iter
@@ -418,10 +377,10 @@ let tick t ~now =
       if (not w.w_alive) && now >= w.w_respawn_at then spawn t w
       else if w.w_alive then
         match w.w_busy with
-        | Some d when now > deadline_of t d ->
+        | Some d when now > deadline_of d ->
           d.d_expired <- true;
           worker_died t w ~reason:"deadline"
-        | None when now -. w.w_last_beat > t.cfg.beat_tolerance ->
+        | None when now -. w.w_last_beat > beat_tolerance ->
           mcount t "ptaintd_heartbeat_misses_total";
           worker_died t w ~reason:"heartbeat"
         | _ -> ())

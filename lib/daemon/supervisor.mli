@@ -8,65 +8,40 @@
     {!handle_readable}, and calls {!tick} every loop iteration —
     nothing here spawns a thread or takes a lock.
 
-    A worker is declared sick by pipe EOF (crash, SIGKILL), by missed
-    idle heartbeats (SIGSTOP, wedged runtime), or by a blown dispatch
-    deadline — job timeout plus grace, so the in-worker cooperative
-    watchdog always gets the first shot at a typed [Timeout].  Sick
-    workers are SIGKILLed, reaped and respawned with jittered
-    exponential backoff; their in-flight job is redelivered to a
-    surviving worker up to [max_deliveries] total attempts, so an
+    A worker is declared sick by pipe EOF (crash, SIGKILL), by idle
+    heartbeat silence past 2 s (SIGSTOP, wedged runtime), or by a
+    blown dispatch deadline — the job's timeout (60 s for a job with
+    none) plus 2 s of grace, so the in-worker cooperative watchdog
+    always gets the first shot at a typed [Timeout].  Sick workers
+    are SIGKILLed, reaped and respawned with jittered exponential
+    backoff (50 ms doubling to a 2 s cap); their in-flight job is
+    redelivered to a surviving worker, two deliveries in all, so an
     innocent job disturbed by a worker death completes normally and
     final counters stay byte-identical to an undisturbed run.  A job
     that exhausts its deliveries is synthesized into the typed
     failure the cooperative path would have produced, with
-    {!Ptaint_campaign.Campaign.failure_counters} deltas.
+    {!Ptaint_campaign.Campaign.failure_counters} deltas.  These
+    timings are constants.
 
-    Metric families maintained (when [metrics] is set):
+    Metric families maintained in [metrics]:
     [ptaintd_worker_restarts_total{reason}] (crash/heartbeat/deadline),
     [ptaintd_redeliveries_total], [ptaintd_heartbeat_misses_total],
     [ptaintd_jobs_synthesized_total{kind}]. *)
-
-(** Loop-side bookkeeping for one terminal event, mirroring what the
-    in-process backend knows about a finished job. *)
-type done_info = {
-  i_id : int;
-  i_tag : string;
-  i_outcome : string;  (** outcome class or failure kind *)
-  i_cache_hit : bool;
-  i_trace : (int * int) option;
-  i_t0 : float;  (** dispatch time of the final delivery *)
-  i_t1 : float;
-  i_worker : int;  (** worker index; -1 for synthesized failures *)
-}
 
 type config = {
   workers : int;
   job_timeout : float option;  (** default watchdog, forwarded to workers *)
   cache_capacity : int;  (** per-worker image cache entries *)
-  beat_interval : float;  (** worker idle heartbeat period *)
-  beat_tolerance : float;  (** idle silence before a heartbeat miss *)
-  hang_timeout : float;  (** dispatch deadline for jobs with no timeout *)
-  grace : float;  (** slack past the cooperative watchdog *)
-  max_deliveries : int;  (** total dispatch attempts per job *)
-  backoff_base : float;  (** respawn backoff seed, seconds *)
-  backoff_cap : float;
   log : Ptaint_obs.Log.t option;
-  metrics : Ptaint_obs.Metrics.t option;
+  metrics : Ptaint_obs.Metrics.t;
   close_in_child : unit -> Unix.file_descr list;
       (** parent-side fds a fresh fork must close (listen socket, wake
           pipe, live connections); re-evaluated at every fork *)
-  emit :
-    cid:int -> Proto.response -> terminal:bool -> info:done_info option -> unit;
-      (** completion sink; called on the event-loop thread *)
+  emit : cid:int -> Proto.event -> Worker.done_job option -> unit;
+      (** event sink, called on the event-loop thread with ids
+          rewritten: [Started] with [None], every terminal event with
+          its {!Worker.done_job} record *)
 }
-
-val default_config :
-  emit:
-    (cid:int -> Proto.response -> terminal:bool -> info:done_info option -> unit) ->
-  cache_capacity:int ->
-  config
-(** 2 workers, [cache_capacity]-entry caches, 0.25 s heartbeat / 2 s tolerance,
-    60 s hang timeout, 2 s grace, 2 deliveries, 50 ms–2 s backoff. *)
 
 type t
 
@@ -96,11 +71,6 @@ val tick : t -> now:float -> unit
     Call once per event-loop iteration. *)
 
 val size : t -> int
-val pids : t -> int list
-(** Live worker pids — what a chaos harness SIGKILLs. *)
-
-val in_flight : t -> int
-(** Pending plus dispatched jobs. *)
 
 val stop : t -> unit
 (** Send every worker [Quit], wait up to 2 s each, SIGKILL stragglers,

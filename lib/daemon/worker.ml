@@ -14,10 +14,11 @@
    supervisor always knows which job a worker's events belong to and
    rewrites the id on the way through.  Events here carry id 0.
 
-   This module also owns the job runner and the result→event
-   serialization shared with the in-process backend ({!run_job}), so
-   both execution paths emit byte-identical frames for identical
-   jobs. *)
+   This module also owns what the in-process backend shares with it:
+   the job runner and the result→event serialization ({!run_job}), so
+   both execution paths emit byte-identical frames for identical jobs,
+   and the daemon's record of a finished job ({!done_job}), so both
+   are accounted alike. *)
 
 module Campaign = Ptaint_campaign.Campaign
 module Job = Ptaint_campaign.Job
@@ -29,16 +30,6 @@ let max_event_stdout = 1 lsl 20
 let truncate_stdout s =
   if String.length s <= max_event_stdout then s
   else String.sub s 0 max_event_stdout ^ "\n[stdout truncated by ptaintd]\n"
-
-(* Closed, low-cardinality outcome classes: the [outcome] label of
-   [ptaintd_jobs_total].  Failures use {!Campaign.kind_name}. *)
-let outcome_class (o : Ptaint_sim.Sim.outcome) =
-  match o with
-  | Ptaint_sim.Sim.Exited _ -> "exited"
-  | Ptaint_sim.Sim.Alert _ -> "alert"
-  | Ptaint_sim.Sim.Fault _ -> "fault"
-  | Ptaint_sim.Sim.Trap _ -> "trap"
-  | Ptaint_sim.Sim.Out_of_fuel -> "out-of-fuel"
 
 let event_of_result ~id ~tag ~cache_hit (r : Campaign.job_result) =
   let counters = Campaign.job_counters r in
@@ -76,10 +67,10 @@ let event_of_job_result ~id ~(job : Job.t) ~cache_hit r =
   | ev -> ev
   | exception _ ->
     Proto.Job_failed
-      { id; tag = job.Job.tag; kind = "crashed";
+      { id; tag = job.Job.tag; kind = Campaign.kind_name Campaign.Crashed;
         message = "ptaintd: failed to serialize job result";
         policy_label = Campaign.label_of_policy job.Job.config.Ptaint_sim.Sim.policy;
-        counters = [ ("jobs", 1); ("crashed", 1) ];
+        counters = Campaign.failure_counters Campaign.Crashed;
         trace = job.Job.trace }
 
 (* Classify a wire event for the [ptaintd_jobs_total] outcome label
@@ -101,22 +92,52 @@ let outcome_of_event = function
     else if has_prefix "instruction budget" then "out-of-fuel"
     else "unknown"
 
-(* One job, booted through the calling domain's arena: the wire
-   event, the result it was reduced from and the cache flag.  Both
-   backends run every job here, so they emit identical events; the
-   result aliases the arena and must be read before the next job
-   boots. *)
+(* One job, booted through the calling domain's arena: the wire event
+   and the result it was reduced from.  Both backends run every job
+   here, so they emit identical events; the result aliases the arena
+   and must be read before the next job boots. *)
 let run_job ~images ~job_timeout ~id (job : Job.t) =
   let r, cache_hit = Campaign.run_job ?job_timeout ~keep:false images job in
-  (event_of_job_result ~id ~job ~cache_hit r, r, cache_hit)
+  (event_of_job_result ~id ~job ~cache_hit r, r)
+
+(* --- the loop-side record of a finished job ------------------------- *)
+
+type done_job = {
+  j_id : int;
+  j_tag : string;
+  j_outcome : string;
+  j_cache_hit : bool;
+  j_trace : (int * int) option;
+  j_t0 : float;
+  j_t1 : float;
+  j_worker : int;
+  j_superblock : (string * int) list;
+}
+
+(* Everything but the timing and the worker comes from the terminal
+   event itself, so a job run in-process, one run in a worker process
+   and one the supervisor synthesized are accounted alike.  A job is a
+   cache hit only if it finished from a cached image. *)
+let done_job ~t0 ~worker ?(superblock = []) ev =
+  let id, tag, trace, cache_hit =
+    match ev with
+    | Proto.Finished f -> (f.id, f.tag, f.trace, f.cache_hit)
+    | Proto.Job_failed f -> (f.id, f.tag, f.trace, false)
+    | Proto.Started _ -> invalid_arg "Worker.done_job: Started is not terminal"
+  in
+  { j_id = id; j_tag = tag; j_outcome = outcome_of_event ev; j_cache_hit = cache_hit;
+    j_trace = trace; j_t0 = t0; j_t1 = Unix.gettimeofday (); j_worker = worker;
+    j_superblock = superblock }
 
 (* --- the worker process loop ------------------------------------------ *)
 
 type config = {
   cache_capacity : int;  (** per-worker image cache entries *)
   job_timeout : float option;  (** default watchdog; a job's own wins *)
-  beat_interval : float;  (** idle heartbeat period, seconds *)
 }
+
+(* Idle heartbeat period; the supervisor's tolerance is eight of them. *)
+let beat_interval = 0.25
 
 let main ~config ~rd ~wr =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -133,7 +154,7 @@ let main ~config ~rd ~wr =
     | Ok (Some req) -> Some req
     | Error _ -> None  (* garbled pipe: die; the supervisor respawns *)
     | Ok None -> (
-      match Unix.select [ rd ] [] [] config.beat_interval with
+      match Unix.select [ rd ] [] [] beat_interval with
       | [], _, _ ->
         send (Proto.Pong "hb");
         next_request ()
@@ -153,14 +174,14 @@ let main ~config ~rd ~wr =
       let ev =
         match Proto.job_of_spec spec with
         | Ok job ->
-          let ev, _, _ = run_job ~images ~job_timeout:config.job_timeout ~id:0 job in
-          ev
+          fst (run_job ~images ~job_timeout:config.job_timeout ~id:0 job)
         | Error m ->
+          let kind = Campaign.Loader_error { where = "job spec"; message = m } in
           Proto.Job_failed
-            { id = 0; tag = spec.Proto.spec_tag; kind = "loader error"; message = m;
+            { id = 0; tag = spec.Proto.spec_tag; kind = Campaign.kind_name kind; message = m;
               policy_label =
                 Campaign.label_of_policy Ptaint_sim.Sim.Config.default.Ptaint_sim.Sim.policy;
-              counters = [ ("jobs", 1); ("loader errors", 1) ];
+              counters = Campaign.failure_counters kind;
               trace = spec.Proto.spec_trace }
       in
       send (Proto.Job_event ev);

@@ -4,7 +4,7 @@
     ([Hello_ok]), then loop reading {!Proto.request} frames from the
     supervisor pipe and answering with {!Proto.response} frames — a
     [Started]/terminal [Job_event] pair per [Submit], a [Pong]
-    heartbeat every [beat_interval] while idle.  Jobs run through the
+    heartbeat every 0.25 s while idle.  Jobs run through the
     same runner as the in-process backend ({!run_job}, over a
     per-worker {!Ptaint_campaign.Campaign.Images} cache), so the two
     backends emit byte-identical events for identical jobs.
@@ -17,7 +17,6 @@ type config = {
   cache_capacity : int;  (** per-worker image cache entries *)
   job_timeout : float option;
       (** default per-job watchdog; a job's own timeout wins *)
-  beat_interval : float;  (** idle heartbeat period, seconds *)
 }
 
 val main : config:config -> rd:Unix.file_descr -> wr:Unix.file_descr -> unit
@@ -37,12 +36,12 @@ val run_job :
   job_timeout:float option ->
   id:int ->
   Ptaint_campaign.Job.t ->
-  Proto.event * Ptaint_campaign.Campaign.job_result * bool
+  Proto.event * Ptaint_campaign.Campaign.job_result
 (** Run one job through {!Ptaint_campaign.Campaign.run_job}, booted
     through the calling domain's arena, and reduce it to its terminal
     wire event ({!event_of_job_result}).  Also returns the result the
     event came from, valid only until the next arena boot on this
-    domain, and whether the image came from [images]. *)
+    domain. *)
 
 val event_of_job_result :
   id:int ->
@@ -52,17 +51,38 @@ val event_of_job_result :
   Proto.event
 (** The wire event for one finished job, with
     {!Ptaint_campaign.Campaign.job_counters} deltas.  A result that
-    fails to serialize becomes a typed ["crashed"] failure with the
-    canonical [[("jobs",1);("crashed",1)]] counters instead of
+    fails to serialize becomes a typed ["crashed"] failure with
+    {!Ptaint_campaign.Campaign.failure_counters} deltas instead of
     killing the worker. *)
 
-val outcome_class : Ptaint_sim.Sim.outcome -> string
-(** Closed, low-cardinality outcome class for the [outcome] label of
-    [ptaintd_jobs_total]: ["exited"], ["alert"], ["fault"], ["trap"]
-    or ["out-of-fuel"]. *)
-
 val outcome_of_event : Proto.event -> string
-(** {!outcome_class}-compatible label recovered from a wire event
-    (failures carry their kind; finished jobs are classified from the
-    stable {!Ptaint_sim.Sim.pp_outcome} prefix) — how the supervisor
-    buckets worker events without the worker-side result at hand. *)
+(** The [outcome] label of [ptaintd_jobs_total] recovered from a wire
+    event: failures carry their kind; finished jobs are classified
+    from the stable {!Ptaint_sim.Sim.pp_outcome} prefix into the
+    {!Ptaint_campaign.Campaign.outcome_name} classes ["exited"],
+    ["alert"], ["fault"], ["trap"] or ["out-of-fuel"]. *)
+
+(** {1 The daemon's record of a finished job} *)
+
+type done_job = {
+  j_id : int;
+  j_tag : string;
+  j_outcome : string;  (** {!outcome_of_event} *)
+  j_cache_hit : bool;  (** finished from a cached image *)
+  j_trace : (int * int) option;
+  j_t0 : float;  (** start (in-process) or dispatch of the final delivery *)
+  j_t1 : float;
+  j_worker : int;
+      (** worker domain id in-process, worker process index under
+          isolation, [-1] for a failure the supervisor synthesized *)
+  j_superblock : (string * int) list;
+      (** translation-tier event counts; in-process only *)
+}
+
+val done_job :
+  t0:float -> worker:int -> ?superblock:(string * int) list -> Proto.event -> done_job
+(** The record for one terminal event, stamped [j_t1] now.  Both
+    backends account every finished job through it, so a job counts
+    as a cache hit only if it {e finished} from a cached image: a
+    [Job_failed] event is a miss.  Raises [Invalid_argument] on
+    [Started]. *)

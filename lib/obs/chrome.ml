@@ -3,25 +3,12 @@ type t = { buf : Buffer.t; mutable count : int }
 let create () = { buf = Buffer.create 4096; count = 0 }
 let event_count t = t.count
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let add_args buf args =
   Buffer.add_string buf ",\"args\":{";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v)))
+      Buffer.add_string buf (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
     args;
   Buffer.add_char buf '}'
 
@@ -29,8 +16,8 @@ let raw_event t ~ph ~name ~cat ~pid ~tid ~ts ?dur ~args () =
   if t.count > 0 then Buffer.add_string t.buf ",\n";
   t.count <- t.count + 1;
   Buffer.add_string t.buf
-    (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f" (escape name)
-       (escape cat) ph ts);
+    (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f" (Json.escape name)
+       (Json.escape cat) ph ts);
   (match dur with Some d -> Buffer.add_string t.buf (Printf.sprintf ",\"dur\":%.3f" d) | None -> ());
   Buffer.add_string t.buf (Printf.sprintf ",\"pid\":%d,\"tid\":%d" pid tid);
   (* Perfetto scopes instants to the thread track *)

@@ -39,6 +39,9 @@ val observe : histogram -> float -> unit
 
 (** {1 Reading} *)
 
+val value : counter -> int
+(** A counter's current count. *)
+
 type row = {
   name : string;
   labels : labels;

@@ -1026,6 +1026,13 @@ let test_arena_differential () =
   with_server ~domains:1 ~max_inflight:64 (fun path _server ->
       Arena_jobs.check (Arena_jobs.submit path))
 
+(* --- the two counter views ------------------------------------------ *)
+
+(* Stats against Stats_full after mixed traffic; see {!Counter_views}.
+   The isolated backend runs the same case in test_supervisor. *)
+let test_counter_views () =
+  with_server ~domains:1 ~max_inflight:1 (fun path _server -> Counter_views.check path)
+
 let () =
   Alcotest.run "daemon"
     [ ( "codec",
@@ -1066,7 +1073,8 @@ let () =
           Alcotest.test_case "cache eviction counters" `Quick test_loopback_cache_eviction;
           Alcotest.test_case "two clients" `Quick test_loopback_two_clients;
           Alcotest.test_case "admission quota" `Quick test_admission_quota;
-          Alcotest.test_case "arena boots match local runs" `Quick test_arena_differential ] );
+          Alcotest.test_case "arena boots match local runs" `Quick test_arena_differential;
+          Alcotest.test_case "Stats agrees with Stats_full" `Quick test_counter_views ] );
       ( "robustness",
         [ Alcotest.test_case "idempotent resubmit after drop" `Quick
             test_idempotent_resubmit_after_drop;

@@ -128,7 +128,7 @@ let sock_seq = ref 0
    the worker fleet to appear, and hand [f] the socket path and the
    workers' pids.  The daemon is torn down (SIGTERM, then SIGKILL)
    whatever [f] does. *)
-let with_isolated_daemon ?(workers = 2) f =
+let with_isolated_daemon ?(workers = 2) ?(max_inflight = 64) f =
   incr sock_seq;
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -137,7 +137,7 @@ let with_isolated_daemon ?(workers = 2) f =
   let exe = ptaintd_exe () in
   let argv =
     [| exe; "--socket"; path; "--isolate"; "--workers"; string_of_int workers;
-       "--queue"; "128"; "--max-inflight"; "64"; "--quiet" |]
+       "--queue"; "128"; "--max-inflight"; string_of_int max_inflight; "--quiet" |]
   in
   let dpid = Unix.create_process exe argv Unix.stdin Unix.stdout Unix.stderr in
   Fun.protect
@@ -320,6 +320,12 @@ let test_isolated_cache_capacity () =
         (List.assoc_opt "daemon/cache-miss" stats);
       Client.close c)
 
+(* Stats against Stats_full after mixed traffic, with the same counts
+   as the in-process daemon; see {!Counter_views}. *)
+let test_isolated_counter_views () =
+  with_isolated_daemon ~workers:1 ~max_inflight:1 (fun path _pids ->
+      Counter_views.check path)
+
 (* A single isolated worker process boots every job through its
    arena, whatever image the previous job ran: its events must match
    local runs of the same jobs ({!Arena_jobs}).  Runs last: the local
@@ -337,6 +343,9 @@ let () =
       ( "cache",
         [ Alcotest.test_case "full capacity per isolated worker" `Quick
             test_isolated_cache_capacity ] );
+      ( "counters",
+        [ Alcotest.test_case "Stats agrees with Stats_full" `Quick
+            test_isolated_counter_views ] );
       ( "arena",
         [ Alcotest.test_case "arena boots match local runs" `Quick
             test_isolated_arena_differential ] ) ]
