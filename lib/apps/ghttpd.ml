@@ -1,5 +1,3 @@
-let request_buffer_symbol = None
-let log_buffer_bytes = 200
 let overflow_to_url = 200
 let cgi_prefix = "/usr/local/ghttpd"
 let attack_tail = "/cgi-bin/../../../../bin/sh"

@@ -11,13 +11,6 @@
 
 val source : string
 
-val request_buffer_symbol : string option
-(** None: the request lives on the stack (its address is what the
-    payload plants, like the paper's 0x7fff3e94). *)
-
-val log_buffer_bytes : int
-(** Size of the vulnerable log-line buffer (200, as in the paper). *)
-
 val overflow_to_url : int
 (** Bytes from the log buffer to the [url] pointer local. *)
 

@@ -1,6 +1,5 @@
 let cgi_root_symbol = "cgi_root"
 let default_cgi_root = "/usr/local/httpd/cgi-bin"
-let body_alloc_slack = 1024
 
 let source =
   {|

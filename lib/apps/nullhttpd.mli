@@ -15,9 +15,6 @@ val cgi_root_symbol : string
 (** The [char *cgi_root] global the non-control attack overwrites. *)
 
 val default_cgi_root : string
-val body_alloc_slack : int
-(** The 1024 bytes the server adds to Content-Length when sizing the
-    body buffer. *)
 
 val get_cgi : string -> string
 (** [get_cgi "sh"] builds the follow-up request that runs a CGI

@@ -29,7 +29,6 @@ int main(void) {
 }
 |}
 
-let exp1_buffer_to_fp = 12
 let exp1_buffer_to_ra = 16
 let root_shell_symbol = "root_shell"
 
@@ -172,8 +171,6 @@ int main(void) {
 }
 |}
 
-let fn_auth_overflow_len = 20
-
 let fn_auth_flag_guarded =
   {|
 /* Table 4 (B) hardened with the section 5.3 extension: the programmer
@@ -227,5 +224,3 @@ int main(void) {
   return 0;
 }
 |}
-
-let fn_info_leak_secret = 0x12345678

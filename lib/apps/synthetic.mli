@@ -12,7 +12,6 @@ val exp1 : string
 val exp1_buffer_to_ra : int
 (** Bytes from the start of [buf] to the saved return address. *)
 
-val exp1_buffer_to_fp : int
 val root_shell_symbol : string
 (** Name of the ret2libc target function exp1's payload can jump to
     under [No_protection]. *)
@@ -48,9 +47,6 @@ val fn_auth_flag : string
 (** (B): buffer overflow corrupting an adjacent authentication flag —
     no pointer is tainted, no detection. *)
 
-val fn_auth_overflow_len : int
-(** Overflow length that sets the flag without touching the frame. *)
-
 val fn_auth_flag_guarded : string
 (** The same program hardened with the section 5.3 annotation
     extension ([guard(&auth, 4)]): the overflow is now detected. *)
@@ -58,6 +54,3 @@ val fn_auth_flag_guarded : string
 val fn_info_leak : string
 (** (C): format-string read ([%x%x%x%x]) leaking a stack secret —
     no tainted dereference, not detected; the [%n] variant is. *)
-
-val fn_info_leak_secret : int
-(** The secret value planted on the stack by {!fn_info_leak}. *)

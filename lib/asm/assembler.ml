@@ -274,8 +274,10 @@ let expand env line pc mnemonic ops : Insn.t list =
 
 type section = Text | Data
 
-let assemble ?(text_base = Ptaint_mem.Layout.text_base)
-    ?(data_base = Ptaint_mem.Layout.data_base) source =
+let text_base = Ptaint_mem.Layout.text_base
+let data_base = Ptaint_mem.Layout.data_base
+
+let assemble source =
   try
     let lines = String.split_on_char '\n' source in
     let located = List.mapi (fun i l -> parse_line (i + 1) l) lines in
@@ -411,7 +413,7 @@ let assemble ?(text_base = Ptaint_mem.Layout.text_base)
         lines = Array.of_list (List.rev !insn_lines) }
   with Asm_error e -> Error e
 
-let assemble_exn ?text_base ?data_base source =
-  match assemble ?text_base ?data_base source with
+let assemble_exn source =
+  match assemble source with
   | Ok p -> p
   | Error e -> raise (Asm_error e)

@@ -14,10 +14,11 @@ exception Asm_error of error
     Raised by {!assemble_exn}; the campaign runtime classifies it as a
     loader error, not a crash. *)
 
-val assemble :
-  ?text_base:int -> ?data_base:int -> string -> (Program.t, error) result
+val assemble : string -> (Program.t, error) result
+(** Text at {!Ptaint_mem.Layout.text_base}, data at
+    {!Ptaint_mem.Layout.data_base}. *)
 
-val assemble_exn : ?text_base:int -> ?data_base:int -> string -> Program.t
+val assemble_exn : string -> Program.t
 (** Like {!assemble} but raises {!Asm_error} on malformed input. *)
 
 val pp_error : Format.formatter -> error -> unit

@@ -33,4 +33,3 @@ val logd_config : Scenario.t
 val all : Scenario.t list
 val real_world : Scenario.t list
 val synthetic : Scenario.t list
-val other_sources : Scenario.t list

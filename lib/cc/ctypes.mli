@@ -28,7 +28,6 @@ type env = (string, struct_layout) Hashtbl.t
 val size_of : env -> t -> int
 (** Size in bytes.  Raises [Invalid_argument] for [Void] and [Func]. *)
 
-val align_of : env -> t -> int
 val layout_struct : env -> (string * t) list -> struct_layout
 val field : env -> string -> string -> (t * int) option
 (** [field env struct_name field_name] *)

@@ -16,6 +16,7 @@ let category_name = function
   | Globbing -> "globbing"
   | Other -> "other"
 
+(* True for the five categories the paper's technique addresses. *)
 let memory_corruption = function
   | Buffer_overflow | Format_string | Integer_overflow | Heap_corruption | Globbing -> true
   | Other -> false

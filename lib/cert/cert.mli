@@ -26,8 +26,6 @@ val advisories : advisory list
 (** All 107 advisories. *)
 
 val category_name : category -> string
-val memory_corruption : category -> bool
-(** True for the five categories the paper's technique addresses. *)
 
 val breakdown : unit -> (category * int) list
 (** Counts per category, memory-corruption categories first,

@@ -27,6 +27,8 @@ type t = {
   counts : int array;
 }
 
+(* Instructions that end a basic block: branches, jumps, [syscall],
+   [break]. *)
 let is_terminator (i : Insn.t) =
   match i with
   | Branch2 _ | Branch1 _ | J _ | Jal _ | Jr _ | Jalr _ | Syscall | Break _ -> true

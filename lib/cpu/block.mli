@@ -66,7 +66,3 @@ val index_of : base:int -> len:int -> int -> int
     is the single bounds-checked pc→index rule shared by
     {!Machine.fetch}, the per-step engine and the bulk driver, so
     the block cutter can never disagree with the stepper. *)
-
-val is_terminator : Ptaint_isa.Insn.t -> bool
-(** Instructions that end a basic block: branches, jumps, [syscall],
-    [break]. *)

@@ -64,7 +64,7 @@ let create ?(policy = Policy.default) ?decoded ?tier ~code ~mem ~entry () =
    re-aiming the machine at a possibly different program.  After
    [reset] the machine is indistinguishable from a [create] with the
    same arguments.  [sbenv] deliberately survives: it only caches the
-   register-file storage, tagged store and stats record, all of which
+   register-file storage, memory and its stats record, all of which
    are stable across resets of the same machine. *)
 let reset ?(policy = Policy.default) ?decoded ?tier t ~code ~entry =
   Regfile.reset t.regs;
@@ -107,11 +107,11 @@ let tier_for t d =
     t.tier <- Some tr;
     tr
 
-let sbenv_for t ts st =
+let sbenv_for t =
   match t.sbenv with
   | Some e -> e
   | None ->
-    let e = Superblock.make_env ~rf:t.regs ~ts ~st in
+    let e = Superblock.make_env ~rf:t.regs ~mem:t.mem in
     t.sbenv <- Some e;
     e
 
@@ -121,11 +121,11 @@ let superblock_counters t =
     ("chain_miss", t.chain_misses);
     ("deopt", t.sb_deopts) ]
 
-let attach_obs ?(ring = 48) t trace =
+let attach_obs t trace =
   t.obs <-
     Some
       { obs_trace = trace;
-        obs_ring = Ptaint_obs.Ring.create ~dummy:Insn.Nop ring;
+        obs_ring = Ptaint_obs.Ring.create ~dummy:Insn.Nop 48;
         obs_regs_seen = 0;
         obs_stores_seen = 0 }
 
@@ -303,19 +303,20 @@ let step_core t =
              match op with
              | LW -> Ptaint_mem.Memory.load_word t.mem ea
              | LB ->
-               let w = Ptaint_mem.Memory.load_byte_t t.mem ea in
+               let w = Ptaint_mem.Memory.load_byte t.mem ea in
                Tword.with_value w (Word.sign_extend ~bits:8 (Tword.value w))
-             | LBU -> Ptaint_mem.Memory.load_byte_t t.mem ea
+             | LBU -> Ptaint_mem.Memory.load_byte t.mem ea
              | LH ->
-               let w = Ptaint_mem.Memory.load_half_t t.mem ea in
+               let w = Ptaint_mem.Memory.load_half t.mem ea in
                Tword.with_value w (Word.sign_extend ~bits:16 (Tword.value w))
-             | LHU -> Ptaint_mem.Memory.load_half_t t.mem ea
+             | LHU -> Ptaint_mem.Memory.load_half t.mem ea
            in
            let result = if pol.track then result else Tword.untainted (Tword.value result) in
            Regfile.set regs rt result;
            t.pc <- next;
            Normal
-         with Ptaint_mem.Memory.Fault { addr; access } -> Fault (Segfault { addr; access }))
+         with Ptaint_mem.Memory.Unmapped addr ->
+           Fault (Segfault { addr; access = Ptaint_mem.Memory.Load }))
      | Store (op, rt, off, base) -> (
        let a = Regfile.get regs base in
        let ea = Word.add (Tword.value a) (Word.of_signed off) in
@@ -343,7 +344,8 @@ let step_core t =
             | SH -> Ptaint_mem.Memory.store_half t.mem ea (Tword.value data) ~m:(Tword.mask data));
            t.pc <- next;
            Normal
-         with Ptaint_mem.Memory.Fault { addr; access } -> Fault (Segfault { addr; access }))
+         with Ptaint_mem.Memory.Unmapped addr ->
+           Fault (Segfault { addr; access = Ptaint_mem.Memory.Store }))
      | Branch2 (op, rs, rt, off) ->
        let a = Regfile.value regs rs and b = Regfile.value regs rt in
        if pol.track && pol.compare_untaints then begin
@@ -510,11 +512,9 @@ let run t ~fuel =
       steps step t fuel
     | None ->
       let module M = Ptaint_mem.Memory in
-      let module TS = Ptaint_mem.Tagged_store in
       let d = decoded t in
-      let regs = t.regs and mem = t.mem in
-      let tsto = M.tagged mem in
-      let st = M.stats mem in
+      let regs = t.regs in
+      let st = M.stats t.mem in
       let base = d.Block.base and n = d.Block.n in
       let ops = d.Block.ops and stops = d.Block.stops and insns = d.Block.insns in
       (* Superblock tier: per-entry hotness counters, translated
@@ -522,7 +522,7 @@ let run t ~fuel =
       let module SB = Superblock in
       let tier = tier_for t d in
       let sbs = tier.SB.t_sbs and counts = d.Block.counts in
-      let env = sbenv_for t tsto st in
+      let env = sbenv_for t in
       env.SB.e_guards <- t.guard_ranges;
       env.SB.e_has_guards <- t.guard_ranges <> [];
       (* a non-tracking tier has no full variant: a dirty register
@@ -569,7 +569,7 @@ let run t ~fuel =
             env.SB.e_deopts <- 0;
             env.SB.e_mode <- -1;
             (try sb0.SB.sb_go env
-             with TS.Unmapped addr ->
+             with M.Unmapped addr ->
                env.SB.e_ev <- SB.ev_unmapped;
                env.SB.e_a <- addr);
             t.blocks_run <- t.blocks_run + env.SB.e_blocks;

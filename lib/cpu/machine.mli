@@ -142,9 +142,9 @@ val superblock_counters : t -> (string * int) list
     when the run started, so they are performance telemetry, not part
     of the deterministic per-job counter set. *)
 
-val attach_obs : ?ring:int -> t -> Ptaint_obs.Trace.t -> unit
-(** Attach an event bus (and a [ring]-entry instruction window,
-    default 48).  Resets the milestone state. *)
+val attach_obs : t -> Ptaint_obs.Trace.t -> unit
+(** Attach an event bus and a 48-entry instruction window.  Resets
+    the milestone state. *)
 
 val trace : t -> Ptaint_obs.Trace.t option
 val ring_window : t -> (int * Ptaint_isa.Insn.t) list

@@ -82,8 +82,8 @@ let step t =
      (match (mem_addr, result) with
       | Some addr, Machine.Normal ->
         let write = match insn with Store _ -> true | _ -> false in
-        (* The line's tag summary mirrors the tagged store's taint
-           plane for the bytes this access touched. *)
+        (* The line's tag summary mirrors memory's taint plane for
+           the bytes this access touched. *)
         let tainted =
           Ptaint_mem.Memory.taint_summary t.machine.Machine.mem addr mem_width
         in

@@ -14,6 +14,5 @@ let default =
 let control_only = { default with mode = Control_data_only }
 let unprotected = { default with mode = No_protection }
 let baseline_no_tracking = { unprotected with track = false }
-let with_mode t mode = { t with mode }
 let detects_data_pointers t = t.mode = Pointer_taintedness
 let detects_control t = t.mode = Control_data_only || t.mode = Pointer_taintedness

@@ -28,6 +28,5 @@ val unprotected : t
 val baseline_no_tracking : t
 (** Tracking disabled entirely; used to measure tracking overhead. *)
 
-val with_mode : t -> mode -> t
 val detects_data_pointers : t -> bool
 val detects_control : t -> bool

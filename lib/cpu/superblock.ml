@@ -1,7 +1,6 @@
 open Ptaint_taint
 open Ptaint_isa
 module M = Ptaint_mem.Memory
-module TS = Ptaint_mem.Tagged_store
 
 (* Superblock translation tier: hot basic blocks are compiled — at
    promotion time, from the pre-decoded {!Block.t} flat arrays — into
@@ -34,7 +33,7 @@ module TS = Ptaint_mem.Tagged_store
    chain is an OCaml tail call, which is what makes the scheme sound:
    an event site simply writes its description into the {!env} fields
    and returns, and — the stack being flat — control lands straight
-   back in {!Machine.run}'s driver.  Only {!TS.Unmapped} exits by
+   back in {!Machine.run}'s driver.  Only {!M.Unmapped} exits by
    exception, and each memory closure parks its block-relative index
    in [e_rel] first so the driver can attribute the fault.
 
@@ -51,7 +50,7 @@ module TS = Ptaint_mem.Tagged_store
 type env = {
   e_rf : Regfile.t;
   e_regs : int array;  (* Regfile.storage e_rf *)
-  e_ts : TS.t;
+  e_mem : M.t;
   e_st : M.stats;
   mutable e_fuel : int;
   mutable e_guards : (int * int) list;
@@ -117,7 +116,7 @@ let ev_load_alert = 5
 let ev_store_alert = 6
 let ev_guard_alert = 7
 let ev_misalign = 8
-let ev_unmapped = 9  (* set by the driver when TS.Unmapped escapes *)
+let ev_unmapped = 9  (* set by the driver when M.Unmapped escapes *)
 
 (* Promotion threshold: dispatches of an entry index before it is
    translated.  Low enough that the differential tests' warm loops
@@ -125,8 +124,8 @@ let ev_unmapped = 9  (* set by the driver when TS.Unmapped escapes *)
    translation. *)
 let threshold = 16
 
-let make_env ~rf ~ts ~st =
-  { e_rf = rf; e_regs = Regfile.storage rf; e_ts = ts; e_st = st; e_fuel = 0;
+let make_env ~rf ~mem =
+  { e_rf = rf; e_regs = Regfile.storage rf; e_mem = mem; e_st = M.stats mem; e_fuel = 0;
     e_guards = []; e_has_guards = false; e_ev = 0; e_rel = 0; e_a = 0; e_b = 0;
     e_next_pc = 0; e_cur = 0; e_blocks = 0; e_cleans = 0; e_deopts = 0; e_mode = -1 }
 
@@ -250,25 +249,25 @@ let[@inline] ea_of base off = (base + off) land m32
 
 (* The packed register image a load brings in: the element read,
    sign- or zero-extended, with its tag bits. *)
-let[@inline] load_elt (op : Block.opcode) ts ea =
+let[@inline] load_elt (op : Block.opcode) mem ea =
   match op with
-  | Olw -> TS.load_word_elt ts ea
-  | Olbu -> Tword.to_bits (TS.load_byte_tw ts ea)
-  | Olhu -> Tword.to_bits (TS.load_half_even ts ea)
+  | Olw -> Tword.to_bits (M.peek_word mem ea)
+  | Olbu -> Tword.to_bits (M.peek_byte mem ea)
+  | Olhu -> Tword.to_bits (M.peek_half mem ea)
   | Olb ->
-    let el = Tword.to_bits (TS.load_byte_tw ts ea) in
+    let el = Tword.to_bits (M.peek_byte mem ea) in
     ((el lsr 32) lsl 32) lor Word.sign_extend ~bits:8 (el land 0xff)
   | _ ->
-    let el = Tword.to_bits (TS.load_half_even ts ea) in
+    let el = Tword.to_bits (M.peek_half mem ea) in
     ((el lsr 32) lsl 32) lor Word.sign_extend ~bits:16 (el land 0xffff)
 
 (* A store of packed register bits; clean bits clear the tag bits they
    overwrite. *)
-let[@inline] store_elt (op : Block.opcode) ts ea data =
+let[@inline] store_elt (op : Block.opcode) mem ea data =
   match op with
-  | Osw -> TS.store_word_aligned ts ea (Tword.of_bits data)
-  | Osh -> TS.store_half_even ts ea (data land m32) ~m:(data lsr 32)
-  | _ -> TS.store_byte ts ea (data land 0xff) ~taint:(data land (1 lsl 32) <> 0)
+  | Osw -> M.poke_word mem ea (Tword.of_bits data)
+  | Osh -> M.poke_half mem ea (data land m32) ~m:(data lsr 32)
+  | _ -> M.poke_byte mem ea (data land 0xff) ~taint:(data land (1 lsl 32) <> 0)
 
 let[@inline] branch_cond (op : Block.opcode) a b =
   match op with
@@ -346,7 +345,7 @@ let[@inline] load_clean op ~track env ~align rel rd breg off (nx : code) (fx : c
   if ea land align <> 0 then event env ev_misalign rel ea (align + 1)
   else begin
     env.e_rel <- rel;
-    let w = load_elt op env.e_ts ea in
+    let w = load_elt op env.e_mem ea in
     if w land tag_bits <> 0 then clean_tainted_load ~track env rd w nx fx
     else begin
       if rd <> 0 then Array.unsafe_set env.e_regs rd w;
@@ -361,7 +360,7 @@ let[@inline] load_full op ~dd env ~align rel rd breg off (nf : code) =
   else if ea land align <> 0 then event env ev_misalign rel ea (align + 1)
   else begin
     env.e_rel <- rel;
-    let w = load_elt op env.e_ts ea in
+    let w = load_elt op env.e_mem ea in
     if w land tag_bits <> 0 then begin
       env.e_st.M.tainted_loads <- env.e_st.M.tainted_loads + 1;
       if rd <> 0 then put env rd w
@@ -376,7 +375,7 @@ let[@inline] store_clean op env ~align rel rt breg off (nx : code) =
   if ea land align <> 0 then event env ev_misalign rel ea (align + 1)
   else begin
     env.e_rel <- rel;
-    store_elt op env.e_ts ea (Array.unsafe_get regs rt);
+    store_elt op env.e_mem ea (Array.unsafe_get regs rt);
     nx env
   end
 
@@ -396,7 +395,7 @@ let[@inline] store_full op ~dd env ~align rel rt breg off (nf : code) =
     then event env ev_guard_alert rel rt ea
     else begin
       env.e_rel <- rel;
-      store_elt op env.e_ts ea data;
+      store_elt op env.e_mem ea data;
       if data land (if op = Block.Osb then 1 lsl 32 else tag_bits) <> 0 then
         env.e_st.M.tainted_stores <- env.e_st.M.tainted_stores + 1;
       nf env

@@ -38,7 +38,7 @@
     flat: an event site writes its description into the {!env} fields
     and returns, landing control directly back in the driver.  The
     only exception that crosses a chain is
-    {!Ptaint_mem.Tagged_store.Unmapped}; memory closures park their
+    {!Ptaint_mem.Memory.Unmapped}; memory closures park their
     block-relative index in [e_rel] beforehand so the driver can
     attribute the fault. *)
 
@@ -48,8 +48,8 @@
 type env = {
   e_rf : Regfile.t;
   e_regs : int array;  (** [Regfile.storage e_rf], cached *)
-  e_ts : Ptaint_mem.Tagged_store.t;
-  e_st : Ptaint_mem.Memory.stats;
+  e_mem : Ptaint_mem.Memory.t;
+  e_st : Ptaint_mem.Memory.stats;  (** [Memory.stats e_mem], cached *)
   mutable e_fuel : int;      (** instructions the chain may still run *)
   mutable e_guards : (int * int) list;
   mutable e_has_guards : bool;
@@ -117,19 +117,16 @@ val ev_guard_alert : int  (** tainted store into a guard; [e_a] = rt, [e_b] = ea
 val ev_misalign : int     (** [e_a] = address, [e_b] = width *)
 val ev_unmapped : int
 (** Never set by translated code: the driver synthesizes it when
-    {!Ptaint_mem.Tagged_store.Unmapped} escapes a chain. *)
+    {!Ptaint_mem.Memory.Unmapped} escapes a chain. *)
 
 val threshold : int
 (** Dispatch count at which an entry index is promoted. *)
 
-val make_env :
-  rf:Regfile.t ->
-  ts:Ptaint_mem.Tagged_store.t ->
-  st:Ptaint_mem.Memory.stats ->
-  env
-(** One per machine; the register file, tagged store and stats record
+val make_env : rf:Regfile.t -> mem:Ptaint_mem.Memory.t -> env
+(** One per machine; the register file, memory and its stats record
     are cached for the machine's lifetime (all three are stable
-    across arena resets). *)
+    across arena resets).  Translated code reads and writes memory
+    through the uncounted accessors and charges [e_st] per block. *)
 
 val create_tier : Block.t -> Policy.t -> tier
 

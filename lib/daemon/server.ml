@@ -358,14 +358,10 @@ let daemon_counters t =
 (* One telemetry snapshot: refresh the gauges from the live values,
    then render the whole registry. *)
 let scrape t =
-  let g ?labels name v = Metrics.set (Metrics.gauge t.metrics ?labels name) (float_of_int v) in
+  let g name v = Metrics.set (Metrics.gauge t.metrics name) (float_of_int v) in
   g "ptaintd_queue_depth" t.admitted;
   g "ptaintd_clients_connected" (Hashtbl.length t.conns);
   g "ptaintd_workers" (worker_count t);
-  Hashtbl.iter
-    (fun cid conn ->
-      g ~labels:[ ("cid", string_of_int cid) ] "ptaintd_client_inflight" conn.inflight)
-    t.conns;
   (match backend_exn t with
    | In_process (_, images) ->
      (* in {!Campaign.Images.counters} order *)
@@ -419,7 +415,7 @@ let admit t conn (spec : Proto.job_spec) ~tag (job : Job.t) =
      Hashtbl.replace t.idem_of_job id key
    | None -> ());
   (match t.cfg.log with
-   | Some l when Log.enabled l ~src:log_src Log.Debug ->
+   | Some l when Log.enabled l Log.Debug ->
      Log.debug l ~src:log_src "job admitted"
        (Log.int "cid" conn.cid :: Log.int "id" id :: Log.str "tag" tag
         :: trace_fields job.Job.trace)
@@ -597,7 +593,7 @@ let account_finished t (j : Worker.done_job) =
   Metrics.inc (if j.j_cache_hit then t.ctr.cache_hits else t.ctr.cache_misses);
   Metrics.observe t.ctr.job_duration ((j.j_t1 -. j.j_t0) *. 1e6);
   (match t.cfg.log with
-   | Some l when Log.enabled l ~src:log_src Log.Info ->
+   | Some l when Log.enabled l Log.Info ->
      Log.info l ~src:log_src "job finished"
        (Log.int "id" j.j_id :: Log.str "tag" j.j_tag
         :: Log.str "outcome" j.j_outcome :: Log.bool "cache_hit" j.j_cache_hit

@@ -672,7 +672,8 @@ let fi_classify t (r : Ptaint_sim.Sim.result) =
   else if exited then "silent"
   else "fail-stop"
 
-let resilience ?domains ?trace ?(seed = 42) () =
+let resilience ?domains ?trace () =
+  let seed = 42 in
   let buf = Buffer.create 8192 in
   buf_add buf
     (Ptaint_report.Report.section
@@ -902,7 +903,8 @@ let resilience ?domains ?trace ?(seed = 42) () =
 (* ------------------------------------------------------------------ *)
 (* Generative campaign: seeded program/attack synthesis                *)
 
-let generative ?domains ?(seed = 42) ?(cases = 60) ?(variants = 6) () =
+let generative ?domains () =
+  let seed = 42 and cases = 60 and variants = 6 in
   let module Gen = Ptaint_gen.Gen in
   let np = List.length Gen.default_policy_labels in
   let spec = Gen.spec ~variants ~seed ~jobs:(cases * np) () in

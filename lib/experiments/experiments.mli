@@ -65,8 +65,7 @@ val extension : unit -> string
     critical data, turning the Table 4(B) false negative into a
     detection. *)
 
-val resilience :
-  ?domains:int -> ?trace:Ptaint_obs.Trace.t -> ?seed:int -> unit -> string
+val resilience : ?domains:int -> ?trace:Ptaint_obs.Trace.t -> unit -> string
 (** Fault injection into the detection mechanism itself
     ({!Ptaint_fi.Fi}): the full attack catalogue × fault models
     (data flips, register/memory taint loss, total taint wipe,
@@ -77,16 +76,16 @@ val resilience :
     hostile-job campaign (spinning guest, crashing thunk, malformed
     programs, unknown syscall) demonstrating the hardened runtime:
     watchdog timeouts, retries and typed failures, with every job
-    accounted for.  Deterministic for a given [seed] (default 42):
-    byte-identical output at any [domains]. *)
+    accounted for.  Seeded with 42, so the output is byte-identical
+    at any [domains]. *)
 
-val generative : ?domains:int -> ?seed:int -> ?cases:int -> ?variants:int -> unit -> string
-(** Generative campaign: a seeded grammar-based sweep
-    ({!Ptaint_gen.Gen}) of [cases] synthesized (program, payload)
-    pairs, each run under every policy, streamed through the
+val generative : ?domains:int -> unit -> string
+(** Generative campaign: a grammar-based sweep ({!Ptaint_gen.Gen},
+    seed 42) of 60 synthesized (program, payload) pairs over 6 program
+    variants, each run under every policy, streamed through the
     arena-recycling campaign engine.  Reports coverage-style fitness:
     per-policy detections, distinct detection sites, and the policy
     disagreement rate (cases where the policies reach different
-    verdicts).  Byte-identical at any [domains] for a given [seed]. *)
+    verdicts).  Byte-identical at any [domains]. *)
 
 val all : ?domains:int -> ?trace:Ptaint_obs.Trace.t -> unit -> string

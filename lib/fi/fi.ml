@@ -27,6 +27,7 @@ type report = { result : Sim.result; applied : applied list }
 
 let debug_checks = ref false
 
+(* Stable model slugs, as the trace events and reports name them. *)
 let model_name = function
   | Flip_data _ -> "data-flip"
   | Flip_reg _ -> "reg-flip"
@@ -71,7 +72,7 @@ let apply (m : Machine.t) fault =
          Memory.inject_wipe_taint mem
        | Stuck_clean { addr; len } -> Memory.inject_set_taint_range mem addr len ~tainted:false);
       true
-    with Memory.Fault _ -> false
+    with Memory.Unmapped _ -> false
   in
   if ok then Machine.note_injection m ~model:(model_name fault) ~target:(target_name fault);
   if !debug_checks then Memory.check_invariants mem;
@@ -97,7 +98,7 @@ let finish_plan ?deadline ?(slice = default_slice) ~plan s =
     List.iter
       (fun (addr, len) ->
         try Memory.inject_set_taint_range m.Machine.mem addr len ~tainted:false
-        with Memory.Fault _ -> ())
+        with Memory.Unmapped _ -> ())
       !stuck
   in
   let on_slice _ = reassert () in

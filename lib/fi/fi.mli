@@ -53,15 +53,9 @@ type report = { result : Ptaint_sim.Sim.result; applied : applied list }
 
 val debug_checks : bool ref
 (** When set, {!apply} runs {!Ptaint_mem.Memory.check_invariants} (the
-    tagged store's page-lookup cache audit) after every injection — on
+    memory's derived-state audit) after every injection — on
     in the fi tests, off in campaigns. *)
 
-val model_name : fault -> string
-(** Stable model slug: ["data-flip"], ["reg-flip"], ["taint-loss"],
-    ["spurious-taint"], ["reg-taint-loss"], ["reg-spurious-taint"],
-    ["taint-wipe"], ["stuck-clean"]. *)
-
-val target_name : fault -> string
 val pp_injection : Format.formatter -> injection -> unit
 
 val apply : Ptaint_cpu.Machine.t -> fault -> bool

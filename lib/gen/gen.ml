@@ -19,38 +19,34 @@
 
 module Rng = Ptaint_fi.Fi.Rng
 
-type spec = {
-  seed : int;
-  jobs : int;
-  variants : int;
-  policies : (string * Ptaint_cpu.Policy.t) list;  (* label, resolved *)
-}
+type spec = { seed : int; jobs : int; variants : int }
 
 let default_policy_labels = [ "none"; "control-only"; "full" ]
 
-let spec ?(variants = 8) ?(policies = default_policy_labels) ~seed ~jobs () =
+(* The sweep as (label, resolved policy) pairs. *)
+let policies =
+  List.map
+    (fun label ->
+      match Ptaint_sim.Sim.policy_of_label label with
+      | Ok p -> (label, p)
+      | Error e -> invalid_arg ("Gen: " ^ e))
+    default_policy_labels
+
+let npolicies = List.length policies
+
+let spec ?(variants = 8) ~seed ~jobs () =
   if jobs < 0 then invalid_arg "Gen.spec: negative job count";
   if variants < 1 then invalid_arg "Gen.spec: variants must be >= 1";
-  if policies = [] then invalid_arg "Gen.spec: empty policy list";
-  let policies =
-    List.map
-      (fun label ->
-        match Ptaint_sim.Sim.policy_of_label label with
-        | Ok p -> (label, p)
-        | Error e -> invalid_arg ("Gen.spec: " ^ e))
-      policies
-  in
-  { seed; jobs; variants; policies }
+  { seed; jobs; variants }
 
 let jobs_of t = t.jobs
-let policies_of t = List.map fst t.policies
 
 (* Campaign identity baked into checkpoint manifests: two specs with
    the same id generate the same job stream, so resuming under a
    different seed/shape is refused up front. *)
 let id t =
   Printf.sprintf "gen:v1:seed=%d:jobs=%d:variants=%d:policies=%s" t.seed t.jobs t.variants
-    (String.concat "," (List.map fst t.policies))
+    (String.concat "," default_policy_labels)
 
 (* Independent deterministic streams per (seed, salt, index): a
    splitmix-style finalizer so adjacent indices land far apart and the
@@ -151,17 +147,14 @@ let payload_for r (v : variant) =
 
 (* --- jobs --- *)
 
-let npolicies t = List.length t.policies
-
 (* Job [i] runs case [i / npolicies] under policy [i mod npolicies]:
    the policy sweep for one case is adjacent in the stream, so a
    consumer watching results in submission order can fold per-case
    policy disagreement without buffering more than one case. *)
 let job t i =
   if i < 0 || i >= t.jobs then invalid_arg "Gen.job: index out of range";
-  let np = npolicies t in
-  let case = i / np in
-  let label, policy = List.nth t.policies (i mod np) in
+  let case = i / npolicies in
+  let label, policy = List.nth policies (i mod npolicies) in
   let v = variant t (case mod t.variants) in
   let r = Rng.create (mix t.seed salt_payload case) in
   let attack, stdin = payload_for r v in
@@ -173,8 +166,7 @@ let job t i =
   in
   Ptaint_campaign.Job.make ~tag ~config (Ptaint_campaign.Job.C_source v.v_source)
 
-let case_of t i = i / npolicies t
-let policy_label t i = fst (List.nth t.policies (i mod npolicies t))
+let policy_label _ i = List.nth default_policy_labels (i mod npolicies)
 
 let jobs_from t start =
   let rec from i () =

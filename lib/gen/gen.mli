@@ -19,29 +19,24 @@ type spec
     ["control-only"], ["full"] (see {!Ptaint_sim.Sim.policy_of_label}). *)
 val default_policy_labels : string list
 
-(** [spec ~seed ~jobs ()] describes a campaign of [jobs] jobs.
-    [variants] (default 8) bounds the distinct-program pool — the
-    image cache hit rate is [1 - variants/jobs] in the steady state.
-    [policies] (default {!default_policy_labels}) are policy labels;
-    unknown labels raise [Invalid_argument]. *)
-val spec : ?variants:int -> ?policies:string list -> seed:int -> jobs:int -> unit -> spec
+(** [spec ~seed ~jobs ()] describes a campaign of [jobs] jobs, each
+    case run under every {!default_policy_labels} policy.  [variants]
+    (default 8) bounds the distinct-program pool — the image cache hit
+    rate is [1 - variants/jobs] in the steady state. *)
+val spec : ?variants:int -> seed:int -> jobs:int -> unit -> spec
 
 val jobs_of : spec -> int
-val policies_of : spec -> string list
 
 (** Campaign identity string embedded in checkpoint manifests; equal
     ids generate equal job streams. *)
 val id : spec -> string
 
 (** [job t i] is job [i] (raises [Invalid_argument] outside
-    [0 .. jobs_of t - 1]).  Case [i / length policies] under policy
-    [i mod length policies]: one case's policy sweep is adjacent in
-    the stream. *)
+    [0 .. jobs_of t - 1]).  With [n] the length of
+    {!default_policy_labels}, job [i] runs case [i / n] under policy
+    [i mod n]: one case's policy sweep is adjacent in the stream, and
+    jobs of one case share program and payload. *)
 val job : spec -> int -> Ptaint_campaign.Job.t
-
-(** Case index of job [i] — jobs with equal case share program and
-    payload and differ only in policy. *)
-val case_of : spec -> int -> int
 
 (** The policy label job [i] runs under (for building wire specs;
     {!job} itself leaves [Job.policy_label] unset so the campaign

@@ -127,5 +127,3 @@ let decode ?(pc = 0) w =
     | 0x2b -> Ok (Store (SW, rt, imm, rs))
     | op -> Error (Printf.sprintf "unknown opcode 0x%02x" op)
 
-let decode_exn ?pc w =
-  match decode ?pc w with Ok i -> i | Error e -> invalid_arg ("Encode.decode_exn: " ^ e)

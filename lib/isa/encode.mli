@@ -10,5 +10,3 @@ val encode : Insn.t -> int
 val decode : ?pc:int -> int -> (Insn.t, string) result
 (** [decode ~pc w] decodes [w]; [pc] supplies the high bits of
     J-format targets (the address of the instruction itself). *)
-
-val decode_exn : ?pc:int -> int -> Insn.t

@@ -122,8 +122,6 @@ let writes = function
   | Store _ | Branch2 _ | Branch1 _ | J _ | Jr _ | Muldiv _ | Mthi _
   | Mtlo _ | Break _ | Nop -> None
 
-let is_memory = function Load _ | Store _ -> true | _ -> false
-
 let is_control = function
   | Branch2 _ | Branch1 _ | J _ | Jal _ | Jr _ | Jalr _ -> true
   | _ -> false

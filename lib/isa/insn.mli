@@ -58,5 +58,4 @@ val reads : t -> Reg.t list
 val writes : t -> Reg.t option
 (** Destination GPR, if any. *)
 
-val is_memory : t -> bool
 val is_control : t -> bool

@@ -20,15 +20,11 @@ let s0 = 16
 let s1 = 17
 let s2 = 18
 let s3 = 19
-let s4 = 20
 let s5 = 21
 let s6 = 22
 let s7 = 23
 let t8 = 24
 let t9 = 25
-let k0 = 26
-let k1 = 27
-let gp = 28
 let sp = 29
 let fp = 30
 let ra = 31

@@ -26,15 +26,11 @@ val s0 : t
 val s1 : t
 val s2 : t
 val s3 : t
-val s4 : t
 val s5 : t
 val s6 : t
 val s7 : t
 val t8 : t
 val t9 : t
-val k0 : t
-val k1 : t
-val gp : t
 val sp : t
 val fp : t
 val ra : t

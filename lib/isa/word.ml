@@ -29,7 +29,6 @@ let sign_extend ~bits v =
   let v = v land ((1 lsl bits) - 1) in
   if v land (1 lsl (bits - 1)) <> 0 then (v - (1 lsl bits)) land mask32 else v
 
-let zero_extend ~bits v = v land ((1 lsl bits) - 1)
 let byte v i = (v lsr (8 * i)) land 0xff
 let set_byte v i b = v land lnot (0xff lsl (8 * i)) lor ((b land 0xff) lsl (8 * i))
 let lt_signed a b = to_signed a < to_signed b

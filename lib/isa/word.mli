@@ -30,7 +30,6 @@ val sra : int -> int -> int
 val sign_extend : bits:int -> int -> int
 (** [sign_extend ~bits v] sign-extends the low [bits] of [v] to 32. *)
 
-val zero_extend : bits:int -> int -> int
 val byte : int -> int -> int
 (** [byte v i] extracts byte [i] (0 = least significant). *)
 

@@ -72,11 +72,6 @@ let line_tainted t ~addr =
 
 let stats t = t.st
 
-let reset_stats t =
-  t.st.hits <- 0;
-  t.st.misses <- 0;
-  t.st.tainted_lines_filled <- 0
-
 module Hierarchy = struct
   type cache = t
   type nonrec t = { l1 : t; l2 : t; memory_latency : int }

@@ -17,7 +17,6 @@ type config = {
 }
 
 val l1_config : config
-val l2_config : config
 val create : config -> t
 
 type result = Hit | Miss
@@ -32,7 +31,6 @@ val line_tainted : t -> addr:int -> bool
 type stats = { mutable hits : int; mutable misses : int; mutable tainted_lines_filled : int }
 
 val stats : t -> stats
-val reset_stats : t -> unit
 
 (** {1 Two-level hierarchy} *)
 

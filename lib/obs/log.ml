@@ -1,14 +1,8 @@
-(* Structured, leveled logging with per-domain buffering.
+(* Structured, leveled logging.
 
    A logger renders records — timestamp, level, source, message, typed
    key/value fields — to one of two line formats (logfmt or JSON
-   lines) and hands the rendered bytes to a sink.  The fast path is
-   contention-free: each domain appends to its own buffer (guarded by
-   a mutex nobody else touches during normal operation), and only the
-   actual sink write takes the shared lock.  Buffers drain when they
-   grow past [buffer_bytes], when [flush_every] seconds have passed
-   since that domain last drained, or on [flush]/[close] — which walk
-   every registered domain buffer so no line is stranded.
+   lines) and hands each rendered line to a sink at once.
 
    Disabled records cost one level comparison and nothing else: the
    [log] entry point checks [enabled] before rendering, and the
@@ -186,129 +180,44 @@ let file_sink ?max_bytes path =
 
 (* {2 Logger} *)
 
-type dbuf = { dmu : Mutex.t; db : Buffer.t; mutable last_flush : float }
-
 type t = {
-  mutable min_level : int;
-  mutable floor : int;
-  (* min over [min_level] and every per-source override: a record
-     strictly below the floor is disabled for every source, decided by
-     one integer comparison with no hashtable lookup — the whole cost
-     of a compiled-in-but-disabled call site. *)
-  src_levels : (string, int) Hashtbl.t;  (* configure before sharing *)
+  level : int;
   format : format;
-  clock : unit -> float;
-  buffer_bytes : int;
-  flush_every : float;
   sink : sink;
   sink_mu : Mutex.t;
-  bufs : dbuf list ref;  (* every domain buffer ever registered *)
-  bufs_mu : Mutex.t;
-  key : dbuf Domain.DLS.key;
   mutable closed : bool;
 }
 
-let create ?(level = Info) ?(format = Logfmt) ?(clock = Unix.gettimeofday)
-    ?(buffer_bytes = 0) ?(flush_every = 1.0) sink =
-  let bufs = ref [] in
-  let bufs_mu = Mutex.create () in
-  let key =
-    Domain.DLS.new_key (fun () ->
-        let d = { dmu = Mutex.create (); db = Buffer.create 256; last_flush = 0. } in
-        Mutex.lock bufs_mu;
-        bufs := d :: !bufs;
-        Mutex.unlock bufs_mu;
-        d)
-  in
-  { min_level = level_index level;
-    floor = level_index level;
-    src_levels = Hashtbl.create 8;
-    format;
-    clock;
-    buffer_bytes;
-    flush_every;
-    sink;
-    sink_mu = Mutex.create ();
-    bufs;
-    bufs_mu;
-    key;
-    closed = false }
+let create ?(level = Info) ?(format = Logfmt) sink =
+  { level = level_index level; format; sink; sink_mu = Mutex.create (); closed = false }
 
-let refloor t =
-  t.floor <- Hashtbl.fold (fun _ li acc -> Stdlib.min li acc) t.src_levels t.min_level
+let enabled t level = level_index level >= t.level
 
-let set_level t level =
-  t.min_level <- level_index level;
-  refloor t
-
-let set_source_level t src level =
-  Hashtbl.replace t.src_levels src (level_index level);
-  refloor t
-
-let enabled t ~src level =
-  let li = level_index level in
-  li >= t.floor
-  && (match Hashtbl.find_opt t.src_levels src with
-      | Some min -> li >= min
-      | None -> li >= t.min_level)
-
-let drain_locked t d =
-  (* caller holds d.dmu *)
-  if Buffer.length d.db > 0 then begin
-    let chunk = Buffer.contents d.db in
-    Buffer.clear d.db;
-    Mutex.lock t.sink_mu;
-    (try
-       t.sink.write chunk;
-       t.sink.flush_sink ()
-     with e ->
-       Mutex.unlock t.sink_mu;
-       raise e);
-    Mutex.unlock t.sink_mu
-  end
-
+(* One record, one sink write and flush, under the sink lock: domains
+   logging at once interleave whole lines. *)
 let log t level ~src msg fields =
-  if (not t.closed) && enabled t ~src level then begin
-    let now = t.clock () in
-    let line = render t.format ~ts:now ~level ~src ~msg fields in
-    let d = Domain.DLS.get t.key in
-    Mutex.lock d.dmu;
-    Buffer.add_string d.db line;
-    Buffer.add_char d.db '\n';
-    if
-      Buffer.length d.db >= t.buffer_bytes
-      || now -. d.last_flush >= t.flush_every
-    then begin
-      d.last_flush <- now;
-      drain_locked t d
-    end;
-    Mutex.unlock d.dmu
+  if (not t.closed) && enabled t level then begin
+    let line = render t.format ~ts:(Unix.gettimeofday ()) ~level ~src ~msg fields ^ "\n" in
+    Mutex.protect t.sink_mu (fun () ->
+        t.sink.write line;
+        t.sink.flush_sink ())
   end
 
-let debug t ~src msg fields = if enabled t ~src Debug then log t Debug ~src msg fields
-let info t ~src msg fields = if enabled t ~src Info then log t Info ~src msg fields
-let warn t ~src msg fields = if enabled t ~src Warn then log t Warn ~src msg fields
-let error t ~src msg fields = if enabled t ~src Error then log t Error ~src msg fields
+let debug t ~src msg fields = if enabled t Debug then log t Debug ~src msg fields
+let info t ~src msg fields = if enabled t Info then log t Info ~src msg fields
+let warn t ~src msg fields = if enabled t Warn then log t Warn ~src msg fields
+let error t ~src msg fields = if enabled t Error then log t Error ~src msg fields
 
 let flush t =
-  Mutex.lock t.bufs_mu;
-  let bufs = !(t.bufs) in
-  Mutex.unlock t.bufs_mu;
-  List.iter
-    (fun d ->
-      Mutex.lock d.dmu;
-      (try drain_locked t d with _ -> ());
-      Mutex.unlock d.dmu)
-    bufs;
   Mutex.lock t.sink_mu;
   (try t.sink.flush_sink () with _ -> ());
   Mutex.unlock t.sink_mu
 
 let close t =
   if not t.closed then begin
-    flush t;
     t.closed <- true;
     Mutex.lock t.sink_mu;
+    (try t.sink.flush_sink () with _ -> ());
     (try t.sink.close_sink () with _ -> ());
     Mutex.unlock t.sink_mu
   end

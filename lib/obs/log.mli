@@ -1,23 +1,17 @@
 (** Structured, leveled logging.
 
     A logger turns records — timestamp, level, source, message, typed
-    key/value fields — into logfmt or JSON lines and hands the bytes
-    to a {!sink}.  The hot path is contention-free: each domain owns a
-    private buffer (registered on first use) and only the actual sink
-    write takes the shared lock; buffers drain on size, on a
-    per-domain period, and on {!flush}/{!close}.  A call site below
-    the configured level costs one comparison — cheap enough to leave
-    compiled into inner loops (gated by the micro/log-off-10k bench
-    row). *)
+    key/value fields — into logfmt or JSON lines and hands each line
+    to a {!sink} as it is logged, under one lock shared by every
+    domain.  A call site below the configured level costs one
+    comparison — cheap enough to leave compiled into inner loops
+    (gated by the micro/log-off-10k bench row). *)
 
 type level = Debug | Info | Warn | Error
 
-val level_name : level -> string
-(** ["debug"], ["info"], ["warn"], ["error"]. *)
-
 val level_of_string : string -> (level, string) result
-(** Accepts the {!level_name} spellings plus ["warning"],
-    case-insensitively. *)
+(** Accepts ["debug"], ["info"], ["warn"] (or ["warning"]) and
+    ["error"], case-insensitively. *)
 
 (** {1 Typed fields} *)
 
@@ -37,15 +31,16 @@ val format_of_string : string -> (format, string) result
 val render :
   format -> ts:float -> level:level -> src:string -> msg:string -> field list -> string
 (** One rendered record, without the trailing newline.  Exposed for
-    tests; [log] applies the logger's own clock and format. *)
+    tests; [log] stamps the wall clock and applies the logger's
+    format. *)
 
 (** {1 Sinks} *)
 
 type sink
 
 val fn_sink : (string -> unit) -> sink
-(** Each flushed chunk (one or more newline-terminated lines) is
-    passed to the function. *)
+(** Each record, as one newline-terminated line, is passed to the
+    function. *)
 
 val buffer_sink : Buffer.t -> sink
 val channel_sink : out_channel -> sink
@@ -60,25 +55,11 @@ val file_sink : ?max_bytes:int -> string -> sink
 
 type t
 
-val create :
-  ?level:level ->
-  ?format:format ->
-  ?clock:(unit -> float) ->
-  ?buffer_bytes:int ->
-  ?flush_every:float ->
-  sink ->
-  t
-(** Defaults: [level = Info], [format = Logfmt], wall clock,
-    [buffer_bytes = 0] (every record flushes immediately — the right
-    default for CLIs and tests), [flush_every = 1.0] seconds. *)
+val create : ?level:level -> ?format:format -> sink -> t
+(** Defaults: [level = Info], [format = Logfmt].  Every record is
+    written and flushed to the sink as it is logged. *)
 
-val set_level : t -> level -> unit
-
-val set_source_level : t -> string -> level -> unit
-(** Override the minimum level for one [~src].  Configure before the
-    logger is shared across domains. *)
-
-val enabled : t -> src:string -> level -> bool
+val enabled : t -> level -> bool
 
 val log : t -> level -> src:string -> string -> field list -> unit
 
@@ -88,7 +69,7 @@ val warn : t -> src:string -> string -> field list -> unit
 val error : t -> src:string -> string -> field list -> unit
 
 val flush : t -> unit
-(** Drain every domain buffer to the sink. *)
+(** Flush the sink. *)
 
 val close : t -> unit
 (** {!flush}, then close the sink.  Further records are dropped. *)

@@ -16,9 +16,10 @@ type t
 type labels = (string * string) list
 (** Label pairs identify a child within a family: the same metric
     name with different label sets is a family of independent
-    children.  Keep label values low-cardinality (outcome names,
-    client ids of live connections) — every distinct set is a
-    separate child held for the registry's lifetime. *)
+    children.  Keep label values low-cardinality and bounded (outcome
+    names, restart reasons) — every distinct set is a separate child held
+    for the registry's lifetime, so a label per connection or per job
+    grows the registry without end. *)
 
 type counter
 type gauge

@@ -91,7 +91,7 @@ let fd_kind t fd = if fd < 0 || fd >= Array.length t.fds then Closed else t.fds.
    the host string or buffer on the other side, through the counted
    {!Memory} accessors: no syscall allocates per call, and none
    allocates in proportion to the length the guest asks for — a copy
-   stops at the first unmapped byte ({!Memory.Fault}). *)
+   stops at the first unmapped byte ({!Memory.Unmapped}). *)
 
 let copy_in mem buf src pos n ~taint =
   for i = 0 to n - 1 do
@@ -100,14 +100,14 @@ let copy_in mem buf src pos n ~taint =
 
 let copy_out mem buf len out =
   for i = 0 to len - 1 do
-    Buffer.add_char out (Char.unsafe_chr (Tword.value (Memory.load_byte_t mem (buf + i))))
+    Buffer.add_char out (Char.unsafe_chr (Tword.value (Memory.load_byte mem (buf + i))))
   done
 
 (* A write to a descriptor that cannot take it still reads its range,
    so its loads count and an unmapped buffer still faults. *)
 let touch mem buf len =
   for i = 0 to len - 1 do
-    ignore (Memory.load_byte_t mem (buf + i))
+    ignore (Memory.load_byte mem (buf + i))
   done
 
 (* Account [n] bytes just delivered at [buf] from the descriptor
@@ -163,7 +163,7 @@ let do_write t ~fd ~buf ~len =
     let mark = Buffer.length t.stdout_buf in
     match copy_out t.mem buf len t.stdout_buf with
     | () -> len
-    | exception Memory.Fault _ ->
+    | exception Memory.Unmapped _ ->
       Buffer.truncate t.stdout_buf mark;
       -1)
   | File_write f ->
@@ -216,7 +216,7 @@ let transfer t m ~num ~a0 ~a1 ~a2 ~write =
   let regs = m.Machine.regs in
   match if write then do_write t ~fd:a0 ~buf:a1 ~len:a2 else do_read t ~fd:a0 ~buf:a1 ~len:a2 with
   | n -> return regs n
-  | exception Memory.Fault _ -> return regs (-1)
+  | exception Memory.Unmapped _ -> return regs (-1)
 
 let handle t (m : Machine.t) =
   t.syscalls <- t.syscalls + 1;
@@ -239,7 +239,7 @@ let handle t (m : Machine.t) =
   else if num = Sysnum.sys_open then
     (match Memory.read_cstring t.mem a0 with
      | path -> return regs (do_open t ~path ~flags:a1)
-     | exception Memory.Fault _ -> return regs (-1))
+     | exception Memory.Unmapped _ -> return regs (-1))
   else if num = Sysnum.sys_close then begin
     if a0 >= 3 && a0 < Array.length t.fds then t.fds.(a0) <- Closed;
     return regs 0
@@ -261,7 +261,7 @@ let handle t (m : Machine.t) =
      | path ->
        t.execs_rev <- path :: t.execs_rev;
        return regs 0
-     | exception Memory.Fault _ -> return regs (-1))
+     | exception Memory.Unmapped _ -> return regs (-1))
   else if num = Sysnum.sys_time then return regs (m.Machine.icount / 1000)
   else if num = Sysnum.sys_getpid then return regs 42
   else if num = Sysnum.sys_guard then begin

@@ -2,22 +2,18 @@ type t = {
   mutable pending : string list list;
   mutable current : string list;
   mutable pos : int;  (* bytes of the head of [current] already received *)
-  mutable active : bool;
   mutable sent_rev : string list;
 }
 
-let create ~sessions = { pending = sessions; current = []; pos = 0; active = false; sent_rev = [] }
+let create ~sessions = { pending = sessions; current = []; pos = 0; sent_rev = [] }
 
 let accept t =
   match t.pending with
-  | [] ->
-    t.active <- false;
-    false
+  | [] -> false
   | session :: rest ->
     t.pending <- rest;
     t.current <- session;
     t.pos <- 0;
-    t.active <- true;
     true
 
 let recv t ~max mem addr ~taint =
@@ -45,5 +41,4 @@ let recv t ~max mem addr ~taint =
 
 let send t s = t.sent_rev <- s :: t.sent_rev
 let sent t = List.rev t.sent_rev
-let session_active t = t.active
 let pending_sessions t = List.length t.pending

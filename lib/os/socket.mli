@@ -19,10 +19,9 @@ val recv : t -> max:int -> Ptaint_mem.Memory.t -> int -> taint:bool -> int
     [taint], and returns how many (0 at end of session).  The socket
     keeps a cursor into the message, so a partial receive copies
     nothing else.  The bytes are consumed before the copy: one that
-    raises {!Ptaint_mem.Memory.Fault} part-way still uses them up. *)
+    raises {!Ptaint_mem.Memory.Unmapped} part-way still uses them up. *)
 val send : t -> string -> unit
 val sent : t -> string list
 (** All outbound messages, in order. *)
 
-val session_active : t -> bool
 val pending_sessions : t -> int

@@ -582,8 +582,8 @@ unguard:
         jr $ra
 |}
 
-let compile ?(extra_c = []) app_c =
+let compile app_c =
   let unit_ =
-    String.concat "\n" ((prototypes :: app_c :: extra_c) @ [ libc_c; malloc_c ])
+    String.concat "\n" [ prototypes; app_c; libc_c; malloc_c ]
   in
   Ptaint_cc.Cc.compile ~extra_asm:[ crt0_asm; syscalls_asm ] unit_

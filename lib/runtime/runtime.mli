@@ -28,7 +28,6 @@ val syscalls_asm : string
 (** Assembly stubs bridging the stack calling convention to the
     kernel's register convention. *)
 
-val compile : ?extra_c:string list -> string -> Ptaint_asm.Program.t
+val compile : string -> Ptaint_asm.Program.t
 (** [compile app_c] builds a full guest program: prototypes, the
-    application source, [extra_c] units, libc, allocator, crt0 and
-    stubs. *)
+    application source, libc, allocator, crt0 and stubs. *)

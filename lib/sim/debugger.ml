@@ -57,7 +57,8 @@ let hexdump t addr len =
       let a = base + i in
       if i mod 8 = 0 then Buffer.add_char buf ' ';
       if Ptaint_mem.Memory.is_mapped (mem t) a then begin
-        let v, taint = Ptaint_mem.Memory.load_byte (mem t) a in
+        let w = Ptaint_mem.Memory.peek_byte (mem t) a in
+        let v = Ptaint_taint.Tword.value w and taint = Ptaint_taint.Tword.is_tainted w in
         Buffer.add_string buf (Printf.sprintf "%02x%c" v (if taint then '*' else ' '));
         Buffer.add_char ascii (if v >= 32 && v < 127 then Char.chr v else '.')
       end

@@ -40,16 +40,18 @@ let symbolize p addr =
 
 type frame = { pc : int; location : string }
 
-let backtrace ?(limit = 32) (p : Ptaint_asm.Program.t) (m : Ptaint_cpu.Machine.t) =
+let backtrace_limit = 32
+
+let backtrace (p : Ptaint_asm.Program.t) (m : Ptaint_cpu.Machine.t) =
   let mem = m.Ptaint_cpu.Machine.mem in
   let frame_of pc = { pc; location = symbolize p pc } in
   let rec walk acc fp n =
-    if n >= limit then List.rev acc
+    if n >= backtrace_limit then List.rev acc
     else if not (Ptaint_mem.Memory.is_mapped mem fp && Ptaint_mem.Memory.is_mapped mem (fp + 4))
     then List.rev acc
     else
-      let saved_fp = Ptaint_taint.Tword.value (Ptaint_mem.Memory.load_word mem fp) in
-      let ra = Ptaint_taint.Tword.value (Ptaint_mem.Memory.load_word mem (fp + 4)) in
+      let saved_fp = Ptaint_taint.Tword.value (Ptaint_mem.Memory.peek_word mem fp) in
+      let ra = Ptaint_taint.Tword.value (Ptaint_mem.Memory.peek_word mem (fp + 4)) in
       if not (in_text p ra) then List.rev acc
       else
         let acc = frame_of ra :: acc in

@@ -15,10 +15,10 @@ val symbolize : Ptaint_asm.Program.t -> int -> string
 
 type frame = { pc : int; location : string }
 
-val backtrace :
-  ?limit:int -> Ptaint_asm.Program.t -> Ptaint_cpu.Machine.t -> frame list
+val backtrace : Ptaint_asm.Program.t -> Ptaint_cpu.Machine.t -> frame list
 (** Innermost frame first.  Stops at [main]/[_start], on a corrupt
-    frame chain, or after [limit] frames (default 32). *)
+    frame chain, or after 32 frames.  Reads the frames without
+    counting them as guest loads. *)
 
 val tainted_registers : Ptaint_cpu.Machine.t -> (string * Ptaint_taint.Tword.t) list
 (** Every tainted architectural slot by name — the 32 GPRs {e and}

@@ -156,8 +156,8 @@ let boot ?(config = default_config) program =
 
 (* --- boot images (snapshot templates) ---
 
-   Loading a guest image writes every data/stack/argument byte through
-   the tagged store, and decoding its text into block tables is the
+   Loading a guest image writes every data/stack/argument byte into
+   guest memory, and decoding its text into block tables is the
    other per-boot cost worth paying once.  An {!Image.t} does both up
    front: load, snapshot the memory, pre-decode the text.  Every
    subsequent boot restores the snapshot copy-on-write and reuses the

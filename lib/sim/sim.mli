@@ -182,7 +182,7 @@ val run_asm : ?config:config -> string -> result
 
     Loading a guest image is the expensive part of booting: the
     loader assembles argv/env/stack and writes every initial byte
-    (data and taint) through the tagged store; decoding the text
+    (data and taint) into guest memory; decoding the text
     segment into block tables is the other cost every boot used to
     repay.  An {!Image.t} performs both once — load, copy-on-write
     {!Ptaint_mem.Memory.snapshot}, {!Ptaint_cpu.Block.analyze} — and

@@ -7,9 +7,7 @@ let is_tainted m = m <> 0
 let byte m i = m land (1 lsl i) <> 0
 let set_byte m i = m lor (1 lsl i)
 let clear_byte m i = m land lnot (1 lsl i)
-let of_byte b = if b then 1 else 0
 let union = ( lor )
-let inter = ( land )
 let restrict m ~bytes = m land all ~bytes
 let equal = Int.equal
 

@@ -30,14 +30,8 @@ val set_byte : t -> int -> t
 val clear_byte : t -> int -> t
 (** [clear_byte m i] untaints byte [i]. *)
 
-val of_byte : bool -> t
-(** Mask of a single byte datum. *)
-
 val union : t -> t -> t
 (** Per-byte OR — the default propagation of Table 1. *)
-
-val inter : t -> t -> t
-(** Per-byte AND. *)
 
 val restrict : t -> bytes:int -> t
 (** Keep only the [bytes] low byte bits. *)

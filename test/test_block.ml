@@ -18,7 +18,6 @@ module Sim = Ptaint_sim.Sim
 module Machine = Ptaint_cpu.Machine
 module Regfile = Ptaint_cpu.Regfile
 module Memory = Ptaint_mem.Memory
-module TS = Ptaint_mem.Tagged_store
 module Scenario = Ptaint_attacks.Scenario
 module Catalog = Ptaint_attacks.Catalog
 module Campaign = Ptaint_campaign.Campaign
@@ -33,19 +32,18 @@ let reg_bits m =
   List.init Regfile.slots (fun i -> Tword.to_bits (Regfile.slot m.Machine.regs i))
 
 (* Both memory planes, byte for byte: every mapped page's words read
-   as packed Twords (value bits plus one taint bit per byte) straight
-   from the tagged store, so the comparison leaves the access stats it
-   is about to compare untouched. *)
+   as packed Twords (value bits plus one taint bit per byte) through
+   the uncounted accessors, so the comparison leaves the access stats
+   it is about to compare untouched. *)
 let check_memory ctx mb mr =
-  let tb = Memory.tagged mb and tr = Memory.tagged mr in
-  let pages = TS.mapped_pages tb in
-  if pages <> TS.mapped_pages tr then Alcotest.failf "%s: mapped pages differ" ctx;
+  let pages = Memory.mapped_pages mb in
+  if pages <> Memory.mapped_pages mr then Alcotest.failf "%s: mapped pages differ" ctx;
   let page = Ptaint_mem.Layout.page_bytes in
   List.iter
     (fun p ->
       for w = 0 to (page / 4) - 1 do
         let addr = (p * page) + (4 * w) in
-        let a = TS.load_word tb addr and b = TS.load_word tr addr in
+        let a = Memory.peek_word mb addr and b = Memory.peek_word mr addr in
         if Tword.to_bits a <> Tword.to_bits b then
           Alcotest.failf "%s: memory word 0x%08x differs — bulk %a, per-step %a" ctx addr
             Tword.pp a Tword.pp b
@@ -512,8 +510,18 @@ let test_taint_flip_mid_chain () =
    A late-address gadget computes $s3 = $s7 + (($s6 == K) & pool) each
    pass: at iteration K only, the body's $s3 access may go misaligned
    or, under the tracking policies, carry a tainted base — a fault or
-   alert raised from compiled code.  Each pass also stores the base
-   register itself, so taint injected into it shows in memory. *)
+   alert raised from compiled code.  Its unmapped form computes
+   $s3 = $s7 + (($s6 == K) << 30) instead, so at iteration K the $s3
+   access lands far past every mapped page and segfaults there.  Each
+   pass also stores the base register itself, so taint injected into
+   it shows in memory. *)
+
+type late_target = Pool of string | Unmapped
+
+(* The unmapped form's offset from [buf]: the data segment is at
+   0x10000000, so [buf] plus this lies between the heap and the
+   stack. *)
+let unmapped_offset = 1 lsl 30
 
 let pool = [| "$t0"; "$t1"; "$t2"; "$t3"; "$t4"; "$t5"; "$t6"; "$t7" |]
 let base_slot = 23 (* $s7 *)
@@ -585,11 +593,13 @@ let matrix_case_gen =
   let open QCheck2.Gen in
   let* body = list_size (int_range 3 12) matrix_insn_gen in
   let* late = int_range 1 (Ptaint_cpu.Superblock.threshold - 1) in
-  let* late_src = oneofl (Array.to_list pool) in
+  let* late_target =
+    frequency [ (4, map (fun r -> Pool r) (oneofl (Array.to_list pool))); (1, return Unmapped) ]
+  in
   let* input = string_size ~gen:printable (return 16) in
-  return (body, late, late_src, input)
+  return (body, late, late_target, input)
 
-let matrix_asm (body, late, late_src, _) =
+let matrix_asm (body, late, late_target, _) =
   let li r v = Printf.sprintf "        li %s, %d" r v in
   let scrub =
     List.init 8 (fun i -> li pool.(i) (if i < 4 then i + 1 else pool_consts.(i - 4)))
@@ -612,7 +622,9 @@ let matrix_asm (body, late, late_src, _) =
      @ [ li "$s6" matrix_passes; li "$s5" (matrix_passes / 2);
          "loop:   xori $s1, $s6, " ^ string_of_int late;
          "        sltiu $s1, $s1, 1";
-         Printf.sprintf "        and $s1, $s1, %s" late_src;
+         (match late_target with
+          | Pool r -> Printf.sprintf "        and $s1, $s1, %s" r
+          | Unmapped -> Printf.sprintf "        sll $s1, $s1, 30");
          "        addu $s3, $s7, $s1" ]
      @ List.map (fun l -> "        " ^ l) body
      @ [ "        sw $s7, 60($s7)";
@@ -633,20 +645,22 @@ let matrix_policies =
     ("baseline", Ptaint_cpu.Policy.baseline_no_tracking);
     ("no-compare-untaint", { Ptaint_cpu.Policy.default with compare_untaints = false }) ]
 
+let matrix_program case =
+  let source = matrix_asm case in
+  match Ptaint_asm.Assembler.assemble source with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "assembly failed: %a\n%s" Ptaint_asm.Assembler.pp_error e source
+
+let matrix_config input policy =
+  Sim.Config.(
+    default |> with_policy policy
+    |> with_sources { Ptaint_os.Sources.none with stdin = true }
+    |> with_stdin input)
+
 (* [switches] totals the variant switches inside compiled chains. *)
 let matrix_case switches ((_, _, _, input) as case) =
-  let source = matrix_asm case in
-  let program =
-    match Ptaint_asm.Assembler.assemble source with
-    | Ok p -> p
-    | Error e -> Alcotest.failf "assembly failed: %a\n%s" Ptaint_asm.Assembler.pp_error e source
-  in
-  let config policy =
-    Sim.Config.(
-      default |> with_policy policy
-      |> with_sources { Ptaint_os.Sources.none with stdin = true }
-      |> with_stdin input)
-  in
+  let program = matrix_program case in
+  let config = matrix_config input in
   List.iter
     (fun (label, policy) ->
       let bulk = differential label (config policy) program in
@@ -687,6 +701,30 @@ let test_opcode_matrix () =
        matrix_case_gen (matrix_case switches));
   (* a switch inside a compiled chain means both variants ran there *)
   Alcotest.(check bool) "both variants ran in compiled chains" true (!switches > 0)
+
+(* The unmapped late target under every load and store width: the
+   access segfaults from compiled code, and both engines report the
+   same address and access kind — the kind [step_core] and the
+   translated arm each attach to the memory's bare [Unmapped]. *)
+let test_unmapped_every_width () =
+  List.iter
+    (fun (op, access) ->
+      let case = ([ op ^ " $t4, 8($s3)" ], 5, Unmapped, "0123456789abcdef") in
+      let program = matrix_program case in
+      let addr = Ptaint_asm.Program.symbol_exn program "buf" + 8 + unmapped_offset in
+      List.iter
+        (fun (label, policy) ->
+          let ctx = Printf.sprintf "%s under %s" op label in
+          let bulk = differential ctx (matrix_config "0123456789abcdef" policy) program in
+          if bulk.machine.Machine.sb_promoted = 0 then
+            Alcotest.failf "%s: the loop was never promoted" ctx;
+          match bulk.outcome with
+          | Sim.Fault (Machine.Segfault f) when f.addr = addr && f.access = access -> ()
+          | o -> Alcotest.failf "%s: expected a segfault at 0x%08x, got %s" ctx addr (outcome_str o))
+        matrix_policies)
+    Ptaint_mem.Memory.
+      [ ("lw", Load); ("lh", Load); ("lhu", Load); ("lb", Load); ("lbu", Load);
+        ("sw", Store); ("sh", Store); ("sb", Store) ]
 
 (* --- batch runner --------------------------------------------------- *)
 
@@ -777,6 +815,7 @@ let () =
           Alcotest.test_case "superblock chains, both engines" `Quick test_superblock_chains;
           Alcotest.test_case "taint flip mid-chain" `Quick test_taint_flip_mid_chain;
           Alcotest.test_case "opcode x variant x policy" `Quick test_opcode_matrix;
+          Alcotest.test_case "unmapped late target, every width" `Quick test_unmapped_every_width;
           Alcotest.test_case "run_jobs matches per-step" `Quick test_run_jobs_differential;
           Alcotest.test_case "generated pool, hot through the arena" `Quick
             test_generated_pool ] ) ]

@@ -669,6 +669,32 @@ let test_loopback_trace_roundtrip () =
 (* The in-process cache at [--cache 2]: three distinct programs and
    the first again, one at a time, evict the least recently used image
    twice; Stats and the Prometheus scrape report the same counts. *)
+(* Connections come and go without growing the exposition: outside
+   histogram buckets (which fill in as durations arrive), the 100th
+   connection's scrape lists exactly the series the first one did. *)
+let test_scrape_series_stable () =
+  with_server (fun path _server ->
+      let series () =
+        let c = Client.connect ~client:"test" path in
+        let text = Client.stats_full c in
+        Client.close c;
+        let series_of line =
+          match String.rindex_opt line ' ' with
+          | Some i when line.[0] <> '#' ->
+            let s = String.sub line 0 i in
+            let name = List.hd (String.split_on_char '{' s) in
+            if String.ends_with ~suffix:"_bucket" name then None else Some s
+          | _ -> None
+        in
+        List.filter_map series_of (String.split_on_char '\n' text)
+      in
+      let first = series () in
+      let last = ref [] in
+      for _ = 2 to 100 do
+        last := series ()
+      done;
+      Alcotest.(check (list string)) "series after 100 connections" first !last)
+
 let test_loopback_cache_eviction () =
   with_server ~cache_capacity:2 (fun path _server ->
       let c = Client.connect ~client:"test" path in
@@ -1070,6 +1096,8 @@ let () =
           Alcotest.test_case "batch with failures" `Quick test_loopback_batch_and_failures;
           Alcotest.test_case "trace round-trip" `Quick test_loopback_trace_roundtrip;
           Alcotest.test_case "stats-full scrape" `Quick test_loopback_stats_full;
+          Alcotest.test_case "scrape series stable across connections" `Quick
+            test_scrape_series_stable;
           Alcotest.test_case "cache eviction counters" `Quick test_loopback_cache_eviction;
           Alcotest.test_case "two clients" `Quick test_loopback_two_clients;
           Alcotest.test_case "admission quota" `Quick test_admission_quota;

@@ -114,6 +114,22 @@ let test_backtrace_survives_smashed_frame () =
   let frames = Ptaint_sim.Diagnostics.backtrace p result.Ptaint_sim.Sim.machine in
   Alcotest.(check bool) "bounded" true (List.length frames <= 32 && List.length frames >= 1)
 
+(* The report walks guest memory, but an inspection read is not a
+   guest access: the run's load/store counts must not move. *)
+let test_report_leaves_stats () =
+  let _, result = Scenario.run Catalog.exp3_format in
+  (match result.Ptaint_sim.Sim.outcome with
+   | Ptaint_sim.Sim.Alert _ -> ()
+   | _ -> Alcotest.fail "expected the exp3 alert");
+  let st = Ptaint_mem.Memory.stats result.Ptaint_sim.Sim.machine.Ptaint_cpu.Machine.mem in
+  let counts () =
+    Ptaint_mem.Memory.
+      [ st.loads; st.stores; st.tainted_loads; st.tainted_stores; st.mapped_bytes ]
+  in
+  let before = counts () in
+  ignore (Ptaint_sim.Diagnostics.report result);
+  Alcotest.(check (list int)) "stats unchanged" before (counts ())
+
 let () =
   Alcotest.run "diagnostics"
     [ ( "symbolize",
@@ -123,7 +139,8 @@ let () =
           Alcotest.test_case "incident report" `Quick test_report_contents;
           Alcotest.test_case "tainted registers" `Quick test_tainted_registers;
           Alcotest.test_case "tainted hi/lo" `Quick test_tainted_hi_lo;
-          Alcotest.test_case "corrupt frame chain" `Quick test_backtrace_survives_smashed_frame ] );
+          Alcotest.test_case "corrupt frame chain" `Quick test_backtrace_survives_smashed_frame;
+          Alcotest.test_case "report leaves memory stats" `Quick test_report_leaves_stats ] );
       ( "observability",
         [ Alcotest.test_case "provenance in report" `Quick test_provenance_report;
           Alcotest.test_case "window ends at alert" `Quick test_insn_window_ends_at_alert ] ) ]

@@ -16,7 +16,7 @@ module Machine = Ptaint_cpu.Machine
 (* every test in this binary audits the store after each injection *)
 let () =
   Fi.debug_checks := true;
-  Ptaint_mem.Tagged_store.debug_asserts := true
+  Memory.debug_asserts := true
 
 let exp1 = Catalog.exp1_stack_smash
 

@@ -148,20 +148,14 @@ let test_log_level_filtering () =
   Log.info l ~src:"a" "dropped too" [];
   Log.warn l ~src:"a" "kept-warn" [];
   Log.error l ~src:"a" "kept-error" [];
-  (* per-source override: src b only logs errors *)
-  Log.set_source_level l "b" Log.Error;
-  Log.warn l ~src:"b" "src-b-warn-dropped" [];
-  Log.error l ~src:"b" "src-b-error-kept" [];
-  Alcotest.(check bool) "enabled warn/a" true (Log.enabled l ~src:"a" Log.Warn);
-  Alcotest.(check bool) "disabled warn/b" false (Log.enabled l ~src:"b" Log.Warn);
+  Alcotest.(check bool) "enabled warn" true (Log.enabled l Log.Warn);
+  Alcotest.(check bool) "disabled info" false (Log.enabled l Log.Info);
   Log.close l;
   let out = Buffer.contents b in
   Alcotest.(check bool) "warn kept" true (contains out "kept-warn");
   Alcotest.(check bool) "error kept" true (contains out "kept-error");
   Alcotest.(check bool) "debug dropped" false (contains out "dropped");
-  Alcotest.(check bool) "src override drops warn" false (contains out "src-b-warn-dropped");
-  Alcotest.(check bool) "src override keeps error" true (contains out "src-b-error-kept");
-  Alcotest.(check int) "exactly three lines" 3
+  Alcotest.(check int) "exactly two lines" 2
     (String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 out)
 
 let test_log_rotation () =

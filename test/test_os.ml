@@ -435,14 +435,14 @@ let run_case ~obs c =
     c.files;
   Alcotest.(check (list string)) (ctx "execs") c.execs (Kernel.execs k);
   Alcotest.(check int) (ctx "input bytes") c.input (Kernel.input_bytes k - input_before);
-  let store = Memory.tagged mem in
   List.iter
     (fun (a, data, taint) ->
       String.iteri
         (fun i ch ->
-          let v, t = Ptaint_mem.Tagged_store.load_byte store (addr a + i) in
-          Alcotest.(check char) (ctx (Printf.sprintf "byte %d" i)) ch (Char.chr v);
-          Alcotest.(check bool) (ctx (Printf.sprintf "taint %d" i)) taint t)
+          let w = Memory.peek_byte mem (addr a + i) in
+          Alcotest.(check char) (ctx (Printf.sprintf "byte %d" i)) ch (Char.chr (Ptaint_taint.Tword.value w));
+          Alcotest.(check bool) (ctx (Printf.sprintf "taint %d" i)) taint
+            (Ptaint_taint.Tword.is_tainted w))
         data)
     c.bytes;
   let l1, s1, tl1, ts1, mb1 = before and l2, s2, tl2, ts2, mb2 = stats_tuple (Memory.stats mem) in

@@ -46,7 +46,7 @@ let test_tword_immediate () =
   imm "tainted" (Tword.tainted 0x80000000);
   imm "with_value" (Tword.with_value (Tword.tainted 1) 0x7FFFFFFF);
   imm "with_mask" (Tword.with_mask (Tword.untainted 3) 0b0110);
-  (* Round-trip through the raw bits used by Regfile/Tagged_store. *)
+  (* Round-trip through the raw bits used by Regfile/Memory. *)
   let w = Tword.make ~v:0xCAFEBABE ~m:0b1001 in
   Alcotest.(check bool) "of_bits/to_bits roundtrip" true
     (Tword.equal w (Tword.of_bits (Tword.to_bits w)))
