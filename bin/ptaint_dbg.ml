@@ -19,50 +19,49 @@ let read_file path =
   s
 
 let run path policy_name stdin_data sessions args =
-  let policy =
-    match policy_name with
-    | "control-only" | "minos" -> Ptaint_cpu.Policy.control_only
-    | "none" | "unprotected" -> Ptaint_cpu.Policy.unprotected
-    | _ -> Ptaint_cpu.Policy.default
-  in
-  try
-    let source = read_file path in
-    let program =
-      if Filename.check_suffix path ".s" then Ptaint_asm.Assembler.assemble_exn source
-      else Ptaint_runtime.Runtime.compile source
-    in
-    let config =
-      Ptaint_sim.Sim.Config.(
-        default |> with_policy policy |> with_stdin stdin_data
-        |> with_sessions (List.map (fun s -> [ s ]) sessions)
-        |> with_argv (Filename.basename path :: args))
-    in
-    let dbg = Ptaint_sim.Debugger.create (Ptaint_sim.Sim.boot ~config program) in
-    print_endline "ptaint debugger — 'help' for commands";
-    let rec repl () =
-      print_string "(ptaint) ";
-      flush stdout;
-      match In_channel.input_line stdin with
-      | None -> 0
-      | Some line -> (
-        let output, next = Ptaint_sim.Debugger.exec dbg line in
-        print_string output;
-        match next with `Quit -> 0 | `Continue -> repl ())
-    in
-    repl ()
-  with
-  | Ptaint_cc.Cc.Error { line; message; phase } ->
-    Printf.eprintf "%s:%d: %s error: %s\n" path line phase message;
-    2
-  | Sys_error e ->
+  match Ptaint_sim.Sim.policy_of_label policy_name with
+  | Error e ->
     prerr_endline e;
     2
+  | Ok policy -> (
+    try
+      let source = read_file path in
+      let program =
+        if Filename.check_suffix path ".s" then Ptaint_asm.Assembler.assemble_exn source
+        else Ptaint_runtime.Runtime.compile source
+      in
+      let config =
+        Ptaint_sim.Sim.Config.(
+          default |> with_policy policy |> with_stdin stdin_data
+          |> with_sessions (List.map (fun s -> [ s ]) sessions)
+          |> with_argv (Filename.basename path :: args))
+      in
+      let dbg = Ptaint_sim.Debugger.create (Ptaint_sim.Sim.boot ~config program) in
+      print_endline "ptaint debugger — 'help' for commands";
+      let rec repl () =
+        print_string "(ptaint) ";
+        flush stdout;
+        match In_channel.input_line stdin with
+        | None -> 0
+        | Some line -> (
+          let output, next = Ptaint_sim.Debugger.exec dbg line in
+          print_string output;
+          match next with `Quit -> 0 | `Continue -> repl ())
+      in
+      repl ()
+    with
+    | Ptaint_cc.Cc.Error { line; message; phase } ->
+      Printf.eprintf "%s:%d: %s error: %s\n" path line phase message;
+      2
+    | Sys_error e ->
+      prerr_endline e;
+      2)
 
 let path_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"PROGRAM")
 
 let policy_arg =
   Arg.(value & opt string "full" & info [ "policy"; "p" ] ~docv:"POLICY"
-         ~doc:"Protection policy: full, control-only, or none.")
+         ~doc:"Protection policy: full, control-only, none, or baseline.")
 
 let stdin_arg =
   Arg.(value & opt string "" & info [ "stdin-data" ] ~docv:"DATA" ~doc:"Guest standard input.")

@@ -366,7 +366,8 @@ let remote_executor ~campaign sock : executor =
 let checkpoint_resume ~campaign_id ~total checkpoint results_path =
   match checkpoint with
   | Some path when Sys.file_exists path -> (
-    match Checkpoint.load ~path with
+    match Checkpoint.parse (In_channel.with_open_bin path In_channel.input_all) with
+    | exception Sys_error e -> Error (Printf.sprintf "checkpoint %s: %s" path e)
     | Error e -> Error (Printf.sprintf "checkpoint %s: %s" path e)
     | Ok m ->
       if m.Checkpoint.id <> campaign_id then
@@ -600,6 +601,9 @@ let run paths policy_name stdin_data sessions args disasm timing trace_file trac
   match (Ptaint_sim.Sim.policy_of_label policy_name, parse_injections inject_specs) with
   | Error e, _ | _, Error e ->
     prerr_endline e;
+    2
+  | _ when (match job_timeout with Some t -> not (t > 0.) | None -> false) ->
+    prerr_endline "--job-timeout takes a positive number of seconds";
     2
   | Ok policy, Ok plan -> (
     let level =

@@ -387,31 +387,32 @@ let jsonl_of_summary s =
    fold in submission order, so the per-label registries keep one
    label order and one registration order within each registry
    whichever path built them: a streamed campaign's counters-only
-   [metrics_table] is byte-identical to a collected one's.  The only
+   [metrics_table] is byte-identical to a collected one's.  The
+   registries are the only store of counts — jobs, instructions,
+   syscalls and detections are their [jobs]/[instructions]/
+   [syscalls]/[alerts] counters — beside the three numbers no counter
+   holds: failed jobs, violations and the detection sites.  The only
    non-counter row is the per-job wall clock, which renders only under
    [~timings] and never enters a checkpoint dump. *)
 type tally = {
-  mutable t_jobs : int;
   mutable t_failed : int;
   mutable t_violations : int;
-  mutable t_instructions : int;
-  mutable t_syscalls : int;
-  t_detections : (string, int) Hashtbl.t;
   mutable t_metrics : (string * Ptaint_obs.Metrics.t) list;  (* reverse first-seen *)
   mutable t_sites : int list;  (* distinct alert pcs, ascending *)
 }
 
-let tally () =
-  { t_jobs = 0;
-    t_failed = 0;
-    t_violations = 0;
-    t_instructions = 0;
-    t_syscalls = 0;
-    t_detections = Hashtbl.create 8;
-    t_metrics = [];
-    t_sites = [] }
+let tally () = { t_failed = 0; t_violations = 0; t_metrics = []; t_sites = [] }
 
-let tally_jobs t = t.t_jobs
+(* A counter's value, 0 when the registry never registered it: read
+   through [rows], so asking registers no zero row that
+   [metrics_table] would then render. *)
+let counter_value m name =
+  let module M = Ptaint_obs.Metrics in
+  List.fold_left
+    (fun n (r : M.row) -> if r.M.kind = "counter" && r.M.name = name then n + r.M.count else n)
+    0 (M.rows m)
+
+let tally_total t name = List.fold_left (fun n (_, m) -> n + counter_value m name) 0 t.t_metrics
 let tally_sites t = t.t_sites
 
 let rec insert_site pc = function
@@ -422,18 +423,14 @@ let rec insert_site pc = function
 
 let tally_add t (s : job_summary) =
   let module M = Ptaint_obs.Metrics in
-  t.t_jobs <- t.t_jobs + 1;
   if s.s_failed then t.t_failed <- t.t_failed + 1;
   if s.s_violation then t.t_violations <- t.t_violations + 1;
-  t.t_instructions <- t.t_instructions + s.s_instructions;
-  t.t_syscalls <- t.t_syscalls + s.s_syscalls;
   let m =
     match List.assoc_opt s.s_label t.t_metrics with
     | Some m -> m
     | None ->
       let m = M.create () in
       t.t_metrics <- (s.s_label, m) :: t.t_metrics;
-      Hashtbl.replace t.t_detections s.s_label 0;
       m
   in
   List.iter (fun (name, by) -> M.inc ~by (M.counter m name)) s.s_counters;
@@ -441,25 +438,19 @@ let tally_add t (s : job_summary) =
      never enters a checkpoint dump *)
   M.observe (M.histogram m "job wall ms")
     ((s.s_timing.finished -. s.s_timing.started) *. 1000.);
-  if s.s_detected then
-    Hashtbl.replace t.t_detections s.s_label
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.t_detections s.s_label));
   match s.s_alert_pc with
   | Some pc -> t.t_sites <- insert_site pc t.t_sites
   | None -> ()
 
 let tally_stats ?(wall_seconds = 0.) t =
   let ordered = List.rev t.t_metrics in
-  { jobs = t.t_jobs;
+  { jobs = tally_total t "jobs";
     failed = t.t_failed;
     violations = t.t_violations;
     wall_seconds;
-    instructions = t.t_instructions;
-    syscalls = t.t_syscalls;
-    detections =
-      List.map
-        (fun (l, _) -> (l, Option.value ~default:0 (Hashtbl.find_opt t.t_detections l)))
-        ordered;
+    instructions = tally_total t "instructions";
+    syscalls = tally_total t "syscalls";
+    detections = List.map (fun (l, m) -> (l, counter_value m "alerts")) ordered;
     metrics = ordered }
 
 (* Byte-exact persistence image of a tally: every field is an int or a
@@ -467,12 +458,8 @@ let tally_stats ?(wall_seconds = 0.) t =
    whose [metrics_table]/[pp_stats] renderings are byte-identical —
    the checkpoint/resume contract. *)
 type tally_dump = {
-  d_jobs : int;
   d_failed : int;
   d_violations : int;
-  d_instructions : int;
-  d_syscalls : int;
-  d_detections : (string * int) list;  (* first-seen order *)
   d_counters : (string * (string * int) list) list;
       (* label -> counter rows, both in registration order *)
   d_sites : int list;
@@ -481,15 +468,8 @@ type tally_dump = {
 let dump_tally t =
   let module M = Ptaint_obs.Metrics in
   let ordered = List.rev t.t_metrics in
-  { d_jobs = t.t_jobs;
-    d_failed = t.t_failed;
+  { d_failed = t.t_failed;
     d_violations = t.t_violations;
-    d_instructions = t.t_instructions;
-    d_syscalls = t.t_syscalls;
-    d_detections =
-      List.map
-        (fun (l, _) -> (l, Option.value ~default:0 (Hashtbl.find_opt t.t_detections l)))
-        ordered;
     d_counters =
       List.map
         (fun (l, m) ->
@@ -504,18 +484,14 @@ let dump_tally t =
 let load_tally d =
   let module M = Ptaint_obs.Metrics in
   let t = tally () in
-  t.t_jobs <- d.d_jobs;
   t.t_failed <- d.d_failed;
   t.t_violations <- d.d_violations;
-  t.t_instructions <- d.d_instructions;
-  t.t_syscalls <- d.d_syscalls;
   List.iter
     (fun (l, rows) ->
       let m = M.create () in
       List.iter (fun (name, v) -> M.inc ~by:v (M.counter m name)) rows;
       t.t_metrics <- (l, m) :: t.t_metrics)
     d.d_counters;
-  List.iter (fun (l, n) -> Hashtbl.replace t.t_detections l n) d.d_detections;
   t.t_sites <- d.d_sites;
   t
 

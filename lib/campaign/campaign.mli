@@ -135,7 +135,7 @@ val run_jobs :
   Job.t list ->
   job_result list * stats
 (** Run the batch on [domains] workers (default
-    {!Pool.recommended_domains}) and collect every result, in
+    [Domain.recommended_domain_count]) and collect every result, in
     submission order — the engine of {!run_stream}, with one
     difference: every job boots a fresh machine from the shared image
     ({!Ptaint_sim.Sim.run_template}), never the domain arena, because
@@ -283,8 +283,6 @@ type tally
 
 val tally : unit -> tally
 val tally_add : tally -> job_summary -> unit
-val tally_jobs : tally -> int
-
 val tally_sites : tally -> int list
 (** Distinct alert pcs seen, ascending — the coverage-style fitness
     signal of a generative campaign. *)
@@ -297,17 +295,17 @@ val tally_stats : ?wall_seconds:float -> tally -> stats
     (they do not survive a checkpoint round-trip). *)
 
 type tally_dump = {
-  d_jobs : int;
   d_failed : int;
   d_violations : int;
-  d_instructions : int;
-  d_syscalls : int;
-  d_detections : (string * int) list;
   d_counters : (string * (string * int) list) list;
+      (** per label, its counter rows; both in registration order *)
   d_sites : int list;
 }
 (** Persistence image of a {!tally}: ints and strings only, so a dump
-    round-trips byte-exactly through the checkpoint manifest. *)
+    round-trips byte-exactly through the checkpoint manifest.  Jobs,
+    instructions, syscalls and detections are the counters'
+    [jobs]/[instructions]/[syscalls]/[alerts] rows; only the numbers
+    no counter holds are fields of their own. *)
 
 val dump_tally : tally -> tally_dump
 val load_tally : tally_dump -> tally

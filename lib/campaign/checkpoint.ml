@@ -6,7 +6,14 @@
    of a {!Campaign.tally_dump} is an int or a string, labels and
    counter names never contain tabs or newlines, and integers
    round-trip exactly — so a resumed campaign's final report is
-   byte-identical to an uninterrupted one.
+   byte-identical to an uninterrupted one.  Version 2 stores every
+   count once: jobs, instructions, syscalls and detections live only
+   in the per-label counter rows.
+
+   The parser accepts exactly what [render] writes: the lines in
+   [render]'s order, integers as [%d] prints them, no blank lines, and
+   a text that ends in [end\n].  So a manifest that loads re-renders
+   to the bytes it was loaded from; anything else is an [Error].
 
    Writes are atomic and durable: temp file in the same directory,
    fsync'd before the rename so the rename can never promote
@@ -26,7 +33,7 @@ type manifest = {
   dump : Campaign.tally_dump;
 }
 
-let magic = "ptaint-checkpoint v1"
+let magic = "ptaint-checkpoint v2"
 
 let render m =
   let d = m.dump in
@@ -37,13 +44,9 @@ let render m =
   line "total\t%d" m.total;
   line "cursor\t%d" m.cursor;
   line "elapsed_us\t%d" m.elapsed_us;
-  line "jobs\t%d" d.Campaign.d_jobs;
   line "failed\t%d" d.Campaign.d_failed;
   line "violations\t%d" d.Campaign.d_violations;
-  line "instructions\t%d" d.Campaign.d_instructions;
-  line "syscalls\t%d" d.Campaign.d_syscalls;
   List.iter (fun pc -> line "site\t%d" pc) d.Campaign.d_sites;
-  List.iter (fun (l, n) -> line "detect\t%s\t%d" l n) d.Campaign.d_detections;
   List.iter
     (fun (l, rows) ->
       line "label\t%s" l;
@@ -107,132 +110,65 @@ let save ~path m =
      write_error path e);
   fsync_dir dir
 
-(* Parser: a tiny fold over tab-split lines.  Unknown keys are errors
-   — a manifest is a contract between two runs of the same binary,
-   not a config format with forward compatibility. *)
+(* Parser: [render] read back line by line, in its order.  Unknown
+   or misplaced lines are errors — a manifest is a contract between
+   two runs of the same binary, not a config format with forward
+   compatibility. *)
 let parse text =
   let ( let* ) = Result.bind in
-  let lines = String.split_on_char '\n' text in
-  let lines = List.filter (fun l -> l <> "") lines in
-  match lines with
-  | [] -> Error "empty manifest"
-  | first :: rest ->
-    if first <> magic then Error (Printf.sprintf "bad manifest magic %S" first)
-    else begin
-      let id = ref None
-      and total = ref None
-      and cursor = ref None
-      (* elapsed_us is accepted-if-absent: manifests written before
-         the field existed resume with a zero wall-clock baseline *)
-      and elapsed_us = ref 0
-      and jobs = ref 0
-      and failed = ref 0
-      and violations = ref 0
-      and instructions = ref 0
-      and syscalls = ref 0 in
-      let sites = ref [] (* reverse *)
-      and detections = ref [] (* reverse *)
-      and counters = ref [] (* (label, reverse rows) list, reverse *)
-      and finished = ref false in
-      let int_of key s =
-        match int_of_string_opt s with
-        | Some n -> Ok n
-        | None -> Error (Printf.sprintf "manifest: bad integer %S for %s" s key)
-      in
-      let step acc line =
-        let* () = acc in
-        if !finished then Error "manifest: content after end sentinel"
-        else
-          match String.split_on_char '\t' line with
-          | [ "id"; v ] -> id := Some v; Ok ()
-          | [ "total"; v ] ->
-            let* n = int_of "total" v in
-            total := Some n;
-            Ok ()
-          | [ "cursor"; v ] ->
-            let* n = int_of "cursor" v in
-            cursor := Some n;
-            Ok ()
-          | [ "elapsed_us"; v ] ->
-            let* n = int_of "elapsed_us" v in
-            elapsed_us := n;
-            Ok ()
-          | [ "jobs"; v ] ->
-            let* n = int_of "jobs" v in
-            jobs := n;
-            Ok ()
-          | [ "failed"; v ] ->
-            let* n = int_of "failed" v in
-            failed := n;
-            Ok ()
-          | [ "violations"; v ] ->
-            let* n = int_of "violations" v in
-            violations := n;
-            Ok ()
-          | [ "instructions"; v ] ->
-            let* n = int_of "instructions" v in
-            instructions := n;
-            Ok ()
-          | [ "syscalls"; v ] ->
-            let* n = int_of "syscalls" v in
-            syscalls := n;
-            Ok ()
-          | [ "site"; v ] ->
-            let* n = int_of "site" v in
-            sites := n :: !sites;
-            Ok ()
-          | [ "detect"; l; v ] ->
-            let* n = int_of "detect" v in
-            detections := (l, n) :: !detections;
-            Ok ()
-          | [ "label"; l ] ->
-            counters := (l, ref []) :: !counters;
-            Ok ()
-          | [ "counter"; name; v ] -> (
-            let* n = int_of "counter" v in
-            match !counters with
-            | [] -> Error "manifest: counter row before any label"
-            | (_, rows) :: _ ->
-              rows := (name, n) :: !rows;
-              Ok ())
-          | [ "end" ] ->
-            finished := true;
-            Ok ()
-          | _ -> Error (Printf.sprintf "manifest: unrecognized line %S" line)
-      in
-      let* () = List.fold_left step (Ok ()) rest in
-      if not !finished then Error "manifest: missing end sentinel (torn write?)"
-      else
-        match (!id, !total, !cursor) with
-        | Some id, Some total, Some cursor ->
-          Ok
-            { id;
-              total;
-              cursor;
-              elapsed_us = !elapsed_us;
-              dump =
-                { Campaign.d_jobs = !jobs;
-                  d_failed = !failed;
-                  d_violations = !violations;
-                  d_instructions = !instructions;
-                  d_syscalls = !syscalls;
-                  d_detections = List.rev !detections;
-                  d_counters =
-                    List.rev_map (fun (l, rows) -> (l, List.rev !rows)) !counters;
-                  d_sites = List.rev !sites } }
-        | None, _, _ -> Error "manifest: missing id"
-        | _, None, _ -> Error "manifest: missing total"
-        | _, _, None -> Error "manifest: missing cursor"
-    end
-
-let load ~path =
-  match open_in_bin path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    parse text
+  let lines = ref (String.split_on_char '\n' text) in
+  let next () = match !lines with l :: _ -> String.split_on_char '\t' l | [] -> [] in
+  let take () = lines := List.tl !lines in
+  let int_of key s =
+    match int_of_string_opt s with
+    | Some n when string_of_int n = s -> Ok n
+    | _ -> Error (Printf.sprintf "manifest: bad integer %S for %s" s key)
+  in
+  let field key =
+    match next () with
+    | [ k; v ] when k = key -> take (); Ok v
+    | _ -> Error (Printf.sprintf "manifest: missing %s" key)
+  in
+  let int_field key = Result.bind (field key) (int_of key) in
+  (* zero or more lines [key \t fields...], each parsed by [f] *)
+  let rec many key f acc =
+    match next () with
+    | k :: fields when k = key ->
+      take ();
+      let* x = f fields in
+      many key f (x :: acc)
+    | _ -> Ok (List.rev acc)
+  in
+  let site = function [ v ] -> int_of "site" v | _ -> Error "manifest: bad site line" in
+  let counter = function
+    | [ name; v ] -> Result.map (fun n -> (name, n)) (int_of "counter" v)
+    | _ -> Error "manifest: bad counter line"
+  in
+  let label = function
+    | [ l ] -> Result.map (fun rows -> (l, rows)) (many "counter" counter [])
+    | _ -> Error "manifest: bad label line"
+  in
+  let* () =
+    match !lines with
+    | first :: _ when first = magic -> take (); Ok ()
+    | first :: _ -> Error (Printf.sprintf "bad manifest magic %S" first)
+    | [] -> Error "empty manifest"
+  in
+  let* id = field "id" in
+  let* total = int_field "total" in
+  let* cursor = int_field "cursor" in
+  let* elapsed_us = int_field "elapsed_us" in
+  let* d_failed = int_field "failed" in
+  let* d_violations = int_field "violations" in
+  let* d_sites = many "site" site [] in
+  let* d_counters = many "label" label [] in
+  match !lines with
+  | [ "end"; "" ] ->
+    Ok { id; total; cursor; elapsed_us;
+         dump = { Campaign.d_failed; d_violations; d_counters; d_sites } }
+  | "end" :: _ :: _ -> Error "manifest: content after end sentinel"
+  | [] | [ "" ] | [ "end" ] -> Error "manifest: missing end sentinel (torn write?)"
+  | l :: _ -> Error (Printf.sprintf "manifest: unrecognized line %S" l)
 
 (* Resume hygiene for the JSONL result sink: the manifest says jobs
    [0, cursor) are folded, so the sink must hold exactly [cursor]

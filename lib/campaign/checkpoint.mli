@@ -6,7 +6,8 @@
     off.  The on-disk format is plain tab-separated text: every dump
     field is an int or a label string, so a save/load round trip is
     exact and a resumed campaign's final metrics table is
-    byte-identical to an uninterrupted run's. *)
+    byte-identical to an uninterrupted run's.  Each manifest has one
+    text: {!parse} accepts only what {!render} writes. *)
 
 type manifest = {
   id : string;
@@ -20,8 +21,7 @@ type manifest = {
       (** Cumulative wall time (microseconds) spent across every prior
           run of this campaign — what lets a resumed run report
           end-to-end throughput and ETA rather than restarting the
-          clock.  Accepted-if-absent on read: manifests written before
-          the field existed load as [0]. *)
+          clock. *)
   dump : Campaign.tally_dump;
 }
 
@@ -39,10 +39,16 @@ exception Checkpoint_write_error of { path : string; reason : string }
     {!Checkpoint_write_error} — not a raw [Sys_error] — on failure. *)
 val save : path:string -> manifest -> unit
 
-(** [load ~path] parses a manifest written by {!save}.  Returns
-    [Error _] for unreadable files, unknown keys, bad integers, or a
-    missing [end] sentinel (a torn write on a non-atomic filesystem). *)
-val load : path:string -> (manifest, string) result
+(** The manifest's text, exactly as {!save} writes it. *)
+val render : manifest -> string
+
+(** [parse text] reads back a manifest {!render} wrote.  Returns
+    [Error _] for another format version, unknown, missing or
+    misplaced lines, integers not written as [%d] writes them, or a
+    text that does not end in the [end] sentinel line (a torn write on
+    a non-atomic filesystem).  A manifest that parses renders back to
+    exactly [text]. *)
+val parse : string -> (manifest, string) result
 
 (** [truncate_jsonl ~path ~lines] trims the JSONL result sink at [path]
     back to exactly [lines] lines, for resuming a campaign whose sink

@@ -7,13 +7,10 @@
     domains: the caller (the campaign pump, the daemon's event loop)
     never executes tasks itself. *)
 
-val recommended_domains : unit -> int
-(** [Domain.recommended_domain_count], floored at 1. *)
-
 type service
 
 val service : ?domains:int -> unit -> service
-(** Spawn [domains] (default {!recommended_domains}) worker domains
+(** Spawn [domains] (default [Domain.recommended_domain_count], floored at 1) worker domains
     blocking on an empty task queue. *)
 
 val service_size : service -> int

@@ -88,10 +88,7 @@ let dial path =
 let handshake t =
   send t (Proto.Hello { client = t.client_name });
   match read_reply t with
-  | Proto.Hello_ok { server_version; banner } ->
-    if server_version <> Proto.version then
-      fail "server speaks protocol v%d, client v%d" server_version Proto.version;
-    t.server_banner <- banner
+  | Proto.Hello_ok { banner } -> t.server_banner <- banner
   | _ -> fail "expected Hello_ok"
 
 (* Drop the dead fd and dial + handshake again, on fresh streams: a

@@ -9,41 +9,25 @@
 
      offset 0   'P'                 magic
      offset 1   'D'
-     offset 2   version (= 4; v1-v3 frames still decode)
+     offset 2   version (= 5; every other version byte is refused)
      offset 3   frame tag
      offset 4   payload length, u32 big-endian
      offset 8   payload bytes
 
    Every multi-byte integer on the wire is big-endian.  Strings are
-   u32-length-prefixed byte strings; lists are u16-count-prefixed.
-   Payloads above [max_payload] are rejected before buffering, so a
-   hostile client cannot make the server allocate unboundedly.
+   u32-length-prefixed byte strings; lists are u16-count-prefixed;
+   an optional field is a presence byte (0 or 1) followed, when 1, by
+   its value, at a fixed position in its frame.  Payloads above
+   [max_payload] are rejected before buffering, so a hostile client
+   cannot make the server allocate unboundedly.
 
-   Version 2 appends an optional trace id — (client-seeded 63-bit
-   trace id, per-job span id) — to Submit specs and to
-   Finished/Job_failed events, as a trailing field that is simply
-   absent when no id was attached.  Decoding is version-tolerant: a
-   v1 frame (or a v2 frame without the trailing field) yields
-   [trace = None], so v1 clients' frames still decode and traceless
-   v2 frames are byte-identical to their v1 rendering.
+   Each value has exactly one encoding, and the decoder accepts
+   nothing else: presence and bool bytes are 0 or 1, an i64 must fit
+   an OCaml int, and seconds travel as a whole number of microseconds
+   within [max_us].  So every frame the decoder accepts re-encodes to
+   the bytes it came from. *)
 
-   Version 3 extends the same trailing-optional scheme on Submit
-   specs with an idempotency key (so a client that lost its
-   connection can resubmit without double-running the job) and a
-   completion deadline (so admission can shed jobs it cannot finish
-   in time).  Trailing fields cascade: an absent field costs zero
-   bytes unless a later field is present, in which case it is written
-   as an explicit presence-0 byte — a keyless, deadline-less v3 spec
-   therefore stays byte-identical to its v2 rendering, and a
-   traceless one to its v1 rendering.
-
-   Version 4 continues the cascade on Finished events with the alert
-   pc of a detected attack, so a client can count distinct detection
-   sites without the worker-side result.  A run that raised no alert
-   encodes exactly as its v3 self. *)
-
-let version = 4
-let min_version = 1
+let version = 5
 let header_bytes = 8
 let max_payload = 16 * 1024 * 1024
 
@@ -82,9 +66,9 @@ type job_spec = {
   spec_max_instructions : int option;
   spec_injections : Ptaint_fi.Fi.injection list;
   spec_timeout : float option;
-  spec_trace : (int * int) option;  (** (trace id, span id), v2 frames *)
-  spec_idem : string option;  (** idempotency key, v3 frames *)
-  spec_deadline : float option;  (** completion SLA in seconds, v3 frames *)
+  spec_trace : (int * int) option;  (** (trace id, span id) *)
+  spec_idem : string option;  (** idempotency key *)
+  spec_deadline : float option;  (** completion SLA in seconds *)
 }
 
 let job_spec ?policy ?(argv = []) ?(env = []) ?(stdin = "")
@@ -120,7 +104,7 @@ type event =
       counters : (string * int) list;  (** {!Ptaint_campaign.Campaign.job_counters} *)
       stdout : string;
       trace : (int * int) option;
-      alert_pc : int option;  (** v4 trailing field *)
+      alert_pc : int option;
     }
   | Job_failed of {
       id : int;
@@ -133,7 +117,7 @@ type event =
     }
 
 type response =
-  | Hello_ok of { server_version : int; banner : string }
+  | Hello_ok of { banner : string }
   | Accepted of { id : int; tag : string }
   | Rejected of { tag : string; reason : string }
   | Job_event of event
@@ -205,20 +189,24 @@ let w_list b f xs =
   w_u8 b (n lsr 8); w_u8 b n;
   List.iter (f b) xs
 
-let w_opt_i64 b = function
+let w_opt f b = function
   | None -> w_u8 b 0
-  | Some v -> w_u8 b 1; w_i64 b v
+  | Some v -> w_u8 b 1; f b v
 
-let w_opt_string b = function
-  | None -> w_u8 b 0
-  | Some s -> w_u8 b 1; w_string b s
+(* Seconds (timeouts, deadlines) travel as the nearest whole number of
+   microseconds in an i64 — exact enough for wall-clock budgets and
+   immune to printf round-tripping.  Within [max_us] (2^50 us, about
+   35 years) the float a decoder makes of them rounds back to the
+   same count, so every seconds field has one encoding; a longer
+   budget saturates there, which no run can tell apart. *)
+let max_us = 1 lsl 50
 
-(* floats (timeouts) travel as microseconds in an i64 — exact enough
-   for wall-clock budgets and immune to printf round-tripping *)
-let w_opt_seconds b = function
-  | None -> w_u8 b 0
-  | Some s -> w_u8 b 1; w_i64 b (int_of_float (s *. 1e6))
+let w_seconds b s =
+  if Float.is_nan s then invalid_arg "Proto: seconds field is NaN";
+  let lim = float_of_int max_us in
+  w_i64 b (int_of_float (Float.min lim (Float.max (-.lim) (Float.round (s *. 1e6)))))
 
+let w_ids b (tid, span) = w_i64 b tid; w_i64 b span
 let w_pair b (k, v) = w_string b k; w_string b v
 let w_counter b (k, v) = w_string b k; w_i64 b v
 
@@ -237,24 +225,6 @@ let w_fault b =
 let w_injection b { Ptaint_fi.Fi.at; fault } =
   w_i64 b at;
   w_fault b fault
-
-(* The trailing v2 trace field: absent means None, so traceless
-   frames stay byte-identical to their v1 rendering. *)
-let w_trace b = function
-  | None -> ()
-  | Some (tid, span) -> w_u8 b 1; w_i64 b tid; w_i64 b span
-
-(* The v2/v3 trailing-optional cascade on Submit specs.  Later fields
-   force explicit presence-0 bytes for earlier absent ones; the
-   trailing run of absent fields costs zero bytes, so a spec using no
-   v3 feature re-encodes exactly as its v2 (or v1) self. *)
-let w_spec_trailer b s =
-  let idem = s.spec_idem <> None and deadline = s.spec_deadline <> None in
-  (match s.spec_trace with
-   | Some (tid, span) -> w_u8 b 1; w_i64 b tid; w_i64 b span
-   | None -> if idem || deadline then w_u8 b 0);
-  if idem || deadline then w_opt_string b s.spec_idem;
-  if deadline then w_opt_seconds b s.spec_deadline
 
 (* --- primitive readers ----------------------------------------------
 
@@ -287,16 +257,21 @@ let r_u32 c what =
   c.pos <- c.pos + 4;
   v
 
+(* An i64 whose top two bits differ has no OCaml int, so it has no
+   value to decode to. *)
 let r_i64 c what =
   need c 8 what;
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code c.buf.[c.pos + i]))
-  done;
+  let v = String.get_int64_be c.buf c.pos in
+  let n = Int64.to_int v in
+  if Int64.of_int n <> v then raise (Garbled (what ^ ": i64 out of int range"));
   c.pos <- c.pos + 8;
-  Int64.to_int !v
+  n
 
-let r_bool c what = r_u8 c what <> 0
+let r_bool c what =
+  match r_u8 c what with
+  | 0 -> false
+  | 1 -> true
+  | b -> raise (Garbled (Printf.sprintf "%s: byte %d is not 0 or 1" what b))
 
 let r_string c what =
   let n = r_u32 c what in
@@ -314,12 +289,16 @@ let r_list c f what =
   let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (f c :: acc) in
   go ((hi lsl 8) lor lo) []
 
-let r_opt c f what = if r_u8 c what = 0 then None else Some (f c what)
+let r_opt c f what = if r_bool c what then Some (f c what) else None
 
-let r_opt_seconds c what =
-  match r_opt c r_i64 what with
-  | None -> None
-  | Some us -> Some (float_of_int us /. 1e6)
+let r_seconds c what =
+  let us = r_i64 c what in
+  if us > max_us || us < -max_us then raise (Garbled (what ^ ": seconds out of range"));
+  float_of_int us /. 1e6
+
+let r_ids c what =
+  let tid = r_i64 c what in
+  (tid, r_i64 c "span id")
 
 let r_pair c = let k = r_string c "pair key" in (k, r_string c "pair value")
 let r_counter c = let k = r_string c "counter name" in (k, r_i64 c "counter value")
@@ -340,21 +319,6 @@ let r_fault c =
 let r_injection c =
   let at = r_i64 c "injection icount" in
   { Ptaint_fi.Fi.at; fault = r_fault c }
-
-(* Trailing optionals: end-of-payload means None. *)
-let r_trailing c f what = if c.pos >= c.stop then None else r_opt c f what
-
-let r_trace c =
-  r_trailing c
-    (fun c what ->
-      let tid = r_i64 c what in
-      (tid, r_i64 c "span id"))
-    "trace id"
-
-let r_trailing_seconds c what =
-  match r_trailing c r_i64 what with
-  | None -> None
-  | Some us -> Some (float_of_int us /. 1e6)
 
 (* --- frame tags ------------------------------------------------------ *)
 
@@ -408,15 +372,17 @@ let w_job_spec b s =
    | Wire_asm src -> w_u8 b 0; w_string b src
    | Wire_c src -> w_u8 b 1; w_string b src);
   w_string b s.spec_tag;
-  w_opt_string b s.spec_policy;
+  w_opt w_string b s.spec_policy;
   w_list b w_string s.spec_argv;
   w_list b w_pair s.spec_env;
   w_string b s.spec_stdin;
   w_list b (fun b session -> w_list b w_string session) s.spec_sessions;
-  w_opt_i64 b s.spec_max_instructions;
+  w_opt w_i64 b s.spec_max_instructions;
   w_list b w_injection s.spec_injections;
-  w_opt_seconds b s.spec_timeout;
-  w_spec_trailer b s
+  w_opt w_seconds b s.spec_timeout;
+  w_opt w_ids b s.spec_trace;
+  w_opt w_string b s.spec_idem;
+  w_opt w_seconds b s.spec_deadline
 
 let r_job_spec c =
   let payload =
@@ -435,10 +401,10 @@ let r_job_spec c =
   in
   let spec_max_instructions = r_opt c r_i64 "max instructions" in
   let spec_injections = r_list c r_injection "injections" in
-  let spec_timeout = r_opt_seconds c "timeout" in
-  let spec_trace = r_trace c in
-  let spec_idem = r_trailing c r_string "idempotency key" in
-  let spec_deadline = r_trailing_seconds c "deadline" in
+  let spec_timeout = r_opt c r_seconds "timeout" in
+  let spec_trace = r_opt c r_ids "trace id" in
+  let spec_idem = r_opt c r_string "idempotency key" in
+  let spec_deadline = r_opt c r_seconds "deadline" in
   { spec_tag; spec_payload = payload; spec_policy; spec_argv; spec_env;
     spec_stdin; spec_sessions; spec_max_instructions; spec_injections;
     spec_timeout; spec_trace; spec_idem; spec_deadline }
@@ -465,10 +431,8 @@ let w_event b = function
     w_bool b f.cache_hit;
     w_list b w_counter f.counters;
     w_string b f.stdout;
-    (match f.trace with
-     | None when f.alert_pc <> None -> w_u8 b 0
-     | trace -> w_trace b trace);
-    (match f.alert_pc with Some pc -> w_u8 b 1; w_i64 b pc | None -> ())
+    w_opt w_ids b f.trace;
+    w_opt w_i64 b f.alert_pc
   | Job_failed f ->
     w_u8 b ev_failed;
     w_i64 b f.id;
@@ -477,7 +441,7 @@ let w_event b = function
     w_string b f.message;
     w_string b f.policy_label;
     w_list b w_counter f.counters;
-    w_trace b f.trace
+    w_opt w_ids b f.trace
 
 let r_event c =
   match r_u8 c "event tag" with
@@ -493,8 +457,8 @@ let r_event c =
     let cache_hit = r_bool c "cache hit" in
     let counters = r_list c r_counter "counters" in
     let stdout = r_string c "stdout" in
-    let trace = r_trace c in
-    let alert_pc = r_trailing c r_i64 "alert pc" in
+    let trace = r_opt c r_ids "trace id" in
+    let alert_pc = r_opt c r_i64 "alert pc" in
     Finished { id; tag; outcome; exit_code; instructions; syscalls;
                policy_label; cache_hit; counters; stdout; trace; alert_pc }
   | 3 ->
@@ -504,13 +468,12 @@ let r_event c =
     let message = r_string c "failure message" in
     let policy_label = r_string c "policy label" in
     let counters = r_list c r_counter "counters" in
-    let trace = r_trace c in
+    let trace = r_opt c r_ids "trace id" in
     Job_failed { id; tag; kind; message; policy_label; counters; trace }
   | t -> raise (Garbled (Printf.sprintf "unknown event tag %d" t))
 
 let add_response o = function
-  | Hello_ok { server_version; banner } ->
-    add_frame o tag_hello_ok (fun o -> w_i64 o server_version; w_string o banner)
+  | Hello_ok { banner } -> add_frame o tag_hello_ok (fun o -> w_string o banner)
   | Accepted { id; tag } -> add_frame o tag_accepted (fun o -> w_i64 o id; w_string o tag)
   | Rejected { tag; reason } ->
     add_frame o tag_rejected (fun o -> w_string o tag; w_string o reason)
@@ -547,7 +510,7 @@ let frame_header buf off len =
   else if len < header_bytes then Ok None
   else
     let ver = Char.code buf.[off + 2] in
-    if ver < min_version || ver > version then Error (Bad_version ver)
+    if ver <> version then Error (Bad_version ver)
     else
       let n =
         (Char.code buf.[off + 4] lsl 24) lor (Char.code buf.[off + 5] lsl 16)
@@ -580,10 +543,7 @@ let request_of_frame tag buf pos stop =
 
 let response_of_frame tag buf pos stop =
   let parse f = parse_payload f buf pos stop in
-  if tag = tag_hello_ok then
-    parse (fun c ->
-        let server_version = r_i64 c "server version" in
-        Hello_ok { server_version; banner = r_string c "banner" })
+  if tag = tag_hello_ok then parse (fun c -> Hello_ok { banner = r_string c "banner" })
   else if tag = tag_accepted then
     parse (fun c ->
         let id = r_i64 c "job id" in

@@ -5,43 +5,32 @@
 
     {v
     offset 0  'P' 'D'      magic
-    offset 2  version      (= 4; v1-v3 frames still decode)
+    offset 2  version      (= 5; every other version byte is refused)
     offset 3  frame tag
     offset 4  u32 BE       payload length
     offset 8  payload
     v}
 
     All integers are big-endian; strings are u32-length-prefixed;
-    lists are u16-count-prefixed.  The codec itself does no I/O: the
-    encoders write whole frames into an {!outbox}, the decoders read
-    one frame from the front of a byte string or a {!reader}'s buffer
-    — [Ok None] means "incomplete, read more" — and every corruption
-    maps to a typed {!error} (no exceptions escape).  After any error the stream is unsalvageable by design:
-    framing is length-prefixed, so the only safe response is an
-    {!Error_frame} and a close.
+    lists are u16-count-prefixed; an optional field is a presence
+    byte (0 or 1) followed, when 1, by its value, always at the same
+    position in its frame.  Seconds travel as the nearest whole number
+    of microseconds.  The codec itself does no I/O: the encoders write
+    whole frames into an {!outbox}, the decoders read one frame from
+    the front of a byte string or a {!reader}'s buffer — [Ok None]
+    means "incomplete, read more" — and every corruption maps to a
+    typed {!error} (no exceptions escape).  After any error the
+    stream is unsalvageable by design: framing is length-prefixed, so
+    the only safe response is an {!Error_frame} and a close.
 
-    Version 2 appends an optional trace correlation id — (client-seeded
-    63-bit trace id, per-job span id) — as a {e trailing} field of
-    Submit specs and Finished/Job_failed events.  The field is simply
-    absent when no id was attached, so traceless v2 frames are
-    byte-identical to their v1 rendering, and decoding is
-    version-tolerant: v1 frames yield [trace = None].
-
-    Version 3 continues the trailing-optional cascade on Submit specs
-    with an idempotency key ([spec_idem]: resubmitting a key the
-    server has seen replays the original admission/result instead of
-    running the job again) and a completion deadline
-    ([spec_deadline]: the server sheds the job at admission when its
-    queue cannot meet it).  A trailing run of absent fields costs
-    zero bytes; an absent field before a present one costs one
-    explicit presence-0 byte — so specs using no v3 feature stay
-    byte-identical to their v2 rendering and v1/v2 frames decode with
-    [spec_idem = None], [spec_deadline = None].
-
-    Version 4 appends the detection site ([alert_pc]) to Finished
-    events, after the trace id, in the same cascade: an alert-free
-    event encodes exactly as in v3, and v1–v3 events decode with
-    [alert_pc = None]. *)
+    Every value has exactly one encoding, and the decoders accept
+    nothing else: a presence or bool byte other than 0 and 1, an i64
+    outside OCaml's [int] range and a seconds field beyond 2{^50} us
+    are [Malformed].  So any frame a decoder accepts re-encodes to
+    exactly the bytes it was decoded from.  Every peer runs the same
+    build, so the version byte is checked for equality: a client
+    meeting a server of another version fails at the first frame
+    header. *)
 
 val version : int
 
@@ -81,16 +70,15 @@ type job_spec = {
   spec_timeout : float option;
       (** seconds; carried as integer microseconds on the wire *)
   spec_trace : (int * int) option;
-      (** correlation id: (trace id, span id); trailing v2 field,
-          [None] on v1 frames *)
+      (** correlation id: (trace id, span id) *)
   spec_idem : string option;
-      (** idempotency key; trailing v3 field.  Two submissions with
+      (** idempotency key.  Two submissions with
           the same key run the job at most once — the second receives
           the original job id (and, when already finished, a replay
           of the original terminal event). *)
   spec_deadline : float option;
-      (** completion SLA in seconds from admission; trailing v3
-          field, carried as integer microseconds.  Admission rejects
+      (** completion SLA in seconds from admission, carried as
+          integer microseconds.  Admission rejects
           the job when queue depth × observed job duration says the
           deadline cannot be met. *)
 }
@@ -151,7 +139,7 @@ type event =
       stdout : string;
       trace : (int * int) option;
       alert_pc : int option;
-          (** pc of the detected attack's alert; trailing v4 field *)
+          (** pc of the detected attack's alert *)
     }
   | Job_failed of {
       id : int;
@@ -164,7 +152,8 @@ type event =
     }
 
 type response =
-  | Hello_ok of { server_version : int; banner : string }
+  | Hello_ok of { banner : string }
+      (** the frame header carries the server's protocol version *)
   | Accepted of { id : int; tag : string }
   | Rejected of { tag : string; reason : string }
       (** admission control: queue full, quota exceeded, bad policy *)
@@ -235,7 +224,9 @@ val add_request : outbox -> request -> unit
 val add_response : outbox -> response -> unit
 (** Encode one frame straight into the outbox.  Raises
     [Invalid_argument] — leaving the outbox as it was — for a payload
-    over the 16 MiB payload limit or a list over 65535 entries. *)
+    over the 16 MiB payload limit, a list over 65535 entries or a NaN
+    seconds field.  A seconds field beyond ±2{^50} us (35 years)
+    saturates there. *)
 
 val pending : outbox -> int
 (** Bytes encoded but not yet written. *)

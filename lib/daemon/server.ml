@@ -134,7 +134,6 @@ type t = {
   idem : (string, idem_state) Hashtbl.t;
   idem_order : string Queue.t;  (* FIFO eviction of finished keys *)
   idem_of_job : (int, string) Hashtbl.t;  (* live job id -> its key *)
-  routes : (int, int) Hashtbl.t;  (* job id -> rerouted cid, idem resubmits *)
 }
 
 let max_idem_entries = 4096
@@ -257,8 +256,7 @@ let create (cfg : config) =
       spans_dropped = 0;
       idem = Hashtbl.create 64;
       idem_order = Queue.create ();
-      idem_of_job = Hashtbl.create 64;
-      routes = Hashtbl.create 16 }
+      idem_of_job = Hashtbl.create 64 }
   in
   (if cfg.isolate then begin
      (* Fork the worker fleet before any domain exists in this
@@ -431,8 +429,7 @@ let admit t conn (spec : Proto.job_spec) ~tag (job : Job.t) =
 
 let handle_request t conn = function
   | Proto.Hello _ ->
-    send conn
-      (Proto.Hello_ok { server_version = Proto.version; banner = "ptaintd" })
+    send conn (Proto.Hello_ok { banner = "ptaintd" })
   | Proto.Ping payload -> send conn (Proto.Pong payload)
   | Proto.Stats -> send conn (Proto.Stats_ok (daemon_counters t))
   | Proto.Stats_full -> send conn (Proto.Stats_full_ok (scrape t))
@@ -463,8 +460,7 @@ let handle_request t conn = function
           | Some old -> old.inflight <- old.inflight - 1
           | None -> ());
          conn.inflight <- conn.inflight + 1;
-         p.cid <- conn.cid;
-         Hashtbl.replace t.routes p.id conn.cid
+         p.cid <- conn.cid
        end;
        ldebug t "idempotent reattach"
          [ Log.int "cid" conn.cid; Log.int "id" p.id; Log.str "tag" tag ];
@@ -642,15 +638,22 @@ let drain_completions t =
   List.iter
     (fun c ->
       (* An idempotent resubmit may have rerouted this job to a newer
-         connection after dispatch; the override table wins. *)
+         connection after dispatch; its pending entry names that
+         connection until [record_idem_done] retires it. *)
       let id = event_id c.c_event in
-      let cid = match Hashtbl.find_opt t.routes id with Some cid -> cid | None -> c.c_cid in
+      let cid =
+        match Hashtbl.find_opt t.idem_of_job id with
+        | None -> c.c_cid
+        | Some key -> (
+          match Hashtbl.find_opt t.idem key with
+          | Some (Idem_pending p) -> p.cid
+          | _ -> c.c_cid)
+      in
       (match c.c_done with
        | Some j ->
          t.admitted <- t.admitted - 1;
          account_finished t j;
-         record_idem_done t ~id c.c_event;
-         Hashtbl.remove t.routes id
+         record_idem_done t ~id c.c_event
        | None -> ());
       match Hashtbl.find_opt t.conns cid with
       | None -> ()  (* client gone mid-job: result dropped, accounting kept *)

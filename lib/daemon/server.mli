@@ -53,7 +53,7 @@
 
 type config = {
   socket_path : string;
-  domains : int option;  (** worker domains; default {!Ptaint_pool.Pool.recommended_domains} *)
+  domains : int option;  (** worker domains; default [Domain.recommended_domain_count] *)
   max_queue : int;  (** server-wide bound on jobs admitted and unfinished *)
   max_inflight : int;  (** per-connection admission quota *)
   cache_capacity : int;

@@ -148,7 +148,7 @@ let main ~config ~rd ~wr =
     Proto.add_response out resp;
     Proto.flush_all out (Proto.write_fd wr)
   in
-  send (Proto.Hello_ok { server_version = Proto.version; banner = "ptaintd-worker" });
+  send (Proto.Hello_ok { banner = "ptaintd-worker" });
   let rec next_request () =
     match Proto.next inbox with
     | Ok (Some req) -> Some req

@@ -25,8 +25,6 @@ type injection = { at : int; fault : fault }
 type applied = { injection : injection; ok : bool }
 type report = { result : Sim.result; applied : applied list }
 
-let debug_checks = ref false
-
 (* Stable model slugs, as the trace events and reports name them. *)
 let model_name = function
   | Flip_data _ -> "data-flip"
@@ -75,7 +73,7 @@ let apply (m : Machine.t) fault =
     with Memory.Unmapped _ -> false
   in
   if ok then Machine.note_injection m ~model:(model_name fault) ~target:(target_name fault);
-  if !debug_checks then Memory.check_invariants mem;
+  if !Memory.debug_asserts then Memory.check_invariants mem;
   ok
 
 (* --- scheduled plans ---

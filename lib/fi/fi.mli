@@ -51,11 +51,6 @@ type report = { result : Ptaint_sim.Sim.result; applied : applied list }
     engine stops on the alerting instruction, so [instructions] is the
     alert point. *)
 
-val debug_checks : bool ref
-(** When set, {!apply} runs {!Ptaint_mem.Memory.check_invariants} (the
-    memory's derived-state audit) after every injection — on
-    in the fi tests, off in campaigns. *)
-
 val pp_injection : Format.formatter -> injection -> unit
 
 val apply : Ptaint_cpu.Machine.t -> fault -> bool
@@ -64,7 +59,8 @@ val apply : Ptaint_cpu.Machine.t -> fault -> bool
     go through {!Ptaint_cpu.Regfile}'s injection entry points, which
     keep its taint bitmap exact; the superblock tier selects its clean
     variant from that bitmap, so the selection stays sound after any
-    injection. *)
+    injection.  Under {!Ptaint_mem.Memory.debug_asserts} it audits the
+    memory with {!Ptaint_mem.Memory.check_invariants} afterwards. *)
 
 val default_slice : int
 (** 4096 — finer than {!Ptaint_sim.Sim.default_slice} so

@@ -19,10 +19,6 @@ let t7 = 15
 let s0 = 16
 let s1 = 17
 let s2 = 18
-let s3 = 19
-let s5 = 21
-let s6 = 22
-let s7 = 23
 let t8 = 24
 let t9 = 25
 let sp = 29

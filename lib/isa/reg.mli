@@ -25,10 +25,6 @@ val t7 : t
 val s0 : t
 val s1 : t
 val s2 : t
-val s3 : t
-val s5 : t
-val s6 : t
-val s7 : t
 val t8 : t
 val t9 : t
 val sp : t

@@ -125,9 +125,9 @@ val check_invariants : t -> unit
     on the first violation.  A debug audit, not a fast path. *)
 
 val debug_asserts : bool ref
-(** When set, every injection entry point runs {!check_invariants}
-    after mutating — the debug assert hook for fault-injection
-    tests. *)
+(** When set, every injection entry point (and [Fi.apply], whatever
+    the fault) runs {!check_invariants} after mutating — the debug
+    assert hook for fault-injection tests. *)
 
 val inject_flip_data : t -> int -> bit:int -> unit
 (** Flip bit [bit land 7] of the data byte at the address; the taint

@@ -379,8 +379,8 @@ let test_stream_sink_accounts_for_failures () =
   let lines = List.rev !lines in
   Alcotest.(check int) "one JSONL line per job" (List.length jobs) (List.length lines);
   Alcotest.(check int) "cursor = job count" (List.length jobs) cursor;
-  Alcotest.(check int) "every job tallied" (List.length jobs) (Campaign.tally_jobs tally);
   let stats = Campaign.tally_stats tally in
+  Alcotest.(check int) "every job tallied" (List.length jobs) stats.Campaign.jobs;
   Alcotest.(check int) "three failures counted" 3 stats.Campaign.failed;
   List.iteri
     (fun i line ->
@@ -406,7 +406,9 @@ let test_checkpoint_roundtrip () =
   let path = Filename.temp_file "ptaint-ckpt" ".txt" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   Checkpoint.save ~path m;
-  (match Checkpoint.load ~path with
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check string) "save writes render's text" (Checkpoint.render m) text;
+  (match Checkpoint.parse text with
    | Error e -> Alcotest.fail ("manifest failed to load: " ^ e)
    | Ok m' ->
      Alcotest.(check bool) "manifest round-trips exactly" true (m' = m);
@@ -414,24 +416,49 @@ let test_checkpoint_roundtrip () =
        (Campaign.metrics_table (Campaign.tally_stats tally))
        (Campaign.metrics_table
           (Campaign.tally_stats (Campaign.load_tally m'.Checkpoint.dump))));
-  (* a manifest written before elapsed_us existed must still load *)
-  let text = In_channel.with_open_bin path In_channel.input_all in
-  let legacy =
-    String.concat "\n"
-      (List.filter
-         (fun l -> not (String.length l >= 10 && String.sub l 0 10 = "elapsed_us"))
-         (String.split_on_char '\n' text))
+  (* a manifest without elapsed_us, or of format v1, is refused *)
+  let refused name edit =
+    let lines = List.filter_map edit (String.split_on_char '\n' text) in
+    match Checkpoint.parse (String.concat "\n" lines) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s manifest accepted" name
   in
-  let oc = open_out_bin path in
-  output_string oc legacy;
-  close_out oc;
-  match Checkpoint.load ~path with
-  | Error e -> Alcotest.fail ("legacy manifest refused: " ^ e)
-  | Ok m' ->
-    Alcotest.(check int) "absent elapsed_us reads as zero" 0
-      m'.Checkpoint.elapsed_us;
-    Alcotest.(check bool) "rest of the legacy manifest intact" true
-      (m'.Checkpoint.dump = m.Checkpoint.dump && m'.Checkpoint.cursor = m.Checkpoint.cursor)
+  refused "elapsed_us-free" (fun l ->
+      if String.starts_with ~prefix:"elapsed_us" l then None else Some l);
+  refused "v1" (fun l -> Some (if l = "ptaint-checkpoint v2" then "ptaint-checkpoint v1" else l))
+
+(* Each manifest has one text: every truncation and every single-byte
+   change of a saved manifest either fails to parse or parses to a
+   manifest that renders to exactly the changed bytes. *)
+let test_checkpoint_sweep () =
+  let tally, cursor = Campaign.run_stream ~domains:1 (List.to_seq (stream_jobs ())) in
+  let m =
+    { Checkpoint.id = "sweep"; total = 12; cursor; elapsed_us = 1_234;
+      dump = Campaign.dump_tally tally }
+  in
+  let path = Filename.temp_file "ptaint-ckpt" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Checkpoint.save ~path m;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let check what bytes =
+    match Checkpoint.parse bytes with
+    | Error _ -> ()
+    | Ok m' ->
+      if Checkpoint.render m' <> bytes then
+        Alcotest.failf "%s parses but renders to other bytes:\n%s" what bytes
+  in
+  for n = 0 to String.length text - 1 do
+    check (Printf.sprintf "prefix %d" n) (String.sub text 0 n)
+  done;
+  let b = Bytes.of_string text in
+  for i = 0 to Bytes.length b - 1 do
+    let orig = Bytes.get b i in
+    for x = 1 to 255 do
+      Bytes.set b i (Char.chr (Char.code orig lxor x));
+      check (Printf.sprintf "byte %d ^ 0x%02x" i x) (Bytes.to_string b)
+    done;
+    Bytes.set b i orig
+  done
 
 let test_truncate_jsonl () =
   let path = Filename.temp_file "ptaint-sink" ".jsonl" in
@@ -701,6 +728,7 @@ let () =
             test_stream_sink_accounts_for_failures;
           Alcotest.test_case "checkpoint manifest round-trip" `Quick
             test_checkpoint_roundtrip;
+          Alcotest.test_case "checkpoint manifest sweep" `Quick test_checkpoint_sweep;
           Alcotest.test_case "sink truncation on resume" `Quick test_truncate_jsonl;
           Alcotest.test_case "Image payloads keyed by content" `Quick
             test_image_key_by_content ] );

@@ -146,7 +146,7 @@ let trace_gen =
 
 (* Render a trace as a guest program with inline integrity checks; the
    OCaml model tracks slot liveness so frees and checks are valid. *)
-let render_trace ops =
+let render_ops ops =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "char *slots[8];\nint sizes[8];\nint fills[8];\nint main(void) {\n";
   Buffer.add_string buf "  int i;\n  for (i = 0; i < 8; i++) slots[i] = 0;\n";
@@ -183,11 +183,11 @@ let render_trace ops =
      \  return 0;\n}\n";
   Buffer.contents buf
 
-let prop_allocator_trace =
+let prop_allocator_ops =
   QCheck2.Test.make ~count:40 ~name:"allocator: random traces keep block contents intact"
     trace_gen
     (fun ops ->
-      let r = run_guest (render_trace ops) in
+      let r = run_guest (render_ops ops) in
       match r.Ptaint_sim.Sim.outcome with
       | Ptaint_sim.Sim.Exited 0 -> true
       | Ptaint_sim.Sim.Exited c -> QCheck2.Test.fail_reportf "guest check failed with %d" c
@@ -243,4 +243,4 @@ let () =
   Alcotest.run "compiler-random"
     [ ( "differential",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_expr_agrees; prop_allocator_trace; prop_strlen_strcmp ] ) ]
+          [ prop_expr_agrees; prop_allocator_ops; prop_strlen_strcmp ] ) ]

@@ -47,7 +47,7 @@ let requests =
     ("quit", Proto.Quit) ]
 
 let responses =
-  [ ("hello-ok", Proto.Hello_ok { server_version = 1; banner = "ptaintd" });
+  [ ("hello-ok", Proto.Hello_ok { banner = "ptaintd" });
     ("accepted", Proto.Accepted { id = max_int / 2; tag = "t" });
     ("rejected", Proto.Rejected { tag = "t"; reason = "queue full (256 jobs in flight)" });
     ("started", Proto.Job_event (Proto.Started { id = 1 }));
@@ -180,61 +180,59 @@ let test_unknown_fault_tag () =
   let spec = Proto.job_spec ~tag:"t" ~injections:[ { Fi.at = 1; fault = Fi.Taint_wipe } ]
       (Proto.Wire_asm "") in
   let f = Bytes.of_string (Proto.encode_request (Proto.Submit spec)) in
-  (* layout ends [...at:i64][fault tag][timeout option = 0]: the
-     Taint_wipe tag (6) sits second from the end — flip it to 250 *)
-  let idx = Bytes.length f - 2 in
+  (* layout ends [...at:i64][fault tag] and four absent options
+     (timeout, trace, idem, deadline): the Taint_wipe tag (6) sits
+     fifth from the end — flip it to 250 *)
+  let idx = Bytes.length f - 5 in
   Alcotest.(check char) "located fault tag" '\x06' (Bytes.get f idx);
   Bytes.set f idx '\xfa';
   expect_error "fault tag 250" (Bytes.to_string f) malformed
 
-(* --- version tolerance ----------------------------------------------- *)
+(* Non-canonical bytes: each value has one encoding, so a presence
+   byte of 2 and an i64 that no OCaml int holds are refused rather
+   than decoded to something that re-encodes differently. *)
+let test_non_canonical () =
+  let submit = Proto.encode_request (Proto.Submit (Proto.job_spec ~tag:"t" (Proto.Wire_asm ""))) in
+  let f = Bytes.of_string submit in
+  (* the last byte is the deadline's presence byte *)
+  Bytes.set f (Bytes.length f - 1) '\x02';
+  expect_error "presence byte 2" (Bytes.to_string f) malformed;
+  (* a timeout of min_int microseconds: an int, but past 2^50 us *)
+  let timed =
+    Proto.encode_request (Proto.Submit (Proto.job_spec ~tag:"t" ~timeout:1. (Proto.Wire_asm "")))
+  in
+  let f = Bytes.of_string timed in
+  Bytes.set_int64_be f (Bytes.length f - 11) (Int64.of_int min_int);
+  expect_error "seconds out of range" (Bytes.to_string f) malformed;
+  let accepted = Proto.encode_response (Proto.Accepted { id = 1; tag = "" }) in
+  let f = Bytes.of_string accepted in
+  (* the job id i64 starts the payload: 0x4000000000000001 *)
+  Bytes.set f Proto.header_bytes '\x40';
+  match Proto.decode_response (Bytes.to_string f) with
+  | Error (Proto.Malformed _) -> ()
+  | _ -> Alcotest.fail "an i64 above 2^62 must be Malformed"
 
-(* A traceless, keyless, deadline-free v3 frame is byte-identical to
-   its v1 rendering, so replaying it with the version byte set to 1
-   is exactly what a v1 peer would send — it must decode, with every
-   optional trailing field [None]. *)
-let as_v1 frame =
-  let b = Bytes.of_string frame in
-  Alcotest.(check char) "encoder stamps v4" '\x04' (Bytes.get b 2);
-  Bytes.set b 2 '\x01';
-  Bytes.to_string b
+(* --- one protocol version -------------------------------------------- *)
 
-let test_v1_frames_decode () =
+(* Every peer runs the same build: any version byte but [Proto.version]
+   is refused from the header alone. *)
+let test_version_sweep () =
+  Alcotest.(check int) "protocol version" 5 Proto.version;
   List.iter
-    (fun (name, req) ->
-      match Proto.decode_request (as_v1 (Proto.encode_request req)) with
-      | Ok (Some (decoded, _)) ->
-        Alcotest.(check bool) (name ^ ": v1 equal") true (decoded = req)
-      | Ok None -> Alcotest.fail (name ^ ": v1 decoder wants more bytes")
-      | Error e -> Alcotest.fail (name ^ ": v1 " ^ Proto.error_message e))
-    [ ("hello", Proto.Hello { client = "old" });
-      ("submit", Proto.Submit spec_full);
-      ("quit", Proto.Quit) ]
-
-let test_traceless_spec_has_no_trailer () =
-  (* the trace field must cost zero bytes when absent: same payload
-     length with and without the version byte games above, and a
-     traced spec strictly longer *)
-  let bare =
-    Proto.encode_request (Proto.Submit (Proto.job_spec ~tag:"exit" (Proto.Wire_asm "")))
-  in
-  let traced =
-    Proto.encode_request
-      (Proto.Submit (Proto.job_spec ~tag:"exit" ~trace:(1, 1) (Proto.Wire_asm "")))
-  in
-  Alcotest.(check int) "trace trailer is 17 bytes"
-    (String.length bare + 17) (String.length traced)
+    (fun v ->
+      let f = Bytes.of_string (Proto.encode_request Proto.Quit) in
+      Bytes.set f 2 (Char.chr v);
+      expect_error (Printf.sprintf "version %d" v) (Bytes.to_string f)
+        (function Proto.Bad_version v' -> v' = v | _ -> false))
+    [ 0; 1; 2; 3; 4; 6; 255 ]
 
 let test_future_version_rejected () =
   let f = Bytes.of_string (Proto.encode_request Proto.Quit) in
-  Bytes.set f 2 '\x05';
+  Bytes.set f 2 '\x06';
   match Proto.decode_request (Bytes.to_string f) with
-  | Error (Proto.Bad_version 5) -> ()
-  | _ -> Alcotest.fail "version 5 must be rejected"
+  | Error (Proto.Bad_version 6) -> ()
+  | _ -> Alcotest.fail "version 6 must be rejected"
 
-(* v3 trailing-optional cascade: idem and deadline round-trip, and a
-   deadline without an idem key pays the one explicit presence-0 byte
-   for the absent fields before it — never more. *)
 let test_idem_deadline_roundtrip () =
   let spec =
     Proto.job_spec ~tag:"keyed" ~idem:"campaign#7" ~deadline:1.5
@@ -246,20 +244,9 @@ let test_idem_deadline_roundtrip () =
     Alcotest.(check (option (float 1e-9))) "deadline" (Some 1.5) s.Proto.spec_deadline
   | _ -> Alcotest.fail "keyed spec did not round-trip"
 
-let test_v3_trailer_sizes () =
-  let enc spec = String.length (Proto.encode_request (Proto.Submit spec)) in
-  let bare = enc (Proto.job_spec ~tag:"t" (Proto.Wire_asm "")) in
-  (* idem only: presence-0 for trace, then Some + len + key *)
-  let keyed = enc (Proto.job_spec ~tag:"t" ~idem:"k" (Proto.Wire_asm "")) in
-  Alcotest.(check int) "idem-only trailer" (bare + 1 + 5 + 1) keyed;
-  (* deadline only: presence-0 for trace and idem, then Some + i64 *)
-  let dead = enc (Proto.job_spec ~tag:"t" ~deadline:1.0 (Proto.Wire_asm "")) in
-  Alcotest.(check int) "deadline-only trailer" (bare + 1 + 1 + 9) dead
-
-(* v4: the alert pc trails the trace id on Finished events.  An
-   alert-free event is byte-identical to its v3 rendering (and so
-   decodes when replayed as v3); a pc without a trace pays one
-   presence-0 byte for the absent trace. *)
+(* The alert pc sits after the trace id on Finished events, each a
+   presence byte and its value at a fixed position: setting either
+   adds exactly its value's bytes. *)
 let test_v4_alert_pc () =
   let finished ?trace ?alert_pc () =
     Proto.Job_event
@@ -270,21 +257,185 @@ let test_v4_alert_pc () =
   in
   let enc r = Proto.encode_response r in
   let bare = String.length (enc (finished ())) in
-  Alcotest.(check int) "pc-only trailer" (bare + 1 + 1 + 8)
+  Alcotest.(check int) "pc only" (bare + 8)
     (String.length (enc (finished ~alert_pc:0x400020 ())));
-  Alcotest.(check int) "trace + pc trailer" (bare + 17 + 9)
+  Alcotest.(check int) "trace + pc" (bare + 16 + 8)
     (String.length (enc (finished ~trace:(5, 6) ~alert_pc:0x400020 ())));
   List.iter
     (fun r ->
       match Proto.decode_response (enc r) with
-      | Ok (Some (d, _)) -> Alcotest.(check bool) "v4 round-trip" true (d = r)
-      | _ -> Alcotest.fail "v4 Finished did not round-trip")
-    [ finished ~alert_pc:0x400020 (); finished ~trace:(5, 6) ~alert_pc:0x400020 () ];
-  let v3 = Bytes.of_string (enc (finished ~trace:(5, 6) ())) in
-  Bytes.set v3 2 '\x03';
-  match Proto.decode_response (Bytes.to_string v3) with
-  | Ok (Some (d, _)) -> Alcotest.(check bool) "v3 frame: alert_pc = None" true (d = finished ~trace:(5, 6) ())
-  | _ -> Alcotest.fail "v3 Finished must still decode"
+      | Ok (Some (d, _)) -> Alcotest.(check bool) "alert pc round-trip" true (d = r)
+      | _ -> Alcotest.fail "Finished did not round-trip")
+    [ finished ~alert_pc:0x400020 (); finished ~trace:(5, 6) ~alert_pc:0x400020 () ]
+
+(* Seconds travel as the nearest whole microsecond: every count in
+   [0, 2 s] must survive a decode to a float and an encode back.  The
+   template is a minimal spec with a timeout, whose i64 is patched in
+   place; it ends [timeout i64][trace][idem][deadline]. *)
+let test_us_round_trip () =
+  let template =
+    Bytes.of_string
+      (Proto.encode_request
+         (Proto.Submit (Proto.job_spec ~tag:"t" ~timeout:0. (Proto.Wire_asm ""))))
+  in
+  let at = Bytes.length template - 11 in
+  Alcotest.(check char) "timeout present" '\x01' (Bytes.get template (at - 1));
+  let bad = ref 0 and first = ref (-1) in
+  for us = 0 to 2_000_000 do
+    Bytes.set_int64_be template at (Int64.of_int us);
+    let frame = Bytes.to_string template in
+    match Proto.decode_request frame with
+    | Ok (Some (req, _)) when Proto.encode_request req = frame -> ()
+    | _ ->
+      incr bad;
+      if !first < 0 then first := us
+  done;
+  if !bad > 0 then
+    Alcotest.failf "%d microsecond counts do not round-trip (first: %d us)" !bad !first;
+  (* a budget past 2^50 us (35 years) saturates rather than wrapping *)
+  match
+    Proto.decode_request
+      (Proto.encode_request
+         (Proto.Submit (Proto.job_spec ~tag:"t" ~timeout:1e12 (Proto.Wire_asm ""))))
+  with
+  | Ok (Some (Proto.Submit s, _)) ->
+    Alcotest.(check (option (float 0.))) "saturated" (Some (float_of_int (1 lsl 50) /. 1e6))
+      s.Proto.spec_timeout
+  | _ -> Alcotest.fail "a long timeout did not round-trip"
+
+(* --- codec property -------------------------------------------------- *)
+
+(* Random frames of every request and response constructor, optional
+   fields set and unset.  Each must round-trip; every strict prefix
+   must ask for more bytes; and every single-byte change must be
+   refused with a typed error, ask for more bytes (only a grown
+   header length can), or decode to a value whose encoding is exactly
+   the changed frame — never raise. *)
+module G = QCheck2.Gen
+
+let g_str = G.string_size (G.int_range 0 6)
+let g_int = G.oneof [ G.int; G.int_range (-300) 300 ]
+let g_opt g = G.oneof [ G.pure None; G.map Option.some g ]
+let g_list g = G.list_size (G.int_range 0 2) g
+let g_trace = G.pair g_int g_int
+
+let g_seconds =
+  G.map
+    (fun us -> float_of_int us /. 1e6)
+    (G.oneof [ G.int_range 0 2_000_000; G.int_range (-(1 lsl 50)) (1 lsl 50) ])
+
+let g_fault =
+  let open G in
+  let bit = int_range 0 255 in
+  oneof
+    [ map2 (fun addr bit -> Fi.Flip_data { addr; bit }) g_int bit;
+      map2 (fun slot bit -> Fi.Flip_reg { slot; bit }) g_int bit;
+      map2 (fun addr len -> Fi.Taint_loss { addr; len }) g_int g_int;
+      map2 (fun addr len -> Fi.Spurious_taint { addr; len }) g_int g_int;
+      map (fun slot -> Fi.Reg_taint_loss { slot }) g_int;
+      map (fun slot -> Fi.Reg_spurious_taint { slot }) g_int;
+      pure Fi.Taint_wipe;
+      map2 (fun addr len -> Fi.Stuck_clean { addr; len }) g_int g_int ]
+
+let g_spec =
+  let open G in
+  let+ payload = oneof [ map (fun s -> Proto.Wire_asm s) g_str; map (fun s -> Proto.Wire_c s) g_str ]
+  and+ tag = g_str
+  and+ policy = g_opt g_str
+  and+ argv = g_list g_str
+  and+ env = g_list (pair g_str g_str)
+  and+ stdin = g_str
+  and+ sessions = g_list (g_list g_str)
+  and+ max_instructions = g_opt g_int
+  and+ injections = g_list (map2 (fun at fault -> { Fi.at; fault }) g_int g_fault)
+  and+ timeout = g_opt g_seconds
+  and+ trace = g_opt g_trace
+  and+ idem = g_opt g_str
+  and+ deadline = g_opt g_seconds in
+  { Proto.spec_tag = tag; spec_payload = payload; spec_policy = policy; spec_argv = argv;
+    spec_env = env; spec_stdin = stdin; spec_sessions = sessions;
+    spec_max_instructions = max_instructions; spec_injections = injections;
+    spec_timeout = timeout; spec_trace = trace; spec_idem = idem; spec_deadline = deadline }
+
+let g_request =
+  let open G in
+  oneof
+    [ map (fun client -> Proto.Hello { client }) g_str;
+      map (fun s -> Proto.Submit s) g_spec;
+      pure Proto.Stats;
+      pure Proto.Stats_full;
+      map (fun s -> Proto.Ping s) g_str;
+      pure Proto.Quit ]
+
+let g_counters = g_list (G.pair g_str g_int)
+
+let g_event =
+  let open G in
+  oneof
+    [ map (fun id -> Proto.Started { id }) g_int;
+      (let+ id = g_int and+ tag = g_str and+ outcome = g_str and+ exit_code = g_int
+       and+ instructions = g_int and+ syscalls = g_int and+ policy_label = g_str
+       and+ cache_hit = bool and+ counters = g_counters and+ stdout = g_str
+       and+ trace = g_opt g_trace and+ alert_pc = g_opt g_int in
+       Proto.Finished
+         { id; tag; outcome; exit_code; instructions; syscalls; policy_label; cache_hit;
+           counters; stdout; trace; alert_pc });
+      (let+ id = g_int and+ tag = g_str and+ kind = g_str and+ message = g_str
+       and+ policy_label = g_str and+ counters = g_counters and+ trace = g_opt g_trace in
+       Proto.Job_failed { id; tag; kind; message; policy_label; counters; trace }) ]
+
+let g_response =
+  let open G in
+  oneof
+    [ map (fun banner -> Proto.Hello_ok { banner }) g_str;
+      map2 (fun id tag -> Proto.Accepted { id; tag }) g_int g_str;
+      map2 (fun tag reason -> Proto.Rejected { tag; reason }) g_str g_str;
+      map (fun e -> Proto.Job_event e) g_event;
+      map (fun c -> Proto.Stats_ok c) g_counters;
+      map (fun s -> Proto.Stats_full_ok s) g_str;
+      map (fun s -> Proto.Pong s) g_str;
+      map (fun s -> Proto.Error_frame s) g_str ]
+
+let hex s =
+  String.concat "" (List.of_seq (Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (String.to_seq s)))
+
+let codec_holds ~encode ~decode v =
+  let frame = encode v in
+  let n = String.length frame in
+  let fail fmt = Printf.ksprintf (fun m -> QCheck2.Test.fail_reportf "%s (frame %s)" m (hex frame)) fmt in
+  (match decode frame with
+   | Ok (Some (v', k)) when v' = v && k = n -> ()
+   | _ -> fail "does not round-trip");
+  for k = 0 to n - 1 do
+    match decode (String.sub frame 0 k) with
+    | Ok None -> ()
+    | _ -> fail "prefix %d is not Ok None" k
+  done;
+  let b = Bytes.of_string frame in
+  for i = 0 to n - 1 do
+    let orig = Bytes.get b i in
+    for x = 1 to 255 do
+      Bytes.set b i (Char.chr (Char.code orig lxor x));
+      let mutated = Bytes.to_string b in
+      (match decode mutated with
+       | Error _ -> ()
+       | Ok None -> if i < 4 || i >= Proto.header_bytes then fail "byte %d: Ok None" i
+       | Ok (Some (v', k)) ->
+         if k <> n || encode v' <> mutated then
+           fail "byte %d ^ 0x%02x decodes to a value that re-encodes differently" i x
+       | exception e -> fail "byte %d ^ 0x%02x raised %s" i x (Printexc.to_string e))
+    done;
+    Bytes.set b i orig
+  done;
+  true
+
+let prop_requests =
+  QCheck2.Test.make ~count:150 ~name:"requests: canonical codec" g_request
+    (codec_holds ~encode:Proto.encode_request ~decode:Proto.decode_request)
+
+let prop_responses =
+  QCheck2.Test.make ~count:150 ~name:"responses: canonical codec" g_response
+    (codec_holds ~encode:Proto.encode_response ~decode:Proto.decode_response)
 
 (* --- frame streams ------------------------------------------------------ *)
 
@@ -487,7 +638,7 @@ let test_stream_error_sticks () =
       ("oversized", oversized_header);
       ( "future version",
         let f = Bytes.of_string quit in
-        Bytes.set f 2 '\x05';
+        Bytes.set f 2 '\x06';
         Bytes.to_string f ) ]
 
 (* --- job spec <-> Job.t ---------------------------------------------- *)
@@ -1072,13 +1223,15 @@ let () =
           Alcotest.test_case "oversized" `Quick test_oversized;
           Alcotest.test_case "trailing garbage" `Quick test_trailing_garbage;
           Alcotest.test_case "truncated payload" `Quick test_truncated_payload;
-          Alcotest.test_case "unknown fault tag" `Quick test_unknown_fault_tag ] );
+          Alcotest.test_case "unknown fault tag" `Quick test_unknown_fault_tag;
+          Alcotest.test_case "non-canonical bytes" `Quick test_non_canonical;
+          Alcotest.test_case "microsecond round trip" `Quick test_us_round_trip;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 22 |]) prop_requests;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 23 |]) prop_responses ] );
       ( "compat",
-        [ Alcotest.test_case "v1 frames decode" `Quick test_v1_frames_decode;
-          Alcotest.test_case "traceless has no trailer" `Quick test_traceless_spec_has_no_trailer;
+        [ Alcotest.test_case "version sweep" `Quick test_version_sweep;
           Alcotest.test_case "future version rejected" `Quick test_future_version_rejected;
           Alcotest.test_case "idem/deadline round-trip" `Quick test_idem_deadline_roundtrip;
-          Alcotest.test_case "v3 trailer sizes" `Quick test_v3_trailer_sizes;
           Alcotest.test_case "v4 alert pc" `Quick test_v4_alert_pc ] );
       ( "stream",
         [ Alcotest.test_case "requests in random splits" `Quick test_stream_requests;

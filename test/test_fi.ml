@@ -14,9 +14,7 @@ module Memory = Ptaint_mem.Memory
 module Machine = Ptaint_cpu.Machine
 
 (* every test in this binary audits the store after each injection *)
-let () =
-  Fi.debug_checks := true;
-  Memory.debug_asserts := true
+let () = Memory.debug_asserts := true
 
 let exp1 = Catalog.exp1_stack_smash
 
@@ -45,7 +43,7 @@ let test_apply_models () =
   let dbase = program.Ptaint_asm.Program.data_base in
   let check_ok name fault =
     Alcotest.(check bool) (name ^ " lands") true (Fi.apply m fault);
-    (* Fi.debug_checks already audited; audit once more explicitly *)
+    (* Memory.debug_asserts already audited; audit once more explicitly *)
     Memory.check_invariants mem
   in
   check_ok "data flip" (Fi.Flip_data { addr = dbase; bit = 3 });
