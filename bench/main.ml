@@ -4,8 +4,9 @@
 
    Flags:
      --quick     reduced iteration counts (the CI smoke job)
-     --ips-only  skip the bechamel suite; only measure the
-                 whole-simulator instructions-per-second numbers *)
+     --ips-only  skip the bechamel suite; only measure the disabled-log
+                 pair and the whole-simulator instructions-per-second
+                 numbers *)
 
 open Bechamel
 open Toolkit
@@ -318,7 +319,7 @@ let micro_trace_on_bench =
    the block, and spends the rest in its self-chained superblock — with
    live taint (full variant) and fully clean (clean variant).  The
    block-dispatch row keeps its historical name: CI requires it and
-   gates micro/log-off-10k against it. *)
+   gates micro/clean-fastpath-10k against it. *)
 let micro_block_dispatch_bench =
   Test.make ~name:"micro/block-dispatch-10k"
     (Staged.stage (fun () ->
@@ -457,28 +458,9 @@ let micro_fresh_boot_bench =
            ignore (Ptaint_sim.Sim.run program)
          done))
 
-(* telemetry overhead: the structured log with every call site below
-   the configured level (the compiled-in-but-disabled production
-   default — one level comparison per call, gated <1% of
-   micro/block-dispatch-10k in CI), and a full Prometheus render of a
-   registry shaped like the daemon's (the per-scrape cost). *)
-let micro_log_off_bench =
-  let null = Ptaint_obs.Log.fn_sink (fun _ -> ()) in
-  let log = Ptaint_obs.Log.create ~level:Ptaint_obs.Log.Warn null in
-  Test.make ~name:"micro/log-off-10k"
-    (Staged.stage (fun () ->
-         let m = alu_machine () in
-         (* the bulk engine sliced the way the campaign runtime drives
-            it, with a below-level log call at every slice boundary —
-            where production telemetry actually sits.  CI gates this
-            row at <1% over micro/block-dispatch-10k: disabled
-            telemetry must stay compiled into the hot loop for free. *)
-         for slice = 1 to 10 do
-           Ptaint_obs.Log.debug log ~src:"bench" "slice"
-             [ Ptaint_obs.Log.int "slice" slice ];
-           ignore (Ptaint_cpu.Machine.run m ~fuel:1_000)
-         done))
-
+(* telemetry overhead: a full Prometheus render of a registry shaped
+   like the daemon's (the per-scrape cost).  Disabled logging is
+   measured apart, by [measure_log_off]. *)
 let micro_metrics_scrape_bench =
   let m = Ptaint_obs.Metrics.create () in
   List.iter
@@ -611,7 +593,7 @@ let micro_benches =
     micro_superblock_dispatch_bench; micro_chain_hit_bench;
     micro_sliced_run_bench; micro_arena_reuse_bench; micro_template_boot_bench;
     micro_fresh_boot_bench;
-    micro_log_off_bench; micro_metrics_scrape_bench; micro_frame_read_bench;
+    micro_metrics_scrape_bench; micro_frame_read_bench;
     micro_gen_job_words_bench ]
 
 (* --- driver ----------------------------------------------------------------- *)
@@ -621,6 +603,52 @@ let tests =
     (micro_benches @ [ fig1_bench; tab1_bench ] @ synthetic_benches @ [ tab2_bench ]
      @ real_world_benches @ coverage_benches @ tab3_benches @ [ tab4_bench ]
      @ overhead_benches @ [ ablation_bench ] @ campaign_benches)
+
+(* --- disabled logging: the same sliced loop with and without log calls ---- *)
+
+(* The structured log with every call site below the configured level
+   is the compiled-in-but-disabled production default: one level
+   comparison per call.  [log-off/logged-10k] drives the bulk engine
+   through the ALU loop in ten 1,000-instruction slices, the way the
+   campaign runtime slices it, with a below-level log call at every
+   slice boundary — where production telemetry sits; [log-off/bare-10k]
+   is the same loop without the call.  The two rows do equal engine
+   work and alternate, best of [reps] samples of [calls] loops each,
+   so a burst of host load hits both rows of the ratio CI gates. *)
+let measure_log_off () =
+  let log = Ptaint_obs.Log.create ~level:Ptaint_obs.Log.Warn (Ptaint_obs.Log.fn_sink ignore) in
+  let logged () =
+    let m = alu_machine () in
+    for slice = 1 to 10 do
+      Ptaint_obs.Log.debug log ~src:"bench" "slice" [ Ptaint_obs.Log.int "slice" slice ];
+      ignore (Ptaint_cpu.Machine.run m ~fuel:1_000)
+    done
+  in
+  let bare () =
+    let m = alu_machine () in
+    for _ = 1 to 10 do
+      ignore (Ptaint_cpu.Machine.run m ~fuel:1_000)
+    done
+  in
+  let calls = 200 and reps = 15 in
+  let sample f =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to calls do
+      f ()
+    done;
+    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int calls
+  in
+  let rows = [ ("log-off/logged-10k", logged); ("log-off/bare-10k", bare) ] in
+  List.iter (fun (_, f) -> ignore (sample f)) rows;
+  let best = Array.make (List.length rows) infinity in
+  for _ = 1 to reps do
+    List.iteri (fun i (_, f) -> best.(i) <- Float.min best.(i) (sample f)) rows
+  done;
+  List.mapi
+    (fun i (name, _) ->
+      Printf.printf "%-20s %.0f ns/run\n%!" name best.(i);
+      (name, best.(i)))
+    rows
 
 let () =
   let bechamel_rows =
@@ -658,12 +686,14 @@ let () =
       rows
     end
   in
+  print_endline "\ndisabled logging (interleaved):";
+  let log_rows = measure_log_off () in
   print_endline "\nwhole-simulator throughput:";
   let ips_rows = measure_ips () in
   (* machine-readable mirror so the perf trajectory can be diffed
-     across PRs: bechamel rows are ns-per-run, ips/* rows are guest
-     instructions per wall second. *)
-  let json_rows = bechamel_rows @ ips_rows in
+     across PRs: bechamel and log-off/* rows are ns-per-run, ips/* rows
+     are guest instructions per wall second. *)
+  let json_rows = bechamel_rows @ log_rows @ ips_rows in
   let oc = open_out "BENCH_results.json" in
   output_string oc "{\n";
   List.iteri

@@ -75,7 +75,7 @@ let run_one path config disasm trace_file metrics plan job_timeout =
   let r =
     if plan = [] then Ptaint_sim.Sim.run ?deadline ~config program
     else begin
-      let report = Fi.run_plan ~config ?deadline ~plan program in
+      let report = Fi.run_plan ?deadline ~plan (Ptaint_sim.Sim.boot ~config program) in
       List.iter
         (fun (a : Fi.applied) ->
           Format.eprintf "fault %s: %a@."
@@ -556,14 +556,12 @@ let run_batch source (execute : executor) ~job_timeout ~metrics ~timings ~checkp
       if metrics then print_string (Campaign.metrics_table ~timings stats);
       if !cursor = total then 0 else 4
 
-let print_daemon_stats sock metrics =
+let print_daemon_stats sock =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let c = Client.connect ~client:"ptaint-run" sock in
-  let counters = Client.stats c in
-  let full = if metrics then Some (Client.stats_full c) else None in
+  let text = Client.stats_full c in
   Client.close c;
-  print_string (Ptaint_report.Report.counters counters);
-  (match full with Some text -> print_string text | None -> ());
+  print_string text;
   0
 
 let parse_injections specs =
@@ -677,7 +675,7 @@ let run paths policy_name stdin_data sessions args disasm timing trace_file trac
       | true, None, _ ->
         prerr_endline "--daemon-stats needs --connect SOCKET";
         2
-      | true, Some sock, _ -> print_daemon_stats sock metrics
+      | true, Some sock, _ -> print_daemon_stats sock
       | false, _, [] ->
         prerr_endline "no guest program given";
         2
@@ -798,8 +796,8 @@ let connect_arg =
 
 let daemon_stats_arg =
   Arg.(value & flag & info [ "daemon-stats" ]
-         ~doc:"With --connect: print the daemon's counters (cache hits, jobs, clients) \
-               and exit.")
+         ~doc:"With --connect: print the daemon's metrics registry (cache hits, jobs, \
+               clients, latency histograms) as Prometheus text and exit.")
 
 let generate_arg =
   Arg.(value & opt (some int) None & info [ "generate" ] ~docv:"N"

@@ -171,9 +171,8 @@ module Images = struct
   let counters t =
     Mutex.lock t.mu;
     let c =
-      [ ("daemon/cache-evictions", t.evictions);
-        ("daemon/cache-entries", Hashtbl.length t.table);
-        ("daemon/cache-capacity", t.capacity) ]
+      [ ("evictions", t.evictions); ("entries", Hashtbl.length t.table);
+        ("capacity", t.capacity) ]
     in
     Mutex.unlock t.mu;
     c
@@ -189,7 +188,9 @@ end
    result outlives the next job on its domain, so it needs a fresh
    machine ({!Ptaint_sim.Sim.run_template}); otherwise the job boots
    the domain's recycled arena ({!Ptaint_sim.Sim.run_template_arena}).
-   Injection plans always boot fresh through {!Ptaint_fi.Fi.run_plan}. *)
+   An injected job boots a fresh machine from the image
+   ({!Ptaint_sim.Sim.boot_template}) and runs its plan through
+   {!Ptaint_fi.Fi.run_plan}. *)
 let run_job ?job_timeout ?(retries = 0) ?(backoff = 0.05) ~keep images (spec : Job.t) =
   let job_timeout = match spec.Job.timeout with Some t -> Some t | None -> job_timeout in
   let started = Unix.gettimeofday () in
@@ -219,7 +220,7 @@ let run_job ?job_timeout ?(retries = 0) ?(backoff = 0.05) ~keep images (spec : J
       if keep then Ptaint_sim.Sim.run_template ?deadline ~config image
       else Ptaint_sim.Sim.run_template_arena ?deadline ~config image
     | plan ->
-      (Ptaint_fi.Fi.run_plan ~config ?deadline ~plan (Ptaint_sim.Sim.Image.program image))
+      (Ptaint_fi.Fi.run_plan ?deadline ~plan (Ptaint_sim.Sim.boot_template ~config image))
         .Ptaint_fi.Fi.result
   in
   let rec go attempts =

@@ -199,9 +199,8 @@ module Images : sig
       used image. *)
 
   val counters : t -> (string * int) list
-  (** [daemon/cache-evictions], [daemon/cache-entries],
-      [daemon/cache-capacity].  Hits and misses are the caller's to
-      count, from {!obtain}'s flag. *)
+  (** [evictions], [entries] and [capacity], by those names.  Hits
+      and misses are the caller's to count, from {!obtain}'s flag. *)
 end
 
 val run_job :

@@ -158,23 +158,11 @@ let next_event t =
     | Proto.Error_frame m -> fail "server error: %s" m
     | _ -> fail "expected Job_event"
 
-let stats t =
-  send t Proto.Stats;
-  match read_reply t with
-  | Proto.Stats_ok counters -> counters
-  | _ -> fail "expected Stats_ok"
-
 let stats_full t =
   send t Proto.Stats_full;
   match read_reply t with
   | Proto.Stats_full_ok text -> text
   | _ -> fail "expected Stats_full_ok"
-
-let ping t payload =
-  send t (Proto.Ping payload);
-  match read_reply t with
-  | Proto.Pong echoed -> echoed
-  | _ -> fail "expected Pong"
 
 let close t =
   (try send t Proto.Quit with Unix.Unix_error _ | Protocol_error _ -> ());

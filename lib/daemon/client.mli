@@ -4,7 +4,7 @@
     streams {!Proto.event} frames for in-flight jobs interleaved with
     direct replies; the client stashes events met while waiting for a
     reply and yields them from {!next_event} in arrival order, so
-    callers may freely mix submissions, stats queries and event
+    callers may freely mix submissions, telemetry scrapes and event
     pumping. *)
 
 exception Protocol_error of string
@@ -39,13 +39,9 @@ val submit : t -> Proto.job_spec -> (int, string) result
 val next_event : t -> Proto.event
 (** The next streamed job event, blocking as needed. *)
 
-val stats : t -> (string * int) list
-
 val stats_full : t -> string
 (** The daemon's full telemetry snapshot in Prometheus text
     exposition format ([Stats_full] / [Stats_full_ok]). *)
-
-val ping : t -> string -> string
 
 val close : t -> unit
 (** Send [Quit] best-effort and close the fd. *)

@@ -9,7 +9,7 @@
 
      offset 0   'P'                 magic
      offset 1   'D'
-     offset 2   version (= 5; every other version byte is refused)
+     offset 2   version (= 6; every other version byte is refused)
      offset 3   frame tag
      offset 4   payload length, u32 big-endian
      offset 8   payload bytes
@@ -27,7 +27,7 @@
    within [max_us].  So every frame the decoder accepts re-encodes to
    the bytes it came from. *)
 
-let version = 5
+let version = 6
 let header_bytes = 8
 let max_payload = 16 * 1024 * 1024
 
@@ -68,24 +68,22 @@ type job_spec = {
   spec_timeout : float option;
   spec_trace : (int * int) option;  (** (trace id, span id) *)
   spec_idem : string option;  (** idempotency key *)
-  spec_deadline : float option;  (** completion SLA in seconds *)
 }
 
 let job_spec ?policy ?(argv = []) ?(env = []) ?(stdin = "")
     ?(sessions = []) ?max_instructions ?(injections = []) ?timeout ?trace
-    ?idem ?deadline ~tag payload =
+    ?idem ~tag payload =
   { spec_tag = tag; spec_payload = payload; spec_policy = policy;
     spec_argv = argv; spec_env = env; spec_stdin = stdin;
     spec_sessions = sessions; spec_max_instructions = max_instructions;
     spec_injections = injections; spec_timeout = timeout; spec_trace = trace;
-    spec_idem = idem; spec_deadline = deadline }
+    spec_idem = idem }
 
 (* --- frames --------------------------------------------------------- *)
 
 type request =
   | Hello of { client : string }
   | Submit of job_spec
-  | Stats
   | Stats_full  (** full telemetry snapshot, Prometheus text *)
   | Ping of string
   | Quit
@@ -121,7 +119,6 @@ type response =
   | Accepted of { id : int; tag : string }
   | Rejected of { tag : string; reason : string }
   | Job_event of event
-  | Stats_ok of (string * int) list
   | Stats_full_ok of string  (** Prometheus text exposition 0.0.4 *)
   | Pong of string
   | Error_frame of string
@@ -193,7 +190,7 @@ let w_opt f b = function
   | None -> w_u8 b 0
   | Some v -> w_u8 b 1; f b v
 
-(* Seconds (timeouts, deadlines) travel as the nearest whole number of
+(* Seconds (timeouts) travel as the nearest whole number of
    microseconds in an i64 — exact enough for wall-clock budgets and
    immune to printf round-tripping.  Within [max_us] (2^50 us, about
    35 years) the float a decoder makes of them rounds back to the
@@ -324,7 +321,6 @@ let r_injection c =
 
 let tag_hello = 0x01
 let tag_submit = 0x02
-let tag_stats = 0x03
 let tag_ping = 0x04
 let tag_quit = 0x05
 let tag_stats_full = 0x06
@@ -333,7 +329,6 @@ let tag_hello_ok = 0x81
 let tag_accepted = 0x82
 let tag_rejected = 0x83
 let tag_job_event = 0x84
-let tag_stats_ok = 0x85
 let tag_pong = 0x86
 let tag_error = 0x87
 let tag_stats_full_ok = 0x88
@@ -381,8 +376,7 @@ let w_job_spec b s =
   w_list b w_injection s.spec_injections;
   w_opt w_seconds b s.spec_timeout;
   w_opt w_ids b s.spec_trace;
-  w_opt w_string b s.spec_idem;
-  w_opt w_seconds b s.spec_deadline
+  w_opt w_string b s.spec_idem
 
 let r_job_spec c =
   let payload =
@@ -404,15 +398,13 @@ let r_job_spec c =
   let spec_timeout = r_opt c r_seconds "timeout" in
   let spec_trace = r_opt c r_ids "trace id" in
   let spec_idem = r_opt c r_string "idempotency key" in
-  let spec_deadline = r_opt c r_seconds "deadline" in
   { spec_tag; spec_payload = payload; spec_policy; spec_argv; spec_env;
     spec_stdin; spec_sessions; spec_max_instructions; spec_injections;
-    spec_timeout; spec_trace; spec_idem; spec_deadline }
+    spec_timeout; spec_trace; spec_idem }
 
 let add_request o = function
   | Hello { client } -> add_frame o tag_hello (fun o -> w_string o client)
   | Submit spec -> add_frame o tag_submit (fun o -> w_job_spec o spec)
-  | Stats -> add_frame o tag_stats ignore
   | Stats_full -> add_frame o tag_stats_full ignore
   | Ping payload -> add_frame o tag_ping (fun o -> w_string o payload)
   | Quit -> add_frame o tag_quit ignore
@@ -478,7 +470,6 @@ let add_response o = function
   | Rejected { tag; reason } ->
     add_frame o tag_rejected (fun o -> w_string o tag; w_string o reason)
   | Job_event e -> add_frame o tag_job_event (fun o -> w_event o e)
-  | Stats_ok counters -> add_frame o tag_stats_ok (fun o -> w_list o w_counter counters)
   | Stats_full_ok text -> add_frame o tag_stats_full_ok (fun o -> w_string o text)
   | Pong payload -> add_frame o tag_pong (fun o -> w_string o payload)
   | Error_frame msg -> add_frame o tag_error (fun o -> w_string o msg)
@@ -535,7 +526,6 @@ let request_of_frame tag buf pos stop =
   let parse f = parse_payload f buf pos stop in
   if tag = tag_hello then parse (fun c -> Hello { client = r_string c "client name" })
   else if tag = tag_submit then parse (fun c -> Submit (r_job_spec c))
-  else if tag = tag_stats then parse (fun _ -> Stats)
   else if tag = tag_stats_full then parse (fun _ -> Stats_full)
   else if tag = tag_ping then parse (fun c -> Ping (r_string c "ping payload"))
   else if tag = tag_quit then parse (fun _ -> Quit)
@@ -553,7 +543,6 @@ let response_of_frame tag buf pos stop =
         let tag = r_string c "job tag" in
         Rejected { tag; reason = r_string c "reason" })
   else if tag = tag_job_event then parse (fun c -> Job_event (r_event c))
-  else if tag = tag_stats_ok then parse (fun c -> Stats_ok (r_list c r_counter "stats"))
   else if tag = tag_stats_full_ok then
     parse (fun c -> Stats_full_ok (r_string c "stats text"))
   else if tag = tag_pong then parse (fun c -> Pong (r_string c "pong payload"))
@@ -761,5 +750,4 @@ let spec_of_job ?policy (j : Ptaint_campaign.Job.t) =
         spec_injections = j.Ptaint_campaign.Job.injections;
         spec_timeout = j.Ptaint_campaign.Job.timeout;
         spec_trace = j.Ptaint_campaign.Job.trace;
-        spec_idem = None;
-        spec_deadline = None }
+        spec_idem = None }

@@ -5,7 +5,7 @@
 
     {v
     offset 0  'P' 'D'      magic
-    offset 2  version      (= 5; every other version byte is refused)
+    offset 2  version      (= 6; every other version byte is refused)
     offset 3  frame tag
     offset 4  u32 BE       payload length
     offset 8  payload
@@ -30,7 +30,8 @@
     exactly the bytes it was decoded from.  Every peer runs the same
     build, so the version byte is checked for equality: a client
     meeting a server of another version fails at the first frame
-    header. *)
+    header.  Tags 0x03 and 0x85, v5's [Stats] request and its reply,
+    are unassigned: a frame carrying either is [Bad_tag]. *)
 
 val version : int
 
@@ -76,11 +77,6 @@ type job_spec = {
           the same key run the job at most once — the second receives
           the original job id (and, when already finished, a replay
           of the original terminal event). *)
-  spec_deadline : float option;
-      (** completion SLA in seconds from admission, carried as
-          integer microseconds.  Admission rejects
-          the job when queue depth × observed job duration says the
-          deadline cannot be met. *)
 }
 
 val job_spec :
@@ -94,7 +90,6 @@ val job_spec :
   ?timeout:float ->
   ?trace:int * int ->
   ?idem:string ->
-  ?deadline:float ->
   tag:string ->
   wire_payload ->
   job_spec
@@ -113,7 +108,6 @@ val spec_of_job :
 type request =
   | Hello of { client : string }
   | Submit of job_spec
-  | Stats
   | Stats_full
       (** full telemetry snapshot; answered with {!Stats_full_ok}
           carrying Prometheus text exposition *)
@@ -158,7 +152,6 @@ type response =
   | Rejected of { tag : string; reason : string }
       (** admission control: queue full, quota exceeded, bad policy *)
   | Job_event of event
-  | Stats_ok of (string * int) list  (** daemon counters, e.g. [daemon/cache-hit] *)
   | Stats_full_ok of string
       (** Prometheus text exposition (format 0.0.4) of the daemon's
           full metrics registry *)

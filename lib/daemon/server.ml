@@ -75,9 +75,8 @@ type completion = {
   c_done : Worker.done_job option;  (* [Some] exactly when terminal *)
 }
 
-(* The registry is the daemon's only store of counts.  The unlabelled
-   series are looked up once, here; [Stats] reads them back under
-   their daemon/* keys. *)
+(* The registry is the daemon's only store of counts and its only
+   telemetry view.  The unlabelled series are looked up once, here. *)
 type counters = {
   submitted : Metrics.counter;  (* ptaintd_jobs_submitted_total *)
   rejected : Metrics.counter;  (* ptaintd_jobs_rejected_total *)
@@ -88,7 +87,6 @@ type counters = {
   bytes_read : Metrics.counter;
   bytes_written : Metrics.counter;
   idem_replays : Metrics.counter;
-  shed : Metrics.counter;  (* ptaintd_jobs_shed_total{reason="deadline"} *)
   job_duration : Metrics.histogram;  (* ptaintd_job_duration_us *)
   loop_lag : Metrics.histogram;  (* ptaintd_loop_lag_us *)
 }
@@ -220,7 +218,6 @@ let register_counters m =
     bytes_read = c "ptaintd_bytes_read_total";
     bytes_written = c "ptaintd_bytes_written_total";
     idem_replays = c "ptaintd_idem_replays_total";
-    shed = Metrics.counter m ~labels:[ ("reason", "deadline") ] "ptaintd_jobs_shed_total";
     job_duration = Metrics.histogram m "ptaintd_job_duration_us";
     loop_lag = Metrics.histogram m "ptaintd_loop_lag_us" }
 
@@ -332,29 +329,10 @@ let jobs_completed t =
       if r.Metrics.name = "ptaintd_jobs_total" then n + r.Metrics.count else n)
     0 (Metrics.rows t.metrics)
 
-(* The [Stats] frame.  Counts come from the registry; jobs in flight,
-   clients connected and workers are live values, as are the image
-   cache's own size, evictions and capacity, which only the in-process
-   backend reports (isolated workers keep their caches to
-   themselves). *)
-let daemon_counters t =
-  let v = Metrics.value in
-  ("daemon/cache-hit", v t.ctr.cache_hits)
-  :: ("daemon/cache-miss", v t.ctr.cache_misses)
-  :: (match backend_exn t with
-      | In_process (_, images) -> Campaign.Images.counters images
-      | Isolated _ -> [])
-  @ [ ("daemon/jobs-submitted", v t.ctr.submitted);
-      ("daemon/jobs-completed", jobs_completed t);
-      ("daemon/jobs-rejected", v t.ctr.rejected);
-      ("daemon/jobs-inflight", t.admitted);
-      ("daemon/protocol-errors", v t.ctr.protocol_errors);
-      ("daemon/clients-now", Hashtbl.length t.conns);
-      ("daemon/clients-total", v t.ctr.clients);
-      ("daemon/workers", worker_count t) ]
-
 (* One telemetry snapshot: refresh the gauges from the live values,
-   then render the whole registry. *)
+   then render the whole registry.  Only the in-process backend
+   reports the image cache's own evictions, entries and capacity
+   (isolated workers keep their caches to themselves). *)
 let scrape t =
   let g name v = Metrics.set (Metrics.gauge t.metrics name) (float_of_int v) in
   g "ptaintd_queue_depth" t.admitted;
@@ -362,44 +340,9 @@ let scrape t =
   g "ptaintd_workers" (worker_count t);
   (match backend_exn t with
    | In_process (_, images) ->
-     (* in {!Campaign.Images.counters} order *)
-     List.iter2
-       (fun name (_, v) -> g name v)
-       [ "ptaintd_cache_evictions"; "ptaintd_cache_entries"; "ptaintd_cache_capacity" ]
-       (Campaign.Images.counters images)
+     List.iter (fun (name, v) -> g ("ptaintd_cache_" ^ name) v) (Campaign.Images.counters images)
    | Isolated _ -> ());
   Metrics.prometheus t.metrics
-
-(* Deadline-aware admission: estimate this job's completion time from
-   the observed duration histogram and current queue depth, and shed
-   jobs the queue provably cannot serve in time — a typed [Rejected]
-   now beats a useless result after the client stopped waiting.  With
-   no duration evidence yet the job is admitted. *)
-let deadline_shed t (spec : Proto.job_spec) =
-  match spec.Proto.spec_deadline with
-  | None -> None
-  | Some budget ->
-    let mean_us =
-      List.fold_left
-        (fun acc (r : Metrics.row) ->
-          if r.Metrics.name = "ptaintd_job_duration_us" && r.Metrics.count > 0
-          then Some r.Metrics.mean
-          else acc)
-        None (Metrics.rows t.metrics)
-    in
-    (match mean_us with
-     | None -> None
-     | Some mean_us ->
-       let workers = max 1 (worker_count t) in
-       let waves = (t.admitted / workers) + 1 in
-       let est = mean_us /. 1e6 *. float_of_int waves in
-       if est > budget then
-         Some
-           (Printf.sprintf
-              "deadline %.3fs unmeetable: %d jobs ahead on %d workers, \
-               estimated %.3fs"
-              budget t.admitted workers est)
-       else None)
 
 let admit t conn (spec : Proto.job_spec) ~tag (job : Job.t) =
   let id = t.next_job in
@@ -431,7 +374,6 @@ let handle_request t conn = function
   | Proto.Hello _ ->
     send conn (Proto.Hello_ok { banner = "ptaintd" })
   | Proto.Ping payload -> send conn (Proto.Pong payload)
-  | Proto.Stats -> send conn (Proto.Stats_ok (daemon_counters t))
   | Proto.Stats_full -> send conn (Proto.Stats_full_ok (scrape t))
   | Proto.Quit -> conn.close_after_flush <- true
   | Proto.Submit spec ->
@@ -475,14 +417,9 @@ let handle_request t conn = function
            (Printf.sprintf "client quota exceeded (%d jobs in flight)"
               conn.inflight)
        else
-         match deadline_shed t spec with
-         | Some reason ->
-           Metrics.inc t.ctr.shed;
-           reject t conn ~tag reason
-         | None ->
-           (match Proto.job_of_spec spec with
-            | Error m -> reject t conn ~tag m
-            | Ok job -> admit t conn spec ~tag job))
+         match Proto.job_of_spec spec with
+         | Error m -> reject t conn ~tag m
+         | Ok job -> admit t conn spec ~tag job)
 
 let protocol_failure t conn err =
   Metrics.inc t.ctr.protocol_errors;

@@ -35,21 +35,18 @@
       into a typed [crashed]/[timeout] failure);
     - a [spec_idem]-keyed job resubmitted after a dropped connection
       runs at most once — the retry attaches to the live admission or
-      replays the recorded terminal event;
-    - a [spec_deadline] the queue cannot meet (duration histogram ×
-      queue depth) is shed at admission with a typed [Rejected].
+      replays the recorded terminal event.
 
-    Every count lives once, in the daemon's metrics registry.  A
-    [Stats] request reads it under the [daemon/*] keys (cache hits
-    and misses, jobs submitted/completed/rejected, protocol errors,
-    clients ever connected) next to the live values (jobs in flight,
-    clients connected, workers, and in-process the image cache's
-    entries, evictions and capacity); [Stats_full] and the metrics
-    socket render the same registry as Prometheus text, each
-    [daemon/*] value under its [ptaintd_*] series.  Both backends
-    account a finished job through one record ({!Worker.done_job}):
-    it is a cache hit only if it finished from a cached image, so
-    hits plus misses equal completed jobs. *)
+    Every count lives once, in the daemon's metrics registry, and the
+    registry is the daemon's one telemetry view: a scrape refreshes
+    the live gauges (queue depth, clients connected, workers, and
+    in-process the image cache's entries, evictions and capacity) and
+    renders the whole registry as Prometheus text, served to a
+    [Stats_full] request and on the metrics socket alike.  Both
+    backends account a finished job through one record
+    ({!Worker.done_job}): it is a cache hit only if it finished from a
+    cached image, so [ptaintd_cache_hits] plus [ptaintd_cache_misses]
+    equal [ptaintd_jobs_total]. *)
 
 type config = {
   socket_path : string;

@@ -190,7 +190,7 @@ let dispatch t w d =
   d.d_expired <- false;
   w.w_busy <- Some d;
   match send w (Proto.Submit d.d_spec) with
-  | () -> ()
+  | () -> t.cfg.emit ~cid:d.d_cid (Proto.Started { id = d.d_id }) None
   | exception Unix.Unix_error _ ->
     (* the worker died between our last read and this write; the
        death path below requeues [d] and respawns *)
@@ -315,29 +315,23 @@ let submit t ~id ~cid ~label ~trace spec =
 
 (* --- worker events ---------------------------------------------------- *)
 
-let rewrite_id d = function
-  | Proto.Started _ -> Proto.Started { id = d.d_id }
-  | Proto.Finished f -> Proto.Finished { f with id = d.d_id }
-  | Proto.Job_failed f -> Proto.Job_failed { f with id = d.d_id }
-
+(* A worker sends one terminal event per job, carrying id 0; the
+   supervisor's own dispatch record names the job. *)
 let handle_event t w resp =
   w.w_last_beat <- Unix.gettimeofday ();
-  match resp with
-  | Proto.Hello_ok _ | Proto.Pong _ -> ()
-  | Proto.Job_event ev -> (
-    match w.w_busy with
-    | None -> ()  (* stale event from a redelivered job: drop *)
-    | Some d -> (
-      match ev with
-      | Proto.Started _ -> t.cfg.emit ~cid:d.d_cid (rewrite_id d ev) None
-      | Proto.Finished _ | Proto.Job_failed _ ->
-        w.w_busy <- None;
-        w.w_restarts <- 0;  (* a completed job proves the worker healthy *)
-        let ev = rewrite_id d ev in
-        t.cfg.emit ~cid:d.d_cid ev
-          (Some (Worker.done_job ~t0:d.d_started ~worker:w.w_index ev));
-        pump t))
-  | _ -> ()
+  let finish d ev =
+    w.w_busy <- None;
+    w.w_restarts <- 0;  (* a completed job proves the worker healthy *)
+    t.cfg.emit ~cid:d.d_cid ev
+      (Some (Worker.done_job ~t0:d.d_started ~worker:w.w_index ev));
+    pump t
+  in
+  match (w.w_busy, resp) with
+  | Some d, Proto.Job_event (Proto.Finished f) ->
+    finish d (Proto.Finished { f with id = d.d_id })
+  | Some d, Proto.Job_event (Proto.Job_failed f) ->
+    finish d (Proto.Job_failed { f with id = d.d_id })
+  | _ -> ()  (* Hello_ok, Pong, or a stale event from a redelivered job *)
 
 let handle_readable t fd =
   let rec find i =

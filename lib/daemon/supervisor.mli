@@ -38,9 +38,10 @@ type config = {
       (** parent-side fds a fresh fork must close (listen socket, wake
           pipe, live connections); re-evaluated at every fork *)
   emit : cid:int -> Proto.event -> Worker.done_job option -> unit;
-      (** event sink, called on the event-loop thread with ids
-          rewritten: [Started] with [None], every terminal event with
-          its {!Worker.done_job} record *)
+      (** event sink, called on the event-loop thread with server job
+          ids: [Started] with [None] once per delivery, as soon as its
+          [Submit] is down the worker's pipe, and every terminal event
+          with its {!Worker.done_job} record *)
 }
 
 type t
@@ -55,13 +56,14 @@ val submit :
 (** Queue one admitted job; it is dispatched to an idle worker
     immediately when one exists.  [label] is the canonical policy
     label used for synthesized failures, [id] the server-side job id
-    rewritten onto every worker event. *)
+    every event of the job carries. *)
 
 val fds : t -> Unix.file_descr list
 (** Live workers' up-pipe fds for the server's [select] read set. *)
 
 val handle_readable : t -> Unix.file_descr -> unit
-(** Drain one readable worker pipe: forward events (ids rewritten),
+(** Drain one readable worker pipe: forward terminal events (ids
+    rewritten),
     update heartbeats, detect EOF/garble deaths.  Any other fd is
     ignored, so the server may hand it every readable fd. *)
 

@@ -5,14 +5,16 @@
    analysis costs one worker process, never the daemon.  IPC reuses
    the Proto codec over a pipe pair: the supervisor writes request
    frames down (Submit / Ping / Quit), the worker writes response
-   frames up (Hello_ok on boot, Job_event per job, Pong heartbeats
-   while idle).  The worker is single-threaded by design: while a job
-   runs it cannot heartbeat, so the supervisor covers busy workers
-   with the dispatch deadline instead of the heartbeat.
+   frames up (Hello_ok on boot, one terminal Job_event per job, Pong
+   heartbeats while idle).  The worker is single-threaded by design:
+   while a job runs it cannot heartbeat, so the supervisor covers busy
+   workers with the dispatch deadline instead of the heartbeat.
 
-   Job ids are a supervisor concern — dispatch depth is one, so the
-   supervisor always knows which job a worker's events belong to and
-   rewrites the id on the way through.  Events here carry id 0.
+   Job identity is a supervisor concern — dispatch depth is one, so
+   the supervisor always knows which job a worker runs: it announces
+   [Started] itself once the Submit is down the pipe, and rewrites the
+   id of the terminal event on the way through.  Events here carry
+   id 0.
 
    This module also owns what the in-process backend shares with it:
    the job runner and the result→event serialization ({!run_job}), so
@@ -170,7 +172,6 @@ let main ~config ~rd ~wr =
       send (Proto.Pong p);
       loop ()
     | Some (Proto.Submit spec) ->
-      send (Proto.Job_event (Proto.Started { id = 0 }));
       let ev =
         match Proto.job_of_spec spec with
         | Ok job ->
@@ -186,6 +187,6 @@ let main ~config ~rd ~wr =
       in
       send (Proto.Job_event ev);
       loop ()
-    | Some (Proto.Hello _ | Proto.Stats | Proto.Stats_full) -> loop ()
+    | Some (Proto.Hello _ | Proto.Stats_full) -> loop ()
   in
   loop ()

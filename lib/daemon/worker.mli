@@ -2,9 +2,9 @@
 
     {!main} is the entire life of a forked worker: announce readiness
     ([Hello_ok]), then loop reading {!Proto.request} frames from the
-    supervisor pipe and answering with {!Proto.response} frames — a
-    [Started]/terminal [Job_event] pair per [Submit], a [Pong]
-    heartbeat every 0.25 s while idle.  Jobs run through the
+    supervisor pipe and answering with {!Proto.response} frames — one
+    terminal [Job_event] per [Submit] (the supervisor announces
+    [Started] itself), a [Pong] heartbeat every 0.25 s while idle.  Jobs run through the
     same runner as the in-process backend ({!run_job}, over a
     per-worker {!Ptaint_campaign.Campaign.Images} cache), so the two
     backends emit byte-identical events for identical jobs.

@@ -88,7 +88,7 @@ let apply (m : Machine.t) fault =
 
 let default_slice = 4096
 
-let finish_plan ?deadline ?(slice = default_slice) ~plan s =
+let run_plan ?deadline ?(slice = default_slice) ~plan s =
   let m = s.Sim.s_machine in
   let plan = List.stable_sort (fun a b -> compare a.at b.at) plan in
   let stuck = ref [] in
@@ -126,9 +126,6 @@ let finish_plan ?deadline ?(slice = default_slice) ~plan s =
   in
   let result = go plan in
   { result; applied = List.rev !applied }
-
-let run_plan ?config ?deadline ?slice ~plan program =
-  finish_plan ?deadline ?slice ~plan (Sim.boot ?config program)
 
 (* --- deterministic RNG ---
 

@@ -67,10 +67,12 @@ val default_slice : int
     [Stuck_clean] re-clears with useful granularity. *)
 
 val run_plan :
-  ?config:Ptaint_sim.Sim.config -> ?deadline:float -> ?slice:int ->
-  plan:injection list -> Ptaint_asm.Program.t -> report
-(** Boot [program] and run it to completion, applying [plan] (sorted
-    by [at]) on the way.  [deadline] arms the cooperative watchdog
+  ?deadline:float -> ?slice:int -> plan:injection list -> Ptaint_sim.Sim.session -> report
+(** Run a booted session to completion, applying [plan] (sorted by
+    [at]) on the way.  The caller boots it: {!Ptaint_sim.Sim.boot}
+    from a program, or {!Ptaint_sim.Sim.boot_template} from a cached
+    image, whose copy-on-write snapshot the injections cannot reach.
+    [deadline] arms the cooperative watchdog
     ({!Ptaint_sim.Sim.Timeout}).  A zero-injection plan with no
     deadline degenerates to exactly one {!Ptaint_sim.Sim.finish}
     call. *)

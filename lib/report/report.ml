@@ -51,8 +51,8 @@ let kv pairs =
 
 (* One counter per line, name left-padded to a fixed column so the
    output is awk-friendly (`$1 == "name" { print $2 }`): the format
-   every counter dump in the toolchain shares — `--daemon-stats`,
-   single-run `--metrics`, the generative campaign summaries. *)
+   every counter dump in the toolchain shares — single-run
+   `--metrics`, the generative campaign summaries. *)
 let counters ?(width = 28) rows =
   String.concat ""
     (List.map (fun (name, v) -> Printf.sprintf "%-*s %d\n" width name v) rows)

@@ -16,8 +16,7 @@ val kv : (string * string) list -> string
 val counters : ?width:int -> (string * int) list -> string
 (** One [name value] counter per line, the name padded to [width]
     (default 28) columns — the awk-friendly dump format shared by
-    [--daemon-stats], single-run [--metrics] and the campaign
-    summaries. *)
+    single-run [--metrics] and the campaign summaries. *)
 
 val commas : int -> string
 (** 15139 -> "15,139" — the paper prints large counts this way. *)

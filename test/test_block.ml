@@ -680,7 +680,9 @@ let matrix_case switches ((_, _, _, input) as case) =
         let at = bulk.instructions / 2 in
         let config = config policy in
         let fault = Ptaint_fi.Fi.Reg_spurious_taint { slot = base_slot } in
-        let injected = (Ptaint_fi.Fi.run_plan ~config ~plan:[ { at; fault } ] program).result in
+        let injected =
+          (Ptaint_fi.Fi.run_plan ~plan:[ { at; fault } ] (Sim.boot ~config program)).result
+        in
         (* the reference side reaches [at] one step at a time *)
         let s = Sim.boot ~config program in
         let rec to_at () =

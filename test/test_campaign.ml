@@ -615,9 +615,9 @@ let exit_job i =
     (Job.Asm_source (Printf.sprintf ".text\nmain: li $v0, 1\n li $a0, %d\n syscall\n" i))
 
 let cache_counter images name =
-  match List.assoc_opt ("daemon/cache-" ^ name) (Campaign.Images.counters images) with
+  match List.assoc_opt name (Campaign.Images.counters images) with
   | Some v -> v
-  | None -> Alcotest.failf "no daemon/cache-%s counter" name
+  | None -> Alcotest.failf "no cache %s counter" name
 
 (* LRU at capacity 3: a hit refreshes its entry, an insert into a full
    cache evicts the least recently used entry first, and the table
@@ -684,6 +684,50 @@ let test_images_race () =
       true (Domain.join racer == mine)
   done
 
+(* An injected job boots a fresh machine from the cached image and
+   mutates it: a flipped data word and a spuriously tainted pointer.
+   The next clean job of the same image, through a fresh boot or the
+   arena, must still match a fresh [Sim.run]: the copy-on-write
+   snapshot never sees the injections. *)
+let test_injection_leaves_image_clean () =
+  let src =
+    ".data\nptr: .word val\nval: .word 7\n\
+     .text\nmain: la $t0, ptr\n lw $t1, 0($t0)\n lw $a0, 0($t1)\n li $v0, 1\n syscall\n"
+  in
+  let program = Ptaint_asm.Assembler.assemble_exn src in
+  let sym = Ptaint_asm.Program.symbol_exn program in
+  let fresh = Ptaint_sim.Sim.run program in
+  let fingerprint (r : Ptaint_sim.Sim.result) =
+    Format.asprintf "%a / %d insns / %S" Ptaint_sim.Sim.pp_outcome r.Ptaint_sim.Sim.outcome
+      r.Ptaint_sim.Sim.instructions r.Ptaint_sim.Sim.stdout
+  in
+  Alcotest.(check string) "the clean guest exits with the word it loads" "exited with status 7"
+    (Format.asprintf "%a" Ptaint_sim.Sim.pp_outcome fresh.Ptaint_sim.Sim.outcome);
+  let injected =
+    Job.make ~tag:"injected"
+      ~injections:
+        [ { Ptaint_fi.Fi.at = 1; fault = Ptaint_fi.Fi.Flip_data { addr = sym "val"; bit = 1 } };
+          { Ptaint_fi.Fi.at = 1; fault = Ptaint_fi.Fi.Spurious_taint { addr = sym "ptr"; len = 4 } } ]
+      (Job.Asm_source src)
+  in
+  let clean = Job.make ~tag:"clean" (Job.Asm_source src) in
+  List.iter
+    (fun keep ->
+      let images = Campaign.Images.create ~capacity:4 in
+      let result (r : Campaign.job_result) =
+        match r.Campaign.status with
+        | Campaign.Finished res -> res
+        | Campaign.Failed f -> Alcotest.failf "job failed: %s" f.Campaign.exn
+      in
+      let r, _ = Campaign.run_job ~keep images injected in
+      Alcotest.(check bool) "the injected job alerts on its tainted pointer" true
+        (Ptaint_sim.Sim.detected (result r));
+      let r, hit = Campaign.run_job ~keep images clean in
+      Alcotest.(check bool) "the clean job reuses the image" true hit;
+      Alcotest.(check string) (Printf.sprintf "keep=%b: clean job = fresh run" keep)
+        (fingerprint fresh) (fingerprint (result r)))
+    [ true; false ]
+
 (* More distinct programs than the engine's 128-image cache, twice
    over: every image is evicted before its second use and rebuilt, and
    every summary is still the job's own. *)
@@ -740,6 +784,8 @@ let () =
       ( "image cache",
         [ Alcotest.test_case "LRU eviction and counters" `Quick test_images_lru;
           Alcotest.test_case "racing builds share the survivor" `Quick test_images_race;
+          Alcotest.test_case "an injected job leaves the image clean" `Quick
+            test_injection_leaves_image_clean;
           Alcotest.test_case "stream past the engine's capacity" `Quick
             test_stream_past_capacity ] );
       ( "sim API",

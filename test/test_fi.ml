@@ -74,7 +74,7 @@ let test_slice_parity () =
       in
       Alcotest.(check string) (name ^ ": sliced = plain") (fingerprint plain)
         (fingerprint sliced);
-      let planned = Fi.run_plan ~config ~slice:257 ~plan:[] program in
+      let planned = Fi.run_plan ~slice:257 ~plan:[] (Sim.boot ~config program) in
       Alcotest.(check string) (name ^ ": empty plan = plain") (fingerprint plain)
         (fingerprint planned.Fi.result))
     [ ("block engine, attack", attack_config program);
@@ -211,7 +211,7 @@ let test_taint_wipe_false_negative () =
   let baseline = Sim.run ~config program in
   Alcotest.(check bool) "baseline detects the attack" true (Sim.detected baseline);
   let at = max 1 (baseline.Sim.instructions - 1) in
-  let report = Fi.run_plan ~config ~plan:[ { Fi.at; fault = Fi.Taint_wipe } ] program in
+  let report = Fi.run_plan ~plan:[ { Fi.at; fault = Fi.Taint_wipe } ] (Sim.boot ~config program) in
   (match report.Fi.applied with
    | [ { Fi.ok; _ } ] -> Alcotest.(check bool) "wipe landed" true ok
    | _ -> Alcotest.fail "expected one applied record");
@@ -229,7 +229,7 @@ let test_spurious_taint_false_positive () =
       { Fi.at; fault = Fi.Reg_spurious_taint { slot = 29 } };
       { Fi.at; fault = Fi.Reg_spurious_taint { slot = 31 } } ]
   in
-  let report = Fi.run_plan ~config ~plan program in
+  let report = Fi.run_plan ~plan (Sim.boot ~config program) in
   Alcotest.(check bool) "spurious taint triggers a false positive" true
     (Sim.detected report.Fi.result);
   (* detection latency is measured in instructions from the injection *)
@@ -246,7 +246,7 @@ let test_stuck_clean_runs () =
       { Fi.at = 1;
         fault = Fi.Stuck_clean { addr = Ptaint_mem.Layout.stack_top - 16384; len = 16384 } } ]
   in
-  let report = Fi.run_plan ~config ~slice:64 ~plan program in
+  let report = Fi.run_plan ~slice:64 ~plan (Sim.boot ~config program) in
   List.iter
     (fun (a : Fi.applied) -> Alcotest.(check bool) "stuck region armed" true a.Fi.ok)
     report.Fi.applied;
@@ -262,7 +262,7 @@ let test_injection_after_exit () =
   let baseline = Sim.run ~config program in
   let late = baseline.Sim.instructions + 1000 in
   let report =
-    Fi.run_plan ~config ~plan:[ { Fi.at = late; fault = Fi.Taint_wipe } ] program
+    Fi.run_plan ~plan:[ { Fi.at = late; fault = Fi.Taint_wipe } ] (Sim.boot ~config program)
   in
   (match report.Fi.applied with
    | [ { Fi.ok; _ } ] -> Alcotest.(check bool) "late injection missed" false ok

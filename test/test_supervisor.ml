@@ -204,6 +204,27 @@ let daemon_table outcomes =
     outcomes;
   render ()
 
+(* The supervisor announces every delivery of a job, redeliveries
+   included, with one [Started] before the job's terminal event: over
+   the campaign's event stream, each job has at least one [Started],
+   none after its terminal event, and the [Started]s number the jobs
+   plus the redeliveries. *)
+let check_deliveries events ~jobs ~redeliveries =
+  let started = Hashtbl.create 16 and finished = Hashtbl.create 16 in
+  List.iter
+    (function
+      | Proto.Started { id } ->
+        if Hashtbl.mem finished id then Alcotest.failf "job %d: Started after its terminal event" id;
+        Hashtbl.replace started id (1 + Option.value ~default:0 (Hashtbl.find_opt started id))
+      | Proto.Finished { id; _ } | Proto.Job_failed { id; _ } -> Hashtbl.replace finished id ())
+    events;
+  Alcotest.(check int) "one terminal event per job" jobs (Hashtbl.length finished);
+  Hashtbl.iter
+    (fun id () -> if not (Hashtbl.mem started id) then Alcotest.failf "job %d: no Started" id)
+    finished;
+  Alcotest.(check int) "one Started per delivery" (jobs + redeliveries)
+    (Hashtbl.fold (fun _ n acc -> n + acc) started 0)
+
 (* Submit the campaign, strike one worker with [signal] 0.2 s in
    (from the event pump: by the first streamed event every worker is
    pinned on a spinner), await every terminal event, then prove the
@@ -215,7 +236,9 @@ let chaos_campaign ~signal ~restart_reason path pids =
   let c = Client.connect ~client:"chaos" ~retries:3 path in
   let victim = List.hd pids in
   let struck = ref false in
-  let on_event _ =
+  let events = ref [] in
+  let on_event ev =
+    events := ev :: !events;
     if not !struck then begin
       struck := true;
       Unix.sleepf 0.2;
@@ -237,12 +260,11 @@ let chaos_campaign ~signal ~restart_reason path pids =
        | Proto.Job_failed f -> Alcotest.fail ("post-chaos job failed: " ^ f.kind)
      in
      wait ()));
-  let stats = Client.stats c in
-  let get k = match List.assoc_opt k stats with Some v -> v | None -> -1 in
-  Alcotest.(check int) "every admitted job completed"
-    (List.length specs + 1) (get "daemon/jobs-completed");
-  Alcotest.(check int) "nothing left in flight" 0 (get "daemon/jobs-inflight");
   let scrape = Client.stats_full c in
+  let get = Counter_views.family scrape in
+  Alcotest.(check int) "every admitted job completed"
+    (List.length specs + 1) (get "ptaintd_jobs_total");
+  Alcotest.(check int) "nothing left in flight" 0 (get "ptaintd_queue_depth");
   Alcotest.(check bool)
     (Printf.sprintf "restart counted under reason=%s" restart_reason)
     true
@@ -251,6 +273,7 @@ let chaos_campaign ~signal ~restart_reason path pids =
           restart_reason));
   Alcotest.(check bool) "disturbed job redelivered" true
     (contains scrape "ptaintd_redeliveries_total 1");
+  check_deliveries (List.rev !events) ~jobs:(List.length specs) ~redeliveries:1;
   Client.close c
 
 (* SIGKILL: the worker vanishes (pipe EOF), its spinner is redelivered
@@ -293,7 +316,7 @@ let test_sigstop_idle_heartbeat () =
 (* Each isolated worker gets the whole [--cache] capacity (64 by
    default), not a share of it: 20 distinct programs fit, so a second
    pass of the same programs through a single worker boots every job
-   from that worker's cache, and the daemon's [Stats] report 20 hits
+   from that worker's cache, and the daemon's scrape reports 20 hits
    and 20 misses. *)
 let test_isolated_cache_capacity () =
   with_isolated_daemon ~workers:1 (fun path _pids ->
@@ -313,15 +336,13 @@ let test_isolated_cache_capacity () =
               true f.cache_hit
           | _ -> Alcotest.failf "prog-%d: second pass did not finish" i)
         (Client.run_batch c specs);
-      let stats = Client.stats c in
-      Alcotest.(check (option int)) "Stats cache hits" (Some 20)
-        (List.assoc_opt "daemon/cache-hit" stats);
-      Alcotest.(check (option int)) "Stats cache misses" (Some 20)
-        (List.assoc_opt "daemon/cache-miss" stats);
+      let get = Counter_views.family (Client.stats_full c) in
+      Alcotest.(check int) "cache hits" 20 (get "ptaintd_cache_hits");
+      Alcotest.(check int) "cache misses" 20 (get "ptaintd_cache_misses");
       Client.close c)
 
-(* Stats against Stats_full after mixed traffic, with the same counts
-   as the in-process daemon; see {!Counter_views}. *)
+(* The scrape after mixed traffic, with the same counts as the
+   in-process daemon; see {!Counter_views}. *)
 let test_isolated_counter_views () =
   with_isolated_daemon ~workers:1 ~max_inflight:1 (fun path _pids ->
       Counter_views.check path)
@@ -344,7 +365,7 @@ let () =
         [ Alcotest.test_case "full capacity per isolated worker" `Quick
             test_isolated_cache_capacity ] );
       ( "counters",
-        [ Alcotest.test_case "Stats agrees with Stats_full" `Quick
+        [ Alcotest.test_case "scrape counts after mixed traffic" `Quick
             test_isolated_counter_views ] );
       ( "arena",
         [ Alcotest.test_case "arena boots match local runs" `Quick
