@@ -9,7 +9,7 @@
 
      offset 0   'P'                 magic
      offset 1   'D'
-     offset 2   version (= 6; every other version byte is refused)
+     offset 2   version (= 7; every other version byte is refused)
      offset 3   frame tag
      offset 4   payload length, u32 big-endian
      offset 8   payload bytes
@@ -27,7 +27,7 @@
    within [max_us].  So every frame the decoder accepts re-encodes to
    the bytes it came from. *)
 
-let version = 6
+let version = 7
 let header_bytes = 8
 let max_payload = 16 * 1024 * 1024
 
@@ -85,7 +85,6 @@ type request =
   | Hello of { client : string }
   | Submit of job_spec
   | Stats_full  (** full telemetry snapshot, Prometheus text *)
-  | Ping of string
   | Quit
 
 type event =
@@ -321,7 +320,6 @@ let r_injection c =
 
 let tag_hello = 0x01
 let tag_submit = 0x02
-let tag_ping = 0x04
 let tag_quit = 0x05
 let tag_stats_full = 0x06
 
@@ -406,7 +404,6 @@ let add_request o = function
   | Hello { client } -> add_frame o tag_hello (fun o -> w_string o client)
   | Submit spec -> add_frame o tag_submit (fun o -> w_job_spec o spec)
   | Stats_full -> add_frame o tag_stats_full ignore
-  | Ping payload -> add_frame o tag_ping (fun o -> w_string o payload)
   | Quit -> add_frame o tag_quit ignore
 
 let w_event b = function
@@ -527,7 +524,6 @@ let request_of_frame tag buf pos stop =
   if tag = tag_hello then parse (fun c -> Hello { client = r_string c "client name" })
   else if tag = tag_submit then parse (fun c -> Submit (r_job_spec c))
   else if tag = tag_stats_full then parse (fun _ -> Stats_full)
-  else if tag = tag_ping then parse (fun c -> Ping (r_string c "ping payload"))
   else if tag = tag_quit then parse (fun _ -> Quit)
   else Error (Bad_tag tag)
 

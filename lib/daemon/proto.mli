@@ -5,7 +5,7 @@
 
     {v
     offset 0  'P' 'D'      magic
-    offset 2  version      (= 6; every other version byte is refused)
+    offset 2  version      (= 7; every other version byte is refused)
     offset 3  frame tag
     offset 4  u32 BE       payload length
     offset 8  payload
@@ -31,7 +31,8 @@
     build, so the version byte is checked for equality: a client
     meeting a server of another version fails at the first frame
     header.  Tags 0x03 and 0x85, v5's [Stats] request and its reply,
-    are unassigned: a frame carrying either is [Bad_tag]. *)
+    and 0x04, v6's [Ping] request, are unassigned: a frame carrying
+    any of them is [Bad_tag]. *)
 
 val version : int
 
@@ -111,7 +112,6 @@ type request =
   | Stats_full
       (** full telemetry snapshot; answered with {!Stats_full_ok}
           carrying Prometheus text exposition *)
-  | Ping of string  (** payload echoed back in {!Pong} *)
   | Quit  (** polite goodbye; the server drops the connection *)
 
 type event =

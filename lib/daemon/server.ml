@@ -207,6 +207,7 @@ let register_counters m =
            "ptaintd_worker_restarts_total"))
     [ "crash"; "heartbeat"; "deadline" ];
   ignore (Metrics.counter m "ptaintd_redeliveries_total");
+  ignore (Metrics.counter m "ptaintd_requeues_total");
   ignore (Metrics.counter m "ptaintd_heartbeat_misses_total");
   let c = Metrics.counter m in
   { submitted = c "ptaintd_jobs_submitted_total";
@@ -373,7 +374,6 @@ let admit t conn (spec : Proto.job_spec) ~tag (job : Job.t) =
 let handle_request t conn = function
   | Proto.Hello _ ->
     send conn (Proto.Hello_ok { banner = "ptaintd" })
-  | Proto.Ping payload -> send conn (Proto.Pong payload)
   | Proto.Stats_full -> send conn (Proto.Stats_full_ok (scrape t))
   | Proto.Quit -> conn.close_after_flush <- true
   | Proto.Submit spec ->
@@ -669,13 +669,16 @@ let serve t =
     end;
     if Atomic.get t.stopping && drained t then finished := true
     else begin
+      let worker_reads, worker_writes =
+        match backend_exn t with
+        | Isolated sup -> Supervisor.fds sup
+        | In_process _ -> ([], [])
+      in
       let reads =
         t.wake_rd
         :: (if !listening then [ t.listen_fd ] else [])
         @ (match t.metrics_fd with Some fd when !listening -> [ fd ] | _ -> [])
-        @ (match backend_exn t with
-           | Isolated sup -> Supervisor.fds sup
-           | In_process _ -> [])
+        @ worker_reads
         @ Hashtbl.fold (fun _ c acc -> if c.broken then acc else c.fd :: acc) t.conns []
       in
       let writes =
@@ -683,7 +686,7 @@ let serve t =
           (fun _ c acc ->
             if Proto.pending c.out > 0 || c.close_after_flush then c.fd :: acc
             else acc)
-          t.conns []
+          t.conns worker_writes
       in
       let readable, writable, _ =
         try Unix.select reads writes [] 0.5
@@ -696,7 +699,8 @@ let serve t =
       if List.mem t.wake_rd readable then drain_wakeups t;
       (match backend_exn t with
        | Isolated sup ->
-         List.iter (Supervisor.handle_readable sup) readable;
+         List.iter (Supervisor.handle_ready sup) readable;
+         List.iter (Supervisor.handle_ready sup) writable;
          Supervisor.tick sup ~now:work_t0
        | In_process _ -> ());
       drain_completions t;

@@ -4,23 +4,41 @@
 
    Ownership: the supervisor lives entirely on the daemon's event
    loop — every entry point here runs on the serving thread, so there
-   is no locking.  Workers are detected sick three ways:
+   is no locking, and nothing here blocks: the down pipes are
+   non-blocking, and whatever a pipe refuses waits in the worker's
+   outbox until [select] reports the pipe writable.
+
+   A lone worker holds a window of up to [window] dispatched jobs.
+   It runs them in order, so the head of the window is the running
+   job and each terminal event on its (fresh per process) up pipe
+   belongs to the head; the jobs behind it are already down the pipe,
+   so the worker starts the next one without waiting on a round trip.
+   Only the head counts as started: it alone has a [Started], a
+   delivery spent and a deadline running.  A job in a window cannot
+   be taken back, so in a pool of several workers a job queued behind
+   a long head would wait for it while a peer idles; there each
+   window holds just its running job, and a job goes to the first
+   idle worker.
+
+   Workers are detected sick three ways:
 
    - EOF (or garbage) on the worker's up pipe: the worker crashed or
      was SIGKILLed.  Immediate.
-   - missed heartbeats while idle: an idle worker Pongs every
-     0.25 s; silence past [beat_tolerance] means it is
+   - missed heartbeats while idle (empty window): an idle worker
+     Pongs every 0.25 s; silence past [beat_tolerance] means it is
      stopped or wedged (SIGSTOP, runaway GC) even though the pipe is
      open.
-   - a blown dispatch deadline while busy: the in-worker cooperative
+   - a blown deadline of the window's head: the in-worker cooperative
      watchdog fires at the job's timeout and produces a typed Timeout
      — the supervisor only steps in [grace] seconds later, when the
      worker is provably stuck in non-yielding code (or stopped) and
      cooperation has failed.
 
    A sick worker is SIGKILLed, reaped, and respawned with jittered
-   exponential backoff.  Its in-flight job is redelivered to a
-   surviving worker — bounded by [max_deliveries] — so an innocent
+   exponential backoff.  Its running job is redelivered to a
+   surviving worker — bounded by [max_deliveries] — and the jobs
+   queued behind it, which never ran, go back to the front of the
+   pending queue without spending a delivery, so an innocent
    job disturbed by a worker death completes normally and the
    campaign's final counters stay byte-identical to an undisturbed
    run.  A job that exhausts its deliveries is synthesized into the
@@ -41,7 +59,8 @@ type dispatch = {
   d_trace : (int * int) option;
   d_timeout : float option;  (* job's own, else the server default *)
   mutable d_deliveries : int;
-  mutable d_started : float;  (* dispatch time of the current delivery *)
+  mutable d_dispatched : float;  (* when it last entered a window: the duration's t0 *)
+  mutable d_started : float;  (* when the current delivery became the head *)
   mutable d_expired : bool;  (* the preemptive deadline fired *)
 }
 
@@ -52,7 +71,7 @@ type worker = {
   mutable w_up : Unix.file_descr;  (* supervisor reads responses *)
   mutable w_inbox : Proto.response Proto.reader;
   mutable w_out : Proto.outbox;  (* requests down; fresh per process *)
-  mutable w_busy : dispatch option;
+  w_window : dispatch Queue.t;  (* in flight, in dispatch order; the head runs *)
   mutable w_last_beat : float;
   mutable w_alive : bool;
   mutable w_restarts : int;  (* consecutive, drives the backoff *)
@@ -84,6 +103,9 @@ let grace = 2.0
 (* Total dispatch attempts per job. *)
 let max_deliveries = 2
 
+(* Jobs in flight on a lone worker, the running head included. *)
+let window = 8
+
 (* Respawn backoff: doubles per consecutive death from [backoff_base]
    up to [backoff_cap] seconds, then jittered. *)
 let backoff_base = 0.05
@@ -106,10 +128,17 @@ let linfo t msg fields =
 
 let mcount t ?labels name = Metrics.inc (Metrics.counter t.cfg.metrics ?labels name)
 
-(* Blocking: the whole frame goes down the pipe before this returns. *)
+(* One write of whatever the worker's outbox holds, as much as the
+   non-blocking pipe takes.  A full pipe is not an error: the rest
+   waits for [select] to report the pipe writable. *)
+let flush w =
+  match Proto.flush w.w_out (Unix.write w.w_down) with
+  | _ -> ()
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+
 let send w req =
   Proto.add_request w.w_out req;
-  Proto.flush_all w.w_out (Proto.write_fd w.w_down)
+  flush w
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -145,12 +174,12 @@ let spawn t w =
     close_quiet down_rd;
     close_quiet up_wr;
     Unix.set_nonblock up_rd;
+    Unix.set_nonblock down_wr;
     w.w_pid <- pid;
     w.w_down <- down_wr;
     w.w_up <- up_rd;
     w.w_inbox <- Proto.response_reader ();
     w.w_out <- Proto.outbox ();
-    w.w_busy <- None;
     w.w_alive <- true;
     w.w_last_beat <- Unix.gettimeofday ();
     linfo t "worker spawned" [ Log.int "worker" w.w_index; Log.int "pid" pid ]
@@ -160,7 +189,7 @@ let create (cfg : config) =
     Array.init (max 1 cfg.workers) (fun i ->
         { w_index = i; w_pid = -1; w_down = Unix.stdin; w_up = Unix.stdin;
           w_inbox = Proto.response_reader (); w_out = Proto.outbox ();
-          w_busy = None; w_last_beat = 0.;
+          w_window = Queue.create (); w_last_beat = 0.;
           w_alive = false; w_restarts = 0; w_respawn_at = 0. })
   in
   let seed =
@@ -177,31 +206,42 @@ let create (cfg : config) =
 let size t = Array.length t.workers
 
 let fds t =
-  Array.to_list t.workers
-  |> List.filter_map (fun w -> if w.w_alive then Some w.w_up else None)
+  Array.fold_right
+    (fun w (reads, writes) ->
+      if not w.w_alive then (reads, writes)
+      else
+        ( w.w_up :: reads,
+          if Proto.pending w.w_out > 0 then w.w_down :: writes else writes ))
+    t.workers ([], [])
 
 (* --- dispatch --------------------------------------------------------- *)
 
 exception Worker_gone of worker
 
-let dispatch t w d =
+(* [d] became the head of its worker's window: this delivery runs. *)
+let start t d =
   d.d_deliveries <- d.d_deliveries + 1;
   d.d_started <- Unix.gettimeofday ();
   d.d_expired <- false;
-  w.w_busy <- Some d;
+  t.cfg.emit ~cid:d.d_cid (Proto.Started { id = d.d_id }) None
+
+let dispatch t w d =
+  d.d_dispatched <- Unix.gettimeofday ();
+  Queue.push d w.w_window;
+  if Queue.length w.w_window = 1 then start t d;
   match send w (Proto.Submit d.d_spec) with
-  | () -> t.cfg.emit ~cid:d.d_cid (Proto.Started { id = d.d_id }) None
+  | () -> ()
   | exception Unix.Unix_error _ ->
     (* the worker died between our last read and this write; the
-       death path below requeues [d] and respawns *)
+       death path below requeues its window and respawns *)
     raise (Worker_gone w)
 
-let idle_worker t =
-  let found = ref None in
-  Array.iter
-    (fun w -> if !found = None && w.w_alive && w.w_busy = None then found := Some w)
-    t.workers;
-  !found
+(* The first live worker with room in its window.  Only a lone
+   worker queues jobs behind its head: with no peer, a queued job had
+   nowhere else to run. *)
+let with_room t =
+  let depth = if size t = 1 then window else 1 in
+  Array.find_opt (fun w -> w.w_alive && Queue.length w.w_window < depth) t.workers
 
 (* Synthesize the typed failure the cooperative path would have
    produced for a job the supervisor had to give up on. *)
@@ -233,26 +273,28 @@ let synthesize t d =
     [ Log.int "id" d.d_id; Log.str "tag" d.d_tag;
       Log.str "kind" (Campaign.kind_name kind);
       Log.int "deliveries" d.d_deliveries ];
-  t.cfg.emit ~cid:d.d_cid ev (Some (Worker.done_job ~t0:d.d_started ~worker:(-1) ev))
+  t.cfg.emit ~cid:d.d_cid ev (Some (Worker.done_job ~t0:d.d_dispatched ~worker:(-1) ev))
 
-(* Feed idle workers from the pending queue.  A worker dying at
-   dispatch time requeues the job and loops, so one bad write cannot
-   lose work. *)
+(* Fill the workers' windows from the pending queue.  A worker dying
+   at dispatch time requeues its window and loops, so one bad write
+   cannot lose work. *)
 let rec pump t =
   if not (Queue.is_empty t.pending) then
-    match idle_worker t with
+    match with_room t with
     | None -> ()
-    | Some w -> (
+    | Some w ->
       let d = Queue.pop t.pending in
-      match dispatch t w d with
-      | () -> pump t
-      | exception Worker_gone w ->
-        worker_died t w ~reason:"crash";
-        pump t)
+      (match dispatch t w d with
+       | () -> ()
+       | exception Worker_gone w -> worker_died t w ~reason:"crash");
+      pump t
 
 (* A worker is gone (crashed, stopped past tolerance, or deadline-
-   blown): kill it for certain, reap it, requeue or synthesize its
-   job, and schedule the respawn with jittered exponential backoff. *)
+   blown): kill it for certain, reap it, requeue its window, and
+   schedule the respawn with jittered exponential backoff.  Only the
+   head ran, so only the head spends its delivery (or, out of them,
+   is synthesized); the jobs behind it go back ahead of the pending
+   queue in dispatch order, their delivery budget untouched. *)
 and worker_died t w ~reason =
   if w.w_alive then begin
     w.w_alive <- false;
@@ -285,18 +327,23 @@ and worker_died t w ~reason =
       [ Log.int "worker" w.w_index; Log.int "pid" w.w_pid;
         Log.str "reason" reason; Log.int "restarts" w.w_restarts;
         Log.float "backoff_s" backoff ];
-    (match w.w_busy with
+    let requeue = Queue.create () in
+    (match Queue.take_opt w.w_window with
      | None -> ()
      | Some d ->
-       w.w_busy <- None;
        if d.d_deliveries >= max_deliveries then synthesize t d
        else begin
          mcount t "ptaintd_redeliveries_total";
          lwarn t "job redelivered"
            [ Log.int "id" d.d_id; Log.str "tag" d.d_tag;
              Log.int "delivery" (d.d_deliveries + 1) ];
-         Queue.push d t.pending
+         Queue.push d requeue
        end);
+    Metrics.inc ~by:(Queue.length w.w_window)
+      (Metrics.counter t.cfg.metrics "ptaintd_requeues_total");
+    Queue.transfer w.w_window requeue;
+    Queue.transfer t.pending requeue;
+    Queue.transfer requeue t.pending;
     pump t
   end
 
@@ -308,40 +355,48 @@ let submit t ~id ~cid ~label ~trace spec =
         (match spec.Proto.spec_timeout with
          | Some _ as s -> s
          | None -> t.cfg.job_timeout);
-      d_deliveries = 0; d_started = Unix.gettimeofday (); d_expired = false }
+      d_deliveries = 0; d_dispatched = 0.; d_started = 0.; d_expired = false }
   in
   Queue.push d t.pending;
   pump t
 
 (* --- worker events ---------------------------------------------------- *)
 
-(* A worker sends one terminal event per job, carrying id 0; the
-   supervisor's own dispatch record names the job. *)
+(* A worker sends one terminal event per job, carrying id 0, for the
+   head of its window; the supervisor's own dispatch record names the
+   job.  The next job in the window is then the head: it starts. *)
 let handle_event t w resp =
   w.w_last_beat <- Unix.gettimeofday ();
   let finish d ev =
-    w.w_busy <- None;
+    ignore (Queue.pop w.w_window);
     w.w_restarts <- 0;  (* a completed job proves the worker healthy *)
     t.cfg.emit ~cid:d.d_cid ev
-      (Some (Worker.done_job ~t0:d.d_started ~worker:w.w_index ev));
+      (Some (Worker.done_job ~t0:d.d_dispatched ~worker:w.w_index ev));
+    Option.iter (start t) (Queue.peek_opt w.w_window);
     pump t
   in
-  match (w.w_busy, resp) with
+  match (Queue.peek_opt w.w_window, resp) with
   | Some d, Proto.Job_event (Proto.Finished f) ->
     finish d (Proto.Finished { f with id = d.d_id })
   | Some d, Proto.Job_event (Proto.Job_failed f) ->
     finish d (Proto.Job_failed { f with id = d.d_id })
-  | _ -> ()  (* Hello_ok, Pong, or a stale event from a redelivered job *)
+  | _ -> ()  (* Hello_ok or Pong *)
 
-let handle_readable t fd =
+(* One ready fd from the server's [select]: a readable up pipe is
+   drained, a writable down pipe takes more of the outbox. *)
+let handle_ready t fd =
   let rec find i =
     if i = Array.length t.workers then None
     else
       let w = t.workers.(i) in
-      if w.w_alive && w.w_up = fd then Some w else find (i + 1)
+      if w.w_alive && (w.w_up = fd || w.w_down = fd) then Some w else find (i + 1)
   in
   match find 0 with
   | None -> ()
+  | Some w when w.w_down = fd -> (
+    match flush w with
+    | () -> ()
+    | exception Unix.Unix_error _ -> worker_died t w ~reason:"crash")
   | Some w -> (
     match Proto.fill w.w_inbox (Unix.read w.w_up) with
     | 0 -> worker_died t w ~reason:"crash"
@@ -370,7 +425,7 @@ let tick t ~now =
     (fun w ->
       if (not w.w_alive) && now >= w.w_respawn_at then spawn t w
       else if w.w_alive then
-        match w.w_busy with
+        match Queue.peek_opt w.w_window with
         | Some d when now > deadline_of d ->
           d.d_expired <- true;
           worker_died t w ~reason:"deadline"
@@ -387,7 +442,10 @@ let stop t =
   Array.iter
     (fun w ->
       if w.w_alive then begin
-        (try send w Proto.Quit
+        (try
+           Unix.clear_nonblock w.w_down;
+           Proto.add_request w.w_out Proto.Quit;
+           Proto.flush_all w.w_out (Proto.write_fd w.w_down)
          with Unix.Unix_error _ -> ());
         let deadline = Unix.gettimeofday () +. 2.0 in
         let rec wait () =

@@ -4,16 +4,19 @@
    image cache and runs one job at a time, so a wedged or crashing
    analysis costs one worker process, never the daemon.  IPC reuses
    the Proto codec over a pipe pair: the supervisor writes request
-   frames down (Submit / Ping / Quit), the worker writes response
-   frames up (Hello_ok on boot, one terminal Job_event per job, Pong
-   heartbeats while idle).  The worker is single-threaded by design:
-   while a job runs it cannot heartbeat, so the supervisor covers busy
-   workers with the dispatch deadline instead of the heartbeat.
+   frames down (Submit / Quit), the worker writes response frames up
+   (Hello_ok on boot, one terminal Job_event per job, Pong heartbeats
+   while idle).  A lone worker has a window of several Submits down
+   its pipe, so it reads the next job as soon as one finishes.  The
+   worker is single-threaded by design: while a
+   job runs it cannot heartbeat, so the supervisor covers busy
+   workers with the deadline of the running job instead.
 
-   Job identity is a supervisor concern — dispatch depth is one, so
-   the supervisor always knows which job a worker runs: it announces
-   [Started] itself once the Submit is down the pipe, and rewrites the
-   id of the terminal event on the way through.  Events here carry
+   Job identity is a supervisor concern — the worker runs its Submits
+   in pipe order, so the supervisor always knows which job a worker
+   runs: the head of the window it dispatched.  It announces
+   [Started] itself when a job becomes the head, and rewrites the id
+   of the terminal event on the way through.  Events here carry
    id 0.
 
    This module also owns what the in-process backend shares with it:
@@ -168,9 +171,6 @@ let main ~config ~rd ~wr =
   let rec loop () =
     match next_request () with
     | None | Some Proto.Quit -> ()
-    | Some (Proto.Ping p) ->
-      send (Proto.Pong p);
-      loop ()
     | Some (Proto.Submit spec) ->
       let ev =
         match Proto.job_of_spec spec with

@@ -10,8 +10,8 @@
     backends emit byte-identical events for identical jobs.
 
     The worker is deliberately single-threaded: while a job runs it
-    cannot heartbeat, and the supervisor covers that window with the
-    dispatch deadline rather than the heartbeat. *)
+    cannot heartbeat, and the supervisor covers that time with the
+    running job's deadline rather than the heartbeat. *)
 
 type config = {
   cache_capacity : int;  (** per-worker image cache entries *)
@@ -24,7 +24,8 @@ val main : config:config -> rd:Unix.file_descr -> wr:Unix.file_descr -> unit
     reaches EOF, a [Quit] frame arrives, or the stream garbles.
     Never raises on a clean shutdown; callers fork and [_exit] around
     it.  Events carry job id 0 — the supervisor rewrites ids, since
-    at dispatch depth one it always knows which job a worker runs. *)
+    Submits run in pipe order and it always knows which job a worker
+    runs. *)
 
 (** {1 Shared job runner}
 
@@ -70,7 +71,11 @@ type done_job = {
   j_outcome : string;  (** {!outcome_of_event} *)
   j_cache_hit : bool;  (** finished from a cached image *)
   j_trace : (int * int) option;
-  j_t0 : float;  (** start (in-process) or dispatch of the final delivery *)
+  j_t0 : float;
+      (** in-process, when a domain starts the job; under isolation,
+          when the job last entered a worker's window, so a job queued
+          behind the running head counts its wait there (the worker
+          starts it unseen, when the head's result is written) *)
   j_t1 : float;
   j_worker : int;
       (** worker domain id in-process, worker process index under

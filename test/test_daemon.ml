@@ -42,7 +42,7 @@ let requests =
     ("submit-minimal", Proto.Submit (Proto.job_spec ~tag:"" (Proto.Wire_asm "")));
     ("submit-traced", Proto.Submit spec_traced);
     ("stats-full", Proto.Stats_full);
-    ("ping", Proto.Ping "payload\x00\x01");
+    ("hello-binary", Proto.Hello { client = "payload\x00\x01" });
     ("quit", Proto.Quit) ]
 
 let responses =
@@ -103,10 +103,10 @@ let test_response_roundtrip () =
 
 (* two frames back to back: the decoder consumes exactly one *)
 let test_two_frames () =
-  let a = Proto.encode_request (Proto.Ping "one") in
+  let a = Proto.encode_request (Proto.Hello { client = "one" }) in
   let b = Proto.encode_request Proto.Quit in
   match Proto.decode_request (a ^ b) with
-  | Ok (Some (Proto.Ping "one", consumed)) ->
+  | Ok (Some (Proto.Hello { client = "one" }, consumed)) ->
     Alcotest.(check int) "first frame only" (String.length a) consumed;
     (match Proto.decode_request b with
      | Ok (Some (Proto.Quit, _)) -> ()
@@ -150,7 +150,7 @@ let test_bad_tag () =
     (function Proto.Bad_tag 0x7f -> true | _ -> false)
 
 let test_oversized () =
-  let b = Bytes.of_string (Proto.encode_request (Proto.Ping "x")) in
+  let b = Bytes.of_string (Proto.encode_request (Proto.Hello { client = "x" })) in
   (* announce a 64 MiB payload in the header *)
   Bytes.set b 4 '\x04'; Bytes.set b 5 '\x00'; Bytes.set b 6 '\x00'; Bytes.set b 7 '\x00';
   expect_error "64MiB announced" (Bytes.to_string b)
@@ -165,8 +165,8 @@ let test_trailing_garbage () =
   expect_error "trailing junk" (Bytes.to_string f ^ "ABCD") malformed
 
 let test_truncated_payload () =
-  (* a Ping whose inner string length points past the payload end *)
-  let good = Proto.encode_request (Proto.Ping "abcd") in
+  (* a Hello whose inner string length points past the payload end *)
+  let good = Proto.encode_request (Proto.Hello { client = "abcd" }) in
   let f = Bytes.of_string good in
   (* payload starts at offset 8 with the u32 string length; inflate it
      while the frame length in the header stays truthful *)
@@ -215,28 +215,31 @@ let test_non_canonical () =
 (* Every peer runs the same build: any version byte but [Proto.version]
    is refused from the header alone. *)
 let test_version_sweep () =
-  Alcotest.(check int) "protocol version" 6 Proto.version;
+  Alcotest.(check int) "protocol version" 7 Proto.version;
   List.iter
     (fun v ->
       let f = Bytes.of_string (Proto.encode_request Proto.Quit) in
       Bytes.set f 2 (Char.chr v);
       expect_error (Printf.sprintf "version %d" v) (Bytes.to_string f)
         (function Proto.Bad_version v' -> v' = v | _ -> false))
-    [ 0; 1; 2; 3; 4; 5; 7; 255 ]
+    [ 0; 1; 2; 3; 4; 5; 6; 8; 255 ]
 
 let test_future_version_rejected () =
   let f = Bytes.of_string (Proto.encode_request Proto.Quit) in
-  Bytes.set f 2 '\x07';
+  Bytes.set f 2 '\x08';
   match Proto.decode_request (Bytes.to_string f) with
-  | Error (Proto.Bad_version 7) -> ()
-  | _ -> Alcotest.fail "version 7 must be rejected"
+  | Error (Proto.Bad_version 8) -> ()
+  | _ -> Alcotest.fail "version 8 must be rejected"
 
-(* v5's [Stats] request (tag 0x03) and its reply (tag 0x85) are
-   retired: a v5 frame is refused by its version byte, and either
-   tag under the current version is [Bad_tag]. *)
+(* v5's [Stats] request (tag 0x03) and its reply (tag 0x85), and
+   v6's [Ping] request (tag 0x04), are retired: an old frame is
+   refused by its version byte, and each tag under the current
+   version is [Bad_tag]. *)
 let test_retired_tags () =
   expect_error "v5 Stats frame" "PD\x05\x03\x00\x00\x00\x00"
     (function Proto.Bad_version 5 -> true | _ -> false);
+  expect_error "v6 Ping frame" "PD\x06\x04\x00\x00\x00\x04\x00\x00\x00\x00"
+    (function Proto.Bad_version 6 -> true | _ -> false);
   let retag frame tag =
     let f = Bytes.of_string frame in
     Bytes.set f 3 (Char.chr tag);
@@ -244,6 +247,11 @@ let test_retired_tags () =
   in
   expect_error "request tag 0x03" (retag (Proto.encode_request Proto.Quit) 0x03)
     (function Proto.Bad_tag 0x03 -> true | _ -> false);
+  (* a Ping's payload was one string: the Bad_tag comes from the tag,
+     not from a payload the decoder might have misread *)
+  expect_error "request tag 0x04"
+    (retag (Proto.encode_request (Proto.Hello { client = "" })) 0x04)
+    (function Proto.Bad_tag 0x04 -> true | _ -> false);
   match Proto.decode_response (retag (Proto.encode_response (Proto.Pong "")) 0x85) with
   | Error (Proto.Bad_tag 0x85) -> ()
   | _ -> Alcotest.fail "response tag 0x85 must be Bad_tag"
@@ -373,7 +381,6 @@ let g_request =
     [ map (fun client -> Proto.Hello { client }) g_str;
       map (fun s -> Proto.Submit s) g_spec;
       pure Proto.Stats_full;
-      map (fun s -> Proto.Ping s) g_str;
       pure Proto.Quit ]
 
 let g_counters = g_list (G.pair g_str g_int)
@@ -551,7 +558,7 @@ let test_outbox_bytes () =
   Alcotest.(check int) "failed frame cut off" before (Proto.pending o)
 
 let oversized_header =
-  let b = Bytes.of_string (Proto.encode_request (Proto.Ping "x")) in
+  let b = Bytes.of_string (Proto.encode_request (Proto.Hello { client = "x" })) in
   Bytes.set b 4 '\x04';
   Bytes.set b 5 '\x00';
   Bytes.set b 6 '\x00';
@@ -647,7 +654,7 @@ let test_stream_error_sticks () =
       ("oversized", oversized_header);
       ( "future version",
         let f = Bytes.of_string quit in
-        Bytes.set f 2 '\x07';
+        Bytes.set f 2 '\x08';
         Bytes.to_string f ) ]
 
 (* --- job spec <-> Job.t ---------------------------------------------- *)
@@ -908,6 +915,8 @@ let test_loopback_stats_full () =
          && has "ptaintd_worker_restarts_total{reason=\"deadline\"} 0");
       Alcotest.(check bool) "redeliveries family" true
         (has "ptaintd_redeliveries_total 0");
+      Alcotest.(check bool) "requeues family" true
+        (has "ptaintd_requeues_total 0");
       Alcotest.(check bool) "heartbeat misses family" true
         (has "ptaintd_heartbeat_misses_total 0");
       Alcotest.(check bool) "idem replays family" true

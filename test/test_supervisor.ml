@@ -128,7 +128,7 @@ let sock_seq = ref 0
    the worker fleet to appear, and hand [f] the socket path and the
    workers' pids.  The daemon is torn down (SIGTERM, then SIGKILL)
    whatever [f] does. *)
-let with_isolated_daemon ?(workers = 2) ?(max_inflight = 64) f =
+let with_isolated_daemon ?(workers = 2) ?(max_inflight = 64) ?job_timeout f =
   incr sock_seq;
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -138,6 +138,11 @@ let with_isolated_daemon ?(workers = 2) ?(max_inflight = 64) f =
   let argv =
     [| exe; "--socket"; path; "--isolate"; "--workers"; string_of_int workers;
        "--queue"; "128"; "--max-inflight"; string_of_int max_inflight; "--quiet" |]
+  in
+  let argv =
+    match job_timeout with
+    | None -> argv
+    | Some s -> Array.append argv [| "--job-timeout"; string_of_float s |]
   in
   let dpid = Unix.create_process exe argv Unix.stdin Unix.stdout Unix.stderr in
   Fun.protect
@@ -207,8 +212,8 @@ let daemon_table outcomes =
 (* The supervisor announces every delivery of a job, redeliveries
    included, with one [Started] before the job's terminal event: over
    the campaign's event stream, each job has at least one [Started],
-   none after its terminal event, and the [Started]s number the jobs
-   plus the redeliveries. *)
+   none after its one terminal event, and the [Started]s number the
+   jobs plus the redeliveries. *)
 let check_deliveries events ~jobs ~redeliveries =
   let started = Hashtbl.create 16 and finished = Hashtbl.create 16 in
   List.iter
@@ -216,7 +221,9 @@ let check_deliveries events ~jobs ~redeliveries =
       | Proto.Started { id } ->
         if Hashtbl.mem finished id then Alcotest.failf "job %d: Started after its terminal event" id;
         Hashtbl.replace started id (1 + Option.value ~default:0 (Hashtbl.find_opt started id))
-      | Proto.Finished { id; _ } | Proto.Job_failed { id; _ } -> Hashtbl.replace finished id ())
+      | Proto.Finished { id; _ } | Proto.Job_failed { id; _ } ->
+        if Hashtbl.mem finished id then Alcotest.failf "job %d: a second terminal event" id;
+        Hashtbl.replace finished id ())
     events;
   Alcotest.(check int) "one terminal event per job" jobs (Hashtbl.length finished);
   Hashtbl.iter
@@ -230,8 +237,8 @@ let check_deliveries events ~jobs ~redeliveries =
    pinned on a spinner), await every terminal event, then prove the
    daemon kept serving and the results match an undisturbed local run
    byte for byte. *)
-let chaos_campaign ~signal ~restart_reason path pids =
-  let specs = campaign_specs ~workers:2 in
+let chaos_campaign ?(workers = 2) ~signal ~restart_reason ~requeues path pids =
+  let specs = campaign_specs ~workers in
   let expected = local_table specs in
   let c = Client.connect ~client:"chaos" ~retries:3 path in
   let victim = List.hd pids in
@@ -272,22 +279,28 @@ let chaos_campaign ~signal ~restart_reason path pids =
        (Printf.sprintf "ptaintd_worker_restarts_total{reason=\"%s\"} 1"
           restart_reason));
   Alcotest.(check bool) "disturbed job redelivered" true
-    (contains scrape "ptaintd_redeliveries_total 1");
+    (contains scrape "ptaintd_redeliveries_total 1\n");
+  Alcotest.(check bool)
+    (Printf.sprintf "%d queued jobs requeued" requeues)
+    true
+    (contains scrape (Printf.sprintf "ptaintd_requeues_total %d\n" requeues));
   check_deliveries (List.rev !events) ~jobs:(List.length specs) ~redeliveries:1;
   Client.close c
 
 (* SIGKILL: the worker vanishes (pipe EOF), its spinner is redelivered
-   to the survivor and times out there exactly as it would have. *)
+   to the survivor and times out there exactly as it would have.  With
+   a peer, a worker holds only its running job, so nothing is
+   requeued. *)
 let test_sigkill_mid_campaign () =
   with_isolated_daemon (fun path pids ->
-      chaos_campaign ~signal:Sys.sigkill ~restart_reason:"crash" path pids)
+      chaos_campaign ~signal:Sys.sigkill ~restart_reason:"crash" ~requeues:0 path pids)
 
 (* SIGSTOP: the worker is alive but frozen mid-dispatch.  No EOF, no
    heartbeat — the preemptive dispatch deadline (job timeout + grace)
    is what must fire, SIGKILLing the zombie and redelivering. *)
 let test_sigstop_mid_campaign () =
   with_isolated_daemon (fun path pids ->
-      chaos_campaign ~signal:Sys.sigstop ~restart_reason:"deadline" path pids)
+      chaos_campaign ~signal:Sys.sigstop ~restart_reason:"deadline" ~requeues:0 path pids)
 
 (* A stopped *idle* worker has no dispatch to blow a deadline on; the
    idle-heartbeat tolerance is the only thing that can notice it. *)
@@ -312,6 +325,199 @@ let test_sigstop_idle_heartbeat () =
                 outcomes -> ()
        | _ -> Alcotest.fail "jobs failed after idle-worker restart");
       Client.close c)
+
+(* --- the window ------------------------------------------------------- *)
+
+(* One worker, its window full: a spinner at the head and 7 exit jobs
+   queued behind it, 5 more waiting in the daemon.  SIGKILL strikes
+   the head mid-run.  Only the head ran, so only it is redelivered
+   and counted ([ptaintd_redeliveries_total] is 1, not the window's
+   size); the 7 queued jobs are counted in [ptaintd_requeues_total],
+   and every job still ends in exactly one terminal event, with one
+   [Started] per delivery. *)
+let test_sigkill_full_window () =
+  with_isolated_daemon ~workers:1 (fun path pids ->
+      chaos_campaign ~workers:1 ~signal:Sys.sigkill ~restart_reason:"crash" ~requeues:7 path
+        pids)
+
+(* The worker fleet right now: the children of the one daemon this
+   test process runs. *)
+let current_workers () =
+  match children_of (Unix.getpid ()) with
+  | [ daemon ] -> children_of daemon
+  | kids -> Alcotest.failf "expected one daemon child, found %d" (List.length kids)
+
+(* A job queued behind the head never ran, so worker deaths cost it no
+   delivery: the head is killed at each of its two deliveries and is
+   synthesized as crashed, while the job behind it, requeued at both
+   deaths, finishes normally on the third worker. *)
+let test_queued_job_survives_two_deaths () =
+  with_isolated_daemon ~workers:1 (fun path _pids ->
+      let c = Client.connect ~client:"queued" path in
+      let head =
+        Proto.job_spec ~tag:"head" ~timeout:30. ~max_instructions:max_int
+          (Proto.Wire_asm spin_asm)
+      in
+      let kills = ref 0 and head_id = ref (-1) and events = ref [] in
+      let on_event ev =
+        events := ev :: !events;
+        match ev with
+        | Proto.Started { id } when !head_id < 0 || id = !head_id ->
+          (* the head is the first job ever started *)
+          head_id := id;
+          incr kills;
+          List.iter (fun p -> Unix.kill p Sys.sigkill) (current_workers ())
+        | _ -> ()
+      in
+      (match Client.run_batch ~on_event c [ head; exit_spec 0 ] with
+       | [ Client.Done (Proto.Job_failed h); Client.Done (Proto.Finished q) ] ->
+         Alcotest.(check string) "head synthesized as crashed" "crashed" h.kind;
+         Alcotest.(check int) "queued job exits 0" 0 q.exit_code
+       | _ -> Alcotest.fail "want the head crashed and the queued job finished");
+      Alcotest.(check int) "head killed at both deliveries" 2 !kills;
+      check_deliveries (List.rev !events) ~jobs:2 ~redeliveries:1;
+      let scrape = Client.stats_full c in
+      Alcotest.(check bool) "two crash restarts" true
+        (contains scrape "ptaintd_worker_restarts_total{reason=\"crash\"} 2");
+      Alcotest.(check bool) "one redelivery" true
+        (contains scrape "ptaintd_redeliveries_total 1\n");
+      Alcotest.(check bool) "queued job requeued at both deaths" true
+        (contains scrape "ptaintd_requeues_total 2\n");
+      Alcotest.(check bool) "one synthesized crash" true
+        (contains scrape "ptaintd_jobs_synthesized_total{kind=\"crashed\"} 1");
+      Client.close c)
+
+(* A job's duration runs from its dispatch into the window, so a job
+   queued behind the head counts its wait there.  The daemon itself
+   is SIGSTOPped while its worker runs a 0.3 s spinner and then the
+   6 exit jobs queued behind it, so their terminal events reach the
+   daemon together, in one read; each job still records at least the
+   spinner's 0.3 s, none a near-zero time. *)
+let test_batched_results_timed_from_dispatch () =
+  with_isolated_daemon ~workers:1 (fun path _pids ->
+      let daemon =
+        match children_of (Unix.getpid ()) with
+        | [ d ] -> d
+        | kids -> Alcotest.failf "expected one daemon child, found %d" (List.length kids)
+      in
+      let c = Client.connect ~client:"batched" path in
+      let head =
+        Proto.job_spec ~tag:"head" ~timeout:0.3 ~max_instructions:max_int
+          (Proto.Wire_asm spin_asm)
+      in
+      let stopped = ref false in
+      let on_event = function
+        | Proto.Started _ when not !stopped ->
+          stopped := true;
+          Unix.kill daemon Sys.sigstop;
+          Unix.sleepf 0.6;
+          Unix.kill daemon Sys.sigcont
+        | _ -> ()
+      in
+      (match Client.run_batch ~on_event c (head :: List.init 6 exit_spec) with
+       | Client.Done (Proto.Job_failed h) :: rest ->
+         Alcotest.(check string) "head timed out" "timeout" h.kind;
+         List.iter
+           (function
+             | Client.Done (Proto.Finished f) ->
+               Alcotest.(check int) (f.tag ^ " exits 0") 0 f.exit_code
+             | _ -> Alcotest.fail "a queued job did not finish")
+           rest
+       | _ -> Alcotest.fail "want the head timed out");
+      let scrape = Client.stats_full c in
+      Alcotest.(check bool) "7 durations" true
+        (contains scrape "ptaintd_job_duration_us_count 7\n");
+      Alcotest.(check bool) "none under 262,143 us" true
+        (contains scrape "ptaintd_job_duration_us_bucket{le=\"262143\"} 0\n");
+      Client.close c)
+
+(* --- a stopped worker must not stall the daemon ----------------------- *)
+
+(* A raw connection whose every wait has a deadline, so a daemon that
+   stops answering fails the test instead of hanging it. *)
+let raw_connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  (fd, Proto.response_reader ())
+
+let raw_send (fd, _) req =
+  let o = Proto.outbox () in
+  Proto.add_request o req;
+  Proto.flush_all o (Proto.write_fd fd)
+
+let rec raw_next ~deadline ~what ((fd, r) as conn) =
+  match Proto.next r with
+  | Ok (Some resp) -> resp
+  | Error e -> Alcotest.failf "%s: %s" what (Proto.error_message e)
+  | Ok None ->
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0. then Alcotest.failf "%s: no answer in time" what;
+    (match Unix.select [ fd ] [] [] left with
+     | [], _, _ -> ()
+     | _ -> if Proto.fill r (Proto.read_fd fd) = 0 then Alcotest.failf "%s: EOF" what
+     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    raw_next ~deadline ~what conn
+
+let raw_hello ~deadline conn =
+  raw_send conn (Proto.Hello { client = "raw" });
+  match raw_next ~deadline ~what:"hello" conn with
+  | Proto.Hello_ok _ -> ()
+  | _ -> Alcotest.fail "hello: unexpected reply"
+
+(* The only worker is SIGSTOPped while idle, then handed a Submit
+   bigger than a pipe buffer (64 KiB): the pipe takes part of it and
+   the rest must wait.  The daemon keeps answering meanwhile — a
+   scrape within 1 s — and the job's deadline (0.5 s timeout + 2 s
+   grace) kills the stopped worker and redelivers the job, which exits
+   0 on the respawned one. *)
+let test_stopped_worker_big_submit () =
+  with_isolated_daemon ~workers:1 ~job_timeout:0.5 (fun path pids ->
+      let worker = List.hd pids in
+      Fun.protect
+        ~finally:(fun () -> try Unix.kill worker Sys.sigkill with Unix.Unix_error _ -> ())
+        (fun () ->
+          let soon s = Unix.gettimeofday () +. s in
+          let jobs = raw_connect path in
+          raw_hello ~deadline:(soon 5.) jobs;
+          Unix.kill worker Sys.sigstop;
+          let spec =
+            Proto.job_spec ~tag:"big" ~stdin:(String.make 100_000 'x') (Proto.Wire_asm exit_asm)
+          in
+          raw_send jobs (Proto.Submit spec);
+          (match raw_next ~deadline:(soon 1.) ~what:"admission" jobs with
+           | Proto.Accepted _ -> ()
+           | _ -> Alcotest.fail "admission: unexpected reply");
+          let scraper = raw_connect path in
+          let deadline = soon 1. in
+          raw_hello ~deadline scraper;
+          raw_send scraper Proto.Stats_full;
+          (match raw_next ~deadline ~what:"scrape with the worker stopped" scraper with
+           | Proto.Stats_full_ok _ -> ()
+           | _ -> Alcotest.fail "scrape: unexpected reply");
+          let rec terminal started =
+            match raw_next ~deadline:(soon 10.) ~what:"the job's result" jobs with
+            | Proto.Job_event (Proto.Started _) -> terminal (started + 1)
+            | Proto.Job_event (Proto.Finished f) -> (started, f.exit_code)
+            | Proto.Job_event (Proto.Job_failed f) -> Alcotest.failf "job failed: %s" f.kind
+            | _ -> Alcotest.fail "unexpected frame"
+          in
+          let started, code = terminal 0 in
+          Alcotest.(check int) "job exits 0" 0 code;
+          Alcotest.(check int) "one Started per delivery" 2 started;
+          raw_send scraper Proto.Stats_full;
+          (match raw_next ~deadline:(soon 1.) ~what:"final scrape" scraper with
+           | Proto.Stats_full_ok text ->
+             List.iter
+               (fun (series, n) ->
+                 Alcotest.(check bool) (Printf.sprintf "%s %d" series n) true
+                   (contains text (Printf.sprintf "%s %d\n" series n)))
+               [ ("ptaintd_worker_restarts_total{reason=\"deadline\"}", 1);
+                 ("ptaintd_worker_restarts_total{reason=\"crash\"}", 0);
+                 ("ptaintd_worker_restarts_total{reason=\"heartbeat\"}", 0);
+                 ("ptaintd_redeliveries_total", 1) ]
+           | _ -> Alcotest.fail "final scrape: unexpected reply");
+          Unix.close (fst jobs);
+          Unix.close (fst scraper)))
 
 (* Each isolated worker gets the whole [--cache] capacity (64 by
    default), not a share of it: 20 distinct programs fit, so a second
@@ -361,6 +567,14 @@ let () =
         [ Alcotest.test_case "SIGKILL mid-campaign" `Quick test_sigkill_mid_campaign;
           Alcotest.test_case "SIGSTOP mid-campaign" `Quick test_sigstop_mid_campaign;
           Alcotest.test_case "SIGSTOP idle worker" `Quick test_sigstop_idle_heartbeat ] );
+      ( "window",
+        [ Alcotest.test_case "SIGKILL with a full window" `Quick test_sigkill_full_window;
+          Alcotest.test_case "queued job survives two deaths" `Quick
+            test_queued_job_survives_two_deaths;
+          Alcotest.test_case "batched results timed from dispatch" `Quick
+            test_batched_results_timed_from_dispatch;
+          Alcotest.test_case "stopped worker, 100 KB Submit" `Quick
+            test_stopped_worker_big_submit ] );
       ( "cache",
         [ Alcotest.test_case "full capacity per isolated worker" `Quick
             test_isolated_cache_capacity ] );
