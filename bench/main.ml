@@ -373,6 +373,48 @@ let micro_superblock_dispatch_bench =
                 m.Ptaint_cpu.Machine.sb_promoted
                 (m.Ptaint_cpu.Machine.chain_hits - before))))
 
+(* [stack-pair] spins the Mini-C stack machine's idiom: two pushes and
+   two pops around an add, cgen's exact shapes, which the tier runs as
+   one step per pair (clean variant, self-chained).  The row asserts
+   the tier carried the load, like [superblock-dispatch]. *)
+let stack_pair_machine () =
+  let open Ptaint_isa in
+  let tb = Ptaint_mem.Layout.text_base and top = Ptaint_mem.Layout.stack_top in
+  let sp = Reg.sp and t0 = Reg.t0 and t1 = Reg.t1 in
+  let insns =
+    [| Insn.I (ADDIU, sp, sp, -4); Insn.Store (SW, t0, 0, sp);
+       Insn.I (ADDIU, t0, t0, 1);
+       Insn.I (ADDIU, sp, sp, -4); Insn.Store (SW, t0, 0, sp);
+       Insn.Load (LW, t1, 0, sp); Insn.I (ADDIU, sp, sp, 4);
+       Insn.R (ADDU, t0, t0, t1);
+       Insn.Load (LW, t1, 0, sp); Insn.I (ADDIU, sp, sp, 4);
+       Insn.J tb |]
+  in
+  let mem = Ptaint_mem.Memory.create () in
+  Ptaint_mem.Memory.map_range mem ~lo:(top - Ptaint_mem.Layout.page_bytes)
+    ~bytes:Ptaint_mem.Layout.page_bytes;
+  let m =
+    Ptaint_cpu.Machine.create ~code:{ Ptaint_cpu.Machine.base = tb; insns } ~mem ~entry:tb ()
+  in
+  Ptaint_cpu.Regfile.set m.Ptaint_cpu.Machine.regs sp (Ptaint_taint.Tword.untainted (top - 64));
+  m
+
+let micro_stack_pair_bench =
+  let m = stack_pair_machine () in
+  ignore (Ptaint_cpu.Machine.run m ~fuel:20_000);
+  Test.make ~name:"micro/stack-pair-10k"
+    (Staged.stage (fun () ->
+         let before = m.Ptaint_cpu.Machine.chain_hits in
+         ignore (Ptaint_cpu.Machine.run m ~fuel:10_000);
+         if m.Ptaint_cpu.Machine.sb_promoted = 0
+            || m.Ptaint_cpu.Machine.chain_hits - before < 800
+         then
+           failwith
+             (Printf.sprintf
+                "micro/stack-pair-10k: tier not engaged (%d promoted, %d chain hits this run)"
+                m.Ptaint_cpu.Machine.sb_promoted
+                (m.Ptaint_cpu.Machine.chain_hits - before))))
+
 let chain_machine () =
   let open Ptaint_isa in
   let tb = Ptaint_mem.Layout.text_base in
@@ -590,7 +632,7 @@ let micro_gen_job_words_bench =
 let micro_benches =
   [ micro_mem_bench; micro_regfile_bench; micro_snapshot_bench; micro_trace_off_bench;
     micro_trace_on_bench; micro_block_dispatch_bench; micro_clean_fastpath_bench;
-    micro_superblock_dispatch_bench; micro_chain_hit_bench;
+    micro_superblock_dispatch_bench; micro_stack_pair_bench; micro_chain_hit_bench;
     micro_sliced_run_bench; micro_arena_reuse_bench; micro_template_boot_bench;
     micro_fresh_boot_bench;
     micro_metrics_scrape_bench; micro_frame_read_bench;

@@ -17,15 +17,21 @@ module M = Ptaint_mem.Memory
      arithmetic with a clean-operand fast path.
 
    Each opcode family has one builder, which returns both closures for
-   its instruction.  What an opcode computes is defined once, in a
-   top-level [@inline] helper both closures call directly; the clean
-   closure is the full closure's clean-operand fast path without the
-   tag test and without the register-bitmap write.  The variant is
-   chosen by building its closure at translate time, never by a branch
-   inside one.  Only tracking policies run the full variant: without
-   tracking the register file stays clean unless fault injection
-   dirties it, and a block entered with a dirty register file under a
-   non-tracking policy runs on [Machine.step_core] instead.
+   its instruction: constants, ALU reg-reg and reg-imm, constant
+   shifts, loads, stores, mult/div, HI/LO moves, branches and the other
+   terminators.  One family spans two instructions: the stack pair,
+   Mini-C's push ([addiu $sp,$sp,-4; sw rt,0($sp)]) and pop
+   ([lw rd,0($sp); addiu $sp,$sp,4]), matched inside one block body
+   and run as one closure per variant.  What an opcode computes is
+   defined once, in a top-level [@inline] helper both closures call
+   directly; the clean closure is the full closure's clean-operand
+   fast path without the tag test and without the register-bitmap
+   write.  The variant is chosen by building its closure at translate
+   time, never by a branch inside one.  Only tracking policies run the
+   full variant: without tracking the register file stays clean unless
+   fault injection dirties it, and a block entered with a dirty
+   register file under a non-tracking policy runs on
+   [Machine.step_core] instead.
 
    Superblocks chain: a terminator tail-calls its successor superblock
    through a patchable slot, so straight-line guest code (loops
@@ -353,6 +359,14 @@ let[@inline] load_clean op ~track env ~align rel rd breg off (nx : code) (fx : c
     end
   end
 
+(* The full variant's writeback of a loaded element [w]. *)
+let[@inline] put_loaded env rd w =
+  if w land tag_bits <> 0 then begin
+    env.e_st.M.tainted_loads <- env.e_st.M.tainted_loads + 1;
+    if rd <> 0 then put env rd w
+  end
+  else if rd <> 0 then put_clean env rd w
+
 let[@inline] load_full op ~dd env ~align rel rd breg off (nf : code) =
   let a = Array.unsafe_get env.e_regs breg in
   let ea = ea_of a off in
@@ -360,12 +374,7 @@ let[@inline] load_full op ~dd env ~align rel rd breg off (nf : code) =
   else if ea land align <> 0 then event env ev_misalign rel ea (align + 1)
   else begin
     env.e_rel <- rel;
-    let w = load_elt op env.e_mem ea in
-    if w land tag_bits <> 0 then begin
-      env.e_st.M.tainted_loads <- env.e_st.M.tainted_loads + 1;
-      if rd <> 0 then put env rd w
-    end
-    else if rd <> 0 then put_clean env rd w;
+    put_loaded env rd (load_elt op env.e_mem ea);
     nf env
   end
 
@@ -574,6 +583,55 @@ let move ~dst ~src (nx : code) (nf : code) =
         put env dst (Array.unsafe_get env.e_regs src);
         nf env )
 
+(* The stack-pair family: the Mini-C stack machine's push
+   ([addiu $sp,$sp,-4] then [sw rt,0($sp)]) and pop ([lw rd,0($sp)]
+   then [addiu $sp,$sp,4]), each pair one closure per variant.  The
+   halves keep [step_core]'s order: a push writes $sp before its store
+   can raise anything, a pop raises before it moves $sp, and both
+   report events at the memory half's block-relative index [rel].  With
+   [rt] or [rd] = $sp the store reads the decremented $sp and the
+   increment applies to the loaded one, as run one at a time. *)
+let sp = Reg.sp
+let push_delta = 0xFFFFFFFC (* -4, as decoded *)
+
+let push ~dd rel rt (nx : code) (nf : code) =
+  ( (fun env ->
+      ri_clean Block.Oaddi env sp sp push_delta;
+      store_clean Block.Osw env ~align:3 rel rt sp 0 nx),
+    fun env ->
+      ri_full Block.Oaddi env sp sp push_delta;
+      store_full Block.Osw ~dd env ~align:3 rel rt sp 0 nf )
+
+(* [(ax, af)] are the [addiu] half's own closures: a clean load of a
+   tainted element finishes the pop through them, [af] being its deopt
+   target. *)
+let pop ~track ~dd rel rd (nx : code) (nf : code) ((ax, af) : code * code) =
+  ( (fun env ->
+      let regs = env.e_regs in
+      let ea = ea_of (Array.unsafe_get regs sp) 0 in
+      if ea land 3 <> 0 then event env ev_misalign rel ea 4
+      else begin
+        env.e_rel <- rel;
+        let w = load_elt Block.Olw env.e_mem ea in
+        if w land tag_bits <> 0 then clean_tainted_load ~track env rd w ax af
+        else begin
+          if rd <> 0 then Array.unsafe_set regs rd w;
+          ri_clean Block.Oaddi env sp sp 4;
+          nx env
+        end
+      end),
+    fun env ->
+      let a = Array.unsafe_get env.e_regs sp in
+      let ea = ea_of a 0 in
+      if dd && a land tag_bits <> 0 then event env ev_load_alert rel sp ea
+      else if ea land 3 <> 0 then event env ev_misalign rel ea 4
+      else begin
+        env.e_rel <- rel;
+        put_loaded env rd (load_elt Block.Olw env.e_mem ea);
+        ri_full Block.Oaddi env sp sp 4;
+        nf env
+      end )
+
 (* Conditional branches, through the terminator's successor [slots].
    The one-register forms pass slot 0 as [rt]: it reads 0, and
    untainting it is a no-op. *)
@@ -746,8 +804,33 @@ let translate tier idx =
     | Block.Osyscall | Block.Obreak ->
       assert false
   in
+  (* Whether [i] ends a stack pair whose first half is in this block
+     too: a branch into the second half enters a block of its own, which
+     runs that half alone. *)
+  let pair_ends i =
+    i > idx
+    && Array.unsafe_get fb (i - 1) = sp
+    && Array.unsafe_get fb i = sp
+    &&
+    match (Array.unsafe_get ops (i - 1), Array.unsafe_get ops i) with
+    | Block.Oaddi, Block.Osw ->
+      Array.unsafe_get fa (i - 1) = sp
+      && Array.unsafe_get fc (i - 1) = push_delta
+      && Array.unsafe_get fc i = 0
+    | Block.Olw, Block.Oaddi ->
+      Array.unsafe_get fc (i - 1) = 0 && Array.unsafe_get fa i = sp && Array.unsafe_get fc i = 4
+    | _ -> false
+  in
   let clean_code, full_code =
-    let rec build i ((nx, nf) as k) = if i < idx then k else build (i - 1) (insn i nx nf) in
+    let rec build i ((nx, nf) as k) =
+      if i < idx then k
+      else if pair_ends i then
+        build (i - 2)
+          (if Array.unsafe_get ops i = Block.Osw then
+             push ~dd (i - idx) (Array.unsafe_get fa i) nx nf
+           else pop ~track ~dd (i - 1 - idx) (Array.unsafe_get fa (i - 1)) nx nf (insn i nx nf))
+      else build (i - 1) (insn i nx nf)
+    in
     build (term - 1) terminator
   in
   (* Entry point: one fuel test for the whole superblock, one variant

@@ -17,10 +17,16 @@
       closures (no handler-table dispatch, no [Tword] boxing), with a
       clean-operand fast path.
 
-    Each opcode is defined once: one builder per opcode family returns
-    both closures for its instruction, and the clean closure is the
-    full one's clean-operand path without the tag test and the
-    register-bitmap write.  Only tracking policies run the full
+    Each opcode is defined once: one builder per opcode family
+    (constants, ALU reg-reg and reg-imm, constant shifts, loads,
+    stores, mult/div, HI/LO moves, terminators) returns both closures
+    for its instruction, and the clean closure is the full one's
+    clean-operand path without the tag test and the register-bitmap
+    write.  The stack-pair family covers two instructions: the Mini-C
+    stack machine's push ([addiu $sp,$sp,-4; sw rt,0($sp)]) and pop
+    ([lw rd,0($sp); addiu $sp,$sp,4]) run as one closure per variant
+    when both halves are in the same block, with every event in the
+    order and at the instruction the per-step engine reports it.  Only tracking policies run the full
     variant; under a non-tracking policy a block entered with register
     taint (which only fault injection can create) exits to the driver,
     which runs it on [Machine.step_core].

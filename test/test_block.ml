@@ -4,14 +4,16 @@
    blocks as translated superblock chains, cold and partial blocks on
    [step_core] — while [Sim.finish_per_step] drives the same session
    strictly one [Machine.step] at a time.  The two engines must be
-   observationally identical: same outcome, same instruction count,
-   same register file (values *and* taint), same memory (both planes
-   of every mapped page), same access statistics.  This suite checks
-   that on random compiled programs, on every attack scenario in the
-   catalogue under every coverage policy (cold, and again on a warm
-   shared tier), on handwritten guests that cross
-   clean -> tainted -> clean so both superblock variants execute, and
-   on random raw loop bodies over every opcode under every policy. *)
+   observationally identical: same outcome, same pc, same instruction
+   count, same register file (values *and* taint), same memory (both
+   planes of every mapped page), same access statistics.  This suite
+   checks that on random compiled programs, on every attack scenario
+   in the catalogue under every coverage policy (cold, and again on a
+   warm shared tier), on handwritten guests that cross
+   clean -> tainted -> clean so both superblock variants execute, on
+   random raw loop bodies over every opcode under every policy, on the
+   Mini-C push/pop pairs the tier runs as one step, and under random
+   fuel slicing. *)
 
 open Ptaint_taint
 module Sim = Ptaint_sim.Sim
@@ -72,6 +74,7 @@ let check_agree ctx (bulk : Sim.result) (ref_ : Sim.result) =
           (Regfile.slot_name i) a b)
     (List.combine (reg_bits mb) (reg_bits mr));
   chk "machine icount" si mb.Machine.icount mr.Machine.icount;
+  chk "pc" (Printf.sprintf "0x%08x") mb.Machine.pc mr.Machine.pc;
   chk "tainted registers" si
     (Regfile.tainted_count mb.Machine.regs) (Regfile.tainted_count mr.Machine.regs);
   chk "tainted bytes" si
@@ -84,12 +87,18 @@ let check_agree ctx (bulk : Sim.result) (ref_ : Sim.result) =
   chk "tainted stores" si sb.Memory.tainted_stores sr.Memory.tainted_stores;
   chk "mapped bytes" si sb.Memory.mapped_bytes sr.Memory.mapped_bytes
 
-(* Run one program under one config through both engines.  Also
-   asserts the routing itself: the bulk run must actually have
-   dispatched blocks, and the reference run must not have. *)
-let differential ctx config program =
-  let bulk = Sim.finish (Sim.boot ~config program) in
-  let ref_ = Sim.finish_per_step (Sim.boot ~config program) in
+(* Run one program under one config through both engines, [prep]
+   applied to each freshly booted machine.  Also asserts the routing
+   itself: the bulk run must actually have dispatched blocks, and the
+   reference run must not have. *)
+let differential ?(prep = ignore) ctx config program =
+  let boot () =
+    let s = Sim.boot ~config program in
+    prep s.Sim.s_machine;
+    s
+  in
+  let bulk = Sim.finish (boot ()) in
+  let ref_ = Sim.finish_per_step (boot ()) in
   if bulk.instructions > 0 && bulk.machine.Machine.blocks_run = 0 then
     Alcotest.failf "%s: finish did not route through the block engine" ctx;
   if ref_.machine.Machine.blocks_run <> 0 then
@@ -514,7 +523,12 @@ let test_taint_flip_mid_chain () =
    $s3 = $s7 + (($s6 == K) << 30) instead, so at iteration K the $s3
    access lands far past every mapped page and segfaults there.  Each
    pass also stores the base register itself, so taint injected into
-   it shows in memory. *)
+   it shows in memory.
+   The gadget also resets $sp to $s3 + 8 each pass, for the Mini-C
+   stack machine's push and pop pairs (which the tier runs as one
+   step) and their lone halves: pops start on the tainted bytes of
+   [buf], pushes run down into the untainted [pad] below it, and at
+   iteration K the pairs meet the late fault or alert. *)
 
 type late_target = Pool of string | Unmapped
 
@@ -587,7 +601,19 @@ let matrix_insn_gen =
         let* op = oneofl [ "mthi"; "mtlo" ] in
         let* a = src in
         return (Printf.sprintf "%s %s" op a) );
-      (1, return "nop") ]
+      (1, return "nop");
+      ( 3,
+        let* r = src in
+        return (Printf.sprintf "addiu $sp, $sp, -4\n        sw %s, 0($sp)" r) );
+      ( 3,
+        let* r = dst in
+        return (Printf.sprintf "lw %s, 0($sp)\n        addiu $sp, $sp, 4" r) );
+      ( 2,
+        let* r = reg in
+        oneofl
+          [ "addiu $sp, $sp, -4"; "addiu $sp, $sp, 4"; "addiu $sp, $sp, -8";
+            Printf.sprintf "sw %s, 0($sp)" r; Printf.sprintf "lw %s, 0($sp)" r;
+            Printf.sprintf "sw %s, 4($sp)" r; Printf.sprintf "lw %s, 4($sp)" r ] ) ]
 
 let matrix_case_gen =
   let open QCheck2.Gen in
@@ -625,7 +651,8 @@ let matrix_asm (body, late, late_target, _) =
          (match late_target with
           | Pool r -> Printf.sprintf "        and $s1, $s1, %s" r
           | Unmapped -> Printf.sprintf "        sll $s1, $s1, 30");
-         "        addu $s3, $s7, $s1" ]
+         "        addu $s3, $s7, $s1";
+         "        addiu $sp, $s3, 8" ]
      @ List.map (fun l -> "        " ^ l) body
      @ [ "        sw $s7, 60($s7)";
          "        addiu $s6, $s6, -1";
@@ -636,6 +663,7 @@ let matrix_asm (body, late, late_target, _) =
          "        li $a0, 0";
          "        syscall";
          "        .data";
+         "pad:    .space 128";
          "buf:    .space 64" ])
 
 let matrix_policies =
@@ -728,6 +756,247 @@ let test_unmapped_every_width () =
       [ ("lw", Load); ("lh", Load); ("lhu", Load); ("lb", Load); ("lbu", Load);
         ("sw", Store); ("sh", Store); ("sb", Store) ]
 
+(* --- the stack-pair family -------------------------------------------- *)
+
+(* The superblock tier runs cgen's push ([addiu $sp,$sp,-4; sw rt,0($sp)])
+   and pop ([lw rd,0($sp); addiu $sp,$sp,4]) as one step.  These fixed
+   bodies run on the opcode matrix's loop under every matrix policy,
+   with the late event at iteration [pair_late]: in compiled code, and
+   before the halfway scrub, so $t0 still holds stdin taint.  Every
+   byte of this input is even, so $t0's gadget leaves $sp aligned. *)
+let push_pair r = [ "addiu $sp, $sp, -4"; Printf.sprintf "sw %s, 0($sp)" r ]
+let pop_pair r = [ Printf.sprintf "lw %s, 0($sp)" r; "addiu $sp, $sp, 4" ]
+let pair_input = "0246802468024680"
+let pair_late = (matrix_passes / 2) + 8
+
+type pair_expect =
+  | Exits
+  | Alerts of Machine.alert_kind  (* under the data-pointer detecting policies *)
+  | Misaligned
+  | Segfaults of Memory.access
+
+let stack_pair_cases =
+  [ ("tainted $sp, push", push_pair "$t4", Pool "$t0", Alerts Machine.Store_address);
+    ("tainted $sp, pop", pop_pair "$t5", Pool "$t0", Alerts Machine.Load_address);
+    ("misaligned $sp, push", push_pair "$t5", Pool "$t4", Misaligned);
+    ("misaligned $sp, pop", pop_pair "$t5", Pool "$t4", Misaligned);
+    ("unmapped $sp, push", push_pair "$t4", Unmapped, Segfaults Memory.Store);
+    ("unmapped $sp, pop", pop_pair "$t5", Unmapped, Segfaults Memory.Load);
+    ("sw $sp, 0($sp)", push_pair "$sp" @ pop_pair "$t5", Pool "$t7", Exits);
+    ("lw $sp, 0($sp)", push_pair "$t4" @ pop_pair "$sp", Pool "$t7", Exits);
+    (* the element is stdin's: after the scrub a clean pop into $sp
+       deoptimizes, the store shows the taint the increment kept, and
+       the reset leaves the next pass's entry clean *)
+    ("lw $sp of a tainted element", pop_pair "$sp" @ [ "sw $sp, 20($s7)"; "addiu $sp, $s7, 8" ],
+     Pool "$t7", Exits);
+    (* $sp pushed between other pairs: the next pop brings back the
+       decremented $sp *)
+    ("push then pop of $sp", push_pair "$t4" @ push_pair "$sp" @ pop_pair "$t6" @ pop_pair "$t5",
+     Pool "$t4", Misaligned);
+    (* no event: the last pass's $sp, $t5 and stores stay visible *)
+    ("near miss: addiu $sp, $sp, -8", [ "addiu $sp, $sp, -8"; "sw $t4, 0($sp)" ], Pool "$t7",
+     Exits);
+    ("near miss: sw at 4($sp)", [ "addiu $sp, $sp, -4"; "sw $t4, 4($sp)" ], Pool "$t7", Exits);
+    ("near miss: sw off $s7", [ "addiu $sp, $sp, -4"; "sw $t4, 0($s7)" ], Pool "$t7", Exits);
+    ("near miss: lw at 4($sp)", [ "lw $t5, 4($sp)"; "addiu $sp, $sp, 4" ], Pool "$t7", Exits);
+    ("near miss: lw off $s7", [ "lw $t5, 0($s7)"; "addiu $sp, $sp, 4" ], Pool "$t7", Exits);
+    ("near miss: addiu $sp, $sp, 8", [ "lw $t5, 0($sp)"; "addiu $sp, $sp, 8" ], Pool "$t7",
+     Exits);
+    ("near miss: addiu into $t6", [ "lw $t5, 0($sp)"; "addiu $t6, $sp, 4" ], Pool "$t7", Exits) ]
+
+let check_pair_outcome ctx ~detects expect outcome =
+  let ok =
+    match (expect, outcome) with
+    | Exits, Sim.Exited 0 -> true
+    | Alerts _, Sim.Exited 0 -> not detects
+    | Alerts k, Sim.Alert a -> detects && a.Machine.kind = k
+    | Misaligned, Sim.Fault (Machine.Misaligned _) -> true
+    | Segfaults acc, Sim.Fault (Machine.Segfault f) -> f.access = acc
+    | _ -> false
+  in
+  if not ok then Alcotest.failf "%s: unexpected outcome %s" ctx (outcome_str outcome)
+
+let test_stack_pair_cases () =
+  List.iter
+    (fun (name, body, late_target, expect) ->
+      let case = (body, pair_late, late_target, pair_input) in
+      let program = matrix_program case in
+      List.iter
+        (fun (label, policy) ->
+          let ctx = Printf.sprintf "%s under %s" name label in
+          let bulk = differential ctx (matrix_config pair_input policy) program in
+          if bulk.machine.Machine.sb_promoted = 0 then
+            Alcotest.failf "%s: the loop was never promoted" ctx;
+          check_pair_outcome ctx ~detects:(Ptaint_cpu.Policy.detects_data_pointers policy)
+            expect bulk.outcome)
+        matrix_policies)
+    stack_pair_cases
+
+(* A push of tainted data into a guarded stack slot: the guard alert
+   comes from the store half, after the push moved $sp.  The body
+   resets $sp to a clean base so only the pushed $s1 carries taint,
+   and only at the late iteration. *)
+let test_stack_pair_guard () =
+  let case = ("addiu $sp, $s7, 8" :: push_pair "$s1", pair_late, Pool "$t0", pair_input) in
+  let program = matrix_program case in
+  let buf = Ptaint_asm.Program.symbol_exn program "buf" in
+  List.iter
+    (fun (label, policy) ->
+      let ctx = "guarded push under " ^ label in
+      let prep m = Machine.add_guard m ~addr:(buf + 4) ~len:4 in
+      let bulk = differential ~prep ctx (matrix_config pair_input policy) program in
+      if bulk.machine.Machine.sb_promoted = 0 then
+        Alcotest.failf "%s: the loop was never promoted" ctx;
+      check_pair_outcome ctx ~detects:(Ptaint_cpu.Policy.detects_data_pointers policy)
+        (Alerts Machine.Guarded_store) bulk.outcome)
+    matrix_policies
+
+(* Pairs split by a block entry: the loop enters the push and the pop
+   whole on some passes and branches to their second halves on
+   others, so each second half also starts a translated block of its
+   own and runs there alone.  $t4 holds stdin taint for the first half
+   of the run, so both variants meet every entry. *)
+let split_pair_asm =
+  {|
+        .text
+main:   li $v0, 2               # sys_read: 4 tainted bytes
+        li $a0, 0
+        la $a1, buf
+        li $a2, 4
+        syscall
+        la $s7, buf
+        lw $t4, 0($s7)
+        li $s5, 100
+        li $s6, 200
+loop:   addiu $sp, $s7, 16
+        addiu $sp, $sp, -4      # push, entered whole from loop...
+push2:  sw $t4, 0($sp)          # ...and at its second half
+        lw $t5, 0($sp)          # pop, entered whole...
+pop2:   addiu $sp, $sp, 4       # ...and at its second half
+        addiu $s6, $s6, -1
+        blez $s6, done
+        bne $s6, $s5, keep      # halfway: scrub the register taint
+        li $t4, 7
+        li $t5, 0
+keep:   andi $s1, $s6, 3
+        beq $s1, $zero, loop
+        addiu $s1, $s1, -1
+        beq $s1, $zero, push2
+        addiu $s1, $s1, -1
+        beq $s1, $zero, pop2
+        j loop
+done:   li $v0, 1
+        li $a0, 0
+        syscall
+        .data
+buf:    .space 64
+|}
+
+let test_stack_pair_split () =
+  let program = Ptaint_asm.Assembler.assemble_exn split_pair_asm in
+  List.iter
+    (fun (label, policy) ->
+      let ctx = "split pairs under " ^ label in
+      let bulk = differential ctx (matrix_config "ABCD" policy) program in
+      (match bulk.outcome with
+       | Sim.Exited 0 -> ()
+       | o -> Alcotest.failf "%s: outcome %s" ctx (outcome_str o));
+      (* the three loop entries and the dispatch blocks after them *)
+      if bulk.machine.Machine.sb_promoted < 3 then
+        Alcotest.failf "%s: only %d blocks promoted" ctx bulk.machine.Machine.sb_promoted)
+    matrix_policies
+
+(* --- random fuel slicing through fused pairs -------------------------- *)
+
+(* Whether the machine is about to run the second half of a stack pair:
+   slicing the fuel there makes the bulk engine stop inside what the
+   tier runs as one step. *)
+let mid_pair m (insn : Ptaint_isa.Insn.t) =
+  let sp = Ptaint_isa.Reg.sp in
+  match (Machine.fetch m (m.Machine.pc - 4), insn) with
+  | Some (Ptaint_isa.Insn.I ((ADDIU | ADDI), rt, rs, -4)), Store (SW, _, 0, base) ->
+    rt = sp && rs = sp && base = sp
+  | Some (Load (LW, _, 0, base)), I ((ADDIU | ADDI), rt, rs, 4) ->
+    base = sp && rt = sp && rs = sp
+  | _ -> false
+
+(* The per-step run, with the (icount, pc) of every mid-pair point. *)
+let reference_with_mid_pairs config program =
+  let mids = ref [] in
+  let hook m insn = if mid_pair m insn then mids := (m.Machine.icount, m.Machine.pc) :: !mids in
+  let r = Sim.finish (Sim.boot ~config:(Sim.Config.with_on_step hook config) program) in
+  (r, List.rev !mids)
+
+(* The bulk engine under random [run_until] targets, so [Machine.run]
+   gets random fuel: mostly short slices, which end inside blocks and
+   pairs, and some long ones, which run the compiled chains. *)
+let run_randomly_sliced ~seed config program =
+  let st = Random.State.make [| seed |] in
+  let s = Sim.boot ~config program in
+  let rec go () =
+    let slice = 1 + Random.State.int st (if Random.State.bool st then 16 else 4000) in
+    match Sim.run_until s ~icount:(s.Sim.s_machine.Machine.icount + slice) with
+    | Sim.Running -> go ()
+    | Sim.Finished o -> Sim.result_of s o
+  in
+  go ()
+
+(* The bulk engine stopped at every mid-pair icount, each stop checked
+   against the pc the per-step run had there. *)
+let run_stopping_mid_pair ctx mids config program =
+  let s = Sim.boot ~config program in
+  let m = s.Sim.s_machine in
+  List.iter
+    (fun (icount, pc) ->
+      match Sim.run_until s ~icount with
+      | Sim.Running ->
+        if m.Machine.icount <> icount || m.Machine.pc <> pc then
+          Alcotest.failf "%s: stop at %d landed at icount %d, pc 0x%08x (per-step: 0x%08x)" ctx
+            icount m.Machine.icount m.Machine.pc pc
+      | Sim.Finished o ->
+        Alcotest.failf "%s: finished (%s) before icount %d" ctx (outcome_str o) icount)
+    mids;
+  Sim.finish s
+
+let push_pop_heavy_c =
+  {|
+int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
+int main(void) {
+  int i;
+  int s = 0;
+  for (i = 0; i < 300; i = i + 1)
+    s = s + ((i * 7) ^ (i >> 2)) - (i & 15) + fib(i % 9) * (s & 3);
+  printf("%d\n", s);
+  return 0;
+}
+|}
+
+let test_fuel_slicing_pairs () =
+  let parser_config =
+    Sim.Config.(
+      default
+      |> with_stdin (Ptaint_workloads.Wl_parser.input ~bytes:500 ())
+      |> with_argv [ "PARSER" ])
+  in
+  List.iter
+    (fun (name, config, program) ->
+      let ref_, mids = reference_with_mid_pairs config program in
+      (match ref_.outcome with
+       | Sim.Exited 0 -> ()
+       | o -> Alcotest.failf "%s: outcome %s" name (outcome_str o));
+      if List.length mids < 1000 then
+        Alcotest.failf "%s: only %d mid-pair points" name (List.length mids);
+      List.iter
+        (fun seed ->
+          check_agree (Printf.sprintf "%s, random slices (seed %d)" name seed)
+            (run_randomly_sliced ~seed config program) ref_)
+        [ 1; 2; 3 ];
+      let ctx = name ^ ", stopped mid-pair" in
+      check_agree ctx (run_stopping_mid_pair ctx mids config program) ref_)
+    [ ("push/pop-heavy Mini-C", Sim.Config.default,
+       Ptaint_runtime.Runtime.compile push_pop_heavy_c);
+      ("PARSER", parser_config, Ptaint_workloads.Workload.(program parser)) ]
+
 (* --- batch runner --------------------------------------------------- *)
 
 (* The campaign engine feeds every job through [finish]; a two-domain
@@ -818,6 +1087,10 @@ let () =
           Alcotest.test_case "taint flip mid-chain" `Quick test_taint_flip_mid_chain;
           Alcotest.test_case "opcode x variant x policy" `Quick test_opcode_matrix;
           Alcotest.test_case "unmapped late target, every width" `Quick test_unmapped_every_width;
+          Alcotest.test_case "stack pairs, fixed cases" `Quick test_stack_pair_cases;
+          Alcotest.test_case "stack pairs, guarded push" `Quick test_stack_pair_guard;
+          Alcotest.test_case "stack pairs split by a block entry" `Quick test_stack_pair_split;
+          Alcotest.test_case "fuel slicing through stack pairs" `Quick test_fuel_slicing_pairs;
           Alcotest.test_case "run_jobs matches per-step" `Quick test_run_jobs_differential;
           Alcotest.test_case "generated pool, hot through the arena" `Quick
             test_generated_pool ] ) ]
