@@ -61,14 +61,11 @@ val verdict_of : t -> Ptaint_sim.Sim.result -> verdict
 (** Classify a finished simulation with the scenario's compromise
     oracle — what batch drivers apply to campaign results. *)
 
-val run_case :
-  t -> case -> Ptaint_cpu.Policy.t -> verdict * Ptaint_sim.Sim.result
-(** Build the guest, run [case] under the given policy, classify. *)
-
 val run :
   ?policy:Ptaint_cpu.Policy.t -> t -> verdict * Ptaint_sim.Sim.result
-(** Run the primary attack case under [policy] (default: full pointer
-    taintedness).  Thin wrapper over {!run_case}. *)
+(** Build the guest, run the primary attack case under [policy]
+    (default: full pointer taintedness) and classify the result with
+    {!verdict_of}. *)
 
 val run_benign :
   ?policy:Ptaint_cpu.Policy.t -> t -> verdict * Ptaint_sim.Sim.result

@@ -498,44 +498,32 @@ let load_tally d =
 
 (* --- the engine ---
 
-   Every batch runs here.  Jobs are pulled lazily from a sequence and
-   posted to a persistent worker pool; at most [window] (4x the worker
-   count) are admitted beyond the flush cursor, which bounds both the
-   queue and the reorder buffer.  Each worker runs its job through
-   [run_job] against the engine's image cache and reduces the result
-   with [reduce] before it touches its next job; [emit] then sees
-   every reduced value on the calling domain, in submission order.
-   [keep] is [run_job]'s: collected results boot fresh, reduced-and-
-   dropped ones boot the arena. *)
+   Every batch runs here.  Jobs are pulled lazily from a sequence; each
+   is run through [run_job] against the engine's image cache and
+   reduced with [reduce] before the next job touches the same domain,
+   and [emit] sees every reduced value on the calling domain, in
+   submission order.  [keep] is [run_job]'s: collected results boot
+   fresh, reduced-and-dropped ones boot the arena.
+
+   One worker buys no parallelism beside a caller that only folds, so
+   a one-worker engine runs each job on the calling domain, in order,
+   with no pool and no handoff.  Two or more workers get [pooled]. *)
 let engine_cache_capacity = 128
 
-let engine ?domains ~job_timeout ~retries ~backoff ~start ~keep ~reduce ~emit jobs =
-  let svc = Pool.service ?domains () in
-  let window = 4 * Pool.service_size svc in
-  let images = Images.create ~capacity:engine_cache_capacity in
+(* Jobs posted to a persistent worker pool; at most [window] (4x the
+   worker count) are admitted beyond the flush cursor, which bounds
+   both the queue and the reorder buffer.  Each worker hands its
+   reduced value back through a mutex-guarded completion queue. *)
+let pooled ~workers ~start ~emit run_one jobs =
+  let svc = Pool.service ~domains:workers () in
+  let window = 4 * workers in
   let mu = Mutex.create () in
   let cv = Condition.create () in
   let completions = Queue.create () in
   (* out-of-order completions parked until the cursor reaches them *)
   let pending = Hashtbl.create (2 * window) in
-  let run_one idx (spec : Job.t) () =
-    let v =
-      match reduce idx (fst (run_job ?job_timeout ~retries ~backoff ~keep images spec)) with
-      | v -> v
-      | exception e ->
-        (* [run_job] contains everything, so this is belt and braces: the
-           pump must never lose a completion, or the reorder flush
-           stalls forever at this index. *)
-        let now = Unix.gettimeofday () in
-        reduce idx
-          { name = spec.Job.tag;
-            policy_label = job_label spec;
-            status = Failed { kind = Crashed; exn = Printexc.to_string e; backtrace = "" };
-            violation = None;
-            attempts = 1;
-            timing = { started = now; finished = now; domain = (Domain.self () :> int) };
-            trace = spec.Job.trace }
-    in
+  let post idx spec () =
+    let v = run_one idx spec in
     Mutex.lock mu;
     Queue.push (idx, v) completions;
     Condition.signal cv;
@@ -549,7 +537,7 @@ let engine ?domains ~job_timeout ~retries ~backoff ~start ~keep ~reduce ~emit jo
       | Seq.Nil -> exhausted := true
       | Seq.Cons (spec, rest) ->
         next := rest;
-        Pool.post svc (run_one !submitted spec);
+        Pool.post svc (post !submitted spec);
         incr submitted
     done
   in
@@ -571,6 +559,37 @@ let engine ?domains ~job_timeout ~retries ~backoff ~start ~keep ~reduce ~emit jo
   done;
   Pool.stop svc;
   !cursor
+
+let engine ?domains ~job_timeout ~retries ~backoff ~start ~keep ~reduce ~emit jobs =
+  let images = Images.create ~capacity:engine_cache_capacity in
+  let run_one idx (spec : Job.t) =
+    match reduce idx (fst (run_job ?job_timeout ~retries ~backoff ~keep images spec)) with
+    | v -> v
+    | exception e ->
+      (* [run_job] contains everything, so this is belt and braces: a
+         raising [reduce] still yields one value for its index, or the
+         stream would end early (one worker) or the reorder flush
+         stall forever at this index (a pool). *)
+      let now = Unix.gettimeofday () in
+      reduce idx
+        { name = spec.Job.tag;
+          policy_label = job_label spec;
+          status = Failed { kind = Crashed; exn = Printexc.to_string e; backtrace = "" };
+          violation = None;
+          attempts = 1;
+          timing = { started = now; finished = now; domain = (Domain.self () :> int) };
+          trace = spec.Job.trace }
+  in
+  let workers =
+    match domains with Some d -> d | None -> Domain.recommended_domain_count ()
+  in
+  if workers <= 1 then
+    Seq.fold_left
+      (fun idx spec ->
+        emit (run_one idx spec);
+        idx + 1)
+      start jobs
+  else pooled ~workers ~start ~emit run_one jobs
 
 let run_stream ?domains ?(start = 0) ?(tally = tally ()) ?(on_result = ignore) jobs =
   let cursor =

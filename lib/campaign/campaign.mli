@@ -5,8 +5,10 @@
     false-positive workloads — and every future scaling direction
     (larger corpora, fuzzing campaigns, fault-injection sweeps) has
     the same shape.  Every batch is a sequence of {!Job.t}s run by one
-    engine: a persistent domain pool ({!Pool}), one content-keyed
-    image cache ({!Images}), and one containment wrapper per job.  The engine
+    engine ({!engine}): a persistent domain pool ({!Pool}) when it has
+    two or more workers, the calling domain itself when it has one,
+    one content-keyed image cache ({!Images}), and one containment
+    wrapper per job.  The engine
     comes in two shapes over the same machinery: {!run_stream} folds
     each job into an incremental {!tally} and keeps nothing, and
     {!run_jobs} collects one {!job_result} per job, in submission
@@ -83,7 +85,9 @@ val kind_name : failure_kind -> string
 type timing = {
   started : float;   (** [Unix.gettimeofday] at job start, on the worker *)
   finished : float;
-  domain : int;      (** worker domain id the job ran on *)
+  domain : int;
+      (** id of the domain the job ran on: a pool worker's, or the
+          caller's own when the engine has one worker *)
 }
 
 type job_result = {
@@ -135,7 +139,8 @@ val run_jobs :
   Job.t list ->
   job_result list * stats
 (** Run the batch on [domains] workers (default
-    [Domain.recommended_domain_count]) and collect every result, in
+    [Domain.recommended_domain_count]; one worker means the calling
+    domain, see {!engine}) and collect every result, in
     submission order — the engine of {!run_stream}, with one
     difference: every job boots a fresh machine from the shared image
     ({!Ptaint_sim.Sim.run_template}), never the domain arena, because
@@ -159,7 +164,7 @@ val run_jobs :
 
     With [trace], one {!Ptaint_obs.Event.Job} span per job (start
     offset, duration, worker domain, outcome) is emitted — from the
-    calling domain, after the pool drains — ready for the Chrome trace
+    calling domain, after the last job — ready for the Chrome trace
     exporter. *)
 
 (** {1 Image cache}
@@ -316,12 +321,14 @@ val run_stream :
   ?on_result:(job_summary -> unit) ->
   Job.t Seq.t ->
   tally * int
-(** Stream the sequence through a persistent pool of [domains]
-    workers and fold each completion into the tally; returns the
-    tally and the final cursor (index one past the last job folded).
+(** Stream the sequence through [domains] workers (see {!engine})
+    and fold each completion into the tally; returns the tally and the
+    final cursor (index one past the last job folded).
 
-    At most 4× the worker count jobs are admitted beyond the flush
-    cursor, which bounds both queue depth and the reorder buffer.
+    With a pool, at most 4× the worker count jobs are admitted beyond
+    the flush cursor, which bounds both queue depth and the reorder
+    buffer; with one worker each job is pulled only once the previous
+    one is folded.
     [on_result] is called once per job, in submission order, after
     the job is folded — the hook for a JSONL sink and for checkpoints:
     when it sees job [i], every job up to [i] is in the tally and no
@@ -332,7 +339,39 @@ val run_stream :
     {!load_tally}, and a sequence beginning at job [start].
 
     Workers boot via the domain arena, which rewinds only the guest
-    pages the previous job wrote or mapped when the image repeats. *)
+    pages the previous job wrote or mapped when the image repeats.
+    With one worker the jobs boot the calling domain's arena, so an
+    arena result the caller took before the stream is invalid after
+    it. *)
+
+val engine :
+  ?domains:int ->
+  job_timeout:float option ->
+  retries:int ->
+  backoff:float ->
+  start:int ->
+  keep:bool ->
+  reduce:(int -> job_result -> 'a) ->
+  emit:('a -> unit) ->
+  Job.t Seq.t ->
+  int
+(** The machinery under {!run_stream} and {!run_jobs}: pull jobs
+    lazily, run each through {!run_job} against one engine-owned image
+    cache (128 images), reduce its result with [reduce index result]
+    before the next job on that domain, and hand every reduced value
+    to [emit] on the calling domain, in submission order from index
+    [start].  Returns the index one past the last job emitted.
+
+    [domains] (default [Domain.recommended_domain_count]) picks the
+    shape.  With one worker (or fewer) every job runs on the calling
+    domain, in order — [run_job], [reduce], [emit] — with no pool and
+    no handoff.  With two or more a persistent {!Pool} runs the jobs
+    and [reduce], and the caller folds completions back into order.
+
+    A [reduce] that raises still yields one value for its index: the
+    engine reduces a {!Crashed} result carrying the exception's text
+    in its place, so the stream completes — provided [reduce] does not
+    raise on that result too. *)
 
 val job_counters : job_result -> (string * int) list
 (** The deterministic counter deltas this job contributes to its

@@ -68,28 +68,3 @@ let is_unsigned_cmp a b =
 
 let decay = function Array (elt, _) -> Ptr elt | ty -> ty
 
-let rec equal a b =
-  match (a, b) with
-  | Void, Void | Int, Int | Uint, Uint | Char, Char -> true
-  | Ptr a, Ptr b -> equal a b
-  | Array (a, n), Array (b, m) -> n = m && equal a b
-  | Struct a, Struct b -> a = b
-  | Func a, Func b ->
-    equal a.ret b.ret && a.varargs = b.varargs
-    && List.length a.params = List.length b.params
-    && List.for_all2 equal a.params b.params
-  | _ -> false
-
-let rec pp ppf = function
-  | Void -> Format.pp_print_string ppf "void"
-  | Int -> Format.pp_print_string ppf "int"
-  | Uint -> Format.pp_print_string ppf "unsigned"
-  | Char -> Format.pp_print_string ppf "char"
-  | Ptr t -> Format.fprintf ppf "%a*" pp t
-  | Array (t, n) -> Format.fprintf ppf "%a[%d]" pp t n
-  | Struct s -> Format.fprintf ppf "struct %s" s
-  | Func { ret; params; varargs } ->
-    Format.fprintf ppf "%a(%a%s)" pp ret
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ") pp)
-      params
-      (if varargs then ", ..." else "")

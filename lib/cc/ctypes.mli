@@ -41,5 +41,3 @@ val is_unsigned_cmp : t -> t -> bool
 val decay : t -> t
 (** Array-to-pointer decay. *)
 
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

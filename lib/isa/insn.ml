@@ -114,14 +114,6 @@ let reads = function
   | Syscall -> [ Reg.v0; Reg.a0; Reg.a1; Reg.a2; Reg.a3 ]
   | Break _ | Nop -> []
 
-let writes = function
-  | R (_, rd, _, _) | Shift (_, rd, _, _) | Jalr (rd, _) | Mfhi rd | Mflo rd -> Some rd
-  | I (_, rt, _, _) | Lui (rt, _) | Load (_, rt, _, _) -> Some rt
-  | Jal _ -> Some Reg.ra
-  | Syscall -> Some Reg.v0
-  | Store _ | Branch2 _ | Branch1 _ | J _ | Jr _ | Muldiv _ | Mthi _
-  | Mtlo _ | Break _ | Nop -> None
-
 let is_control = function
   | Branch2 _ | Branch1 _ | J _ | Jal _ | Jr _ | Jalr _ -> true
   | _ -> false

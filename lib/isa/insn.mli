@@ -55,7 +55,4 @@ val uses_compare : t -> bool
 val reads : t -> Reg.t list
 (** Source registers, for pipeline hazard modelling. *)
 
-val writes : t -> Reg.t option
-(** Destination GPR, if any. *)
-
 val is_control : t -> bool

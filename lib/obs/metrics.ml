@@ -19,26 +19,35 @@ type histogram = {
 
 type metric = Counter of counter | Gauge of gauge | Histogram of histogram
 
-type t = { mutable metrics : metric list (* newest first *) }
+(* Identity of a metric child is (name, labels): the same name with
+   different label sets forms a family of independent children.  The
+   registration-order list renders rows and the exposition; lookups go
+   through [index], which maps a name to its family's children, so a
+   get-or-create costs one string hash plus a label compare per child
+   of that one family, whatever the registry's size. *)
+module Names = Hashtbl.Make (String)
 
-let create () = { metrics = [] }
+type t = {
+  mutable metrics : metric list;  (* newest first *)
+  index : (labels * metric) list Names.t;
+}
+
+let create () = { metrics = []; index = Names.create 16 }
 
 let metric_name = function
   | Counter c -> c.c_name
   | Gauge g -> g.g_name
   | Histogram h -> h.h_name
 
-let metric_labels = function
-  | Counter c -> c.c_labels
-  | Gauge g -> g.g_labels
-  | Histogram h -> h.h_labels
-
-(* Identity of a metric child is (name, labels): the same name with
-   different label sets forms a family of independent children. *)
 let find t name labels =
-  List.find_opt
-    (fun m -> metric_name m = name && metric_labels m = labels)
-    t.metrics
+  match Names.find_opt t.index name with
+  | Some family -> List.assoc_opt labels family
+  | None -> None
+
+let register t name labels m =
+  let family = Option.value ~default:[] (Names.find_opt t.index name) in
+  Names.replace t.index name ((labels, m) :: family);
+  t.metrics <- m :: t.metrics
 
 let counter t ?(labels = []) name =
   match find t name labels with
@@ -46,7 +55,7 @@ let counter t ?(labels = []) name =
   | Some _ -> invalid_arg ("Metrics.counter: " ^ name ^ " is not a counter")
   | None ->
     let c = { c_name = name; c_labels = labels; count = 0 } in
-    t.metrics <- Counter c :: t.metrics;
+    register t name labels (Counter c);
     c
 
 let gauge t ?(labels = []) name =
@@ -55,7 +64,7 @@ let gauge t ?(labels = []) name =
   | Some _ -> invalid_arg ("Metrics.gauge: " ^ name ^ " is not a gauge")
   | None ->
     let g = { g_name = name; g_labels = labels; value = 0. } in
-    t.metrics <- Gauge g :: t.metrics;
+    register t name labels (Gauge g);
     g
 
 let histogram t ?(labels = []) name =
@@ -67,7 +76,7 @@ let histogram t ?(labels = []) name =
       { h_name = name; h_labels = labels; buckets = Array.make 63 0;
         h_count = 0; sum = 0.; minv = infinity; maxv = neg_infinity }
     in
-    t.metrics <- Histogram h :: t.metrics;
+    register t name labels (Histogram h);
     h
 
 let inc ?(by = 1) c = c.count <- c.count + by

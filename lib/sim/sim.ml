@@ -187,6 +187,10 @@ module Image = struct
   let program t = t.i_image.Ptaint_asm.Loader.program
   let blocks t = t.i_blocks
 
+  (* The image's tier for [policy], created on first request: every
+     boot of the image under that policy shares it, so superblocks one
+     job translated (on any domain) are reused by the next — the
+     translation analogue of the copy-on-write snapshot. *)
   let rec tier_for t policy =
     let tiers = Atomic.get t.i_tiers in
     match List.find_opt (fun (p, _) -> p = policy) tiers with

@@ -208,14 +208,6 @@ module Image : sig
 
   val blocks : t -> Ptaint_cpu.Block.t
   (** The pre-decoded block tables every boot of this image shares. *)
-
-  val tier_for : t -> Ptaint_cpu.Policy.t -> Ptaint_cpu.Superblock.tier
-  (** The image's shared superblock translation table for [policy],
-      created on first request.  Translated closures bake policy
-      constants, so tiers are per-(image, policy); every boot of the
-      image under the same policy shares one table, so superblocks
-      translated by one job (on any domain) are reused by the next —
-      the translation analogue of the copy-on-write snapshot. *)
 end
 
 type template = Image.t

@@ -348,9 +348,17 @@ let test_stream_matches_batch () =
         (Campaign.metrics_table (Campaign.tally_stats tally)))
     [ 1; 4 ]
 
-let test_stream_sink_accounts_for_failures () =
-  (* every job — finished, timed out, crashed, malformed — must yield
-     exactly one in-order JSONL line and exactly one tally entry *)
+(* A three-instruction guest exiting with status [i]: one distinct
+   image per [i]. *)
+let exit_job i =
+  Job.make ~tag:(Printf.sprintf "exit-%d" i)
+    (Job.Asm_source (Printf.sprintf ".text\nmain: li $v0, 1\n li $a0, %d\n syscall\n" i))
+
+(* Every job — finished, timed out, crashed, malformed — must yield
+   exactly one in-order JSONL line and exactly one tally entry, and
+   the lines must not depend on whether the jobs ran on the calling
+   domain (-j1) or on a pool (-j3). *)
+let sink_lines domains =
   let ok i =
     Job.make ~tag:(Printf.sprintf "ok-%d" i)
       (Job.Asm_source ".text\nmain: li $v0, 1\n li $a0, 0\n syscall\n")
@@ -370,32 +378,83 @@ let test_stream_sink_accounts_for_failures () =
       (ok 99)
   in
   let jobs = [ ok 0; spin; ok 1; bad_c; crash; ok 2 ] in
+  let ctx what = Printf.sprintf "-j%d: %s" domains what in
   let lines = ref [] in
   let tally, cursor =
-    Campaign.run_stream ~domains:3
+    Campaign.run_stream ~domains
       ~on_result:(fun s -> lines := Campaign.jsonl_of_summary s :: !lines)
       (List.to_seq jobs)
   in
   let lines = List.rev !lines in
-  Alcotest.(check int) "one JSONL line per job" (List.length jobs) (List.length lines);
-  Alcotest.(check int) "cursor = job count" (List.length jobs) cursor;
+  Alcotest.(check int) (ctx "one JSONL line per job") (List.length jobs) (List.length lines);
+  Alcotest.(check int) (ctx "cursor = job count") (List.length jobs) cursor;
   let stats = Campaign.tally_stats tally in
-  Alcotest.(check int) "every job tallied" (List.length jobs) stats.Campaign.jobs;
-  Alcotest.(check int) "three failures counted" 3 stats.Campaign.failed;
+  Alcotest.(check int) (ctx "every job tallied") (List.length jobs) stats.Campaign.jobs;
+  Alcotest.(check int) (ctx "three failures counted") 3 stats.Campaign.failed;
   List.iteri
     (fun i line ->
       Alcotest.(check bool)
-        (Printf.sprintf "line %d carries its submission index" i)
+        (ctx (Printf.sprintf "line %d carries its submission index" i))
         true
         (contains line (Printf.sprintf "\"i\":%d," i)))
     lines;
   List.iter2
     (fun (j : Job.t) line ->
       Alcotest.(check bool)
-        (Printf.sprintf "line for %s names its job" j.Job.tag)
+        (ctx (Printf.sprintf "line for %s names its job" j.Job.tag))
         true
         (contains line (Printf.sprintf "\"tag\":%S" j.Job.tag)))
-    jobs lines
+    jobs lines;
+  lines
+
+let test_stream_sink_accounts_for_failures () =
+  let inline = sink_lines 1 in
+  Alcotest.(check (list string)) "-j1 lines = -j3 lines" inline (sink_lines 3)
+
+(* A one-worker engine runs every job on the calling domain: no pool
+   domain is spawned, for a stream or a collect. *)
+let test_one_worker_runs_on_caller () =
+  let self = (Domain.self () :> int) in
+  let jobs = List.init 6 exit_job in
+  let seen = ref 0 in
+  ignore
+    (Campaign.run_stream ~domains:1
+       ~on_result:(fun s ->
+         incr seen;
+         Alcotest.(check int)
+           (Printf.sprintf "stream job %s ran on the caller" s.Campaign.s_name)
+           self s.Campaign.s_timing.Campaign.domain)
+       (List.to_seq jobs));
+  Alcotest.(check int) "every streamed job seen" (List.length jobs) !seen;
+  let results, _ = Campaign.run_jobs ~domains:1 jobs in
+  List.iter
+    (fun (r : Campaign.job_result) ->
+      Alcotest.(check int)
+        (Printf.sprintf "collected job %s ran on the caller" r.Campaign.name)
+        self r.Campaign.timing.Campaign.domain)
+    results
+
+(* A [reduce] that raises on the calling domain must not end the
+   stream: its index still yields one Crashed value, in order. *)
+let test_one_worker_reduce_raises () =
+  let jobs = List.init 3 exit_job in
+  let got = ref [] in
+  let cursor =
+    Campaign.engine ~domains:1 ~job_timeout:None ~retries:0 ~backoff:0. ~start:0
+      ~keep:false
+      ~reduce:(fun i (r : Campaign.job_result) ->
+        match r.Campaign.status with
+        | Campaign.Finished _ when i = 1 -> failwith "reduce boom"
+        | Campaign.Finished _ -> (i, Campaign.outcome_name r, "")
+        | Campaign.Failed f -> (i, Campaign.outcome_name r, f.Campaign.exn))
+      ~emit:(fun v -> got := v :: !got)
+      (List.to_seq jobs)
+  in
+  Alcotest.(check int) "stream completed" 3 cursor;
+  Alcotest.(check (list (triple int string string)))
+    "one value per index, the raising one Crashed"
+    [ (0, "exited", ""); (1, "crashed", "Failure(\"reduce boom\")"); (2, "exited", "") ]
+    (List.rev !got)
 
 let test_checkpoint_roundtrip () =
   let tally, cursor = Campaign.run_stream ~domains:2 (List.to_seq (stream_jobs ())) in
@@ -608,12 +667,6 @@ let test_config_policy_labels () =
 
 (* --- the image cache --- *)
 
-(* A three-instruction guest exiting with status [i]: one distinct
-   image per [i]. *)
-let exit_job i =
-  Job.make ~tag:(Printf.sprintf "exit-%d" i)
-    (Job.Asm_source (Printf.sprintf ".text\nmain: li $v0, 1\n li $a0, %d\n syscall\n" i))
-
 let cache_counter images name =
   match List.assoc_opt name (Campaign.Images.counters images) with
   | Some v -> v
@@ -770,6 +823,10 @@ let () =
             test_stream_matches_batch;
           Alcotest.test_case "sink accounts for every job" `Quick
             test_stream_sink_accounts_for_failures;
+          Alcotest.test_case "one worker runs on the caller" `Quick
+            test_one_worker_runs_on_caller;
+          Alcotest.test_case "one worker contains a raising reduce" `Quick
+            test_one_worker_reduce_raises;
           Alcotest.test_case "checkpoint manifest round-trip" `Quick
             test_checkpoint_roundtrip;
           Alcotest.test_case "checkpoint manifest sweep" `Quick test_checkpoint_sweep;
