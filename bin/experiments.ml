@@ -41,7 +41,7 @@ let sections =
 
 let run domains trace_file names =
   let names = if names = [] then [ "all" ] else names in
-  let trace = Option.map (fun _ -> Ptaint_obs.Trace.create ()) trace_file in
+  let trace = Option.map (fun _ -> Ptaint_obs.Chrome.create ()) trace_file in
   let ok =
     List.for_all
       (fun name ->
@@ -57,9 +57,7 @@ let run domains trace_file names =
       names
   in
   (match (trace_file, trace) with
-   | Some file, Some tr ->
-     let ch = Ptaint_obs.Chrome.create () in
-     Ptaint_obs.Chrome.add_events ch (Ptaint_obs.Trace.events tr);
+   | Some file, Some ch ->
      Ptaint_obs.Chrome.write_file ch file;
      Printf.eprintf "wrote %d trace events to %s\n" (Ptaint_obs.Chrome.event_count ch) file
    | _ -> ());

@@ -521,15 +521,10 @@ let run_batch source (execute : executor) ~job_timeout ~metrics ~timings ~checkp
         w;
       Option.iter
         (fun ch ->
-          Ptaint_obs.Chrome.complete ch ~name:s.Campaign.s_name ~cat:"client" ~pid:1
-            ~tid:s.Campaign.s_timing.domain ~ts_us:(s.Campaign.s_timing.started *. 1e6)
-            ~dur_us:(ms *. 1e3)
-            ~args:
-              (("outcome", s.Campaign.s_outcome)
-               :: (match s.Campaign.s_trace with
-                   | None -> []
-                   | Some (tid, span) -> [ ("trace", Log.hex_id tid); ("span", string_of_int span) ]))
-            ())
+          Ptaint_obs.Chrome.job_span ch ~name:s.Campaign.s_name ~cat:"client" ~pid:1
+            ~tid:s.Campaign.s_timing.domain ~started:s.Campaign.s_timing.started
+            ~finished:s.Campaign.s_timing.finished ~outcome:s.Campaign.s_outcome
+            ?trace:s.Campaign.s_trace ())
         chrome;
       incr cursor;
       if !cursor - !last_ckpt >= every then save_ckpt ()

@@ -1,5 +1,4 @@
 let uid_symbol = "session_uid"
-let banner = "220 FTP server (Version wu-2.6.0(60) Mon Nov 29 10:37:55 CST 2004) ready."
 let passwd_path = "/etc/passwd"
 let backdoor_line = "alice:x:0:0::/home/root:/bin/bash"
 

@@ -14,7 +14,6 @@ val uid_symbol : string
 (** Global holding the authenticated user's uid — the attack target
     (the paper's 0x1002bc20 word). *)
 
-val banner : string
 val login_session : string list
 (** USER/PASS prefix every session starts with (user1 / xxxxxxx). *)
 

@@ -32,4 +32,3 @@ val logd_config : Scenario.t
 
 val all : Scenario.t list
 val real_world : Scenario.t list
-val synthetic : Scenario.t list

@@ -380,7 +380,8 @@ let jsonl_of_summary s =
         byte-exact JSONL shape; the field appears only when a client
         seeded an id *)
      match s.s_trace with
-     | Some (tid, span) -> Printf.sprintf ",\"trace\":\"%016x\",\"span\":%d" tid span
+     | Some (tid, span) ->
+       Printf.sprintf ",\"trace\":\"%s\",\"span\":%d" (Ptaint_obs.Log.hex_id tid) span
      | None -> "")
 
 (* The incremental aggregate behind every {!stats}, plus the
@@ -603,11 +604,9 @@ let run_stream ?domains ?(start = 0) ?(tally = tally ()) ?(on_result = ignore) j
   (tally, cursor)
 
 (* A collect over the engine: fresh boots, every result kept, then the
-   job spans emitted from the calling domain — the trace is
+   job spans written from the calling domain — a Chrome buffer is
    single-domain mutable state.  The stats fold the results through a
-   {!tally}, like a stream's, plus one row only a collect can have: how
-   many jobs were in flight when each one started, the pool's
-   effective concurrency. *)
+   {!tally}, like a stream's. *)
 let run_jobs ?domains ?trace ?job_timeout ?(retries = 0) ?(backoff = 0.05) specs =
   let t0 = Unix.gettimeofday () in
   let results = ref [] in
@@ -618,35 +617,18 @@ let run_jobs ?domains ?trace ?job_timeout ?(retries = 0) ?(backoff = 0.05) specs
        (List.to_seq specs));
   let results = List.rev !results in
   let wall_seconds = Unix.gettimeofday () -. t0 in
-  (match trace with
-   | Some tr ->
-     List.iter
-       (fun r ->
-         Ptaint_obs.Trace.emit tr
-           (Ptaint_obs.Event.Job
-              { name = r.name;
-                label = r.policy_label;
-                t0_us = (r.timing.started -. t0) *. 1e6;
-                dur_us = (r.timing.finished -. r.timing.started) *. 1e6;
-                domain = r.timing.domain;
-                outcome = outcome_name r;
-                trace = r.trace }))
-       results
-   | None -> ());
-  let concurrency_at t =
-    List.fold_left
-      (fun n r -> if r.timing.started <= t && t < r.timing.finished then n + 1 else n)
-      0 results
-  in
+  Option.iter
+    (fun ch ->
+      List.iter
+        (fun r ->
+          Ptaint_obs.Chrome.job_span ch ~name:r.name ~cat:"campaign" ~tid:r.timing.domain
+            ~started:r.timing.started ~finished:r.timing.finished ~outcome:(outcome_name r)
+            ~args:[ ("policy", r.policy_label) ]
+            ?trace:r.trace ())
+        results)
+    trace;
   let tally = tally () in
-  List.iteri
-    (fun i r ->
-      tally_add tally (summarize i r);
-      Ptaint_obs.Metrics.observe
-        (Ptaint_obs.Metrics.histogram (List.assoc r.policy_label tally.t_metrics)
-           "concurrent jobs")
-        (float_of_int (concurrency_at r.timing.started)))
-    results;
+  List.iteri (fun i r -> tally_add tally (summarize i r)) results;
   (results, tally_stats ~wall_seconds tally)
 
 let metrics_table_of ?(timings = false) metrics =

@@ -126,13 +126,13 @@ type stats = {
           counters ([jobs], [alerts], [instructions], [syscalls],
           [tainted loads], [tainted stores], plus per-failure-kind
           counters [timeouts]/[guest faults]/[loader errors]/[crashed]
-          and [retries] when non-zero), a ["job wall ms"] histogram
-          and, for {!run_jobs} only, a ["concurrent jobs"] histogram *)
+          and [retries] when non-zero) and a ["job wall ms"]
+          histogram *)
 }
 
 val run_jobs :
   ?domains:int ->
-  ?trace:Ptaint_obs.Trace.t ->
+  ?trace:Ptaint_obs.Chrome.t ->
   ?job_timeout:float ->
   ?retries:int ->
   ?backoff:float ->
@@ -162,10 +162,10 @@ val run_jobs :
     A job's [Job.injections] run through {!Ptaint_fi.Fi.run_plan}; its
     [Job.expect] judges the result.
 
-    With [trace], one {!Ptaint_obs.Event.Job} span per job (start
-    offset, duration, worker domain, outcome) is emitted — from the
-    calling domain, after the last job — ready for the Chrome trace
-    exporter. *)
+    With [trace], one {!Ptaint_obs.Chrome.job_span} per job, in
+    submission order, is written from the calling domain after the
+    last job: category [campaign], the worker domain as its track,
+    and a [policy] arg. *)
 
 (** {1 Image cache}
 
@@ -399,7 +399,7 @@ val metrics_table : ?timings:bool -> stats -> string
 (** Render {!stats.metrics} as an aligned table.  By default only the
     deterministic counter rows appear, so the output is identical
     across [~domains] settings and can be diffed in CI;
-    [~timings:true] adds the wall-clock/concurrency histogram rows. *)
+    [~timings:true] adds the wall-clock histogram rows. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** One line: deterministic aggregates first, wall time bracketed last

@@ -61,9 +61,6 @@ let tainted_count t =
   let rec go acc m = if m = 0 then acc else go (acc + (m land 1)) (m lsr 1) in
   go 0 t.tmap
 
-let tainted_registers t =
-  List.filter (fun r -> Tword.is_tainted (get t r)) (List.init 32 Fun.id)
-
 let slots = 34
 let slot t i = if i = 0 then Tword.zero else Tword.of_bits t.regs.(i)
 
@@ -111,9 +108,3 @@ let inject_set_taint t r ~tainted =
 let reset t =
   Array.fill t.regs 0 34 (Tword.to_bits Tword.zero);
   t.tmap <- 0
-
-let pp ppf t =
-  for r = 0 to 31 do
-    if not (Tword.equal (get t r) Tword.zero) then
-      Format.fprintf ppf "%a=%a@ " Ptaint_isa.Reg.pp_sym r Tword.pp (get t r)
-  done

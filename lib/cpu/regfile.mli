@@ -33,9 +33,7 @@ val is_clean : t -> bool
 (** [tainted_count t = 0], as a single load-and-compare — the
     superblock tier's per-block variant-selection guard. *)
 
-val tainted_registers : t -> Ptaint_isa.Reg.t list
 val reset : t -> unit
-val pp : Format.formatter -> t -> unit
 
 (** {1 Architectural slots}
 

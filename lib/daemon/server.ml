@@ -126,8 +126,7 @@ type t = {
   metrics : Metrics.t;  (* loop-owned; workers never touch it *)
   ctr : counters;
   metrics_fd : Unix.file_descr option;
-  mutable spans : Worker.done_job list;  (* newest first, for the drain-time trace *)
-  mutable spans_count : int;
+  spans : (string * Ptaint_obs.Chrome.t) option;  (* [cfg.trace_path] and its buffer *)
   mutable spans_dropped : int;
   idem : (string, idem_state) Hashtbl.t;
   idem_order : string Queue.t;  (* FIFO eviction of finished keys *)
@@ -249,8 +248,7 @@ let create (cfg : config) =
       metrics;
       ctr;
       metrics_fd;
-      spans = [];
-      spans_count = 0;
+      spans = Option.map (fun path -> (path, Ptaint_obs.Chrome.create ())) cfg.trace_path;
       spans_dropped = 0;
       idem = Hashtbl.create 64;
       idem_order = Queue.create ();
@@ -533,13 +531,15 @@ let account_finished t (j : Worker.done_job) =
         :: Log.float "ms" ((j.j_t1 -. j.j_t0) *. 1e3)
         :: trace_fields j.j_trace)
    | _ -> ());
-  if t.cfg.trace_path <> None then begin
-    if t.spans_count < max_spans then begin
-      t.spans <- j :: t.spans;
-      t.spans_count <- t.spans_count + 1
-    end
-    else t.spans_dropped <- t.spans_dropped + 1
-  end
+  match t.spans with
+  | Some (_, ch) when Ptaint_obs.Chrome.event_count ch < max_spans ->
+    (* pid 2 (clients use pid 1), one track per worker *)
+    Ptaint_obs.Chrome.job_span ch ~name:j.j_tag ~cat:"daemon" ~pid:2 ~tid:j.j_worker
+      ~started:j.j_t0 ~finished:j.j_t1 ~outcome:j.j_outcome
+      ~args:[ ("cache_hit", if j.j_cache_hit then "true" else "false") ]
+      ?trace:j.j_trace ()
+  | Some _ -> t.spans_dropped <- t.spans_dropped + 1
+  | None -> ()
 
 let event_id = function
   | Proto.Started { id } -> id
@@ -624,33 +624,17 @@ let final_flush conn =
   in
   go 64
 
-(* The daemon side of a cross-process timeline: every completed job
-   as a Chrome complete-span on pid 2 (clients use pid 1), one track
-   per worker domain, timestamped in absolute epoch microseconds so a
-   client trace of the same jobs merges without realignment. *)
+(* The daemon side of a cross-process timeline: the spans
+   [account_finished] wrote, one per completed job. *)
 let write_trace t =
-  match t.cfg.trace_path with
-  | None -> ()
-  | Some path ->
-    let tr = Ptaint_obs.Chrome.create () in
-    List.iter
-      (fun (j : Worker.done_job) ->
-        let args =
-          [ ("outcome", j.j_outcome);
-            ("cache_hit", if j.j_cache_hit then "true" else "false") ]
-          @ (match j.j_trace with
-             | None -> []
-             | Some (tid, span) ->
-               [ ("trace", Log.hex_id tid); ("span", string_of_int span) ])
-        in
-        Ptaint_obs.Chrome.complete tr ~name:j.j_tag ~cat:"daemon" ~pid:2
-          ~tid:j.j_worker ~ts_us:(j.j_t0 *. 1e6)
-          ~dur_us:((j.j_t1 -. j.j_t0) *. 1e6) ~args ())
-      (List.rev t.spans);
+  match t.spans with
+  | Some (path, ch) ->
     if t.spans_dropped > 0 then
       lwarn t "trace spans dropped"
-        [ Log.int "dropped" t.spans_dropped; Log.int "kept" t.spans_count ];
-    Ptaint_obs.Chrome.write_file tr path
+        [ Log.int "dropped" t.spans_dropped;
+          Log.int "kept" (Ptaint_obs.Chrome.event_count ch) ];
+    Ptaint_obs.Chrome.write_file ch path
+  | None -> ()
 
 let serve t =
   linfo t "listening"

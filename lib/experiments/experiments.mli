@@ -30,7 +30,7 @@ val tab2 : unit -> string
 val real_world : unit -> string
 (** Section 5.1.2: NULL HTTPD, GHTTPD and traceroute attacks. *)
 
-val coverage : ?domains:int -> ?trace:Ptaint_obs.Trace.t -> unit -> string
+val coverage : ?domains:int -> ?trace:Ptaint_obs.Chrome.t -> unit -> string
 (** Section 5.1: the security-coverage matrix — every attack under no
     protection, control-data-only protection, and pointer
     taintedness; plus benign-input runs.  The whole matrix is
@@ -38,14 +38,14 @@ val coverage : ?domains:int -> ?trace:Ptaint_obs.Trace.t -> unit -> string
     (default: all cores); the rendered table is identical whatever
     [domains] is, modulo the bracketed wall time.  The report includes
     the per-policy campaign metrics (deterministic counters only).
-    [trace] receives one Job span per campaign job, for the Chrome
-    exporter. *)
+    [trace] receives one {!Ptaint_obs.Chrome.job_span} per campaign
+    job. *)
 
-val tab3 : ?domains:int -> ?trace:Ptaint_obs.Trace.t -> unit -> string
+val tab3 : ?domains:int -> ?trace:Ptaint_obs.Chrome.t -> unit -> string
 (** Table 3: false-positive evaluation on the six SPEC-like
     workloads, run as a campaign batch. *)
 
-val tab4 : ?domains:int -> ?trace:Ptaint_obs.Trace.t -> unit -> string
+val tab4 : ?domains:int -> ?trace:Ptaint_obs.Chrome.t -> unit -> string
 (** Table 4: the three false-negative scenarios, plus the contrast
     cases showing where detection resumes — five simulations batched
     as one campaign. *)
@@ -65,7 +65,7 @@ val extension : unit -> string
     critical data, turning the Table 4(B) false negative into a
     detection. *)
 
-val resilience : ?domains:int -> ?trace:Ptaint_obs.Trace.t -> unit -> string
+val resilience : ?domains:int -> ?trace:Ptaint_obs.Chrome.t -> unit -> string
 (** Fault injection into the detection mechanism itself
     ({!Ptaint_fi.Fi}): the full attack catalogue × fault models
     (data flips, register/memory taint loss, total taint wipe,
@@ -88,4 +88,4 @@ val generative : ?domains:int -> unit -> string
     disagreement rate (cases where the policies reach different
     verdicts).  Byte-identical at any [domains]. *)
 
-val all : ?domains:int -> ?trace:Ptaint_obs.Trace.t -> unit -> string
+val all : ?domains:int -> ?trace:Ptaint_obs.Chrome.t -> unit -> string

@@ -38,7 +38,6 @@ let instant t ~name ?(cat = "ptaint") ?(pid = 1) ~tid ~ts_us ?(args = []) () =
 let add_event t ?pid ?(tid = 0) ev =
   let us cycle = float_of_int cycle in
   let instant = instant ?pid in
-  let complete = complete ?pid in
   match (ev : Event.t) with
   | Event.Taint_in { cycle; source; addr; len; offset } ->
     instant t ~name:("taint-in " ^ source) ~cat:"taint" ~tid ~ts_us:(us cycle)
@@ -71,18 +70,22 @@ let add_event t ?pid ?(tid = 0) ev =
   | Event.Fault_injected { cycle; model; target } ->
     instant t ~name:("fault injected: " ^ model) ~cat:"fault" ~tid ~ts_us:(us cycle)
       ~args:[ ("target", target) ] ()
-  | Event.Job { name; label; t0_us; dur_us; domain; outcome; trace } ->
-    let args = [ ("policy", label); ("outcome", outcome) ] in
-    let args =
-      match trace with
-      | None -> args
-      | Some (tid, span) ->
-        args
-        @ [ ("trace", Printf.sprintf "%016x" tid); ("span", string_of_int span) ]
-    in
-    complete t ~name ~cat:"campaign" ~tid:domain ~ts_us:t0_us ~dur_us ~args ()
 
 let add_events t ?pid ?tid evs = List.iter (add_event t ?pid ?tid) evs
+
+(* Host wall clock, unlike the guest-timed events above: epoch
+   microseconds, so every process's spans of the same jobs merge
+   without realignment. *)
+let job_span t ~name ~cat ?pid ~tid ~started ~finished ~outcome ?(args = []) ?trace () =
+  let correlation =
+    match trace with
+    | None -> []
+    | Some (id, span) -> [ ("trace", Log.hex_id id); ("span", string_of_int span) ]
+  in
+  complete t ~name ~cat ?pid ~tid ~ts_us:(started *. 1e6)
+    ~dur_us:((finished -. started) *. 1e6)
+    ~args:((("outcome", outcome) :: args) @ correlation)
+    ()
 
 let contents t =
   Printf.sprintf "{\"traceEvents\":[\n%s\n],\"displayTimeUnit\":\"ms\"}\n" (Buffer.contents t.buf)

@@ -7,33 +7,12 @@ type t =
   | Syscall of { cycle : int; pc : int; name : string }
   | Restore of { cycle : int }
   | Fault_injected of { cycle : int; model : string; target : string }
-  | Job of {
-      name : string;
-      label : string;
-      t0_us : float;
-      dur_us : float;
-      domain : int;
-      outcome : string;
-      trace : (int * int) option;
-    }
 
 let cycle = function
   | Taint_in { cycle; _ } | Reg_taint { cycle; _ } | Tainted_store { cycle; _ }
   | Alert { cycle; _ } | Fault { cycle; _ } | Syscall { cycle; _ } | Restore { cycle }
   | Fault_injected { cycle; _ } ->
     cycle
-  | Job _ -> 0
-
-let kind_name = function
-  | Taint_in _ -> "taint-in"
-  | Reg_taint _ -> "reg-taint"
-  | Tainted_store _ -> "tainted-store"
-  | Alert _ -> "alert"
-  | Fault _ -> "fault"
-  | Syscall _ -> "syscall"
-  | Restore _ -> "restore"
-  | Fault_injected _ -> "fault-injected"
-  | Job _ -> "job"
 
 let to_string = function
   | Taint_in { cycle; source; addr; len; offset } ->
@@ -60,11 +39,3 @@ let to_string = function
   | Restore { cycle } -> Printf.sprintf "cycle %d: booted from snapshot restore" cycle
   | Fault_injected { cycle; model; target } ->
     Printf.sprintf "cycle %d: injected %s fault into %s" cycle model target
-  | Job { name; label; t0_us; dur_us; domain; outcome; trace } ->
-    Printf.sprintf "job %s [%s] on domain %d: %.0fus..%.0fus, %s%s" name label domain t0_us
-      (t0_us +. dur_us) outcome
-      (match trace with
-       | None -> ""
-       | Some (tid, span) -> Printf.sprintf " (trace %016x span %d)" tid span)
-
-let pp ppf e = Format.pp_print_string ppf (to_string e)

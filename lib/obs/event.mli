@@ -5,10 +5,12 @@
     offsets of the external input), propagation milestones (the first
     time a register becomes tainted, the first tainted store into each
     memory region), detections and faults, syscalls, snapshot-restore
-    boots, and campaign job spans.  Events are plain data — ints and
-    strings only — so the library sits below the CPU/OS layers and
-    every producer can construct them without allocation-heavy
-    dependencies. *)
+    boots and injected faults.  Every event is guest-timed: its
+    [cycle] is the guest instruction count when it fired.  Wall-clock
+    job spans are not events; {!Chrome.job_span} writes them.  Events
+    are plain data — ints and strings only — so the library sits
+    below the CPU/OS layers and every producer can construct them
+    without allocation-heavy dependencies. *)
 
 type t =
   | Taint_in of { cycle : int; source : string; addr : int; len : int; offset : int }
@@ -27,22 +29,8 @@ type t =
       (** the fault-injection engine corrupted machine state: fault
           [model] (e.g. ["taint-loss"]) applied to [target] (a
           register slot or address range). *)
-  | Job of {
-      name : string;
-      label : string;
-      t0_us : float;  (** start, microseconds from campaign start *)
-      dur_us : float;
-      domain : int;  (** worker domain id the job ran on *)
-      outcome : string;
-      trace : (int * int) option;
-          (** client-seeded (trace id, span id), when the job carried
-              one — rendered into span args so cross-process traces
-              correlate *)
-    }  (** one campaign job span, emitted by [Campaign.run] *)
 
 val cycle : t -> int
-(** Guest instruction count when the event fired ([0] for {!Job}). *)
+(** Guest instruction count when the event fired. *)
 
-val kind_name : t -> string
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -80,7 +80,6 @@ let histogram t ?(labels = []) name =
     h
 
 let inc ?(by = 1) c = c.count <- c.count + by
-let value c = c.count
 
 let set g v = g.value <- v
 

@@ -40,9 +40,6 @@ val observe : histogram -> float -> unit
 
 (** {1 Reading} *)
 
-val value : counter -> int
-(** A counter's current count. *)
-
 type row = {
   name : string;
   labels : labels;

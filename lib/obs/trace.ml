@@ -1,27 +1,18 @@
-type sink = Event.t -> unit
-
 type t = {
-  mutable sinks : sink list;
   mutable recorded : Event.t list;  (* newest first *)
   mutable count : int;
   limit : int;
   mutable dropped : int;
 }
 
-let create ?(limit = 65_536) () =
-  { sinks = []; recorded = []; count = 0; limit = max 1 limit; dropped = 0 }
-
-let on_event t sink = t.sinks <- t.sinks @ [ sink ]
+let create ?(limit = 65_536) () = { recorded = []; count = 0; limit = max 1 limit; dropped = 0 }
 
 let emit t ev =
   if t.count < t.limit then begin
     t.recorded <- ev :: t.recorded;
     t.count <- t.count + 1
   end
-  else t.dropped <- t.dropped + 1;
-  match t.sinks with
-  | [] -> ()
-  | sinks -> List.iter (fun sink -> sink ev) sinks
+  else t.dropped <- t.dropped + 1
 
 let events t = List.rev t.recorded
 let length t = t.count
@@ -31,6 +22,3 @@ let clear t =
   t.recorded <- [];
   t.count <- 0;
   t.dropped <- 0
-
-let taint_sources t =
-  List.filter (function Event.Taint_in _ -> true | _ -> false) (events t)

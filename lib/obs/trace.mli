@@ -1,35 +1,23 @@
-(** The typed event bus.
+(** A session's event recorder.
 
-    A [Trace.t] both records the events emitted into it (bounded by
-    [limit]; overflow is counted, not silently lost) and fans each one
-    out to subscriber sinks, so a live consumer (progress display,
-    streaming exporter) and the post-mortem reader share one emission
-    point.  Producers hold the trace behind an option — the
-    zero-overhead-when-off contract is a single physical-equality
-    check on the hot path, never a closure call.
+    A [Trace.t] records the guest events emitted into it, bounded by
+    [limit]; overflow is counted, not silently lost.  Producers hold
+    the trace behind an option — the zero-overhead-when-off contract
+    is a single physical-equality check on the hot path, never a
+    closure call.
 
     A trace is single-domain state: each simulated session owns its
-    own trace, and campaign-level traces are only written from the
-    submitting domain. *)
-
-type sink = Event.t -> unit
+    own trace. *)
 
 type t
 
 val create : ?limit:int -> unit -> t
-(** Record up to [limit] events (default 65536); later emissions still
-    reach sinks but only bump {!dropped}. *)
-
-val on_event : t -> sink -> unit
-(** Subscribe; sinks run synchronously, in subscription order. *)
+(** Record up to [limit] events (default 65536); later emissions only
+    bump {!dropped}. *)
 
 val emit : t -> Event.t -> unit
 val events : t -> Event.t list
 (** Everything recorded, in emission order. *)
-
-val taint_sources : t -> Event.t list
-(** Just the {!Event.Taint_in} events, in emission order — the
-    provenance candidates for an incident report. *)
 
 val length : t -> int
 val dropped : t -> int

@@ -1,3 +1,5 @@
+(* C declarations for the syscall stubs and libc, prepended to
+   application sources. *)
 let prototypes =
   {|
 /* syscall stubs (implemented in assembly) */
@@ -50,6 +52,7 @@ int snprintf(char *out, int cap, char *fmt, ...);
 int fdprintf(int fd, char *fmt, ...);
 |}
 
+(* string.h / stdlib.h / stdio.h subset implementation (Mini-C). *)
 let libc_c =
   {|
 /* ---- environment ---- */
@@ -357,6 +360,10 @@ int fdprintf(int fd, char *fmt, ...) {
 }
 |}
 
+(* The allocator, modelled on pre-hardening dlmalloc/glibc 2.x:
+   boundary-tag chunks, a circular doubly-linked free bin, forward
+   coalescing with an unguarded [unlink] (the 2004-era behaviour the
+   paper's heap attacks exploit). *)
 let malloc_c =
   {|
 /* ---- allocator ----
@@ -465,6 +472,7 @@ void free(char *p) {
 }
 |}
 
+(* [_start]: marshals [argc]/[argv]/[envp] and calls [main]. *)
 let crt0_asm =
   {|
         .text
@@ -486,6 +494,8 @@ _start:
         syscall
 |}
 
+(* Assembly stubs bridging the stack calling convention to the
+   kernel's register convention. *)
 let syscalls_asm =
   {|
         .text
@@ -582,8 +592,8 @@ unguard:
         jr $ra
 |}
 
-let compile app_c =
+let compile ?untaint_writeback app_c =
   let unit_ =
     String.concat "\n" [ prototypes; app_c; libc_c; malloc_c ]
   in
-  Ptaint_cc.Cc.compile ~extra_asm:[ crt0_asm; syscalls_asm ] unit_
+  Ptaint_cc.Cc.compile ?untaint_writeback ~extra_asm:[ crt0_asm; syscalls_asm ] unit_

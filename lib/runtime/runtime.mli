@@ -8,26 +8,10 @@
     built on a [vformat] core supporting [%d %u %x %c %s %n %hn %hhn]
     — the format-string attack surface. *)
 
-val prototypes : string
-(** C declarations for the syscall stubs and libc, to prepend to
-    application sources. *)
-
-val libc_c : string
-(** string.h / stdlib.h / stdio.h subset implementation (Mini-C). *)
-
-val malloc_c : string
-(** The allocator, modelled on pre-hardening dlmalloc/glibc 2.x:
-    boundary-tag chunks, a circular doubly-linked free bin, forward
-    coalescing with an unguarded [unlink] (the 2004-era behaviour the
-    paper's heap attacks exploit). *)
-
-val crt0_asm : string
-(** [_start]: marshals [argc]/[argv]/[envp] and calls [main]. *)
-
-val syscalls_asm : string
-(** Assembly stubs bridging the stack calling convention to the
-    kernel's register convention. *)
-
-val compile : string -> Ptaint_asm.Program.t
-(** [compile app_c] builds a full guest program: prototypes, the
-    application source, libc, allocator, crt0 and stubs. *)
+val compile : ?untaint_writeback:bool -> string -> Ptaint_asm.Program.t
+(** [compile app_c] builds a full guest program, the one compile
+    unit every guest shares: C prototypes of the stubs and libc, the
+    application source, the libc, the allocator (pre-hardening
+    dlmalloc-style boundary tags with an unguarded [unlink]), the
+    [_start] crt0 and the syscall stubs.
+    [untaint_writeback] is {!Ptaint_cc.Cc.compile}'s (default [true]). *)

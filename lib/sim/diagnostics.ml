@@ -117,8 +117,7 @@ let report (result : Sim.result) =
        | Ptaint_obs.Event.Taint_in _ | Ptaint_obs.Event.Reg_taint _
        | Ptaint_obs.Event.Tainted_store _ | Ptaint_obs.Event.Alert _
        | Ptaint_obs.Event.Fault _ | Ptaint_obs.Event.Fault_injected _ -> true
-       | Ptaint_obs.Event.Syscall _ | Ptaint_obs.Event.Restore _
-       | Ptaint_obs.Event.Job _ -> false
+       | Ptaint_obs.Event.Syscall _ | Ptaint_obs.Event.Restore _ -> false
      in
      (match List.filter interesting evs with
       | [] -> ()

@@ -414,8 +414,6 @@ let run_until ?deadline ?slice ?on_slice s ~icount =
 
 let run ?deadline ?slice ?config program = finish ?deadline ?slice (boot ?config program)
 
-let run_asm ?config source = run ?config (Ptaint_asm.Assembler.assemble_exn source)
-
 let run_template ?deadline ?slice ?config tpl =
   finish ?deadline ?slice (boot_template ?config tpl)
 

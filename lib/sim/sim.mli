@@ -175,8 +175,6 @@ val run_until :
     increasing targets; mutate machine state freely while paused. *)
 
 val run : ?deadline:float -> ?slice:int -> ?config:config -> Ptaint_asm.Program.t -> result
-val run_asm : ?config:config -> string -> result
-(** Assemble (failing loudly on errors) and run. *)
 
 (** {1 Boot images (snapshot templates)}
 

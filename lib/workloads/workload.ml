@@ -63,14 +63,7 @@ let program_with ~untaint_writeback w =
   match Mutex.protect cache_lock cached with
   | Some p -> p
   | None ->
-    let p =
-      Ptaint_cc.Cc.compile ~untaint_writeback
-        ~extra_asm:
-          [ Ptaint_runtime.Runtime.crt0_asm; Ptaint_runtime.Runtime.syscalls_asm ]
-        (String.concat "\n"
-           [ Ptaint_runtime.Runtime.prototypes; w.source; Ptaint_runtime.Runtime.libc_c;
-             Ptaint_runtime.Runtime.malloc_c ])
-    in
+    let p = Ptaint_runtime.Runtime.compile ~untaint_writeback w.source in
     Mutex.protect cache_lock (fun () ->
         match cached () with
         | Some p -> p (* another domain compiled it first; keep one copy *)

@@ -32,18 +32,15 @@ type row = {
 
 val run : ?policy:Ptaint_cpu.Policy.t -> ?untaint_writeback:bool -> t -> row
 (** Compile (cached), load with the workload input on stdin, run to
-    completion, and collect the Table 3 measurements. *)
+    completion, and collect the Table 3 measurements.  The loaded
+    image is cached too, as a copy-on-write snapshot template
+    (domain-safe), so only the first run of a workload pays the
+    assemble + load cost; the policy and stdin may differ between
+    runs, since only argv/env/sources shape the image. *)
 
 val program : t -> Ptaint_asm.Program.t
 (** The compiled guest (cached; safe to call from concurrent
     domains). *)
-
-val template : t -> Ptaint_sim.Sim.template
-(** The loaded image as a copy-on-write snapshot template (cached,
-    domain-safe).  {!run} boots from this, so only the first run of a
-    workload pays the assemble + load cost; the policy and stdin may
-    differ between runs, since only argv/env/sources shape the
-    image. *)
 
 val config_for : t -> Ptaint_sim.Sim.config
 (** The workload's standard run configuration — its input on stdin,

@@ -197,9 +197,11 @@ let test_loader_untainted_argv_policy () =
 
 (* --- Whole-system smoke tests --- *)
 
+let run_asm ?config source = Ptaint_sim.Sim.run ?config (assemble source)
+
 let test_sim_hello () =
   let r =
-    Ptaint_sim.Sim.run_asm
+    run_asm
       {|
         .text
 main:   li $v0, 3          # sys_write
@@ -241,7 +243,7 @@ buf:    .space 64
 
 let test_sim_echo_taints () =
   let config = Ptaint_sim.Sim.Config.(default |> with_stdin "attack") in
-  let r = Ptaint_sim.Sim.run_asm ~config echo_asm in
+  let r = run_asm ~config echo_asm in
   (match r.Ptaint_sim.Sim.outcome with
    | Ptaint_sim.Sim.Exited 0 -> ()
    | o -> Alcotest.failf "outcome: %a" Ptaint_sim.Sim.pp_outcome o);
@@ -273,7 +275,7 @@ buf:    .space 4
 
 let test_sim_detects_tainted_deref () =
   let config = Ptaint_sim.Sim.Config.(default |> with_stdin "aaaa") in
-  let r = Ptaint_sim.Sim.run_asm ~config deref_input_asm in
+  let r = run_asm ~config deref_input_asm in
   match r.Ptaint_sim.Sim.outcome with
   | Ptaint_sim.Sim.Alert a ->
     Alcotest.(check bool) "load detector" true (a.Ptaint_cpu.Machine.kind = Ptaint_cpu.Machine.Load_address);
@@ -285,14 +287,14 @@ let test_sim_unprotected_crashes () =
   let config =
     Ptaint_sim.Sim.Config.(default |> with_policy Ptaint_cpu.Policy.unprotected |> with_stdin "aaaa")
   in
-  let r = Ptaint_sim.Sim.run_asm ~config deref_input_asm in
+  let r = run_asm ~config deref_input_asm in
   match r.Ptaint_sim.Sim.outcome with
   | Ptaint_sim.Sim.Fault _ -> ()
   | o -> Alcotest.failf "expected fault, got %a" Ptaint_sim.Sim.pp_outcome o
 
 let test_sim_network_session () =
   let r =
-    Ptaint_sim.Sim.run_asm
+    run_asm
       ~config:(Ptaint_sim.Sim.Config.(default |> with_sessions [ [ "PING" ] ]))
       {|
         .text
@@ -332,7 +334,7 @@ pong:   .ascii "PONG"
 
 let test_sim_timing () =
   let config = Ptaint_sim.Sim.Config.(default |> with_timing true |> with_stdin "hi") in
-  let r = Ptaint_sim.Sim.run_asm ~config echo_asm in
+  let r = run_asm ~config echo_asm in
   match r.Ptaint_sim.Sim.cycles with
   | Some c -> Alcotest.(check bool) "cycles > instructions" true (c > r.Ptaint_sim.Sim.instructions)
   | None -> Alcotest.fail "expected cycle count"

@@ -702,14 +702,15 @@ let spin_spec ~timeout =
   Proto.job_spec ~tag:"spin" ~timeout ~max_instructions:max_int
     (Proto.Wire_asm spin_asm)
 
-let with_server ?(domains = 2) ?(max_queue = 64) ?(max_inflight = 8) ?(cache_capacity = 64) f =
+let with_server ?(domains = 2) ?(max_queue = 64) ?(max_inflight = 8) ?(cache_capacity = 64)
+    ?trace_path f =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "ptaintd-test-%d.sock" (Unix.getpid ()))
   in
   let cfg =
     { (Server.default_config ~socket_path:path) with
-      Server.domains = Some domains; max_queue; max_inflight; cache_capacity }
+      Server.domains = Some domains; max_queue; max_inflight; cache_capacity; trace_path }
   in
   let server = Server.create cfg in
   let d = Domain.spawn (fun () -> Server.serve server) in
@@ -1156,6 +1157,41 @@ let test_graceful_drain () =
       Alcotest.(check int) "every admitted job drained" (List.length accepted) !finished;
       Client.close c)
 
+(* --- the drain-time Chrome trace --------------------------------------- *)
+
+(* Every finished job is one wall-clock span on pid 2 carrying its
+   outcome and cache hit; only the traced job carries a correlation
+   id.  The file is written when the daemon drains. *)
+let test_drain_trace () =
+  let trace_path = Filename.temp_file "ptaintd-test-trace" ".json" in
+  let contains hay needle =
+    let n = String.length needle and l = String.length hay in
+    let rec scan i = i + n <= l && (String.sub hay i n = needle || scan (i + 1)) in
+    scan 0
+  in
+  with_server ~trace_path (fun path _server ->
+      let c = Client.connect ~client:"test" path in
+      let traced =
+        Proto.job_spec ~tag:"traced" ~trace:(0x0abc_def0_1234_5678, 7) (Proto.Wire_asm exit_asm)
+      in
+      Alcotest.(check int) "three jobs ran" 3
+        (List.length (Client.run_batch c [ exit_spec ~tag:"a" (); traced; exit_spec ~tag:"b" () ]));
+      Client.close c);
+  let doc = In_channel.with_open_bin trace_path In_channel.input_all in
+  Sys.remove trace_path;
+  let spans =
+    List.filter (fun l -> contains l "\"ph\":\"X\"") (String.split_on_char '\n' doc)
+  in
+  Alcotest.(check int) "one span per job" 3 (List.length spans);
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) "daemon pid" true (contains l "\"pid\":2,");
+      Alcotest.(check bool) "outcome arg" true (contains l "\"outcome\":\"exited\"");
+      Alcotest.(check bool) "cache_hit arg" true (contains l "\"cache_hit\":");
+      Alcotest.(check bool) "correlation id only on the traced job" (contains l "\"traced\"")
+        (contains l "\"trace\":\"0abcdef012345678\",\"span\":\"7\""))
+    spans
+
 (* --- arena boots -------------------------------------------------- *)
 
 (* Daemon workers boot every job through their arena; see
@@ -1223,4 +1259,5 @@ let () =
             test_idempotent_resubmit_after_drop ] );
       ( "hostile",
         [ Alcotest.test_case "garbage, oversize, slowloris, vanish" `Quick test_hostile_clients;
-          Alcotest.test_case "graceful drain" `Quick test_graceful_drain ] ) ]
+          Alcotest.test_case "graceful drain" `Quick test_graceful_drain ] );
+      ("chrome", [ Alcotest.test_case "spans written at drain" `Quick test_drain_trace ]) ]

@@ -1,4 +1,4 @@
-(* The observability layer: ring buffer, event bus, metrics registry,
+(* The observability layer: ring buffer, event recorder, metrics registry,
    Chrome exporter, and the campaign-level wiring. *)
 
 open Ptaint_obs
@@ -34,38 +34,13 @@ let test_ring_wrap () =
 
 let ev c = Event.Restore { cycle = c }
 
-let test_trace_records_and_fans_out () =
-  let t = Trace.create () in
-  let seen = ref [] in
-  Trace.on_event t (fun e -> seen := e :: !seen);
-  Trace.emit t (ev 1);
-  Trace.emit t (ev 2);
-  Alcotest.(check int) "recorded" 2 (Trace.length t);
-  Alcotest.(check int) "sink saw both" 2 (List.length !seen);
-  Alcotest.(check (list int)) "emission order" [ 1; 2 ]
-    (List.map Event.cycle (Trace.events t))
-
 let test_trace_limit () =
   let t = Trace.create ~limit:3 () in
-  let sunk = ref 0 in
-  Trace.on_event t (fun _ -> incr sunk);
   List.iter (fun c -> Trace.emit t (ev c)) [ 1; 2; 3; 4; 5 ];
   Alcotest.(check int) "recorder bounded" 3 (Trace.length t);
   Alcotest.(check int) "overflow counted" 2 (Trace.dropped t);
-  Alcotest.(check int) "sinks see everything" 5 !sunk;
   Alcotest.(check (list int)) "keeps the first events" [ 1; 2; 3 ]
     (List.map Event.cycle (Trace.events t))
-
-let test_taint_sources_filter () =
-  let t = Trace.create () in
-  Trace.emit t (ev 1);
-  Trace.emit t (Event.Taint_in { cycle = 2; source = "read(stdin)"; addr = 0x100; len = 4; offset = 0 });
-  Trace.emit t (Event.Syscall { cycle = 3; pc = 0; name = "write" });
-  (match Trace.taint_sources t with
-   | [ Event.Taint_in { source; len; _ } ] ->
-     Alcotest.(check string) "source" "read(stdin)" source;
-     Alcotest.(check int) "len" 4 len
-   | l -> Alcotest.fail (Printf.sprintf "expected one Taint_in, got %d events" (List.length l)))
 
 (* --- metrics -------------------------------------------------------- *)
 
@@ -270,6 +245,24 @@ let test_chrome_shape () =
     s;
   Alcotest.(check bool) "balanced" true (!ok && !depth = 0)
 
+(* Wall-clock spans: epoch microseconds from the two stamps, args in
+   a fixed order, the trace id in the one hex spelling. *)
+let test_chrome_job_span () =
+  let ch = Chrome.create () in
+  Chrome.job_span ch ~name:"j" ~cat:"daemon" ~pid:2 ~tid:1 ~started:1_700_000_000.5
+    ~finished:1_700_000_000.75 ~outcome:"exited" ~args:[ ("cache_hit", "true") ]
+    ~trace:(0xff, 3) ();
+  Chrome.job_span ch ~name:"k" ~cat:"campaign" ~tid:0 ~started:2. ~finished:2. ~outcome:"alert" ();
+  let s = Chrome.contents ch in
+  Alcotest.(check int) "two spans" 2 (Chrome.event_count ch);
+  Alcotest.(check bool) "epoch microseconds" true
+    (contains s "\"ts\":1700000000500000.000,\"dur\":250000.000,\"pid\":2,\"tid\":1");
+  Alcotest.(check bool) "args: outcome, extras, then the trace id" true
+    (contains s
+       "\"args\":{\"outcome\":\"exited\",\"cache_hit\":\"true\",\"trace\":\"00000000000000ff\",\"span\":\"3\"}");
+  Alcotest.(check bool) "untraced span: outcome only, pid 1" true
+    (contains s "\"pid\":1,\"tid\":0,\"args\":{\"outcome\":\"alert\"}")
+
 (* --- machine + sim wiring ------------------------------------------ *)
 
 let attack_source =
@@ -337,7 +330,7 @@ let test_obs_off_is_silent () =
 let test_campaign_jobs_and_metrics () =
   let program = Ptaint_asm.Assembler.assemble_exn attack_source in
   let benign = Ptaint_asm.Assembler.assemble_exn ".text\nmain: li $v0, 0\n  li $a0, 0\n  li $v0, 1\n  syscall\n" in
-  let tr = Trace.create () in
+  let ch = Chrome.create () in
   let jobs =
     let module Job = Ptaint_campaign.Job in
     [ Job.make ~tag:"atk" ~policy_label:"full"
@@ -345,7 +338,7 @@ let test_campaign_jobs_and_metrics () =
         (Job.Image program);
       Job.make ~tag:"ok" ~policy_label:"full" (Job.Image benign) ]
   in
-  let results, stats = Ptaint_campaign.Campaign.run_jobs ~domains:2 ~trace:tr jobs in
+  let results, stats = Ptaint_campaign.Campaign.run_jobs ~domains:2 ~trace:ch jobs in
   Alcotest.(check int) "both ran" 2 (List.length results);
   List.iter
     (fun (r : Ptaint_campaign.Campaign.job_result) ->
@@ -354,14 +347,23 @@ let test_campaign_jobs_and_metrics () =
         (t.Ptaint_campaign.Campaign.finished >= t.Ptaint_campaign.Campaign.started
          && t.Ptaint_campaign.Campaign.domain >= 0))
     results;
-  (* one Job span per job, on the campaign trace *)
-  let spans =
-    List.filter_map
-      (function Event.Job { name; outcome; _ } -> Some (name, outcome) | _ -> None)
-      (Trace.events tr)
-  in
-  Alcotest.(check (list (pair string string))) "job spans in submission order"
-    [ ("atk", "alert"); ("ok", "exited") ] spans;
+  (* one span per job, in submission order, from the job's own stamps *)
+  let lines = String.split_on_char '\n' (Chrome.contents ch) in
+  let spans = List.filter (fun l -> contains l "\"ph\":\"X\"") lines in
+  Alcotest.(check int) "one span per job" 2 (List.length spans);
+  List.iter2
+    (fun l (name, outcome) ->
+      Alcotest.(check bool) ("span name " ^ name) true (contains l ("\"name\":\"" ^ name ^ "\""));
+      Alcotest.(check bool) ("outcome arg " ^ name) true
+        (contains l ("\"outcome\":\"" ^ outcome ^ "\""));
+      Alcotest.(check bool) ("policy arg " ^ name) true (contains l "\"policy\":\"full\"");
+      Alcotest.(check bool) ("campaign category " ^ name) true
+        (contains l "\"cat\":\"campaign\""))
+    spans
+    [ ("atk", "alert"); ("ok", "exited") ];
+  let r0 = List.hd results in
+  let ts = Printf.sprintf "\"ts\":%.3f" (r0.Ptaint_campaign.Campaign.timing.started *. 1e6) in
+  Alcotest.(check bool) "epoch-microsecond start" true (contains (List.hd spans) ts);
   (* per-label metrics *)
   (match stats.Ptaint_campaign.Campaign.metrics with
    | [ ("full", m) ] ->
@@ -373,9 +375,7 @@ let test_campaign_jobs_and_metrics () =
      Alcotest.(check int) "jobs counter" 2 (row "jobs").Metrics.count;
      Alcotest.(check int) "alerts counter" 1 (row "alerts").Metrics.count;
      Alcotest.(check bool) "instructions counted" true ((row "instructions").Metrics.count > 0);
-     Alcotest.(check int) "wall histogram count" 2 (row "job wall ms").Metrics.count;
-     Alcotest.(check bool) "concurrency observed" true
-       ((row "concurrent jobs").Metrics.min >= 1.0)
+     Alcotest.(check int) "wall histogram count" 2 (row "job wall ms").Metrics.count
    | l -> Alcotest.fail (Printf.sprintf "expected one label, got %d" (List.length l)));
   (* the rendered table is deterministic: counters only by default *)
   let table = Ptaint_campaign.Campaign.metrics_table stats in
@@ -390,9 +390,7 @@ let () =
         [ Alcotest.test_case "partial fill" `Quick test_ring_partial;
           Alcotest.test_case "wrap" `Quick test_ring_wrap ] );
       ( "trace",
-        [ Alcotest.test_case "record + sinks" `Quick test_trace_records_and_fans_out;
-          Alcotest.test_case "bounded recorder" `Quick test_trace_limit;
-          Alcotest.test_case "taint sources" `Quick test_taint_sources_filter ] );
+        [ Alcotest.test_case "bounded recorder" `Quick test_trace_limit ] );
       ( "metrics",
         [ Alcotest.test_case "counters" `Quick test_metrics_counters;
           Alcotest.test_case "histogram + merge" `Quick test_metrics_histogram_and_merge ] );
@@ -406,7 +404,8 @@ let () =
         [ Alcotest.test_case "families + escaping" `Quick test_prometheus_families_and_escaping;
           Alcotest.test_case "bucket cumulativity" `Quick test_prometheus_bucket_cumulativity ] );
       ( "chrome",
-        [ Alcotest.test_case "json shape" `Quick test_chrome_shape ] );
+        [ Alcotest.test_case "json shape" `Quick test_chrome_shape;
+          Alcotest.test_case "job span" `Quick test_chrome_job_span ] );
       ( "sim",
         [ Alcotest.test_case "event story" `Quick test_sim_event_story;
           Alcotest.test_case "off by default" `Quick test_obs_off_is_silent ] );
