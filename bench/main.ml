@@ -19,9 +19,13 @@ let ips_only = Array.exists (( = ) "--ips-only") Sys.argv
 let run_program ?(policy = Ptaint_cpu.Policy.default) ?(stdin = "") ?(sessions = [])
     ?(argv = [ "bench" ]) ?(fs_init = []) ?(timing = false) program =
   let config =
-    Ptaint_sim.Sim.Config.(
-      default |> with_policy policy |> with_stdin stdin |> with_sessions sessions
-      |> with_argv argv |> with_fs_init fs_init |> with_timing timing)
+    { Ptaint_sim.Sim.default_config with
+      Ptaint_sim.Sim.policy;
+      stdin;
+      sessions;
+      argv;
+      fs_init;
+      timing }
   in
   Ptaint_sim.Sim.run ~config program
 
@@ -213,7 +217,7 @@ let measure_ips () =
     (fun ((w : Ptaint_workloads.Workload.t), stdin) ->
       let program = Ptaint_workloads.Workload.program w in
       let config =
-        Ptaint_sim.Sim.Config.(default |> with_stdin stdin |> with_argv [ "bench" ])
+        { Ptaint_sim.Sim.default_config with Ptaint_sim.Sim.stdin; argv = [ "bench" ] }
       in
       let slug = String.lowercase_ascii w.Ptaint_workloads.Workload.name in
       let run name finish check =

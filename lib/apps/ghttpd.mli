@@ -14,6 +14,5 @@ val source : string
 val overflow_to_url : int
 (** Bytes from the log buffer to the [url] pointer local. *)
 
-val cgi_prefix : string
 val attack_tail : string
 (** The second fragment the corrupted pointer is aimed at. *)

@@ -1,5 +1,4 @@
 let cgi_root_symbol = "cgi_root"
-let default_cgi_root = "/usr/local/httpd/cgi-bin"
 
 let source =
   {|

@@ -14,8 +14,6 @@ val source : string
 val cgi_root_symbol : string
 (** The [char *cgi_root] global the non-control attack overwrites. *)
 
-val default_cgi_root : string
-
 val get_cgi : string -> string
 (** [get_cgi "sh"] builds the follow-up request that runs a CGI
     program named [sh] — [/bin/sh] once [cgi_root] is corrupted. *)

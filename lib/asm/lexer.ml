@@ -8,16 +8,6 @@ type token =
   | Lparen
   | Rparen
 
-let pp_token ppf = function
-  | Ident s -> Format.fprintf ppf "%s" s
-  | Register r -> Ptaint_isa.Reg.pp_sym ppf r
-  | Int n -> Format.fprintf ppf "%d" n
-  | Str s -> Format.fprintf ppf "%S" s
-  | Comma -> Format.pp_print_char ppf ','
-  | Colon -> Format.pp_print_char ppf ':'
-  | Lparen -> Format.pp_print_char ppf '('
-  | Rparen -> Format.pp_print_char ppf ')'
-
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = '.'
 
 let is_ident_char c =

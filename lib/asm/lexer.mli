@@ -14,5 +14,3 @@ val tokenize : string -> (token list, string) result
 (** Tokenize one line; comments ([#], [;], [//]) are stripped.
     Integer literals: decimal, [0x] hex, negative, character ['c']
     with the usual escapes. *)
-
-val pp_token : Format.formatter -> token -> unit

@@ -1,5 +1,5 @@
 open Ptaint_apps
-module Config = Ptaint_sim.Sim.Config
+module Sim = Ptaint_sim.Sim
 
 let compiled source = lazy (Ptaint_runtime.Runtime.compile source)
 let build l () = Lazy.force l
@@ -14,8 +14,8 @@ let exec_bin_sh (r : Ptaint_sim.Sim.result) =
 
 let never_compromised (_ : Ptaint_sim.Sim.result) = None
 
-let stdin_config input _program = Config.(default |> with_stdin input)
-let sessions_config sessions _program = Config.(default |> with_sessions sessions)
+let stdin_config input _program = { Sim.default_config with Sim.stdin = input }
+let sessions_config sessions _program = { Sim.default_config with Sim.sessions }
 
 let attack_benign attack benign =
   [ Scenario.attack_case attack; Scenario.benign_case benign ]
@@ -45,9 +45,8 @@ let exp1_ret2libc =
       attack_benign
         (fun program ->
           let target = Ptaint_asm.Program.symbol_exn program Synthetic.root_shell_symbol in
-          Config.(
-            default
-            |> with_stdin (Payload.overflow_word ~pad:Synthetic.exp1_buffer_to_ra target ^ "\n")))
+          { Sim.default_config with
+            Sim.stdin = Payload.overflow_word ~pad:Synthetic.exp1_buffer_to_ra target ^ "\n" })
         (stdin_config "hi\n");
     compromised = exec_bin_sh }
 
@@ -94,10 +93,8 @@ let exp4_fnptr =
       attack_benign
         (fun program ->
           let target = Ptaint_asm.Program.symbol_exn program Synthetic.root_shell_symbol in
-          Config.(
-            default
-            |> with_stdin
-                 (Payload.overflow_word ~pad:Synthetic.exp4_buffer_to_fnptr target ^ "\n")))
+          { Sim.default_config with
+            Sim.stdin = Payload.overflow_word ~pad:Synthetic.exp4_buffer_to_fnptr target ^ "\n" })
         (stdin_config "hello\n");
     compromised = exec_bin_sh }
 
@@ -119,19 +116,15 @@ let wuftpd_format_uid =
         (fun program ->
           let uid_addr = Ptaint_asm.Program.symbol_exn program Wuftpd.uid_symbol in
           let payload = Payload.format_write_word ~ap_skip_words:0 ~target:uid_addr ~value:0 in
-          Config.(
-            default
-            |> with_sessions
-                 [ Wuftpd.login_session
-                   @ [ Wuftpd.site_exec payload; Wuftpd.stor_passwd; "quit\n" ] ]
-            |> with_fs_init [ (Wuftpd.passwd_path, initial_passwd) ]))
+          { Sim.default_config with
+            Sim.sessions =
+              [ Wuftpd.login_session @ [ Wuftpd.site_exec payload; Wuftpd.stor_passwd; "quit\n" ] ];
+            fs_init = [ (Wuftpd.passwd_path, initial_passwd) ] })
         (fun _ ->
-          Config.(
-            default
-            |> with_sessions
-                 [ Wuftpd.login_session
-                   @ [ "site exec uptime\n"; Wuftpd.stor_passwd; "quit\n" ] ]
-            |> with_fs_init [ (Wuftpd.passwd_path, initial_passwd) ]));
+          { Sim.default_config with
+            Sim.sessions =
+              [ Wuftpd.login_session @ [ "site exec uptime\n"; Wuftpd.stor_passwd; "quit\n" ] ];
+            fs_init = [ (Wuftpd.passwd_path, initial_passwd) ] });
     compromised =
       (fun r ->
         match Ptaint_os.Fs.read (Ptaint_os.Kernel.fs r.Ptaint_sim.Sim.kernel) ~path:Wuftpd.passwd_path with
@@ -171,17 +164,16 @@ let nullhttpd_cgi_root =
             ^ Payload.fill (alloc - 17)
             ^ Payload.fake_chunk ~size:0x40 ~fd:bin_string ~bk:(cgi_root - 4)
           in
-          Config.(
-            default |> with_argv [ "nullhttpd" ]
-            |> with_sessions
-                 [ Nullhttpd.post_request ~content_length:(-800) ~body;
-                   [ Nullhttpd.get_cgi "sh" ] ]))
+          { Sim.default_config with
+            Sim.argv = [ "nullhttpd" ];
+            sessions =
+              [ Nullhttpd.post_request ~content_length:(-800) ~body; [ Nullhttpd.get_cgi "sh" ] ] })
         (fun _ ->
-          Config.(
-            default |> with_argv [ "nullhttpd" ]
-            |> with_sessions
-                 [ Nullhttpd.post_request ~content_length:5 ~body:"hello";
-                   [ Nullhttpd.get_cgi "status" ] ]));
+          { Sim.default_config with
+            Sim.argv = [ "nullhttpd" ];
+            sessions =
+              [ Nullhttpd.post_request ~content_length:5 ~body:"hello";
+                [ Nullhttpd.get_cgi "status" ] ] });
     compromised = exec_bin_sh }
 
 let ghttpd_program = compiled Ghttpd.source
@@ -208,10 +200,11 @@ let ghttpd_url_pointer =
             ^ Payload.le_word tail_addr
           in
           let request = line1 ^ "\n\n" ^ Ghttpd.attack_tail in
-          Config.(default |> with_argv [ "ghttpd" ] |> with_sessions [ [ request ] ]))
+          { Sim.default_config with Sim.argv = [ "ghttpd" ]; sessions = [ [ request ] ] })
         (fun _ ->
-          Config.(
-            default |> with_argv [ "ghttpd" ] |> with_sessions [ [ "GET /index.html\n\n" ] ]));
+          { Sim.default_config with
+            Sim.argv = [ "ghttpd" ];
+            sessions = [ [ "GET /index.html\n\n" ] ] });
     compromised = exec_bin_sh }
 
 let traceroute_program = compiled Traceroute.source
@@ -227,8 +220,8 @@ let traceroute_double_free =
     build = build traceroute_program;
     cases =
       attack_benign
-        (fun _ -> Config.(default |> with_argv Traceroute.attack_argv))
-        (fun _ -> Config.(default |> with_argv Traceroute.benign_argv));
+        (fun _ -> { Sim.default_config with Sim.argv = Traceroute.attack_argv })
+        (fun _ -> { Sim.default_config with Sim.argv = Traceroute.benign_argv });
     compromised = never_compromised }
 
 (* --- remaining taint sources: environment and file system --- *)
@@ -253,9 +246,9 @@ let env_login =
              zero byte of the 0x004xxxxx address) *)
           let addr3 = String.sub (Payload.le_word target) 0 3 in
           assert (not (String.contains addr3 '\000'));
-          Config.(
-            default |> with_env [ ("HOME", Payload.fill Cli.login_buffer_to_ra ^ addr3) ]))
-        (fun _ -> Config.(default |> with_env [ ("HOME", "/home/alice") ]));
+          { Sim.default_config with
+            Sim.env = [ ("HOME", Payload.fill Cli.login_buffer_to_ra ^ addr3) ] })
+        (fun _ -> { Sim.default_config with Sim.env = [ ("HOME", "/home/alice") ] });
     compromised = exec_bin_sh }
 
 let logd_program = compiled Cli.logd
@@ -271,8 +264,9 @@ let logd_config =
     cases =
       attack_benign
         (fun _ ->
-          Config.(default |> with_fs_init [ (Cli.logd_conf_path, "AAAA%x%n\n") ]))
-        (fun _ -> Config.(default |> with_fs_init [ (Cli.logd_conf_path, "logd[%s]\n") ]));
+          { Sim.default_config with Sim.fs_init = [ (Cli.logd_conf_path, "AAAA%x%n\n") ] })
+        (fun _ ->
+          { Sim.default_config with Sim.fs_init = [ (Cli.logd_conf_path, "logd[%s]\n") ] });
     compromised = never_compromised }
 
 let synthetic = [ exp1_stack_smash; exp1_ret2libc; exp2_heap; exp3_format; exp4_fnptr ]

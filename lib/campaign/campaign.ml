@@ -631,7 +631,7 @@ let run_jobs ?domains ?trace ?job_timeout ?(retries = 0) ?(backoff = 0.05) specs
   List.iteri (fun i r -> tally_add tally (summarize i r)) results;
   (results, tally_stats ~wall_seconds tally)
 
-let metrics_table_of ?(timings = false) metrics =
+let metrics_table ?(timings = false) stats =
   let module M = Ptaint_obs.Metrics in
   let fmt_f v =
     if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
@@ -652,11 +652,9 @@ let metrics_table_of ?(timings = false) metrics =
                     (fmt_f r.M.min) (fmt_f r.M.max) ]
             | _ -> None)
           (M.rows m))
-      metrics
+      stats.metrics
   in
   Ptaint_report.Report.table ~headers:[ "policy"; "metric"; "value" ] rows
-
-let metrics_table ?timings stats = metrics_table_of ?timings stats.metrics
 
 let pp_stats ppf s =
   Format.fprintf ppf "campaign: %d jobs (%d failed, %d violations), %d guest instructions, %d syscalls; detections: %s [%.2fs wall]"

@@ -390,11 +390,6 @@ val failure_counters : failure_kind -> (string * int) list
     shape keeps streamed tallies mergeable with cooperative-path
     results. *)
 
-val metrics_table_of :
-  ?timings:bool -> (string * Ptaint_obs.Metrics.t) list -> string
-(** {!metrics_table} over bare per-label registries — for clients
-    that rebuilt them from streamed {!job_counters} deltas. *)
-
 val metrics_table : ?timings:bool -> stats -> string
 (** Render {!stats.metrics} as an aligned table.  By default only the
     deterministic counter rows appear, so the output is identical

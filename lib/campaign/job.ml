@@ -21,12 +21,9 @@ type t = {
   trace : (int * int) option;
 }
 
-let make ~tag ?(config = Ptaint_sim.Sim.Config.default) ?policy_label
+let make ~tag ?(config = Ptaint_sim.Sim.default_config) ?policy_label
     ?(injections = []) ?timeout ?expect ?trace payload =
   { tag; payload; config; policy_label; injections; timeout; expect; trace }
-
-let with_injections injections t = { t with injections }
-let with_timeout seconds t = { t with timeout = Some seconds }
 
 let program t =
   match t.payload with

@@ -48,9 +48,6 @@ val make :
   payload ->
   t
 
-val with_injections : Ptaint_fi.Fi.injection list -> t -> t
-val with_timeout : float -> t -> t
-
 val program : t -> Ptaint_asm.Program.t
 (** Build the guest program: assemble, compile, or return the image.
     Raises the toolchain's typed errors

@@ -173,4 +173,3 @@ val pp_alert : Format.formatter -> alert -> unit
 (** Paper's alert style: ["44d7b0: sw $21,0($3)   $3=0x1002bc20"]. *)
 
 val pp_fault : Format.formatter -> fault -> unit
-val alert_kind_name : alert_kind -> string

@@ -693,17 +693,15 @@ let job_of_spec s =
   with
   | Error m -> Error m
   | Ok policy ->
-    let open Ptaint_sim.Sim.Config in
+    let d = Ptaint_sim.Sim.default_config in
     let config =
-      default
-      |> (match policy with None -> Fun.id | Some p -> with_policy p)
-      |> with_argv s.spec_argv
-      |> with_env s.spec_env
-      |> with_stdin s.spec_stdin
-      |> with_sessions s.spec_sessions
-      |> (match s.spec_max_instructions with
-          | None -> Fun.id
-          | Some n -> with_max_instructions n)
+      { d with
+        Ptaint_sim.Sim.policy = Option.value policy ~default:d.policy;
+        argv = s.spec_argv;
+        env = s.spec_env;
+        stdin = s.spec_stdin;
+        sessions = s.spec_sessions;
+        max_instructions = Option.value s.spec_max_instructions ~default:d.max_instructions }
     in
     let payload =
       match s.spec_payload with

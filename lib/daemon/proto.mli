@@ -36,8 +36,6 @@
 
 val version : int
 
-val header_bytes : int
-
 type error =
   | Bad_magic
   | Bad_version of int

@@ -34,7 +34,7 @@ module Metrics = Ptaint_obs.Metrics
 
 type config = {
   socket_path : string;
-  domains : int option;
+  workers : int option;  (** worker domains, or processes when [isolate] *)
   max_queue : int;  (** jobs admitted but not yet finished, server-wide *)
   max_inflight : int;  (** per-connection admission quota *)
   cache_capacity : int;
@@ -47,13 +47,12 @@ type config = {
   isolate : bool;
       (** run jobs in forked worker processes under a supervision
           tree instead of in-process domains *)
-  workers : int option;  (** worker processes when [isolate]; default 2 *)
 }
 
 let default_config ~socket_path =
-  { socket_path; domains = None; max_queue = 256; max_inflight = 32;
+  { socket_path; workers = None; max_queue = 256; max_inflight = 32;
     cache_capacity = 64; job_timeout = None; log = None;
-    metrics_sock = None; trace_path = None; isolate = false; workers = None }
+    metrics_sock = None; trace_path = None; isolate = false }
 
 type conn = {
   fd : Unix.file_descr;
@@ -279,7 +278,7 @@ let create (cfg : config) =
      t.backend <-
        Some
          (In_process
-            ( Ptaint_pool.Pool.service ?domains:cfg.domains (),
+            ( Ptaint_pool.Pool.service ?domains:cfg.workers (),
               Campaign.Images.create ~capacity:cfg.cache_capacity )));
   t
 

@@ -50,7 +50,10 @@
 
 type config = {
   socket_path : string;
-  domains : int option;  (** worker domains; default [Domain.recommended_domain_count] *)
+  workers : int option;
+      (** worker domains in-process, default
+          [Domain.recommended_domain_count]; worker processes under
+          [isolate], default 2 *)
   max_queue : int;  (** server-wide bound on jobs admitted and unfinished *)
   max_inflight : int;  (** per-connection admission quota *)
   cache_capacity : int;
@@ -79,7 +82,6 @@ type config = {
           preemptive deadline enforcement, automatic respawn.
           Superblock telemetry is unavailable in this mode (the
           counters live in the worker's address space). *)
-  workers : int option;  (** worker processes when [isolate]; default 2 *)
 }
 
 val default_config : socket_path:string -> config

@@ -181,7 +181,7 @@ let main ~config ~rd ~wr =
           Proto.Job_failed
             { id = 0; tag = spec.Proto.spec_tag; kind = Campaign.kind_name kind; message = m;
               policy_label =
-                Campaign.label_of_policy Ptaint_sim.Sim.Config.default.Ptaint_sim.Sim.policy;
+                Campaign.label_of_policy Ptaint_sim.Sim.default_config.policy;
               counters = Campaign.failure_counters kind;
               trace = spec.Proto.spec_trace }
       in

@@ -40,21 +40,11 @@ val run_job :
   Proto.event * Ptaint_campaign.Campaign.job_result
 (** Run one job through {!Ptaint_campaign.Campaign.run_job}, booted
     through the calling domain's arena, and reduce it to its terminal
-    wire event ({!event_of_job_result}).  Also returns the result the
-    event came from, valid only until the next arena boot on this
-    domain. *)
-
-val event_of_job_result :
-  id:int ->
-  job:Ptaint_campaign.Job.t ->
-  cache_hit:bool ->
-  Ptaint_campaign.Campaign.job_result ->
-  Proto.event
-(** The wire event for one finished job, with
-    {!Ptaint_campaign.Campaign.job_counters} deltas.  A result that
-    fails to serialize becomes a typed ["crashed"] failure with
-    {!Ptaint_campaign.Campaign.failure_counters} deltas instead of
-    killing the worker. *)
+    wire event, with {!Ptaint_campaign.Campaign.job_counters} deltas.
+    A result that fails to serialize becomes a typed ["crashed"]
+    failure with {!Ptaint_campaign.Campaign.failure_counters} deltas
+    instead of killing the worker.  Also returns the result the event
+    came from, valid only until the next arena boot on this domain. *)
 
 val outcome_of_event : Proto.event -> string
 (** The [outcome] label of [ptaintd_jobs_total] recovered from a wire

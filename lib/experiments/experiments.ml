@@ -121,8 +121,9 @@ let fig3 () =
   let w = Ptaint_workloads.Workload.gzip in
   let p = Ptaint_workloads.Workload.program w in
   let config =
-    Ptaint_sim.Sim.Config.(
-      default |> with_stdin (w.Ptaint_workloads.Workload.input ()) |> with_timing true)
+    { Ptaint_sim.Sim.default_config with
+      Ptaint_sim.Sim.stdin = w.Ptaint_workloads.Workload.input ();
+      timing = true }
   in
   let r = Ptaint_sim.Sim.run ~config p in
   (match r.Ptaint_sim.Sim.pipeline with
@@ -407,17 +408,22 @@ let tab4 ?domains ?trace () =
   let b_payload = Payload.fill 16 ^ "\x01" ^ "\n" in
   let jobs =
     [ Job.make ~tag:"tab4/A integer overflow"
-        ~config:Ptaint_sim.Sim.Config.(default |> with_stdin a_input) (Job.Image int_ovf);
+        ~config:{ Ptaint_sim.Sim.default_config with Ptaint_sim.Sim.stdin = a_input }
+        (Job.Image int_ovf);
       Job.make ~tag:"tab4/A benign index"
-        ~config:Ptaint_sim.Sim.Config.(default |> with_stdin (Payload.le_word 2))
+        ~config:{ Ptaint_sim.Sim.default_config with
+                  Ptaint_sim.Sim.stdin = Payload.le_word 2 }
         (Job.Image int_ovf);
       Job.make ~tag:"tab4/B auth flag"
-        ~config:Ptaint_sim.Sim.Config.(default |> with_stdin b_payload) (Job.Image auth);
+        ~config:{ Ptaint_sim.Sim.default_config with Ptaint_sim.Sim.stdin = b_payload }
+        (Job.Image auth);
       Job.make ~tag:"tab4/C info leak"
-        ~config:Ptaint_sim.Sim.Config.(default |> with_sessions [ [ "%x%x%x%x" ] ])
+        ~config:{ Ptaint_sim.Sim.default_config with
+                  Ptaint_sim.Sim.sessions = [ [ "%x%x%x%x" ] ] }
         (Job.Image leak);
       Job.make ~tag:"tab4/C write contrast"
-        ~config:Ptaint_sim.Sim.Config.(default |> with_sessions [ [ "abcd%x%x%x%n" ] ])
+        ~config:{ Ptaint_sim.Sim.default_config with
+                  Ptaint_sim.Sim.sessions = [ [ "abcd%x%x%x%n" ] ] }
         (Job.Image leak) ]
   in
   let results, _ = Campaign.run_jobs ?domains ?trace jobs in
@@ -487,10 +493,10 @@ let overhead () =
         let p = Ptaint_workloads.Workload.program w in
         let run policy =
           let config =
-            Ptaint_sim.Sim.Config.(
-              default |> with_policy policy
-              |> with_stdin (w.Ptaint_workloads.Workload.input ())
-              |> with_timing true)
+            { Ptaint_sim.Sim.default_config with
+              Ptaint_sim.Sim.policy;
+              stdin = w.Ptaint_workloads.Workload.input ();
+              timing = true }
           in
           Ptaint_sim.Sim.run ~config p
         in
@@ -555,7 +561,7 @@ let ablation () =
   (* flip side: Table 4(A) becomes detected *)
   let a_input = Payload.le_word (Ptaint_isa.Word.of_signed (-1)) in
   let r = run_fn ~policy:no_compare Ptaint_apps.Synthetic.fn_integer_overflow
-      Ptaint_sim.Sim.Config.(default |> with_stdin a_input) in
+      { Ptaint_sim.Sim.default_config with Ptaint_sim.Sim.stdin = a_input } in
   buf_add buf
     (Printf.sprintf "   Table 4(A) integer-overflow attack without rule 4: %s\n\n"
        (Format.asprintf "%a" Ptaint_sim.Sim.pp_outcome r.Ptaint_sim.Sim.outcome));
@@ -600,7 +606,8 @@ let extension () =
      backed by a Guarded_store detector.\n\n";
   let payload = Payload.fill 16 ^ "\x01" ^ "\n" in
   let r =
-    run_fn Ptaint_apps.Synthetic.fn_auth_flag Ptaint_sim.Sim.Config.(default |> with_stdin payload)
+    run_fn Ptaint_apps.Synthetic.fn_auth_flag
+      { Ptaint_sim.Sim.default_config with Ptaint_sim.Sim.stdin = payload }
   in
   buf_add buf
     (Printf.sprintf "Table 4(B) victim, unannotated:  %s (output: %s)\n"
@@ -608,14 +615,14 @@ let extension () =
        (String.escaped (String.trim r.Ptaint_sim.Sim.stdout)));
   let r =
     run_fn Ptaint_apps.Synthetic.fn_auth_flag_guarded
-      Ptaint_sim.Sim.Config.(default |> with_stdin payload)
+      { Ptaint_sim.Sim.default_config with Ptaint_sim.Sim.stdin = payload }
   in
   buf_add buf
     (Printf.sprintf "Same victim with guard(&auth,4): %s\n"
        (Format.asprintf "%a" Ptaint_sim.Sim.pp_outcome r.Ptaint_sim.Sim.outcome));
   let r =
     run_fn Ptaint_apps.Synthetic.fn_auth_flag_guarded
-      Ptaint_sim.Sim.Config.(default |> with_stdin "secret\n")
+      { Ptaint_sim.Sim.default_config with Ptaint_sim.Sim.stdin = "secret\n" }
   in
   buf_add buf
     (Printf.sprintf "Annotated victim, honest login:  %s (output: %s)\n"
@@ -864,21 +871,23 @@ let resilience ?domains ?trace () =
   (* every hostile row is an ordinary Job.t: the crash is an [on_step]
      hook that raises, the malformed program a source that fails to
      assemble on the worker *)
-  let job ?(config = Ptaint_sim.Sim.Config.default) tag program =
+  let job ?(config = Ptaint_sim.Sim.default_config) tag program =
     Job.make ~tag ~config (Job.Image program)
   in
   let hostile_jobs =
     [ job "well-behaved" ~config:(benign_cfg exp1) exp1;
       job "spinning guest (watchdog)"
-        ~config:Ptaint_sim.Sim.Config.(default |> with_max_instructions 1_000_000_000)
+        ~config:{ Ptaint_sim.Sim.default_config with
+                  Ptaint_sim.Sim.max_instructions = 1_000_000_000 }
         spin;
       job "crashing harness thunk (retried)"
         ~config:
-          Ptaint_sim.Sim.Config.(
-            default |> with_on_step (fun _ _ -> failwith "synthetic harness crash"))
+          { Ptaint_sim.Sim.default_config with
+            Ptaint_sim.Sim.on_step = Some (fun _ _ -> failwith "synthetic harness crash") }
         exp1;
       job "oversized argv (loader)"
-        ~config:Ptaint_sim.Sim.Config.(default |> with_argv [ "prog"; String.make 2_000_000 'A' ])
+        ~config:{ Ptaint_sim.Sim.default_config with
+                  Ptaint_sim.Sim.argv = [ "prog"; String.make 2_000_000 'A' ] }
         exp1;
       Job.make ~tag:"malformed assembly (loader)" (Job.Asm_source ".data\nx: .space -4\n");
       job "unknown syscall (guest fault)" bad_syscall;

@@ -159,7 +159,7 @@ let job t i =
   let r = Rng.create (mix t.seed salt_payload case) in
   let attack, stdin = payload_for r v in
   let config =
-    { Ptaint_sim.Sim.Config.default with Ptaint_sim.Sim.policy; stdin }
+    { Ptaint_sim.Sim.default_config with Ptaint_sim.Sim.policy; stdin }
   in
   let tag =
     Printf.sprintf "gen/c%05d/v%02d/%s/%s" case v.v_index (attack_name attack) label
@@ -168,10 +168,4 @@ let job t i =
 
 let policy_label _ i = List.nth default_policy_labels (i mod npolicies)
 
-let jobs_from t start =
-  let rec from i () =
-    if i >= t.jobs then Seq.Nil else Seq.Cons (job t i, from (i + 1))
-  in
-  from (max 0 start)
-
-let jobs t = jobs_from t 0
+let jobs t = Seq.init t.jobs (job t)

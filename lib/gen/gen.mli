@@ -3,7 +3,7 @@
     Emits {!Ptaint_campaign.Job.t} streams for generative campaigns.
     Job [i] is a pure function of [(spec, i)] — no generator state is
     threaded between jobs — so the stream is identical at every [-j]
-    level and a checkpointed campaign resumes with {!jobs_from} at the
+    level and a checkpointed campaign resumes with {!job} at the
     manifest cursor without replaying the prefix.
 
     Programs are exp1-family stack-smash handlers (a [gets] into a
@@ -48,7 +48,3 @@ val policy_label : spec -> int -> string
 val source : spec -> int -> string
 
 val jobs : spec -> Ptaint_campaign.Job.t Seq.t
-
-(** [jobs_from t cursor] — the suffix of {!jobs} starting at job
-    [cursor]; the resume entry point. *)
-val jobs_from : spec -> int -> Ptaint_campaign.Job.t Seq.t

@@ -16,7 +16,6 @@ type config = {
   hit_latency : int; (** cycles *)
 }
 
-val l1_config : config
 val create : config -> t
 
 type result = Hit | Miss
@@ -39,6 +38,8 @@ module Hierarchy : sig
   type t
 
   val create : ?l1:config -> ?l2:config -> memory_latency:int -> unit -> t
+  (** Defaults: a 128-set, 2-way L1 of 32-byte lines hitting in 1
+      cycle, and a 1024-set, 4-way L2 of 64-byte lines hitting in 8. *)
 
   val access : t -> addr:int -> write:bool -> tainted:bool -> int
   (** Returns the access latency in cycles: L1 hit latency, plus L2 on

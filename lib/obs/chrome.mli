@@ -3,7 +3,7 @@
     Emits the JSON-array format that [chrome://tracing] and Perfetto
     load directly: complete events ([ph:"X"]) for spans and instant
     events ([ph:"i"]) for the simulator's point events.  Two clocks
-    meet here.  {!add_event} maps the guest {!Event.t} taxonomy onto
+    meet here.  {!add_events} maps the guest {!Event.t} taxonomy onto
     tracks, one guest cycle as one microsecond, so single-run
     timelines are deterministic.  {!job_span} is the one writer of
     wall-clock job spans, in epoch microseconds. *)
@@ -16,16 +16,10 @@ val complete :
   t -> name:string -> ?cat:string -> ?pid:int -> tid:int -> ts_us:float -> dur_us:float ->
   ?args:(string * string) list -> unit -> unit
 
-val instant :
-  t -> name:string -> ?cat:string -> ?pid:int -> tid:int -> ts_us:float ->
-  ?args:(string * string) list -> unit -> unit
-
-val add_event : t -> ?pid:int -> ?tid:int -> Event.t -> unit
+val add_events : t -> ?pid:int -> ?tid:int -> Event.t list -> unit
 (** [pid] partitions the timeline per process (default [1]), so
     client- and daemon-side traces of the same jobs merge into one
     document without colliding. *)
-
-val add_events : t -> ?pid:int -> ?tid:int -> Event.t list -> unit
 
 val job_span :
   t -> name:string -> cat:string -> ?pid:int -> tid:int -> started:float -> finished:float ->

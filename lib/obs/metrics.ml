@@ -126,23 +126,6 @@ let row_of = function
 (* Registration order (metrics is newest-first). *)
 let rows t = List.rev_map row_of t.metrics
 
-let merge ~into src =
-  List.iter
-    (fun m ->
-      match m with
-      | Counter c -> inc ~by:c.count (counter into ~labels:c.c_labels c.c_name)
-      | Gauge g ->
-        let dst = gauge into ~labels:g.g_labels g.g_name in
-        dst.value <- dst.value +. g.value
-      | Histogram h ->
-        let dst = histogram into ~labels:h.h_labels h.h_name in
-        dst.h_count <- dst.h_count + h.h_count;
-        dst.sum <- dst.sum +. h.sum;
-        if h.minv < dst.minv then dst.minv <- h.minv;
-        if h.maxv > dst.maxv then dst.maxv <- h.maxv;
-        Array.iteri (fun i n -> dst.buckets.(i) <- dst.buckets.(i) + n) h.buckets)
-    (List.rev src.metrics)
-
 (* {2 Prometheus text exposition, format 0.0.4}
 
    Families are grouped under one [# TYPE] header in registration

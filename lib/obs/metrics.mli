@@ -5,10 +5,8 @@
     (get-or-create by name + label set), then bump it
     allocation-free.  Histograms bucket observations by power of two
     and track count/sum/min/max, which is enough to render a latency
-    distribution without keeping samples.  {!merge} folds one registry
-    into another, so per-job or per-worker registries can be
-    aggregated by the parent, and {!prometheus} renders the whole
-    registry in Prometheus text exposition format 0.0.4 for
+    distribution without keeping samples.  {!prometheus} renders the
+    whole registry in Prometheus text exposition format 0.0.4 for
     scraping. *)
 
 type t
@@ -53,11 +51,6 @@ type row = {
 
 val rows : t -> row list
 (** One row per metric child, in registration order. *)
-
-val merge : into:t -> t -> unit
-(** Add every metric of the source registry into [into], creating
-    (name, labels) children as needed.  Counters and gauges add;
-    histograms merge buckets and extrema. *)
 
 val prometheus : t -> string
 (** Prometheus text exposition (format 0.0.4): families grouped under

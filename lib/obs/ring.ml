@@ -9,9 +9,7 @@ let create ~dummy size =
   let size = max 1 size in
   { tags = Array.make size 0; items = Array.make size dummy; next = 0; filled = 0 }
 
-let capacity t = Array.length t.tags
 let length t = t.filled
-let clear t = t.next <- 0; t.filled <- 0
 
 let push t tag item =
   t.tags.(t.next) <- tag;

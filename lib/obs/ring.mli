@@ -16,5 +16,3 @@ val to_list : 'a t -> (int * 'a) list
 (** Oldest first; the most recent push is last. *)
 
 val length : 'a t -> int
-val capacity : 'a t -> int
-val clear : 'a t -> unit

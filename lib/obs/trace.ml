@@ -17,8 +17,3 @@ let emit t ev =
 let events t = List.rev t.recorded
 let length t = t.count
 let dropped t = t.dropped
-
-let clear t =
-  t.recorded <- [];
-  t.count <- 0;
-  t.dropped <- 0

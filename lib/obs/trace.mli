@@ -21,4 +21,3 @@ val events : t -> Event.t list
 
 val length : t -> int
 val dropped : t -> int
-val clear : t -> unit

@@ -41,4 +41,3 @@ let recv t ~max mem addr ~taint =
 
 let send t s = t.sent_rev <- s :: t.sent_rev
 let sent t = List.rev t.sent_rev
-let pending_sessions t = List.length t.pending

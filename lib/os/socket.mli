@@ -23,5 +23,3 @@ val recv : t -> max:int -> Ptaint_mem.Memory.t -> int -> taint:bool -> int
 val send : t -> string -> unit
 val sent : t -> string list
 (** All outbound messages, in order. *)
-
-val pending_sessions : t -> int

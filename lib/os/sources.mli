@@ -14,4 +14,3 @@ val all : t
 (** The paper's configuration — every external source is tainted. *)
 
 val none : t
-val network_only : t

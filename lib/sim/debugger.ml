@@ -5,7 +5,6 @@ type t = {
 }
 
 let create session = { session; breakpoints = []; outcome = None }
-let finished t = t.outcome
 
 let program t = t.session.Sim.s_image.Ptaint_asm.Loader.program
 let machine t = t.session.Sim.s_machine

@@ -19,7 +19,6 @@
 type t
 
 val create : Sim.session -> t
-val finished : t -> Sim.outcome option
 
 val exec : t -> string -> string * [ `Continue | `Quit ]
 (** Execute one command line; returns the output to display. *)

@@ -11,7 +11,7 @@ let in_text (p : Ptaint_asm.Program.t) addr =
 
 (* Closest text symbol at or below [addr] among those passing [keep],
    as (name, offset-into-symbol). *)
-let nearest ?(keep = fun _ -> true) p addr =
+let nearest ~keep p addr =
   if not (in_text p addr) then None
   else
     List.fold_left
@@ -23,8 +23,6 @@ let nearest ?(keep = fun _ -> true) p addr =
         else best)
       None (text_symbols p)
     |> Option.map (fun (name, saddr) -> (name, addr - saddr))
-
-let nearest_symbol p addr = nearest p addr
 
 (* Generated local labels (_L12, _Lepi3, _Str4) are not useful frame
    names; prefer the enclosing function symbol. *)
@@ -149,4 +147,12 @@ let report (result : Sim.result) =
               Buffer.add_string buf
                 (Printf.sprintf "  %s\n" (Ptaint_obs.Event.to_string e)))
           story));
+  (* The recorder keeps the first events, so a full one has lost the
+     latest: the ones closest to the detection. *)
+  (match Ptaint_cpu.Machine.trace m with
+   | Some tr when Ptaint_obs.Trace.dropped tr > 0 ->
+     Buffer.add_string buf
+       (Printf.sprintf "event trace full: %d later events dropped after the first %d\n"
+          (Ptaint_obs.Trace.dropped tr) (Ptaint_obs.Trace.length tr))
+   | _ -> ());
   Buffer.contents buf

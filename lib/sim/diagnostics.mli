@@ -6,12 +6,10 @@
     [fp+4]), so the guest call chain can be recovered by walking the
     frame-pointer links — exactly what a debugger does. *)
 
-val nearest_symbol : Ptaint_asm.Program.t -> int -> (string * int) option
-(** [nearest_symbol p addr] is the closest text symbol at or below
-    [addr] and the offset into it. *)
-
 val symbolize : Ptaint_asm.Program.t -> int -> string
-(** ["function+0x1c"] or the bare hex address. *)
+(** The closest function symbol at or below the address and the
+    offset into it (["function+0x1c"]), or the bare hex address
+    outside the text segment. *)
 
 type frame = { pc : int; location : string }
 
@@ -28,8 +26,10 @@ val report : Sim.result -> string
 (** A human-readable incident report for an [Alert]/[Fault] outcome:
     the alert line, symbolized PC, guest backtrace, and the tainted
     registers at the time of detection.  When the run was observed
-    ([Sim.Config.with_obs true]) the report also includes the last-N
-    instruction window leading up to detection and a taint-provenance
-    narrative: which syscall introduced the tainted bytes (and at what
-    input offset), which registers and regions they reached, and the
-    alert itself. *)
+    ([obs = true] in its {!Sim.config}) the report also includes the
+    last-N instruction window leading up to detection and a
+    taint-provenance narrative: which syscall introduced the tainted
+    bytes (and at what input offset), which registers and regions they
+    reached, and the alert itself.  A run whose event recorder filled
+    up gets one more line with the number of later events dropped, so
+    a narrative cut short says so. *)

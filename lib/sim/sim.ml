@@ -46,32 +46,6 @@ let policy_of_label = function
       (Printf.sprintf "unknown policy %S (%s)" s
          (String.concat " | " (List.map fst policy_labels)))
 
-(* The one way to build a config: each setter is value-first so
-   configs read as pipelines ([default |> with_policy p |> with_stdin s]). *)
-module Config = struct
-  type t = config
-
-  let default = default_config
-  let with_policy policy c = { c with policy }
-
-  let with_policy_label label c =
-    match policy_of_label label with
-    | Ok policy -> { c with policy }
-    | Error e -> invalid_arg ("Sim.Config.with_policy_label: " ^ e)
-
-  let with_sources sources c = { c with sources }
-  let with_argv argv c = { c with argv }
-  let with_env env c = { c with env }
-  let with_stdin stdin c = { c with stdin }
-  let with_sessions sessions c = { c with sessions }
-  let with_fs_init fs_init c = { c with fs_init }
-  let with_uid uid c = { c with uid }
-  let with_max_instructions max_instructions c = { c with max_instructions }
-  let with_timing timing c = { c with timing }
-  let with_obs obs c = { c with obs }
-  let with_on_step on_step c = { c with on_step = Some on_step }
-end
-
 type outcome =
   | Exited of int
   | Alert of Machine.alert

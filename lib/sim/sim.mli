@@ -28,41 +28,12 @@ type config = {
       (** called before each instruction executes — tracing hook *)
 }
 
-(** Pipeline-style configuration builder — the one way to make a
-    {!config}:
+val default_config : config
+(** Policy {!Ptaint_cpu.Policy.default}, every taint source on, argv
+    [["prog"]], uid 1000, a 200M-instruction budget, no timing model,
+    no observation.  Build other configs by record update:
 
-    {[ Sim.Config.(default |> with_policy_label "full" |> with_stdin data) ]}
-
-    Each setter is value-first and returns an updated copy, so adding
-    a config field never changes an existing call site.  The record
-    {!config} stays exported for pattern matching and [{ c with … }]
-    updates. *)
-module Config : sig
-  type t = config
-
-  val default : t
-  (** Policy {!Ptaint_cpu.Policy.default}, every taint source on,
-      argv [["prog"]], uid 1000, a 200M-instruction budget, no timing
-      model, no observation. *)
-
-  val with_policy : Ptaint_cpu.Policy.t -> t -> t
-
-  val with_policy_label : string -> t -> t
-  (** Policy by canonical label ({!policy_of_label}); raises
-      [Invalid_argument] on an unknown label. *)
-
-  val with_sources : Ptaint_os.Sources.t -> t -> t
-  val with_argv : string list -> t -> t
-  val with_env : (string * string) list -> t -> t
-  val with_stdin : string -> t -> t
-  val with_sessions : string list list -> t -> t
-  val with_fs_init : (string * string) list -> t -> t
-  val with_uid : int -> t -> t
-  val with_max_instructions : int -> t -> t
-  val with_timing : bool -> t -> t
-  val with_obs : bool -> t -> t
-  val with_on_step : (Ptaint_cpu.Machine.t -> Ptaint_isa.Insn.t -> unit) -> t -> t
-end
+    {[ { Sim.default_config with Sim.policy; stdin = data } ]} *)
 
 (** {1 Named configurations}
 
@@ -260,7 +231,7 @@ val pp_outcome : Format.formatter -> outcome -> unit
 (** {1 Observation}
 
     Only meaningful when the session was booted with
-    [Config.with_obs true]; all three return empty/[None] otherwise. *)
+    [obs = true]; all three return empty/[None] otherwise. *)
 
 val trace : session -> Ptaint_obs.Trace.t option
 (** The session's event bus — subscribe sinks before running. *)

@@ -6,7 +6,6 @@ let word = all ~bytes:4
 let is_tainted m = m <> 0
 let byte m i = m land (1 lsl i) <> 0
 let set_byte m i = m lor (1 lsl i)
-let clear_byte m i = m land lnot (1 lsl i)
 let union = ( lor )
 let restrict m ~bytes = m land all ~bytes
 let equal = Int.equal
@@ -14,12 +13,6 @@ let equal = Int.equal
 let tainted_bytes m =
   let rec count acc m = if m = 0 then acc else count (acc + (m land 1)) (m lsr 1) in
   count 0 m
-
-let of_bools bs =
-  List.fold_left (fun (i, m) b -> (i + 1, if b then set_byte m i else m)) (0, none) bs
-  |> snd
-
-let to_bools ~bytes m = List.init bytes (byte m)
 
 let pp ?(bytes = 4) ppf m =
   for i = bytes - 1 downto 0 do

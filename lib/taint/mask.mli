@@ -27,9 +27,6 @@ val byte : t -> int -> bool
 val set_byte : t -> int -> t
 (** [set_byte m i] taints byte [i]. *)
 
-val clear_byte : t -> int -> t
-(** [clear_byte m i] untaints byte [i]. *)
-
 val union : t -> t -> t
 (** Per-byte OR — the default propagation of Table 1. *)
 
@@ -38,12 +35,6 @@ val restrict : t -> bytes:int -> t
 
 val tainted_bytes : t -> int
 (** Number of tainted bytes in the mask. *)
-
-val of_bools : bool list -> t
-(** [of_bools [b0; b1; ...]] builds a mask with byte [i] tainted iff
-    [bi]; byte 0 first. *)
-
-val to_bools : bytes:int -> t -> bool list
 
 val pp : ?bytes:int -> Format.formatter -> t -> unit
 (** Prints e.g. "0011" for a word whose two low bytes are tainted

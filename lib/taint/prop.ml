@@ -38,9 +38,3 @@ let and_bytes ~v1 ~m1 ~v2 ~m2 =
   !result
 
 let xor_same = Mask.none
-let compare_untaint = Mask.none
-
-let merge_partial ~old_mask ~new_mask ~offset ~bytes =
-  let keep = lnot (Mask.all ~bytes lsl offset) in
-  let insert = Mask.restrict new_mask ~bytes lsl offset in
-  Mask.restrict ((old_mask land keep) lor insert) ~bytes:4

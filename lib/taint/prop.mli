@@ -26,14 +26,6 @@ val and_bytes : v1:int -> m1:Mask.t -> v2:int -> m2:Mask.t -> Mask.t
 
 val xor_same : Mask.t
 (** [XOR R1,R2,R2] zeroing idiom: the result is the constant 0, so
-    its taintedness is 0000. *)
-
-val compare_untaint : Mask.t
-(** Mask assigned to {e both operand registers} of a compare
-    instruction: data that underwent validation is trusted
-    (Table 1, "Untaint every byte in the operands"). *)
-
-val merge_partial : old_mask:Mask.t -> new_mask:Mask.t -> offset:int -> bytes:int -> Mask.t
-(** [merge_partial ~old_mask ~new_mask ~offset ~bytes] overlays the
-    [bytes] low byte-bits of [new_mask] at byte [offset] of
-    [old_mask]; used for sub-word stores and loads. *)
+    its taintedness is 0000.  (Table 1's compare rule, which untaints
+    both operand registers, is applied by the CPU when the policy's
+    [compare_untaints] is on.) *)

@@ -14,7 +14,6 @@ let value w = w land mask32
 let mask w = w lsr 32
 let is_tainted w = w lsr 32 <> 0
 let with_value w v = (w land tag_bits) lor (v land mask32)
-let with_mask w m = (Mask.restrict m ~bytes:4 lsl 32) lor (w land mask32)
 let equal = Int.equal
 
 let to_bits w = w

@@ -28,7 +28,6 @@ val value : t -> int
 val mask : t -> Mask.t
 val is_tainted : t -> bool
 val with_value : t -> int -> t
-val with_mask : t -> Mask.t -> t
 val equal : t -> t -> bool
 
 val to_bits : t -> int

@@ -74,7 +74,9 @@ let program_with ~untaint_writeback w =
 let program w = program_with ~untaint_writeback:true w
 
 let config_for w =
-  Ptaint_sim.Sim.Config.(default |> with_stdin (w.input ()) |> with_argv [ w.name ])
+  { Ptaint_sim.Sim.default_config with
+    Ptaint_sim.Sim.stdin = w.input ();
+    argv = [ w.name ] }
 
 (* one loaded image per workload; runs restore the snapshot
    copy-on-write instead of re-loading (policy/stdin may vary freely,

@@ -4,8 +4,11 @@
 
 let run ?(stdin = "") ?(sessions = []) ?(argv = [ "app" ]) ?(fs_init = []) source =
   let program = Ptaint_runtime.Runtime.compile source in
-  let config = Ptaint_sim.Sim.Config.(default |> with_stdin stdin |> with_sessions sessions
-    |> with_argv argv |> with_fs_init fs_init) in
+  let config = { Ptaint_sim.Sim.default_config with
+                 Ptaint_sim.Sim.stdin;
+                 sessions;
+                 argv;
+                 fs_init } in
   Ptaint_sim.Sim.run ~config program
 
 let contains haystack needle =
@@ -86,7 +89,7 @@ let test_httpd_get_cgi_uses_configured_root () =
   let r = run Ptaint_apps.Nullhttpd.source ~sessions:[ [ Ptaint_apps.Nullhttpd.get_cgi "status" ] ] in
   expect_clean "httpd" r;
   Alcotest.(check (list string)) "cgi path from config"
-    [ Ptaint_apps.Nullhttpd.default_cgi_root ^ "/status" ]
+    [ "/usr/local/httpd/cgi-bin/status" ]
     r.Ptaint_sim.Sim.execs
 
 let test_httpd_benign_post () =
@@ -119,7 +122,7 @@ let test_ghttpd_cgi () =
   let r = run Ptaint_apps.Ghttpd.source ~sessions:[ [ "GET /cgi-bin/hello\n\n" ] ] in
   expect_clean "ghttpd" r;
   Alcotest.(check (list string)) "cgi under document root"
-    [ Ptaint_apps.Ghttpd.cgi_prefix ^ "/cgi-bin/hello" ]
+    [ "/usr/local/ghttpd/cgi-bin/hello" ]
     r.Ptaint_sim.Sim.execs
 
 let test_ghttpd_bad_method () =

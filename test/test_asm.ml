@@ -18,9 +18,7 @@ let expect_error src =
 let test_lexer () =
   (match Lexer.tokenize "  lw $t0, 4($sp)  # comment" with
    | Ok [ Ident "lw"; Register 8; Comma; Int 4; Lparen; Register 29; Rparen ] -> ()
-   | Ok ts ->
-     Alcotest.failf "unexpected tokens: %s"
-       (String.concat " " (List.map (Format.asprintf "%a" Lexer.pp_token) ts))
+   | Ok ts -> Alcotest.failf "unexpected tokens (%d)" (List.length ts)
    | Error e -> Alcotest.fail e);
   (match Lexer.tokenize {|.asciiz "a\n\x41b"|} with
    | Ok [ Ident ".asciiz"; Str "a\nAb" ] -> ()
@@ -242,7 +240,7 @@ buf:    .space 64
 |}
 
 let test_sim_echo_taints () =
-  let config = Ptaint_sim.Sim.Config.(default |> with_stdin "attack") in
+  let config = { Ptaint_sim.Sim.default_config with Ptaint_sim.Sim.stdin = "attack" } in
   let r = run_asm ~config echo_asm in
   (match r.Ptaint_sim.Sim.outcome with
    | Ptaint_sim.Sim.Exited 0 -> ()
@@ -274,7 +272,7 @@ buf:    .space 4
 |}
 
 let test_sim_detects_tainted_deref () =
-  let config = Ptaint_sim.Sim.Config.(default |> with_stdin "aaaa") in
+  let config = { Ptaint_sim.Sim.default_config with Ptaint_sim.Sim.stdin = "aaaa" } in
   let r = run_asm ~config deref_input_asm in
   match r.Ptaint_sim.Sim.outcome with
   | Ptaint_sim.Sim.Alert a ->
@@ -285,7 +283,9 @@ let test_sim_detects_tainted_deref () =
 
 let test_sim_unprotected_crashes () =
   let config =
-    Ptaint_sim.Sim.Config.(default |> with_policy Ptaint_cpu.Policy.unprotected |> with_stdin "aaaa")
+    { Ptaint_sim.Sim.default_config with
+      Ptaint_sim.Sim.policy = Ptaint_cpu.Policy.unprotected;
+      stdin = "aaaa" }
   in
   let r = run_asm ~config deref_input_asm in
   match r.Ptaint_sim.Sim.outcome with
@@ -295,7 +295,8 @@ let test_sim_unprotected_crashes () =
 let test_sim_network_session () =
   let r =
     run_asm
-      ~config:(Ptaint_sim.Sim.Config.(default |> with_sessions [ [ "PING" ] ]))
+      ~config:({ Ptaint_sim.Sim.default_config with
+                 Ptaint_sim.Sim.sessions = [ [ "PING" ] ] })
       {|
         .text
 main:   li $v0, 9          # socket
@@ -333,7 +334,9 @@ pong:   .ascii "PONG"
     (Ptaint_mem.Memory.tainted_in_range r.Ptaint_sim.Sim.image.Loader.mem buf 4)
 
 let test_sim_timing () =
-  let config = Ptaint_sim.Sim.Config.(default |> with_timing true |> with_stdin "hi") in
+  let config = { Ptaint_sim.Sim.default_config with
+                 Ptaint_sim.Sim.timing = true;
+                 stdin = "hi" } in
   let r = run_asm ~config echo_asm in
   match r.Ptaint_sim.Sim.cycles with
   | Some c -> Alcotest.(check bool) "cycles > instructions" true (c > r.Ptaint_sim.Sim.instructions)

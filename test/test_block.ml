@@ -183,7 +183,7 @@ let prop_random_programs =
           va vb (render e)
       in
       let program = Ptaint_runtime.Runtime.compile source in
-      ignore (differential (render e) Sim.Config.default program);
+      ignore (differential (render e) Sim.default_config program);
       true)
 
 (* --- the attack catalogue, every scenario x case x policy ------------ *)
@@ -282,7 +282,9 @@ let test_clean_taint_clean () =
     | Error e -> Alcotest.failf "assembly failed: %a" Ptaint_asm.Assembler.pp_error e
   in
   let config =
-    Sim.Config.(default |> with_sources { Ptaint_os.Sources.none with stdin = true } |> with_stdin "ABCD")
+    { Sim.default_config with
+      Sim.sources = { Ptaint_os.Sources.none with stdin = true };
+      stdin = "ABCD" }
   in
   let bulk = differential "clean-taint-clean" config program in
   let m = bulk.machine in
@@ -380,11 +382,10 @@ let test_clean_over_tainted_memory () =
   List.iter
     (fun label ->
       let config =
-        Sim.Config.(
-          default
-          |> with_policy_label label
-          |> with_sources { Ptaint_os.Sources.none with stdin = true }
-          |> with_stdin (String.init (16 + (40 * 8)) (fun i -> Char.chr (65 + (i mod 26)))))
+        { Sim.default_config with
+          Sim.policy = Result.get_ok (Sim.policy_of_label label);
+          sources = { Ptaint_os.Sources.none with stdin = true };
+          stdin = String.init (16 + (40 * 8)) (fun i -> Char.chr (65 + (i mod 26))) }
       in
       let ctx = "clean-over-tainted/" ^ label in
       let bulk = differential ctx config program in
@@ -437,7 +438,7 @@ let test_superblock_chains () =
     | Ok p -> p
     | Error e -> Alcotest.failf "assembly failed: %a" Ptaint_asm.Assembler.pp_error e
   in
-  let bulk = differential "superblock-chains" Sim.Config.default program in
+  let bulk = differential "superblock-chains" Sim.default_config program in
   let m = bulk.machine in
   (match bulk.outcome with
    | Sim.Exited 0 -> ()
@@ -483,10 +484,9 @@ let test_taint_flip_mid_chain () =
     | Error e -> Alcotest.failf "assembly failed: %a" Ptaint_asm.Assembler.pp_error e
   in
   let config =
-    Sim.Config.(
-      default
-      |> with_sources { Ptaint_os.Sources.none with stdin = true }
-      |> with_stdin (String.init 80 (fun i -> Char.chr (65 + (i mod 26)))))
+    { Sim.default_config with
+      Sim.sources = { Ptaint_os.Sources.none with stdin = true };
+      stdin = String.init 80 (fun i -> Char.chr (65 + (i mod 26))) }
   in
   let bulk = differential "taint-flip-mid-chain" config program in
   let m = bulk.machine in
@@ -680,10 +680,10 @@ let matrix_program case =
   | Error e -> Alcotest.failf "assembly failed: %a\n%s" Ptaint_asm.Assembler.pp_error e source
 
 let matrix_config input policy =
-  Sim.Config.(
-    default |> with_policy policy
-    |> with_sources { Ptaint_os.Sources.none with stdin = true }
-    |> with_stdin input)
+  { Sim.default_config with
+    Sim.policy;
+    sources = { Ptaint_os.Sources.none with stdin = true };
+    stdin = input }
 
 (* [switches] totals the variant switches inside compiled chains. *)
 let matrix_case switches ((_, _, _, input) as case) =
@@ -924,7 +924,7 @@ let mid_pair m (insn : Ptaint_isa.Insn.t) =
 let reference_with_mid_pairs config program =
   let mids = ref [] in
   let hook m insn = if mid_pair m insn then mids := (m.Machine.icount, m.Machine.pc) :: !mids in
-  let r = Sim.finish (Sim.boot ~config:(Sim.Config.with_on_step hook config) program) in
+  let r = Sim.finish (Sim.boot ~config:{ config with Sim.on_step = Some hook } program) in
   (r, List.rev !mids)
 
 (* The bulk engine under random [run_until] targets, so [Machine.run]
@@ -973,10 +973,9 @@ int main(void) {
 
 let test_fuel_slicing_pairs () =
   let parser_config =
-    Sim.Config.(
-      default
-      |> with_stdin (Ptaint_workloads.Wl_parser.input ~bytes:500 ())
-      |> with_argv [ "PARSER" ])
+    { Sim.default_config with
+      Sim.stdin = Ptaint_workloads.Wl_parser.input ~bytes:500 ();
+      argv = [ "PARSER" ] }
   in
   List.iter
     (fun (name, config, program) ->
@@ -993,7 +992,7 @@ let test_fuel_slicing_pairs () =
         [ 1; 2; 3 ];
       let ctx = name ^ ", stopped mid-pair" in
       check_agree ctx (run_stopping_mid_pair ctx mids config program) ref_)
-    [ ("push/pop-heavy Mini-C", Sim.Config.default,
+    [ ("push/pop-heavy Mini-C", Sim.default_config,
        Ptaint_runtime.Runtime.compile push_pop_heavy_c);
       ("PARSER", parser_config, Ptaint_workloads.Workload.(program parser)) ]
 

@@ -17,11 +17,11 @@ let contains hay needle =
 (* Every job here is a {!Job.t}; [image] wraps a built program.  A
    harness crash is an [on_step] hook that raises — it runs on the
    worker, inside the containment net, like any other failure. *)
-let image ?(config = Ptaint_sim.Sim.Config.default) ?policy_label name program =
+let image ?(config = Ptaint_sim.Sim.default_config) ?policy_label name program =
   Job.make ~tag:name ~config ?policy_label (Job.Image program)
 
-let raising ?(config = Ptaint_sim.Sim.Config.default) f =
-  Ptaint_sim.Sim.Config.with_on_step (fun _ _ -> f ()) config
+let raising ?(config = Ptaint_sim.Sim.default_config) f =
+  { config with Ptaint_sim.Sim.on_step = Some (fun _ _ -> f ()) }
 
 (* --- determinism: the full coverage matrix, 1 domain vs many --- *)
 
@@ -138,7 +138,8 @@ let test_retry_transient () =
   Alcotest.(check int) "no failure recorded after successful retry" 0 stats.Campaign.failed;
   (* deterministic failure kinds are never retried *)
   let spin = Ptaint_asm.Assembler.assemble_exn ".text\nmain: j main\n" in
-  let cfg = Ptaint_sim.Sim.Config.(default |> with_max_instructions 1_000_000_000) in
+  let cfg = { Ptaint_sim.Sim.default_config with
+              Ptaint_sim.Sim.max_instructions = 1_000_000_000 } in
   let results, _ =
     Campaign.run_jobs ~domains:1 ~job_timeout:0.2 ~retries:3 ~backoff:0.001
       [ image "spin" ~config:cfg spin ]
@@ -204,7 +205,8 @@ let test_guest_fault_classified () =
 
 let test_loader_error_classified () =
   let program = Catalog.exp1_stack_smash.Scenario.build () in
-  let huge_argv = Ptaint_sim.Sim.Config.(default |> with_argv [ "prog"; String.make 2_000_000 'A' ]) in
+  let huge_argv = { Ptaint_sim.Sim.default_config with
+                    Ptaint_sim.Sim.argv = [ "prog"; String.make 2_000_000 'A' ] } in
   let jobs =
     [ image "oversized-argv" ~config:huge_argv program;
       Job.make ~tag:"bad-asm" (Job.Asm_source ".data\nx: .space -4\n") ]
@@ -231,7 +233,8 @@ let test_watchdog_in_batch () =
     | None -> Alcotest.fail "exp1 should have a benign case"
   in
   let spin = Ptaint_asm.Assembler.assemble_exn ".text\nmain: j main\n" in
-  let spin_cfg = Ptaint_sim.Sim.Config.(default |> with_max_instructions 1_000_000_000) in
+  let spin_cfg = { Ptaint_sim.Sim.default_config with
+                   Ptaint_sim.Sim.max_instructions = 1_000_000_000 } in
   let jobs =
     [ image "healthy" ~config:(benign.Scenario.config program) program;
       image "spin" ~config:spin_cfg spin;
@@ -364,18 +367,18 @@ let sink_lines domains =
       (Job.Asm_source ".text\nmain: li $v0, 1\n li $a0, 0\n syscall\n")
   in
   let spin =
-    Job.with_timeout 0.2
-      (Job.make ~tag:"spin"
-         ~config:Ptaint_sim.Sim.Config.(default |> with_max_instructions 1_000_000_000)
-         (Job.Asm_source ".text\nmain: j main\n"))
+    Job.make ~tag:"spin" ~timeout:0.2
+      ~config:{ Ptaint_sim.Sim.default_config with
+                Ptaint_sim.Sim.max_instructions = 1_000_000_000 }
+      (Job.Asm_source ".text\nmain: j main\n")
   in
   let bad_c = Job.make ~tag:"bad-c" (Job.C_source "int main( { return 0; }") in
   let crash =
     (* an injection into a non-existent register slot raises inside the
        worker — the one failure kind classified as Crashed *)
-    Job.with_injections
-      [ { Ptaint_fi.Fi.at = 1; fault = Ptaint_fi.Fi.Reg_taint_loss { slot = 999 } } ]
-      (ok 99)
+    { (ok 99) with
+      Job.injections =
+        [ { Ptaint_fi.Fi.at = 1; fault = Ptaint_fi.Fi.Reg_taint_loss { slot = 999 } } ] }
   in
   let jobs = [ ok 0; spin; ok 1; bad_c; crash; ok 2 ] in
   let ctx what = Printf.sprintf "-j%d: %s" domains what in
@@ -566,19 +569,18 @@ let test_image_key_by_content () =
      separator-joined or digest key could conflate must differ. *)
   let src text = Job.make ~tag:"src" (Job.C_source text) in
   let with_config f text =
-    Job.make ~tag:"cfg" ~config:(f Ptaint_sim.Sim.Config.default) (Job.C_source text)
+    Job.make ~tag:"cfg" ~config:(f Ptaint_sim.Sim.default_config) (Job.C_source text)
   in
   let differ what x y =
     Alcotest.(check bool) (what ^ ": different keys") false (Job.image_key x = Job.image_key y)
   in
-  let argv v = with_config (Ptaint_sim.Sim.Config.with_argv v) "int main(void) { return 0; }" in
+  let main = "int main(void) { return 0; }" in
+  let argv v = with_config (fun c -> { c with Ptaint_sim.Sim.argv = v }) main in
   differ "argv [\"a b\"] vs [\"a\"; \"b\"]" (argv [ "a b" ]) (argv [ "a"; "b" ]);
   differ "argv [\"a\\000b\"] vs [\"a\"; \"b\"]" (argv [ "a\000b" ]) (argv [ "a"; "b" ]);
-  let env e = with_config (Ptaint_sim.Sim.Config.with_env e) "int main(void) { return 0; }" in
+  let env e = with_config (fun c -> { c with Ptaint_sim.Sim.env = e }) main in
   differ "env (a, b=c) vs (a=b, c)" (env [ ("a", "b=c") ]) (env [ ("a=b", "c") ]);
-  let sources s =
-    with_config (Ptaint_sim.Sim.Config.with_sources s) "int main(void) { return 0; }"
-  in
+  let sources s = with_config (fun c -> { c with Ptaint_sim.Sim.sources = s }) main in
   let none = Ptaint_os.Sources.none in
   let alone =
     [ ("network", { none with Ptaint_os.Sources.network = true });
@@ -650,8 +652,9 @@ let test_run_jobs_results_intact () =
 
 let test_config_policy_labels () =
   let mode label =
-    Ptaint_sim.Sim.Config.(default |> with_policy_label label).Ptaint_sim.Sim.policy
-      .Ptaint_cpu.Policy.mode
+    match Ptaint_sim.Sim.policy_of_label label with
+    | Ok p -> p.Ptaint_cpu.Policy.mode
+    | Error m -> invalid_arg m
   in
   Alcotest.(check bool) "full = pointer taintedness" true
     (mode "full" = Ptaint_cpu.Policy.Pointer_taintedness);

@@ -1,7 +1,7 @@
 (* Mini-C compiler end-to-end tests: compile, run on the simulated
    machine, check behaviour. *)
 
-let run ?(config = Ptaint_sim.Sim.Config.default) src =
+let run ?(config = Ptaint_sim.Sim.default_config) src =
   Ptaint_sim.Sim.run (Ptaint_runtime.Runtime.compile src)
   |> fun r ->
   ignore config;
@@ -348,7 +348,8 @@ let test_calloc_zeroes () =
 (* --- command line + stdin --- *)
 
 let test_argv () =
-  let config = Ptaint_sim.Sim.Config.(default |> with_argv [ "prog"; "alpha"; "beta" ]) in
+  let config = { Ptaint_sim.Sim.default_config with
+                 Ptaint_sim.Sim.argv = [ "prog"; "alpha"; "beta" ] } in
   expect_stdout ~config "argv" "3 alpha beta\n"
     {| int main(int argc, char **argv) {
          printf("%d %s %s\n", argc, argv[1], argv[2]);
@@ -356,7 +357,8 @@ let test_argv () =
        } |}
 
 let test_stdin_gets () =
-  let config = Ptaint_sim.Sim.Config.(default |> with_stdin "typed line\nrest") in
+  let config = { Ptaint_sim.Sim.default_config with
+                 Ptaint_sim.Sim.stdin = "typed line\nrest" } in
   expect_stdout ~config "gets" "got: typed line\n"
     {| int main(void) {
          char buf[64];
@@ -518,7 +520,7 @@ let test_errors () =
 
 let test_c_taint_flow () =
   (* A tainted word read from stdin and used as a pointer must alert. *)
-  let config = Ptaint_sim.Sim.Config.(default |> with_stdin "aaaa") in
+  let config = { Ptaint_sim.Sim.default_config with Ptaint_sim.Sim.stdin = "aaaa" } in
   let r =
     run_cfg config
       {| int main(void) {
@@ -537,7 +539,8 @@ let test_c_taint_flow () =
 let test_c_validation_launders () =
   (* Bounds-checked values are trusted (Table 1 rule 4 + register
      residency): indexing with a checked tainted integer is silent. *)
-  let config = Ptaint_sim.Sim.Config.(default |> with_stdin "\003\000\000\000") in
+  let config = { Ptaint_sim.Sim.default_config with
+                 Ptaint_sim.Sim.stdin = "\003\000\000\000" } in
   let r =
     run_cfg config
       {| int table[8] = {0, 10, 20, 30, 40, 50, 60, 70};
@@ -554,7 +557,8 @@ let test_c_validation_launders () =
 
 let test_c_unchecked_index_alerts () =
   (* Without validation the tainted index taints the address. *)
-  let config = Ptaint_sim.Sim.Config.(default |> with_stdin "\003\000\000\000") in
+  let config = { Ptaint_sim.Sim.default_config with
+                 Ptaint_sim.Sim.stdin = "\003\000\000\000" } in
   let r =
     run_cfg config
       {| int table[8] = {0, 10, 20, 30, 40, 50, 60, 70};

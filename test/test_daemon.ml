@@ -77,6 +77,9 @@ let responses =
     ("pong", Proto.Pong "");
     ("error", Proto.Error_frame "bad magic (not a ptaintd stream)") ]
 
+(* A Quit frame has no payload: it is all header. *)
+let header_bytes = String.length (Proto.encode_request Proto.Quit)
+
 let test_request_roundtrip () =
   List.iter
     (fun (name, req) ->
@@ -205,7 +208,7 @@ let test_non_canonical () =
   let accepted = Proto.encode_response (Proto.Accepted { id = 1; tag = "" }) in
   let f = Bytes.of_string accepted in
   (* the job id i64 starts the payload: 0x4000000000000001 *)
-  Bytes.set f Proto.header_bytes '\x40';
+  Bytes.set f header_bytes '\x40';
   match Proto.decode_response (Bytes.to_string f) with
   | Error (Proto.Malformed _) -> ()
   | _ -> Alcotest.fail "an i64 above 2^62 must be Malformed"
@@ -434,7 +437,7 @@ let codec_holds ~encode ~decode v =
       let mutated = Bytes.to_string b in
       (match decode mutated with
        | Error _ -> ()
-       | Ok None -> if i < 4 || i >= Proto.header_bytes then fail "byte %d: Ok None" i
+       | Ok None -> if i < 4 || i >= header_bytes then fail "byte %d: Ok None" i
        | Ok (Some (v', k)) ->
          if k <> n || encode v' <> mutated then
            fail "byte %d ^ 0x%02x decodes to a value that re-encodes differently" i x
@@ -563,7 +566,7 @@ let oversized_header =
   Bytes.set b 5 '\x00';
   Bytes.set b 6 '\x00';
   Bytes.set b 7 '\x00';
-  Bytes.sub_string b 0 Proto.header_bytes
+  Bytes.sub_string b 0 header_bytes
 
 let test_stream_oversized () =
   let r = Proto.request_reader () in
@@ -690,6 +693,34 @@ let test_job_of_spec_bad_policy () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted an unknown policy label"
 
+(* The daemon labels [ptaintd_jobs_total] from the wire event alone,
+   by the prefix of the rendered outcome: each outcome class must come
+   back as the class the worker-side result had. *)
+let test_outcome_classes_survive_the_wire () =
+  let deref =
+    "int main(void) { char buf[8]; read(0, buf, 4); int *p = *(int **)buf; return *p; }"
+  in
+  let spec tag ?policy ?max_instructions payload =
+    Proto.job_spec ~tag ?policy ~stdin:"aaaa" ?max_instructions payload
+  in
+  let images = Ptaint_campaign.Campaign.Images.create ~capacity:4 in
+  List.iter
+    (fun (want, s) ->
+      match Proto.job_of_spec s with
+      | Error m -> Alcotest.fail m
+      | Ok job ->
+        let ev, r = Ptaint_daemon.Worker.run_job ~images ~job_timeout:None ~id:0 job in
+        let local = Ptaint_campaign.Campaign.outcome_name r in
+        Alcotest.(check string) (want ^ ": local class") want local;
+        Alcotest.(check string) (want ^ ": class from the wire event") local
+          (Ptaint_daemon.Worker.outcome_of_event ev))
+    [ ("exited", spec "exit" (Proto.Wire_asm ".text\nmain: li $v0, 1\n li $a0, 0\n syscall\n"));
+      ("alert", spec "alert" ~policy:"full" (Proto.Wire_c deref));
+      ("fault", spec "fault" ~policy:"none" (Proto.Wire_c deref));
+      ("trap", spec "trap" (Proto.Wire_asm ".text\nmain: break 7\n"));
+      ( "out-of-fuel",
+        spec "fuel" ~max_instructions:1000 (Proto.Wire_asm ".text\nmain: j main\n") ) ]
+
 (* --- loopback server ------------------------------------------------- *)
 
 let exit_asm = ".text\nmain: li $v0, 1\n li $a0, 0\n syscall\n"
@@ -702,7 +733,7 @@ let spin_spec ~timeout =
   Proto.job_spec ~tag:"spin" ~timeout ~max_instructions:max_int
     (Proto.Wire_asm spin_asm)
 
-let with_server ?(domains = 2) ?(max_queue = 64) ?(max_inflight = 8) ?(cache_capacity = 64)
+let with_server ?(workers = 2) ?(max_queue = 64) ?(max_inflight = 8) ?(cache_capacity = 64)
     ?trace_path f =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -710,7 +741,7 @@ let with_server ?(domains = 2) ?(max_queue = 64) ?(max_inflight = 8) ?(cache_cap
   in
   let cfg =
     { (Server.default_config ~socket_path:path) with
-      Server.domains = Some domains; max_queue; max_inflight; cache_capacity; trace_path }
+      Server.workers = Some workers; max_queue; max_inflight; cache_capacity; trace_path }
   in
   let server = Server.create cfg in
   let d = Domain.spawn (fun () -> Server.serve server) in
@@ -1197,7 +1228,7 @@ let test_drain_trace () =
 (* Daemon workers boot every job through their arena; see
    {!Arena_jobs} for the claim and the reference runs. *)
 let test_arena_differential () =
-  with_server ~domains:1 ~max_inflight:64 (fun path _server ->
+  with_server ~workers:1 ~max_inflight:64 (fun path _server ->
       Arena_jobs.check (Arena_jobs.submit path))
 
 (* --- the scrape's counts ---------------------------------------------- *)
@@ -1205,7 +1236,7 @@ let test_arena_differential () =
 (* The scrape after mixed traffic; see {!Counter_views}.  The isolated
    backend runs the same case in test_supervisor. *)
 let test_counter_views () =
-  with_server ~domains:1 ~max_inflight:1 (fun path _server -> Counter_views.check path)
+  with_server ~workers:1 ~max_inflight:1 (fun path _server -> Counter_views.check path)
 
 let () =
   Alcotest.run "daemon"
@@ -1241,7 +1272,9 @@ let () =
       ( "job-spec",
         [ Alcotest.test_case "spec to Job.t" `Quick test_job_of_spec;
           Alcotest.test_case "trace round-trip" `Quick test_job_trace_roundtrip;
-          Alcotest.test_case "bad policy label" `Quick test_job_of_spec_bad_policy ] );
+          Alcotest.test_case "bad policy label" `Quick test_job_of_spec_bad_policy;
+          Alcotest.test_case "outcome classes survive the wire" `Quick
+            test_outcome_classes_survive_the_wire ] );
       ( "loopback",
         [ Alcotest.test_case "submit and stream" `Quick test_loopback_submit_stream;
           Alcotest.test_case "batch with failures" `Quick test_loopback_batch_and_failures;

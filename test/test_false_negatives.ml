@@ -6,7 +6,7 @@ open Ptaint_attacks
 
 let run ?(policy = Ptaint_cpu.Policy.default) ?(stdin = "") ?(sessions = []) source =
   let program = Ptaint_runtime.Runtime.compile source in
-  let config = Ptaint_sim.Sim.Config.(default |> with_policy policy |> with_stdin stdin |> with_sessions sessions) in
+  let config = { Ptaint_sim.Sim.default_config with Ptaint_sim.Sim.policy; stdin; sessions } in
   Ptaint_sim.Sim.run ~config program
 
 let contains haystack needle =

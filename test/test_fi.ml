@@ -125,7 +125,7 @@ let test_slice_parity () =
 
 let test_watchdog_fires () =
   let spin = Ptaint_asm.Assembler.assemble_exn ".text\nmain: j main\n" in
-  let config = Sim.Config.(default |> with_max_instructions 1_000_000_000) in
+  let config = { Sim.default_config with Sim.max_instructions = 1_000_000_000 } in
   match
     Sim.finish ~deadline:(Unix.gettimeofday () +. 0.2) (Sim.boot ~config spin)
   with
@@ -184,9 +184,9 @@ let test_superblock_slice_exact () =
     in
     (at, fingerprint r, regs, m)
   in
-  let at_b, fp_b, regs_b, mb = drive Sim.Config.default in
+  let at_b, fp_b, regs_b, mb = drive Sim.default_config in
   let at_s, fp_s, regs_s, _ =
-    drive { Sim.Config.default with Sim.on_step = Some (fun _ _ -> ()) }
+    drive { Sim.default_config with Sim.on_step = Some (fun _ _ -> ()) }
   in
   List.iteri
     (fun i ((pc_b, ic_b), (pc_s, ic_s)) ->

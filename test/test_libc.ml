@@ -4,7 +4,7 @@
 
 let run ?(stdin = "") ?(policy = Ptaint_cpu.Policy.default) src =
   let program = Ptaint_runtime.Runtime.compile src in
-  let config = Ptaint_sim.Sim.Config.(default |> with_policy policy |> with_stdin stdin) in
+  let config = { Ptaint_sim.Sim.default_config with Ptaint_sim.Sim.policy; stdin } in
   Ptaint_sim.Sim.run ~config program
 
 let expect_stdout name expected src =

@@ -163,7 +163,7 @@ let test_cache_basics () =
   Alcotest.(check int) "misses" 3 st.Cache.misses
 
 let test_cache_taint_summary () =
-  let c = Cache.create Cache.l1_config in
+  let c = Cache.create { Cache.sets = 16; ways = 2; line_bytes = 32; hit_latency = 1 } in
   ignore (Cache.access c ~addr:0x2000 ~write:true ~tainted:true);
   Alcotest.(check bool) "line tainted" true (Cache.line_tainted c ~addr:0x2004);
   ignore (Cache.access c ~addr:0x3000 ~write:false ~tainted:false);

@@ -14,7 +14,6 @@ let contains haystack needle =
 
 let test_ring_partial () =
   let r = Ring.create ~dummy:"-" 4 in
-  Alcotest.(check int) "capacity" 4 (Ring.capacity r);
   Ring.push r 1 "a";
   Ring.push r 2 "b";
   Alcotest.(check int) "length" 2 (Ring.length r);
@@ -25,10 +24,7 @@ let test_ring_wrap () =
   List.iter (fun i -> Ring.push r i i) [ 1; 2; 3; 4; 5 ];
   Alcotest.(check int) "full" 3 (Ring.length r);
   Alcotest.(check (list (pair int int))) "last three, oldest first"
-    [ (3, 3); (4, 4); (5, 5) ] (Ring.to_list r);
-  Ring.clear r;
-  Alcotest.(check int) "cleared" 0 (Ring.length r);
-  Alcotest.(check (list (pair int int))) "empty" [] (Ring.to_list r)
+    [ (3, 3); (4, 4); (5, 5) ] (Ring.to_list r)
 
 (* --- trace ---------------------------------------------------------- *)
 
@@ -61,25 +57,18 @@ let test_metrics_counters () =
     (Invalid_argument "Metrics.histogram: jobs is not a histogram")
     (fun () -> ignore (Metrics.histogram m "jobs"))
 
-let test_metrics_histogram_and_merge () =
-  let a = Metrics.create () and b = Metrics.create () in
+let test_metrics_histogram () =
+  let a = Metrics.create () in
   let h = Metrics.histogram a "wall ms" in
-  List.iter (Metrics.observe h) [ 1.0; 3.0; 8.0 ];
-  Metrics.observe (Metrics.histogram b "wall ms") 4.0;
-  Metrics.inc ~by:2 (Metrics.counter b "alerts");
-  Metrics.merge ~into:a b;
-  let rows = Metrics.rows a in
-  (match List.find_opt (fun r -> r.Metrics.name = "wall ms") rows with
-   | Some r ->
-     Alcotest.(check int) "merged count" 4 r.Metrics.count;
-     Alcotest.(check (float 1e-9)) "sum" 16.0 r.Metrics.sum;
-     Alcotest.(check (float 1e-9)) "min" 1.0 r.Metrics.min;
-     Alcotest.(check (float 1e-9)) "max" 8.0 r.Metrics.max;
-     Alcotest.(check (float 1e-9)) "mean" 4.0 r.Metrics.mean
-   | None -> Alcotest.fail "histogram row missing");
-  match List.find_opt (fun r -> r.Metrics.name = "alerts") rows with
-  | Some r -> Alcotest.(check int) "counter created by merge" 2 r.Metrics.count
-  | None -> Alcotest.fail "merged counter missing"
+  List.iter (Metrics.observe h) [ 1.0; 3.0; 8.0; 4.0 ];
+  match Metrics.rows a with
+  | [ r ] ->
+    Alcotest.(check int) "count" 4 r.Metrics.count;
+    Alcotest.(check (float 1e-9)) "sum" 16.0 r.Metrics.sum;
+    Alcotest.(check (float 1e-9)) "min" 1.0 r.Metrics.min;
+    Alcotest.(check (float 1e-9)) "max" 8.0 r.Metrics.max;
+    Alcotest.(check (float 1e-9)) "mean" 4.0 r.Metrics.mean
+  | _ -> Alcotest.fail "expected one histogram row"
 
 (* --- structured log ------------------------------------------------- *)
 
@@ -224,9 +213,9 @@ let test_chrome_shape () =
   let ch = Chrome.create () in
   Chrome.complete ch ~name:"job \"quoted\"" ~cat:"job" ~tid:3 ~ts_us:0.0 ~dur_us:1500.0
     ~args:[ ("policy", "full") ] ();
-  Chrome.add_event ch
-    (Event.Taint_in { cycle = 7; source = "recv(network)"; addr = 0x10000; len = 16; offset = 0 });
-  Chrome.add_event ch (Event.Alert { cycle = 9; pc = 0x400010; kind = "jump-target"; reg = "ra"; value = 0x61616161 });
+  Chrome.add_events ch
+    [ Event.Taint_in { cycle = 7; source = "recv(network)"; addr = 0x10000; len = 16; offset = 0 };
+      Event.Alert { cycle = 9; pc = 0x400010; kind = "jump-target"; reg = "ra"; value = 0x61616161 } ];
   let s = Chrome.contents ch in
   Alcotest.(check int) "event count" 3 (Chrome.event_count ch);
   Alcotest.(check bool) "array wrapper" true (contains s "{\"traceEvents\":[");
@@ -283,7 +272,9 @@ buf: .word 0, 0
 
 let run_observed () =
   let program = Ptaint_asm.Assembler.assemble_exn attack_source in
-  let config = Ptaint_sim.Sim.Config.(default |> with_stdin "\x44\x33\x22\x11xyzw" |> with_obs true) in
+  let config = { Ptaint_sim.Sim.default_config with
+                 Ptaint_sim.Sim.stdin = "\x44\x33\x22\x11xyzw";
+                 obs = true } in
   Ptaint_sim.Sim.run ~config program
 
 let test_sim_event_story () =
@@ -318,7 +309,8 @@ let test_sim_event_story () =
 
 let test_obs_off_is_silent () =
   let program = Ptaint_asm.Assembler.assemble_exn attack_source in
-  let config = Ptaint_sim.Sim.Config.(default |> with_stdin "\x44\x33\x22\x11xyzw") in
+  let config = { Ptaint_sim.Sim.default_config with
+                 Ptaint_sim.Sim.stdin = "\x44\x33\x22\x11xyzw" } in
   let r = Ptaint_sim.Sim.run ~config program in
   Alcotest.(check (list (pair int string))) "no window" []
     (List.map (fun (pc, i) -> (pc, Ptaint_isa.Insn.to_string i))
@@ -334,7 +326,8 @@ let test_campaign_jobs_and_metrics () =
   let jobs =
     let module Job = Ptaint_campaign.Job in
     [ Job.make ~tag:"atk" ~policy_label:"full"
-        ~config:Ptaint_sim.Sim.Config.(default |> with_stdin "\x44\x33\x22\x11xyzw")
+        ~config:{ Ptaint_sim.Sim.default_config with
+                  Ptaint_sim.Sim.stdin = "\x44\x33\x22\x11xyzw" }
         (Job.Image program);
       Job.make ~tag:"ok" ~policy_label:"full" (Job.Image benign) ]
   in
@@ -393,7 +386,7 @@ let () =
         [ Alcotest.test_case "bounded recorder" `Quick test_trace_limit ] );
       ( "metrics",
         [ Alcotest.test_case "counters" `Quick test_metrics_counters;
-          Alcotest.test_case "histogram + merge" `Quick test_metrics_histogram_and_merge ] );
+          Alcotest.test_case "histogram" `Quick test_metrics_histogram ] );
       ( "log",
         [ Alcotest.test_case "logfmt rendering" `Quick test_log_logfmt_render;
           Alcotest.test_case "json rendering" `Quick test_log_json_render;

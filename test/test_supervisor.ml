@@ -181,7 +181,10 @@ let table_builder () =
     in
     List.iter (fun (name, by) -> M.inc ~by (M.counter m name)) counters
   in
-  (merge, fun () -> Campaign.metrics_table_of !regs)
+  let render () =
+    Campaign.metrics_table { (Campaign.tally_stats (Campaign.tally ())) with metrics = !regs }
+  in
+  (merge, render)
 
 (* What an undisturbed run of the same specs produces: each job run
    locally through the same campaign machinery a worker uses. *)

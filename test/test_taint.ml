@@ -11,14 +11,9 @@ let test_mask_basics () =
   Alcotest.(check bool) "word tainted" true (Mask.is_tainted Mask.word);
   check_mask "all 4" 0b1111 (Mask.all ~bytes:4);
   check_mask "set" 0b0100 (Mask.set_byte Mask.none 2);
-  check_mask "clear" 0b1011 (Mask.clear_byte Mask.word 2);
   Alcotest.(check bool) "byte" true (Mask.byte 0b0100 2);
   Alcotest.(check bool) "byte clear" false (Mask.byte 0b0100 1);
-  check_mask "count" 3 (Mask.tainted_bytes 0b1101);
-  check_mask "of_bools" 0b0101 (Mask.of_bools [ true; false; true; false ]);
-  Alcotest.(check (list bool))
-    "to_bools" [ true; false; true; false ]
-    (Mask.to_bools ~bytes:4 0b0101)
+  check_mask "count" 3 (Mask.tainted_bytes 0b1101)
 
 let test_mask_pp () =
   Alcotest.(check string) "pp" "0011" (Format.asprintf "%a" (Mask.pp ?bytes:None) 0b0011);
@@ -45,7 +40,6 @@ let test_tword_immediate () =
   imm "untainted" (Tword.untainted 0xFFFFFFFF);
   imm "tainted" (Tword.tainted 0x80000000);
   imm "with_value" (Tword.with_value (Tword.tainted 1) 0x7FFFFFFF);
-  imm "with_mask" (Tword.with_mask (Tword.untainted 3) 0b0110);
   (* Round-trip through the raw bits used by Regfile/Memory. *)
   let w = Tword.make ~v:0xCAFEBABE ~m:0b1001 in
   Alcotest.(check bool) "of_bits/to_bits roundtrip" true
@@ -83,15 +77,7 @@ let test_and_rule () =
   let m = Prop.and_bytes ~v1:0 ~m1:0 ~v2:0x11223344 ~m2:0b1111 in
   check_mask "untainted zero operand clears all" 0 m
 
-let test_compare_xor_rules () =
-  check_mask "xor idiom" 0 Prop.xor_same;
-  check_mask "compare untaint" 0 Prop.compare_untaint
-
-let test_merge_partial () =
-  check_mask "byte insert" 0b1101
-    (Prop.merge_partial ~old_mask:0b1111 ~new_mask:0b0 ~offset:1 ~bytes:1);
-  check_mask "half insert" 0b0111
-    (Prop.merge_partial ~old_mask:0b0001 ~new_mask:0b11 ~offset:1 ~bytes:2)
+let test_xor_rule () = check_mask "xor idiom" 0 Prop.xor_same
 
 (* --- Properties --- *)
 
@@ -129,23 +115,10 @@ let prop_shift_taint_conserved =
       let dir = if left then Prop.Left else Prop.Right in
       Prop.shift dir ~amount ~amount_mask:Mask.none Mask.none = Mask.none)
 
-let prop_merge_partial_window =
-  QCheck2.Test.make ~name:"merge_partial only touches its window"
-    QCheck2.Gen.(tup4 mask_gen mask_gen (int_bound 3) (int_range 1 2))
-    (fun (old_mask, new_mask, offset, bytes) ->
-      QCheck2.assume (offset + bytes <= 4);
-      let merged = Prop.merge_partial ~old_mask ~new_mask ~offset ~bytes in
-      List.for_all
-        (fun i ->
-          if i >= offset && i < offset + bytes then
-            Mask.byte merged i = Mask.byte new_mask (i - offset)
-          else Mask.byte merged i = Mask.byte old_mask i)
-        [ 0; 1; 2; 3 ])
-
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [ prop_union_commutative; prop_union_idempotent; prop_union_monotone;
-      prop_and_bytes_subset; prop_shift_taint_conserved; prop_merge_partial_window ]
+      prop_and_bytes_subset; prop_shift_taint_conserved ]
 
 let () =
   Alcotest.run "taint"
@@ -159,6 +132,5 @@ let () =
         [ Alcotest.test_case "default OR rule" `Quick test_default_rule;
           Alcotest.test_case "shift rule" `Quick test_shift_rule;
           Alcotest.test_case "AND-zero rule" `Quick test_and_rule;
-          Alcotest.test_case "compare/xor rules" `Quick test_compare_xor_rules;
-          Alcotest.test_case "merge partial" `Quick test_merge_partial ] );
+          Alcotest.test_case "xor rule" `Quick test_xor_rule ] );
       ("properties", properties) ]

@@ -6,7 +6,7 @@
 
 let run ~stdin src =
   let program = Ptaint_runtime.Runtime.compile src in
-  let config = Ptaint_sim.Sim.Config.(default |> with_stdin stdin) in
+  let config = { Ptaint_sim.Sim.default_config with Ptaint_sim.Sim.stdin } in
   Ptaint_sim.Sim.run ~config program
 
 let tainted_bytes (r : Ptaint_sim.Sim.result) symbol len =

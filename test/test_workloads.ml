@@ -55,9 +55,10 @@ let test_sources_policy () =
   let p = Workload.program w in
   let policy = { Ptaint_cpu.Policy.default with Ptaint_cpu.Policy.compare_untaints = false } in
   let config =
-    Ptaint_sim.Sim.Config.(
-      default |> with_policy policy |> with_sources Ptaint_os.Sources.none
-      |> with_stdin (w.Workload.input ()))
+    { Ptaint_sim.Sim.default_config with
+      Ptaint_sim.Sim.policy;
+      sources = Ptaint_os.Sources.none;
+      stdin = w.Workload.input () }
   in
   let r = Ptaint_sim.Sim.run ~config p in
   match r.Ptaint_sim.Sim.outcome with
