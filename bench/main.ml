@@ -419,6 +419,52 @@ let micro_stack_pair_bench =
                 m.Ptaint_cpu.Machine.sb_promoted
                 (m.Ptaint_cpu.Machine.chain_hits - before))))
 
+(* [local-load] spins the next idioms cgen emits, in its exact
+   shapes: a local-variable read ([addiu rX,$fp,k; lw rX,0(rX)], and
+   its [lbu] form) and an [la] constant ([lui; ori]), which the tier
+   runs as one step each, around a push, pointer scaling ([addiu
+   rk,$zero,4; mult; mflo]) and a pop followed by [addu] (clean
+   variant, self-chained).  Like [stack-pair], the row asserts the
+   tier carried the load. *)
+let local_load_machine () =
+  let open Ptaint_isa in
+  let tb = Ptaint_mem.Layout.text_base and top = Ptaint_mem.Layout.stack_top in
+  let sp = Reg.sp and fp = Reg.fp and t0 = Reg.t0 and t1 = Reg.t1 and t2 = Reg.t2 in
+  let insns =
+    [| Insn.I (ADDIU, t0, fp, -8); Insn.Load (LW, t0, 0, t0);
+       Insn.I (ADDIU, sp, sp, -4); Insn.Store (SW, t0, 0, sp);
+       Insn.Lui (t0, 0x1000); Insn.I (ORI, t0, t0, 0x0010);
+       Insn.I (ADDIU, t2, Reg.zero, 4); Insn.Muldiv (MULT, t0, t2); Insn.Mflo t0;
+       Insn.Load (LW, t1, 0, sp); Insn.I (ADDIU, sp, sp, 4); Insn.R (ADDU, t0, t1, t0);
+       Insn.I (ADDIU, t1, fp, -4); Insn.Load (LBU, t1, 0, t1);
+       Insn.J tb |]
+  in
+  let mem = Ptaint_mem.Memory.create () in
+  Ptaint_mem.Memory.map_range mem ~lo:(top - Ptaint_mem.Layout.page_bytes)
+    ~bytes:Ptaint_mem.Layout.page_bytes;
+  let m =
+    Ptaint_cpu.Machine.create ~code:{ Ptaint_cpu.Machine.base = tb; insns } ~mem ~entry:tb ()
+  in
+  Ptaint_cpu.Regfile.set m.Ptaint_cpu.Machine.regs sp (Ptaint_taint.Tword.untainted (top - 64));
+  Ptaint_cpu.Regfile.set m.Ptaint_cpu.Machine.regs fp (Ptaint_taint.Tword.untainted (top - 32));
+  m
+
+let micro_local_load_bench =
+  let m = local_load_machine () in
+  ignore (Ptaint_cpu.Machine.run m ~fuel:20_000);
+  Test.make ~name:"micro/local-load-10k"
+    (Staged.stage (fun () ->
+         let before = m.Ptaint_cpu.Machine.chain_hits in
+         ignore (Ptaint_cpu.Machine.run m ~fuel:10_000);
+         if m.Ptaint_cpu.Machine.sb_promoted = 0
+            || m.Ptaint_cpu.Machine.chain_hits - before < 600
+         then
+           failwith
+             (Printf.sprintf
+                "micro/local-load-10k: tier not engaged (%d promoted, %d chain hits this run)"
+                m.Ptaint_cpu.Machine.sb_promoted
+                (m.Ptaint_cpu.Machine.chain_hits - before))))
+
 let chain_machine () =
   let open Ptaint_isa in
   let tb = Ptaint_mem.Layout.text_base in
@@ -636,7 +682,8 @@ let micro_gen_job_words_bench =
 let micro_benches =
   [ micro_mem_bench; micro_regfile_bench; micro_snapshot_bench; micro_trace_off_bench;
     micro_trace_on_bench; micro_block_dispatch_bench; micro_clean_fastpath_bench;
-    micro_superblock_dispatch_bench; micro_stack_pair_bench; micro_chain_hit_bench;
+    micro_superblock_dispatch_bench; micro_stack_pair_bench; micro_local_load_bench;
+    micro_chain_hit_bench;
     micro_sliced_run_bench; micro_arena_reuse_bench; micro_template_boot_bench;
     micro_fresh_boot_bench;
     micro_metrics_scrape_bench; micro_frame_read_bench;

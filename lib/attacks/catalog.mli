@@ -25,4 +25,5 @@ val all : Scenario.t list
     via an oversized $HOME (environment) and a format-string attack
     via a poisoned configuration file (file system).  Look these up
     by [Scenario.name]. *)
+
 val real_world : Scenario.t list

@@ -19,15 +19,16 @@ module M = Ptaint_mem.Memory
    Each opcode family has one builder, which returns both closures for
    its instruction: constants, ALU reg-reg and reg-imm, constant
    shifts, loads, stores, mult/div, HI/LO moves, branches and the other
-   terminators.  One family spans two instructions: the stack pair,
-   Mini-C's push ([addiu $sp,$sp,-4; sw rt,0($sp)]) and pop
-   ([lw rd,0($sp); addiu $sp,$sp,4]), matched inside one block body
-   and run as one closure per variant.  What an opcode computes is
-   defined once, in a top-level [@inline] helper both closures call
-   directly; the clean closure is the full closure's clean-operand
-   fast path without the tag test and without the register-bitmap
-   write.  The variant is chosen by building its closure at translate
-   time, never by a branch inside one.  Only tracking policies run the
+   terminators.  The fused families each span two instructions the
+   Mini-C compiler emits together — the push, the pop, the
+   local-variable read and the [lui]/[ori] constant — matched by
+   [translate]'s one shape matcher inside a block body and run as one
+   closure per variant.  What an opcode computes is defined once, in a
+   top-level [@inline] helper every closure that runs it calls
+   directly; the clean closure is the full closure's clean-operand fast
+   path without the tag test and without the register-bitmap write.
+   The variant is chosen by building its closure at translate time,
+   never by a branch inside one.  Only tracking policies run the
    full variant: without tracking the register file stays clean unless
    fault injection dirties it, and a block entered with a dirty
    register file under a non-tracking policy runs on
@@ -204,7 +205,9 @@ let[@inline] enter env idx len nl ns =
    with the opcode as a literal wherever the instruction is hot, so the
    match folds away at compile time; a closure shared by a few rare
    opcodes (the shifts, the narrow loads, mult/div) keeps a runtime
-   match on its captured opcode. *)
+   match on its captured opcode.  The compiler (no flambda) folds an
+   [if] on a literal but not a [match] it compiles to a jump table,
+   which is why [load_elt] tests its two hot opcodes first. *)
 
 let[@inline] shift_value (op : Block.opcode) a n =
   match op with
@@ -256,16 +259,17 @@ let[@inline] ea_of base off = (base + off) land m32
 (* The packed register image a load brings in: the element read,
    sign- or zero-extended, with its tag bits. *)
 let[@inline] load_elt (op : Block.opcode) mem ea =
-  match op with
-  | Olw -> Tword.to_bits (M.peek_word mem ea)
-  | Olbu -> Tword.to_bits (M.peek_byte mem ea)
-  | Olhu -> Tword.to_bits (M.peek_half mem ea)
-  | Olb ->
-    let el = Tword.to_bits (M.peek_byte mem ea) in
-    ((el lsr 32) lsl 32) lor Word.sign_extend ~bits:8 (el land 0xff)
-  | _ ->
-    let el = Tword.to_bits (M.peek_half mem ea) in
-    ((el lsr 32) lsl 32) lor Word.sign_extend ~bits:16 (el land 0xffff)
+  if op = Block.Olw then Tword.to_bits (M.peek_word mem ea)
+  else if op = Block.Olbu then Tword.to_bits (M.peek_byte mem ea)
+  else
+    match op with
+    | Olhu -> Tword.to_bits (M.peek_half mem ea)
+    | Olb ->
+      let el = Tword.to_bits (M.peek_byte mem ea) in
+      ((el lsr 32) lsl 32) lor Word.sign_extend ~bits:8 (el land 0xff)
+    | _ ->
+      let el = Tword.to_bits (M.peek_half mem ea) in
+      ((el lsr 32) lsl 32) lor Word.sign_extend ~bits:16 (el land 0xffff)
 
 (* A store of packed register bits; clean bits clear the tag bits they
    overwrite. *)
@@ -346,8 +350,7 @@ let clean_tainted_load ~track env rd w (nx : code) (fx : code) =
 
 (* Loads and stores fault on [ea land align <> 0] with width
    [align + 1]; [dd] is the policy's data-pointer detector. *)
-let[@inline] load_clean op ~track env ~align rel rd breg off (nx : code) (fx : code) =
-  let ea = ea_of (Array.unsafe_get env.e_regs breg) off in
+let[@inline] load_clean op ~track env ~align rel rd ea (nx : code) (fx : code) =
   if ea land align <> 0 then event env ev_misalign rel ea (align + 1)
   else begin
     env.e_rel <- rel;
@@ -538,11 +541,15 @@ let shift op rd rs sh (nx : code) (nf : code) =
 let load ~track ~dd op rel rd breg off (nx : code) (nf : code) =
   match op with
   | Block.Olw ->
-    ( (fun env -> load_clean Block.Olw ~track env ~align:3 rel rd breg off nx nf),
+    ( (fun env ->
+        let ea = ea_of (Array.unsafe_get env.e_regs breg) off in
+        load_clean Block.Olw ~track env ~align:3 rel rd ea nx nf),
       fun env -> load_full Block.Olw ~dd env ~align:3 rel rd breg off nf )
   | _ ->
     let align = if op = Block.Olh || op = Block.Olhu then 1 else 0 in
-    ( (fun env -> load_clean op ~track env ~align rel rd breg off nx nf),
+    ( (fun env ->
+        let ea = ea_of (Array.unsafe_get env.e_regs breg) off in
+        load_clean op ~track env ~align rel rd ea nx nf),
       fun env -> load_full op ~dd env ~align rel rd breg off nf )
 
 let store ~dd op rel rt breg off (nx : code) (nf : code) =
@@ -583,17 +590,22 @@ let move ~dst ~src (nx : code) (nf : code) =
         put env dst (Array.unsafe_get env.e_regs src);
         nf env )
 
-(* The stack-pair family: the Mini-C stack machine's push
-   ([addiu $sp,$sp,-4] then [sw rt,0($sp)]) and pop ([lw rd,0($sp)]
-   then [addiu $sp,$sp,4]), each pair one closure per variant.  The
-   halves keep [step_core]'s order: a push writes $sp before its store
-   can raise anything, a pop raises before it moves $sp, and both
-   report events at the memory half's block-relative index [rel].  With
-   [rt] or [rd] = $sp the store reads the decremented $sp and the
-   increment applies to the loaded one, as run one at a time. *)
+(* --- fused families: a few instructions cgen emits together, one
+   step per variant ---
+
+   Each family runs the helpers of its instructions in order, so every
+   opcode is still defined once.  Events keep [step_core]'s order and
+   are reported at the block-relative index [rel] of the instruction
+   that raised them; registers written before that instruction stay
+   written. *)
+
 let sp = Reg.sp
+let fp = Reg.fp
 let push_delta = 0xFFFFFFFC (* -4, as decoded *)
 
+(* The push ([addiu $sp,$sp,-4] then [sw rt,0($sp)]) writes $sp before
+   its store can raise anything; with [rt] = $sp the store reads the
+   decremented $sp, as run one at a time. *)
 let push ~dd rel rt (nx : code) (nf : code) =
   ( (fun env ->
       ri_clean Block.Oaddi env sp sp push_delta;
@@ -602,9 +614,11 @@ let push ~dd rel rt (nx : code) (nf : code) =
       ri_full Block.Oaddi env sp sp push_delta;
       store_full Block.Osw ~dd env ~align:3 rel rt sp 0 nf )
 
-(* [(ax, af)] are the [addiu] half's own closures: a clean load of a
-   tainted element finishes the pop through them, [af] being its deopt
-   target. *)
+(* The pop ([lw rd,0($sp)] then [addiu $sp,$sp,4]) raises before it
+   moves $sp; with [rd] = $sp the increment applies to the loaded
+   value, as run one at a time.  [(ax, af)] are the [addiu] half's own
+   closures: a clean load of a tainted element finishes the pop through
+   them, [af] being its deopt target. *)
 let pop ~track ~dd rel rd (nx : code) (nf : code) ((ax, af) : code * code) =
   ( (fun env ->
       let regs = env.e_regs in
@@ -632,6 +646,26 @@ let pop ~track ~dd rel rd (nx : code) (nf : code) ((ax, af) : code * code) =
         nf env
       end )
 
+(* The local-variable read [addiu rX,$fp,k] then [lw|lbu rX,0(rX)]:
+   rX is written before the load can raise, and a clean load of a
+   tainted element deopts into [nf]. *)
+let[@inline] local_clean op ~track env ~align rel rx k (nx : code) (nf : code) =
+  let ea = ri_value Block.Oaddi (Array.unsafe_get env.e_regs fp) k in
+  Array.unsafe_set env.e_regs rx ea;
+  load_clean op ~track env ~align rel rx ea nx nf
+
+let[@inline] local_full op ~dd env ~align rel rx k (nf : code) =
+  ri_full Block.Oaddi env rx fp k;
+  load_full op ~dd env ~align rel rx rx 0 nf
+
+let local_load ~track ~dd op rel rx k (nx : code) (nf : code) =
+  if op = Block.Olw then
+    ( (fun env -> local_clean Block.Olw ~track env ~align:3 rel rx k nx nf),
+      fun env -> local_full Block.Olw ~dd env ~align:3 rel rx k nf )
+  else
+    ( (fun env -> local_clean Block.Olbu ~track env ~align:0 rel rx k nx nf),
+      fun env -> local_full Block.Olbu ~dd env ~align:0 rel rx k nf )
+
 (* Conditional branches, through the terminator's successor [slots].
    The one-register forms pass slot 0 as [rt]: it reads 0, and
    untainting it is a no-op. *)
@@ -655,6 +689,12 @@ let branch ~cmp op rs rt slots : code * code =
   | _ ->
     ( (fun env -> branch_clean Block.Obgez env slots rs 0),
       fun env -> branch_full Block.Obgez ~cmp env slots rs 0 )
+
+(* The families [translate] fuses, named by shape, and how many
+   instructions each spans. *)
+type shape = Lone | Push | Pop | Local_load | Constant
+
+let span = function Lone -> 1 | Push | Pop | Local_load | Constant -> 2
 
 (* Translate the block entered at [idx] (which must have a terminator:
    [stops.(idx) < n]) and publish it in the tier table.  Publication
@@ -804,32 +844,43 @@ let translate tier idx =
     | Block.Osyscall | Block.Obreak ->
       assert false
   in
-  (* Whether [i] ends a stack pair whose first half is in this block
-     too: a branch into the second half enters a block of its own, which
-     runs that half alone. *)
-  let pair_ends i =
-    i > idx
-    && Array.unsafe_get fb (i - 1) = sp
-    && Array.unsafe_get fb i = sp
-    &&
-    match (Array.unsafe_get ops (i - 1), Array.unsafe_get ops i) with
-    | Block.Oaddi, Block.Osw ->
-      Array.unsafe_get fa (i - 1) = sp
-      && Array.unsafe_get fc (i - 1) = push_delta
-      && Array.unsafe_get fc i = 0
-    | Block.Olw, Block.Oaddi ->
-      Array.unsafe_get fc (i - 1) = 0 && Array.unsafe_get fa i = sp && Array.unsafe_get fc i = 4
-    | _ -> false
+  (* The fused family ending at body index [i], when both its
+     instructions are in this block: a branch into the second half of
+     a family enters a block of its own, which runs that half alone. *)
+  let shape i =
+    let op k = ops.(i - k) and a k = fa.(i - k) and b k = fb.(i - k) and c k = fc.(i - k) in
+    let pair = i > idx in
+    match op 0 with
+    | Block.Osw
+      when pair && op 1 = Block.Oaddi && a 1 = sp && b 1 = sp && c 1 = push_delta
+           && b 0 = sp && c 0 = 0 ->
+      Push
+    | Block.Oaddi
+      when pair && a 0 = sp && b 0 = sp && c 0 = 4 && op 1 = Block.Olw && b 1 = sp
+           && c 1 = 0 ->
+      Pop
+    | Block.Olw | Block.Olbu
+      when pair && op 1 = Block.Oaddi && b 1 = fp && a 0 <> 0 && a 1 = a 0 && b 0 = a 0
+           && c 0 = 0 ->
+      Local_load
+    | Block.Oori when pair && op 1 = Block.Olui && a 1 = a 0 && b 0 = a 0 -> Constant
+    | _ -> Lone
+  in
+  (* Both closures of the family [s] ending at [i]. *)
+  let family s i (nx, nf) =
+    match s with
+    | Lone -> insn i nx nf
+    | Push -> push ~dd (i - idx) fa.(i) nx nf
+    | Pop -> pop ~track ~dd (i - 1 - idx) fa.(i - 1) nx nf (insn i nx nf)
+    | Local_load -> local_load ~track ~dd ops.(i) (i - idx) fa.(i) fc.(i - 1) nx nf
+    | Constant -> const fa.(i) (fc.(i - 1) lor fc.(i)) nx nf
   in
   let clean_code, full_code =
-    let rec build i ((nx, nf) as k) =
+    let rec build i k =
       if i < idx then k
-      else if pair_ends i then
-        build (i - 2)
-          (if Array.unsafe_get ops i = Block.Osw then
-             push ~dd (i - idx) (Array.unsafe_get fa i) nx nf
-           else pop ~track ~dd (i - 1 - idx) (Array.unsafe_get fa (i - 1)) nx nf (insn i nx nf))
-      else build (i - 1) (insn i nx nf)
+      else
+        let s = shape i in
+        build (i - span s) (family s i k)
     in
     build (term - 1) terminator
   in

@@ -22,12 +22,15 @@
     stores, mult/div, HI/LO moves, terminators) returns both closures
     for its instruction, and the clean closure is the full one's
     clean-operand path without the tag test and the register-bitmap
-    write.  The stack-pair family covers two instructions: the Mini-C
-    stack machine's push ([addiu $sp,$sp,-4; sw rt,0($sp)]) and pop
-    ([lw rd,0($sp); addiu $sp,$sp,4]) run as one closure per variant
-    when both halves are in the same block, with every event in the
-    order and at the instruction the per-step engine reports it.  Only tracking policies run the full
-    variant; under a non-tracking policy a block entered with register
+    write.  A few shapes the Mini-C compiler emits run as one closure
+    per variant when all of the shape is in one block: the push
+    ([addiu $sp,$sp,-4; sw rt,0($sp)]), the pop ([lw rd,0($sp);
+    addiu $sp,$sp,4]), a pop followed by a reg-reg op, the
+    local-variable read ([addiu rX,$fp,k; lw|lbu rX,0(rX)]), the
+    [lui rX,hi; ori rX,rX,lo] constant and pointer scaling
+    ([addiu rk,$zero,imm; mult|multu rs,rk; mflo rd]), with every
+    event in the order and at the instruction the per-step engine
+    reports it.  Only tracking policies run the full variant; under a non-tracking policy a block entered with register
     taint (which only fault injection can create) exits to the driver,
     which runs it on [Machine.step_core].
 
@@ -112,15 +115,33 @@ type tier = {
 
 (** {1 Exit event codes} *)
 
-val ev_none : int      (** chain miss: the driver dispatches [e_next_pc] *)
-val ev_fuel : int      (** block longer than remaining fuel; pc at [e_next_pc] *)
-val ev_syscall : int   (** terminator trap; [e_next_pc] past the terminator *)
-val ev_break : int     (** like syscall; [e_a] = break code *)
-val ev_jump_alert : int   (** tainted jr/jalr target; [e_a] = rs *)
-val ev_load_alert : int   (** tainted load address; [e_a] = base reg, [e_b] = ea *)
-val ev_store_alert : int  (** tainted store address; [e_a] = base reg, [e_b] = ea *)
-val ev_guard_alert : int  (** tainted store into a guard; [e_a] = rt, [e_b] = ea *)
-val ev_misalign : int     (** [e_a] = address, [e_b] = width *)
+val ev_none : int
+(** Chain miss: the driver dispatches [e_next_pc]. *)
+
+val ev_fuel : int
+(** Block longer than remaining fuel; pc at [e_next_pc]. *)
+
+val ev_syscall : int
+(** Terminator trap; [e_next_pc] past the terminator. *)
+
+val ev_break : int
+(** Like syscall; [e_a] = break code. *)
+
+val ev_jump_alert : int
+(** Tainted jr/jalr target; [e_a] = rs. *)
+
+val ev_load_alert : int
+(** Tainted load address; [e_a] = base reg, [e_b] = ea. *)
+
+val ev_store_alert : int
+(** Tainted store address; [e_a] = base reg, [e_b] = ea. *)
+
+val ev_guard_alert : int
+(** Tainted store into a guard; [e_a] = rt, [e_b] = ea. *)
+
+val ev_misalign : int
+(** [e_a] = address, [e_b] = width. *)
+
 val ev_unmapped : int
 (** Never set by translated code: the driver synthesizes it when
     {!Ptaint_mem.Memory.Unmapped} escapes a chain. *)

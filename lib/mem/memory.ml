@@ -84,6 +84,7 @@ let zero_plane =
 
 let cache_slots = 64
 let max_spares = 64
+let debug_asserts = ref false
 
 (* Placeholder page record filling the cache's page slots while their
    index slot still holds the -1 sentinel; never dereferenced. *)
@@ -216,25 +217,9 @@ let[@inline] set_byte t addr v ~taint =
   Bigarray.Array1.unsafe_set pl wi
     (cleared lor ((v land 0xff) lsl vshift) lor (if taint then tb else 0))
 
-(* Words and halves take any alignment.  An aligned word, or an even
-   half (which never crosses a word), is one element access; the rest
-   walk bytes out of line, which also handles the page-boundary
-   crossing. *)
-
-let[@inline never] get_word_unaligned t addr =
-  let v = ref 0 and m = ref 0 in
-  for i = 3 downto 0 do
-    let b = get_byte t (addr + i) in
-    v := (!v lsl 8) lor Tword.value b;
-    m := !m lor (Tword.mask b lsl i)
-  done;
-  Tword.make ~v:!v ~m:!m
-
-let[@inline never] set_word_unaligned t addr w =
-  let v = Tword.value w and m = Tword.mask w in
-  for i = 0 to 3 do
-    set_byte t (addr + i) ((v lsr (8 * i)) land 0xff) ~taint:(m land (1 lsl i) <> 0)
-  done
+(* Halves take any alignment: an even half never crosses a word, and
+   an odd one walks its two bytes out of line, which also handles the
+   page-boundary crossing. *)
 
 let[@inline never] get_half_odd t addr =
   let b0 = get_byte t addr and b1 = get_byte t (addr + 1) in
@@ -245,15 +230,6 @@ let[@inline never] get_half_odd t addr =
 let[@inline never] set_half_odd t addr v ~m =
   set_byte t addr (v land 0xff) ~taint:(m land 1 <> 0);
   set_byte t (addr + 1) ((v lsr 8) land 0xff) ~taint:(m land 2 <> 0)
-
-let[@inline] get_word t addr =
-  if addr land 3 = 0 then Tword.of_bits (get_elt t addr) else get_word_unaligned t addr
-
-let[@inline] set_word t addr w =
-  if addr land 3 = 0 then
-    Bigarray.Array1.unsafe_set (write_plane t addr) ((addr land page_mask) lsr 2)
-      (Tword.to_bits w)
-  else set_word_unaligned t addr w
 
 let[@inline] get_half t addr =
   if addr land 1 = 0 then begin
@@ -278,10 +254,17 @@ let[@inline] set_half t addr v ~m =
 
 (* --- uncounted accesses --- *)
 
-let[@inline] peek_word t addr = get_word t (addr land mask32)
+(* A word is one element: its address is aligned and 32-bit, which
+   every caller establishes first ([step_core] and the superblock tier
+   fault a misaligned access before they make it), so neither is
+   tested or masked here. *)
+let[@inline] peek_word t addr = Tword.of_bits (get_elt t addr)
+
+let[@inline] poke_word t addr w =
+  Bigarray.Array1.unsafe_set (write_plane t addr) ((addr land page_mask) lsr 2) (Tword.to_bits w)
+
 let[@inline] peek_half t addr = get_half t (addr land mask32)
 let[@inline] peek_byte t addr = get_byte t (addr land mask32)
-let[@inline] poke_word t addr w = set_word t (addr land mask32) w
 let[@inline] poke_half t addr v ~m = set_half t (addr land mask32) v ~m
 let[@inline] poke_byte t addr v ~taint = set_byte t (addr land mask32) v ~taint
 
@@ -297,11 +280,22 @@ let[@inline] stored t tainted =
   t.st.stores <- t.st.stores + 1;
   if tainted then t.st.tainted_stores <- t.st.tainted_stores + 1
 
-let load_word t addr = loaded t (peek_word t addr)
+(* The word precondition, checked only when [debug_asserts] is set. *)
+let[@inline never] misaligned_word addr =
+  invalid_arg (Printf.sprintf "Memory: word access at 0x%x is not an aligned 32-bit address" addr)
+
+let[@inline] check_word addr =
+  if !debug_asserts && addr land (lnot mask32 lor 3) <> 0 then misaligned_word addr
+
+let load_word t addr =
+  check_word addr;
+  loaded t (peek_word t addr)
+
 let load_half t addr = loaded t (peek_half t addr)
 let load_byte t addr = loaded t (peek_byte t addr)
 
 let store_word t addr w =
+  check_word addr;
   poke_word t addr w;
   stored t (Tword.is_tainted w)
 
@@ -425,8 +419,6 @@ let taint_summary t addr len =
    audit checks the derived state: the page-lookup cache, the dirty
    list, the records aligned with the base snapshot, the spare planes,
    and the zero plane every fresh page shares. *)
-
-let debug_asserts = ref false
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf (fun m -> failwith ("Memory.check_invariants: " ^ m)) fmt in

@@ -13,7 +13,9 @@
     Pages must be mapped (via {!map_range}) before access; touching an
     unmapped address raises {!Unmapped}, which the simulator reports as
     a segmentation fault — this is what an undetected wild dereference
-    does to the guest.  Every address argument is masked to 32 bits.
+    does to the guest.  Every address argument is masked to 32 bits,
+    except a word access's, which must already be aligned and 32-bit
+    (see {!load_word}).
 
     Pages are shared copy-on-write: {!snapshot} freezes the current
     contents, {!restore} builds a memory aliasing the snapshot's
@@ -53,14 +55,23 @@ val tainted_bytes : t -> int
     kernel's copies and the loader's writes.  Each call counts as one
     logical access in {!stats}, whatever its width, once it succeeds.
     Loads return the data packed as a {!Ptaint_taint.Tword},
-    zero-extended, with one mask bit per byte read.  Every width takes
-    any alignment; an access crossing into an unmapped page raises
-    {!Unmapped}. *)
+    zero-extended, with one mask bit per byte read.  Halves and bytes
+    take any address and alignment; a half crossing into an unmapped
+    page raises {!Unmapped}. *)
 
 val load_word : t -> int -> Ptaint_taint.Tword.t
+(** The address must be a multiple of 4 below 2{^32}: a word is
+    then one page element.  The per-step engine faults a misaligned
+    [lw]/[sw] before it calls here, and the loader aligns its cursor.
+    When {!debug_asserts} is set a violation raises [Invalid_argument];
+    otherwise it is not checked. *)
+
 val load_half : t -> int -> Ptaint_taint.Tword.t
 val load_byte : t -> int -> Ptaint_taint.Tword.t
+
 val store_word : t -> int -> Ptaint_taint.Tword.t -> unit
+(** Same precondition as {!load_word}. *)
+
 val store_half : t -> int -> int -> m:Ptaint_taint.Mask.t -> unit
 val store_byte : t -> int -> int -> taint:bool -> unit
 
@@ -80,13 +91,20 @@ val read_cstring : t -> int -> string
     tier's translated code, which charges a whole block's loads and
     stores at its entry, and inspection reads (backtraces, the
     debugger's memory view, test comparisons), which are not guest
-    accesses.  The word and half accessors are forced inline; their
-    aligned case is one element access. *)
+    accesses.  The word and half accessors are forced inline; a word,
+    or an even half, is one element access. *)
 
 val peek_word : t -> int -> Ptaint_taint.Tword.t
+(** {!load_word}'s precondition, never checked here: the translated
+    code tests alignment before every word access, and inspection
+    readers mask and align their addresses. *)
+
 val peek_half : t -> int -> Ptaint_taint.Tword.t
 val peek_byte : t -> int -> Ptaint_taint.Tword.t
+
 val poke_word : t -> int -> Ptaint_taint.Tword.t -> unit
+(** Same precondition as {!peek_word}. *)
+
 val poke_half : t -> int -> int -> m:Ptaint_taint.Mask.t -> unit
 val poke_byte : t -> int -> int -> taint:bool -> unit
 
@@ -126,8 +144,9 @@ val check_invariants : t -> unit
 
 val debug_asserts : bool ref
 (** When set, every injection entry point (and [Fi.apply], whatever
-    the fault) runs {!check_invariants} after mutating — the debug
-    assert hook for fault-injection tests. *)
+    the fault) runs {!check_invariants} after mutating, and
+    {!load_word}/{!store_word} check their address — the debug assert
+    hook for tests. *)
 
 val inject_flip_data : t -> int -> bit:int -> unit
 (** Flip bit [bit land 7] of the data byte at the address; the taint

@@ -20,6 +20,7 @@ val recv : t -> max:int -> Ptaint_mem.Memory.t -> int -> taint:bool -> int
     keeps a cursor into the message, so a partial receive copies
     nothing else.  The bytes are consumed before the copy: one that
     raises {!Ptaint_mem.Memory.Unmapped} part-way still uses them up. *)
+
 val send : t -> string -> unit
 val sent : t -> string list
 (** All outbound messages, in order. *)

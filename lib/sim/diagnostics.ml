@@ -43,13 +43,17 @@ let backtrace_limit = 32
 let backtrace (p : Ptaint_asm.Program.t) (m : Ptaint_cpu.Machine.t) =
   let mem = m.Ptaint_cpu.Machine.mem in
   let frame_of pc = { pc; location = symbolize p pc } in
+  (* a frame is two aligned 32-bit words, the word accessors'
+     precondition: a corrupt chain ends the walk at a misaligned [fp] *)
   let rec walk acc fp n =
-    if n >= backtrace_limit then List.rev acc
-    else if not (Ptaint_mem.Memory.is_mapped mem fp && Ptaint_mem.Memory.is_mapped mem (fp + 4))
+    let fp = fp land Ptaint_isa.Word.mask32 in
+    let fp4 = (fp + 4) land Ptaint_isa.Word.mask32 in
+    if n >= backtrace_limit || fp land 3 <> 0 then List.rev acc
+    else if not (Ptaint_mem.Memory.is_mapped mem fp && Ptaint_mem.Memory.is_mapped mem fp4)
     then List.rev acc
     else
       let saved_fp = Ptaint_taint.Tword.value (Ptaint_mem.Memory.peek_word mem fp) in
-      let ra = Ptaint_taint.Tword.value (Ptaint_mem.Memory.peek_word mem (fp + 4)) in
+      let ra = Ptaint_taint.Tword.value (Ptaint_mem.Memory.peek_word mem fp4) in
       if not (in_text p ra) then List.rev acc
       else
         let acc = frame_of ra :: acc in

@@ -226,6 +226,7 @@ val detected : result -> bool
 val exit_code : outcome -> int
 (** Process-style exit status: the guest's own status (mod 256) for a
     clean exit, 3 for a security alert, 4 for anything else. *)
+
 val pp_outcome : Format.formatter -> outcome -> unit
 
 (** {1 Observation}

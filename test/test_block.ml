@@ -547,11 +547,12 @@ let matrix_insn_gen =
   let reg = oneofl (Array.to_list pool) in
   let dst = frequency [ (9, reg); (1, return "$zero") ] in
   let src = frequency [ (9, reg); (1, return "$zero") ] in
-  let mem ~width ~base =
+  let off ~width =
     let* w = int_range 0 ((64 / width) - 1) in
     let* skew = frequency [ (29, return 0); (1, int_range 1 (max 1 (width - 1))) ] in
-    return (Printf.sprintf "%d(%s)" ((w * width) + if width = 1 then 0 else skew) base)
+    return ((w * width) + if width = 1 then 0 else skew)
   in
+  let mem ~width ~base = map (fun k -> Printf.sprintf "%d(%s)" k base) (off ~width) in
   let base = frequency [ (4, return "$s7"); (1, return "$s3") ] in
   frequency
     [ ( 6,
@@ -609,6 +610,13 @@ let matrix_insn_gen =
         let* r = dst in
         return (Printf.sprintf "lw %s, 0($sp)\n        addiu $sp, $sp, 4" r) );
       ( 2,
+        let* op, width = oneofl [ ("lw", 4); ("lbu", 1) ] in
+        let* r = reg and* k = off ~width in
+        return (Printf.sprintf "addiu %s, $fp, %d\n        %s %s, 0(%s)" r k op r r) );
+      ( 1,
+        let* r = reg and* hi = int_range 0 0xffff and* lo = int_range 0 0xffff in
+        return (Printf.sprintf "lui %s, %d\n        ori %s, %s, %d" r hi r r lo) );
+      ( 2,
         let* r = reg in
         oneofl
           [ "addiu $sp, $sp, -4"; "addiu $sp, $sp, 4"; "addiu $sp, $sp, -8";
@@ -652,7 +660,8 @@ let matrix_asm (body, late, late_target, _) =
           | Pool r -> Printf.sprintf "        and $s1, $s1, %s" r
           | Unmapped -> Printf.sprintf "        sll $s1, $s1, 30");
          "        addu $s3, $s7, $s1";
-         "        addiu $sp, $s3, 8" ]
+         "        addiu $sp, $s3, 8";
+         "        move $fp, $s3" ]
      @ List.map (fun l -> "        " ^ l) body
      @ [ "        sw $s7, 60($s7)";
          "        addiu $s6, $s6, -1";
@@ -906,30 +915,115 @@ let test_stack_pair_split () =
         Alcotest.failf "%s: only %d blocks promoted" ctx bulk.machine.Machine.sb_promoted)
     matrix_policies
 
-(* --- random fuel slicing through fused pairs -------------------------- *)
+(* --- the other fused families ------------------------------------------ *)
 
-(* Whether the machine is about to run the second half of a stack pair:
-   slicing the fuel there makes the bulk engine stop inside what the
-   tier runs as one step. *)
-let mid_pair m (insn : Ptaint_isa.Insn.t) =
-  let sp = Ptaint_isa.Reg.sp in
+(* The tier also runs cgen's local-variable read ([addiu rX,$fp,k;
+   lw|lbu rX,0(rX)]) and the [li]/[la] constant ([lui rX,hi; ori
+   rX,rX,lo]) as one step each.  The bodies run on the stack pairs'
+   loop, whose $fp is the late-event base: [Pool "$t0"] taints it,
+   [Pool "$t4"] misaligns it and [Unmapped] moves it off the data
+   segment.  $fp + 4 and $sp (= $fp + 8) hold stdin bytes, so after
+   the halfway scrub a clean load there reads a tainted element and
+   deoptimizes in the middle of its family; each such body ends by
+   writing clean values over the registers it tainted, so the next
+   pass enters clean.  A pop followed by a reg-reg op is not fused (it
+   measured slower as one step); its cases check the fused pop's deopt
+   into the op after it, and the compare rule there. *)
+let local_load op r k = [ Printf.sprintf "addiu %s, $fp, %d" r k;
+                          Printf.sprintf "%s %s, 0(%s)" op r r ]
+let untaint_after = [ "sw $t6, 24($s7)"; "li $t5, 0"; "li $t6, 0" ]
+
+let family_cases =
+  [ ("tainted $fp, local lw", local_load "lw" "$t5" 8, Pool "$t0", Alerts Machine.Load_address);
+    ("tainted $fp, local lbu", local_load "lbu" "$t5" 9, Pool "$t0", Alerts Machine.Load_address);
+    ("misaligned $fp + k, local lw", local_load "lw" "$t5" 8, Pool "$t4", Misaligned);
+    ("odd $fp + k, local lbu", local_load "lbu" "$t5" 8, Pool "$t4", Exits);
+    ("unmapped $fp + k, local lw", local_load "lw" "$t5" 8, Unmapped, Segfaults Memory.Load);
+    ("unmapped $fp + k, local lbu", local_load "lbu" "$t5" 8, Unmapped, Segfaults Memory.Load);
+    ("local lw of a tainted element", local_load "lw" "$t5" 4 @ [ "addu $t6, $t5, $t4" ]
+                                      @ untaint_after, Pool "$t7", Exits);
+    ("local lbu of a tainted element", local_load "lbu" "$t5" 5 @ [ "addu $t6, $t5, $t4" ]
+                                       @ untaint_after, Pool "$t7", Exits);
+    ("near miss: local lw into another register",
+     [ "addiu $t5, $fp, 8"; "lw $t6, 0($t5)" ], Pool "$t4", Misaligned);
+    ("near miss: addiu into another register",
+     [ "addiu $t6, $s7, 16"; "addiu $t5, $fp, 8"; "lw $t6, 0($t6)" ], Pool "$t7", Exits);
+    ("near miss: local lw off $s3", [ "addiu $t5, $s3, 8"; "lw $t5, 0($t5)" ], Pool "$t7", Exits);
+    ("near miss: local lw at 4(rX)", [ "addiu $t5, $fp, 4"; "lw $t5, 4($t5)" ], Pool "$t7",
+     Exits);
+    ("near miss: local lb", local_load "lb" "$t5" 9, Pool "$t0", Alerts Machine.Load_address);
+    ("constant", [ "lui $t5, 0x1234"; "ori $t5, $t5, 0x5678"; "addu $t6, $t5, $t0" ], Pool "$t7",
+     Exits);
+    ("constant into $zero", [ "lui $zero, 0x1234"; "ori $zero, $zero, 0x5678";
+                              "addu $t6, $zero, $t0" ], Pool "$t7", Exits);
+    ("near miss: ori from another register",
+     [ "lui $t5, 0x1234"; "ori $t5, $t0, 0x5678"; "sw $t5, 24($s7)" ], Pool "$t7", Exits);
+    ("pop then addu of a tainted element", pop_pair "$t5" @ [ "addu $t6, $t5, $t4" ]
+                                           @ untaint_after, Pool "$t7", Exits);
+    (* under a compare-untaints policy the slt clears the popped taint
+       the store then shows; without one it stays *)
+    ("pop then slt", pop_pair "$t5" @ [ "slt $t6, $t5, $t4"; "sw $t5, 20($s7)" ]
+                     @ untaint_after, Pool "$t7", Exits);
+    ("pop then sltu", pop_pair "$t5" @ [ "sltu $t6, $t4, $t5"; "sw $t5, 20($s7)" ]
+                      @ untaint_after, Pool "$t7", Exits);
+    ("pop into $sp then addu of $sp",
+     pop_pair "$sp" @ [ "addu $t6, $sp, $t4"; "sw $t6, 24($s7)"; "addiu $sp, $s7, 8";
+                        "li $t6, 0" ], Pool "$t7", Exits) ]
+
+let test_family_cases () =
+  List.iter
+    (fun (name, body, late_target, expect) ->
+      let case = (body, pair_late, late_target, pair_input) in
+      let program = matrix_program case in
+      List.iter
+        (fun (label, policy) ->
+          let ctx = Printf.sprintf "%s under %s" name label in
+          let bulk = differential ctx (matrix_config pair_input policy) program in
+          if bulk.machine.Machine.sb_promoted = 0 then
+            Alcotest.failf "%s: the loop was never promoted" ctx;
+          check_pair_outcome ctx ~detects:(Ptaint_cpu.Policy.detects_data_pointers policy)
+            expect bulk.outcome)
+        matrix_policies)
+    family_cases
+
+(* --- random fuel slicing through fused families -------------------------- *)
+
+(* The fused family whose later instruction the machine is about to
+   run, if any: slicing the fuel there makes the bulk engine stop inside
+   what the tier runs as one step. *)
+let mid_family m (insn : Ptaint_isa.Insn.t) =
+  let open Ptaint_isa in
+  let sp = Reg.sp and fp = Reg.fp in
   match (Machine.fetch m (m.Machine.pc - 4), insn) with
-  | Some (Ptaint_isa.Insn.I ((ADDIU | ADDI), rt, rs, -4)), Store (SW, _, 0, base) ->
-    rt = sp && rs = sp && base = sp
-  | Some (Load (LW, _, 0, base)), I ((ADDIU | ADDI), rt, rs, 4) ->
-    base = sp && rt = sp && rs = sp
-  | _ -> false
+  | Some (Insn.I ((ADDIU | ADDI), rt, rs, -4)), Store (SW, _, 0, base)
+    when rt = sp && rs = sp && base = sp ->
+    Some "push"
+  | Some (Load (LW, _, 0, base)), I ((ADDIU | ADDI), rt, rs, 4)
+    when base = sp && rt = sp && rs = sp ->
+    Some "pop"
+  | Some (I ((ADDIU | ADDI), rx, rs, _)), Load ((LW | LBU), rt, 0, base)
+    when rs = fp && rx <> 0 && rt = rx && base = rx ->
+    Some "local load"
+  | Some (Lui (rx, _)), I (ORI, rt, rs, _) when rt = rx && rs = rx -> Some "constant"
+  | _ -> None
 
-(* The per-step run, with the (icount, pc) of every mid-pair point. *)
-let reference_with_mid_pairs config program =
-  let mids = ref [] in
-  let hook m insn = if mid_pair m insn then mids := (m.Machine.icount, m.Machine.pc) :: !mids in
+(* The per-step run, with the (icount, pc) of every mid-family point
+   and how many each family has. *)
+let reference_with_mid_points config program =
+  let mids = ref [] and kinds = Hashtbl.create 8 in
+  let hook m insn =
+    match mid_family m insn with
+    | Some kind ->
+      mids := (m.Machine.icount, m.Machine.pc) :: !mids;
+      Hashtbl.replace kinds kind (1 + Option.value ~default:0 (Hashtbl.find_opt kinds kind))
+    | None -> ()
+  in
   let r = Sim.finish (Sim.boot ~config:{ config with Sim.on_step = Some hook } program) in
-  (r, List.rev !mids)
+  (r, List.rev !mids, kinds)
 
 (* The bulk engine under random [run_until] targets, so [Machine.run]
    gets random fuel: mostly short slices, which end inside blocks and
-   pairs, and some long ones, which run the compiled chains. *)
+   families, and some long ones, which run the compiled chains. *)
 let run_randomly_sliced ~seed config program =
   let st = Random.State.make [| seed |] in
   let s = Sim.boot ~config program in
@@ -941,9 +1035,9 @@ let run_randomly_sliced ~seed config program =
   in
   go ()
 
-(* The bulk engine stopped at every mid-pair icount, each stop checked
-   against the pc the per-step run had there. *)
-let run_stopping_mid_pair ctx mids config program =
+(* The bulk engine stopped at every mid-family icount, each stop
+   checked against the pc the per-step run had there. *)
+let run_stopping_mid_family ctx mids config program =
   let s = Sim.boot ~config program in
   let m = s.Sim.s_machine in
   List.iter
@@ -971,30 +1065,42 @@ int main(void) {
 }
 |}
 
-let test_fuel_slicing_pairs () =
+let families = [ "push"; "pop"; "local load"; "constant" ]
+
+let test_fuel_slicing_families () =
   let parser_config =
     { Sim.default_config with
       Sim.stdin = Ptaint_workloads.Wl_parser.input ~bytes:500 ();
       argv = [ "PARSER" ] }
   in
+  let seen = Hashtbl.create 8 in
   List.iter
     (fun (name, config, program) ->
-      let ref_, mids = reference_with_mid_pairs config program in
+      let ref_, mids, kinds = reference_with_mid_points config program in
       (match ref_.outcome with
        | Sim.Exited 0 -> ()
        | o -> Alcotest.failf "%s: outcome %s" name (outcome_str o));
       if List.length mids < 1000 then
-        Alcotest.failf "%s: only %d mid-pair points" name (List.length mids);
+        Alcotest.failf "%s: only %d mid-family points" name (List.length mids);
+      Hashtbl.iter
+        (fun kind n ->
+          Hashtbl.replace seen kind (n + Option.value ~default:0 (Hashtbl.find_opt seen kind)))
+        kinds;
       List.iter
         (fun seed ->
           check_agree (Printf.sprintf "%s, random slices (seed %d)" name seed)
             (run_randomly_sliced ~seed config program) ref_)
         [ 1; 2; 3 ];
-      let ctx = name ^ ", stopped mid-pair" in
-      check_agree ctx (run_stopping_mid_pair ctx mids config program) ref_)
+      let ctx = name ^ ", stopped mid-family" in
+      check_agree ctx (run_stopping_mid_family ctx mids config program) ref_)
     [ ("push/pop-heavy Mini-C", Sim.default_config,
        Ptaint_runtime.Runtime.compile push_pop_heavy_c);
-      ("PARSER", parser_config, Ptaint_workloads.Workload.(program parser)) ]
+      ("PARSER", parser_config, Ptaint_workloads.Workload.(program parser)) ];
+  List.iter
+    (fun kind ->
+      let n = Option.value ~default:0 (Hashtbl.find_opt seen kind) in
+      if n < 100 then Alcotest.failf "only %d mid-family points in %s" n kind)
+    families
 
 (* --- batch runner --------------------------------------------------- *)
 
@@ -1089,7 +1195,9 @@ let () =
           Alcotest.test_case "stack pairs, fixed cases" `Quick test_stack_pair_cases;
           Alcotest.test_case "stack pairs, guarded push" `Quick test_stack_pair_guard;
           Alcotest.test_case "stack pairs split by a block entry" `Quick test_stack_pair_split;
-          Alcotest.test_case "fuel slicing through stack pairs" `Quick test_fuel_slicing_pairs;
+          Alcotest.test_case "fused families, fixed cases" `Quick test_family_cases;
+          Alcotest.test_case "fuel slicing through fused families" `Quick
+            test_fuel_slicing_families;
           Alcotest.test_case "run_jobs matches per-step" `Quick test_run_jobs_differential;
           Alcotest.test_case "generated pool, hot through the arena" `Quick
             test_generated_pool ] ) ]

@@ -141,6 +141,24 @@ let test_backtrace_survives_smashed_frame () =
   let frames = Ptaint_sim.Diagnostics.backtrace p result.Ptaint_sim.Sim.machine in
   Alcotest.(check bool) "bounded" true (List.length frames <= 32 && List.length frames >= 1)
 
+(* A word read needs an aligned address, so the walk must stop at a
+   corrupt odd $fp instead of reading the word that holds it: here that
+   word starts the real frame, which the walk would otherwise show. *)
+let test_backtrace_odd_fp () =
+  let _, result = Scenario.run Catalog.exp3_format in
+  let p = result.Ptaint_sim.Sim.image.Ptaint_asm.Loader.program in
+  let m = result.Ptaint_sim.Sim.machine in
+  let whole = Ptaint_sim.Diagnostics.backtrace p m in
+  Alcotest.(check bool) "a chain to corrupt" true (List.length whole >= 2);
+  let regs = m.Ptaint_cpu.Machine.regs and fp = Ptaint_isa.Reg.fp in
+  let saved = Ptaint_cpu.Regfile.get regs fp in
+  Ptaint_cpu.Regfile.set regs fp
+    (Ptaint_taint.Tword.untainted (Ptaint_taint.Tword.value saved + 1));
+  let frames = Ptaint_sim.Diagnostics.backtrace p m in
+  Ptaint_cpu.Regfile.set regs fp saved;
+  Alcotest.(check (list int)) "only the pc frame" [ m.Ptaint_cpu.Machine.pc ]
+    (List.map (fun f -> f.Ptaint_sim.Diagnostics.pc) frames)
+
 (* The report walks guest memory, but an inspection read is not a
    guest access: the run's load/store counts must not move. *)
 let test_report_leaves_stats () =
@@ -167,6 +185,7 @@ let () =
           Alcotest.test_case "tainted registers" `Quick test_tainted_registers;
           Alcotest.test_case "tainted hi/lo" `Quick test_tainted_hi_lo;
           Alcotest.test_case "corrupt frame chain" `Quick test_backtrace_survives_smashed_frame;
+          Alcotest.test_case "odd frame pointer" `Quick test_backtrace_odd_fp;
           Alcotest.test_case "report leaves memory stats" `Quick test_report_leaves_stats ] );
       ( "observability",
         [ Alcotest.test_case "provenance in report" `Quick test_provenance_report;
